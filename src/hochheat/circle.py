@@ -33,37 +33,37 @@ def _check_time(t: float) -> None:
         raise ValueError(f"heat time must be positive, got {t}")
 
 
-def heat_diagonal_images(t: float, length: float) -> float:
-    """Kernel diagonal via the image sum; tail terms below 1e-18 are dropped."""
-    _check_time(t)
-    if length <= 0:
-        raise ValueError(f"circumference must be positive, got {length}")
-    pref = 1.0 / math.sqrt(4.0 * math.pi * t)
-    terms = [1.0]
+def _theta_tail(c: float) -> float:
+    """2 sum_(n>=1) exp(-c n^2), summed without cancellation.
+
+    Stops at the first term that underflows to 0 or falls below 1e-30 of
+    the first term.
+    """
+    terms = []
     n = 1
     while True:
-        term = 2.0 * math.exp(-((n * length) ** 2) / (4.0 * t))
-        if term < 1e-18:
+        term = 2.0 * math.exp(-c * n * n)
+        if term == 0.0 or (terms and term < 1e-30 * terms[0]):
             break
         terms.append(term)
         n += 1
-    return pref * math.fsum(terms)
+    return math.fsum(terms)
 
 
-def heat_diagonal_spectral(t: float, length: float) -> float:
-    """Kernel diagonal via the eigenvalue sum; tail terms below 1e-18 are dropped."""
+def heat_diagonal_images(t: float, length: float) -> float:
+    """Kernel diagonal via the image sum."""
     _check_time(t)
     if length <= 0:
         raise ValueError(f"circumference must be positive, got {length}")
-    terms = [1.0]
-    j = 1
-    while True:
-        term = 2.0 * math.exp(-4.0 * math.pi**2 * j**2 * t / length**2)
-        if term < 1e-18:
-            break
-        terms.append(term)
-        j += 1
-    return math.fsum(terms) / length
+    return (1.0 + _theta_tail(length**2 / (4.0 * t))) / math.sqrt(4.0 * math.pi * t)
+
+
+def heat_diagonal_spectral(t: float, length: float) -> float:
+    """Kernel diagonal via the eigenvalue sum."""
+    _check_time(t)
+    if length <= 0:
+        raise ValueError(f"circumference must be positive, got {length}")
+    return (1.0 + _theta_tail(4.0 * math.pi**2 * t / length**2)) / length
 
 
 def poisson_deviation(t: float, length: float) -> float:
@@ -73,29 +73,12 @@ def poisson_deviation(t: float, length: float) -> float:
 
 def _image_tail(t: float, length: float) -> float:
     """2 (4 pi t)^(-1/2) sum_(n>=1) exp(-(n length)^2 / (4 t)), no cancellation."""
-    pref = 1.0 / math.sqrt(4.0 * math.pi * t)
-    terms = []
-    n = 1
-    while True:
-        term = 2.0 * math.exp(-((n * length) ** 2) / (4.0 * t))
-        if term == 0.0 or (terms and term < 1e-30 * terms[0]):
-            break
-        terms.append(term)
-        n += 1
-    return pref * math.fsum(terms)
+    return _theta_tail(length**2 / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
 
 
 def _spectral_tail(t: float, length: float) -> float:
     """(2/length) sum_(j>=1) exp(-4 pi^2 j^2 t / length^2), no cancellation."""
-    terms = []
-    j = 1
-    while True:
-        term = 2.0 * math.exp(-4.0 * math.pi**2 * j**2 * t / length**2)
-        if term == 0.0 or (terms and term < 1e-30 * terms[0]):
-            break
-        terms.append(term)
-        j += 1
-    return math.fsum(terms) / length
+    return _theta_tail(4.0 * math.pi**2 * t / length**2) / length
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import sys
 from typing import List, Optional, Sequence, Tuple
 
 from .report import VerificationReport
-from .suite import SuiteConfig, run_suite
+from .suite import FAMILIES, SuiteConfig, run_suite
 
 
 def _parse_bump(text: str) -> Tuple[float, float, int]:
@@ -112,18 +112,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _selection_and_config(args: argparse.Namespace) -> Tuple[List[str], SuiteConfig]:
     cfg = SuiteConfig()
     cmd = args.command
-    if cmd in ("cycles", "verify-cycles"):
+    if cmd in ("cycles", "verify-cycles", "symbol"):
         if args.n < 1:
             raise ValueError(f"--n must be at least 1, got {args.n}")
         cfg.max_weyl = args.n
-        return ["cycles"], cfg
+        return ["symbol" if cmd == "symbol" else "cycles"], cfg
     if cmd == "shuffle":
         return ["shuffle"], cfg
-    if cmd == "symbol":
-        if args.n < 1:
-            raise ValueError(f"--n must be at least 1, got {args.n}")
-        cfg.max_weyl = args.n
-        return ["symbol"], cfg
     if cmd == "tsygan":
         if args.samples < 1:
             raise ValueError(f"--samples must be positive, got {args.samples}")
@@ -167,9 +162,7 @@ def _selection_and_config(args: argparse.Namespace) -> Tuple[List[str], SuiteCon
         return ["localization"], cfg
     if cmd == "all":
         cfg.seed = args.seed
-        return list(dict.fromkeys(["cycles", "shuffle", "symbol", "tsygan", "spectrum",
-                                   "mckean-singer", "harmonic", "chern", "product",
-                                   "localization"])), cfg
+        return list(FAMILIES), cfg
     raise ValueError(f"unknown command {cmd!r}")
 
 

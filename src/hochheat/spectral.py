@@ -547,6 +547,10 @@ def limit_supertrace(
 # ---------------------------------------------------------------------------
 
 
+#: the keys of `spectrum_summary`, which a cache file must hold
+_SUMMARY_FIELDS = ("k", "trunc", "tag", "eigs0", "eigs1", "dim_harmonic0", "dim_harmonic1")
+
+
 def spectrum_summary(model: SpectralModel) -> Dict[str, object]:
     return {
         "k": model.k,
@@ -565,12 +569,22 @@ def cache_path(cache_dir: str, k: int, trunc: int) -> str:
 
 
 def load_spectrum(cache_dir: str, k: int, trunc: int):
+    """The cached summary for (k, trunc), or None on a miss.
+
+    A file that is not a JSON object holding every summary field is a miss
+    too, so the caller rebuilds the model and overwrites the file.
+    """
     path = cache_path(cache_dir, k, trunc)
     if not os.path.exists(path):
         return None
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if data.get("tag") != CONVENTION_TAG or data.get("k") != k or data.get("trunc") != trunc:
+        try:
+            data = json.load(fh)
+        except ValueError:  # not JSON, or not UTF-8
+            return None
+    if not isinstance(data, dict) or any(f not in data for f in _SUMMARY_FIELDS):
+        return None
+    if data["tag"] != CONVENTION_TAG or data["k"] != k or data["trunc"] != trunc:
         return None
     return data
 

@@ -62,7 +62,6 @@ class SuiteConfig:
     k: int = 1                             # bundle degree for spectral checks
     trunc: int = 10
     use_cache: bool = True
-    cache_dir: Optional[str] = None
     t_min: float = 0.2
     t_max: float = 5.0
     points: int = 20
@@ -82,27 +81,41 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _check(
-    out: List[CheckResult],
-    check_id: str,
-    claim: str,
-    computed: str,
-    target: str,
-    tolerance: str,
-    ok: bool,
-    started: float,
-) -> None:
-    out.append(
-        CheckResult(
-            id=check_id,
-            claim=claim,
-            computed=computed,
-            target=target,
-            tolerance=tolerance,
-            verdict=PASS if ok else FAIL,
-            runtime_ms=round(1000.0 * (time.perf_counter() - started), 3),
-        )
-    )
+class _Recorder:
+    """Collects one family's check results and times each one.
+
+    A result's `runtime_ms` is the time since the previous result (or since
+    the recorder was opened), so setup work counts toward the check that
+    needs it and a family's runtimes add up to its wall time.
+    """
+
+    def __init__(self) -> None:
+        self.results: List[CheckResult] = []
+        self._mark = time.perf_counter()
+
+    def check(self, check_id: str, claim: str, computed: str, target: str, tolerance: str,
+              ok: bool) -> None:
+        now = time.perf_counter()
+        runtime_ms = round(1000.0 * (now - self._mark), 3)
+        self._mark = now
+        self.results.append(CheckResult(check_id, claim, computed, target, tolerance,
+                                        PASS if ok else FAIL, runtime_ms))
+
+    def equal(self, check_id: str, claim: str, ok: bool) -> None:
+        """Exact equality of two canonical forms."""
+        self.check(check_id, claim, "equal" if ok else "mismatch", "equal", "exact", ok)
+
+    def failures(self, check_id: str, claim: str, holds: Callable, samples: Sequence) -> None:
+        """An exact identity, `holds(sample)`, tested on random samples."""
+        failures = sum(0 if holds(x) else 1 for x in samples)
+        self.check(check_id, claim, f"{failures} failures in {len(samples)} samples",
+                   "0 failures", "exact", failures == 0)
+
+    def near(self, check_id: str, claim: str, value: float, target: float, tol: float,
+             ok: bool = True) -> None:
+        """|value - target| <= tol, and `ok` (e.g. quadrature convergence)."""
+        self.check(check_id, claim, _fmt(value), _fmt(target), f"{tol:.0e}",
+                   ok and abs(value - target) <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -111,177 +124,87 @@ def _check(
 
 
 def _family_cycles(cfg: SuiteConfig) -> List[CheckResult]:
-    out: List[CheckResult] = []
+    rec = _Recorder()
     for n in range(1, cfg.max_weyl + 1):
-        t0 = time.perf_counter()
         omega = omega_cycle(n)
         boundary = hochschild_b(omega)
-        _check(
-            out,
-            f"cycles.boundary.omega{2 * n}",
-            f"the degree-{2 * n} fundamental chain is a Hochschild cycle",
-            f"{len(boundary.terms)} residual terms",
-            "0 residual terms",
-            "exact",
-            boundary.is_zero(),
-            t0,
-        )
-        t0 = time.perf_counter()
-        ok = normalize(omega) == normalized_omega_formula(n)
-        _check(
-            out,
-            f"cycles.normalized.omega{2 * n}",
-            f"normalization of the degree-{2 * n} cycle is the alternating permutation sum",
-            "equal" if ok else "mismatch",
-            "equal",
-            "exact",
-            ok,
-            t0,
-        )
-    return out
+        rec.check(f"cycles.boundary.omega{2 * n}",
+                  f"the degree-{2 * n} fundamental chain is a Hochschild cycle",
+                  f"{len(boundary.terms)} residual terms", "0 residual terms", "exact",
+                  boundary.is_zero())
+        rec.equal(f"cycles.normalized.omega{2 * n}",
+                  f"normalization of the degree-{2 * n} cycle is the alternating permutation sum",
+                  normalize(omega) == normalized_omega_formula(n))
+    return rec.results
+
+
+def _leibniz_holds(sample: Tuple[int, TensorChain, TensorChain]) -> bool:
+    p, x, y = sample
+    lhs = hochschild_b(shuffle_product(x, y))
+    sign = -1 if p % 2 else 1
+    return lhs == shuffle_product(hochschild_b(x), y) + sign * shuffle_product(x, hochschild_b(y))
 
 
 def _family_shuffle(cfg: SuiteConfig) -> List[CheckResult]:
-    out: List[CheckResult] = []
-    t0 = time.perf_counter()
-    ok = shuffle_product(omega_cycle(1), omega_cycle(1)) == omega_cycle(2)
-    _check(
-        out,
-        "shuffle.multiplicative.2x2",
-        "the shuffle square of the degree-2 cycle is the degree-4 cycle",
-        "equal" if ok else "mismatch",
-        "equal",
-        "exact",
-        ok,
-        t0,
-    )
-    t0 = time.perf_counter()
-    ok = shuffle_product(omega_cycle(1), omega_cycle(2)) == omega_cycle(3)
-    _check(
-        out,
-        "shuffle.multiplicative.2x4",
-        "the shuffle of the degree-2 and degree-4 cycles is the degree-6 cycle",
-        "equal" if ok else "mismatch",
-        "equal",
-        "exact",
-        ok,
-        t0,
-    )
-    t0 = time.perf_counter()
+    rec = _Recorder()
+    rec.equal("shuffle.multiplicative.2x2",
+              "the shuffle square of the degree-2 cycle is the degree-4 cycle",
+              shuffle_product(omega_cycle(1), omega_cycle(1)) == omega_cycle(2))
+    rec.equal("shuffle.multiplicative.2x4",
+              "the shuffle of the degree-2 and degree-4 cycles is the degree-6 cycle",
+              shuffle_product(omega_cycle(1), omega_cycle(2)) == omega_cycle(3))
     rng = random.Random(cfg.seed)
-    failures = 0
-    trials = max(1, cfg.samples // 2)
-    for _ in range(trials):
+    samples = []
+    for _ in range(max(1, cfg.samples // 2)):
         p = rng.randrange(0, 3)
         q = rng.randrange(0, 3)
-        x = random_chain(rng, 1, p)
-        y = random_chain(rng, 1, q)
-        lhs = hochschild_b(shuffle_product(x, y))
-        sign = -1 if p % 2 else 1
-        rhs = shuffle_product(hochschild_b(x), y) + sign * shuffle_product(x, hochschild_b(y))
-        if lhs != rhs:
-            failures += 1
-    _check(
-        out,
-        "shuffle.leibniz",
-        "the boundary is a derivation for the shuffle product",
-        f"{failures} failures in {trials} samples",
-        "0 failures",
-        "exact",
-        failures == 0,
-        t0,
-    )
-    return out
+        samples.append((p, random_chain(rng, 1, p), random_chain(rng, 1, q)))
+    rec.failures("shuffle.leibniz", "the boundary is a derivation for the shuffle product",
+                 _leibniz_holds, samples)
+    return rec.results
 
 
 def _family_symbol(cfg: SuiteConfig) -> List[CheckResult]:
-    out: List[CheckResult] = []
+    rec = _Recorder()
     for n in range(1, cfg.max_weyl + 1):
-        t0 = time.perf_counter()
         sym = hkr_symbol(omega_cycle(n))
-        vol = volume_form(n)
-        ok = sym == vol
-        _check(
-            out,
-            f"symbol.volume.n{n}",
-            f"the antisymmetrized symbol of the degree-{2 * n} cycle is the volume form",
-            "volume form, coefficient 1" if ok else f"{len(sym.terms)} terms",
-            "volume form, coefficient 1",
-            "exact",
-            ok,
-            t0,
-        )
-    return out
+        ok = sym == volume_form(n)
+        rec.check(f"symbol.volume.n{n}",
+                  f"the antisymmetrized symbol of the degree-{2 * n} cycle is the volume form",
+                  "volume form, coefficient 1" if ok else f"{len(sym.terms)} terms",
+                  "volume form, coefficient 1", "exact", ok)
+    return rec.results
+
+
+def _intertwines(c: TensorChain) -> bool:
+    bp = bar_bprime(c)
+    return hochschild_b(c + (-1) * cyclic_tau(c)) == bp + (-1) * cyclic_tau(bp)
 
 
 def _family_tsygan(cfg: SuiteConfig) -> List[CheckResult]:
-    out: List[CheckResult] = []
+    rec = _Recorder()
     rng = random.Random(cfg.seed)
-    samples = [
+    chains = [
         random_chain(rng, rng.randrange(1, 3), rng.randrange(0, 4)) for _ in range(cfg.samples)
     ]
-
-    def run(check_id: str, claim: str, predicate: Callable[[TensorChain], bool]) -> None:
-        t0 = time.perf_counter()
-        failures = sum(0 if predicate(c) else 1 for c in samples)
-        _check(
-            out,
-            check_id,
-            claim,
-            f"{failures} failures in {len(samples)} samples",
-            "0 failures",
-            "exact",
-            failures == 0,
-            t0,
-        )
-
-    run(
-        "tsygan.b.squared",
-        "the Hochschild boundary squares to zero",
-        lambda c: hochschild_b(hochschild_b(c)).is_zero(),
-    )
-    run(
-        "tsygan.bprime.squared",
-        "the bar boundary squares to zero",
-        lambda c: bar_bprime(bar_bprime(c)).is_zero(),
-    )
-
-    def intertwine(c: TensorChain) -> bool:
-        bp = bar_bprime(c)
-        return hochschild_b(c + (-1) * cyclic_tau(c)) == bp + (-1) * cyclic_tau(bp)
-
-    run(
-        "tsygan.intertwine",
-        "the boundary intertwines the cyclic operator with the bar boundary",
-        intertwine,
-    )
-    run(
-        "tsygan.norm",
-        "the norm operator intertwines the two boundaries",
-        lambda c: bar_bprime(norm_n(c)) == norm_n(hochschild_b(c)),
-    )
-    t0 = time.perf_counter()
-    failures = 0
-    for _ in range(max(1, cfg.samples // 2)):
-        vec = random_column_vector(rng, rng.randrange(1, 3))
-        if not tsygan_d(tsygan_d(vec)).is_zero():
-            failures += 1
-    _check(
-        out,
-        "tsygan.differential.squared",
-        "the bicomplex differential squares to zero",
-        f"{failures} failures in {max(1, cfg.samples // 2)} samples",
-        "0 failures",
-        "exact",
-        failures == 0,
-        t0,
-    )
-    return out
+    rec.failures("tsygan.b.squared", "the Hochschild boundary squares to zero",
+                 lambda c: hochschild_b(hochschild_b(c)).is_zero(), chains)
+    rec.failures("tsygan.bprime.squared", "the bar boundary squares to zero",
+                 lambda c: bar_bprime(bar_bprime(c)).is_zero(), chains)
+    rec.failures("tsygan.intertwine",
+                 "the boundary intertwines the cyclic operator with the bar boundary",
+                 _intertwines, chains)
+    rec.failures("tsygan.norm", "the norm operator intertwines the two boundaries",
+                 lambda c: bar_bprime(norm_n(c)) == norm_n(hochschild_b(c)), chains)
+    vectors = [
+        random_column_vector(rng, rng.randrange(1, 3)) for _ in range(max(1, cfg.samples // 2))
+    ]
+    rec.failures("tsygan.differential.squared", "the bicomplex differential squares to zero",
+                 lambda v: tsygan_d(tsygan_d(v)).is_zero(), vectors)
+    return rec.results
 
 
-def _cache_dir(cfg: SuiteConfig) -> str:
-    if cfg.cache_dir:
-        return cfg.cache_dir
+def _cache_dir() -> str:
     env = os.environ.get(DEFAULT_CACHE_ENV)
     if env:
         return env
@@ -290,46 +213,28 @@ def _cache_dir(cfg: SuiteConfig) -> str:
 
 def _spectrum_data(cfg: SuiteConfig) -> Tuple[Dict[str, object], bool]:
     if cfg.use_cache:
-        cached = load_spectrum(_cache_dir(cfg), cfg.k, cfg.trunc)
+        cached = load_spectrum(_cache_dir(), cfg.k, cfg.trunc)
         if cached is not None:
             return cached, True
     model = build_model(cfg.k, cfg.trunc)
     summary = spectrum_summary(model)
     if cfg.use_cache:
-        store_spectrum(_cache_dir(cfg), model)
+        store_spectrum(_cache_dir(), model)
     return summary, False
 
 
 def _family_spectrum(cfg: SuiteConfig) -> List[CheckResult]:
-    out: List[CheckResult] = []
-    t0 = time.perf_counter()
+    rec = _Recorder()
     data, from_cache = _spectrum_data(cfg)
     note = " (cached)" if from_cache else ""
     k = cfg.k
     dim0 = data["dim_harmonic0"]
-    _check(
-        out,
-        "spectrum.kernel.sections",
-        f"the section Laplacian for k={k} has an exactly (k+1)-dimensional kernel",
-        f"{dim0}{note}",
-        f"{k + 1}",
-        "exact",
-        dim0 == k + 1,
-        t0,
-    )
-    t0 = time.perf_counter()
+    rec.check("spectrum.kernel.sections",
+              f"the section Laplacian for k={k} has an exactly (k+1)-dimensional kernel",
+              f"{dim0}{note}", f"{k + 1}", "exact", dim0 == k + 1)
     dim1 = data["dim_harmonic1"]
-    _check(
-        out,
-        "spectrum.kernel.forms",
-        f"the form Laplacian for k={k} has trivial kernel",
-        f"{dim1}{note}",
-        "0",
-        "exact",
-        dim1 == 0,
-        t0,
-    )
-    t0 = time.perf_counter()
+    rec.check("spectrum.kernel.forms", f"the form Laplacian for k={k} has trivial kernel",
+              f"{dim1}{note}", "0", "exact", dim1 == 0)
     eigs0 = [(v, m) for v, m in data["eigs0"] if v > 1e-8]
     eigs1 = list(data["eigs1"])
     head = min(5, len(eigs0), len(eigs1))
@@ -338,195 +243,90 @@ def _family_spectrum(cfg: SuiteConfig) -> List[CheckResult]:
         default=math.inf,
     )
     mults_ok = all(eigs0[i][1] == eigs1[i][1] for i in range(head))
-    _check(
-        out,
-        "spectrum.susy.pairing",
-        "nonzero section and form spectra agree with multiplicity",
-        f"max deviation {_fmt(dev)} over {head} clusters{note}",
-        "identical clusters",
-        "1e-06",
-        dev <= 1e-6 and mults_ok,
-        t0,
-    )
-    return out
+    rec.check("spectrum.susy.pairing", "nonzero section and form spectra agree with multiplicity",
+              f"max deviation {_fmt(dev)} over {head} clusters{note}", "identical clusters",
+              "1e-06", dev <= 1e-6 and mults_ok)
+    return rec.results
 
 
 def _family_mckean_singer(cfg: SuiteConfig) -> List[CheckResult]:
-    out: List[CheckResult] = []
-    t0 = time.perf_counter()
+    rec = _Recorder()
     if cfg.points < 2 or cfg.t_min <= 0 or cfg.t_max <= cfg.t_min:
         raise ValueError("mckean-singer needs t-max > t-min > 0 and points >= 2")
     model = build_model(cfg.k, cfg.trunc)
     grid = np.linspace(cfg.t_min, cfg.t_max, cfg.points)
     dev = max(abs(heat_supertrace(model, float(t)) - (cfg.k + 1)) for t in grid)
-    _check(
-        out,
-        f"mckean-singer.flat.k{cfg.k}",
-        f"the heat supertrace for k={cfg.k} is constant at k+1 across the time grid",
-        f"max deviation {_fmt(dev)}",
-        f"{cfg.k + 1}",
-        "1e-03",
-        dev <= 1e-3,
-        t0,
-    )
-    return out
+    rec.check(f"mckean-singer.flat.k{cfg.k}",
+              f"the heat supertrace for k={cfg.k} is constant at k+1 across the time grid",
+              f"max deviation {_fmt(dev)}", f"{cfg.k + 1}", "1e-03", dev <= 1e-3)
+    return rec.results
 
 
 def _family_harmonic(cfg: SuiteConfig) -> List[CheckResult]:
-    out: List[CheckResult] = []
+    rec = _Recorder()
     euler = mul(z_var(1, 1), d_var(1, 1))
     for k in cfg.harmonic_ks:
-        trunc = max(k + 2, 8)
-        model = build_model(k, trunc)
-        t0 = time.perf_counter()
-        ident = harmonic_supertrace(model, unit(1))
-        _check(
-            out,
-            f"harmonic.identity.k{k}",
-            f"the harmonic supertrace of the identity counts the k={k} sections",
-            _fmt(ident),
-            f"{k + 1}",
-            "1e-08",
-            abs(ident - (k + 1)) <= 1e-8,
-            t0,
-        )
-        t0 = time.perf_counter()
-        val = harmonic_supertrace(model, euler)
-        expected = k * (k + 1) / 2
-        _check(
-            out,
-            f"harmonic.euler.k{k}",
-            f"the harmonic supertrace of z d/dz for k={k} is k(k+1)/2",
-            _fmt(val),
-            _fmt(expected),
-            "1e-06",
-            abs(val - expected) <= 1e-6,
-            t0,
-        )
-    return out
+        model = build_model(k, max(k + 2, 8))
+        rec.near(f"harmonic.identity.k{k}",
+                 f"the harmonic supertrace of the identity counts the k={k} sections",
+                 harmonic_supertrace(model, unit(1)), k + 1, 1e-8)
+        rec.near(f"harmonic.euler.k{k}", f"the harmonic supertrace of z d/dz for k={k} is k(k+1)/2",
+                 harmonic_supertrace(model, euler), k * (k + 1) / 2, 1e-6)
+    return rec.results
 
 
 def _family_chern(cfg: SuiteConfig) -> List[CheckResult]:
-    out: List[CheckResult] = []
-    t0 = time.perf_counter()
+    rec = _Recorder()
     res = integrate_chart(chern_density(1), method=cfg.method, levels=cfg.levels)
-    _check(
-        out,
-        "chern.degree.o1",
-        "the curvature integral of O(1) is its degree",
-        _fmt(res.value),
-        "1",
-        "1e-08",
-        res.converged and abs(res.value - 1.0) <= 1e-8,
-        t0,
-    )
-    t0 = time.perf_counter()
+    rec.near("chern.degree.o1", "the curvature integral of O(1) is its degree",
+             res.value, 1.0, 1e-8, res.converged)
     todd = integrate_chart(todd_density(), method=cfg.method, levels=cfg.levels)
-    _check(
-        out,
-        "chern.todd.integral",
-        "the Todd integral of the sphere is 1",
-        _fmt(todd.value),
-        "1",
-        "1e-08",
-        todd.converged and abs(todd.value - 1.0) <= 1e-8,
-        t0,
-    )
-    t0 = time.perf_counter()
-    model = build_model(0, cfg.cross_trunc)
-    counted = harmonic_supertrace(model, unit(1))
-    dev = abs(todd.value - counted)
-    _check(
-        out,
-        "chern.todd-vs-harmonic",
-        "the quadrature Todd integral matches the spectral section count for k=0",
-        f"quadrature {_fmt(todd.value)}, spectral {_fmt(counted)}",
-        "equal",
-        "1e-06",
-        dev <= 1e-6,
-        t0,
-    )
-    return out
+    rec.near("chern.todd.integral", "the Todd integral of the sphere is 1",
+             todd.value, 1.0, 1e-8, todd.converged)
+    counted = harmonic_supertrace(build_model(0, cfg.cross_trunc), unit(1))
+    rec.check("chern.todd-vs-harmonic",
+              "the quadrature Todd integral matches the spectral section count for k=0",
+              f"quadrature {_fmt(todd.value)}, spectral {_fmt(counted)}", "equal", "1e-06",
+              abs(todd.value - counted) <= 1e-6)
+    return rec.results
 
 
 def _family_product(cfg: SuiteConfig) -> List[CheckResult]:
-    out: List[CheckResult] = []
-    t0 = time.perf_counter()
+    rec = _Recorder()
     n = cfg.product_factors
     res = integrate_product([todd_density()] * n, method=cfg.method, levels=cfg.levels)
-    _check(
-        out,
-        f"product.todd.x{n}",
-        f"the Todd integral of the {n}-fold product of spheres is 1",
-        _fmt(res.value),
-        "1",
-        "1e-06",
-        res.converged and abs(res.value - 1.0) <= 1e-6,
-        t0,
-    )
-    return out
+    rec.near(f"product.todd.x{n}", f"the Todd integral of the {n}-fold product of spheres is 1",
+             res.value, 1.0, 1e-6, res.converged)
+    return rec.results
 
 
 def _family_localization(cfg: SuiteConfig) -> List[CheckResult]:
-    out: List[CheckResult] = []
+    rec = _Recorder()
     circles = TwoCircles(cfg.length_a, cfg.length_b)
     bump = BumpFunction(*cfg.bump)
-    t0 = time.perf_counter()
     dev = max(
         poisson_deviation(t, length)
         for t in (0.01, 0.1, 1.0, 5.0)
         for length in (cfg.length_a, cfg.length_b)
     )
-    _check(
-        out,
-        "localization.poisson",
-        "image and spectral heat sums agree on both circles",
-        f"max deviation {_fmt(dev)}",
-        "0",
-        "1e-12",
-        dev <= 1e-12,
-        t0,
-    )
-    t0 = time.perf_counter()
+    rec.check("localization.poisson", "image and spectral heat sums agree on both circles",
+              f"max deviation {_fmt(dev)}", "0", "1e-12", dev <= 1e-12)
     rows = compare_localization(circles, bump, cfg.short_times)
     excess = max(row.delta - row.bound for row in rows)
-    _check(
-        out,
-        "localization.short-time.bound",
-        "the localized trace deviates from the free-line value within the image tail",
-        f"max excess {_fmt(excess)}",
-        "no excess",
-        "1e-14",
-        excess <= 1e-14,
-        t0,
-    )
-    t0 = time.perf_counter()
+    rec.check("localization.short-time.bound",
+              "the localized trace deviates from the free-line value within the image tail",
+              f"max excess {_fmt(excess)}", "no excess", "1e-14", excess <= 1e-14)
     first = rows[0]
     ratio = first.bound / bump.integral()
-    _check(
-        out,
-        "localization.short-time.smallt",
-        f"at t={first.t:g} the localization error is below 1e-10 of the bump mass",
-        f"bound/mass {_fmt(ratio)}",
-        "<= 1e-10",
-        "1e-10",
-        ratio <= 1e-10,
-        t0,
-    )
-    t0 = time.perf_counter()
+    rec.check("localization.short-time.smallt",
+              f"at t={first.t:g} the localization error is below 1e-10 of the bump mass",
+              f"bound/mass {_fmt(ratio)}", "<= 1e-10", "1e-10", ratio <= 1e-10)
     lrows = long_time_rows(cfg.length_a, bump, cfg.long_times)
     lexcess = max(row.deviation - row.bound for row in lrows)
-    _check(
-        out,
-        "localization.long-time.gap",
-        "the trace approaches equilibrium within the spectral gap bound",
-        f"max excess {_fmt(lexcess)}",
-        "no excess",
-        "exact",
-        lexcess <= 0.0,
-        t0,
-    )
-    return out
+    rec.check("localization.long-time.gap",
+              "the trace approaches equilibrium within the spectral gap bound",
+              f"max excess {_fmt(lexcess)}", "no excess", "exact", lexcess <= 0.0)
+    return rec.results
 
 
 FAMILIES: Dict[str, Callable[[SuiteConfig], List[CheckResult]]] = {

@@ -2,12 +2,15 @@
 
 import json
 import os
+import time
 
 import pytest
 
+from hochheat import suite
+from hochheat.chains import bar_bprime, hochschild_b
 from hochheat.cli import main
 from hochheat.report import CheckResult, VerificationReport
-from hochheat.spectral import cache_path
+from hochheat.spectral import CONVENTION_TAG, cache_path, harmonic_supertrace, load_spectrum
 from hochheat.suite import SuiteConfig, run_suite
 
 
@@ -139,3 +142,56 @@ def test_cli_exit_nonzero_on_failure(monkeypatch, capsys):
     monkeypatch.setitem(suite_mod.FAMILIES, "cycles", bad_family)
     assert main(["cycles"]) == 1
     assert "fail" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["{not json", "[1, 2]", json.dumps({"k": 1, "trunc": 8, "tag": CONVENTION_TAG})],
+    ids=["not-json", "not-an-object", "missing-fields"],
+)
+def test_cli_broken_cache_file_is_a_miss(tmp_path, capsys, monkeypatch, content):
+    monkeypatch.setenv("HOCHHEAT_CACHE_DIR", str(tmp_path))
+    path = cache_path(str(tmp_path), 1, 8)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(content)
+    assert main(["spectrum", "--k", "1", "--trunc", "8"]) == 0
+    assert "(cached)" not in capsys.readouterr().out
+    assert load_spectrum(str(tmp_path), 1, 8)["dim_harmonic0"] == 2
+
+
+def _wrap_sign_flipped_b(c):
+    """hochschild_b with the sign of the wrap-around term flipped: b' - (b - b')."""
+    return 2 * bar_bprime(c) + (-1) * hochschild_b(c)
+
+
+@pytest.mark.parametrize(
+    "name, mutant, argv, check_id",
+    [
+        ("hochschild_b", _wrap_sign_flipped_b, ["cycles", "--n", "1"], "cycles.boundary.omega2"),
+        ("bar_bprime", lambda c: (-1) * bar_bprime(c), ["tsygan", "--samples", "5"],
+         "tsygan.intertwine"),
+        ("harmonic_supertrace", lambda *a: harmonic_supertrace(*a) + 1.0,
+         ["harmonic", "--k", "0"], "harmonic.identity.k0"),
+        ("poisson_deviation", lambda t, length: 1.0, ["localization"], "localization.poisson"),
+    ],
+    ids=["boundary", "failures", "tolerance", "localization"],
+)
+def test_each_check_shape_can_fail(monkeypatch, capsys, name, mutant, argv, check_id):
+    monkeypatch.setattr(suite, name, mutant)
+    assert main(["--format", "json", *argv]) == 1
+    verdicts = {c["id"]: c["verdict"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert verdicts[check_id] == "fail"
+
+
+def test_setup_work_is_timed(monkeypatch):
+    real_build = suite.build_model
+
+    def slow_build(*args, **kwargs):
+        time.sleep(0.05)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(suite, "build_model", slow_build)
+    report = run_suite(["harmonic"], SuiteConfig(harmonic_ks=(0,)))
+    # the model is built before the first check of the family, the identity supertrace
+    first = next(c for c in report.checks if c.id == "harmonic.identity.k0")
+    assert first.runtime_ms >= 50
