@@ -2,10 +2,20 @@
 
 A degree-k word is a (k+1)-tuple a0 (x) a1 (x) ... (x) ak of elements of
 the n-variable operator algebra; a chain is a finite rational combination
-of words (possibly of mixed degree).  Canonical form: each slot entry is
-made monic by moving its leading coefficient into the chain coefficient,
-words with a zero slot are dropped, and identical words are merged, so
-equality of chains is exact and decidable.
+of words (possibly of mixed degree).  By multilinearity every chain has
+one canonical form, and that form is what a `TensorChain` stores: a dict
+from words to nonzero `Fraction` coefficients, where a word is a tuple of
+monomial keys (z_exp, d_exp), one per slot, each slot standing for the
+monic monomial z^z_exp d^d_exp.  Equality of chains is dict equality, so
+it is exact and decidable.
+
+Only the public constructors validate: `TensorChain.from_terms` (and
+`TensorChain.word` and `chain_from_json`, which call it) checks variable
+counts and rejects empty words, then expands each slot element into
+monic keys.  The operators below map keys to keys with
+`weyl.mono_product` and build their results without checking them again.
+`TensorChain.terms` is a derived view for readers of elements: the words
+in sorted key order, each slot as a one-term monic `WeylElement`.
 
 Operators implemented here:
 
@@ -16,7 +26,8 @@ Operators implemented here:
                    on degree-k words
 * norm_n         - the norm sum(tau^j, j = 0..k) degree by degree
 * shuffle_product- signed interleavings of the interior slots after
-                   embedding the two factors on disjoint variable blocks
+                   padding the two factors' keys onto disjoint variable
+                   blocks
 * omega_cycle    - the canonical closed 2n-chain built by shuffling n
                    copies of 1 (x) d (x) z - 1 (x) z (x) d + 1 (x) 1 (x) 1
 * normalize      - quotient by words with a scalar in an interior slot
@@ -33,85 +44,103 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .weyl import WeylElement, d_var, disjoint_embed, format_element, mul, parse_element, unit, z_var
+from .weyl import (Key, WeylElement, WeylMonomial, d_var, format_element, mono_product,
+                   parse_element, unit, z_var)
 
 Word = Tuple[WeylElement, ...]
+#: a word as stored: one monomial key per slot
+KeyWord = Tuple[Key, ...]
 
 
-def _canonical_terms(n: int, raw: Iterable[Tuple[Fraction, Word]]):
-    # Multilinear expansion: every slot becomes a single monic monomial,
-    # so all cancellations between algebraically equal chains are found.
-    acc: Dict[tuple, Tuple[Fraction, Word]] = {}
-    for coeff, word in raw:
-        if not coeff:
-            continue
-        pieces: List[Tuple[Fraction, Tuple[WeylElement, ...]]] = [(coeff, ())]
-        for el in word:
-            if el.n != n:
-                raise ValueError("word entry has wrong variable count")
-            if el.is_zero():
-                pieces = []
-                break
-            expanded = []
-            for c, prefix in pieces:
-                for mono, mc in el.terms:
-                    expanded.append((c * mc, prefix + (WeylElement(n, ((mono, Fraction(1)),)),)))
-            pieces = expanded
-        for c, w in pieces:
-            key = tuple(el.terms[0][0].sort_key for el in w)
-            if key in acc:
-                tot = acc[key][0] + c
-                if tot:
-                    acc[key] = (tot, w)
-                else:
-                    del acc[key]
-            else:
-                acc[key] = (c, w)
-    return tuple(acc[k] for k in sorted(acc))
+@lru_cache(maxsize=4096)
+def _slot(key: Key) -> WeylElement:
+    """The monic one-term element with monomial key `key`."""
+    n = len(key[0])
+    return WeylElement(n, ((WeylMonomial(n, *key), Fraction(1)),))
+
+
+def _add_to(acc: Dict[KeyWord, Fraction], word: KeyWord, coeff: Fraction) -> None:
+    if word in acc:
+        acc[word] += coeff
+    else:
+        acc[word] = coeff
+
+
+def _nonzero(acc: Dict[KeyWord, Fraction]) -> Dict[KeyWord, Fraction]:
+    return {w: c for w, c in acc.items() if c}
 
 
 @dataclass(frozen=True)
 class TensorChain:
-    """Rational combination of tensor words over the n-variable algebra."""
+    """Rational combination of tensor words over the n-variable algebra.
+
+    `words` maps each word (a tuple of monomial keys) to its nonzero
+    coefficient; build chains with `from_terms` or `word`.
+    """
 
     n: int
-    terms: Tuple[Tuple[Fraction, Word], ...]
+    words: Dict[KeyWord, Fraction]
 
     @staticmethod
     def from_terms(n: int, raw: Iterable[Tuple[Fraction, Word]]) -> "TensorChain":
-        return TensorChain(n, _canonical_terms(n, raw))
+        """The chain sum(coeff * word) for words of `WeylElement` slots."""
+        if n < 1:
+            raise ValueError(f"need n >= 1, got {n}")
+        acc: Dict[KeyWord, Fraction] = {}
+        for coeff, word in raw:
+            if not word:
+                raise ValueError("a word needs at least one slot")
+            # multilinear expansion: every slot becomes a single monic key
+            pieces: List[Tuple[Fraction, KeyWord]] = [(Fraction(coeff), ())]
+            for el in word:
+                if el.n != n:
+                    raise ValueError("word entry has wrong variable count")
+                pieces = [(c * mc, prefix + (mono.sort_key,))
+                          for c, prefix in pieces for mono, mc in el.terms]
+            for c, w in pieces:
+                _add_to(acc, w, c)
+        return TensorChain(n, _nonzero(acc))
 
     @staticmethod
     def zero(n: int) -> "TensorChain":
-        return TensorChain(n, ())
+        return TensorChain(n, {})
 
     @staticmethod
     def word(n: int, coeff, slots: Sequence[WeylElement]) -> "TensorChain":
         return TensorChain.from_terms(n, [(Fraction(coeff), tuple(slots))])
 
+    @cached_property
+    def terms(self) -> Tuple[Tuple[Fraction, Word], ...]:
+        """(coeff, word) pairs in sorted word order, each slot a monic element."""
+        return tuple((self.words[w], tuple(map(_slot, w))) for w in sorted(self.words))
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.words
 
     def degrees(self) -> set:
-        return {len(w) - 1 for _, w in self.terms}
+        return {len(w) - 1 for w in self.words}
 
     def __add__(self, other: "TensorChain") -> "TensorChain":
         if self.n != other.n:
             raise ValueError("cannot add chains over different algebras")
-        return TensorChain.from_terms(self.n, list(self.terms) + list(other.terms))
+        acc = dict(self.words)
+        for w, c in other.words.items():
+            _add_to(acc, w, c)
+        return TensorChain(self.n, _nonzero(acc))
 
     def __sub__(self, other: "TensorChain") -> "TensorChain":
         return self + (-1) * other
 
     def __rmul__(self, c) -> "TensorChain":
         c = Fraction(c)
-        return TensorChain.from_terms(self.n, [(c * k, w) for k, w in self.terms])
+        return TensorChain(self.n, {w: c * k for w, k in self.words.items()} if c else {})
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.words:
             return "0"
         parts = []
         for coeff, word in self.terms:
@@ -120,62 +149,50 @@ class TensorChain:
         return " + ".join(parts)
 
 
-def hochschild_b(c: TensorChain) -> TensorChain:
-    out = []
-    for coeff, word in c.terms:
+def _boundary(c: TensorChain, wrap: bool) -> TensorChain:
+    """Signed adjacent products, plus the wrap-around product if `wrap`."""
+    acc: Dict[KeyWord, Fraction] = {}
+    for word, coeff in c.words.items():
         k = len(word) - 1
-        if k == 0:
-            continue
-        for i in range(k):
-            sign = -1 if i % 2 else 1
-            merged = word[:i] + (mul(word[i], word[i + 1]),) + word[i + 2:]
-            out.append((coeff * sign, merged))
-        wrap_sign = -1 if k % 2 else 1
-        wrapped = (mul(word[k], word[0]),) + word[1:k]
-        out.append((coeff * wrap_sign, wrapped))
-    return TensorChain.from_terms(c.n, out)
+        signed = (coeff, -coeff)
+        products = [(word[:i], word[i], word[i + 1], word[i + 2:], signed[i % 2])
+                    for i in range(k)]
+        if wrap and k:
+            products.append(((), word[k], word[0], word[1:k], signed[k % 2]))
+        for head, a, b, tail, sc in products:
+            for key, m in mono_product(a, b):
+                _add_to(acc, head + (key,) + tail, sc if m == 1 else sc * m)
+    return TensorChain(c.n, _nonzero(acc))
+
+
+def hochschild_b(c: TensorChain) -> TensorChain:
+    return _boundary(c, wrap=True)
 
 
 def bar_bprime(c: TensorChain) -> TensorChain:
-    out = []
-    for coeff, word in c.terms:
-        k = len(word) - 1
-        for i in range(k):
-            sign = -1 if i % 2 else 1
-            merged = word[:i] + (mul(word[i], word[i + 1]),) + word[i + 2:]
-            out.append((coeff * sign, merged))
-    return TensorChain.from_terms(c.n, out)
+    return _boundary(c, wrap=False)
 
 
 def cyclic_tau(c: TensorChain) -> TensorChain:
-    out = []
-    for coeff, word in c.terms:
-        k = len(word) - 1
-        sign = -1 if k % 2 else 1
-        out.append((coeff * sign, (word[k],) + word[:k]))
-    return TensorChain.from_terms(c.n, out)
+    # a rotation is a bijection on words, so nothing merges; (-1)^k = -1 for even length
+    return TensorChain(c.n, {w[-1:] + w[:-1]: -k if len(w) % 2 == 0 else k
+                             for w, k in c.words.items()})
 
 
 def norm_n(c: TensorChain) -> TensorChain:
-    out: List[Tuple[Fraction, Word]] = []
-    for coeff, word in c.terms:
-        k = len(word) - 1
-        piece = TensorChain.from_terms(c.n, [(coeff, word)])
-        for _ in range(k + 1):
-            out.extend(piece.terms)
-            piece = cyclic_tau(piece)
-    return TensorChain.from_terms(c.n, out)
+    acc: Dict[KeyWord, Fraction] = {}
+    for w, coeff in c.words.items():
+        k = len(w) - 1
+        for j in range(k + 1):
+            # tau^j: rotate by j with sign (-1)^(jk)
+            _add_to(acc, w[k + 1 - j:] + w[:k + 1 - j], -coeff if j * k % 2 else coeff)
+    return TensorChain(c.n, _nonzero(acc))
 
 
 def normalize(c: TensorChain) -> TensorChain:
     """Kill words with a scalar multiple of 1 in any slot other than slot 0."""
-    unit_key = unit(c.n).sort_key
-    kept = [
-        (coeff, word)
-        for coeff, word in c.terms
-        if not any(el.sort_key == unit_key for el in word[1:])
-    ]
-    return TensorChain.from_terms(c.n, kept)
+    one = ((0,) * c.n, (0,) * c.n)
+    return TensorChain(c.n, {w: k for w, k in c.words.items() if one not in w[1:]})
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +200,15 @@ def normalize(c: TensorChain) -> TensorChain:
 # ---------------------------------------------------------------------------
 
 
-def _shuffles(p: int, q: int):
-    """Yield (positions_of_first_block, sign) over all (p, q)-interleavings."""
+def _shuffles(p: int, q: int) -> List[Tuple[Tuple[int, ...], int]]:
+    """(order, parity) over all (p, q)-interleavings: slot s of an interleaving
+    takes entry order[s] of the first interior followed by the second."""
+    out = []
     for pos in combinations(range(p + q), p):
-        inversions = sum(pos[i] - i for i in range(p))
-        yield pos, (-1 if inversions % 2 else 1)
+        first, second = iter(range(p)), iter(range(p, p + q))
+        order = tuple(next(first) if s in pos else next(second) for s in range(p + q))
+        out.append((order, sum(pos[i] - i for i in range(p)) % 2))
+    return out
 
 
 def shuffle_product(c1: TensorChain, c2: TensorChain) -> TensorChain:
@@ -197,28 +218,23 @@ def shuffle_product(c1: TensorChain, c2: TensorChain) -> TensorChain:
     the result is the product of the two slot-0 entries and the interior
     slots are all signed interleavings.
     """
-    n = c1.n + c2.n
-    out = []
-    for coeff1, word1 in c1.terms:
-        a0 = disjoint_embed(word1[0], 0, n)
-        rest1 = [disjoint_embed(el, 0, n) for el in word1[1:]]
-        p = len(rest1)
-        for coeff2, word2 in c2.terms:
-            b0 = disjoint_embed(word2[0], c1.n, n)
-            rest2 = [disjoint_embed(el, c1.n, n) for el in word2[1:]]
-            q = len(rest2)
-            head = mul(a0, b0)
-            coeff = coeff1 * coeff2
-            for pos, sign in _shuffles(p, q):
-                slots: List[WeylElement | None] = [None] * (p + q)
-                for i, s in enumerate(pos):
-                    slots[s] = rest1[i]
-                it = iter(rest2)
-                for s in range(p + q):
-                    if slots[s] is None:
-                        slots[s] = next(it)
-                out.append((coeff * sign, (head,) + tuple(slots)))  # type: ignore[arg-type]
-    return TensorChain.from_terms(n, out)
+    pad1, pad2 = (0,) * c1.n, (0,) * c2.n
+    left = [(tuple((z + pad2, d + pad2) for z, d in w), k) for w, k in c1.words.items()]
+    right = [(tuple((pad1 + z, pad1 + d) for z, d in w), k) for w, k in c2.words.items()]
+    shuffles: Dict[Tuple[int, int], list] = {}
+    acc: Dict[KeyWord, Fraction] = {}
+    for w1, k1 in left:
+        for w2, k2 in right:
+            p, q = len(w1) - 1, len(w2) - 1
+            if (p, q) not in shuffles:
+                shuffles[p, q] = _shuffles(p, q)
+            interior = w1[1:] + w2[1:]
+            for head, m in mono_product(w1[0], w2[0]):  # one term: the blocks commute
+                coeff = k1 * k2 * m
+                signed = (coeff, -coeff)
+                for order, parity in shuffles[p, q]:
+                    _add_to(acc, (head,) + tuple(map(interior.__getitem__, order)), signed[parity])
+    return TensorChain(c1.n + c2.n, _nonzero(acc))
 
 
 def omega_cycle(n: int) -> TensorChain:
@@ -240,16 +256,16 @@ def omega_cycle(n: int) -> TensorChain:
 def normalized_omega_formula(n: int) -> TensorChain:
     """Independent closed form: sum over permutations sigma of the 2n interior
     slots of sgn(sigma) 1 (x) sigma(d1 (x) z1 (x) ... (x) dn (x) zn)."""
-    letters = []
-    for i in range(1, n + 1):
-        letters.append(d_var(i, n))
-        letters.append(z_var(i, n))
-    out = []
+    one = ((0,) * n, (0,) * n)
+    letters = [el.terms[0][0].sort_key
+               for i in range(1, n + 1) for el in (d_var(i, n), z_var(i, n))]
+    signs = (Fraction(1), Fraction(-1))
+    words = {}
     for perm in permutations(range(2 * n)):
         inv = sum(1 for i in range(2 * n) for j in range(i + 1, 2 * n) if perm[i] > perm[j])
-        sign = -1 if inv % 2 else 1
-        out.append((Fraction(sign), (unit(n),) + tuple(letters[p] for p in perm)))
-    return TensorChain.from_terms(n, out)
+        # distinct letters give distinct words, so nothing merges
+        words[(one,) + tuple(letters[p] for p in perm)] = signs[inv % 2]
+    return TensorChain(n, words)
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +340,19 @@ def chain_to_json(c: TensorChain) -> str:
 
 
 def chain_from_json(text: str) -> TensorChain:
+    """Parse `chain_to_json` output; malformed input raises `ValueError`."""
     payload = json.loads(text)
-    n = int(payload["n"])
-    raw = [
-        (Fraction(t["coeff"]), tuple(parse_element(s, n) for s in t["word"]))
-        for t in payload["terms"]
-    ]
-    return TensorChain.from_terms(n, raw)
+    if not (isinstance(payload, dict) and type(payload.get("n")) is int
+            and isinstance(payload.get("terms"), list)):
+        raise ValueError("chain JSON must be an object with an integer 'n' and a list 'terms'")
+    raw = []
+    for t in payload["terms"]:
+        if not (isinstance(t, dict) and isinstance(t.get("coeff"), (str, int))
+                and isinstance(t.get("word"), list) and all(isinstance(s, str) for s in t["word"])):
+            raise ValueError(f"a term must be {{'coeff': str, 'word': [str, ...]}}, got {t!r}")
+        try:
+            coeff = Fraction(t["coeff"])
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in coefficient {t['coeff']!r}") from None
+        raw.append((coeff, tuple(parse_element(s, payload["n"]) for s in t["word"])))
+    return TensorChain.from_terms(payload["n"], raw)

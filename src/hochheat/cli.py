@@ -57,12 +57,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cycles", aliases=["verify-cycles"], help="fundamental cycle identities")
-    p.add_argument("--n", type=int, default=3, help="largest number of variable pairs")
+    p.add_argument("--n", type=int, default=3, help="largest number of variable pairs (1..4)")
 
     sub.add_parser("shuffle", help="shuffle product multiplicativity and Leibniz rule")
 
     p = sub.add_parser("symbol", help="antisymmetrized symbol of the fundamental cycles")
-    p.add_argument("--n", type=int, default=3, help="largest number of variable pairs")
+    p.add_argument("--n", type=int, default=3, help="largest number of variable pairs (1..4)")
 
     p = sub.add_parser("tsygan", help="boundary and bicomplex identities on random chains")
     p.add_argument("--samples", type=int, default=40)
@@ -113,8 +113,9 @@ def _selection_and_config(args: argparse.Namespace) -> Tuple[List[str], SuiteCon
     cfg = SuiteConfig()
     cmd = args.command
     if cmd in ("cycles", "verify-cycles", "symbol"):
-        if args.n < 1:
-            raise ValueError(f"--n must be at least 1, got {args.n}")
+        if not 1 <= args.n <= 4:
+            # the degree-2n cycle has 131,265 words at n = 4 and about 10^7 at n = 5
+            raise ValueError(f"--n must be between 1 and 4, got {args.n}")
         cfg.max_weyl = args.n
         return ["symbol" if cmd == "symbol" else "cycles"], cfg
     if cmd == "shuffle":

@@ -7,13 +7,16 @@ factors.  A monomial is a pair of exponent vectors, an element a finite
 rational combination of monomials.  Coefficients are `fractions.Fraction`
 throughout; this module never touches floating point.
 
-Reordering a single variable uses the closed form
+A monomial's key is its pair of exponent vectors (z_exp, d_exp).  Every
+product of monomials, in `mul` and in the chain operators, goes through
+`mono_product` on keys.  Reordering a single variable uses the closed form
 
     d^p z^q = sum_{j>=0} C(p,j) C(q,j) j! z^(q-j) d^(p-j)
 
-and distinct variables reorder independently.  The formula is
-cross-checked in the tests against `apply`, the action of an element on
-an ordinary polynomial, which is defined without any reordering.
+whose coefficients `_reorder` keeps in a small table, and distinct
+variables reorder independently.  The formula is cross-checked in the
+tests against `apply`, the action of an element on an ordinary
+polynomial, which is defined without any reordering.
 """
 
 from __future__ import annotations
@@ -21,10 +24,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 Exponents = Tuple[int, ...]
+#: a normal-ordered monomial z^z_exp d^d_exp as (z_exp, d_exp)
+Key = Tuple[Exponents, Exponents]
 #: plain commutative polynomial in z1..zn: exponent vector -> coefficient
 Polynomial = Dict[Exponents, Fraction]
 
@@ -48,21 +54,15 @@ class WeylMonomial:
         # lexicographic on (z_exp, d_exp); used for canonical term order
         return (self.z_exp, self.d_exp)
 
-    def is_unit(self) -> bool:
-        return not any(self.z_exp) and not any(self.d_exp)
-
 
 def _merge_terms(n: int, terms: Iterable[Tuple[WeylMonomial, Fraction]]):
     acc: Dict[WeylMonomial, Fraction] = {}
     for mono, coeff in terms:
         if mono.n != n:
             raise ValueError("mixed variable counts in one element")
-        c = acc.get(mono, Fraction(0)) + coeff
-        if c:
-            acc[mono] = c
-        elif mono in acc:
-            del acc[mono]
-    return tuple(sorted(acc.items(), key=lambda mc: mc[0].sort_key, reverse=True))
+        acc[mono] = acc.get(mono, Fraction(0)) + coeff
+    return tuple(sorted(((m, c) for m, c in acc.items() if c),
+                        key=lambda mc: mc[0].sort_key, reverse=True))
 
 
 @dataclass(frozen=True)
@@ -78,16 +78,6 @@ class WeylElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def leading(self) -> Tuple[WeylMonomial, Fraction]:
-        """Largest term in the canonical order (element must be nonzero)."""
-        if not self.terms:
-            raise ValueError("zero element has no leading term")
-        return self.terms[0]
-
-    @property
-    def sort_key(self) -> tuple:
-        return tuple((m.sort_key, c) for m, c in self.terms)
 
     def __add__(self, other: "WeylElement") -> "WeylElement":
         return add(self, other)
@@ -150,40 +140,37 @@ def scale(c, a: WeylElement) -> WeylElement:
     return WeylElement(a.n, tuple((m, c * k) for m, k in a.terms))
 
 
-def _mul_monomials(a: WeylMonomial, b: WeylMonomial):
-    """Expand (z^p d^q)(z^r d^s) into normal-ordered terms.
+@lru_cache(maxsize=1024)
+def _reorder(p: int, r: int) -> Tuple[int, ...]:
+    """C(p,j) C(r,j) j! for j = 0..min(p, r): the terms of d^p z^r."""
+    return tuple(comb(p, j) * comb(r, j) * factorial(j) for j in range(min(p, r) + 1))
+
+
+def mono_product(a: Key, b: Key) -> List[Tuple[Key, int]]:
+    """Expand (z^p d^q)(z^r d^s) into normal-ordered (key, coefficient) terms.
 
     Per variable, d^q z^r = sum_j C(q,j) C(r,j) j! z^(r-j) d^(q-j); the
     cross-variable factors commute, so contractions are independent and
     the result is the product over variables of the one-variable sums.
     """
-    n = a.n
-    ranges = [range(min(a.d_exp[i], b.z_exp[i]) + 1) for i in range(n)]
-
-    def emit(i: int, js: list):
-        if i == n:
-            coeff = Fraction(1)
-            for k, j in enumerate(js):
-                coeff *= comb(a.d_exp[k], j) * comb(b.z_exp[k], j) * factorial(j)
-            z_exp = tuple(a.z_exp[k] + b.z_exp[k] - js[k] for k in range(n))
-            d_exp = tuple(a.d_exp[k] + b.d_exp[k] - js[k] for k in range(n))
-            yield WeylMonomial(n, z_exp, d_exp), coeff
-            return
-        for j in ranges[i]:
-            yield from emit(i + 1, js + [j])
-
-    yield from emit(0, [])
+    (az, ad), (bz, bd) = a, b
+    terms = [((), (), 1)]
+    for p, q, r, s in zip(az, ad, bz, bd):
+        if q and r:
+            terms = [(z + (p + r - j,), d + (q + s - j,), c * cj)
+                     for z, d, c in terms for j, cj in enumerate(_reorder(q, r))]
+        else:
+            terms = [(z + (p + r,), d + (q + s,), c) for z, d, c in terms]
+    return [((z, d), c) for z, d, c in terms]
 
 
 def mul(a: WeylElement, b: WeylElement) -> WeylElement:
     if a.n != b.n:
         raise ValueError("cannot multiply elements with different variable counts")
-    out = []
-    for ma, ca in a.terms:
-        for mb, cb in b.terms:
-            for mono, corr in _mul_monomials(ma, mb):
-                out.append((mono, ca * cb * corr))
-    return WeylElement(a.n, _merge_terms(a.n, out))
+    return WeylElement.from_terms(a.n, (
+        (WeylMonomial(a.n, *key), ca * cb * m)
+        for ma, ca in a.terms for mb, cb in b.terms
+        for key, m in mono_product(ma.sort_key, mb.sort_key)))
 
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -243,7 +230,9 @@ def disjoint_embed(a: WeylElement, offset: int, total: int) -> WeylElement:
 # text format: "3/2*z1^2*d1 + 1", "-z2 + 2/3", "0"
 # ---------------------------------------------------------------------------
 
-_FACTOR_RE = re.compile(r"^(?:(?P<num>\d+(?:/\d+)?)|(?P<gen>[zd])(?P<idx>\d+)(?:\^(?P<pow>\d+))?)$")
+# a nonzero denominator is part of the grammar, so "3/0" is a malformed factor
+_FACTOR_RE = re.compile(r"^(?:(?P<num>\d+(?:/0*[1-9]\d*)?)|(?P<gen>[zd])(?P<idx>\d+)(?:\^(?P<pow>\d+))?)$")
+_SIGN_RE = re.compile(r"\s*([+-])\s*")
 
 
 def _format_monomial(mono: WeylMonomial, coeff: Fraction) -> str:
@@ -285,49 +274,34 @@ def parse_element(text: str, n: int | None = None) -> WeylElement:
 
     Factors within a term are multiplied left to right in the algebra, so
     "z1*d1" is the normal-ordered monomial while "d1*z1" expands to
-    z1*d1 + 1.
+    z1*d1 + 1.  Terms are joined by single signs and only the first term
+    may carry a sign of its own; any other input raises `ValueError`.
     """
     s = text.strip()
     if not s:
         raise ValueError("empty element string")
-    # split into signed terms at top level
-    s = s.replace("- ", "-").replace("+ ", "+")
-    raw_terms = re.findall(r"[+-]?[^+-]+", s)
-    parsed: list[tuple[int, list[str]]] = []
-    max_idx = 0
-    for raw in raw_terms:
-        raw = raw.strip()
-        sign = 1
-        if raw.startswith("+"):
-            raw = raw[1:]
-        elif raw.startswith("-"):
-            sign = -1
-            raw = raw[1:]
-        factors = [f.strip() for f in raw.split("*")]
-        for f in factors:
-            m = _FACTOR_RE.match(f)
-            if not m:
-                raise ValueError(f"cannot parse factor {f!r} in {text!r}")
-            if m.group("gen"):
-                max_idx = max(max_idx, int(m.group("idx")))
-        parsed.append((sign, factors))
+    indices = [int(i) for i in re.findall(r"[zd](\d+)", s)]
     if n is None:
-        n = max(max_idx, 1)
-    elif max_idx > n:
-        raise ValueError(f"element references z{max_idx}/d{max_idx} but n={n}")
+        n = max(indices + [1])
+    if n < 1 or not all(1 <= i <= n for i in indices):
+        raise ValueError(f"element {text!r} needs variable indices in 1..n with n={n}")
+    # term, sign, term, ...; a leading sign leaves an empty first piece
+    pieces = _SIGN_RE.split(s)
+    pieces = pieces[1:] if not pieces[0] and len(pieces) > 1 else ["+"] + pieces
+    none = (0,) * n
     total = zero(n)
-    for sign, factors in parsed:
-        term = unit(n)
-        for f in factors:
-            m = _FACTOR_RE.match(f)
-            assert m is not None
+    for sign, body in zip(pieces[0::2], pieces[1::2]):
+        term = unit(n) if sign == "+" else scale(-1, unit(n))
+        for f in body.split("*"):
+            m = _FACTOR_RE.match(f.strip())
+            if not m:
+                raise ValueError(f"cannot parse factor {f.strip()!r} in {text!r}")
             if m.group("num"):
                 term = scale(Fraction(m.group("num")), term)
-            else:
-                idx = int(m.group("idx"))
-                power = int(m.group("pow") or 1)
-                gen = z_var(idx, n) if m.group("gen") == "z" else d_var(idx, n)
-                for _ in range(power):
-                    term = mul(term, gen)
-        total = add(total, scale(sign, term))
+                continue
+            i, power = int(m.group("idx")) - 1, int(m.group("pow") or 1)
+            e = tuple(power if j == i else 0 for j in range(n))
+            gen = monomial(n, e, none) if m.group("gen") == "z" else monomial(n, none, e)
+            term = mul(term, gen)
+        total = add(total, term)
     return total

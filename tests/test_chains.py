@@ -6,9 +6,14 @@ All identities here are exact; no tolerances appear anywhere.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hochheat.chains import (
     TensorChain,
@@ -26,7 +31,7 @@ from hochheat.chains import (
     tsygan_d,
 )
 from hochheat.randomgen import random_chain, random_column_vector, random_element
-from hochheat.weyl import d_var, unit, z_var
+from hochheat.weyl import WeylElement, WeylMonomial, d_var, unit, z_var
 
 
 def one_word(n, coeff, slots):
@@ -251,6 +256,41 @@ def test_chain_json_round_trip():
     assert chain_from_json(chain_to_json(c)) == c
 
 
+@st.composite
+def chains(draw):
+    n = draw(st.integers(1, 2))
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    element = st.lists(st.tuples(exps, exps, coeffs), max_size=2).map(
+        lambda ts: WeylElement.from_terms(n, [(WeylMonomial(n, z, d), c) for z, d, c in ts]))
+    words = draw(st.lists(st.tuples(coeffs, st.lists(element, min_size=1, max_size=4)), max_size=3))
+    return TensorChain.from_terms(n, [(c, tuple(w)) for c, w in words])
+
+
+@settings(deadline=None)
+@given(chains())
+def test_chain_json_round_trip_property(c):
+    assert chain_from_json(chain_to_json(c)) == c
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [[], {"n": 0, "terms": []}, {"n": 1, "terms": [{"coeff": "1/0", "word": ["z1"]}]},
+     {"n": 1, "terms": [{"coeff": "1", "word": []}]}],
+    ids=["not-an-object", "n-below-one", "zero-denominator", "empty-word"],
+)
+def test_chain_from_json_rejects_malformed_input(payload):
+    with pytest.raises(ValueError):
+        chain_from_json(json.dumps(payload))
+
+
+def test_constructors_reject_an_empty_word():
+    with pytest.raises(ValueError):
+        TensorChain.from_terms(1, [(Fraction(1), ())])
+    with pytest.raises(ValueError):
+        TensorChain.word(1, 1, [])
+
+
 def test_mixed_degree_chains_supported():
     rng = random.Random(5)
     a = random_chain(rng, 1, degree=1)
@@ -268,3 +308,11 @@ def test_scalar_slots_are_normalized_into_coefficients():
 
     packed = TensorChain.word(n, 1, [unit(n), scale(2, z_var(1, n))])
     assert two_z == packed
+
+
+@pytest.mark.large
+def test_degree_eight_pipeline():
+    omega = omega_cycle(4)
+    assert len(omega.words) == 131265
+    assert hochschild_b(omega).is_zero()
+    assert normalize(omega) == normalized_omega_formula(4)

@@ -90,6 +90,12 @@ def test_cli_invalid_flag_values(capsys):
     assert "t-max" in err
 
 
+@pytest.mark.parametrize("command", ["cycles", "symbol"])
+def test_cli_bounds_the_cost_of_n(command, capsys):
+    assert main([command, "--n", "5"]) == 2
+    assert "--n must be between 1 and 4" in capsys.readouterr().err
+
+
 def test_cli_bump_and_grid_parsing(capsys):
     code = main(["localization", "--bump", "0.3,0.15,2", "--t-grid", "0.01:0.1:6"])
     assert code == 0

@@ -12,8 +12,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hochheat.weyl import (
+    WeylElement,
     WeylMonomial,
     add,
     apply,
@@ -21,6 +24,7 @@ from hochheat.weyl import (
     d_var,
     disjoint_embed,
     format_element,
+    mono_product,
     monomial,
     mul,
     parse_element,
@@ -38,8 +42,6 @@ def random_element(rng: random.Random, n: int, max_deg: int = 2, max_terms: int 
         d_exp = tuple(rng.randint(0, max_deg) for _ in range(n))
         coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         terms.append((WeylMonomial(n, z_exp, d_exp), coeff))
-    from hochheat.weyl import WeylElement
-
     return WeylElement.from_terms(n, terms)
 
 
@@ -88,6 +90,21 @@ def test_mul_matches_apply_oracle():
         b = random_element(rng, n)
         p = random_poly(rng, n)
         assert apply(mul(a, b), p) == apply(a, apply(b, p))
+
+
+def test_mono_product_matches_apply_oracle():
+    rng = random.Random(4711)
+    for _ in range(300):
+        n = rng.randint(1, 3)
+
+        def exps():
+            return tuple(rng.randint(0, 3) for _ in range(n))
+
+        a, b = (exps(), exps()), (exps(), exps())
+        product = WeylElement.from_terms(
+            n, [(WeylMonomial(n, *key), Fraction(c)) for key, c in mono_product(a, b)])
+        p = random_poly(rng, n, max_deg=5)
+        assert apply(product, p) == apply(monomial(n, *a), apply(monomial(n, *b), p))
 
 
 def test_mul_associative():
@@ -151,6 +168,21 @@ def test_text_round_trip_random():
         assert parse_element(format_element(a), n) == a
 
 
+@st.composite
+def elements(draw):
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    terms = draw(st.lists(st.tuples(exps, exps, coeffs), max_size=4))
+    return WeylElement.from_terms(n, [(WeylMonomial(n, z, d), c) for z, d, c in terms])
+
+
+@settings(deadline=None)
+@given(elements())
+def test_text_round_trip_property(a):
+    assert parse_element(format_element(a), a.n) == a
+
+
 def test_parse_reorders_products():
     # d1*z1 is a product, not a normal-ordered monomial
     assert parse_element("d1*z1", 1) == add(monomial(1, (1,), (1,)), unit(1))
@@ -163,3 +195,13 @@ def test_parse_rejects_garbage():
         parse_element("q3 + 1")
     with pytest.raises(ValueError):
         parse_element("z3", n=2)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["z1 - - d1", "2*z1 + + d1", "z1 -", "z1 +", "3/0*z1"],
+    ids=["double-minus", "double-plus", "trailing-minus", "trailing-plus", "zero-denominator"],
+)
+def test_parse_rejects_malformed_terms(text):
+    with pytest.raises(ValueError):
+        parse_element(text)
