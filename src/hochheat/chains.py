@@ -48,8 +48,8 @@ from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .weyl import (Key, WeylElement, WeylMonomial, d_var, format_element, mono_product,
-                   parse_element, unit, z_var)
+from .weyl import (MAX_VARIABLES, Key, WeylElement, WeylMonomial, d_var, format_element,
+                   mono_product, parse_element, unit, z_var)
 
 Word = Tuple[WeylElement, ...]
 #: a word as stored: one monomial key per slot
@@ -345,6 +345,8 @@ def chain_from_json(text: str) -> TensorChain:
     if not (isinstance(payload, dict) and type(payload.get("n")) is int
             and isinstance(payload.get("terms"), list)):
         raise ValueError("chain JSON must be an object with an integer 'n' and a list 'terms'")
+    if not 1 <= payload["n"] <= MAX_VARIABLES:
+        raise ValueError(f"chain JSON needs 1 <= n <= {MAX_VARIABLES}, got {payload['n']}")
     raw = []
     for t in payload["terms"]:
         if not (isinstance(t, dict) and isinstance(t.get("coeff"), (str, int))

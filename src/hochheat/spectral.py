@@ -21,14 +21,22 @@ product reduces to
 
     integral z^s zbar^s (1+|z|^2)^(-m) (1/pi) dx dy = s! (m-s-2)! / (m-1)!
 
-and is computed as an exact rational.  The Gram and stiffness matrices
-are block diagonal over the charge q = a - b; each block is reduced by an
-exact rational LDL^T factorization, so floating point enters only in the
-final dense symmetric eigensolve.  The degree-1 Laplacian is modelled on
-the image of d-bar: its matrices are assembled on an exactly computed
-pivot basis of the image and solved separately, which makes the
-supersymmetric pairing of nonzero spectra a genuine cross-check of two
-eigensolves rather than a definition.
+so every matrix is an integer matrix times one exact rational scale: the
+Gram entries are s! (M-s-2)! over (M-1)! with M = 2N+k+2, and the integer
+pairing kernel returns numerators over (m-1)!.  The Gram and stiffness
+matrices are block diagonal over the charge q = a - b.  Each block G is
+reduced by one fraction-free (Bareiss) elimination of [G | I | A] on
+Python ints, which yields the leading principal minors Delta_j of G,
+the integer matrix W = diag(Delta_(j-1)) L^-1 with
+W G W^T = diag(Delta_(j-1) Delta_j), and W A.  With G = L D L^T, the
+congruence D^(-1/2) L^-1 A L^-T D^(-1/2) is then
+X_ij / sqrt(Delta_(i-1) Delta_i Delta_(j-1) Delta_j) with X = W A W^T an
+integer matrix, so each entry leaves exact arithmetic once, just before
+the dense symmetric eigensolve.  The degree-1 Laplacian is modelled on the image of d-bar:
+its matrices are assembled on an exactly computed pivot basis of the
+image, using adj(G) A from fraction-free back substitution, and solved
+separately, which makes the supersymmetric pairing of nonzero spectra a
+genuine cross-check of two eigensolves rather than a definition.
 """
 
 from __future__ import annotations
@@ -36,20 +44,29 @@ from __future__ import annotations
 import json
 import math
 import os
+import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
+from numbers import Rational
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from . import __version__
 from .weyl import WeylElement, format_element
 
 CONVENTION_TAG = "fs-unit-volume:v1"
 
 #: weighted chart function: (z exponent, zbar exponent, denominator power)
-#: -> rational coefficient, denoting sum c * z^a zbar^b (1+|z|^2)^(-g)
-WeightedFn = Dict[Tuple[int, int, int], Fraction]
+#: -> rational coefficient (int or Fraction), denoting
+#: sum c * z^a zbar^b (1+|z|^2)^(-g)
+WeightedFn = Dict[Tuple[int, int, int], Rational]
+
+#: a pairing value numerator / (m - 1)! as (numerator, m)
+Pairing = Tuple[int, int]
+
+IntMat = List[List[int]]
 
 
 class DivergentIntegralError(ArithmeticError):
@@ -64,145 +81,175 @@ class IllConditionedGramError(RuntimeError):
     """The basis Gram matrix is numerically unusable."""
 
 
-def mono_integral(s: int, m: int) -> Fraction:
-    """integral z^s zbar^s (1+|z|^2)^(-m) (1/pi) dx dy, exact."""
-    if m < s + 2:
-        raise DivergentIntegralError(f"integral of |z|^{2 * s} against (1+|z|^2)^(-{m}) diverges")
-    return Fraction(factorial(s) * factorial(m - s - 2), factorial(m - 1))
+def _pairing(f: WeightedFn, g: WeightedFn, extra: int) -> Pairing:
+    """Hermitian pairing of integer-coefficient functions, as an exact integer kernel.
 
-
-def pair_weighted(f: WeightedFn, g: WeightedFn, extra: int) -> Fraction:
-    """Hermitian pairing <f, g> with an additional weight (1+|z|^2)^(-extra).
-
-    The product is brought to a common denominator before integrating so
-    that divergent pieces that cancel algebraically are recognized; any
-    surviving non-integrable term raises.
+    Returns (numerator, m) with <f, g> = numerator / (m-1)!, the pairing
+    taken with an additional weight (1+|z|^2)^(-extra).  The product is
+    brought to a common denominator before integrating so that divergent
+    pieces that cancel algebraically are recognized; any surviving
+    non-integrable term raises.
     """
-    prod: Dict[Tuple[int, int, int], Fraction] = {}
+    prod: Dict[Tuple[int, int, int], int] = {}
     for (a1, b1, g1), c1 in f.items():
         for (a2, b2, g2), c2 in g.items():
             key = (a1 + b2, b1 + a2, g1 + g2)
-            c = c1 * c2
-            tot = prod.get(key, Fraction(0)) + c
-            if tot:
-                prod[key] = tot
-            elif key in prod:
-                del prod[key]
+            prod[key] = prod.get(key, 0) + c1 * c2
+    prod = {key: c for key, c in prod.items() if c}
     if not prod:
-        return Fraction(0)
+        return 0, 1
     gmax = max(gk for (_, _, gk) in prod)
-    flat: Dict[Tuple[int, int], Fraction] = {}
+    flat: Dict[Tuple[int, int], int] = {}
     for (zp, bp, gk), c in prod.items():
         lift = gmax - gk
         for j in range(lift + 1):
             key = (zp + j, bp + j)
-            tot = flat.get(key, Fraction(0)) + c * comb(lift, j)
-            if tot:
-                flat[key] = tot
-            elif key in flat:
-                del flat[key]
+            flat[key] = flat.get(key, 0) + c * comb(lift, j)
+    flat = {key: c for key, c in flat.items() if c}
     m = gmax + extra
     # angular components with nonzero net charge integrate to zero, but the
     # leading radial power must still be absolutely integrable
-    by_charge: Dict[int, int] = {}
-    for (zp, bp) in flat:
-        nu = zp - bp
-        by_charge[nu] = max(by_charge.get(nu, -1), zp + bp)
-    for nu, top in by_charge.items():
-        if nu != 0 and top > 2 * m - 3:
+    for zp, bp in flat:
+        if zp != bp and zp + bp > 2 * m - 3:
             raise OperatorEscapeError(
                 "pairing leaves the square-integrable truncation "
-                f"(angular charge {nu}, radial degree {top}, weight {m})"
+                f"(angular charge {zp - bp}, radial degree {zp + bp}, weight {m})"
             )
-    total = Fraction(0)
+    total = 0
     for (zp, bp), c in flat.items():
         if zp != bp:
             continue
-        total += c * mono_integral(zp, m)
-    return total
+        if m < zp + 2:
+            raise DivergentIntegralError(
+                f"integral of |z|^{2 * zp} against (1+|z|^2)^(-{m}) diverges")
+        total += c * factorial(zp) * factorial(m - zp - 2)
+    return total, m
+
+
+def _as_fraction(value: Pairing) -> Fraction:
+    num, m = value
+    return Fraction(num, factorial(m - 1)) if num else Fraction(0)
+
+
+def _cleared(f: WeightedFn) -> Tuple[Dict[Tuple[int, int, int], int], int]:
+    """f times the lcm of its coefficient denominators, and that lcm."""
+    den = math.lcm(*(Fraction(c).denominator for c in f.values()))
+    return {key: int(c * den) for key, c in f.items()}, den
+
+
+def mono_integral(s: int, m: int) -> Fraction:
+    """integral z^s zbar^s (1+|z|^2)^(-m) (1/pi) dx dy, exact."""
+    mono = {(s, 0, 0): 1}
+    return _as_fraction(_pairing(mono, mono, m))
+
+
+def pair_weighted(f: WeightedFn, g: WeightedFn, extra: int) -> Fraction:
+    """Hermitian pairing <f, g> with an additional weight (1+|z|^2)^(-extra), exact."""
+    fi, df = _cleared(f)
+    gi, dg = _cleared(g)
+    return _as_fraction(_pairing(fi, gi, extra)) / (df * dg)
 
 
 # ---------------------------------------------------------------------------
-# exact rational linear algebra on small blocks
+# fraction-free linear algebra on integer blocks
 # ---------------------------------------------------------------------------
 
-Mat = List[List[Fraction]]
+
+def _reduced(mat: IntMat, scale: Fraction) -> Tuple[IntMat, Fraction]:
+    """scale * mat as an integer matrix divided by the gcd of its entries, and the new scale."""
+    g = math.gcd(*(v for row in mat for v in row))
+    if not g:
+        return mat, Fraction(0)
+    return [[v // g for v in row] for row in mat], scale * g
 
 
-def _ldl(g: Mat) -> Tuple[Mat, List[Fraction]]:
-    """G = L D L^T for symmetric positive definite G, all exact."""
-    s = len(g)
-    lower: Mat = [[Fraction(0)] * s for _ in range(s)]
-    diag: List[Fraction] = [Fraction(0)] * s
-    for j in range(s):
-        dj = g[j][j] - sum(lower[j][r] * lower[j][r] * diag[r] for r in range(j))
-        if dj <= 0:
-            raise IllConditionedGramError("Gram block is not numerically positive definite")
-        diag[j] = dj
-        lower[j][j] = Fraction(1)
-        for i in range(j + 1, s):
-            v = g[i][j] - sum(lower[i][r] * lower[j][r] * diag[r] for r in range(j))
-            lower[i][j] = v / dj
-    return lower, diag
+def _scaled(entries: List[List[Pairing]]) -> Tuple[IntMat, Fraction]:
+    """A matrix of pairings as a reduced integer matrix and one rational scale."""
+    weights = {m for row in entries for num, m in row if num}
+    top = factorial(max(weights, default=1) - 1)
+    lift = {m: top // factorial(m - 1) for m in weights}
+    mat = [[num * lift[m] if num else 0 for num, m in row] for row in entries]
+    return _reduced(mat, Fraction(1, top))
 
 
-def _forward_solve(lower: Mat, b: Mat) -> Mat:
-    """Solve L X = B with unit lower triangular L (exact)."""
-    s = len(lower)
-    cols = len(b[0]) if b else 0
-    x: Mat = [[Fraction(0)] * cols for _ in range(s)]
+def _bareiss(gram: IntMat, op: IntMat) -> Tuple[IntMat, List[int]]:
+    """One fraction-free elimination of [G | I | A] for a positive definite integer G.
+
+    Returns the eliminated rows and the leading principal minors
+    deltas[j] of order j (deltas[0] = 1).  Row j is deltas[j] times row j
+    of [L^-1 G | L^-1 | L^-1 A], with G = L D L^T and L unit lower
+    triangular, so its middle third is row j of W = diag(deltas[:-1]) L^-1
+    and its last third row j of W A; every entry is an integer.
+    """
+    s = len(gram)
+    rows = [gram[i] + [int(i == j) for j in range(s)] + op[i] for i in range(s)]
+    deltas = [1]
+    for k in range(s):
+        pivot_row = rows[k]
+        p, prev = pivot_row[k], deltas[-1]
+        if p <= 0:
+            raise IllConditionedGramError("Gram block is not positive definite")
+        for i in range(k + 1, s):
+            row = rows[i]
+            f = row[k]
+            rows[i] = row[:k + 1] + [(p * x - f * y) // prev
+                                     for x, y in zip(row[k + 1:], pivot_row[k + 1:])]
+            rows[i][k] = 0
+        deltas.append(p)
+    return rows, deltas
+
+
+def _scaled_root(x: int, num: int, den: int) -> float:
+    """x * sqrt(num / den) for integers num, den > 0, as a float within one ulp.
+
+    The radicand x^2 num / den leaves exact arithmetic as one correctly
+    rounded int/int quotient, so no intermediate overflows.
+    """
+    root = math.sqrt(x * x * num / den)
+    return -root if x < 0 else root
+
+
+def _round_congruence(v: IntMat, w: IntMat, deltas: Sequence[int], scale: Fraction) -> np.ndarray:
+    """float(scale * S L^-1 A L^-T S) with S = D^(-1/2), given V = W A.
+
+    With X = V W^T = W A W^T the entry is scale * X_ij / sqrt(p_i p_j),
+    p_i = deltas[i] deltas[i+1]; W is lower triangular.
+    """
+    s = len(w)
+    out = np.zeros((s, s))
+    num, den = scale.numerator ** 2, scale.denominator ** 2
+    p = [deltas[i] * deltas[i + 1] for i in range(s)]
     for i in range(s):
-        for c in range(cols):
-            x[i][c] = b[i][c] - sum(lower[i][r] * x[r][c] for r in range(i))
-    return x
-
-
-def _transpose(m: Mat) -> Mat:
-    return [list(row) for row in zip(*m)] if m else []
-
-
-def _congruence(lower: Mat, diag: Sequence[Fraction], m: Mat) -> np.ndarray:
-    """Return float(S L^-1 M L^-T S) with S = diag(d)^(-1/2), inner part exact."""
-    x = _forward_solve(lower, m)
-    zt = _forward_solve(lower, _transpose(x))
-    z = _transpose(zt)
-    s = len(diag)
-    scale = np.array([1.0 / math.sqrt(float(d)) for d in diag])
-    out = np.array([[float(z[i][j]) for j in range(s)] for i in range(s)])
-    return scale[:, None] * out * scale[None, :]
-
-
-def _mat_mul(a: Mat, b: Mat) -> Mat:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out: Mat = [[Fraction(0)] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for r in range(inner):
-            v = ai[r]
-            if not v:
-                continue
-            br = b[r]
-            oi = out[i]
-            for j in range(cols):
-                if br[j]:
-                    oi[j] += v * br[j]
+        vi = v[i]
+        for j in range(s):
+            x = sum(a * b for a, b in zip(vi[:j + 1], w[j]))
+            out[i, j] = _scaled_root(x, num, den * p[i] * p[j])
     return out
 
 
-def _solve_spd(lower: Mat, diag: Sequence[Fraction], b: Mat) -> Mat:
-    """Solve (L D L^T) X = B exactly."""
-    y = _forward_solve(lower, b)
-    s = len(diag)
-    cols = len(b[0]) if b else 0
-    for i in range(s):
-        for c in range(cols):
-            y[i][c] /= diag[i]
-    # back substitution with L^T
-    x: Mat = [[Fraction(0)] * cols for _ in range(s)]
+def _eliminate(gram: IntMat, op: IntMat, scale: Fraction):
+    """Bareiss rows, W, deltas and the rounded congruence of op for one block."""
+    s = len(gram)
+    rows, deltas = _bareiss(gram, op)
+    w = [row[s:2 * s] for row in rows]
+    return rows, w, deltas, _round_congruence([row[2 * s:] for row in rows], w, deltas, scale)
+
+
+def _adjugate_times(rows: IntMat) -> IntMat:
+    """adj(G) A = det(G) G^-1 A by fraction-free back substitution on Bareiss rows.
+
+    The eliminated part B of the rows is upper triangular with B G^-1 A
+    equal to the last third V, so Z = adj(G) A solves B Z = det(G) V and
+    every division below is exact.
+    """
+    s = len(rows)
+    det = rows[-1][s - 1]
+    z: IntMat = [[] for _ in range(s)]
     for i in reversed(range(s)):
-        for c in range(cols):
-            x[i][c] = y[i][c] - sum(lower[r][i] * x[r][c] for r in range(i + 1, s))
-    return x
+        row = rows[i]
+        z[i] = [(det * row[2 * s + c] - sum(row[r] * z[r][c] for r in range(i + 1, s))) // row[i]
+                for c in range(s)]
+    return z
 
 
 def _pivot_columns(columns: List[Dict[Tuple[int, int], Fraction]]) -> List[int]:
@@ -223,7 +270,7 @@ def _pivot_columns(columns: List[Dict[Tuple[int, int], Fraction]]) -> List[int]:
         if cur:
             lead = min(cur)
             f = cur[lead]
-            vec = {k: v / f for k, v in cur.items()}
+            vec = {k: Fraction(v) / f for k, v in cur.items()}
             reduced.append((lead, vec))
             pivots.append(j)
     return pivots
@@ -238,8 +285,9 @@ def _pivot_columns(columns: List[Dict[Tuple[int, int], Fraction]]) -> List[int]:
 class _Block:
     charge: int
     pairs: List[Tuple[int, int]]
-    lower: Mat
-    diag: List[Fraction]
+    w: IntMat             # diag(deltas[:-1]) L^-1 of the reduced integer Gram block
+    deltas: List[int]     # its leading principal minors, deltas[0] = 1
+    scale: Fraction       # the Gram block is scale * (the reduced integer block)
     lam: np.ndarray       # ascending eigenvalues of the degree-0 block
     vecs: np.ndarray      # orthonormal eigenvectors (columns), reduced coords
     cond: float
@@ -263,32 +311,34 @@ class SpectralModel:
     )
 
     def harmonic0_coordinates(self) -> List[Dict[Tuple[int, int], float]]:
-        """Numerical kernel vectors as coordinates over the (a, b) basis."""
+        """Numerical kernel vectors as coordinates over the (a, b) basis.
+
+        The coordinates are R^T y for a reduced eigenvector y, with
+        R = D^(-1/2) L^-1 = diag(1 / sqrt(scale deltas[j] deltas[j+1])) W
+        rounded once per entry.
+        """
         out = []
         for bi, col in self.harmonic0:
             block = self.blocks[bi]
-            y = block.vecs[:, col] / np.array([math.sqrt(float(d)) for d in block.diag])
-            s = len(block.pairs)
-            x = np.zeros(s)
-            lower_f = np.array([[float(block.lower[i][j]) for j in range(s)] for i in range(s)])
-            # solve L^T x = y
-            for i in reversed(range(s)):
-                x[i] = y[i] - lower_f[i + 1:, i] @ x[i + 1:]
+            sc, d = block.scale, block.deltas
+            r = np.array([[_scaled_root(v, sc.denominator, sc.numerator * d[j] * d[j + 1])
+                           for v in row] for j, row in enumerate(block.w)])
+            x = r.T @ block.vecs[:, col]
             out.append({pair: x[i] for i, pair in enumerate(block.pairs)})
         return out
 
 
 def _chi(a: int, b: int, n_trunc: int) -> WeightedFn:
-    return {(a, b, n_trunc): Fraction(1)}
+    return {(a, b, n_trunc): 1}
 
 
 def _dbar_chi(a: int, b: int, n_trunc: int) -> WeightedFn:
     """Coefficient of dzbar in dbar applied to chi_(a,b)."""
     out: WeightedFn = {}
     if b:
-        out[(a, b - 1, n_trunc + 1)] = Fraction(b)
+        out[(a, b - 1, n_trunc + 1)] = b
     if b != n_trunc:
-        out[(a + 1, b, n_trunc + 1)] = Fraction(b - n_trunc)
+        out[(a + 1, b, n_trunc + 1)] = b - n_trunc
     return out
 
 
@@ -314,6 +364,8 @@ def build_model(k: int, trunc: int, cond_limit: float = 1e16) -> SpectralModel:
     if trunc < k + 2:
         raise ValueError(f"trunc must be at least k + 2 = {k + 2}, got {trunc}")
     n = trunc
+    top = 2 * n + k + 2
+    fact = [factorial(i) for i in range(top)]
     blocks: List[_Block] = []
     eigs1_all: List[float] = []
     for q in range(-n, n + k + 1):
@@ -322,41 +374,40 @@ def build_model(k: int, trunc: int, cond_limit: float = 1e16) -> SpectralModel:
         pairs = [(b + q, b) for b in range(b_lo, b_hi + 1)]
         if not pairs:
             continue
-        s = len(pairs)
-        gram: Mat = [
-            [mono_integral(pairs[i][0] + pairs[j][1], 2 * n + k + 2) for j in range(s)]
-            for i in range(s)
-        ]
-        images = [_dbar_chi(a, b, n) for (a, b) in pairs]
-        stiff: Mat = [[pair_weighted(images[i], images[j], k) for j in range(s)] for i in range(s)]
-        gram_f = np.array([[float(v) for v in row] for row in gram])
+        # (M-1)! <chi_j, chi_i> = s! (M-s-2)! with s = a_i + b_j
+        gram = [[fact[a + b2] * fact[top - a - b2 - 2] for (_, b2) in pairs] for (a, _) in pairs]
+        gram_f = np.array([[v / fact[top - 1] for v in row] for row in gram])
         cond = float(np.linalg.cond(gram_f))
         if cond > cond_limit:
             raise IllConditionedGramError(
                 f"Gram block at charge {q} has condition estimate {cond:.3e} > {cond_limit:.1e}; "
                 "reduce trunc or orthogonalize the basis"
             )
-        lower, diag = _ldl(gram)
-        c0 = _congruence(lower, diag, stiff)
-        lam, vecs = np.linalg.eigh(0.5 * (c0 + c0.T))
+        gram, g_scale = _reduced(gram, Fraction(1, fact[top - 1]))
+        images = [_dbar_chi(a, b, n) for (a, b) in pairs]
+        stiff, a_scale = _scaled([[_pairing(fi, fj, k) for fj in images] for fi in images])
+        rows, w, deltas, c0 = _eliminate(gram, stiff, a_scale / g_scale)
+        lam, vecs = np.linalg.eigh(c0)  # exactly symmetric: X is, and so is its rounding
         if lam.min() < -1e-10:
             raise IllConditionedGramError(
                 f"negative eigenvalue {lam.min():.3e} beyond solver tolerance at charge {q}"
             )
         lam = np.where(lam < 0, 0.0, lam)
-        blocks.append(_Block(q, pairs, lower, diag, lam, vecs, cond))
+        blocks.append(_Block(q, pairs, w, deltas, g_scale, lam, vecs, cond))
 
-        # independent degree-1 solve on an exact pivot basis of the image
+        # independent degree-1 solve on an exact pivot basis of the image:
+        # Gram A and stiffness A G^-1 A = A adj(G) A / det(G) on the pivots
         cols = [{(a2, b2): c for (a2, b2, _), c in img.items()} for img in images]
         piv = _pivot_columns(cols)
         if piv:
-            ginv_a = _solve_spd(lower, diag, stiff)
-            ada = _mat_mul(stiff, ginv_a)  # A G^-1 A, exact
-            g1: Mat = [[stiff[i][j] for j in piv] for i in piv]
-            s1: Mat = [[ada[i][j] for j in piv] for i in piv]
-            l1, d1 = _ldl(g1)
-            c1 = _congruence(l1, d1, s1)
-            lam1 = np.linalg.eigvalsh(0.5 * (c1 + c1.T))
+            adj_a = _adjugate_times(rows)
+            g1, g1_scale = _reduced([[stiff[i][j] for j in piv] for i in piv], a_scale)
+            s1, s1_scale = _reduced(
+                [[sum(x * z[j] for x, z in zip(stiff[i], adj_a)) for j in piv] for i in piv],
+                a_scale * a_scale / (g_scale * deltas[-1]),
+            )
+            c1 = _eliminate(g1, s1, s1_scale / g1_scale)[3]
+            lam1 = np.linalg.eigvalsh(c1)
             eigs1_all.extend(float(v) for v in lam1)
 
     flat0 = np.sort(np.concatenate([b.lam for b in blocks]))
@@ -442,7 +493,8 @@ def _operator_blocks(model: SpectralModel, op: WeylElement, side: str) -> List[n
     """Reduced-coordinate matrices of the operator pairing, one per block.
 
     side "sections": entries <D chi_j, chi_i>; side "forms": entries
-    <D dbar chi_j, dbar chi_i>.  Both are exact before the congruence.
+    <D dbar chi_j, dbar chi_i>.  Both are exact integer matrices before the
+    congruence, which rounds each entry once.
     """
     if op.n != 1:
         raise OperatorEscapeError("operators on the model must be one-variable elements")
@@ -457,18 +509,21 @@ def _operator_blocks(model: SpectralModel, op: WeylElement, side: str) -> List[n
         return model._op_cache[key]
     n = model.trunc
     k = model.k
+    # den * op maps integer-coefficient functions to integer-coefficient ones
+    den = math.lcm(*(c.denominator for _, c in op.terms))
     out: List[np.ndarray] = []
     for block in model.blocks:
-        s = len(block.pairs)
         if side == "sections":
             funcs = [_chi(a, b, n) for (a, b) in block.pairs]
             extra = k + 2
         else:
             funcs = [_dbar_chi(a, b, n) for (a, b) in block.pairs]
             extra = k
-        applied = [_apply_weyl(op, f) for f in funcs]
-        mat: Mat = [[pair_weighted(applied[j], funcs[i], extra) for j in range(s)] for i in range(s)]
-        out.append(_congruence(block.lower, block.diag, mat))
+        applied = [{key: int(c * den) for key, c in _apply_weyl(op, f).items()} for f in funcs]
+        mat, scale = _scaled([[_pairing(fj, fi, extra) for fj in applied] for fi in funcs])
+        v = [[sum(x * row[c] for x, row in zip(wi, mat)) for c in range(len(mat))]
+             for wi in block.w]
+        out.append(_round_congruence(v, block.w, block.deltas, scale / (den * block.scale)))
     model._op_cache[key] = out
     return out
 
@@ -548,7 +603,8 @@ def limit_supertrace(
 
 
 #: the keys of `spectrum_summary`, which a cache file must hold
-_SUMMARY_FIELDS = ("k", "trunc", "tag", "eigs0", "eigs1", "dim_harmonic0", "dim_harmonic1")
+_SUMMARY_FIELDS = ("k", "trunc", "tag", "version", "eigs0", "eigs1", "dim_harmonic0",
+                   "dim_harmonic1")
 
 
 def spectrum_summary(model: SpectralModel) -> Dict[str, object]:
@@ -556,6 +612,7 @@ def spectrum_summary(model: SpectralModel) -> Dict[str, object]:
         "k": model.k,
         "trunc": model.trunc,
         "tag": CONVENTION_TAG,
+        "version": __version__,
         "eigs0": [[v, m] for v, m in model.eigs0],
         "eigs1": [[v, m] for v, m in model.eigs1],
         "dim_harmonic0": len(model.harmonic0),
@@ -564,15 +621,17 @@ def spectrum_summary(model: SpectralModel) -> Dict[str, object]:
 
 
 def cache_path(cache_dir: str, k: int, trunc: int) -> str:
+    """The cache file for (k, trunc), keyed by the convention tag and the package version."""
     tag = CONVENTION_TAG.replace(":", "-")
-    return os.path.join(cache_dir, f"spectrum_k{k}_N{trunc}_{tag}.json")
+    return os.path.join(cache_dir, f"spectrum_k{k}_N{trunc}_{tag}_v{__version__}.json")
 
 
 def load_spectrum(cache_dir: str, k: int, trunc: int):
     """The cached summary for (k, trunc), or None on a miss.
 
-    A file that is not a JSON object holding every summary field is a miss
-    too, so the caller rebuilds the model and overwrites the file.
+    A file that is not a JSON object holding every summary field, or that
+    another package version wrote, is a miss too, so the caller rebuilds
+    the model and overwrites the file.
     """
     path = cache_path(cache_dir, k, trunc)
     if not os.path.exists(path):
@@ -584,14 +643,22 @@ def load_spectrum(cache_dir: str, k: int, trunc: int):
             return None
     if not isinstance(data, dict) or any(f not in data for f in _SUMMARY_FIELDS):
         return None
-    if data["tag"] != CONVENTION_TAG or data["k"] != k or data["trunc"] != trunc:
+    if (data["tag"], data["version"], data["k"], data["trunc"]) != (CONVENTION_TAG, __version__,
+                                                                     k, trunc):
         return None
     return data
 
 
 def store_spectrum(cache_dir: str, model: SpectralModel) -> str:
+    """Write the summary atomically: a temporary file in the same directory, then a rename."""
     os.makedirs(cache_dir, exist_ok=True)
     path = cache_path(cache_dir, model.k, model.trunc)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spectrum_summary(model), fh, indent=2, sort_keys=True)
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".spectrum-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(spectrum_summary(model), fh, indent=2, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path

@@ -234,6 +234,14 @@ def disjoint_embed(a: WeylElement, offset: int, total: int) -> WeylElement:
 _FACTOR_RE = re.compile(r"^(?:(?P<num>\d+(?:/0*[1-9]\d*)?)|(?P<gen>[zd])(?P<idx>\d+)(?:\^(?P<pow>\d+))?)$")
 _SIGN_RE = re.compile(r"\s*([+-])\s*")
 
+# Cost bounds on text (and chain JSON) input, far above what the checks use
+# (at most 4 variables; terms of degree at most 18): variable indices and n
+# at most MAX_VARIABLES, the exponents of one term summing to at most
+# MAX_DEGREE, and no product in a term that could exceed MAX_TERMS monomials.
+MAX_VARIABLES = 16
+MAX_DEGREE = 64
+MAX_TERMS = 1024
+
 
 def _format_monomial(mono: WeylMonomial, coeff: Fraction) -> str:
     factors = []
@@ -283,7 +291,9 @@ def parse_element(text: str, n: int | None = None) -> WeylElement:
     indices = [int(i) for i in re.findall(r"[zd](\d+)", s)]
     if n is None:
         n = max(indices + [1])
-    if n < 1 or not all(1 <= i <= n for i in indices):
+    if not 1 <= n <= MAX_VARIABLES:
+        raise ValueError(f"element {text!r} needs 1 <= n <= {MAX_VARIABLES}, got n={n}")
+    if not all(1 <= i <= n for i in indices):
         raise ValueError(f"element {text!r} needs variable indices in 1..n with n={n}")
     # term, sign, term, ...; a leading sign leaves an empty first piece
     pieces = _SIGN_RE.split(s)
@@ -292,6 +302,7 @@ def parse_element(text: str, n: int | None = None) -> WeylElement:
     total = zero(n)
     for sign, body in zip(pieces[0::2], pieces[1::2]):
         term = unit(n) if sign == "+" else scale(-1, unit(n))
+        degree = 0
         for f in body.split("*"):
             m = _FACTOR_RE.match(f.strip())
             if not m:
@@ -300,6 +311,12 @@ def parse_element(text: str, n: int | None = None) -> WeylElement:
                 term = scale(Fraction(m.group("num")), term)
                 continue
             i, power = int(m.group("idx")) - 1, int(m.group("pow") or 1)
+            degree += power
+            if degree > MAX_DEGREE:
+                raise ValueError(f"term {body!r} in {text!r} has degree above {MAX_DEGREE}")
+            # a product with g^power turns each monomial into at most power + 1
+            if len(term.terms) * (power + 1) > MAX_TERMS:
+                raise ValueError(f"term {body!r} in {text!r} expands beyond {MAX_TERMS} monomials")
             e = tuple(power if j == i else 0 for j in range(n))
             gen = monomial(n, e, none) if m.group("gen") == "z" else monomial(n, none, e)
             term = mul(term, gen)

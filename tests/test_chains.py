@@ -31,7 +31,7 @@ from hochheat.chains import (
     tsygan_d,
 )
 from hochheat.randomgen import random_chain, random_column_vector, random_element
-from hochheat.weyl import WeylElement, WeylMonomial, d_var, unit, z_var
+from hochheat.weyl import MAX_DEGREE, MAX_VARIABLES, WeylElement, WeylMonomial, d_var, unit, z_var
 
 
 def one_word(n, coeff, slots):
@@ -276,8 +276,10 @@ def test_chain_json_round_trip_property(c):
 @pytest.mark.parametrize(
     "payload",
     [[], {"n": 0, "terms": []}, {"n": 1, "terms": [{"coeff": "1/0", "word": ["z1"]}]},
-     {"n": 1, "terms": [{"coeff": "1", "word": []}]}],
-    ids=["not-an-object", "n-below-one", "zero-denominator", "empty-word"],
+     {"n": 1, "terms": [{"coeff": "1", "word": []}]}, {"n": MAX_VARIABLES + 1, "terms": []},
+     {"n": 1, "terms": [{"coeff": "1", "word": [f"z1^{MAX_DEGREE + 1}"]}]}],
+    ids=["not-an-object", "n-below-one", "zero-denominator", "empty-word", "n-above-bound",
+         "degree-above-bound"],
 )
 def test_chain_from_json_rejects_malformed_input(payload):
     with pytest.raises(ValueError):

@@ -1,18 +1,27 @@
 """Tests for the truncated spectral model of O(k) on the sphere."""
 
+import json
 import math
+import os
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hochheat import spectral
 from hochheat.spectral import (
     DivergentIntegralError,
     IllConditionedGramError,
     OperatorEscapeError,
+    _adjugate_times,
     _apply_weyl,
+    _bareiss,
     _chi,
+    _dbar_chi,
+    _operator_blocks,
     build_model,
     harmonic_supertrace,
     heat_supertrace,
@@ -134,13 +143,28 @@ def test_supersymmetric_pairing_of_nonzero_spectra():
         assert np.abs(nz0[:head] - model._flat1[:head]).max() <= 1e-6
 
 
-def test_low_spectrum_matches_round_sphere_law():
+def _assert_round_sphere_law(model):
     # eigenvalues l (l + k + 1) with multiplicity 2 l + k + 1
+    k = model.k
+    for l, (value, mult) in enumerate(model.eigs0[:4]):
+        assert abs(value - l * (l + k + 1)) <= 1e-9
+        assert mult == 2 * l + k + 1
+
+
+def test_low_spectrum_matches_round_sphere_law():
     for k in (0, 1, 2):
-        model = build_model(k, 10)
-        for l, (value, mult) in enumerate(model.eigs0[:4]):
-            assert abs(value - l * (l + k + 1)) <= 1e-9
-            assert mult == 2 * l + k + 1
+        _assert_round_sphere_law(build_model(k, 10))
+
+
+def test_refinement_past_the_condition_guard():
+    # the float Gram condition passes 1e16 near N = 15 for k = 1; the exact
+    # reduction keeps the low spectrum anyway
+    _assert_round_sphere_law(build_model(1, 18, cond_limit=math.inf))
+
+
+@pytest.mark.large
+def test_refinement_at_n24():
+    _assert_round_sphere_law(build_model(1, 24, cond_limit=math.inf))
 
 
 def test_heat_supertrace_is_flat():
@@ -245,3 +269,129 @@ def test_spectrum_cache_round_trip(tmp_path):
     assert data["dim_harmonic0"] == 2
     assert data["eigs0"][0][1] == 2
     assert load_spectrum(str(tmp_path), 2, 8) is None
+
+
+def test_spectrum_cache_from_another_version_is_a_miss(tmp_path):
+    path = store_spectrum(str(tmp_path), build_model(1, 8))
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    assert data["version"] == spectral.__version__
+    data["version"] = "0.1.0"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    assert load_spectrum(str(tmp_path), 1, 8) is None
+
+
+def test_failed_cache_write_leaves_no_file(tmp_path, monkeypatch):
+    model = build_model(1, 8)
+
+    def failing_replace(src, dst):
+        raise OSError("simulated failure")
+
+    monkeypatch.setattr(spectral.os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        store_spectrum(str(tmp_path), model)
+    assert os.listdir(tmp_path) == []
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free reduction against Fraction references
+# ---------------------------------------------------------------------------
+
+
+def _gauss(m, rhs):
+    """(det m, m^-1 rhs) by exact Gauss-Jordan elimination; the reference."""
+    s = len(m)
+    rows = [[Fraction(v) for v in m[i] + rhs[i]] for i in range(s)]
+    det = Fraction(1)
+    for c in range(s):
+        piv = next((i for i in range(c, s) if rows[i][c]), None)
+        if piv is None:
+            return Fraction(0), None
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            det = -det
+        det *= rows[c][c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for i in range(s):
+            if i != c and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return det, [row[s:] for row in rows]
+
+
+@st.composite
+def spd_with_rhs(draw):
+    """A random small symmetric positive definite integer G = B B^T + I and an integer A."""
+    s = draw(st.integers(1, 5))
+    entries = st.lists(st.lists(st.integers(-4, 4), min_size=s, max_size=s), min_size=s, max_size=s)
+    b, a = draw(entries), draw(entries)
+    g = [[sum(x * y for x, y in zip(b[i], b[j])) + (i == j) for j in range(s)] for i in range(s)]
+    return g, a
+
+
+@given(spd_with_rhs())
+@settings(max_examples=80, deadline=None)
+def test_bareiss_reduction_is_exact(case):
+    g, a = case
+    s = len(g)
+    rows, deltas = _bareiss(g, a)
+    w = [row[s:2 * s] for row in rows]
+    # the deltas are the leading principal minors
+    assert deltas == [_gauss([row[:j] for row in g[:j]], [[] for _ in range(j)])[0]
+                      for j in range(s + 1)]
+    # W G W^T = diag(deltas[j] deltas[j+1]) and the last third is W A
+    wg = [[sum(w[i][r] * g[r][c] for r in range(s)) for c in range(s)] for i in range(s)]
+    wgwt = [[sum(wg[i][c] * w[j][c] for c in range(s)) for j in range(s)] for i in range(s)]
+    assert wgwt == [[deltas[i] * deltas[i + 1] if i == j else 0 for j in range(s)]
+                    for i in range(s)]
+    assert [row[2 * s:] for row in rows] == [
+        [sum(w[i][r] * a[r][c] for r in range(s)) for c in range(s)] for i in range(s)]
+    # fraction-free back substitution gives adj(G) A = det(G) G^-1 A
+    det, ginv_a = _gauss(g, a)
+    assert _adjugate_times(rows) == [[det * v for v in row] for row in ginv_a]
+
+
+def _reference_congruence(gram, mat):
+    """D^(-1/2) L^-1 M L^-T D^(-1/2) for G = L D L^T, each entry to 200 bits, then rounded."""
+    s = len(gram)
+    lower = [[Fraction(int(i == j)) for j in range(s)] for i in range(s)]
+    diag = []
+    for j in range(s):
+        diag.append(gram[j][j] - sum(lower[j][r] ** 2 * diag[r] for r in range(j)))
+        for i in range(j + 1, s):
+            lower[i][j] = (gram[i][j] - sum(lower[i][r] * lower[j][r] * diag[r]
+                                            for r in range(j))) / diag[j]
+    _, linv = _gauss(lower, [[int(i == j) for j in range(s)] for i in range(s)])
+    z = [[sum(linv[i][r] * mat[r][c] * linv[j][c] for r in range(s) for c in range(s))
+          for j in range(s)] for i in range(s)]
+    out = np.zeros((s, s))
+    for i in range(s):
+        for j in range(s):
+            r = z[i][j] ** 2 / (diag[i] * diag[j])
+            root = Fraction(math.isqrt((r.numerator << 400) // r.denominator), 1 << 200)
+            out[i, j] = float(root) if z[i][j] >= 0 else -float(root)
+    return out
+
+
+def test_congruence_entries_are_within_two_ulp():
+    k, n = 1, 8
+    model = build_model(k, n)
+    bi = max(range(len(model.blocks)), key=lambda i: len(model.blocks[i].pairs))
+    pairs = model.blocks[bi].pairs
+    gram = [[mono_integral(a + b2, 2 * n + k + 2) for (_, b2) in pairs] for (a, _) in pairs]
+    forms = [_dbar_chi(a, b, n) for a, b in pairs]
+    sections = [_chi(a, b, n) for a, b in pairs]
+    zd = mul(z_var(1, 1), d_var(1, 1))
+    cases = [
+        # the stiffness matrix, which the degree-0 eigensolve reduces
+        (_operator_blocks(model, unit(1), "forms")[bi],
+         [[pair_weighted(fj, fi, k) for fj in forms] for fi in forms]),
+        (_operator_blocks(model, zd, "sections")[bi],
+         [[pair_weighted(_apply_weyl(zd, fj), fi, k + 2) for fj in sections] for fi in sections]),
+    ]
+    for got, mat in cases:
+        ref = _reference_congruence(gram, mat)
+        assert np.count_nonzero(ref) > len(pairs)
+        for x, y in zip(got.ravel(), ref.ravel()):
+            assert abs(x - y) <= 2 * math.ulp(y)

@@ -16,6 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hochheat.weyl import (
+    MAX_DEGREE,
+    MAX_TERMS,
+    MAX_VARIABLES,
     WeylElement,
     WeylMonomial,
     add,
@@ -205,3 +208,29 @@ def test_parse_rejects_garbage():
 def test_parse_rejects_malformed_terms(text):
     with pytest.raises(ValueError):
         parse_element(text)
+
+
+def test_parse_bounds_the_variable_index():
+    top = MAX_VARIABLES
+    assert parse_element(f"z{top}").n == top
+    with pytest.raises(ValueError):
+        parse_element(f"z{top + 1}")
+    with pytest.raises(ValueError):
+        parse_element("z1", n=top + 1)
+
+
+def test_parse_bounds_the_degree_of_a_term():
+    assert parse_element(f"d1^{MAX_DEGREE // 2}*z1^{MAX_DEGREE // 2}").n == 1
+    with pytest.raises(ValueError):
+        parse_element(f"z1^{MAX_DEGREE + 1}")
+    # the bound is on the whole term, so repeating a factor does not get round it
+    with pytest.raises(ValueError):
+        parse_element(f"d1^{MAX_DEGREE}*d1")
+
+
+def test_parse_bounds_the_expansion_of_a_term():
+    # d_i * z_i = z_i d_i + 1, so the first m variable pairs expand to 2^m monomials
+    m = MAX_TERMS.bit_length() - 1
+    assert len(parse_element("*".join(f"d{i}*z{i}" for i in range(1, m + 1))).terms) == MAX_TERMS
+    with pytest.raises(ValueError):
+        parse_element("*".join(f"d{i}*z{i}" for i in range(1, m + 2)))
