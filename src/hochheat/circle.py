@@ -28,42 +28,46 @@ from fractions import Fraction
 from typing import List, Sequence
 
 
-def _check_time(t: float) -> None:
-    if t <= 0:
-        raise ValueError(f"heat time must be positive, got {t}")
+def _check_positive(what: str, x: float) -> None:
+    if not 0 < x < math.inf:
+        raise ValueError(f"{what} must be positive and finite, got {x}")
+
+
+#: terms `_theta_tail` may sum; it needs about sqrt(69 / c), at most 38 in the
+#: suite's default checks (the image sum at t = 5 on the unit circle)
+_THETA_TERMS = 10_000
 
 
 def _theta_tail(c: float) -> float:
     """2 sum_(n>=1) exp(-c n^2), summed without cancellation.
 
     Stops at the first term that underflows to 0 or falls below 1e-30 of
-    the first term.
+    the first term.  Raises ValueError unless c is finite and that happens
+    within `_THETA_TERMS` terms.
     """
+    if not 0 < c < math.inf:
+        raise ValueError(f"theta series needs a finite positive exponent, got {c}")
     terms = []
-    n = 1
-    while True:
+    for n in range(1, _THETA_TERMS + 1):
         term = 2.0 * math.exp(-c * n * n)
         if term == 0.0 or (terms and term < 1e-30 * terms[0]):
-            break
+            return math.fsum(terms)
         terms.append(term)
-        n += 1
-    return math.fsum(terms)
+    raise ValueError(f"theta series with exponent {c:.3g} needs more than {_THETA_TERMS} terms")
 
 
 def heat_diagonal_images(t: float, length: float) -> float:
     """Kernel diagonal via the image sum."""
-    _check_time(t)
-    if length <= 0:
-        raise ValueError(f"circumference must be positive, got {length}")
-    return (1.0 + _theta_tail(length**2 / (4.0 * t))) / math.sqrt(4.0 * math.pi * t)
+    _check_positive("heat time", t)
+    _check_positive("circumference", length)
+    return (1.0 + _theta_tail(length * length / (4.0 * t))) / math.sqrt(4.0 * math.pi * t)
 
 
 def heat_diagonal_spectral(t: float, length: float) -> float:
     """Kernel diagonal via the eigenvalue sum."""
-    _check_time(t)
-    if length <= 0:
-        raise ValueError(f"circumference must be positive, got {length}")
-    return (1.0 + _theta_tail(4.0 * math.pi**2 * t / length**2)) / length
+    _check_positive("heat time", t)
+    _check_positive("circumference", length)
+    return (1.0 + _theta_tail(4.0 * math.pi**2 * t / (length * length))) / length
 
 
 def poisson_deviation(t: float, length: float) -> float:
@@ -73,12 +77,17 @@ def poisson_deviation(t: float, length: float) -> float:
 
 def _image_tail(t: float, length: float) -> float:
     """2 (4 pi t)^(-1/2) sum_(n>=1) exp(-(n length)^2 / (4 t)), no cancellation."""
-    return _theta_tail(length**2 / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
+    return _theta_tail(length * length / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
 
 
 def _spectral_tail(t: float, length: float) -> float:
     """(2/length) sum_(j>=1) exp(-4 pi^2 j^2 t / length^2), no cancellation."""
-    return _theta_tail(4.0 * math.pi**2 * t / length**2) / length
+    return _theta_tail(4.0 * math.pi**2 * t / (length * length)) / length
+
+
+#: the exact integral, which a localization run takes a dozen times, costs
+#: 0.5 ms at power 1000 and 0.4 s at 30,000 (Python 3.11)
+_MAX_POWER = 1000
 
 
 @dataclass(frozen=True)
@@ -90,10 +99,11 @@ class BumpFunction:
     power: int
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError(f"bump radius must be positive, got {self.radius}")
-        if self.power < 1:
-            raise ValueError(f"bump power must be a positive integer, got {self.power}")
+        if not math.isfinite(self.center):
+            raise ValueError(f"bump center must be finite, got {self.center}")
+        _check_positive("bump radius", self.radius)
+        if not 1 <= self.power <= _MAX_POWER:
+            raise ValueError(f"bump power must be an integer from 1 to {_MAX_POWER}, got {self.power}")
 
     def __call__(self, x: float) -> float:
         u = (x - self.center) / self.radius
@@ -116,8 +126,8 @@ class TwoCircles:
     length_b: float
 
     def __post_init__(self):
-        if self.length_a <= 0 or self.length_b <= 0:
-            raise ValueError("circle circumferences must be positive")
+        _check_positive("circumference A", self.length_a)
+        _check_positive("circumference B", self.length_b)
 
 
 def localized_trace(circles: TwoCircles, bump: BumpFunction, t: float) -> float:
@@ -135,7 +145,7 @@ def localized_trace(circles: TwoCircles, bump: BumpFunction, t: float) -> float:
 
 def free_line_trace(bump: BumpFunction, t: float) -> float:
     """The non-compact model value (integral phi) (4 pi t)^(-1/2)."""
-    _check_time(t)
+    _check_positive("heat time", t)
     return bump.integral() / math.sqrt(4.0 * math.pi * t)
 
 
@@ -193,6 +203,6 @@ def long_time_rows(length: float, bump: BumpFunction, t_grid: Sequence[float]) -
     rows = []
     for t in grid:
         deviation = mass * _spectral_tail(t, length)
-        bound = 3.0 * math.exp(-4.0 * math.pi**2 * t / length**2) * mass
+        bound = 3.0 * math.exp(-4.0 * math.pi**2 * t / (length * length)) * mass
         rows.append(LongTimeRow(t, deviation, bound))
     return rows

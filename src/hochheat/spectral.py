@@ -301,7 +301,7 @@ class SpectralModel:
     eigs0: List[Tuple[float, int]]
     eigs1: List[Tuple[float, int]]
     harmonic0: List[Tuple[int, int]]   # (block index, eigen column)
-    harmonic1: List[Tuple[int, int]]
+    harmonic1: List[Tuple[int, int]]   # (block index, degree-1 eigen column)
     kernel_threshold: float
     basis_meta: Dict[str, object]
     _flat0: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
@@ -367,7 +367,7 @@ def build_model(k: int, trunc: int, cond_limit: float = 1e16) -> SpectralModel:
     top = 2 * n + k + 2
     fact = [factorial(i) for i in range(top)]
     blocks: List[_Block] = []
-    eigs1_all: List[float] = []
+    lam1_blocks: List[Tuple[int, np.ndarray]] = []  # (block index, degree-1 eigenvalues)
     for q in range(-n, n + k + 1):
         b_lo = max(0, -q)
         b_hi = min(n, n + k - q)
@@ -407,11 +407,10 @@ def build_model(k: int, trunc: int, cond_limit: float = 1e16) -> SpectralModel:
                 a_scale * a_scale / (g_scale * deltas[-1]),
             )
             c1 = _eliminate(g1, s1, s1_scale / g1_scale)[3]
-            lam1 = np.linalg.eigvalsh(c1)
-            eigs1_all.extend(float(v) for v in lam1)
+            lam1_blocks.append((len(blocks) - 1, np.linalg.eigvalsh(c1)))
 
     flat0 = np.sort(np.concatenate([b.lam for b in blocks]))
-    flat1 = np.sort(np.array(eigs1_all))
+    flat1 = np.sort(np.array([v for _, lam1 in lam1_blocks for v in lam1]))
     lam_max = float(flat0.max()) if flat0.size else 1.0
     threshold = 1e-8 * max(lam_max, 1e-300)
     harmonic0 = [
@@ -420,6 +419,9 @@ def build_model(k: int, trunc: int, cond_limit: float = 1e16) -> SpectralModel:
         for col in range(len(block.lam))
         if block.lam[col] < threshold
     ]
+    harmonic1 = [
+        (bi, col) for bi, lam1 in lam1_blocks for col in range(len(lam1)) if lam1[col] < threshold
+    ]
     model = SpectralModel(
         k=k,
         trunc=trunc,
@@ -427,7 +429,7 @@ def build_model(k: int, trunc: int, cond_limit: float = 1e16) -> SpectralModel:
         eigs0=_cluster(flat0),
         eigs1=_cluster(flat1),
         harmonic0=harmonic0,
-        harmonic1=[],  # the degree-1 model lives on the image of dbar
+        harmonic1=harmonic1,
         kernel_threshold=threshold,
         basis_meta={
             "tag": CONVENTION_TAG,

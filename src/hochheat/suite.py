@@ -52,10 +52,16 @@ from .spectral import (
 from .weyl import d_var, mul, unit, z_var
 
 DEFAULT_CACHE_ENV = "HOCHHEAT_CACHE_DIR"
+#: the most random samples, time points or t-grid times one run may ask for
+MAX_SAMPLES = 10_000
+CROSS_TRUNC = 12                           # truncation for the quadrature cross-check
+LONG_TIMES = (1.0, 2.0, 4.0, 7.0, 10.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuiteConfig:
+    """The settings of one run, each bounded here or by the library call that uses it."""
+
     seed: int = 0
     samples: int = 40
     max_weyl: int = 3                      # largest n for the degree-2n cycles
@@ -68,13 +74,30 @@ class SuiteConfig:
     harmonic_ks: Tuple[int, ...] = (0, 1, 2, 3, 4)
     levels: int = 6
     method: str = "tanh-sinh"
-    cross_trunc: int = 12                  # truncation for the quadrature cross-check
     product_factors: int = 3
     length_a: float = 1.0
     length_b: float = 1.7
     bump: Tuple[float, float, int] = (0.35, 0.2, 2)
     short_times: Tuple[float, ...] = tuple(0.01 * 10 ** (i / 9) for i in range(10))
-    long_times: Tuple[float, ...] = (1.0, 2.0, 4.0, 7.0, 10.0)
+
+    def __post_init__(self) -> None:
+        """Refuse an out-of-range value with a message that names the flag setting it."""
+        cap, times = MAX_SAMPLES, self.short_times
+        for ok, message in (
+            # the degree-2n cycle has 131,265 words at n = 4 and about 10^7 at n = 5
+            (1 <= self.max_weyl <= 4, f"--n must be between 1 and 4, got {self.max_weyl}"),
+            (1 <= self.samples <= cap, f"--samples must be between 1 and {cap}, got {self.samples}"),
+            (0 < self.t_min < self.t_max < math.inf,
+             f"--t-min and --t-max need 0 < t-min < t-max < inf, got {self.t_min}, {self.t_max}"),
+            (2 <= self.points <= cap, f"--points must be between 2 and {cap}, got {self.points}"),
+            (len(self.harmonic_ks) > 0, "--k needs at least one bundle degree"),
+            (1 <= self.product_factors <= 4,
+             f"--product must be between 1 and 4, got {self.product_factors}"),
+            (1 <= len(times) <= cap and all(map(math.isfinite, times)),
+             f"--t-grid needs 1 to {cap} times, all finite, got {len(times)}"),
+        ):
+            if not ok:
+                raise ValueError(message)
 
 
 def _fmt(x: float) -> str:
@@ -109,7 +132,7 @@ class _Recorder:
         """An exact identity, `holds(sample)`, tested on random samples."""
         failures = sum(0 if holds(x) else 1 for x in samples)
         self.check(check_id, claim, f"{failures} failures in {len(samples)} samples",
-                   "0 failures", "exact", failures == 0)
+                   "0 failures", "exact", failures == 0 and len(samples) > 0)
 
     def near(self, check_id: str, claim: str, value: float, target: float, tol: float,
              ok: bool = True) -> None:
@@ -205,10 +228,8 @@ def _family_tsygan(cfg: SuiteConfig) -> List[CheckResult]:
 
 
 def _cache_dir() -> str:
-    env = os.environ.get(DEFAULT_CACHE_ENV)
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "hochheat")
+    default = os.path.join(os.path.expanduser("~"), ".cache", "hochheat")
+    return os.environ.get(DEFAULT_CACHE_ENV) or default
 
 
 def _spectrum_data(cfg: SuiteConfig) -> Tuple[Dict[str, object], bool]:
@@ -238,10 +259,7 @@ def _family_spectrum(cfg: SuiteConfig) -> List[CheckResult]:
     eigs0 = [(v, m) for v, m in data["eigs0"] if v > 1e-8]
     eigs1 = list(data["eigs1"])
     head = min(5, len(eigs0), len(eigs1))
-    dev = max(
-        (abs(eigs0[i][0] - eigs1[i][0]) for i in range(head)),
-        default=math.inf,
-    )
+    dev = max((abs(eigs0[i][0] - eigs1[i][0]) for i in range(head)), default=math.inf)
     mults_ok = all(eigs0[i][1] == eigs1[i][1] for i in range(head))
     rec.check("spectrum.susy.pairing", "nonzero section and form spectra agree with multiplicity",
               f"max deviation {_fmt(dev)} over {head} clusters{note}", "identical clusters",
@@ -251,8 +269,6 @@ def _family_spectrum(cfg: SuiteConfig) -> List[CheckResult]:
 
 def _family_mckean_singer(cfg: SuiteConfig) -> List[CheckResult]:
     rec = _Recorder()
-    if cfg.points < 2 or cfg.t_min <= 0 or cfg.t_max <= cfg.t_min:
-        raise ValueError("mckean-singer needs t-max > t-min > 0 and points >= 2")
     model = build_model(cfg.k, cfg.trunc)
     grid = np.linspace(cfg.t_min, cfg.t_max, cfg.points)
     dev = max(abs(heat_supertrace(model, float(t)) - (cfg.k + 1)) for t in grid)
@@ -283,7 +299,7 @@ def _family_chern(cfg: SuiteConfig) -> List[CheckResult]:
     todd = integrate_chart(todd_density(), method=cfg.method, levels=cfg.levels)
     rec.near("chern.todd.integral", "the Todd integral of the sphere is 1",
              todd.value, 1.0, 1e-8, todd.converged)
-    counted = harmonic_supertrace(build_model(0, cfg.cross_trunc), unit(1))
+    counted = harmonic_supertrace(build_model(0, CROSS_TRUNC), unit(1))
     rec.check("chern.todd-vs-harmonic",
               "the quadrature Todd integral matches the spectral section count for k=0",
               f"quadrature {_fmt(todd.value)}, spectral {_fmt(counted)}", "equal", "1e-06",
@@ -304,11 +320,8 @@ def _family_localization(cfg: SuiteConfig) -> List[CheckResult]:
     rec = _Recorder()
     circles = TwoCircles(cfg.length_a, cfg.length_b)
     bump = BumpFunction(*cfg.bump)
-    dev = max(
-        poisson_deviation(t, length)
-        for t in (0.01, 0.1, 1.0, 5.0)
-        for length in (cfg.length_a, cfg.length_b)
-    )
+    dev = max(poisson_deviation(t, length)
+              for t in (0.01, 0.1, 1.0, 5.0) for length in (cfg.length_a, cfg.length_b))
     rec.check("localization.poisson", "image and spectral heat sums agree on both circles",
               f"max deviation {_fmt(dev)}", "0", "1e-12", dev <= 1e-12)
     rows = compare_localization(circles, bump, cfg.short_times)
@@ -321,7 +334,7 @@ def _family_localization(cfg: SuiteConfig) -> List[CheckResult]:
     rec.check("localization.short-time.smallt",
               f"at t={first.t:g} the localization error is below 1e-10 of the bump mass",
               f"bound/mass {_fmt(ratio)}", "<= 1e-10", "1e-10", ratio <= 1e-10)
-    lrows = long_time_rows(cfg.length_a, bump, cfg.long_times)
+    lrows = long_time_rows(cfg.length_a, bump, LONG_TIMES)
     lexcess = max(row.deviation - row.bound for row in lrows)
     rec.check("localization.long-time.gap",
               "the trace approaches equilibrium within the spectral gap bound",
@@ -351,9 +364,7 @@ def run_suite(
     names = list(selection) if selection is not None else list(FAMILIES)
     unknown = [n for n in names if n not in FAMILIES]
     if unknown:
-        raise ValueError(
-            f"unknown check families {unknown}; available: {', '.join(FAMILIES)}"
-        )
+        raise ValueError(f"unknown check families {unknown}; available: {', '.join(FAMILIES)}")
     checks: List[CheckResult] = []
     for name in names:
         checks.extend(FAMILIES[name](cfg))

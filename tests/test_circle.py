@@ -8,6 +8,7 @@ import pytest
 from hochheat.circle import (
     BumpFunction,
     TwoCircles,
+    _theta_tail,
     compare_localization,
     free_line_trace,
     heat_diagonal_images,
@@ -128,3 +129,30 @@ def test_grid_validation():
         heat_diagonal_images(0.5, -1.0)
     with pytest.raises(ValueError):
         free_line_trace(bump, 0.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: TwoCircles(math.nan, 1.0),
+        lambda: TwoCircles(1.0, math.inf),
+        lambda: BumpFunction(math.nan, 0.2, 2),
+        lambda: BumpFunction(0.35, math.nan, 2),
+        lambda: BumpFunction(0.35, math.inf, 2),
+        lambda: BumpFunction(0.35, 0.2, 1001),
+        lambda: heat_diagonal_spectral(0.01, 1e200),
+        lambda: heat_diagonal_images(0.01, 1e200),
+    ],
+    ids=["nan-length", "inf-length", "nan-center", "nan-radius", "inf-radius",
+         "power-above-cap", "overflowing-length-spectral", "overflowing-length-images"],
+)
+def test_non_finite_or_unbounded_input_is_refused(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+@pytest.mark.parametrize("c", [0.0, math.nan, math.inf, -1.0, 1e-9])
+def test_theta_tail_refuses_a_series_it_cannot_finish(c):
+    # c = 1e-9 needs about 260,000 terms, past the term budget
+    with pytest.raises(ValueError):
+        _theta_tail(c)

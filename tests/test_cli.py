@@ -1,15 +1,18 @@
 """Tests for the report structures, suite runner, and command line."""
 
+import argparse
 import json
+import math
 import os
 import time
 
+import numpy as np
 import pytest
 
-from hochheat import suite
+from hochheat import cli, suite
 from hochheat.chains import bar_bprime, hochschild_b
 from hochheat.cli import main
-from hochheat.report import CheckResult, VerificationReport
+from hochheat.report import FAIL, CheckResult, VerificationReport
 from hochheat.spectral import CONVENTION_TAG, cache_path, harmonic_supertrace, load_spectrum
 from hochheat.suite import SuiteConfig, run_suite
 
@@ -201,3 +204,88 @@ def test_setup_work_is_timed(monkeypatch):
     # the model is built before the first check of the family, the identity supertrace
     first = next(c for c in report.checks if c.id == "harmonic.identity.k0")
     assert first.runtime_ms >= 50
+
+
+@pytest.mark.parametrize("command, families", [
+    (alias, row[0]) for name, row in cli.COMMANDS.items() for alias in (name, *row[1])])
+def test_table_without_flags_gives_the_default_config(command, families):
+    assert cli._selection(cli._build_parser().parse_args([command])) == (families, SuiteConfig())
+
+
+def test_table_flags_set_every_config_field_and_nothing_else():
+    fields = {field for row in cli.COMMANDS.values() for _, field, _ in row[3]}
+    assert fields == set(SuiteConfig.__dataclass_fields__)
+    families, cfg = cli._selection(cli._build_parser().parse_args(
+        ["chern-integrals", "--product", "2", "--levels", "5"]))
+    assert families == ["chern", "product"]
+    assert cfg == SuiteConfig(product_factors=2, levels=5)
+
+
+@pytest.mark.parametrize(
+    "field, value, flag, argv",
+    [
+        ("samples", 0, "--samples", ["tsygan", "--samples", "0"]),
+        ("samples", 10_001, "--samples", ["tsygan", "--samples", "10001"]),
+        ("max_weyl", 0, "--n", ["symbol", "--n", "0"]),
+        ("harmonic_ks", (), "--k", None),
+        ("points", 10_001, "--points", ["mckean-singer", "--points", "10001"]),
+        ("t_min", math.nan, "--t-min", ["mckean-singer", "--t-min", "nan"]),
+        ("t_max", math.inf, "--t-max", ["mckean-singer", "--t-max", "inf"]),
+        ("product_factors", 0, "--product", ["chern-integrals", "--product", "0"]),
+        ("short_times", (0.01, math.inf), "--t-grid", ["localization", "--t-grid", "1e-300:1e300:3"]),
+        ("short_times", (), "--t-grid", None),
+    ],
+)
+def test_config_and_command_line_refuse_the_same_values(field, value, flag, argv, capsys):
+    with pytest.raises(ValueError, match=flag):
+        SuiteConfig(**{field: value})
+    if argv is not None:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+
+
+def test_failures_with_no_samples_is_a_fail():
+    rec = suite._Recorder()
+    rec.failures("x.empty", "an identity on no samples", lambda _: True, [])
+    assert rec.results[0].verdict == FAIL
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--k", "0", "--trunc", "40", "--no-cache"],
+        ["harmonic", "--k", "40"],
+        ["mckean-singer", "--k", "10", "--trunc", "12"],
+        ["localization", "--bump", "nan,0.2,2"],
+        ["localization", "--l2", "1e200"],
+    ],
+    ids=["spectrum", "harmonic", "mckean-singer", "nan-bump", "overflowing-length"],
+)
+def test_refused_model_or_geometry_exits_2(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("HOCHHEAT_CACHE_DIR", str(tmp_path))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+@pytest.mark.parametrize("text", ["0.01:inf:5", "nan:0.1:5", "0.01:0.1:10001"])
+def test_grid_flag_refuses_non_finite_ends_and_huge_counts(text):
+    with pytest.raises(argparse.ArgumentTypeError):
+        cli._parse_grid(text)
+
+
+def test_kernel_forms_check_can_fail(monkeypatch, capsys):
+    # only the degree-1 solve calls eigvalsh; zero the smallest eigenvalue of each block
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def zeroed(a):
+        lam = real_eigvalsh(a)
+        lam[0] = 0.0
+        return lam
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", zeroed)
+    assert main(["--format", "json", "spectrum", "--no-cache"]) == 1
+    verdicts = {c["id"]: c["verdict"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert verdicts["spectrum.kernel.forms"] == "fail"
+    assert verdicts["spectrum.kernel.sections"] == "pass"
