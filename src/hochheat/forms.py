@@ -11,35 +11,29 @@ degree-k tensor word a0 (x) ... (x) ak maps to
 
     (1/k!) sigma(a0) d(sigma(a1)) ^ ... ^ d(sigma(ak))
 
-extended linearly to chains.  Words with a scalar interior slot die under
-this map because d(1) = 0, so it factors through `normalize`.
+extended linearly to chains.  It reads the chain's own monomial keys:
+sigma of a slot key (a, b) is the exponent vector a + b, its differential
+is a short memoized tuple, and a word's form is the product of those
+tuples, signed by the order in which the one-forms enter.  Words with a
+scalar interior slot die under this map because d(1) = 0, so it factors
+through `normalize`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from itertools import product
+from math import factorial, prod
 from typing import Dict, Iterable, Tuple
 
 from .chains import TensorChain
-from .weyl import WeylElement
+from .weyl import Key
 
 EvenExps = Tuple[int, ...]  # exponents of z1..zn then y1..yn
 OddKey = Tuple[int, ...]    # strictly increasing one-form indices
-
-
-def _merge(n: int, raw: Iterable[Tuple[Tuple[EvenExps, OddKey], Fraction]]):
-    acc: Dict[Tuple[EvenExps, OddKey], Fraction] = {}
-    for key, coeff in raw:
-        if not coeff:
-            continue
-        tot = acc.get(key, Fraction(0)) + coeff
-        if tot:
-            acc[key] = tot
-        elif key in acc:
-            del acc[key]
-    return tuple(sorted(acc.items()))
+FormKey = Tuple[EvenExps, OddKey]
 
 
 @dataclass(frozen=True)
@@ -47,138 +41,51 @@ class PolyForm:
     """Rational polynomial form in z1..zn, y1..yn and their differentials."""
 
     n: int
-    terms: Tuple[Tuple[Tuple[EvenExps, OddKey], Fraction], ...]
+    terms: Tuple[Tuple[FormKey, Fraction], ...]
 
     @staticmethod
-    def from_terms(n, raw) -> "PolyForm":
-        return PolyForm(n, _merge(n, raw))
-
-    @staticmethod
-    def zero(n: int) -> "PolyForm":
-        return PolyForm(n, ())
-
-    @staticmethod
-    def one(n: int) -> "PolyForm":
-        return PolyForm(n, ((((0,) * (2 * n), ()), Fraction(1)),))
+    def from_terms(n: int, raw: Iterable[Tuple[FormKey, Fraction]]) -> "PolyForm":
+        """The form sum(coeff * term), merged once into sorted nonzero terms."""
+        acc: Dict[FormKey, Fraction] = {}
+        for key, coeff in raw:
+            acc[key] = acc.get(key, Fraction(0)) + coeff
+        return PolyForm(n, tuple(sorted((key, c) for key, c in acc.items() if c)))
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "PolyForm") -> "PolyForm":
-        if self.n != other.n:
-            raise ValueError("mixed variable counts")
-        return PolyForm.from_terms(self.n, list(self.terms) + list(other.terms))
 
-    def __sub__(self, other: "PolyForm") -> "PolyForm":
-        return self + (-1) * other
-
-    def __rmul__(self, c) -> "PolyForm":
-        c = Fraction(c)
-        return PolyForm.from_terms(self.n, [(k, c * v) for k, v in self.terms])
-
-    def coefficient(self, even: EvenExps, odd: OddKey) -> Fraction:
-        for key, coeff in self.terms:
-            if key == (tuple(even), tuple(odd)):
-                return coeff
-        return Fraction(0)
-
-
-def coord_z(i: int, n: int) -> PolyForm:
-    e = [0] * (2 * n)
-    e[i - 1] = 1
-    return PolyForm(n, (((tuple(e), ()), Fraction(1)),))
-
-
-def coord_y(i: int, n: int) -> PolyForm:
-    e = [0] * (2 * n)
-    e[n + i - 1] = 1
-    return PolyForm(n, (((tuple(e), ()), Fraction(1)),))
-
-
-def dz(i: int, n: int) -> PolyForm:
-    return PolyForm(n, ((((0,) * (2 * n), (2 * (i - 1),)), Fraction(1)),))
-
-
-def dy(i: int, n: int) -> PolyForm:
-    return PolyForm(n, ((((0,) * (2 * n), (2 * (i - 1) + 1,)), Fraction(1)),))
-
-
-def _merge_odd(a: OddKey, b: OddKey):
-    """Concatenate one-form factors, returning (sorted tuple, sign) or None
-    when an index repeats."""
-    if set(a) & set(b):
-        return None
-    merged = a + b
-    # count inversions of the concatenation to sort it
-    inv = 0
-    arr = list(merged)
-    for i in range(len(arr)):
-        for j in range(i + 1, len(arr)):
-            if arr[i] > arr[j]:
-                inv += 1
-    return tuple(sorted(arr)), (-1 if inv % 2 else 1)
-
-
-def wedge(a: PolyForm, b: PolyForm) -> PolyForm:
-    if a.n != b.n:
-        raise ValueError("mixed variable counts")
-    out = []
-    for (ea, oa), ca in a.terms:
-        for (eb, ob), cb in b.terms:
-            m = _merge_odd(oa, ob)
-            if m is None:
-                continue
-            odd, sign = m
-            even = tuple(x + y for x, y in zip(ea, eb))
-            out.append(((even, odd), ca * cb * sign))
-    return PolyForm.from_terms(a.n, out)
-
-
-def exterior_d(f: PolyForm) -> PolyForm:
-    """d f = sum_i (dG/dz_i) dz_i + (dG/dy_i) dy_i wedged onto each term."""
-    out = []
-    for (even, odd), coeff in f.terms:
-        for idx in range(len(even)):
-            e = even[idx]
-            if not e:
-                continue
-            lowered = tuple(x - 1 if j == idx else x for j, x in enumerate(even))
-            n = f.n
-            one_form = 2 * idx if idx < n else 2 * (idx - n) + 1
-            m = _merge_odd((one_form,), odd)
-            if m is None:
-                continue
-            new_odd, sign = m
-            out.append(((lowered, new_odd), coeff * e * sign))
-    return PolyForm.from_terms(f.n, out)
-
-
-def total_symbol(w: WeylElement) -> PolyForm:
-    """z^a d^b -> z^a y^b, linearly over terms."""
-    out = []
-    for mono, coeff in w.terms:
-        even = tuple(mono.z_exp) + tuple(mono.d_exp)
-        out.append(((even, ()), coeff))
-    return PolyForm.from_terms(w.n, out)
+@lru_cache(maxsize=4096)
+def _d_symbol(key: Key) -> Tuple[Tuple[int, EvenExps, int], ...]:
+    """d(sigma(z^a d^b)) as (one-form index, lowered exponents, factor) entries."""
+    n = len(key[0])
+    exps = key[0] + key[1]
+    return tuple((2 * i if i < n else 2 * (i - n) + 1, exps[:i] + (e - 1,) + exps[i + 1:], e)
+                 for i, e in enumerate(exps) if e)
 
 
 def hkr_symbol(c: TensorChain) -> PolyForm:
-    out = PolyForm.zero(c.n)
-    for coeff, word in c.terms:
-        k = len(word) - 1
-        form = wedge(Fraction(coeff, factorial(k)) * PolyForm.one(c.n), total_symbol(word[0]))
-        for el in word[1:]:
-            if form.is_zero():
-                break
-            form = wedge(form, exterior_d(total_symbol(el)))
-        out = out + form
-    return out
+    """The antisymmetrized symbol of `c`, read from its words of monomial keys."""
+    raw = []
+    for word, coeff in c.words.items():
+        head = word[0][0] + word[0][1]
+        scaled = coeff / factorial(len(word) - 1)
+        for pieces in product(*map(_d_symbol, word[1:])):
+            odd = [p[0] for p in pieces]
+            if len(set(odd)) < len(odd):
+                continue  # a repeated one-form
+            inversions = sum(a > b for i, a in enumerate(odd) for b in odd[i + 1:])
+            even = tuple(map(sum, zip(head, *(p[1] for p in pieces))))
+            value = scaled * prod(p[2] for p in pieces)
+            raw.append(((even, tuple(sorted(odd))), -value if inversions % 2 else value))
+    return PolyForm.from_terms(c.n, raw)
 
 
 def volume_form(n: int) -> PolyForm:
-    """dy1 ^ dz1 ^ dy2 ^ dz2 ^ ... ^ dyn ^ dzn."""
-    form = PolyForm.one(n)
-    for i in range(1, n + 1):
-        form = wedge(form, dy(i, n))
-        form = wedge(form, dz(i, n))
-    return form
+    """dy1 ^ dz1 ^ dy2 ^ dz2 ^ ... ^ dyn ^ dzn.
+
+    Each dy_i ^ dz_i is -dz_i ^ dy_i, and these 2-forms commute, so in
+    sorted index order the form is the single term (-1)^n dz1 ^ dy1 ^ ...
+    ^ dzn ^ dyn.
+    """
+    return PolyForm(n, ((((0,) * (2 * n), tuple(range(2 * n))), Fraction((-1) ** n)),))

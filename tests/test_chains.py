@@ -30,6 +30,7 @@ from hochheat.chains import (
     shuffle_product,
     tsygan_d,
 )
+from hochheat.forms import hkr_symbol, volume_form
 from hochheat.randomgen import random_chain, random_column_vector, random_element
 from hochheat.weyl import MAX_DEGREE, MAX_VARIABLES, WeylElement, WeylMonomial, d_var, unit, z_var
 
@@ -318,3 +319,5 @@ def test_degree_eight_pipeline():
     assert len(omega.words) == 131265
     assert hochschild_b(omega).is_zero()
     assert normalize(omega) == normalized_omega_formula(4)
+    assert hkr_symbol(omega) == volume_form(4)
+    assert hkr_symbol(normalize(omega)) == volume_form(4)

@@ -9,9 +9,10 @@ import time
 import numpy as np
 import pytest
 
-from hochheat import cli, suite
-from hochheat.chains import bar_bprime, hochschild_b
+from hochheat import chains, cli, suite
+from hochheat.chains import TensorChain, bar_bprime, hochschild_b
 from hochheat.cli import main
+from hochheat.forms import hkr_symbol
 from hochheat.report import FAIL, CheckResult, VerificationReport
 from hochheat.spectral import CONVENTION_TAG, cache_path, harmonic_supertrace, load_spectrum
 from hochheat.suite import SuiteConfig, run_suite
@@ -173,20 +174,52 @@ def _wrap_sign_flipped_b(c):
     return 2 * bar_bprime(c) + (-1) * hochschild_b(c)
 
 
+def _chain(n, pairs):
+    """The chain sum(coeff * word) over (word of keys, coeff) pairs."""
+    acc = {}
+    for word, coeff in pairs:
+        acc[word] = acc.get(word, 0) + coeff
+    return TensorChain(n, {w: k for w, k in acc.items() if k})
+
+
+def _symbol_dropping_last_slot(c):
+    return hkr_symbol(_chain(c.n, [(w[:-1], k) for w, k in c.words.items()]))
+
+
+def _unsigned_tau(c):
+    return _chain(c.n, [(w[-1:] + w[:-1], k) for w, k in c.words.items()])
+
+
+def _unsigned_norm(c):
+    return _chain(c.n, [(w[j:] + w[:j], k) for w, k in c.words.items() for j in range(len(w))])
+
+
+def _unsigned_shuffles(p, q, shuffles=chains._shuffles):
+    return [(order, 0) for order, _ in shuffles(p, q)]
+
+
 @pytest.mark.parametrize(
-    "name, mutant, argv, check_id",
+    "owner, name, mutant, argv, check_id",
     [
-        ("hochschild_b", _wrap_sign_flipped_b, ["cycles", "--n", "1"], "cycles.boundary.omega2"),
-        ("bar_bprime", lambda c: (-1) * bar_bprime(c), ["tsygan", "--samples", "5"],
+        (suite, "hochschild_b", _wrap_sign_flipped_b, ["cycles", "--n", "1"],
+         "cycles.boundary.omega2"),
+        (suite, "bar_bprime", lambda c: (-1) * bar_bprime(c), ["tsygan", "--samples", "5"],
          "tsygan.intertwine"),
-        ("harmonic_supertrace", lambda *a: harmonic_supertrace(*a) + 1.0,
+        (suite, "harmonic_supertrace", lambda *a: harmonic_supertrace(*a) + 1.0,
          ["harmonic", "--k", "0"], "harmonic.identity.k0"),
-        ("poisson_deviation", lambda t, length: 1.0, ["localization"], "localization.poisson"),
+        (suite, "poisson_deviation", lambda t, length: 1.0, ["localization"],
+         "localization.poisson"),
+        (suite, "hkr_symbol", _symbol_dropping_last_slot, ["symbol", "--n", "1"],
+         "symbol.volume.n1"),
+        (suite, "cyclic_tau", _unsigned_tau, ["tsygan", "--samples", "5"], "tsygan.intertwine"),
+        (suite, "norm_n", _unsigned_norm, ["tsygan", "--samples", "5"], "tsygan.norm"),
+        (chains, "_shuffles", _unsigned_shuffles, ["shuffle"], "shuffle.leibniz"),
     ],
-    ids=["boundary", "failures", "tolerance", "localization"],
+    ids=["boundary", "failures", "tolerance", "localization", "symbol-slot", "tau-sign",
+         "norm-sign", "shuffle-sign"],
 )
-def test_each_check_shape_can_fail(monkeypatch, capsys, name, mutant, argv, check_id):
-    monkeypatch.setattr(suite, name, mutant)
+def test_each_check_shape_can_fail(monkeypatch, capsys, owner, name, mutant, argv, check_id):
+    monkeypatch.setattr(owner, name, mutant)
     assert main(["--format", "json", *argv]) == 1
     verdicts = {c["id"]: c["verdict"] for c in json.loads(capsys.readouterr().out)["checks"]}
     assert verdicts[check_id] == "fail"
@@ -259,8 +292,11 @@ def test_failures_with_no_samples_is_a_fail():
         ["mckean-singer", "--k", "10", "--trunc", "12"],
         ["localization", "--bump", "nan,0.2,2"],
         ["localization", "--l2", "1e200"],
+        ["spectrum", "--trunc", "30000", "--no-cache"],
+        ["harmonic", "--k", "30000"],
     ],
-    ids=["spectrum", "harmonic", "mckean-singer", "nan-bump", "overflowing-length"],
+    ids=["spectrum", "harmonic", "mckean-singer", "nan-bump", "overflowing-length",
+         "oversized-trunc", "oversized-k"],
 )
 def test_refused_model_or_geometry_exits_2(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("HOCHHEAT_CACHE_DIR", str(tmp_path))

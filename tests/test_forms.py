@@ -1,4 +1,4 @@
-"""Exterior algebra of polynomial forms and the chain symbol map."""
+"""The chain symbol map on monomial keys, and the volume form."""
 
 from __future__ import annotations
 
@@ -6,79 +6,21 @@ import random
 from fractions import Fraction
 
 from hochheat.chains import TensorChain, normalize, omega_cycle
-from hochheat.forms import (
-    PolyForm,
-    coord_y,
-    coord_z,
-    dy,
-    dz,
-    exterior_d,
-    hkr_symbol,
-    total_symbol,
-    volume_form,
-    wedge,
-)
+from hochheat.forms import PolyForm, hkr_symbol, volume_form
 from hochheat.randomgen import random_element
-from hochheat.weyl import d_var, monomial, unit, z_var
+from hochheat.weyl import monomial, mul, unit, z_var
 
 
-def random_form(rng: random.Random, n: int, odd_degree: int) -> PolyForm:
-    """Homogeneous random form of the given anticommuting degree."""
-    out = PolyForm.zero(n)
-    for _ in range(rng.randint(1, 3)):
-        even = tuple(rng.randint(0, 2) for _ in range(2 * n))
-        odd = tuple(sorted(rng.sample(range(2 * n), odd_degree)))
-        coeff = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-        out = out + PolyForm.from_terms(n, [((even, odd), coeff)])
-    return out
+def random_monomial(rng: random.Random, n: int, z_only: bool = False, d_only: bool = False):
+    z_exp = (0,) * n if d_only else tuple(rng.randint(0, 2) for _ in range(n))
+    d_exp = (0,) * n if z_only else tuple(rng.randint(0, 2) for _ in range(n))
+    return monomial(n, z_exp, d_exp, Fraction(rng.randint(-3, 3), rng.randint(1, 2)) or 1)
 
 
 def test_total_symbol_forgets_ordering_only():
-    # z^2 d^3 -> z^2 y^3
-    w = monomial(1, (2,), (3,), Fraction(5, 2))
-    assert total_symbol(w) == Fraction(5, 2) * wedge(
-        wedge(coord_z(1, 1), coord_z(1, 1)),
-        wedge(wedge(coord_y(1, 1), coord_y(1, 1)), coord_y(1, 1)),
-    )
-
-
-def test_wedge_associative():
-    rng = random.Random(61)
-    for _ in range(80):
-        n = rng.choice([1, 2])
-        a = random_form(rng, n, rng.randint(0, 1))
-        b = random_form(rng, n, rng.randint(0, 1))
-        c = random_form(rng, n, rng.randint(0, 2 * n - 1))
-        assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
-
-
-def test_wedge_graded_commutative():
-    rng = random.Random(62)
-    for _ in range(80):
-        n = 2
-        p = rng.randint(0, 3)
-        q = rng.randint(0, 3)
-        a = random_form(rng, n, p)
-        b = random_form(rng, n, q)
-        sign = -1 if (p * q) % 2 else 1
-        assert wedge(a, b) == sign * wedge(b, a)
-
-
-def test_exterior_d_squares_to_zero_on_functions():
-    rng = random.Random(63)
-    for _ in range(50):
-        n = rng.choice([1, 2])
-        f = random_form(rng, n, 0)
-        assert exterior_d(exterior_d(f)).is_zero()
-
-
-def test_d_leibniz_on_functions():
-    rng = random.Random(64)
-    for _ in range(50):
-        n = rng.choice([1, 2])
-        f = random_form(rng, n, 0)
-        g = random_form(rng, n, 0)
-        assert exterior_d(wedge(f, g)) == wedge(exterior_d(f), g) + wedge(f, exterior_d(g))
+    # the degree-0 word z^2 d^3 -> z^2 y^3
+    c = TensorChain.word(1, Fraction(5, 2), [monomial(1, (2,), (3,))])
+    assert hkr_symbol(c) == PolyForm(1, ((((2, 3), ()), Fraction(5, 2)),))
 
 
 def test_hkr_symbol_of_unit_square_vanishes():
@@ -88,13 +30,22 @@ def test_hkr_symbol_of_unit_square_vanishes():
 
 
 def test_hkr_symbol_degree_one_example():
-    # a (x) b -> sigma(a) d sigma(b); take a = z, b = z d
+    # a (x) b -> sigma(a) d sigma(b); take a = z, b = z d: z d(zy) = zy dz + z^2 dy
     n = 1
     c = TensorChain.word(n, 1, [z_var(1, n), monomial(n, (1,), (1,))])
-    got = hkr_symbol(c)
-    z, y = coord_z(1, n), coord_y(1, n)
-    expected = wedge(z, wedge(y, dz(1, n)) + wedge(z, dy(1, n)))
-    assert got == expected
+    expected = PolyForm(n, ((((1, 1), (0,)), Fraction(1)), (((2, 0), (1,)), Fraction(1))))
+    assert hkr_symbol(c) == expected
+    # exponents enter as factors: 1 (x) z^2 d^3 -> 2 z y^3 dz + 3 z^2 y^2 dy
+    c = TensorChain.word(n, 1, [unit(n), monomial(n, (2,), (3,))])
+    expected = PolyForm(n, ((((1, 3), (0,)), Fraction(2)), (((2, 2), (1,)), Fraction(3))))
+    assert hkr_symbol(c) == expected
+
+
+def test_volume_form_is_one_signed_term():
+    # dy1 ^ dz1 = -dz1 ^ dy1, with dz1 the one-form index 0 and dy1 index 1
+    assert volume_form(1) == PolyForm(1, ((((0, 0), (0, 1)), Fraction(-1)),))
+    for n in (2, 3, 4):
+        assert volume_form(n).terms == ((((0,) * (2 * n), tuple(range(2 * n))), (-1) ** n),)
 
 
 def test_hkr_symbol_of_omega_is_volume():
@@ -121,21 +72,47 @@ def test_hkr_symbol_linear():
             Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
             [random_element(rng, n) for _ in range(3)],
         )
-        assert hkr_symbol(a + b) == hkr_symbol(a) + hkr_symbol(b)
+        summed = PolyForm.from_terms(n, hkr_symbol(a).terms + hkr_symbol(b).terms)
+        assert hkr_symbol(a + b) == summed
 
 
 def test_symbol_multiplicative_on_commuting_monomials():
     # sigma is an algebra map modulo lower order; on z-only and d-only
     # factors the product has no reordering corrections
-    a = monomial(1, (2,), (0,))
-    b = monomial(1, (0,), (3,))
-    from hochheat.weyl import mul
-
-    assert total_symbol(mul(a, b)) == wedge(total_symbol(a), total_symbol(b))
+    rng = random.Random(66)
+    for _ in range(30):
+        n = rng.choice([1, 2])
+        a, b = random_monomial(rng, n, z_only=True), random_monomial(rng, n, d_only=True)
+        ((ea, _), ca), = hkr_symbol(TensorChain.word(n, 1, [a])).terms
+        ((eb, _), cb), = hkr_symbol(TensorChain.word(n, 1, [b])).terms
+        expected = PolyForm(n, (((tuple(map(sum, zip(ea, eb))), ()), ca * cb),))
+        assert hkr_symbol(TensorChain.word(n, 1, [mul(a, b)])) == expected
 
 
 def test_omega_symbol_sign_consistency():
-    # swapping two one-forms flips the sign
-    n = 1
-    assert wedge(dy(1, n), dz(1, n)) == (-1) * wedge(dz(1, n), dy(1, n))
-    assert wedge(dz(1, n), dz(1, n)).is_zero()
+    # swapping two interior slots swaps two one-forms, so the symbol flips
+    # sign; a repeated slot repeats its one-forms, so the symbol vanishes
+    rng = random.Random(67)
+    for _ in range(40):
+        n = rng.choice([1, 2])
+        slots = [random_element(rng, n) for _ in range(rng.randint(3, 4))]
+        i, j = sorted(rng.sample(range(1, len(slots)), 2))
+        swapped = list(slots)
+        swapped[i], swapped[j] = slots[j], slots[i]
+        sym = hkr_symbol(TensorChain.word(n, 1, slots))
+        assert hkr_symbol(TensorChain.word(n, -1, swapped)) == sym
+        assert hkr_symbol(TensorChain.word(n, 1, [slots[0], z_var(1, n), z_var(1, n)])).is_zero()
+
+
+def test_d_leibniz_on_functions():
+    # d(fg) = f dg + g df in slot form: a0 (x) fg -> a0 f (x) g + a0 g (x) f,
+    # with every product a single monomial on which sigma is multiplicative
+    rng = random.Random(64)
+    for _ in range(40):
+        n = rng.choice([1, 2])
+        a0, f = random_monomial(rng, n, z_only=True), random_monomial(rng, n, z_only=True)
+        g = random_monomial(rng, n, d_only=True)
+        lhs = hkr_symbol(TensorChain.word(n, 1, [a0, mul(f, g)]))
+        first = hkr_symbol(TensorChain.word(n, 1, [mul(a0, f), g]))
+        second = hkr_symbol(TensorChain.word(n, 1, [mul(a0, g), f]))
+        assert lhs == PolyForm.from_terms(n, first.terms + second.terms)

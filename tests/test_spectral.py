@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -243,6 +244,16 @@ def test_build_preconditions():
         build_model(-1, 8)
     with pytest.raises(IllConditionedGramError):
         build_model(0, 12, cond_limit=10.0)
+
+
+def test_oversized_truncation_is_refused_before_any_work():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="at most"):
+        build_model(0, 3000)
+    assert time.perf_counter() - start < 0.05
+    # trunc >= k + 2, so the same bound caps the bundle degree
+    with pytest.raises(ValueError, match="at most"):
+        build_model(spectral.MAX_TRUNC - 1, spectral.MAX_TRUNC + 1)
 
 
 def test_time_grid_validation():
