@@ -1,3 +1,3 @@
 """hochheat: exact cyclic-chain algebra with spectral and quadrature cross-checks."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

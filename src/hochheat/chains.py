@@ -48,8 +48,8 @@ from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .weyl import (MAX_VARIABLES, Key, WeylElement, WeylMonomial, d_var, format_element,
-                   mono_product, parse_element, unit, z_var)
+from .weyl import (MAX_VARIABLES, Key, WeylElement, d_var, format_element, mono_product,
+                   parse_element, unit, z_var)
 
 Word = Tuple[WeylElement, ...]
 #: a word as stored: one monomial key per slot
@@ -59,8 +59,7 @@ KeyWord = Tuple[Key, ...]
 @lru_cache(maxsize=4096)
 def _slot(key: Key) -> WeylElement:
     """The monic one-term element with monomial key `key`."""
-    n = len(key[0])
-    return WeylElement(n, ((WeylMonomial(n, *key), Fraction(1)),))
+    return WeylElement(len(key[0]), ((key, Fraction(1)),))
 
 
 def _add_to(acc: Dict[KeyWord, Fraction], word: KeyWord, coeff: Fraction) -> None:
@@ -99,8 +98,8 @@ class TensorChain:
             for el in word:
                 if el.n != n:
                     raise ValueError("word entry has wrong variable count")
-                pieces = [(c * mc, prefix + (mono.sort_key,))
-                          for c, prefix in pieces for mono, mc in el.terms]
+                pieces = [(c * mc, prefix + (key,))
+                          for c, prefix in pieces for key, mc in el.terms]
             for c, w in pieces:
                 _add_to(acc, w, c)
         return TensorChain(n, _nonzero(acc))
@@ -257,8 +256,7 @@ def normalized_omega_formula(n: int) -> TensorChain:
     """Independent closed form: sum over permutations sigma of the 2n interior
     slots of sgn(sigma) 1 (x) sigma(d1 (x) z1 (x) ... (x) dn (x) zn)."""
     one = ((0,) * n, (0,) * n)
-    letters = [el.terms[0][0].sort_key
-               for i in range(1, n + 1) for el in (d_var(i, n), z_var(i, n))]
+    letters = [el.terms[0][0] for i in range(1, n + 1) for el in (d_var(i, n), z_var(i, n))]
     signs = (Fraction(1), Fraction(-1))
     words = {}
     for perm in permutations(range(2 * n)):

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from .chains import TensorChain, TsyganColumnVector
-from .weyl import WeylElement, WeylMonomial
+from .weyl import WeylElement
 
 
 def random_element(
@@ -26,7 +26,7 @@ def random_element(
             z_exp = tuple(rng.randint(0, max_deg) for _ in range(n))
             d_exp = tuple(rng.randint(0, max_deg) for _ in range(n))
             coeff = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-            terms.append((WeylMonomial(n, z_exp, d_exp), coeff))
+            terms.append(((z_exp, d_exp), coeff))
         el = WeylElement.from_terms(n, terms)
         if allow_zero or not el.is_zero():
             return el

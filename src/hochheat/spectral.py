@@ -32,11 +32,21 @@ W G W^T = diag(Delta_(j-1) Delta_j), and W A.  With G = L D L^T, the
 congruence D^(-1/2) L^-1 A L^-T D^(-1/2) is then
 X_ij / sqrt(Delta_(i-1) Delta_i Delta_(j-1) Delta_j) with X = W A W^T an
 integer matrix, so each entry leaves exact arithmetic once, just before
-the dense symmetric eigensolve.  The degree-1 Laplacian is modelled on the image of d-bar:
-its matrices are assembled on an exactly computed pivot basis of the
-image, using adj(G) A from fraction-free back substitution, and solved
-separately, which makes the supersymmetric pairing of nonzero spectra a
-genuine cross-check of two eigensolves rather than a definition.
+the dense symmetric eigensolve.
+
+The (0,1)-forms get their own family, with the same Gram closed form and M,
+
+    psi_(a,b) = z^a zbar^b (1+|z|^2)^(-(N+1)) dzbar,  0 <= a <= N+k+1,  0 <= b <= N-1,
+
+and form block q+1 is paired with section block q.  dbar chi_(a,b) =
+b psi_(a,b-1) + (b-N) psi_(a+1,b) and dbar* psi_(a,b) = -a chi_(a-1,b) +
+(N+k+1-a) chi_(a,b+1) stay inside the two families, and for k >= 0 the
+forms span exactly dbar of the sections (dimension N(N+k+2), the section
+count minus k+1).  With D and T the integer incidences of dbar and dbar*,
+the stiffness is D G1 D^T in degree 0 and T G0 T^T in degree 1.  Each
+degree is reduced and solved on its own; only integration by parts,
+T G0 = G1 D^T, ties their nonzero spectra together, so the supersymmetric
+pairing and the flat heat supertrace compare two independent eigensolves.
 """
 
 from __future__ import annotations
@@ -232,28 +242,17 @@ def _round_congruence(v: IntMat, w: IntMat, deltas: Sequence[int], scale: Fracti
 
 
 def _eliminate(gram: IntMat, op: IntMat, scale: Fraction):
-    """Bareiss rows, W, deltas and the rounded congruence of op for one block."""
+    """W, deltas and the rounded congruence of op for one block."""
     s = len(gram)
     rows, deltas = _bareiss(gram, op)
     w = [row[s:2 * s] for row in rows]
-    return rows, w, deltas, _round_congruence([row[2 * s:] for row in rows], w, deltas, scale)
+    return w, deltas, _round_congruence([row[2 * s:] for row in rows], w, deltas, scale)
 
 
-def _adjugate_times(rows: IntMat) -> IntMat:
-    """adj(G) A = det(G) G^-1 A by fraction-free back substitution on Bareiss rows.
-
-    The eliminated part B of the rows is upper triangular with B G^-1 A
-    equal to the last third V, so Z = adj(G) A solves B Z = det(G) V and
-    every division below is exact.
-    """
-    s = len(rows)
-    det = rows[-1][s - 1]
-    z: IntMat = [[] for _ in range(s)]
-    for i in reversed(range(s)):
-        row = rows[i]
-        z[i] = [(det * row[2 * s + c] - sum(row[r] * z[r][c] for r in range(i + 1, s))) // row[i]
-                for c in range(s)]
-    return z
+def _congruence(rows: List[Dict[int, int]], gram: IntMat) -> IntMat:
+    """R G R^T for a sparse integer R given as one {column: coefficient} dict per row."""
+    return [[sum(c * d * gram[r][s] for r, c in ri.items() for s, d in rj.items()) for rj in rows]
+            for ri in rows]
 
 
 def _accumulate(acc: Dict[tuple, Rational], key: tuple, c: Rational) -> None:
@@ -263,26 +262,6 @@ def _accumulate(acc: Dict[tuple, Rational], key: tuple, c: Rational) -> None:
         acc[key] = tot
     elif key in acc:
         del acc[key]
-
-
-def _pivot_columns(columns: List[Dict[Tuple[int, int], Fraction]]) -> List[int]:
-    """Indices of a maximal independent subset, by exact elimination."""
-    pivots: List[int] = []
-    reduced: List[Tuple[Tuple[int, int], Dict[Tuple[int, int], Fraction]]] = []
-    for j, col in enumerate(columns):
-        cur = dict(col)
-        for lead, vec in reduced:
-            if lead in cur:
-                f = cur[lead]
-                for key, val in vec.items():
-                    _accumulate(cur, key, -f * val)
-        if cur:
-            lead = min(cur)
-            f = cur[lead]
-            vec = {k: Fraction(v) / f for k, v in cur.items()}
-            reduced.append((lead, vec))
-            pivots.append(j)
-    return pivots
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +289,7 @@ class SpectralModel:
     eigs0: List[Tuple[float, int]]
     eigs1: List[Tuple[float, int]]
     harmonic0: List[Tuple[int, int]]   # (block index, eigen column)
-    harmonic1: List[Tuple[int, int]]   # (block index, degree-1 eigen column)
+    harmonic1: List[Tuple[int, int]]   # (block index, eigen column of form block charge + 1)
     kernel_threshold: float
     basis_meta: Dict[str, object]
     _flat0: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
@@ -351,6 +330,40 @@ def _dbar_chi(a: int, b: int, n_trunc: int) -> WeightedFn:
     return out
 
 
+def _dbar_star(a: int, b: int, n_trunc: int, k: int) -> WeightedFn:
+    """dbar* of psi_(a,b) = z^a zbar^b (1+|z|^2)^(-N-1) dzbar, over the sections chi.
+
+    The adjoint of dbar is g dzbar -> -(1+|z|^2)^(k+2) d/dz ((1+|z|^2)^(-k) g).
+    """
+    out: WeightedFn = {}
+    if a:
+        out[(a - 1, b, n_trunc)] = -a
+    if a != n_trunc + k + 1:
+        out[(a, b + 1, n_trunc)] = n_trunc + k + 1 - a
+    return out
+
+
+def _incidence(images: List[WeightedFn], pairs: List[Tuple[int, int]],
+               power: int) -> List[Dict[int, int]]:
+    """Each image as {column: coefficient} over z^a zbar^b (1+|z|^2)^(-power), (a, b) in pairs."""
+    index = {(a, b, power): j for j, (a, b) in enumerate(pairs)}
+    escaped = [key for img in images for key in img if key not in index]
+    if escaped:
+        raise OperatorEscapeError(f"image term (a, b, power) = {escaped[0]} leaves the basis")
+    return [{index[key]: c for key, c in img.items()} for img in images]
+
+
+def _charge_pairs(q: int, a_max: int, b_max: int) -> List[Tuple[int, int]]:
+    """The indices (a, b) with a - b = q, 0 <= a <= a_max and 0 <= b <= b_max."""
+    return [(b + q, b) for b in range(max(0, -q), min(b_max, a_max - q) + 1)]
+
+
+def _gram(pairs: List[Tuple[int, int]], fact: List[int]) -> IntMat:
+    """(M-1)! times the Gram block of one charge: entries s! (M-s-2)! with s = a_i + b_j."""
+    top = len(fact)
+    return [[fact[a + b2] * fact[top - a - b2 - 2] for (_, b2) in pairs] for (a, _) in pairs]
+
+
 def _cluster(values: np.ndarray, rel: float = 1e-8) -> List[Tuple[float, int]]:
     out: List[Tuple[float, int]] = []
     for v in np.sort(values):
@@ -376,53 +389,39 @@ def build_model(k: int, trunc: int, cond_limit: float = 1e16) -> SpectralModel:
     if trunc > MAX_TRUNC:
         raise ValueError(f"trunc must be at most {MAX_TRUNC}, got {trunc}")
     n = trunc
-    top = 2 * n + k + 2
-    fact = [factorial(i) for i in range(top)]
+    fact = [factorial(i) for i in range(2 * n + k + 2)]  # up to (M-1)!, M = 2N+k+2
+    unit = Fraction(1, fact[-1])
     blocks: List[_Block] = []
-    lam1_blocks: List[Tuple[int, np.ndarray]] = []  # (block index, degree-1 eigenvalues)
+    lam1_blocks: List[np.ndarray] = []  # degree-1 eigenvalues, one array per form block
     for q in range(-n, n + k + 1):
-        b_lo = max(0, -q)
-        b_hi = min(n, n + k - q)
-        pairs = [(b + q, b) for b in range(b_lo, b_hi + 1)]
-        if not pairs:
-            continue
-        # (M-1)! <chi_j, chi_i> = s! (M-s-2)! with s = a_i + b_j
-        gram = [[fact[a + b2] * fact[top - a - b2 - 2] for (_, b2) in pairs] for (a, _) in pairs]
-        gram_f = np.array([[v / fact[top - 1] for v in row] for row in gram])
+        pairs = _charge_pairs(q, n + k, n)
+        fpairs = _charge_pairs(q + 1, n + k + 1, n - 1)
+        gram0 = _gram(pairs, fact)
+        gram_f = np.array([[v / fact[-1] for v in row] for row in gram0])
         cond = float(np.linalg.cond(gram_f))
         if cond > cond_limit:
             raise IllConditionedGramError(
                 f"Gram block at charge {q} has condition estimate {cond:.3e} > {cond_limit:.1e}; "
                 "reduce trunc or orthogonalize the basis"
             )
-        gram, g_scale = _reduced(gram, Fraction(1, fact[top - 1]))
-        images = [_dbar_chi(a, b, n) for (a, b) in pairs]
-        stiff, a_scale = _scaled([[_pairing(fi, fj, k) for fj in images] for fi in images])
-        rows, w, deltas, c0 = _eliminate(gram, stiff, a_scale / g_scale)
+        gram0, g0_scale = _reduced(gram0, unit)
+        gram1, g1_scale = _reduced(_gram(fpairs, fact), unit)
+        dbar = _incidence([_dbar_chi(a, b, n) for a, b in pairs], fpairs, n + 1)
+        dbar_star = _incidence([_dbar_star(a, b, n, k) for a, b in fpairs], pairs, n)
+        stiff0, s0_scale = _reduced(_congruence(dbar, gram1), g1_scale)  # D G1 D^T
+        stiff1, s1_scale = _reduced(_congruence(dbar_star, gram0), g0_scale)  # T G0 T^T
+        w, deltas, c0 = _eliminate(gram0, stiff0, s0_scale / g0_scale)
         lam, vecs = np.linalg.eigh(c0)  # exactly symmetric: X is, and so is its rounding
         if lam.min() < -1e-10:
             raise IllConditionedGramError(
                 f"negative eigenvalue {lam.min():.3e} beyond solver tolerance at charge {q}"
             )
         lam = np.where(lam < 0, 0.0, lam)
-        blocks.append(_Block(q, pairs, w, deltas, g_scale, lam, vecs, cond))
-
-        # independent degree-1 solve on an exact pivot basis of the image:
-        # Gram A and stiffness A G^-1 A = A adj(G) A / det(G) on the pivots
-        cols = [{(a2, b2): c for (a2, b2, _), c in img.items()} for img in images]
-        piv = _pivot_columns(cols)
-        if piv:
-            adj_a = _adjugate_times(rows)
-            g1, g1_scale = _reduced([[stiff[i][j] for j in piv] for i in piv], a_scale)
-            s1, s1_scale = _reduced(
-                [[sum(x * z[j] for x, z in zip(stiff[i], adj_a)) for j in piv] for i in piv],
-                a_scale * a_scale / (g_scale * deltas[-1]),
-            )
-            c1 = _eliminate(g1, s1, s1_scale / g1_scale)[3]
-            lam1_blocks.append((len(blocks) - 1, np.linalg.eigvalsh(c1)))
+        blocks.append(_Block(q, pairs, w, deltas, g0_scale, lam, vecs, cond))
+        lam1_blocks.append(np.linalg.eigvalsh(_eliminate(gram1, stiff1, s1_scale / g1_scale)[2]))
 
     flat0 = np.sort(np.concatenate([b.lam for b in blocks]))
-    flat1 = np.sort(np.array([v for _, lam1 in lam1_blocks for v in lam1]))
+    flat1 = np.sort(np.concatenate(lam1_blocks))
     lam_max = float(flat0.max()) if flat0.size else 1.0
     threshold = 1e-8 * max(lam_max, 1e-300)
     harmonic0 = [
@@ -431,9 +430,8 @@ def build_model(k: int, trunc: int, cond_limit: float = 1e16) -> SpectralModel:
         for col in range(len(block.lam))
         if block.lam[col] < threshold
     ]
-    harmonic1 = [
-        (bi, col) for bi, lam1 in lam1_blocks for col in range(len(lam1)) if lam1[col] < threshold
-    ]
+    harmonic1 = [(bi, col) for bi, lam1 in enumerate(lam1_blocks)
+                 for col in range(len(lam1)) if lam1[col] < threshold]
     model = SpectralModel(
         k=k,
         trunc=trunc,
@@ -468,9 +466,9 @@ def _apply_weyl(op: WeylElement, f: WeightedFn) -> WeightedFn:
     if op.n != 1:
         raise OperatorEscapeError("operators on the model must be one-variable elements")
     out: WeightedFn = {}
-    for mono, coeff in op.terms:
+    for ((z_exp,), (d_exp,)), coeff in op.terms:
         current = dict(f)
-        for _ in range(mono.d_exp[0]):
+        for _ in range(d_exp):
             nxt: WeightedFn = {}
             for (a, b, g), c in current.items():
                 if a:
@@ -479,7 +477,7 @@ def _apply_weyl(op: WeylElement, f: WeightedFn) -> WeightedFn:
                     _accumulate(nxt, (a, b + 1, g + 1), -c * g)
             current = nxt
         for (a, b, g), c in current.items():
-            _accumulate(out, (a + mono.z_exp[0], b, g), c * coeff)
+            _accumulate(out, (a + z_exp, b, g), c * coeff)
     return out
 
 
@@ -492,7 +490,7 @@ def _operator_blocks(model: SpectralModel, op: WeylElement, side: str) -> List[n
     """
     if op.n != 1:
         raise OperatorEscapeError("operators on the model must be one-variable elements")
-    max_coeff_deg = max((m.z_exp[0] for m, _ in op.terms), default=0)
+    max_coeff_deg = max((z[0] for (z, _), _ in op.terms), default=0)
     if max_coeff_deg > model.trunc:
         raise OperatorEscapeError(
             f"operator coefficient degree {max_coeff_deg} exceeds truncation {model.trunc} "
@@ -535,8 +533,9 @@ def harmonic_supertrace(model: SpectralModel, op: WeylElement) -> float:
     """Supertrace of the compression of op to the numerical harmonic spaces.
 
     Computed basis independently: trace = sum_ij (G_h^-1)_ij <op h_j, h_i>
-    over the kernel vectors h of each degree.  The degree-1 model has no
-    kernel by construction, so only degree 0 contributes.
+    over the kernel vectors h of degree 0.  For k >= 0 the form family spans
+    exactly dbar of the section space, so the degree-1 kernel is empty
+    (`spectrum.kernel.forms` checks `harmonic1`) and only degree 0 contributes.
     """
     mats = _operator_blocks(model, op, "sections")
     by_block: Dict[int, List[int]] = {}
@@ -557,8 +556,10 @@ def limit_supertrace(
     """Supertrace of op e^(-t Laplacian) on a grid, and its terminal value.
 
     Degree 0 sums e^(-t lam_i) <op e_i, e_i> over the eigenbasis; degree 1
-    uses the intertwined eigenbasis dbar e_i / sqrt(lam_i) of the image
-    model.  As t grows the series converges to `harmonic_supertrace`.
+    uses the intertwined basis dbar e_i / sqrt(lam_i) over the nonzero lam_i.
+    For k >= 0 it spans the whole form family, so it is an orthonormal
+    eigenbasis of the degree-1 model as well, with the same eigenvalues.  As
+    t grows the series converges to `harmonic_supertrace`.
     """
     grid = [float(t) for t in t_grid]
     if not grid:

@@ -274,7 +274,7 @@ def _family_mckean_singer(cfg: SuiteConfig) -> List[CheckResult]:
     dev = max(abs(heat_supertrace(model, float(t)) - (cfg.k + 1)) for t in grid)
     rec.check(f"mckean-singer.flat.k{cfg.k}",
               f"the heat supertrace for k={cfg.k} is constant at k+1 across the time grid",
-              f"max deviation {_fmt(dev)}", f"{cfg.k + 1}", "1e-03", dev <= 1e-3)
+              f"max deviation {_fmt(dev)}", f"{cfg.k + 1}", "1e-10", dev <= 1e-10)
     return rec.results
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import itemgetter
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 Exponents = Tuple[int, ...]
@@ -35,46 +36,36 @@ Key = Tuple[Exponents, Exponents]
 Polynomial = Dict[Exponents, Fraction]
 
 
-@dataclass(frozen=True)
-class WeylMonomial:
-    """Normal-ordered monomial z^z_exp d^d_exp in n variables."""
-
-    n: int
-    z_exp: Exponents
-    d_exp: Exponents
-
-    def __post_init__(self) -> None:
-        if len(self.z_exp) != self.n or len(self.d_exp) != self.n:
-            raise ValueError("exponent vectors must have length n")
-        if any(e < 0 for e in self.z_exp) or any(e < 0 for e in self.d_exp):
-            raise ValueError("exponents must be non-negative")
-
-    @property
-    def sort_key(self) -> tuple:
-        # lexicographic on (z_exp, d_exp); used for canonical term order
-        return (self.z_exp, self.d_exp)
-
-
-def _merge_terms(n: int, terms: Iterable[Tuple[WeylMonomial, Fraction]]):
-    acc: Dict[WeylMonomial, Fraction] = {}
-    for mono, coeff in terms:
-        if mono.n != n:
-            raise ValueError("mixed variable counts in one element")
-        acc[mono] = acc.get(mono, Fraction(0)) + coeff
-    return tuple(sorted(((m, c) for m, c in acc.items() if c),
-                        key=lambda mc: mc[0].sort_key, reverse=True))
+def _merge_terms(terms: Iterable[Tuple[Key, Fraction]]) -> Tuple[Tuple[Key, Fraction], ...]:
+    acc: Dict[Key, Fraction] = {}
+    for key, coeff in terms:
+        acc[key] = acc.get(key, Fraction(0)) + coeff
+    return tuple(sorted(((key, c) for key, c in acc.items() if c), key=itemgetter(0), reverse=True))
 
 
 @dataclass(frozen=True)
 class WeylElement:
-    """Finite rational combination of normal-ordered monomials."""
+    """Finite rational combination of normal-ordered monomials.
+
+    `terms` holds (key, coefficient) pairs with nonzero coefficients in
+    descending key order, the canonical order of `format_element`.
+    """
 
     n: int
-    terms: Tuple[Tuple[WeylMonomial, Fraction], ...]
+    terms: Tuple[Tuple[Key, Fraction], ...]
 
     @staticmethod
-    def from_terms(n: int, terms: Iterable[Tuple[WeylMonomial, Fraction]]) -> "WeylElement":
-        return WeylElement(n, _merge_terms(n, terms))
+    def from_terms(n: int, terms: Iterable[Tuple[Key, Fraction]]) -> "WeylElement":
+        """The element sum(coeff * z^z_exp d^d_exp) over ((z_exp, d_exp), coeff) pairs."""
+        checked = []
+        for (z_exp, d_exp), coeff in terms:
+            key = (tuple(z_exp), tuple(d_exp))
+            if len(key[0]) != n or len(key[1]) != n:
+                raise ValueError("exponent vectors must have length n")
+            if any(e < 0 for e in key[0] + key[1]):
+                raise ValueError("exponents must be non-negative")
+            checked.append((key, coeff))
+        return WeylElement(n, _merge_terms(checked))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -99,8 +90,7 @@ class WeylElement:
 
 
 def unit(n: int) -> WeylElement:
-    mono = WeylMonomial(n, (0,) * n, (0,) * n)
-    return WeylElement(n, ((mono, Fraction(1)),))
+    return WeylElement(n, ((((0,) * n, (0,) * n), Fraction(1)),))
 
 
 def zero(n: int) -> WeylElement:
@@ -112,7 +102,7 @@ def z_var(i: int, n: int) -> WeylElement:
     if not 1 <= i <= n:
         raise ValueError(f"variable index {i} out of range 1..{n}")
     e = tuple(1 if j == i - 1 else 0 for j in range(n))
-    return WeylElement(n, ((WeylMonomial(n, e, (0,) * n), Fraction(1)),))
+    return WeylElement(n, (((e, (0,) * n), Fraction(1)),))
 
 
 def d_var(i: int, n: int) -> WeylElement:
@@ -120,17 +110,17 @@ def d_var(i: int, n: int) -> WeylElement:
     if not 1 <= i <= n:
         raise ValueError(f"variable index {i} out of range 1..{n}")
     e = tuple(1 if j == i - 1 else 0 for j in range(n))
-    return WeylElement(n, ((WeylMonomial(n, (0,) * n, e), Fraction(1)),))
+    return WeylElement(n, ((((0,) * n, e), Fraction(1)),))
 
 
 def monomial(n: int, z_exp: Exponents, d_exp: Exponents, coeff=1) -> WeylElement:
-    return WeylElement.from_terms(n, [(WeylMonomial(n, tuple(z_exp), tuple(d_exp)), Fraction(coeff))])
+    return WeylElement.from_terms(n, [((z_exp, d_exp), Fraction(coeff))])
 
 
 def add(a: WeylElement, b: WeylElement) -> WeylElement:
     if a.n != b.n:
         raise ValueError("cannot add elements with different variable counts")
-    return WeylElement(a.n, _merge_terms(a.n, list(a.terms) + list(b.terms)))
+    return WeylElement(a.n, _merge_terms(a.terms + b.terms))
 
 
 def scale(c, a: WeylElement) -> WeylElement:
@@ -167,10 +157,9 @@ def mono_product(a: Key, b: Key) -> List[Tuple[Key, int]]:
 def mul(a: WeylElement, b: WeylElement) -> WeylElement:
     if a.n != b.n:
         raise ValueError("cannot multiply elements with different variable counts")
-    return WeylElement.from_terms(a.n, (
-        (WeylMonomial(a.n, *key), ca * cb * m)
-        for ma, ca in a.terms for mb, cb in b.terms
-        for key, m in mono_product(ma.sort_key, mb.sort_key)))
+    return WeylElement(a.n, _merge_terms(
+        (key, ca * cb * m)
+        for ka, ca in a.terms for kb, cb in b.terms for key, m in mono_product(ka, kb)))
 
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -186,7 +175,7 @@ def apply(a: WeylElement, p: Mapping[Exponents, Fraction]) -> Polynomial:
     assuming its closed form.
     """
     out: Polynomial = {}
-    for mono, coeff in a.terms:
+    for (z_exp, d_exp), coeff in a.terms:
         for exps, pc in p.items():
             if len(exps) != a.n:
                 raise ValueError("polynomial arity does not match element")
@@ -194,14 +183,14 @@ def apply(a: WeylElement, p: Mapping[Exponents, Fraction]) -> Polynomial:
             ok = True
             new = []
             for i in range(a.n):
-                q = mono.d_exp[i]
+                q = d_exp[i]
                 m = exps[i]
                 if q > m:
                     ok = False
                     break
                 for r in range(q):
                     c *= m - r
-                new.append(m - q + mono.z_exp[i])
+                new.append(m - q + z_exp[i])
             if not ok or not c:
                 continue
             key = tuple(new)
@@ -219,11 +208,8 @@ def disjoint_embed(a: WeylElement, offset: int, total: int) -> WeylElement:
         raise ValueError("embedding does not fit in target algebra")
     pad_l = (0,) * offset
     pad_r = (0,) * (total - a.n - offset)
-    terms = [
-        (WeylMonomial(total, pad_l + m.z_exp + pad_r, pad_l + m.d_exp + pad_r), c)
-        for m, c in a.terms
-    ]
-    return WeylElement(total, tuple(terms))
+    return WeylElement(total, tuple(((pad_l + z + pad_r, pad_l + d + pad_r), c)
+                                    for (z, d), c in a.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -243,18 +229,14 @@ MAX_DEGREE = 64
 MAX_TERMS = 1024
 
 
-def _format_monomial(mono: WeylMonomial, coeff: Fraction) -> str:
+def _format_monomial(key: Key, coeff: Fraction) -> str:
     factors = []
-    for i, e in enumerate(mono.z_exp):
-        if e == 1:
-            factors.append(f"z{i + 1}")
-        elif e > 1:
-            factors.append(f"z{i + 1}^{e}")
-    for i, e in enumerate(mono.d_exp):
-        if e == 1:
-            factors.append(f"d{i + 1}")
-        elif e > 1:
-            factors.append(f"d{i + 1}^{e}")
+    for gen, exps in zip("zd", key):
+        for i, e in enumerate(exps):
+            if e == 1:
+                factors.append(f"{gen}{i + 1}")
+            elif e > 1:
+                factors.append(f"{gen}{i + 1}^{e}")
     mag = abs(coeff)
     if not factors:
         return str(mag)
@@ -268,8 +250,8 @@ def format_element(a: WeylElement) -> str:
     if not a.terms:
         return "0"
     pieces = []
-    for idx, (mono, coeff) in enumerate(a.terms):
-        body = _format_monomial(mono, coeff)
+    for idx, (key, coeff) in enumerate(a.terms):
+        body = _format_monomial(key, coeff)
         if idx == 0:
             pieces.append(body if coeff > 0 else "-" + body)
         else:

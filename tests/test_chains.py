@@ -32,7 +32,7 @@ from hochheat.chains import (
 )
 from hochheat.forms import hkr_symbol, volume_form
 from hochheat.randomgen import random_chain, random_column_vector, random_element
-from hochheat.weyl import MAX_DEGREE, MAX_VARIABLES, WeylElement, WeylMonomial, d_var, unit, z_var
+from hochheat.weyl import MAX_DEGREE, MAX_VARIABLES, WeylElement, d_var, unit, z_var
 
 
 def one_word(n, coeff, slots):
@@ -263,7 +263,7 @@ def chains(draw):
     exps = st.tuples(*[st.integers(0, 2)] * n)
     coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
     element = st.lists(st.tuples(exps, exps, coeffs), max_size=2).map(
-        lambda ts: WeylElement.from_terms(n, [(WeylMonomial(n, z, d), c) for z, d, c in ts]))
+        lambda ts: WeylElement.from_terms(n, [((z, d), c) for z, d, c in ts]))
     words = draw(st.lists(st.tuples(coeffs, st.lists(element, min_size=1, max_size=4)), max_size=3))
     return TensorChain.from_terms(n, [(c, tuple(w)) for c, w in words])
 

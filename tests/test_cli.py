@@ -9,8 +9,9 @@ import time
 import numpy as np
 import pytest
 
-from hochheat import chains, cli, suite
+from hochheat import chains, cli, spectral, suite
 from hochheat.chains import TensorChain, bar_bprime, hochschild_b
+from hochheat.chern import ChartDensity, todd_density
 from hochheat.cli import main
 from hochheat.forms import hkr_symbol
 from hochheat.report import FAIL, CheckResult, VerificationReport
@@ -198,6 +199,20 @@ def _unsigned_shuffles(p, q, shuffles=chains._shuffles):
     return [(order, 0) for order, _ in shuffles(p, q)]
 
 
+def _offset_eigvalsh(a, eigvalsh=np.linalg.eigvalsh):
+    return eigvalsh(a) * (1 + 1e-9)
+
+
+def _doubled_dbar_star(a, b, n_trunc, k, dbar_star=spectral._dbar_star):
+    """dbar* with its first coefficient doubled."""
+    return {key: 2 * c if key[0] == a - 1 else c
+            for key, c in dbar_star(a, b, n_trunc, k).items()}
+
+
+def _scaled_todd():
+    return ChartDensity("todd", lambda x, y: todd_density()(x, y) * (1 + 1e-6))
+
+
 @pytest.mark.parametrize(
     "owner, name, mutant, argv, check_id",
     [
@@ -214,9 +229,15 @@ def _unsigned_shuffles(p, q, shuffles=chains._shuffles):
         (suite, "cyclic_tau", _unsigned_tau, ["tsygan", "--samples", "5"], "tsygan.intertwine"),
         (suite, "norm_n", _unsigned_norm, ["tsygan", "--samples", "5"], "tsygan.norm"),
         (chains, "_shuffles", _unsigned_shuffles, ["shuffle"], "shuffle.leibniz"),
+        (np.linalg, "eigvalsh", _offset_eigvalsh, ["mckean-singer"], "mckean-singer.flat.k1"),
+        (spectral, "_dbar_star", _doubled_dbar_star, ["spectrum", "--no-cache"],
+         "spectrum.susy.pairing"),
+        (spectral, "_dbar_star", _doubled_dbar_star, ["mckean-singer"], "mckean-singer.flat.k1"),
+        (suite, "todd_density", _scaled_todd, ["chern-integrals"], "chern.todd.integral"),
     ],
     ids=["boundary", "failures", "tolerance", "localization", "symbol-slot", "tau-sign",
-         "norm-sign", "shuffle-sign"],
+         "norm-sign", "shuffle-sign", "eigenvalue-offset", "dbar-star-susy", "dbar-star-flat",
+         "todd-scale"],
 )
 def test_each_check_shape_can_fail(monkeypatch, capsys, owner, name, mutant, argv, check_id):
     monkeypatch.setattr(owner, name, mutant)

@@ -17,12 +17,17 @@ from hochheat.spectral import (
     DivergentIntegralError,
     IllConditionedGramError,
     OperatorEscapeError,
-    _adjugate_times,
     _apply_weyl,
     _bareiss,
+    _charge_pairs,
     _chi,
+    _congruence,
     _dbar_chi,
+    _dbar_star,
+    _gram,
+    _incidence,
     _operator_blocks,
+    _pairing,
     build_model,
     harmonic_supertrace,
     heat_supertrace,
@@ -142,6 +147,73 @@ def test_supersymmetric_pairing_of_nonzero_spectra():
         assert len(nz0) == len(model._flat1)
         head = min(10, len(nz0))
         assert np.abs(nz0[:head] - model._flat1[:head]).max() <= 1e-6
+
+
+# (k, N) pairs for the exact identities of the two-degree assembly
+_ASSEMBLY_CASES = [(0, 2), (0, 6), (1, 5), (2, 9), (3, 7), (5, 8)]
+
+
+def _block_incidences(k, n, q):
+    """Section and form indices of charge q and q + 1, their (M-1)! Grams, D and T."""
+    fact = [math.factorial(i) for i in range(2 * n + k + 2)]
+    pairs = _charge_pairs(q, n + k, n)
+    fpairs = _charge_pairs(q + 1, n + k + 1, n - 1)
+    dbar = _incidence([_dbar_chi(a, b, n) for a, b in pairs], fpairs, n + 1)
+    star = _incidence([_dbar_star(a, b, n, k) for a, b in fpairs], pairs, n)
+    return pairs, fpairs, _gram(pairs, fact), _gram(fpairs, fact), dbar, star
+
+
+def _dense(rows, width):
+    return [[row.get(j, 0) for j in range(width)] for row in rows]
+
+
+def test_dbar_star_is_the_adjoint_of_dbar():
+    # integration by parts, block by block and in exact integers: T G0 = G1 D^T
+    for k, n in _ASSEMBLY_CASES:
+        for q in range(-n, n + k + 1):
+            pairs, fpairs, g0, g1, dbar, star = _block_incidences(k, n, q)
+            t, d = _dense(star, len(pairs)), _dense(dbar, len(fpairs))
+            lhs = [[sum(t[i][r] * g0[r][j] for r in range(len(pairs))) for j in range(len(pairs))]
+                   for i in range(len(fpairs))]
+            rhs = [[sum(g1[i][r] * d[j][r] for r in range(len(fpairs))) for j in range(len(pairs))]
+                   for i in range(len(fpairs))]
+            assert lhs == rhs
+
+
+def test_closed_form_stiffness_matches_the_pairing_kernel():
+    # D G1 D^T is the Gram of the dbar images, as the generic pairing computes it
+    for k, n in _ASSEMBLY_CASES:
+        top = 2 * n + k + 2
+        for q in range(-n, n + k + 1):
+            pairs, _, _, g1, dbar, _ = _block_incidences(k, n, q)
+            images = [_dbar_chi(a, b, n) for a, b in pairs]
+            ref = [[_pairing(fi, fj, k) for fj in images] for fi in images]
+            assert _congruence(dbar, g1) == [[num for num, _ in row] for row in ref]
+            assert {m for row in ref for num, m in row if num} == {top}
+
+
+def test_form_family_has_the_dimension_of_the_dbar_image():
+    for k, n in _ASSEMBLY_CASES:
+        model = build_model(k, n)
+        assert len(model._flat0) == (n + 1) * (n + k + 1)
+        assert len(model._flat1) == n * (n + k + 2) == (n + 1) * (n + k + 1) - (k + 1)
+        nz0 = model._flat0[model._flat0 > model.kernel_threshold]
+        assert np.abs(nz0 - model._flat1).max() <= 1e-12 * nz0.max()
+
+
+def test_incidence_leaving_the_basis_is_an_escape(monkeypatch):
+    with pytest.raises(OperatorEscapeError):
+        _incidence([{(3, 0, 4): 1}], [(0, 0), (1, 1)], 4)
+    with pytest.raises(OperatorEscapeError):
+        _incidence([{(1, 1, 5): 1}], [(0, 0), (1, 1)], 4)
+
+    def off_by_one(a, b, n_trunc, k):
+        # keeps the second term at a = N+k+1, where it would leave the sections
+        return {**_dbar_star(a, b, n_trunc, k), (a, b + 1, n_trunc): n_trunc + k + 2 - a}
+
+    monkeypatch.setattr(spectral, "_dbar_star", off_by_one)
+    with pytest.raises(OperatorEscapeError):
+        build_model(1, 6)
 
 
 def _assert_round_sphere_law(model):
@@ -358,9 +430,6 @@ def test_bareiss_reduction_is_exact(case):
                     for i in range(s)]
     assert [row[2 * s:] for row in rows] == [
         [sum(w[i][r] * a[r][c] for r in range(s)) for c in range(s)] for i in range(s)]
-    # fraction-free back substitution gives adj(G) A = det(G) G^-1 A
-    det, ginv_a = _gauss(g, a)
-    assert _adjugate_times(rows) == [[det * v for v in row] for row in ginv_a]
 
 
 def _reference_congruence(gram, mat):

@@ -20,7 +20,6 @@ from hochheat.weyl import (
     MAX_TERMS,
     MAX_VARIABLES,
     WeylElement,
-    WeylMonomial,
     add,
     apply,
     commutator,
@@ -44,7 +43,7 @@ def random_element(rng: random.Random, n: int, max_deg: int = 2, max_terms: int 
         z_exp = tuple(rng.randint(0, max_deg) for _ in range(n))
         d_exp = tuple(rng.randint(0, max_deg) for _ in range(n))
         coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        terms.append((WeylMonomial(n, z_exp, d_exp), coeff))
+        terms.append(((z_exp, d_exp), coeff))
     return WeylElement.from_terms(n, terms)
 
 
@@ -105,7 +104,7 @@ def test_mono_product_matches_apply_oracle():
 
         a, b = (exps(), exps()), (exps(), exps())
         product = WeylElement.from_terms(
-            n, [(WeylMonomial(n, *key), Fraction(c)) for key, c in mono_product(a, b)])
+            n, [(key, Fraction(c)) for key, c in mono_product(a, b)])
         p = random_poly(rng, n, max_deg=5)
         assert apply(product, p) == apply(monomial(n, *a), apply(monomial(n, *b), p))
 
@@ -177,13 +176,25 @@ def elements(draw):
     exps = st.tuples(*[st.integers(0, 3)] * n)
     coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=7)
     terms = draw(st.lists(st.tuples(exps, exps, coeffs), max_size=4))
-    return WeylElement.from_terms(n, [(WeylMonomial(n, z, d), c) for z, d, c in terms])
+    return WeylElement.from_terms(n, [((z, d), c) for z, d, c in terms])
 
 
 @settings(deadline=None)
 @given(elements())
 def test_text_round_trip_property(a):
     assert parse_element(format_element(a), a.n) == a
+
+
+@pytest.mark.parametrize(
+    "z_exp, d_exp",
+    [((1,), (0, 0)), ((1, 0, 2), (0, 0)), ((-1, 0), (0, 0)), ((0, 0), (2, -3))],
+    ids=["short-d", "long-z", "negative-z", "negative-d"],
+)
+def test_from_terms_and_monomial_refuse_bad_exponents(z_exp, d_exp):
+    with pytest.raises(ValueError):
+        WeylElement.from_terms(2, [((z_exp, d_exp), Fraction(1))])
+    with pytest.raises(ValueError):
+        monomial(2, z_exp, d_exp)
 
 
 def test_parse_reorders_products():
