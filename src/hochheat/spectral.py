@@ -47,6 +47,17 @@ the stiffness is D G1 D^T in degree 0 and T G0 T^T in degree 1.  Each
 degree is reduced and solved on its own; only integration by parts,
 T G0 = G1 D^T, ties their nonzero spectra together, so the supersymmetric
 pairing and the flat heat supertrace compare two independent eigensolves.
+
+Operator pairings <op f_j, f_i>, with f the chi or the dbar chi of one
+charge block, use the same closed form.  Each image den * op f_j is lifted
+once to the largest power of (1+|z|^2) the operator reaches, and each f_i to
+its own, so every entry is a dot product of charge-matched coefficients
+against the moment row s! (m-s-2)!.  Each basis function has one charge and
+the top-degree part of a product of polynomials cannot cancel, so a pair
+fails to integrate exactly when its top degrees add up past 2m - 3; the
+check raises what the generic kernel `_pairing` raises on the same pair.
+Blocks are built on demand and cached per (side, operator, block), so
+`harmonic_supertrace` builds only the k+1 blocks that hold a kernel vector.
 """
 
 from __future__ import annotations
@@ -59,7 +70,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 from numbers import Rational
-from typing import Dict, List, Sequence, Tuple
+from operator import mul
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -113,13 +125,7 @@ def _pairing(f: WeightedFn, g: WeightedFn, extra: int) -> Pairing:
     if not prod:
         return 0, 1
     gmax = max(gk for (_, _, gk) in prod)
-    flat: Dict[Tuple[int, int], int] = {}
-    for (zp, bp, gk), c in prod.items():
-        lift = gmax - gk
-        for j in range(lift + 1):
-            key = (zp + j, bp + j)
-            flat[key] = flat.get(key, 0) + c * comb(lift, j)
-    flat = {key: c for key, c in flat.items() if c}
+    flat = _lift(prod, gmax)
     m = gmax + extra
     # angular components with nonzero net charge integrate to zero, but the
     # leading radial power must still be absolutely integrable
@@ -138,6 +144,17 @@ def _pairing(f: WeightedFn, g: WeightedFn, extra: int) -> Pairing:
                 f"integral of |z|^{2 * zp} against (1+|z|^2)^(-{m}) diverges")
         total += c * factorial(zp) * factorial(m - zp - 2)
     return total, m
+
+
+def _lift(f: WeightedFn, power: int) -> Dict[Tuple[int, int], int]:
+    """The numerator of f over (1+|z|^2)^power >= every power in f, as {(a, b): c}."""
+    flat: Dict[Tuple[int, int], int] = {}
+    for (a, b, g), c in f.items():
+        lift = power - g
+        for j in range(lift + 1):
+            key = (a + j, b + j)
+            flat[key] = flat.get(key, 0) + c * comb(lift, j)
+    return {key: c for key, c in flat.items() if c}
 
 
 def _as_fraction(value: Pairing) -> Fraction:
@@ -177,15 +194,6 @@ def _reduced(mat: IntMat, scale: Fraction) -> Tuple[IntMat, Fraction]:
     return [[v // g for v in row] for row in mat], scale * g
 
 
-def _scaled(entries: List[List[Pairing]]) -> Tuple[IntMat, Fraction]:
-    """A matrix of pairings as a reduced integer matrix and one rational scale."""
-    weights = {m for row in entries for num, m in row if num}
-    top = factorial(max(weights, default=1) - 1)
-    lift = {m: top // factorial(m - 1) for m in weights}
-    mat = [[num * lift[m] if num else 0 for num, m in row] for row in entries]
-    return _reduced(mat, Fraction(1, top))
-
-
 def _bareiss(gram: IntMat, op: IntMat) -> Tuple[IntMat, List[int]]:
     """One fraction-free elimination of [G | I | A] for a positive definite integer G.
 
@@ -223,11 +231,13 @@ def _scaled_root(x: int, num: int, den: int) -> float:
     return -root if x < 0 else root
 
 
-def _round_congruence(v: IntMat, w: IntMat, deltas: Sequence[int], scale: Fraction) -> np.ndarray:
+def _round_congruence(v: IntMat, w: IntMat, deltas: Sequence[int], scale: Fraction,
+                      symmetric: bool = False) -> np.ndarray:
     """float(scale * S L^-1 A L^-T S) with S = D^(-1/2), given V = W A.
 
     With X = V W^T = W A W^T the entry is scale * X_ij / sqrt(p_i p_j),
-    p_i = deltas[i] deltas[i+1]; W is lower triangular.
+    p_i = deltas[i] deltas[i+1]; W is lower triangular.  For a symmetric A
+    the lower triangle is rounded and mirrored, which gives the same bits.
     """
     s = len(w)
     out = np.zeros((s, s))
@@ -235,18 +245,20 @@ def _round_congruence(v: IntMat, w: IntMat, deltas: Sequence[int], scale: Fracti
     p = [deltas[i] * deltas[i + 1] for i in range(s)]
     for i in range(s):
         vi = v[i]
-        for j in range(s):
-            x = sum(a * b for a, b in zip(vi[:j + 1], w[j]))
-            out[i, j] = _scaled_root(x, num, den * p[i] * p[j])
+        for j in range(i + 1 if symmetric else s):
+            out[i, j] = _scaled_root(sum(map(mul, vi[:j + 1], w[j])), num, den * p[i] * p[j])
+    if symmetric:
+        upper = np.triu_indices(s, 1)
+        out[upper] = out.T[upper]
     return out
 
 
 def _eliminate(gram: IntMat, op: IntMat, scale: Fraction):
-    """W, deltas and the rounded congruence of op for one block."""
+    """W, deltas and the rounded congruence of a symmetric op for one block."""
     s = len(gram)
     rows, deltas = _bareiss(gram, op)
     w = [row[s:2 * s] for row in rows]
-    return w, deltas, _round_congruence([row[2 * s:] for row in rows], w, deltas, scale)
+    return w, deltas, _round_congruence([row[2 * s:] for row in rows], w, deltas, scale, True)
 
 
 def _congruence(rows: List[Dict[int, int]], gram: IntMat) -> IntMat:
@@ -257,7 +269,7 @@ def _congruence(rows: List[Dict[int, int]], gram: IntMat) -> IntMat:
 
 def _accumulate(acc: Dict[tuple, Rational], key: tuple, c: Rational) -> None:
     """acc[key] += c, dropping the key when the sum is zero."""
-    tot = acc.get(key, Fraction(0)) + c
+    tot = acc.get(key, 0) + c
     if tot:
         acc[key] = tot
     elif key in acc:
@@ -294,7 +306,7 @@ class SpectralModel:
     basis_meta: Dict[str, object]
     _flat0: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
     _flat1: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
-    _op_cache: Dict[Tuple[str, WeylElement], List[np.ndarray]] = field(
+    _op_cache: Dict[Tuple[str, WeylElement, int], np.ndarray] = field(  # (side, op, block index)
         repr=False, default_factory=dict
     )
 
@@ -416,14 +428,15 @@ def build_model(k: int, trunc: int, cond_limit: float = 1e16) -> SpectralModel:
             raise IllConditionedGramError(
                 f"negative eigenvalue {lam.min():.3e} beyond solver tolerance at charge {q}"
             )
-        lam = np.where(lam < 0, 0.0, lam)
         blocks.append(_Block(q, pairs, w, deltas, g0_scale, lam, vecs, cond))
         lam1_blocks.append(np.linalg.eigvalsh(_eliminate(gram1, stiff1, s1_scale / g1_scale)[2]))
 
+    threshold = 1e-8 * max(max(float(b.lam.max()) for b in blocks), 1e-300)
+    # the kernel is exactly 0: its rounding (about 1e-14) would tilt heat traces at large t
+    for lam in [b.lam for b in blocks] + lam1_blocks:
+        lam[lam < threshold] = 0.0
     flat0 = np.sort(np.concatenate([b.lam for b in blocks]))
     flat1 = np.sort(np.concatenate(lam1_blocks))
-    lam_max = float(flat0.max()) if flat0.size else 1.0
-    threshold = 1e-8 * max(lam_max, 1e-300)
     harmonic0 = [
         (bi, col)
         for bi, block in enumerate(blocks)
@@ -457,36 +470,99 @@ def build_model(k: int, trunc: int, cond_limit: float = 1e16) -> SpectralModel:
 # ---------------------------------------------------------------------------
 
 
-def _apply_weyl(op: WeylElement, f: WeightedFn) -> WeightedFn:
-    """Act with a one-variable operator element on a weighted chart function.
+def _apply_weyl(op: WeylElement, f: WeightedFn, den: int = 1) -> WeightedFn:
+    """Act with den * op, for a one-variable operator element, on a weighted chart function.
 
     d/dz (z^a zbar^b (1+|z|^2)^(-g)) = a z^(a-1) zbar^b (1+|z|^2)^(-g)
                                        - g z^a zbar^(b+1) (1+|z|^2)^(-g-1).
+    Each power of d/dz is taken once; with den clearing the coefficient
+    denominators of op, an integer f has an integer image.
     """
     if op.n != 1:
         raise OperatorEscapeError("operators on the model must be one-variable elements")
+    derivs = [f]  # derivs[e] = (d/dz)^e f
     out: WeightedFn = {}
     for ((z_exp,), (d_exp,)), coeff in op.terms:
-        current = dict(f)
-        for _ in range(d_exp):
+        c_op = coeff * den
+        c_op = c_op.numerator if c_op.denominator == 1 else c_op
+        while len(derivs) <= d_exp:
             nxt: WeightedFn = {}
-            for (a, b, g), c in current.items():
+            for (a, b, g), c in derivs[-1].items():
                 if a:
                     _accumulate(nxt, (a - 1, b, g), c * a)
                 if g:
                     _accumulate(nxt, (a, b + 1, g + 1), -c * g)
-            current = nxt
-        for (a, b, g), c in current.items():
-            _accumulate(out, (a + z_exp, b, g), c * coeff)
+            derivs.append(nxt)
+        for (a, b, g), c in derivs[d_exp].items():
+            _accumulate(out, (a + z_exp, b, g), c * c_op)
     return out
 
 
-def _operator_blocks(model: SpectralModel, op: WeylElement, side: str) -> List[np.ndarray]:
-    """Reduced-coordinate matrices of the operator pairing, one per block.
+def _moment_block(images: List[Dict[Tuple[int, int], int]],
+                  basis: List[Dict[Tuple[int, int], int]], mom: List[int]) -> IntMat:
+    """(m-1)! <image_j, basis_i> for lifted numerators, given mom[s] = s! (m-s-2)!.
+
+    The basis has one charge q: entry (i, j) is sum c d mom[a + b'] over the
+    charge-q terms c z^a zbar^b of image j and the terms d z^a' zbar^b' of
+    basis i.  A pair escapes (diverges) when the top degree of the image's
+    other-charge (charge-q) terms plus that of the basis function exceeds
+    2m - 3; pairs are checked in row-major order, as `_pairing` would be.
+    """
+    m = len(mom) + 1
+    q = next(a - b for a, b in basis[0])
+
+    def top(keys: Iterable[Tuple[int, int]]) -> float:
+        return max((a + b for a, b in keys), default=-math.inf)
+
+    charged = [top(key for key in img if key[0] - key[1] != q) for img in images]
+    neutral = [top(key for key in img if key[0] - key[1] == q) for img in images]
+    for i, fi in enumerate(basis):
+        di = top(fi)
+        for j, (e, v) in enumerate(zip(charged, neutral)):
+            if e + di > 2 * m - 3:
+                raise OperatorEscapeError(
+                    f"image {j} paired with basis function {i} leaves the square-integrable "
+                    f"truncation (radial degree {e + di}, weight {m})")
+            if v + di > 2 * m - 3:
+                raise DivergentIntegralError(
+                    f"image {j} paired with basis function {i} diverges "
+                    f"(radial degree {v + di}, weight {m})")
+    rows = [[(a, c) for (a, b), c in img.items() if a - b == q] for img in images]
+    return [[sum(c * d * mom[a + b2] for a, c in row for (_, b2), d in fi.items()) for row in rows]
+            for fi in basis]
+
+
+def _operator_pairings(model: SpectralModel, op: WeylElement, side: str,
+                       which: Iterable[int]) -> Iterator[Tuple[IntMat, Fraction]]:
+    """Each listed block's exact pairing <op f_j, f_i> as a reduced integer matrix and a scale.
+
+    f runs over the block's chi (side "sections") or dbar chi (side
+    "forms").  Each image den * op f_j is lifted once to the largest power it
+    can reach and each f_i to its own, so every entry of every block is a
+    sum over one moment row (`_moment_block`).
+    """
+    n, k = model.trunc, model.k
+    den = math.lcm(*(c.denominator for _, c in op.terms))
+    basis, power, extra = (_chi, n, k + 2) if side == "sections" else (_dbar_chi, n + 1, k)
+    top = power + max((d for ((_,), (d,)), _ in op.terms), default=0)
+    m = top + power + extra
+    mom = [factorial(s) * factorial(m - s - 2) for s in range(m - 1)]
+    unit = Fraction(1, den * factorial(m - 1))
+    for bi in which:
+        funcs = [basis(a, b, n) for a, b in model.blocks[bi].pairs]
+        images = [_lift(_apply_weyl(op, f, den), top) for f in funcs]
+        yield _reduced(_moment_block(images, [_lift(f, power) for f in funcs], mom), unit)
+
+
+def _operator_blocks(model: SpectralModel, op: WeylElement, side: str,
+                     which: Optional[Iterable[int]] = None) -> Dict[int, np.ndarray]:
+    """Reduced-coordinate matrices of the operator pairing, by block index.
 
     side "sections": entries <D chi_j, chi_i>; side "forms": entries
-    <D dbar chi_j, dbar chi_i>.  Both are exact integer matrices before the
-    congruence, which rounds each entry once.
+    <D dbar chi_j, dbar chi_i>.  Only the blocks in `which` (default: all)
+    are returned; each is built once per (side, op, block) and cached on the
+    model.  The pairing is an exact integer matrix (`_operator_pairings`)
+    before the congruence, which rounds each entry once.
     """
     if op.n != 1:
         raise OperatorEscapeError("operators on the model must be one-variable elements")
@@ -496,28 +572,15 @@ def _operator_blocks(model: SpectralModel, op: WeylElement, side: str) -> List[n
             f"operator coefficient degree {max_coeff_deg} exceeds truncation {model.trunc} "
             f"for {format_element(op)!r}"
         )
-    key = (side, op)
-    if key in model._op_cache:
-        return model._op_cache[key]
-    n = model.trunc
-    k = model.k
-    # den * op maps integer-coefficient functions to integer-coefficient ones
-    den = math.lcm(*(c.denominator for _, c in op.terms))
-    out: List[np.ndarray] = []
-    for block in model.blocks:
-        if side == "sections":
-            funcs = [_chi(a, b, n) for (a, b) in block.pairs]
-            extra = k + 2
-        else:
-            funcs = [_dbar_chi(a, b, n) for (a, b) in block.pairs]
-            extra = k
-        applied = [{key: int(c * den) for key, c in _apply_weyl(op, f).items()} for f in funcs]
-        mat, scale = _scaled([[_pairing(fj, fi, extra) for fj in applied] for fi in funcs])
-        v = [[sum(x * row[c] for x, row in zip(wi, mat)) for c in range(len(mat))]
-             for wi in block.w]
-        out.append(_round_congruence(v, block.w, block.deltas, scale / (den * block.scale)))
-    model._op_cache[key] = out
-    return out
+    which = list(range(len(model.blocks)) if which is None else which)
+    todo = [bi for bi in which if (side, op, bi) not in model._op_cache]
+    for bi, (mat, scale) in zip(todo, _operator_pairings(model, op, side, todo)):
+        block = model.blocks[bi]
+        cols = list(zip(*mat))
+        v = [[sum(map(mul, wi[:i + 1], col)) for col in cols] for i, wi in enumerate(block.w)]
+        model._op_cache[(side, op, bi)] = _round_congruence(v, block.w, block.deltas,
+                                                            scale / block.scale)
+    return {bi: model._op_cache[(side, op, bi)] for bi in which}
 
 
 def heat_supertrace(model: SpectralModel, t: float) -> float:
@@ -533,14 +596,15 @@ def harmonic_supertrace(model: SpectralModel, op: WeylElement) -> float:
     """Supertrace of the compression of op to the numerical harmonic spaces.
 
     Computed basis independently: trace = sum_ij (G_h^-1)_ij <op h_j, h_i>
-    over the kernel vectors h of degree 0.  For k >= 0 the form family spans
-    exactly dbar of the section space, so the degree-1 kernel is empty
-    (`spectrum.kernel.forms` checks `harmonic1`) and only degree 0 contributes.
+    over the kernel vectors h of degree 0, so only the k+1 blocks that hold
+    one are built.  For k >= 0 the form family spans exactly dbar of the
+    section space, so the degree-1 kernel is empty (`spectrum.kernel.forms`
+    checks `harmonic1`) and only degree 0 contributes.
     """
-    mats = _operator_blocks(model, op, "sections")
     by_block: Dict[int, List[int]] = {}
     for bi, col in model.harmonic0:
         by_block.setdefault(bi, []).append(col)
+    mats = _operator_blocks(model, op, "sections", by_block)
     total = 0.0
     for bi, cols in by_block.items():
         y = model.blocks[bi].vecs[:, cols]

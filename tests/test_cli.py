@@ -4,6 +4,8 @@ import argparse
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -93,6 +95,25 @@ def test_cli_invalid_flag_values(capsys):
     assert main(["mckean-singer", "--t-min", "2.0", "--t-max", "1.0"]) == 2
     err = capsys.readouterr().err
     assert "t-max" in err
+
+
+def test_module_entry_point_runs_the_command_line():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-m", "hochheat", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: hochheat")
+
+
+def test_mckean_singer_stays_flat_at_large_times(capsys):
+    # the kernel eigenvalues are exactly 0, so their rounding cannot tilt the
+    # supertrace as e^(-t lam) decays: at (3, 12) it used to reach 1.6e-8 at t = 1e6
+    assert main(["--format", "json", "mckean-singer", "--k", "3", "--trunc", "12",
+                 "--t-max", "1e6"]) == 0
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["verdict"] == "pass"
 
 
 @pytest.mark.parametrize("command", ["cycles", "symbol"])

@@ -26,8 +26,12 @@ from hochheat.spectral import (
     _dbar_star,
     _gram,
     _incidence,
+    _lift,
+    _moment_block,
     _operator_blocks,
+    _operator_pairings,
     _pairing,
+    _reduced,
     build_model,
     harmonic_supertrace,
     heat_supertrace,
@@ -37,7 +41,7 @@ from hochheat.spectral import (
     pair_weighted,
     store_spectrum,
 )
-from hochheat.weyl import d_var, monomial, mul, unit, z_var
+from hochheat.weyl import WeylElement, add, d_var, monomial, mul, unit, z_var
 
 
 def test_mono_integral_small_values():
@@ -475,3 +479,130 @@ def test_congruence_entries_are_within_two_ulp():
         assert np.count_nonzero(ref) > len(pairs)
         for x, y in zip(got.ravel(), ref.ravel()):
             assert abs(x - y) <= 2 * math.ulp(y)
+
+
+# ---------------------------------------------------------------------------
+# the lifted operator assembly against the generic pairing kernel
+# ---------------------------------------------------------------------------
+
+
+_Z, _D = z_var(1, 1), d_var(1, 1)
+_OPERATORS = [unit(1), mul(_Z, _D), _Z, _D, mul(mul(_Z, _Z), mul(_D, _D)), add(_Z, _D),
+              add(WeylElement.from_terms(1, [(((1,), (1,)), Fraction(1, 2))]), 3 * unit(1))]
+
+
+def _scaled(entries):
+    """A matrix of (numerator, m) pairings as a reduced integer matrix and one rational scale."""
+    weights = {m for row in entries for num, m in row if num}
+    top = math.factorial(max(weights, default=1) - 1)
+    mat = [[num * (top // math.factorial(m - 1)) if num else 0 for num, m in row]
+           for row in entries]
+    return _reduced(mat, Fraction(1, top))
+
+
+def _reference_pairings(model, op, side, bi):
+    """<op f_j, f_i> of one block with one `_pairing` call per entry, row by row; the reference."""
+    n, k = model.trunc, model.k
+    den = math.lcm(*(c.denominator for _, c in op.terms))
+    basis, extra = (_chi, k + 2) if side == "sections" else (_dbar_chi, k)
+    funcs = [basis(a, b, n) for a, b in model.blocks[bi].pairs]
+    applied = [{key: int(c * den) for key, c in _apply_weyl(op, f).items()} for f in funcs]
+    mat, scale = _scaled([[_pairing(fj, fi, extra) for fj in applied] for fi in funcs])
+    return mat, scale / den
+
+
+def _moments(m):
+    return [math.factorial(s) * math.factorial(m - s - 2) for s in range(m - 1)]
+
+
+def _outcome(assemble):
+    """The assembled blocks, or the class of the error the assembly raised."""
+    try:
+        return assemble()
+    except (OperatorEscapeError, DivergentIntegralError) as exc:
+        return type(exc)
+
+
+def _both_assemblies(model, op, side):
+    which = range(len(model.blocks))
+    return (_outcome(lambda: list(_operator_pairings(model, op, side, which))),
+            _outcome(lambda: [_reference_pairings(model, op, side, bi) for bi in which]))
+
+
+@pytest.mark.parametrize("k, n", [(0, 6), (1, 10), (3, 12)])
+def test_lifted_operator_blocks_equal_the_pairing_kernel(k, n):
+    model = build_model(k, n)
+    for op in _OPERATORS:
+        for side in ("sections", "forms"):
+            new, ref = _both_assemblies(model, op, side)
+            assert isinstance(ref, list)
+            assert new == ref
+
+
+@st.composite
+def one_variable_elements(draw, max_z):
+    """A one-variable element whose terms have z-degree at most max_z."""
+    terms = draw(st.lists(st.tuples(st.integers(0, max_z), st.integers(0, 3),
+                                    st.fractions(-3, 3, max_denominator=4).filter(bool)),
+                          min_size=1, max_size=4))
+    return WeylElement.from_terms(1, [(((z,), (d,)), c) for z, d, c in terms])
+
+
+@given(st.sampled_from([(0, 3), (1, 4), (2, 5)]).flatmap(
+    lambda kn: st.tuples(st.just(kn), one_variable_elements(kn[1]))),
+    st.sampled_from(["sections", "forms"]))
+@settings(max_examples=60, deadline=None)
+def test_lifted_operator_blocks_equal_the_pairing_kernel_on_random_elements(case, side):
+    (k, n), op = case
+    new, ref = _both_assemblies(build_model(k, n), op, side)
+    assert new == ref
+
+
+def test_lifted_assembly_raises_what_the_pairing_kernel_raises():
+    model = build_model(0, 8)
+    for op in (monomial(1, (9,), (0,)), monomial(1, (8,), (0,))):
+        for side in ("sections", "forms"):
+            assert _both_assemblies(model, op, side) == (OperatorEscapeError,) * 2
+    for side in ("sections", "forms"):
+        with pytest.raises(OperatorEscapeError):
+            _operator_blocks(model, z_var(1, n=2), side)
+        with pytest.raises(OperatorEscapeError):
+            _reference_pairings(model, z_var(1, n=2), side, 0)
+    # one image against one basis function: a neutral term too high diverges, and the
+    # identically zero image of test_pairing_handles_cancelling_divergences lifts to 0
+    one = {(0, 0, 0): 1}
+    with pytest.raises(DivergentIntegralError):
+        _pairing({(2, 2, 1): 1}, one, 2)
+    with pytest.raises(DivergentIntegralError):
+        _moment_block([_lift({(2, 2, 1): 1}, 1)], [_lift(one, 0)], _moments(3))
+    zero = {(1, 1, 1): 1, (1, 1, 2): -1, (2, 2, 2): -1}
+    assert _pairing(zero, one, 2)[0] == 0
+    assert _moment_block([_lift(zero, 2)], [_lift(one, 0)], _moments(4)) == [[0]]
+
+
+def test_lifted_image_converges_where_its_terms_diverge_one_by_one():
+    # at (k, N) = (0, 8), with w = 1+|z|^2,
+    #   z^3 d/dz chi_(8,8) = 8 z^10 zbar^8 w^-8 - 8 z^11 zbar^9 w^-9 = 8 z^10 zbar^8 w^-9:
+    # each term alone escapes against chi_(8,8), their sum does not
+    model = build_model(0, 8)
+    op = monomial(1, (3,), (1,))
+    image = _apply_weyl(op, _chi(8, 8, 8))
+    assert len(image) == 2
+    for key, c in image.items():
+        with pytest.raises(OperatorEscapeError):
+            _pairing({key: c}, _chi(8, 8, 8), 2)
+    new, ref = _both_assemblies(model, op, "sections")
+    assert isinstance(ref, list)
+    assert new == ref
+
+
+def test_harmonic_supertrace_builds_only_the_kernel_blocks():
+    model = build_model(0, 14)
+    harmonic_supertrace(model, unit(1))
+    kernel_blocks = {bi for bi, _ in model.harmonic0}
+    assert len(kernel_blocks) == model.k + 1 < len(model.blocks)
+    assert set(model._op_cache) == {("sections", unit(1), bi) for bi in kernel_blocks}
+    grid = [0.5, 2.0, 11.0]
+    fresh = build_model(0, 14)
+    assert limit_supertrace(model, unit(1), grid) == limit_supertrace(fresh, unit(1), grid)
+    assert len(model._op_cache) == 2 * len(model.blocks)
