@@ -3,11 +3,14 @@
 A degree-k word is a (k+1)-tuple a0 (x) a1 (x) ... (x) ak of elements of
 the n-variable operator algebra; a chain is a finite rational combination
 of words (possibly of mixed degree).  By multilinearity every chain has
-one canonical form, and that form is what a `TensorChain` stores: a dict
-from words to nonzero `Fraction` coefficients, where a word is a tuple of
-monomial keys (z_exp, d_exp), one per slot, each slot standing for the
-monic monomial z^z_exp d^d_exp.  Equality of chains is dict equality, so
-it is exact and decidable.
+one canonical form, and that form is what a `TensorChain` stores.  A word
+is a tuple of monomial keys (z_exp, d_exp), one per slot, each slot
+standing for the monic monomial z^z_exp d^d_exp.  The coefficients are
+integer numerators over one common denominator: `nums` maps each word to
+a nonzero int and the chain is sum(nums[w] * w) / den, with den >= 1 and
+gcd(den, *nums) == 1, so the zero chain has den == 1.  Equality of chains
+is then dict equality, exact and decidable, and every operator below
+accumulates plain ints and reduces once, in `_canonical`.
 
 Only the public constructors validate: `TensorChain.from_terms` (and
 `TensorChain.word` and `chain_from_json`, which call it) checks variable
@@ -15,7 +18,8 @@ counts and rejects empty words, then expands each slot element into
 monic keys.  The operators below map keys to keys with
 `weyl.mono_product` and build their results without checking them again.
 `TensorChain.terms` is a derived view for readers of elements: the words
-in sorted key order, each slot as a one-term monic `WeylElement`.
+in sorted key order, each with its `Fraction` coefficient and each slot as
+a one-term monic `WeylElement`.
 
 Operators implemented here:
 
@@ -42,10 +46,12 @@ tests, as is d^2 itself.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .weyl import (MAX_VARIABLES, Key, WeylElement, d_var, format_element, mono_product,
@@ -62,51 +68,55 @@ def _slot(key: Key) -> WeylElement:
     return WeylElement(len(key[0]), ((key, Fraction(1)),))
 
 
-def _add_to(acc: Dict[KeyWord, Fraction], word: KeyWord, coeff: Fraction) -> None:
-    if word in acc:
-        acc[word] += coeff
-    else:
-        acc[word] = coeff
-
-
-def _nonzero(acc: Dict[KeyWord, Fraction]) -> Dict[KeyWord, Fraction]:
-    return {w: c for w, c in acc.items() if c}
+def _canonical(n: int, acc: Dict[KeyWord, int], den: int) -> "TensorChain":
+    """The chain sum(acc[w] * w) / den for den >= 1, in canonical form."""
+    nums = {w: k for w, k in acc.items() if k}
+    g = gcd(den, *nums.values()) if den > 1 else 1
+    if g > 1:
+        nums = {w: k // g for w, k in nums.items()}
+    return TensorChain(n, nums, den // g)
 
 
 @dataclass(frozen=True)
 class TensorChain:
     """Rational combination of tensor words over the n-variable algebra.
 
-    `words` maps each word (a tuple of monomial keys) to its nonzero
-    coefficient; build chains with `from_terms` or `word`.
+    The chain is sum(nums[w] * w) / den over words w (tuples of monomial
+    keys), in the canonical form of the module docstring; build chains
+    with `from_terms` or `word`.
     """
 
     n: int
-    words: Dict[KeyWord, Fraction]
+    nums: Dict[KeyWord, int]
+    den: int
 
     @staticmethod
     def from_terms(n: int, raw: Iterable[Tuple[Fraction, Word]]) -> "TensorChain":
         """The chain sum(coeff * word) for words of `WeylElement` slots."""
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
-        acc: Dict[KeyWord, Fraction] = {}
+        # (numerator, denominator, word) of every word of the multilinear expansion
+        expanded: List[Tuple[int, int, KeyWord]] = []
         for coeff, word in raw:
             if not word:
                 raise ValueError("a word needs at least one slot")
-            # multilinear expansion: every slot becomes a single monic key
-            pieces: List[Tuple[Fraction, KeyWord]] = [(Fraction(coeff), ())]
+            coeff = Fraction(coeff)
+            pieces = [(coeff.numerator, coeff.denominator, ())]
             for el in word:
                 if el.n != n:
                     raise ValueError("word entry has wrong variable count")
-                pieces = [(c * mc, prefix + (key,))
-                          for c, prefix in pieces for key, mc in el.terms]
-            for c, w in pieces:
-                _add_to(acc, w, c)
-        return TensorChain(n, _nonzero(acc))
+                pieces = [(p * mc.numerator, q * mc.denominator, prefix + (key,))
+                          for p, q, prefix in pieces for key, mc in el.terms]
+            expanded += pieces
+        den = lcm(*(q for _, q, _ in expanded))
+        acc: Dict[KeyWord, int] = {}
+        for p, q, w in expanded:
+            acc[w] = acc.get(w, 0) + p * (den // q)
+        return _canonical(n, acc, den)
 
     @staticmethod
     def zero(n: int) -> "TensorChain":
-        return TensorChain(n, {})
+        return TensorChain(n, {}, 1)
 
     @staticmethod
     def word(n: int, coeff, slots: Sequence[WeylElement]) -> "TensorChain":
@@ -115,31 +125,36 @@ class TensorChain:
     @cached_property
     def terms(self) -> Tuple[Tuple[Fraction, Word], ...]:
         """(coeff, word) pairs in sorted word order, each slot a monic element."""
-        return tuple((self.words[w], tuple(map(_slot, w))) for w in sorted(self.words))
+        return tuple((Fraction(self.nums[w], self.den), tuple(map(_slot, w)))
+                     for w in sorted(self.nums))
 
     def is_zero(self) -> bool:
-        return not self.words
+        return not self.nums
 
     def degrees(self) -> set:
-        return {len(w) - 1 for w in self.words}
+        return {len(w) - 1 for w in self.nums}
 
     def __add__(self, other: "TensorChain") -> "TensorChain":
         if self.n != other.n:
             raise ValueError("cannot add chains over different algebras")
-        acc = dict(self.words)
-        for w, c in other.words.items():
-            _add_to(acc, w, c)
-        return TensorChain(self.n, _nonzero(acc))
+        den = lcm(self.den, other.den)
+        up, up_other = den // self.den, den // other.den
+        acc = {w: k * up for w, k in self.nums.items()}
+        get = acc.get
+        for w, k in other.nums.items():
+            acc[w] = get(w, 0) + k * up_other
+        return _canonical(self.n, acc, den)
 
     def __sub__(self, other: "TensorChain") -> "TensorChain":
         return self + (-1) * other
 
     def __rmul__(self, c) -> "TensorChain":
         c = Fraction(c)
-        return TensorChain(self.n, {w: c * k for w, k in self.words.items()} if c else {})
+        p = c.numerator
+        return _canonical(self.n, {w: p * k for w, k in self.nums.items()}, self.den * c.denominator)
 
     def __str__(self) -> str:
-        if not self.words:
+        if not self.nums:
             return "0"
         parts = []
         for coeff, word in self.terms:
@@ -149,19 +164,30 @@ class TensorChain:
 
 
 def _boundary(c: TensorChain, wrap: bool) -> TensorChain:
-    """Signed adjacent products, plus the wrap-around product if `wrap`."""
-    acc: Dict[KeyWord, Fraction] = {}
-    for word, coeff in c.words.items():
+    """Signed adjacent products, plus the wrap-around product if `wrap`.
+
+    `table` holds the product terms of each distinct (left, right) key pair
+    met in this call, so each pair goes through `mono_product` once; it is
+    dropped on return.
+    """
+    acc: Dict[KeyWord, int] = {}
+    get = acc.get
+    table: Dict[Tuple[Key, Key], List[Tuple[KeyWord, int]]] = {}
+    for word, num in c.nums.items():
         k = len(word) - 1
-        signed = (coeff, -coeff)
-        products = [(word[:i], word[i], word[i + 1], word[i + 2:], signed[i % 2])
-                    for i in range(k)]
-        if wrap and k:
-            products.append(((), word[k], word[0], word[1:k], signed[k % 2]))
-        for head, a, b, tail, sc in products:
-            for key, m in mono_product(a, b):
-                _add_to(acc, head + (key,) + tail, sc if m == 1 else sc * m)
-    return TensorChain(c.n, _nonzero(acc))
+        for i in range(k + 1 if wrap and k else k):
+            if i < k:
+                head, pair, tail = word[:i], word[i:i + 2], word[i + 2:]
+            else:  # the wrap-around face (ak a0) (x) a1 (x) ... (x) a(k-1)
+                head, pair, tail = (), (word[k], word[0]), word[1:k]
+            products = table.get(pair)
+            if products is None:
+                products = table[pair] = [((key,), m) for key, m in mono_product(*pair)]
+            sign = -num if i % 2 else num
+            for slot, m in products:
+                w = head + slot + tail
+                acc[w] = get(w, 0) + sign * m
+    return _canonical(c.n, acc, c.den)
 
 
 def hochschild_b(c: TensorChain) -> TensorChain:
@@ -174,24 +200,26 @@ def bar_bprime(c: TensorChain) -> TensorChain:
 
 def cyclic_tau(c: TensorChain) -> TensorChain:
     # a rotation is a bijection on words, so nothing merges; (-1)^k = -1 for even length
-    return TensorChain(c.n, {w[-1:] + w[:-1]: -k if len(w) % 2 == 0 else k
-                             for w, k in c.words.items()})
+    return _canonical(c.n, {w[-1:] + w[:-1]: -k if len(w) % 2 == 0 else k
+                            for w, k in c.nums.items()}, c.den)
 
 
 def norm_n(c: TensorChain) -> TensorChain:
-    acc: Dict[KeyWord, Fraction] = {}
-    for w, coeff in c.words.items():
+    acc: Dict[KeyWord, int] = {}
+    get = acc.get
+    for w, num in c.nums.items():
         k = len(w) - 1
         for j in range(k + 1):
             # tau^j: rotate by j with sign (-1)^(jk)
-            _add_to(acc, w[k + 1 - j:] + w[:k + 1 - j], -coeff if j * k % 2 else coeff)
-    return TensorChain(c.n, _nonzero(acc))
+            r = w[k + 1 - j:] + w[:k + 1 - j]
+            acc[r] = get(r, 0) + (-num if j * k % 2 else num)
+    return _canonical(c.n, acc, c.den)
 
 
 def normalize(c: TensorChain) -> TensorChain:
     """Kill words with a scalar multiple of 1 in any slot other than slot 0."""
     one = ((0,) * c.n, (0,) * c.n)
-    return TensorChain(c.n, {w: k for w, k in c.words.items() if one not in w[1:]})
+    return _canonical(c.n, {w: k for w, k in c.nums.items() if one not in w[1:]}, c.den)
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +246,11 @@ def shuffle_product(c1: TensorChain, c2: TensorChain) -> TensorChain:
     slots are all signed interleavings.
     """
     pad1, pad2 = (0,) * c1.n, (0,) * c2.n
-    left = [(tuple((z + pad2, d + pad2) for z, d in w), k) for w, k in c1.words.items()]
-    right = [(tuple((pad1 + z, pad1 + d) for z, d in w), k) for w, k in c2.words.items()]
+    left = [(tuple((z + pad2, d + pad2) for z, d in w), k) for w, k in c1.nums.items()]
+    right = [(tuple((pad1 + z, pad1 + d) for z, d in w), k) for w, k in c2.nums.items()]
     shuffles: Dict[Tuple[int, int], list] = {}
-    acc: Dict[KeyWord, Fraction] = {}
+    acc: Dict[KeyWord, int] = {}
+    get = acc.get
     for w1, k1 in left:
         for w2, k2 in right:
             p, q = len(w1) - 1, len(w2) - 1
@@ -229,11 +258,12 @@ def shuffle_product(c1: TensorChain, c2: TensorChain) -> TensorChain:
                 shuffles[p, q] = _shuffles(p, q)
             interior = w1[1:] + w2[1:]
             for head, m in mono_product(w1[0], w2[0]):  # one term: the blocks commute
-                coeff = k1 * k2 * m
-                signed = (coeff, -coeff)
+                num = k1 * k2 * m
+                signed = (num, -num)
                 for order, parity in shuffles[p, q]:
-                    _add_to(acc, (head,) + tuple(map(interior.__getitem__, order)), signed[parity])
-    return TensorChain(c1.n + c2.n, _nonzero(acc))
+                    w = (head,) + tuple(map(interior.__getitem__, order))
+                    acc[w] = get(w, 0) + signed[parity]
+    return _canonical(c1.n + c2.n, acc, c1.den * c2.den)
 
 
 def omega_cycle(n: int) -> TensorChain:
@@ -257,13 +287,12 @@ def normalized_omega_formula(n: int) -> TensorChain:
     slots of sgn(sigma) 1 (x) sigma(d1 (x) z1 (x) ... (x) dn (x) zn)."""
     one = ((0,) * n, (0,) * n)
     letters = [el.terms[0][0] for i in range(1, n + 1) for el in (d_var(i, n), z_var(i, n))]
-    signs = (Fraction(1), Fraction(-1))
     words = {}
     for perm in permutations(range(2 * n)):
         inv = sum(1 for i in range(2 * n) for j in range(i + 1, 2 * n) if perm[i] > perm[j])
         # distinct letters give distinct words, so nothing merges
-        words[(one,) + tuple(letters[p] for p in perm)] = signs[inv % 2]
-    return TensorChain(n, words)
+        words[(one,) + tuple(letters[p] for p in perm)] = -1 if inv % 2 else 1
+    return TensorChain(n, words, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -337,22 +366,36 @@ def chain_to_json(c: TensorChain) -> str:
     return json.dumps(payload, indent=2)
 
 
+#: a coefficient as `chain_to_json` writes it: an integer or a fraction
+_COEFF_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def chain_from_json(text: str) -> TensorChain:
     """Parse `chain_to_json` output; malformed input raises `ValueError`."""
     payload = json.loads(text)
     if not (isinstance(payload, dict) and type(payload.get("n")) is int
             and isinstance(payload.get("terms"), list)):
         raise ValueError("chain JSON must be an object with an integer 'n' and a list 'terms'")
-    if not 1 <= payload["n"] <= MAX_VARIABLES:
-        raise ValueError(f"chain JSON needs 1 <= n <= {MAX_VARIABLES}, got {payload['n']}")
+    n = payload["n"]
+    if not 1 <= n <= MAX_VARIABLES:
+        raise ValueError(f"chain JSON needs 1 <= n <= {MAX_VARIABLES}, got {n}")
     raw = []
+    slots: Dict[str, WeylElement] = {}  # each distinct slot text is parsed once
     for t in payload["terms"]:
-        if not (isinstance(t, dict) and isinstance(t.get("coeff"), (str, int))
-                and isinstance(t.get("word"), list) and all(isinstance(s, str) for s in t["word"])):
+        if not (isinstance(t, dict) and isinstance(t.get("word"), list)
+                and all(isinstance(s, str) for s in t["word"])):
             raise ValueError(f"a term must be {{'coeff': str, 'word': [str, ...]}}, got {t!r}")
+        coeff = t.get("coeff")
+        if type(coeff) is not int and not (isinstance(coeff, str) and _COEFF_RE.fullmatch(coeff)):
+            raise ValueError(f"coefficient {coeff!r} is not an integer or a fraction p/q")
         try:
-            coeff = Fraction(t["coeff"])
+            coeff = Fraction(coeff)
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in coefficient {t['coeff']!r}") from None
-        raw.append((coeff, tuple(parse_element(s, payload["n"]) for s in t["word"])))
-    return TensorChain.from_terms(payload["n"], raw)
+            raise ValueError(f"zero denominator in coefficient {coeff!r}") from None
+        word = []
+        for s in t["word"]:
+            if s not in slots:
+                slots[s] = parse_element(s, n)
+            word.append(slots[s])
+        raw.append((coeff, tuple(word)))
+    return TensorChain.from_terms(n, raw)

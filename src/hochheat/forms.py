@@ -65,11 +65,17 @@ def _d_symbol(key: Key) -> Tuple[Tuple[int, EvenExps, int], ...]:
 
 
 def hkr_symbol(c: TensorChain) -> PolyForm:
-    """The antisymmetrized symbol of `c`, read from its words of monomial keys."""
-    raw = []
-    for word, coeff in c.words.items():
+    """The antisymmetrized symbol of `c`, read from its words of monomial keys.
+
+    The sum is kept in integers over the one denominator c.den * K!, with K
+    the top degree of `c`, and divided once per form term at the end.
+    """
+    top = max(c.degrees(), default=0)
+    lift = [factorial(top) // factorial(k) for k in range(top + 1)]  # K!/k!
+    acc: Dict[FormKey, int] = {}
+    for word, num in c.nums.items():
         head = word[0][0] + word[0][1]
-        scaled = coeff / factorial(len(word) - 1)
+        scaled = num * lift[len(word) - 1]
         for pieces in product(*map(_d_symbol, word[1:])):
             odd = [p[0] for p in pieces]
             if len(set(odd)) < len(odd):
@@ -77,8 +83,10 @@ def hkr_symbol(c: TensorChain) -> PolyForm:
             inversions = sum(a > b for i, a in enumerate(odd) for b in odd[i + 1:])
             even = tuple(map(sum, zip(head, *(p[1] for p in pieces))))
             value = scaled * prod(p[2] for p in pieces)
-            raw.append(((even, tuple(sorted(odd))), -value if inversions % 2 else value))
-    return PolyForm.from_terms(c.n, raw)
+            key = (even, tuple(sorted(odd)))
+            acc[key] = acc.get(key, 0) + (-value if inversions % 2 else value)
+    den = c.den * factorial(top)
+    return PolyForm(c.n, tuple(sorted((key, Fraction(v, den)) for key, v in acc.items() if v)))
 
 
 def volume_form(n: int) -> PolyForm:

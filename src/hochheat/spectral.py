@@ -262,9 +262,16 @@ def _eliminate(gram: IntMat, op: IntMat, scale: Fraction):
 
 
 def _congruence(rows: List[Dict[int, int]], gram: IntMat) -> IntMat:
-    """R G R^T for a sparse integer R given as one {column: coefficient} dict per row."""
-    return [[sum(c * d * gram[r][s] for r, c in ri.items() for s, d in rj.items()) for rj in rows]
-            for ri in rows]
+    """R G R^T for a sparse integer R given as one {column: coefficient} dict per row.
+
+    G is symmetric, so is the product: the lower triangle is summed and mirrored.
+    """
+    out = [[0] * len(rows) for _ in rows]
+    for i, ri in enumerate(rows):
+        for j, rj in enumerate(rows[:i + 1]):
+            out[i][j] = out[j][i] = sum(c * d * gram[r][s]
+                                        for r, c in ri.items() for s, d in rj.items())
+    return out
 
 
 def _accumulate(acc: Dict[tuple, Rational], key: tuple, c: Rational) -> None:

@@ -153,7 +153,7 @@ def _family_cycles(cfg: SuiteConfig) -> List[CheckResult]:
         boundary = hochschild_b(omega)
         rec.check(f"cycles.boundary.omega{2 * n}",
                   f"the degree-{2 * n} fundamental chain is a Hochschild cycle",
-                  f"{len(boundary.words)} residual terms", "0 residual terms", "exact",
+                  f"{len(boundary.nums)} residual terms", "0 residual terms", "exact",
                   boundary.is_zero())
         rec.equal(f"cycles.normalized.omega{2 * n}",
                   f"normalization of the degree-{2 * n} cycle is the alternating permutation sum",

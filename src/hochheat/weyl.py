@@ -34,12 +34,13 @@ Exponents = Tuple[int, ...]
 Key = Tuple[Exponents, Exponents]
 #: plain commutative polynomial in z1..zn: exponent vector -> coefficient
 Polynomial = Dict[Exponents, Fraction]
+_ONE = Fraction(1)
 
 
 def _merge_terms(terms: Iterable[Tuple[Key, Fraction]]) -> Tuple[Tuple[Key, Fraction], ...]:
     acc: Dict[Key, Fraction] = {}
     for key, coeff in terms:
-        acc[key] = acc.get(key, Fraction(0)) + coeff
+        acc[key] = acc[key] + coeff if key in acc else coeff
     return tuple(sorted(((key, c) for key, c in acc.items() if c), key=itemgetter(0), reverse=True))
 
 
@@ -90,7 +91,7 @@ class WeylElement:
 
 
 def unit(n: int) -> WeylElement:
-    return WeylElement(n, ((((0,) * n, (0,) * n), Fraction(1)),))
+    return WeylElement(n, ((((0,) * n, (0,) * n), _ONE),))
 
 
 def zero(n: int) -> WeylElement:
@@ -102,7 +103,7 @@ def z_var(i: int, n: int) -> WeylElement:
     if not 1 <= i <= n:
         raise ValueError(f"variable index {i} out of range 1..{n}")
     e = tuple(1 if j == i - 1 else 0 for j in range(n))
-    return WeylElement(n, (((e, (0,) * n), Fraction(1)),))
+    return WeylElement(n, (((e, (0,) * n), _ONE),))
 
 
 def d_var(i: int, n: int) -> WeylElement:
@@ -110,7 +111,7 @@ def d_var(i: int, n: int) -> WeylElement:
     if not 1 <= i <= n:
         raise ValueError(f"variable index {i} out of range 1..{n}")
     e = tuple(1 if j == i - 1 else 0 for j in range(n))
-    return WeylElement(n, ((((0,) * n, e), Fraction(1)),))
+    return WeylElement(n, ((((0,) * n, e), _ONE),))
 
 
 def monomial(n: int, z_exp: Exponents, d_exp: Exponents, coeff=1) -> WeylElement:
@@ -157,9 +158,12 @@ def mono_product(a: Key, b: Key) -> List[Tuple[Key, int]]:
 def mul(a: WeylElement, b: WeylElement) -> WeylElement:
     if a.n != b.n:
         raise ValueError("cannot multiply elements with different variable counts")
-    return WeylElement(a.n, _merge_terms(
-        (key, ca * cb * m)
-        for ka, ca in a.terms for kb, cb in b.terms for key, m in mono_product(ka, kb)))
+    out = []
+    for ka, ca in a.terms:
+        for kb, cb in b.terms:
+            c = ca * cb
+            out += [(key, c if m == 1 else c * m) for key, m in mono_product(ka, kb)]
+    return WeylElement(a.n, _merge_terms(out))
 
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -283,24 +287,30 @@ def parse_element(text: str, n: int | None = None) -> WeylElement:
     none = (0,) * n
     total = zero(n)
     for sign, body in zip(pieces[0::2], pieces[1::2]):
-        term = unit(n) if sign == "+" else scale(-1, unit(n))
+        coeff = _ONE if sign == "+" else -_ONE
+        term = None  # the product of the generator factors so far
         degree = 0
         for f in body.split("*"):
             m = _FACTOR_RE.match(f.strip())
             if not m:
                 raise ValueError(f"cannot parse factor {f.strip()!r} in {text!r}")
             if m.group("num"):
-                term = scale(Fraction(m.group("num")), term)
+                coeff *= Fraction(m.group("num"))
                 continue
             i, power = int(m.group("idx")) - 1, int(m.group("pow") or 1)
             degree += power
             if degree > MAX_DEGREE:
                 raise ValueError(f"term {body!r} in {text!r} has degree above {MAX_DEGREE}")
+            # the regex has checked the factor, so the monic generator power is built as is
+            e = tuple(power if j == i else 0 for j in range(n))
+            gen = WeylElement(n, ((((e, none) if m.group("gen") == "z" else (none, e)), _ONE),))
+            if term is None:
+                term = gen
+                continue
             # a product with g^power turns each monomial into at most power + 1
             if len(term.terms) * (power + 1) > MAX_TERMS:
                 raise ValueError(f"term {body!r} in {text!r} expands beyond {MAX_TERMS} monomials")
-            e = tuple(power if j == i else 0 for j in range(n))
-            gen = monomial(n, e, none) if m.group("gen") == "z" else monomial(n, none, e)
             term = mul(term, gen)
-        total = add(total, term)
+        term = unit(n) if term is None else term
+        total = add(total, term if coeff == 1 else scale(coeff, term))
     return total

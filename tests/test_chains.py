@@ -7,7 +7,9 @@ All identities here are exact; no tolerances appear anywhere.
 from __future__ import annotations
 
 import json
+import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from hochheat.chains import (
     TensorChain,
+    _shuffles,
     TsyganColumnVector,
     bar_bprime,
     chain_from_json,
@@ -32,7 +35,8 @@ from hochheat.chains import (
 )
 from hochheat.forms import hkr_symbol, volume_form
 from hochheat.randomgen import random_chain, random_column_vector, random_element
-from hochheat.weyl import MAX_DEGREE, MAX_VARIABLES, WeylElement, d_var, unit, z_var
+from hochheat.weyl import (MAX_DEGREE, MAX_VARIABLES, WeylElement, d_var, mono_product, unit,
+                           z_var)
 
 
 def one_word(n, coeff, slots):
@@ -274,17 +278,27 @@ def test_chain_json_round_trip_property(c):
     assert chain_from_json(chain_to_json(c)) == c
 
 
+def _with_coeff(coeff):
+    return {"n": 1, "terms": [{"coeff": coeff, "word": ["z1"]}]}
+
+
 @pytest.mark.parametrize(
     "payload",
     [[], {"n": 0, "terms": []}, {"n": 1, "terms": [{"coeff": "1/0", "word": ["z1"]}]},
      {"n": 1, "terms": [{"coeff": "1", "word": []}]}, {"n": MAX_VARIABLES + 1, "terms": []},
-     {"n": 1, "terms": [{"coeff": "1", "word": [f"z1^{MAX_DEGREE + 1}"]}]}],
+     {"n": 1, "terms": [{"coeff": "1", "word": [f"z1^{MAX_DEGREE + 1}"]}]},
+     _with_coeff(True), _with_coeff("1e10000000"), _with_coeff("1.5"), _with_coeff(" 1"),
+     _with_coeff("1/2\n"), _with_coeff("+1"), _with_coeff("\u0661")],
     ids=["not-an-object", "n-below-one", "zero-denominator", "empty-word", "n-above-bound",
-         "degree-above-bound"],
+         "degree-above-bound", "bool-coefficient", "exponent-coefficient", "decimal-coefficient",
+         "padded-coefficient", "trailing-newline", "plus-sign", "non-ascii-digit"],
 )
 def test_chain_from_json_rejects_malformed_input(payload):
+    start = time.perf_counter()
     with pytest.raises(ValueError):
         chain_from_json(json.dumps(payload))
+    # "1e10000000" would cost seconds to expand, and one more digit minutes
+    assert time.perf_counter() - start < 1.0
 
 
 def test_constructors_reject_an_empty_word():
@@ -313,10 +327,132 @@ def test_scalar_slots_are_normalized_into_coefficients():
     assert two_z == packed
 
 
+# ---------------------------------------------------------------------------
+# integer numerators over one denominator
+# ---------------------------------------------------------------------------
+
+
+def _is_canonical(c):
+    return (c.den >= 1 and all(type(k) is int and k for k in c.nums.values())
+            and math.gcd(c.den, *c.nums.values()) == 1)
+
+
+def test_chains_are_stored_in_canonical_form():
+    rng = random.Random(2718)
+    z = z_var(1, 1)
+    for _ in range(40):
+        c = random_chain(rng, rng.choice([1, 2]), degree=rng.randint(0, 3))
+        assert _is_canonical(c)
+        assert Fraction(1, 3) * (3 * c) == c
+        assert c + c - c == c
+        # den is the least common denominator of the coefficients
+        assert c.den == math.lcm(*(coeff.denominator for coeff, _ in c.terms))
+        assert (c - c).den == 1 and (0 * c).den == 1
+    assert 2 * one_word(1, Fraction(1, 4), [z]) == one_word(1, Fraction(1, 2), [z])
+    half = chain_from_json(json.dumps({"n": 1, "terms": [{"coeff": "2/4", "word": ["z1"]}]}))
+    assert half == one_word(1, Fraction(1, 2), [z])
+    assert (half.nums, half.den) == ({(((1,), (0,)),): 1}, 2)
+    assert TensorChain.zero(1) == TensorChain(1, {}, 1)
+
+
+# The Fraction-valued kernels that the integer-numerator operators replaced,
+# on chains given as {word of keys: Fraction coefficient}; the oracle below.
+
+
+def _fractions(c):
+    return {w: Fraction(k, c.den) for w, k in c.nums.items()}
+
+
+def _merged(pairs):
+    acc = {}
+    for w, coeff in pairs:
+        acc[w] = acc.get(w, 0) + coeff
+    return {w: k for w, k in acc.items() if k}
+
+
+def _oracle_boundary(words, wrap):
+    out = []
+    for word, coeff in words.items():
+        k = len(word) - 1
+        faces = [(word[:i], word[i], word[i + 1], word[i + 2:], (-1) ** i) for i in range(k)]
+        if wrap and k:
+            faces.append(((), word[k], word[0], word[1:k], (-1) ** k))
+        for head, a, b, tail, sign in faces:
+            out += [(head + (key,) + tail, sign * m * coeff) for key, m in mono_product(a, b)]
+    return _merged(out)
+
+
+def _oracle_tau(words):
+    return {w[-1:] + w[:-1]: (-1) ** (len(w) - 1) * k for w, k in words.items()}
+
+
+def _oracle_norm(words):
+    return _merged((w[len(w) - j:] + w[:len(w) - j], (-1) ** (j * (len(w) - 1)) * k)
+                   for w, k in words.items() for j in range(len(w)))
+
+
+def _oracle_shuffle(words1, n1, words2, n2):
+    pad1, pad2 = (0,) * n1, (0,) * n2
+    out = []
+    for w1, k1 in words1.items():
+        for w2, k2 in words2.items():
+            left = tuple((z + pad2, d + pad2) for z, d in w1)
+            right = tuple((pad1 + z, pad1 + d) for z, d in w2)
+            interior = left[1:] + right[1:]
+            (head, m), = mono_product(left[0], right[0])
+            for order, parity in _shuffles(len(w1) - 1, len(w2) - 1):
+                out.append(((head,) + tuple(interior[i] for i in order),
+                            (-1) ** parity * m * k1 * k2))
+    return _merged(out)
+
+
+_ORACLE_COEFFS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def _oracle_chain(draw, n, max_degree=4, max_terms=2):
+    """Up to three words of degree 0..max_degree, coefficient denominators 1..6."""
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+    element = st.lists(st.tuples(exps, exps, _ORACLE_COEFFS), min_size=1, max_size=max_terms).map(
+        lambda ts: WeylElement.from_terms(n, [((z, d), c) for z, d, c in ts]))
+    slots = st.lists(element, min_size=1, max_size=max_degree + 1)
+    words = draw(st.lists(st.tuples(_ORACLE_COEFFS, slots), max_size=3))
+    return TensorChain.from_terms(n, [(c, tuple(w)) for c, w in words])
+
+
+@st.composite
+def _oracle_inputs(draw):
+    """Two chains on the same n, and a small one-variable shuffle factor."""
+    n = draw(st.integers(1, 2))
+    return draw(_oracle_chain(n)), draw(_oracle_chain(n)), draw(_oracle_chain(1, 2, 1))
+
+
+@settings(deadline=None)
+@given(_oracle_inputs(), _ORACLE_COEFFS)
+def test_integer_kernels_agree_with_the_fraction_oracle(inputs, scalar):
+    c, other, small = inputs
+    f, g = _fractions(c), _fractions(other)
+    one = ((0,) * c.n, (0,) * c.n)
+    results = {
+        "b": (hochschild_b(c), _oracle_boundary(f, True)),
+        "b'": (bar_bprime(c), _oracle_boundary(f, False)),
+        "tau": (cyclic_tau(c), _oracle_tau(f)),
+        "N": (norm_n(c), _oracle_norm(f)),
+        "normalize": (normalize(c), {w: k for w, k in f.items() if one not in w[1:]}),
+        "+": (c + other, _merged(list(f.items()) + list(g.items()))),
+        "scalar": (scalar * c, _merged((w, scalar * k) for w, k in f.items())),
+        "shuffle": (shuffle_product(c, small),
+                    _oracle_shuffle(f, c.n, _fractions(small), small.n)),
+    }
+    for name, (got, expected) in results.items():
+        assert _is_canonical(got), name
+        assert _fractions(got) == expected, name
+
+
 @pytest.mark.large
 def test_degree_eight_pipeline():
     omega = omega_cycle(4)
-    assert len(omega.words) == 131265
+    assert len(omega.nums) == 131265
     assert hochschild_b(omega).is_zero()
     assert normalize(omega) == normalized_omega_formula(4)
     assert hkr_symbol(omega) == volume_form(4)

@@ -196,24 +196,27 @@ def _wrap_sign_flipped_b(c):
     return 2 * bar_bprime(c) + (-1) * hochschild_b(c)
 
 
-def _chain(n, pairs):
-    """The chain sum(coeff * word) over (word of keys, coeff) pairs."""
+def _chain(n, pairs, den):
+    """The chain sum(num * word) / den over (word of keys, num) pairs, in canonical form."""
     acc = {}
-    for word, coeff in pairs:
-        acc[word] = acc.get(word, 0) + coeff
-    return TensorChain(n, {w: k for w, k in acc.items() if k})
+    for word, num in pairs:
+        acc[word] = acc.get(word, 0) + num
+    nums = {w: k for w, k in acc.items() if k}
+    g = math.gcd(den, *nums.values())
+    return TensorChain(n, {w: k // g for w, k in nums.items()}, den // g)
 
 
 def _symbol_dropping_last_slot(c):
-    return hkr_symbol(_chain(c.n, [(w[:-1], k) for w, k in c.words.items()]))
+    return hkr_symbol(_chain(c.n, [(w[:-1], k) for w, k in c.nums.items()], c.den))
 
 
 def _unsigned_tau(c):
-    return _chain(c.n, [(w[-1:] + w[:-1], k) for w, k in c.words.items()])
+    return _chain(c.n, [(w[-1:] + w[:-1], k) for w, k in c.nums.items()], c.den)
 
 
 def _unsigned_norm(c):
-    return _chain(c.n, [(w[j:] + w[:j], k) for w, k in c.words.items() for j in range(len(w))])
+    return _chain(c.n, [(w[j:] + w[:j], k) for w, k in c.nums.items() for j in range(len(w))],
+                  c.den)
 
 
 def _unsigned_shuffles(p, q, shuffles=chains._shuffles):
