@@ -24,29 +24,36 @@ product reduces to
 so every matrix is an integer matrix times one exact rational scale: the
 Gram entries are s! (M-s-2)! over (M-1)! with M = 2N+k+2, and the integer
 pairing kernel returns numerators over (m-1)!.  The Gram and stiffness
-matrices are block diagonal over the charge q = a - b.  Each block G is
-reduced by one fraction-free (Bareiss) elimination of [G | I | A] on
-Python ints, which yields the leading principal minors Delta_j of G,
-the integer matrix W = diag(Delta_(j-1)) L^-1 with
-W G W^T = diag(Delta_(j-1) Delta_j), and W A.  With G = L D L^T, the
-congruence D^(-1/2) L^-1 A L^-T D^(-1/2) is then
-X_ij / sqrt(Delta_(i-1) Delta_i Delta_(j-1) Delta_j) with X = W A W^T an
-integer matrix, so each entry leaves exact arithmetic once, just before
-the dense symmetric eigensolve.
+matrices are block diagonal over the charge q = a - b.  Index j of block q
+is the power of r = |z|^2 past r^|q|, so its Gram block is the Hankel
+moment matrix G_ij = (i+j+alpha)! (M-i-j-alpha-2)! of r^alpha (1+r)^(-M)
+on [0, inf), alpha = |q|.  Its orthogonal polynomials are a finite
+Romanovski-Jacobi family, (alpha+1)_j 2F1(-j, j+alpha-M+1; alpha+1; -r)
+(Krattenthaler, *Advanced determinant calculus*), whose coefficients,
+each row divided by its content, form an integer lower triangular W with
+W G W^T = diag(p), p > 0.  Nothing is taken from the formula on trust:
+each block computes the lower triangle of U = W G exactly and is refused
+unless U is upper triangular and every p_j = U_jj W_jj is positive, which
+is W G W^T = diag(p) > 0.  A lower triangular congruence that diagonalizes
+G is unique up to row scales, so a wrong row cannot pass.  With
+G = L D L^T, the congruence D^(-1/2) L^-1 A L^-T D^(-1/2) is then
+X_ij / sqrt(p_i p_j) with X = W A W^T an integer matrix, so each entry
+leaves exact arithmetic once, just before the dense symmetric eigensolve.
 
 The (0,1)-forms get their own family, with the same Gram closed form and M,
 
     psi_(a,b) = z^a zbar^b (1+|z|^2)^(-(N+1)) dzbar,  0 <= a <= N+k+1,  0 <= b <= N-1,
 
-and form block q+1 is paired with section block q.  dbar chi_(a,b) =
-b psi_(a,b-1) + (b-N) psi_(a+1,b) and dbar* psi_(a,b) = -a chi_(a-1,b) +
-(N+k+1-a) chi_(a,b+1) stay inside the two families, and for k >= 0 the
-forms span exactly dbar of the sections (dimension N(N+k+2), the section
-count minus k+1).  With D and T the integer incidences of dbar and dbar*,
-the stiffness is D G1 D^T in degree 0 and T G0 T^T in degree 1.  Each
-degree is reduced and solved on its own; only integration by parts,
-T G0 = G1 D^T, ties their nonzero spectra together, so the supersymmetric
-pairing and the flat heat supertrace compare two independent eigensolves.
+and form block q+1 (alpha = |q+1|) is paired with section block q.
+dbar chi_(a,b) = b psi_(a,b-1) + (b-N) psi_(a+1,b) and dbar* psi_(a,b) =
+-a chi_(a-1,b) + (N+k+1-a) chi_(a,b+1) stay inside the two families, and
+for k >= 0 the forms span exactly dbar of the sections (dimension
+N(N+k+2), the section count minus k+1).  With D and T the integer
+incidences of dbar and dbar*, the stiffness is D G1 D^T in degree 0 and
+T G0 T^T in degree 1.  Each degree is reduced and solved on its own; only
+integration by parts, T G0 = G1 D^T, ties their nonzero spectra together,
+so the supersymmetric pairing and the flat heat supertrace compare two
+independent eigensolves.
 
 Operator pairings <op f_j, f_i>, with f the chi or the dbar chi of one
 charge block, use the same closed form.  Each image den * op f_j is lifted
@@ -80,8 +87,9 @@ from .weyl import WeylElement, format_element
 
 CONVENTION_TAG = "fs-unit-volume:v1"
 
-#: largest truncation `build_model` accepts, checked before any work; with
-#: cond_limit=inf, k = 1 takes about 10 s at N = 40 on one 2-CPU host
+#: largest truncation `build_model` accepts, checked before any work; a cost
+#: bound: with cond_limit=inf, N = 40 takes about 0.7 s for k = 0 or 1 and
+#: 1.8 s for k = 38, the largest k it admits, on one 2-CPU host
 MAX_TRUNC = 40
 
 #: weighted chart function: (z exponent, zbar exponent, denominator power)
@@ -182,7 +190,7 @@ def pair_weighted(f: WeightedFn, g: WeightedFn, extra: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# fraction-free linear algebra on integer blocks
+# exact linear algebra on integer blocks
 # ---------------------------------------------------------------------------
 
 
@@ -194,31 +202,25 @@ def _reduced(mat: IntMat, scale: Fraction) -> Tuple[IntMat, Fraction]:
     return [[v // g for v in row] for row in mat], scale * g
 
 
-def _bareiss(gram: IntMat, op: IntMat) -> Tuple[IntMat, List[int]]:
-    """One fraction-free elimination of [G | I | A] for a positive definite integer G.
+def _orthogonal_rows(size: int, alpha: int, m: int) -> IntMat:
+    """Rows 0..size-1 of W for the Hankel Gram (i+j+alpha)! (m-i-j-alpha-2)!.
 
-    Returns the eliminated rows and the leading principal minors
-    deltas[j] of order j (deltas[0] = 1).  Row j is deltas[j] times row j
-    of [L^-1 G | L^-1 | L^-1 A], with G = L D L^T and L unit lower
-    triangular, so its middle third is row j of W = diag(deltas[:-1]) L^-1
-    and its last third row j of W A; every entry is an integer.
+    Row j holds the coefficients of r^0..r^j in (alpha+1)_j 2F1(-j,
+    j+alpha-m+1; alpha+1; -r), C(j,c) (j+alpha-m+1)_c (alpha+c+1)_(j-c),
+    divided by their content and signed so that the leading one is positive.
+    Each coefficient follows from the previous one by the term ratio.
+    Needs 2 (size-1) + alpha <= m - 2; `_eliminate` certifies the result.
     """
-    s = len(gram)
-    rows = [gram[i] + [int(i == j) for j in range(s)] + op[i] for i in range(s)]
-    deltas = [1]
-    for k in range(s):
-        pivot_row = rows[k]
-        p, prev = pivot_row[k], deltas[-1]
-        if p <= 0:
-            raise IllConditionedGramError("Gram block is not positive definite")
-        for i in range(k + 1, s):
-            row = rows[i]
-            f = row[k]
-            rows[i] = row[:k + 1] + [(p * x - f * y) // prev
-                                     for x, y in zip(row[k + 1:], pivot_row[k + 1:])]
-            rows[i][k] = 0
-        deltas.append(p)
-    return rows, deltas
+    rows = []
+    for j in range(size):
+        term = math.prod(range(alpha + 1, alpha + j + 1))
+        row = [term]
+        for c in range(j):
+            term = term * (j - c) * (j + alpha - m + 1 + c) // ((c + 1) * (alpha + c + 1))
+            row.append(term)
+        g = math.gcd(*row)
+        rows.append([v // g if term > 0 else -v // g for v in row])
+    return rows
 
 
 def _scaled_root(x: int, num: int, den: int) -> float:
@@ -231,34 +233,48 @@ def _scaled_root(x: int, num: int, den: int) -> float:
     return -root if x < 0 else root
 
 
-def _round_congruence(v: IntMat, w: IntMat, deltas: Sequence[int], scale: Fraction,
+def _round_congruence(v: IntMat, w: IntMat, norms: Sequence[int], scale: Fraction,
                       symmetric: bool = False) -> np.ndarray:
     """float(scale * S L^-1 A L^-T S) with S = D^(-1/2), given V = W A.
 
+    W is lower triangular (row j has j+1 entries) with W G W^T = diag(norms).
     With X = V W^T = W A W^T the entry is scale * X_ij / sqrt(p_i p_j),
-    p_i = deltas[i] deltas[i+1]; W is lower triangular.  For a symmetric A
-    the lower triangle is rounded and mirrored, which gives the same bits.
+    p_i = norms[i]: a positive row scaling of W leaves it the same rational.
+    For a symmetric A the lower triangle is rounded and mirrored, which gives
+    the same bits, and only the lower triangle of V is read.
     """
     s = len(w)
     out = np.zeros((s, s))
     num, den = scale.numerator ** 2, scale.denominator ** 2
-    p = [deltas[i] * deltas[i + 1] for i in range(s)]
     for i in range(s):
         vi = v[i]
         for j in range(i + 1 if symmetric else s):
-            out[i, j] = _scaled_root(sum(map(mul, vi[:j + 1], w[j])), num, den * p[i] * p[j])
+            out[i, j] = _scaled_root(sum(map(mul, vi, w[j])), num, den * norms[i] * norms[j])
     if symmetric:
         upper = np.triu_indices(s, 1)
         out[upper] = out.T[upper]
     return out
 
 
-def _eliminate(gram: IntMat, op: IntMat, scale: Fraction):
-    """W, deltas and the rounded congruence of a symmetric op for one block."""
-    s = len(gram)
-    rows, deltas = _bareiss(gram, op)
-    w = [row[s:2 * s] for row in rows]
-    return w, deltas, _round_congruence([row[2 * s:] for row in rows], w, deltas, scale, True)
+def _eliminate(gram: IntMat, op: IntMat, scale: Fraction, w: IntMat):
+    """Certify W for one block; its norms and the rounded congruence of a symmetric op.
+
+    The lower triangle of U = W G is computed exactly (G is symmetric).
+    W G W^T = U W^T is then diag(norms) > 0 exactly when U is upper
+    triangular and every norm_j = U_jj W_jj is positive; otherwise the block
+    raises IllConditionedGramError.
+    """
+    norms = []
+    for i, wi in enumerate(w):
+        u = [sum(map(mul, wi, gram[j])) for j in range(i + 1)]
+        norm = u[i] * wi[i]
+        if any(u[:i]) or norm <= 0:
+            raise IllConditionedGramError(
+                f"row {i} of W does not diagonalize the Gram block to a positive norm")
+        norms.append(norm)
+    # the lower triangle of W A (A is symmetric) is all that X's lower triangle reads
+    v = [[sum(map(mul, wi, op[c])) for c in range(i + 1)] for i, wi in enumerate(w)]
+    return norms, _round_congruence(v, w, norms, scale, True)
 
 
 def _congruence(rows: List[Dict[int, int]], gram: IntMat) -> IntMat:
@@ -292,8 +308,8 @@ def _accumulate(acc: Dict[tuple, Rational], key: tuple, c: Rational) -> None:
 class _Block:
     charge: int
     pairs: List[Tuple[int, int]]
-    w: IntMat             # diag(deltas[:-1]) L^-1 of the reduced integer Gram block
-    deltas: List[int]     # its leading principal minors, deltas[0] = 1
+    w: IntMat             # closed-form rows (row j has j+1 entries) for the reduced Gram G
+    norms: List[int]      # W G W^T = diag(norms); with G = L D L^T, W = diag(sqrt(norms / D)) L^-1
     scale: Fraction       # the Gram block is scale * (the reduced integer block)
     lam: np.ndarray       # ascending eigenvalues of the degree-0 block
     vecs: np.ndarray      # orthonormal eigenvectors (columns), reduced coords
@@ -321,15 +337,17 @@ class SpectralModel:
         """Numerical kernel vectors as coordinates over the (a, b) basis.
 
         The coordinates are R^T y for a reduced eigenvector y, with
-        R = D^(-1/2) L^-1 = diag(1 / sqrt(scale deltas[j] deltas[j+1])) W
-        rounded once per entry.
+        R = D^(-1/2) L^-1 = diag(1 / sqrt(scale norms[j])) W rounded once per
+        entry.
         """
         out = []
         for bi, col in self.harmonic0:
             block = self.blocks[bi]
-            sc, d = block.scale, block.deltas
-            r = np.array([[_scaled_root(v, sc.denominator, sc.numerator * d[j] * d[j + 1])
-                           for v in row] for j, row in enumerate(block.w)])
+            sc = block.scale
+            r = np.zeros((len(block.w), len(block.w)))
+            for j, row in enumerate(block.w):
+                r[j, :j + 1] = [_scaled_root(v, sc.denominator, sc.numerator * block.norms[j])
+                                for v in row]
             x = r.T @ block.vecs[:, col]
             out.append({pair: x[i] for i, pair in enumerate(block.pairs)})
         return out
@@ -399,7 +417,8 @@ def build_model(k: int, trunc: int, cond_limit: float = 1e16) -> SpectralModel:
 
     Requires k >= 0 and k + 2 <= trunc <= MAX_TRUNC.  Raises
     IllConditionedGramError if the float condition estimate of a Gram block
-    exceeds cond_limit.
+    exceeds cond_limit, or if a block's closed-form rows fail their exact
+    certificate (`_eliminate`).
     """
     if k < 0:
         raise ValueError(f"bundle degree k must be >= 0, got {k}")
@@ -410,11 +429,16 @@ def build_model(k: int, trunc: int, cond_limit: float = 1e16) -> SpectralModel:
     n = trunc
     fact = [factorial(i) for i in range(2 * n + k + 2)]  # up to (M-1)!, M = 2N+k+2
     unit = Fraction(1, fact[-1])
+    layout = [(q, _charge_pairs(q, n + k, n), _charge_pairs(q + 1, n + k + 1, n - 1))
+              for q in range(-n, n + k + 1)]
+    sizes: Dict[int, int] = {}  # alpha -> the largest block that uses it
+    for q, pairs, fpairs in layout:
+        for alpha, size in ((abs(q), len(pairs)), (abs(q + 1), len(fpairs))):
+            sizes[alpha] = max(sizes.get(alpha, 0), size)
+    rows = {alpha: _orthogonal_rows(size, alpha, len(fact)) for alpha, size in sizes.items()}
     blocks: List[_Block] = []
     lam1_blocks: List[np.ndarray] = []  # degree-1 eigenvalues, one array per form block
-    for q in range(-n, n + k + 1):
-        pairs = _charge_pairs(q, n + k, n)
-        fpairs = _charge_pairs(q + 1, n + k + 1, n - 1)
+    for q, pairs, fpairs in layout:
         gram0 = _gram(pairs, fact)
         gram_f = np.array([[v / fact[-1] for v in row] for row in gram0])
         cond = float(np.linalg.cond(gram_f))
@@ -429,14 +453,16 @@ def build_model(k: int, trunc: int, cond_limit: float = 1e16) -> SpectralModel:
         dbar_star = _incidence([_dbar_star(a, b, n, k) for a, b in fpairs], pairs, n)
         stiff0, s0_scale = _reduced(_congruence(dbar, gram1), g1_scale)  # D G1 D^T
         stiff1, s1_scale = _reduced(_congruence(dbar_star, gram0), g0_scale)  # T G0 T^T
-        w, deltas, c0 = _eliminate(gram0, stiff0, s0_scale / g0_scale)
+        w0, w1 = rows[abs(q)][:len(pairs)], rows[abs(q + 1)][:len(fpairs)]
+        norms, c0 = _eliminate(gram0, stiff0, s0_scale / g0_scale, w0)
         lam, vecs = np.linalg.eigh(c0)  # exactly symmetric: X is, and so is its rounding
         if lam.min() < -1e-10:
             raise IllConditionedGramError(
                 f"negative eigenvalue {lam.min():.3e} beyond solver tolerance at charge {q}"
             )
-        blocks.append(_Block(q, pairs, w, deltas, g0_scale, lam, vecs, cond))
-        lam1_blocks.append(np.linalg.eigvalsh(_eliminate(gram1, stiff1, s1_scale / g1_scale)[2]))
+        blocks.append(_Block(q, pairs, w0, norms, g0_scale, lam, vecs, cond))
+        lam1_blocks.append(np.linalg.eigvalsh(_eliminate(gram1, stiff1, s1_scale / g1_scale,
+                                                         w1)[1]))
 
     threshold = 1e-8 * max(max(float(b.lam.max()) for b in blocks), 1e-300)
     # the kernel is exactly 0: its rounding (about 1e-14) would tilt heat traces at large t
@@ -584,8 +610,8 @@ def _operator_blocks(model: SpectralModel, op: WeylElement, side: str,
     for bi, (mat, scale) in zip(todo, _operator_pairings(model, op, side, todo)):
         block = model.blocks[bi]
         cols = list(zip(*mat))
-        v = [[sum(map(mul, wi[:i + 1], col)) for col in cols] for i, wi in enumerate(block.w)]
-        model._op_cache[(side, op, bi)] = _round_congruence(v, block.w, block.deltas,
+        v = [[sum(map(mul, wi, col)) for col in cols] for wi in block.w]
+        model._op_cache[(side, op, bi)] = _round_congruence(v, block.w, block.norms,
                                                             scale / block.scale)
     return {bi: model._op_cache[(side, op, bi)] for bi in which}
 

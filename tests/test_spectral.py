@@ -2,6 +2,7 @@
 
 import json
 import math
+import operator
 import os
 import random
 import time
@@ -13,25 +14,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hochheat import spectral
+from hochheat.cli import main
 from hochheat.spectral import (
     DivergentIntegralError,
     IllConditionedGramError,
     OperatorEscapeError,
     _apply_weyl,
-    _bareiss,
     _charge_pairs,
     _chi,
     _congruence,
     _dbar_chi,
     _dbar_star,
+    _eliminate,
     _gram,
     _incidence,
     _lift,
     _moment_block,
     _operator_blocks,
     _operator_pairings,
+    _orthogonal_rows,
     _pairing,
     _reduced,
+    _round_congruence,
     build_model,
     harmonic_supertrace,
     heat_supertrace,
@@ -221,11 +225,14 @@ def test_incidence_leaving_the_basis_is_an_escape(monkeypatch):
 
 
 def _assert_round_sphere_law(model):
-    # eigenvalues l (l + k + 1) with multiplicity 2 l + k + 1
-    k = model.k
-    for l, (value, mult) in enumerate(model.eigs0[:4]):
-        assert abs(value - l * (l + k + 1)) <= 1e-9
-        assert mult == 2 * l + k + 1
+    # every degree-0 cluster l = 0..N is l (l + k + 1) with multiplicity 2 l + k + 1,
+    # and the degree-1 clusters are the nonzero ones, l = 1..N
+    k, n = model.k, model.trunc
+    assert len(model.eigs0) == n + 1 and len(model.eigs1) == n
+    for eigs, first in ((model.eigs0, 0), (model.eigs1, 1)):
+        for l, (value, mult) in enumerate(eigs, start=first):
+            assert abs(value - l * (l + k + 1)) <= 1e-12 * l * (l + k + 1)
+            assert mult == 2 * l + k + 1
 
 
 def test_low_spectrum_matches_round_sphere_law():
@@ -235,13 +242,18 @@ def test_low_spectrum_matches_round_sphere_law():
 
 def test_refinement_past_the_condition_guard():
     # the float Gram condition passes 1e16 near N = 15 for k = 1; the exact
-    # reduction keeps the low spectrum anyway
+    # reduction keeps the whole spectrum anyway
     _assert_round_sphere_law(build_model(1, 18, cond_limit=math.inf))
 
 
-@pytest.mark.large
 def test_refinement_at_n24():
     _assert_round_sphere_law(build_model(1, 24, cond_limit=math.inf))
+
+
+@pytest.mark.large
+@pytest.mark.parametrize("k, n", [(1, 36), (0, spectral.MAX_TRUNC)])
+def test_refinement_up_to_the_truncation_bound(k, n):
+    _assert_round_sphere_law(build_model(k, n, cond_limit=math.inf))
 
 
 def test_heat_supertrace_is_flat():
@@ -382,8 +394,127 @@ def test_failed_cache_write_leaves_no_file(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the fraction-free reduction against Fraction references
+# the closed-form rows against a Bareiss oracle, and the oracle against Fractions
 # ---------------------------------------------------------------------------
+
+
+def _bareiss(gram, op):
+    """One fraction-free elimination of [G | I | A] for a positive definite integer G.
+
+    Returns the eliminated rows and the leading principal minors
+    deltas[j] of order j (deltas[0] = 1).  Row j is deltas[j] times row j
+    of [L^-1 G | L^-1 | L^-1 A], with G = L D L^T and L unit lower
+    triangular, so its middle third is row j of W = diag(deltas[:-1]) L^-1
+    and its last third row j of W A; every entry is an integer.  The
+    reference for the closed-form rows of `_orthogonal_rows`.
+    """
+    s = len(gram)
+    rows = [gram[i] + [int(i == j) for j in range(s)] + op[i] for i in range(s)]
+    deltas = [1]
+    for k in range(s):
+        pivot_row = rows[k]
+        p, prev = pivot_row[k], deltas[-1]
+        assert p > 0, "Gram block is not positive definite"
+        for i in range(k + 1, s):
+            row = rows[i]
+            f = row[k]
+            rows[i] = row[:k + 1] + [(p * x - f * y) // prev
+                                     for x, y in zip(row[k + 1:], pivot_row[k + 1:])]
+            rows[i][k] = 0
+        deltas.append(p)
+    return rows, deltas
+
+
+def _oracle_congruence(gram, op, scale):
+    """A block's rounded congruence through the Bareiss W, with norms deltas[j] deltas[j+1]."""
+    s = len(gram)
+    rows, deltas = _bareiss(gram, op)
+    norms = [deltas[j] * deltas[j + 1] for j in range(s)]
+    return _round_congruence([row[2 * s:] for row in rows], [row[s:2 * s] for row in rows],
+                             norms, scale)
+
+
+def _hankel_gram(size, alpha, m):
+    """The Gram of r^alpha (1+r)^(-m) on [0, inf) over 1, r, ..., r^(size-1), times (m-1)!."""
+    f = math.factorial
+    return [[f(i + j + alpha) * f(m - i - j - alpha - 2) for j in range(size)]
+            for i in range(size)]
+
+
+@st.composite
+def hankel_cases(draw):
+    """(size, alpha, m) with 2 (size-1) + alpha <= m - 2, so every moment converges."""
+    size = draw(st.integers(1, 9))
+    alpha = draw(st.integers(0, 12))
+    m = draw(st.integers(2 * (size - 1) + alpha + 2, 2 * (size - 1) + alpha + 14))
+    return size, alpha, m
+
+
+@given(hankel_cases())
+@settings(max_examples=120, deadline=None)
+def test_closed_form_rows_are_positive_multiples_of_the_bareiss_rows(case):
+    size, alpha, m = case
+    gram = _hankel_gram(size, alpha, m)
+    rows, _ = _bareiss(gram, [[0] * size for _ in range(size)])
+    closed = _orthogonal_rows(size, alpha, m)
+    assert len(closed) == size
+    for j, (row, ref) in enumerate(zip(closed, rows)):
+        ref = ref[size:2 * size]
+        assert len(row) == j + 1 and not any(ref[j + 1:])
+        # row * ref[j] == ref * row[j], with both leading coefficients positive
+        assert row[j] > 0 and ref[j] > 0
+        assert [v * ref[j] for v in row] == [v * row[j] for v in ref[:j + 1]]
+    wg = [[sum(map(operator.mul, wi, col)) for col in zip(*gram)] for wi in closed]
+    wgwt = [[sum(map(operator.mul, u, wj)) for wj in closed] for u in wg]
+    assert all(wgwt[i][j] == 0 if i != j else wgwt[i][i] > 0
+               for i in range(size) for j in range(size))
+
+
+@pytest.mark.parametrize("k, n", [(0, 6), (1, 10), (3, 12)])
+def test_closed_form_path_is_bit_identical_to_the_bareiss_oracle(monkeypatch, k, n):
+    calls = []  # (gram, op, scale, rounded congruence) of each `_eliminate` call
+
+    def recording(gram, op, scale, w):
+        norms, out = _eliminate(gram, op, scale, w)
+        calls.append((gram, op, scale, out))
+        return norms, out
+
+    monkeypatch.setattr(spectral, "_eliminate", recording)
+    model = build_model(k, n)
+    # one degree-0 and one degree-1 block per charge
+    assert len(calls) == 2 * len(model.blocks)
+    for gram, op, scale, got in calls:
+        assert got.tobytes() == _oracle_congruence(gram, op, scale).tobytes()
+    zd = mul(z_var(1, 1), d_var(1, 1))
+    fact = [math.factorial(i) for i in range(2 * n + k + 2)]
+    which = range(len(model.blocks))
+    for side in ("sections", "forms"):
+        got = _operator_blocks(model, zd, side)
+        for bi, (mat, scale) in zip(which, _operator_pairings(model, zd, side, which)):
+            block = model.blocks[bi]
+            gram, _ = _reduced(_gram(block.pairs, fact), Fraction(1, fact[-1]))
+            ref = _oracle_congruence(gram, mat, scale / block.scale)
+            assert got[bi].tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("position", ["constant", "middle", "leading"])
+def test_a_wrong_closed_form_coefficient_is_refused(monkeypatch, capsys, position):
+    real_rows = spectral._orthogonal_rows
+
+    def off_by_one(size, alpha, m):
+        rows = real_rows(size, alpha, m)
+        if alpha == 0:  # the central section block, and the form block at charge 0
+            row = rows[-1]
+            row[{"constant": 0, "middle": len(row) // 2, "leading": -1}[position]] += 1
+        return rows
+
+    monkeypatch.setattr(spectral, "_orthogonal_rows", off_by_one)
+    with pytest.raises(IllConditionedGramError, match="does not diagonalize"):
+        build_model(1, 8)
+    assert main(["spectrum", "--no-cache"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
 
 
 def _gauss(m, rhs):
