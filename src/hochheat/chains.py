@@ -13,13 +13,16 @@ is then dict equality, exact and decidable, and every operator below
 accumulates plain ints and reduces once, in `_canonical`.
 
 Only the public constructors validate: `TensorChain.from_terms` (and
-`TensorChain.word` and `chain_from_json`, which call it) checks variable
-counts and rejects empty words, then expands each slot element into
-monic keys.  The operators below map keys to keys with
-`weyl.mono_product` and build their results without checking them again.
-`TensorChain.terms` is a derived view for readers of elements: the words
-in sorted key order, each with its `Fraction` coefficient and each slot as
-a one-term monic `WeylElement`.
+`TensorChain.word`, which calls it) checks variable counts and rejects
+empty words, then expands each slot element into monic keys.
+`chain_from_json` checks the same and reads keys too: each slot that
+`chain_to_json` wrote, one monic monomial, goes straight into its key, and
+only other slot text takes the element path.  `chain_to_json` writes
+`nums` over `den` and formats each distinct key once.  The operators
+below map keys to keys with `weyl.mono_product` and build their results
+without checking them again.  `TensorChain.terms` is a derived view for
+readers of elements: the words in sorted key order, each with its
+`Fraction` coefficient and each slot as a one-term monic `WeylElement`.
 
 Operators implemented here:
 
@@ -54,8 +57,8 @@ from itertools import combinations, permutations
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .weyl import (MAX_VARIABLES, Key, WeylElement, d_var, format_element, mono_product,
-                   parse_element, unit, z_var)
+from .weyl import (MAX_VARIABLES, Key, WeylElement, d_var, format_element, format_monomial,
+                   mono_product, parse_element, parse_monomial, unit, z_var)
 
 Word = Tuple[WeylElement, ...]
 #: a word as stored: one monomial key per slot
@@ -75,6 +78,16 @@ def _canonical(n: int, acc: Dict[KeyWord, int], den: int) -> "TensorChain":
     if g > 1:
         nums = {w: k // g for w, k in nums.items()}
     return TensorChain(n, nums, den // g)
+
+
+def _collect(n: int, expanded: List[Tuple[int, int, KeyWord]]) -> "TensorChain":
+    """The chain sum(p/q * w) over (p, q, w) with q >= 1, in canonical form."""
+    den = lcm(*(q for _, q, _ in expanded))
+    acc: Dict[KeyWord, int] = {}
+    get = acc.get
+    for p, q, w in expanded:
+        acc[w] = get(w, 0) + p * (den // q)
+    return _canonical(n, acc, den)
 
 
 @dataclass(frozen=True)
@@ -108,11 +121,7 @@ class TensorChain:
                 pieces = [(p * mc.numerator, q * mc.denominator, prefix + (key,))
                           for p, q, prefix in pieces for key, mc in el.terms]
             expanded += pieces
-        den = lcm(*(q for _, q, _ in expanded))
-        acc: Dict[KeyWord, int] = {}
-        for p, q, w in expanded:
-            acc[w] = acc.get(w, 0) + p * (den // q)
-        return _canonical(n, acc, den)
+        return _collect(n, expanded)
 
     @staticmethod
     def zero(n: int) -> "TensorChain":
@@ -356,46 +365,73 @@ def tsygan_d(v: TsyganColumnVector) -> TsyganColumnVector:
 
 
 def chain_to_json(c: TensorChain) -> str:
-    payload = {
-        "n": c.n,
-        "terms": [
-            {"coeff": str(coeff), "word": [format_element(el) for el in word]}
-            for coeff, word in c.terms
-        ],
-    }
-    return json.dumps(payload, indent=2)
+    """The chain as JSON: {"n": n, "terms": [{"coeff": "p/q", "word": [slot, ...]}, ...]}.
+
+    Words come in sorted key order and each slot is its monic monomial in
+    the text format; each distinct key is formatted once.
+    """
+    nums, den = c.nums, c.den
+    texts = {key: format_monomial(key) for key in {key for w in nums for key in w}}
+
+    def coeff(num: int) -> str:  # str(Fraction(num, den)) without building the Fraction
+        g = gcd(num, den)
+        return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+    terms = [{"coeff": coeff(nums[w]), "word": list(map(texts.__getitem__, w))}
+             for w in sorted(nums)]
+    return json.dumps({"n": c.n, "terms": terms}, indent=2)
 
 
 #: a coefficient as `chain_to_json` writes it: an integer or a fraction
-_COEFF_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_COEFF_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _coefficient(coeff) -> Tuple[int, int]:
+    """(p, q) with q >= 1 for an int or a "p" or "p/q" string coefficient."""
+    if type(coeff) is int:
+        return coeff, 1
+    m = _COEFF_RE.fullmatch(coeff) if isinstance(coeff, str) else None
+    if m is None:
+        raise ValueError(f"coefficient {coeff!r} is not an integer or a fraction p/q")
+    q = int(m[2] or 1)
+    if not q:
+        raise ValueError(f"zero denominator in coefficient {coeff!r}")
+    return int(m[1]), q
 
 
 def chain_from_json(text: str) -> TensorChain:
-    """Parse `chain_to_json` output; malformed input raises `ValueError`."""
-    payload = json.loads(text)
+    """Parse `chain_to_json` output; malformed input raises `ValueError`.
+
+    A slot in the form `chain_to_json` writes is read straight into its
+    monomial key; any other slot text goes through `parse_element`, and
+    then the chain is built with `TensorChain.from_terms`.
+    """
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("chain JSON is nested too deeply") from None
     if not (isinstance(payload, dict) and type(payload.get("n")) is int
             and isinstance(payload.get("terms"), list)):
         raise ValueError("chain JSON must be an object with an integer 'n' and a list 'terms'")
     n = payload["n"]
     if not 1 <= n <= MAX_VARIABLES:
         raise ValueError(f"chain JSON needs 1 <= n <= {MAX_VARIABLES}, got {n}")
-    raw = []
-    slots: Dict[str, WeylElement] = {}  # each distinct slot text is parsed once
+    # each distinct slot text is read once, into a key or else an element
+    slots: Dict[str, Key | WeylElement] = {}
+    expanded = []
     for t in payload["terms"]:
         if not (isinstance(t, dict) and isinstance(t.get("word"), list)
                 and all(isinstance(s, str) for s in t["word"])):
             raise ValueError(f"a term must be {{'coeff': str, 'word': [str, ...]}}, got {t!r}")
-        coeff = t.get("coeff")
-        if type(coeff) is not int and not (isinstance(coeff, str) and _COEFF_RE.fullmatch(coeff)):
-            raise ValueError(f"coefficient {coeff!r} is not an integer or a fraction p/q")
-        try:
-            coeff = Fraction(coeff)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in coefficient {coeff!r}") from None
-        word = []
+        p, q = _coefficient(t.get("coeff"))
+        if not t["word"]:
+            raise ValueError("a word needs at least one slot")
         for s in t["word"]:
             if s not in slots:
-                slots[s] = parse_element(s, n)
-            word.append(slots[s])
-        raw.append((coeff, tuple(word)))
-    return TensorChain.from_terms(n, raw)
+                slots[s] = parse_monomial(s, n) or parse_element(s, n)
+        expanded.append((p, q, tuple(map(slots.__getitem__, t["word"]))))
+    if any(isinstance(s, WeylElement) for s in slots.values()):
+        return TensorChain.from_terms(n, [
+            (Fraction(p, q), tuple(s if isinstance(s, WeylElement) else _slot(s) for s in w))
+            for p, q, w in expanded])
+    return _collect(n, expanded)

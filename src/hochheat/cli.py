@@ -8,6 +8,7 @@ family and can write the report to a file.  The process exits with status
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from typing import List, Optional, Sequence, Tuple
@@ -110,14 +111,20 @@ def _selection(args: argparse.Namespace) -> Tuple[List[str], SuiteConfig]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        report = run_suite(*_selection(args))
-    except (ValueError, IllConditionedGramError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    path = getattr(args, "report", None)
+    try:  # before the run, so that an unwritable path costs no run
+        sink = open(path, "w", encoding="utf-8") if path else contextlib.nullcontext()
+    except OSError as exc:
+        print(f"error: cannot write the report to {path!r}: {exc.strerror}", file=sys.stderr)
         return 2
-    print(report.to_json() if args.format == "json" else report.to_text())
-    if getattr(args, "report", None):
-        with open(args.report, "w", encoding="utf-8") as fh:
+    with sink as fh:
+        try:
+            report = run_suite(*_selection(args))
+        except (ValueError, IllConditionedGramError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        print(report.to_json() if args.format == "json" else report.to_text())
+        if fh:
             fh.write(report.to_json() + "\n")
     return 0 if report.all_passed() else 1
 

@@ -731,7 +731,7 @@ def load_spectrum(cache_dir: str, k: int, trunc: int):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except ValueError:  # not JSON, or not UTF-8
+        except (ValueError, RecursionError):  # not JSON, not UTF-8, or nested too deeply
             return None
     if not isinstance(data, dict) or any(f not in data for f in _SUMMARY_FIELDS):
         return None

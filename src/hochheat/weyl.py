@@ -233,7 +233,9 @@ MAX_DEGREE = 64
 MAX_TERMS = 1024
 
 
-def _format_monomial(key: Key, coeff: Fraction) -> str:
+def format_monomial(key: Key) -> str:
+    """The text of the monic monomial z^z_exp d^d_exp: "1", or its factors
+    joined by "*", z factors before d factors, each by increasing index."""
     factors = []
     for gen, exps in zip("zd", key):
         for i, e in enumerate(exps):
@@ -241,12 +243,36 @@ def _format_monomial(key: Key, coeff: Fraction) -> str:
                 factors.append(f"{gen}{i + 1}")
             elif e > 1:
                 factors.append(f"{gen}{i + 1}^{e}")
-    mag = abs(coeff)
-    if not factors:
-        return str(mag)
-    if mag != 1:
-        factors.insert(0, str(mag))
-    return "*".join(factors)
+    return "*".join(factors) or "1"
+
+
+#: one factor as `format_monomial` writes it: no leading zeros, no ^0 or ^1, and at
+#: most three digits (far above MAX_VARIABLES and MAX_DEGREE)
+_MONIC_FACTOR_RE = re.compile(r"([zd])([1-9][0-9]{0,2})(?:\^([2-9]|[1-9][0-9]{1,2}))?")
+
+
+def parse_monomial(text: str, n: int) -> Key | None:
+    """The key that `format_monomial` writes as `text`, or None.
+
+    The exact inverse of `format_monomial` on keys with indices at most n
+    and degree at most MAX_DEGREE.  Any other text gives None, also text
+    that `parse_element` reads, such as "d1*z1", "z1^1" or "2*z1".
+    """
+    if text == "1":
+        return ((0,) * n, (0,) * n)
+    exps = [0] * (2 * n)  # z1..zn, then d1..dn
+    last, degree = -1, 0
+    for f in text.split("*"):
+        m = _MONIC_FACTOR_RE.fullmatch(f)
+        if m is None:
+            return None
+        i, e = int(m[2]), int(m[3] or 1)
+        pos = i - 1 if m[1] == "z" else n + i - 1
+        degree += e
+        if i > n or pos <= last or degree > MAX_DEGREE:
+            return None
+        exps[pos], last = e, pos
+    return tuple(exps[:n]), tuple(exps[n:])
 
 
 def format_element(a: WeylElement) -> str:
@@ -255,7 +281,9 @@ def format_element(a: WeylElement) -> str:
         return "0"
     pieces = []
     for idx, (key, coeff) in enumerate(a.terms):
-        body = _format_monomial(key, coeff)
+        body, mag = format_monomial(key), abs(coeff)
+        if mag != 1:
+            body = str(mag) if body == "1" else f"{mag}*{body}"
         if idx == 0:
             pieces.append(body if coeff > 0 else "-" + body)
         else:

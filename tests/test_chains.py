@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hochheat import chains as chains_module
 from hochheat.chains import (
     TensorChain,
     _shuffles,
@@ -35,8 +36,9 @@ from hochheat.chains import (
 )
 from hochheat.forms import hkr_symbol, volume_form
 from hochheat.randomgen import random_chain, random_column_vector, random_element
-from hochheat.weyl import (MAX_DEGREE, MAX_VARIABLES, WeylElement, d_var, mono_product, unit,
-                           z_var)
+from hochheat.weyl import (MAX_DEGREE, MAX_VARIABLES, WeylElement, d_var, format_element,
+                           format_monomial, mono_product, monomial, parse_element,
+                           parse_monomial, unit, z_var)
 
 
 def one_word(n, coeff, slots):
@@ -301,6 +303,116 @@ def test_chain_from_json_rejects_malformed_input(payload):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("text", ["[" * 100000, '{"n": ' * 100000], ids=["array", "object"])
+def test_chain_from_json_rejects_deeply_nested_input(text):
+    with pytest.raises(ValueError):
+        chain_from_json(text)
+
+
+# The element-view JSON path that the key-based one replaced, kept as the oracle:
+# every slot formatted through `format_element`, every slot text read through
+# `parse_element` and every chain built with `from_terms`.
+
+
+def _element_view_to_json(c):
+    return json.dumps({"n": c.n, "terms": [
+        {"coeff": str(coeff), "word": [format_element(el) for el in word]}
+        for coeff, word in c.terms]}, indent=2)
+
+
+def _element_view_from_json(text):
+    payload = json.loads(text)
+    n = payload["n"]
+    return TensorChain.from_terms(n, [
+        (Fraction(t["coeff"]), tuple(parse_element(s, n) for s in t["word"]))
+        for t in payload["terms"]])
+
+
+_GOLDEN_JSON = """{
+  "n": 2,
+  "terms": [
+    {
+      "coeff": "1/2",
+      "word": [
+        "1",
+        "z1^2*d2",
+        "d2"
+      ]
+    },
+    {
+      "coeff": "-3/4",
+      "word": [
+        "z2",
+        "z1*z2*d1^3"
+      ]
+    }
+  ]
+}"""
+
+
+def test_chain_to_json_writes_the_element_view_bytes():
+    golden = TensorChain.from_terms(2, [
+        (Fraction(1, 2), (unit(2), monomial(2, (2, 0), (0, 1)), d_var(2, 2))),
+        (Fraction(-3, 4), (z_var(2, 2), monomial(2, (1, 1), (3, 0))))])
+    assert chain_to_json(golden) == _GOLDEN_JSON
+    assert chain_from_json(_GOLDEN_JSON) == golden
+    rng = random.Random(4242)
+    samples = [omega_cycle(n) for n in (1, 2, 3)]
+    samples += [random_chain(rng, rng.choice([1, 2]), degree=rng.randint(0, 3)) for _ in range(60)]
+    assert sum(c.den > 1 for c in samples) >= 20
+    for c in samples:
+        text = chain_to_json(c)
+        assert text == _element_view_to_json(c)
+        assert chain_from_json(text) == _element_view_from_json(text) == c
+
+
+@settings(deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, 12), min_size=2 * n, max_size=2 * n))))
+def test_monomial_reader_inverts_the_formatter(drawn):
+    n, exps = drawn
+    key = (tuple(exps[:n]), tuple(exps[n:]))
+    text = format_monomial(key)
+    if sum(exps) > MAX_DEGREE:
+        assert parse_monomial(text, n) is None
+        return
+    assert parse_monomial(text, n) == key
+    assert parse_element(text, n) == WeylElement(n, ((key, Fraction(1)),))
+
+
+@pytest.mark.parametrize("text", ["d1*z1", "z1^1", "z1^0", "z01", "z2*z1", "z1*z1", "2*z1",
+                                  "z1 + d1", "1", "0", "d1^01", "z4", " z1", "z1*",
+                                  f"z1^{MAX_DEGREE // 2}*d1^{MAX_DEGREE // 2 + 1}"])
+def test_chain_from_json_reads_other_slot_texts_like_parse_element(text):
+    payload = json.dumps({"n": 3, "terms": [{"coeff": "2/3", "word": ["z1*d2", text]},
+                                            {"coeff": "-1", "word": [text, "d3^2"]}]})
+    if text == "1":
+        assert parse_monomial(text, 3) == ((0, 0, 0), (0, 0, 0))
+    else:
+        assert parse_monomial(text, 3) is None
+    try:
+        expected = _element_view_from_json(payload)
+    except ValueError:
+        with pytest.raises(ValueError):
+            chain_from_json(payload)
+        return
+    assert chain_from_json(payload) == expected
+
+
+def test_canonical_round_trip_reads_keys_only(monkeypatch):
+    rng = random.Random(99)
+    samples = [omega_cycle(2)] + [random_chain(rng, 2, degree=rng.randint(0, 3)) for _ in range(20)]
+    texts = [chain_to_json(c) for c in samples]
+
+    def refuse(*args):
+        raise AssertionError("a canonical slot went through the element path")
+
+    monkeypatch.setattr(chains_module, "parse_element", refuse)
+    monkeypatch.setattr(TensorChain, "from_terms", staticmethod(refuse))
+    for c, text in zip(samples, texts):
+        assert chain_from_json(text) == c
+
+
 def test_constructors_reject_an_empty_word():
     with pytest.raises(ValueError):
         TensorChain.from_terms(1, [(Fraction(1), ())])
@@ -447,6 +559,12 @@ def test_integer_kernels_agree_with_the_fraction_oracle(inputs, scalar):
     for name, (got, expected) in results.items():
         assert _is_canonical(got), name
         assert _fractions(got) == expected, name
+
+
+@pytest.mark.large
+def test_degree_eight_json_round_trip():
+    omega = omega_cycle(4)
+    assert chain_from_json(chain_to_json(omega)) == omega
 
 
 @pytest.mark.large

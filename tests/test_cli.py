@@ -163,6 +163,19 @@ def test_cli_all_writes_report(tmp_path, capsys, monkeypatch):
     }
 
 
+def test_cli_unwritable_report_path_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
+    def no_run(*args):
+        raise AssertionError("the suite ran although the report cannot be written")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    assert main(["all", "--report", str(tmp_path / "no-such-dir" / "r.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert main(["all", "--report", str(tmp_path)]) == 2  # a directory
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_exit_nonzero_on_failure(monkeypatch, capsys):
     # force a failing check by breaking a target inside a copied family
     from hochheat import suite as suite_mod
@@ -178,8 +191,9 @@ def test_cli_exit_nonzero_on_failure(monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "content",
-    ["{not json", "[1, 2]", json.dumps({"k": 1, "trunc": 8, "tag": CONVENTION_TAG})],
-    ids=["not-json", "not-an-object", "missing-fields"],
+    ["{not json", "[1, 2]", json.dumps({"k": 1, "trunc": 8, "tag": CONVENTION_TAG}),
+     "[" * 100000],
+    ids=["not-json", "not-an-object", "missing-fields", "nested-too-deeply"],
 )
 def test_cli_broken_cache_file_is_a_miss(tmp_path, capsys, monkeypatch, content):
     monkeypatch.setenv("HOCHHEAT_CACHE_DIR", str(tmp_path))
