@@ -19,7 +19,8 @@ empty words, then expands each slot element into monic keys.
 `chain_to_json` wrote, one monic monomial, goes straight into its key, and
 only other slot text takes the element path.  `chain_to_json` writes
 `nums` over `den` and formats each distinct key once.  The operators
-below map keys to keys with `weyl.mono_product` and build their results
+below map keys to keys with `weyl.mono_product` (`shuffle_product`
+multiplies its slot-0 elements with `weyl.mul`) and build their results
 without checking them again.  `TensorChain.terms` is a derived view for
 readers of elements: the words in sorted key order, each with its
 `Fraction` coefficient and each slot as a one-term monic `WeylElement`.
@@ -32,9 +33,9 @@ Operators implemented here:
 * cyclic_tau     - signed rotation, tau(w) = (-1)^k (ak, a0, ..., a(k-1))
                    on degree-k words
 * norm_n         - the norm sum(tau^j, j = 0..k) degree by degree
-* shuffle_product- signed interleavings of the interior slots after
-                   padding the two factors' keys onto disjoint variable
-                   blocks
+* shuffle_product- product of the slot-0 elements times the signed
+                   interleavings of the interior slots, after padding the
+                   two factors' keys onto disjoint variable blocks
 * omega_cycle    - the canonical closed 2n-chain built by shuffling n
                    copies of 1 (x) d (x) z - 1 (x) z (x) d + 1 (x) 1 (x) 1
 * normalize      - quotient by words with a scalar in an interior slot
@@ -58,7 +59,7 @@ from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .weyl import (MAX_VARIABLES, Key, WeylElement, d_var, format_element, format_monomial,
-                   mono_product, parse_element, parse_monomial, unit, z_var)
+                   mono_product, mul, parse_element, parse_monomial, unit, z_var)
 
 Word = Tuple[WeylElement, ...]
 #: a word as stored: one monomial key per slot
@@ -236,7 +237,8 @@ def normalize(c: TensorChain) -> TensorChain:
 # ---------------------------------------------------------------------------
 
 
-def _shuffles(p: int, q: int) -> List[Tuple[Tuple[int, ...], int]]:
+@lru_cache(maxsize=256)
+def _shuffles(p: int, q: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
     """(order, parity) over all (p, q)-interleavings: slot s of an interleaving
     takes entry order[s] of the first interior followed by the second."""
     out = []
@@ -244,35 +246,50 @@ def _shuffles(p: int, q: int) -> List[Tuple[Tuple[int, ...], int]]:
         first, second = iter(range(p)), iter(range(p, p + q))
         order = tuple(next(first) if s in pos else next(second) for s in range(p + q))
         out.append((order, sum(pos[i] - i for i in range(p)) % 2))
-    return out
+    return tuple(out)
+
+
+def _by_interior(c: TensorChain, n: int, pad) -> List[Tuple[KeyWord, WeylElement]]:
+    """c as sum(A_i (x) i) over its distinct interiors i, keys padded by `pad`.
+
+    A_i, an element in n variables, collects the slot-0 keys of the words
+    of c with interior i, each with its numerator as coefficient.
+    """
+    groups: Dict[KeyWord, List[Tuple[Key, Fraction]]] = {}
+    for w, k in c.nums.items():
+        head, *inner = map(pad, w)
+        groups.setdefault(tuple(inner), []).append((head, Fraction(k)))
+    # distinct words with one interior have distinct heads: sorting is canonical order
+    return [(inner, WeylElement(n, tuple(sorted(heads, reverse=True))))
+            for inner, heads in groups.items()]
 
 
 def shuffle_product(c1: TensorChain, c2: TensorChain) -> TensorChain:
     """Chain-level shuffle of chains over disjoint variable blocks.
 
-    The second factor is re-indexed to variables n1+1..n1+n2; slot 0 of
-    the result is the product of the two slot-0 entries and the interior
-    slots are all signed interleavings.
+    The second factor is re-indexed to variables n1+1..n1+n2.  With each
+    factor written as sum(A_i (x) i) over its interiors i, the shuffle of
+    A (x) i and B (x) j is (A B) (x) sh(i, j): slot 0 is the `weyl.mul`
+    product of the two slot-0 elements and the interior slots are all
+    signed interleavings of i and j.
     """
+    n = c1.n + c2.n
     pad1, pad2 = (0,) * c1.n, (0,) * c2.n
-    left = [(tuple((z + pad2, d + pad2) for z, d in w), k) for w, k in c1.nums.items()]
-    right = [(tuple((pad1 + z, pad1 + d) for z, d in w), k) for w, k in c2.nums.items()]
-    shuffles: Dict[Tuple[int, int], list] = {}
+    left = _by_interior(c1, n, lambda key: (key[0] + pad2, key[1] + pad2))
+    right = _by_interior(c2, n, lambda key: (pad1 + key[0], pad1 + key[1]))
     acc: Dict[KeyWord, int] = {}
     get = acc.get
-    for w1, k1 in left:
-        for w2, k2 in right:
-            p, q = len(w1) - 1, len(w2) - 1
-            if (p, q) not in shuffles:
-                shuffles[p, q] = _shuffles(p, q)
-            interior = w1[1:] + w2[1:]
-            for head, m in mono_product(w1[0], w2[0]):  # one term: the blocks commute
-                num = k1 * k2 * m
-                signed = (num, -num)
-                for order, parity in shuffles[p, q]:
-                    w = (head,) + tuple(map(interior.__getitem__, order))
-                    acc[w] = get(w, 0) + signed[parity]
-    return _canonical(c1.n + c2.n, acc, c1.den * c2.den)
+    for i1, a in left:
+        for i2, b in right:
+            interior = i1 + i2
+            # integer coefficients times integer coefficients: every product is whole
+            heads = [((key,), coeff.numerator) for key, coeff in mul(a, b).terms]
+            for order, parity in _shuffles(len(i1), len(i2)):
+                tail = tuple(map(interior.__getitem__, order))
+                for head, num in heads:
+                    w = head + tail
+                    acc[w] = get(w, 0) + (-num if parity else num)
+    return _canonical(n, acc, c1.den * c2.den)
 
 
 def omega_cycle(n: int) -> TensorChain:

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import itemgetter
 from typing import Dict, Iterable, List, Mapping, Tuple
 
@@ -156,14 +156,28 @@ def mono_product(a: Key, b: Key) -> List[Tuple[Key, int]]:
 
 
 def mul(a: WeylElement, b: WeylElement) -> WeylElement:
+    """The normal-ordered product a b.
+
+    Each factor's coefficients are read as int numerators over that
+    factor's lcm denominator, so the term products accumulate plain ints
+    and each output key makes one `Fraction`.
+    """
     if a.n != b.n:
         raise ValueError("cannot multiply elements with different variable counts")
-    out = []
+    da = lcm(*(c.denominator for _, c in a.terms))
+    db = lcm(*(c.denominator for _, c in b.terms))
+    right = [(kb, cb.numerator * (db // cb.denominator)) for kb, cb in b.terms]
+    acc: Dict[Key, int] = {}
+    get = acc.get
     for ka, ca in a.terms:
-        for kb, cb in b.terms:
-            c = ca * cb
-            out += [(key, c if m == 1 else c * m) for key, m in mono_product(ka, kb)]
-    return WeylElement(a.n, _merge_terms(out))
+        na = ca.numerator * (da // ca.denominator)
+        for kb, nb in right:
+            c = na * nb
+            for key, m in mono_product(ka, kb):
+                acc[key] = get(key, 0) + c * m
+    den = da * db
+    return WeylElement(a.n, tuple(sorted(((key, Fraction(k, den)) for key, k in acc.items() if k),
+                                         key=itemgetter(0), reverse=True)))
 
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
