@@ -14,10 +14,11 @@ localizes the trace: Tr(phi e^(-t Laplacian)) equals (integral of phi)
 times the kernel diagonal, so for short times it is the free-line value
 (integral phi) (4 pi t)^(-1/2) up to the image tail.  The tail bound is
 taken with the smaller of the two circumferences, so it covers every
-placement of the bump in the union.  Long-time deviations from the
-equilibrium value (1/L) integral phi fall below one ulp of the trace
-itself, so they are accumulated directly from the spectral tail instead of
-by subtraction.
+placement of the bump in the union.  The trace is the eigenvalue sum, so
+the short-time check compares it with a tail of the other series.
+Long-time deviations from the equilibrium value (1/L) integral phi fall
+below one ulp of the trace itself, so they are accumulated directly from
+the spectral tail instead of by subtraction.
 """
 
 from __future__ import annotations
@@ -133,14 +134,14 @@ class TwoCircles:
 def localized_trace(circles: TwoCircles, bump: BumpFunction, t: float) -> float:
     """Tr(phi e^(-t Laplacian)) on the union; phi is supported in circle A.
 
-    The kernel diagonal is constant, so the trace is the diagonal times the
-    bump integral.  The bump support (width 2 radius) must fit in circle A.
+    The kernel diagonal is constant, so the trace is the eigenvalue sum times
+    the bump integral.  The bump support (width 2 radius) must fit in circle A.
     """
     if 2.0 * bump.radius > circles.length_a:
         raise ValueError(
             f"bump support 2*{bump.radius} exceeds circumference {circles.length_a}"
         )
-    return bump.integral() * heat_diagonal_images(t, circles.length_a)
+    return bump.integral() * heat_diagonal_spectral(t, circles.length_a)
 
 
 def free_line_trace(bump: BumpFunction, t: float) -> float:

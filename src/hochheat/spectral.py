@@ -50,21 +50,22 @@ dbar chi_(a,b) = b psi_(a,b-1) + (b-N) psi_(a+1,b) and dbar* psi_(a,b) =
 for k >= 0 the forms span exactly dbar of the sections (dimension
 N(N+k+2), the section count minus k+1).  With D and T the integer
 incidences of dbar and dbar*, the stiffness is D G1 D^T in degree 0 and
-T G0 T^T in degree 1.  Each degree is reduced and solved on its own; only
+T G0 T^T in degree 1.  Both degrees build the same block: each is
+certified, reduced and solved on its own and keeps its eigenvectors.  Only
 integration by parts, T G0 = G1 D^T, ties their nonzero spectra together,
 so the supersymmetric pairing and the flat heat supertrace compare two
 independent eigensolves.
 
-Operator pairings <op f_j, f_i>, with f the chi or the dbar chi of one
-charge block, use the same closed form.  Each image den * op f_j is lifted
-once to the largest power of (1+|z|^2) the operator reaches, and each f_i to
-its own, so every entry is a dot product of charge-matched coefficients
-against the moment row s! (m-s-2)!.  Each basis function has one charge and
-the top-degree part of a product of polynomials cannot cancel, so a pair
-fails to integrate exactly when its top degrees add up past 2m - 3; the
-check raises what the generic kernel `_pairing` raises on the same pair.
-Blocks are built on demand and cached per (side, operator, block), so
-`harmonic_supertrace` builds only the k+1 blocks that hold a kernel vector.
+Operator pairings <op f_j, f_i>, with f the chi or the psi of one block,
+use the same closed form.  Each image den * op f_j is lifted once to the
+largest power of (1+|z|^2) the operator reaches, so entry (i, j) is the
+sum of c s! (m-s-2)!, s = a + b_i, over its charge-matched terms c z^a zbar^b.
+Each basis function has one charge and the top-degree part of a product of
+polynomials cannot cancel, so a pair fails to integrate exactly when its
+top degrees add up past 2m - 3; the check raises what the generic kernel
+`_pairing` raises on the same pair.  Blocks are built on demand and cached
+per (degree, operator, block), so `harmonic_supertrace` builds only the
+blocks that hold a kernel vector.
 """
 
 from __future__ import annotations
@@ -306,30 +307,29 @@ def _accumulate(acc: Dict[tuple, Rational], key: tuple, c: Rational) -> None:
 
 @dataclass
 class _Block:
-    charge: int
     pairs: List[Tuple[int, int]]
     w: IntMat             # closed-form rows (row j has j+1 entries) for the reduced Gram G
     norms: List[int]      # W G W^T = diag(norms); with G = L D L^T, W = diag(sqrt(norms / D)) L^-1
     scale: Fraction       # the Gram block is scale * (the reduced integer block)
-    lam: np.ndarray       # ascending eigenvalues of the degree-0 block
+    lam: np.ndarray       # ascending eigenvalues of the block's Laplacian
     vecs: np.ndarray      # orthonormal eigenvectors (columns), reduced coords
-    cond: float
 
 
 @dataclass
 class SpectralModel:
     k: int
     trunc: int
-    blocks: List[_Block]
+    blocks: List[_Block]               # degree 0, the sections chi, one block per charge
+    forms: List[_Block]                # degree 1, the forms psi; forms[i] pairs with blocks[i]
     eigs0: List[Tuple[float, int]]
     eigs1: List[Tuple[float, int]]
     harmonic0: List[Tuple[int, int]]   # (block index, eigen column)
-    harmonic1: List[Tuple[int, int]]   # (block index, eigen column of form block charge + 1)
+    harmonic1: List[Tuple[int, int]]   # (form block index, eigen column)
     kernel_threshold: float
     basis_meta: Dict[str, object]
     _flat0: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
     _flat1: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
-    _op_cache: Dict[Tuple[str, WeylElement, int], np.ndarray] = field(  # (side, op, block index)
+    _op_cache: Dict[Tuple[int, WeylElement, int], np.ndarray] = field(  # (degree, op, block index)
         repr=False, default_factory=dict
     )
 
@@ -351,10 +351,6 @@ class SpectralModel:
             x = r.T @ block.vecs[:, col]
             out.append({pair: x[i] for i, pair in enumerate(block.pairs)})
         return out
-
-
-def _chi(a: int, b: int, n_trunc: int) -> WeightedFn:
-    return {(a, b, n_trunc): 1}
 
 
 def _dbar_chi(a: int, b: int, n_trunc: int) -> WeightedFn:
@@ -437,7 +433,8 @@ def build_model(k: int, trunc: int, cond_limit: float = 1e16) -> SpectralModel:
             sizes[alpha] = max(sizes.get(alpha, 0), size)
     rows = {alpha: _orthogonal_rows(size, alpha, len(fact)) for alpha, size in sizes.items()}
     blocks: List[_Block] = []
-    lam1_blocks: List[np.ndarray] = []  # degree-1 eigenvalues, one array per form block
+    forms: List[_Block] = []
+    max_cond = 0.0
     for q, pairs, fpairs in layout:
         gram0 = _gram(pairs, fact)
         gram_f = np.array([[v / fact[-1] for v in row] for row in gram0])
@@ -447,53 +444,52 @@ def build_model(k: int, trunc: int, cond_limit: float = 1e16) -> SpectralModel:
                 f"Gram block at charge {q} has condition estimate {cond:.3e} > {cond_limit:.1e}; "
                 "reduce trunc or orthogonalize the basis"
             )
+        max_cond = max(max_cond, cond)
         gram0, g0_scale = _reduced(gram0, unit)
         gram1, g1_scale = _reduced(_gram(fpairs, fact), unit)
         dbar = _incidence([_dbar_chi(a, b, n) for a, b in pairs], fpairs, n + 1)
         dbar_star = _incidence([_dbar_star(a, b, n, k) for a, b in fpairs], pairs, n)
         stiff0, s0_scale = _reduced(_congruence(dbar, gram1), g1_scale)  # D G1 D^T
         stiff1, s1_scale = _reduced(_congruence(dbar_star, gram0), g0_scale)  # T G0 T^T
-        w0, w1 = rows[abs(q)][:len(pairs)], rows[abs(q + 1)][:len(fpairs)]
-        norms, c0 = _eliminate(gram0, stiff0, s0_scale / g0_scale, w0)
-        lam, vecs = np.linalg.eigh(c0)  # exactly symmetric: X is, and so is its rounding
-        if lam.min() < -1e-10:
-            raise IllConditionedGramError(
-                f"negative eigenvalue {lam.min():.3e} beyond solver tolerance at charge {q}"
-            )
-        blocks.append(_Block(q, pairs, w0, norms, g0_scale, lam, vecs, cond))
-        lam1_blocks.append(np.linalg.eigvalsh(_eliminate(gram1, stiff1, s1_scale / g1_scale,
-                                                         w1)[1]))
+        for degree, (charge, idx, gram, g_scale, stiff, s_scale) in enumerate((
+                (q, pairs, gram0, g0_scale, stiff0, s0_scale),
+                (q + 1, fpairs, gram1, g1_scale, stiff1, s1_scale))):
+            w = rows[abs(charge)][:len(idx)]
+            norms, c = _eliminate(gram, stiff, s_scale / g_scale, w)
+            lam, vecs = np.linalg.eigh(c)  # exactly symmetric: X is, and so is its rounding
+            if lam.min() < -1e-10:
+                raise IllConditionedGramError(
+                    f"negative eigenvalue {lam.min():.3e} beyond solver tolerance in the "
+                    f"degree-{degree} block at charge {charge}"
+                )
+            (blocks, forms)[degree].append(_Block(idx, w, norms, g_scale, lam, vecs))
 
-    threshold = 1e-8 * max(max(float(b.lam.max()) for b in blocks), 1e-300)
-    # the kernel is exactly 0: its rounding (about 1e-14) would tilt heat traces at large t
-    for lam in [b.lam for b in blocks] + lam1_blocks:
-        lam[lam < threshold] = 0.0
-    flat0 = np.sort(np.concatenate([b.lam for b in blocks]))
-    flat1 = np.sort(np.concatenate(lam1_blocks))
-    harmonic0 = [
-        (bi, col)
-        for bi, block in enumerate(blocks)
-        for col in range(len(block.lam))
-        if block.lam[col] < threshold
-    ]
-    harmonic1 = [(bi, col) for bi, lam1 in enumerate(lam1_blocks)
-                 for col in range(len(lam1)) if lam1[col] < threshold]
+    threshold = 1e-8 * max(max(float(b.lam.max()) for b in blocks + forms), 1e-300)
+    harmonic, flat = [], []
+    for degree_blocks in (blocks, forms):
+        for b in degree_blocks:
+            # the kernel is exactly 0: its rounding (about 1e-14) would tilt heat traces at large t
+            b.lam[b.lam < threshold] = 0.0
+        harmonic.append([(bi, col) for bi, b in enumerate(degree_blocks)
+                         for col in range(len(b.lam)) if b.lam[col] == 0.0])
+        flat.append(np.sort(np.concatenate([b.lam for b in degree_blocks])))
     model = SpectralModel(
         k=k,
         trunc=trunc,
         blocks=blocks,
-        eigs0=_cluster(flat0),
-        eigs1=_cluster(flat1),
-        harmonic0=harmonic0,
-        harmonic1=harmonic1,
+        forms=forms,
+        eigs0=_cluster(flat[0]),
+        eigs1=_cluster(flat[1]),
+        harmonic0=harmonic[0],
+        harmonic1=harmonic[1],
         kernel_threshold=threshold,
         basis_meta={
             "tag": CONVENTION_TAG,
             "basis": "z^a zbar^b (1+|z|^2)^(-N), 0<=a<=N+k, 0<=b<=N",
-            "max_gram_condition": max(b.cond for b in blocks),
+            "max_gram_condition": max_cond,
         },
-        _flat0=flat0,
-        _flat1=flat1,
+        _flat0=flat[0],
+        _flat1=flat[1],
     )
     return model
 
@@ -531,71 +527,72 @@ def _apply_weyl(op: WeylElement, f: WeightedFn, den: int = 1) -> WeightedFn:
     return out
 
 
-def _moment_block(images: List[Dict[Tuple[int, int], int]],
-                  basis: List[Dict[Tuple[int, int], int]], mom: List[int]) -> IntMat:
-    """(m-1)! <image_j, basis_i> for lifted numerators, given mom[s] = s! (m-s-2)!.
+def _moment_block(images: List[Dict[Tuple[int, int], int]], pairs: List[Tuple[int, int]],
+                  mom: List[int]) -> IntMat:
+    """(m-1)! <image_j, f_i> for lifted images and f_i = z^a_i zbar^b_i, (a_i, b_i) in pairs.
 
-    The basis has one charge q: entry (i, j) is sum c d mom[a + b'] over the
-    charge-q terms c z^a zbar^b of image j and the terms d z^a' zbar^b' of
-    basis i.  A pair escapes (diverges) when the top degree of the image's
-    other-charge (charge-q) terms plus that of the basis function exceeds
-    2m - 3; pairs are checked in row-major order, as `_pairing` would be.
+    Given mom[s] = s! (m-s-2)! and one charge q = a_i - b_i, entry (i, j) is
+    sum c mom[a + b_i] over the charge-q terms c z^a zbar^b of image j.  A
+    pair escapes (diverges) when the top degree of the image's other-charge
+    (charge-q) terms plus a_i + b_i exceeds 2m - 3; pairs are checked in
+    row-major order, as `_pairing` would be.
     """
     m = len(mom) + 1
-    q = next(a - b for a, b in basis[0])
+    q = pairs[0][0] - pairs[0][1]
 
     def top(keys: Iterable[Tuple[int, int]]) -> float:
         return max((a + b for a, b in keys), default=-math.inf)
 
     charged = [top(key for key in img if key[0] - key[1] != q) for img in images]
     neutral = [top(key for key in img if key[0] - key[1] == q) for img in images]
-    for i, fi in enumerate(basis):
-        di = top(fi)
+    for i, (a_i, b_i) in enumerate(pairs):
         for j, (e, v) in enumerate(zip(charged, neutral)):
-            if e + di > 2 * m - 3:
+            if e + a_i + b_i > 2 * m - 3:
                 raise OperatorEscapeError(
                     f"image {j} paired with basis function {i} leaves the square-integrable "
-                    f"truncation (radial degree {e + di}, weight {m})")
-            if v + di > 2 * m - 3:
+                    f"truncation (radial degree {e + a_i + b_i}, weight {m})")
+            if v + a_i + b_i > 2 * m - 3:
                 raise DivergentIntegralError(
                     f"image {j} paired with basis function {i} diverges "
-                    f"(radial degree {v + di}, weight {m})")
+                    f"(radial degree {v + a_i + b_i}, weight {m})")
     rows = [[(a, c) for (a, b), c in img.items() if a - b == q] for img in images]
-    return [[sum(c * d * mom[a + b2] for a, c in row for (_, b2), d in fi.items()) for row in rows]
-            for fi in basis]
+    return [[sum(c * mom[a + b_i] for a, c in row) for row in rows] for _, b_i in pairs]
 
 
-def _operator_pairings(model: SpectralModel, op: WeylElement, side: str,
+def _operator_pairings(model: SpectralModel, op: WeylElement, degree: int,
                        which: Iterable[int]) -> Iterator[Tuple[IntMat, Fraction]]:
     """Each listed block's exact pairing <op f_j, f_i> as a reduced integer matrix and a scale.
 
-    f runs over the block's chi (side "sections") or dbar chi (side
-    "forms").  Each image den * op f_j is lifted once to the largest power it
-    can reach and each f_i to its own, so every entry of every block is a
-    sum over one moment row (`_moment_block`).
+    f runs over the basis of one degree's block: z^a zbar^b (1+|z|^2)^(-power)
+    with (power, weight) (N, k+2) for the sections chi (degree 0) and
+    (N+1, k) for the coefficients of the forms psi (degree 1).  Each image
+    den * op f_j is lifted once to the largest power it can reach, so every
+    entry of every block is a sum over one moment row (`_moment_block`).
     """
     n, k = model.trunc, model.k
     den = math.lcm(*(c.denominator for _, c in op.terms))
-    basis, power, extra = (_chi, n, k + 2) if side == "sections" else (_dbar_chi, n + 1, k)
+    power, extra = (n, k + 2) if degree == 0 else (n + 1, k)
     top = power + max((d for ((_,), (d,)), _ in op.terms), default=0)
     m = top + power + extra
     mom = [factorial(s) * factorial(m - s - 2) for s in range(m - 1)]
     unit = Fraction(1, den * factorial(m - 1))
+    blocks = (model.blocks, model.forms)[degree]
     for bi in which:
-        funcs = [basis(a, b, n) for a, b in model.blocks[bi].pairs]
-        images = [_lift(_apply_weyl(op, f, den), top) for f in funcs]
-        yield _reduced(_moment_block(images, [_lift(f, power) for f in funcs], mom), unit)
+        pairs = blocks[bi].pairs
+        images = [_lift(_apply_weyl(op, {(a, b, power): 1}, den), top) for a, b in pairs]
+        yield _reduced(_moment_block(images, pairs, mom), unit)
 
 
-def _operator_blocks(model: SpectralModel, op: WeylElement, side: str,
+def _operator_blocks(model: SpectralModel, op: WeylElement, degree: int,
                      which: Optional[Iterable[int]] = None) -> Dict[int, np.ndarray]:
-    """Reduced-coordinate matrices of the operator pairing, by block index.
+    """Reduced-coordinate matrices of the operator pairing in one degree, by block index.
 
-    side "sections": entries <D chi_j, chi_i>; side "forms": entries
-    <D dbar chi_j, dbar chi_i>.  Only the blocks in `which` (default: all)
-    are returned; each is built once per (side, op, block) and cached on the
-    model.  The pairing is an exact integer matrix (`_operator_pairings`)
-    before the congruence, which rounds each entry once.
+    Degree 0: entries <op chi_j, chi_i>; degree 1: entries <op psi_j, psi_i>,
+    with op acting on the dzbar coefficient.  Only the blocks in `which`
+    (default: all of that degree) are returned; each is built once per
+    (degree, op, block) and cached on the model.  The pairing is an exact
+    integer matrix (`_operator_pairings`) before the congruence by the
+    block's own rows and norms, which rounds each entry once.
     """
     if op.n != 1:
         raise OperatorEscapeError("operators on the model must be one-variable elements")
@@ -605,15 +602,16 @@ def _operator_blocks(model: SpectralModel, op: WeylElement, side: str,
             f"operator coefficient degree {max_coeff_deg} exceeds truncation {model.trunc} "
             f"for {format_element(op)!r}"
         )
-    which = list(range(len(model.blocks)) if which is None else which)
-    todo = [bi for bi in which if (side, op, bi) not in model._op_cache]
-    for bi, (mat, scale) in zip(todo, _operator_pairings(model, op, side, todo)):
-        block = model.blocks[bi]
+    blocks = (model.blocks, model.forms)[degree]
+    which = list(range(len(blocks)) if which is None else which)
+    todo = [bi for bi in which if (degree, op, bi) not in model._op_cache]
+    for bi, (mat, scale) in zip(todo, _operator_pairings(model, op, degree, todo)):
+        block = blocks[bi]
         cols = list(zip(*mat))
         v = [[sum(map(mul, wi, col)) for col in cols] for wi in block.w]
-        model._op_cache[(side, op, bi)] = _round_congruence(v, block.w, block.norms,
-                                                            scale / block.scale)
-    return {bi: model._op_cache[(side, op, bi)] for bi in which}
+        model._op_cache[(degree, op, bi)] = _round_congruence(v, block.w, block.norms,
+                                                              scale / block.scale)
+    return {bi: model._op_cache[(degree, op, bi)] for bi in which}
 
 
 def heat_supertrace(model: SpectralModel, t: float) -> float:
@@ -629,21 +627,24 @@ def harmonic_supertrace(model: SpectralModel, op: WeylElement) -> float:
     """Supertrace of the compression of op to the numerical harmonic spaces.
 
     Computed basis independently: trace = sum_ij (G_h^-1)_ij <op h_j, h_i>
-    over the kernel vectors h of degree 0, so only the k+1 blocks that hold
-    one are built.  For k >= 0 the form family spans exactly dbar of the
-    section space, so the degree-1 kernel is empty (`spectrum.kernel.forms`
-    checks `harmonic1`) and only degree 0 contributes.
+    over the kernel vectors h of each degree, counted + in degree 0 and -
+    in degree 1, so only the blocks that hold a kernel vector are built.
+    For k >= 0 the degree-1 kernel is empty (`spectrum.kernel.forms` checks
+    `harmonic1`), so no degree-1 block is built and only degree 0
+    contributes.
     """
-    by_block: Dict[int, List[int]] = {}
-    for bi, col in model.harmonic0:
-        by_block.setdefault(bi, []).append(col)
-    mats = _operator_blocks(model, op, "sections", by_block)
     total = 0.0
-    for bi, cols in by_block.items():
-        y = model.blocks[bi].vecs[:, cols]
-        gh = y.T @ y
-        pair = y.T @ mats[bi] @ y
-        total += float(np.trace(np.linalg.solve(gh, pair)))
+    for degree, (sign, blocks, harmonic) in enumerate(((1.0, model.blocks, model.harmonic0),
+                                                       (-1.0, model.forms, model.harmonic1))):
+        by_block: Dict[int, List[int]] = {}
+        for bi, col in harmonic:
+            by_block.setdefault(bi, []).append(col)
+        mats = _operator_blocks(model, op, degree, by_block)
+        for bi, cols in by_block.items():
+            y = blocks[bi].vecs[:, cols]
+            gh = y.T @ y
+            pair = y.T @ mats[bi] @ y
+            total += sign * float(np.trace(np.linalg.solve(gh, pair)))
     return total
 
 
@@ -652,39 +653,26 @@ def limit_supertrace(
 ) -> Tuple[List[float], float]:
     """Supertrace of op e^(-t Laplacian) on a grid, and its terminal value.
 
-    Degree 0 sums e^(-t lam_i) <op e_i, e_i> over the eigenbasis; degree 1
-    uses the intertwined basis dbar e_i / sqrt(lam_i) over the nonzero lam_i.
-    For k >= 0 it spans the whole form family, so it is an orthonormal
-    eigenbasis of the degree-1 model as well, with the same eigenvalues.  As
-    t grows the series converges to `harmonic_supertrace`.
+    Each degree sums e^(-t lam_i) <op e_i, e_i> over its own orthonormal
+    eigenbasis, counted + in degree 0 and - in degree 1.  As t grows the
+    series converges to `harmonic_supertrace`.
     """
     grid = [float(t) for t in t_grid]
     if not grid:
         raise ValueError("t_grid must be non-empty")
     if any(t <= 0 for t in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("t_grid must be strictly increasing and positive")
-    sec = _operator_blocks(model, op, "sections")
-    frm = _operator_blocks(model, op, "forms")
-    diag0: List[np.ndarray] = []
-    lam0: List[np.ndarray] = []
-    diag1: List[np.ndarray] = []
-    lam1: List[np.ndarray] = []
-    for bi, block in enumerate(model.blocks):
-        y = block.vecs
-        diag0.append(np.einsum("ij,ij->j", y, sec[bi] @ y))
-        lam0.append(block.lam)
-        keep = block.lam >= model.kernel_threshold
-        if keep.any():
-            yk = y[:, keep]
-            diag1.append(np.einsum("ij,ij->j", yk, frm[bi] @ yk) / block.lam[keep])
-            lam1.append(block.lam[keep])
+    terms = []  # (sign, eigenvalues, <op e_i, e_i>) of each block of both degrees
+    for degree, (sign, blocks) in enumerate(((1.0, model.blocks), (-1.0, model.forms))):
+        mats = _operator_blocks(model, op, degree)
+        for bi, block in enumerate(blocks):
+            y = block.vecs
+            terms.append((sign, block.lam, np.einsum("ij,ij->j", y, mats[bi] @ y)))
     series = []
     for t in grid:
         tot = 0.0
-        for lam, dg in zip(lam0, diag0):
-            tot += float((np.exp(-t * lam) * dg).sum())
-        for lam, dg in zip(lam1, diag1):
-            tot -= float((np.exp(-t * lam) * dg).sum())
+        for sign, lam, dg in terms:
+            tot += sign * float((np.exp(-t * lam) * dg).sum())
         series.append(tot)
     return series, series[-1]
 
@@ -694,9 +682,9 @@ def limit_supertrace(
 # ---------------------------------------------------------------------------
 
 
-#: the keys of `spectrum_summary`, which a cache file must hold
-_SUMMARY_FIELDS = ("k", "trunc", "tag", "version", "eigs0", "eigs1", "dim_harmonic0",
-                   "dim_harmonic1")
+#: the keys of `spectrum_summary`, which a cache file must hold, and the type of each value
+_SUMMARY_TYPES = {"k": int, "trunc": int, "tag": str, "version": str, "eigs0": list,
+                  "eigs1": list, "dim_harmonic0": int, "dim_harmonic1": int}
 
 
 def spectrum_summary(model: SpectralModel) -> Dict[str, object]:
@@ -721,28 +709,33 @@ def cache_path(cache_dir: str, k: int, trunc: int) -> str:
 def load_spectrum(cache_dir: str, k: int, trunc: int):
     """The cached summary for (k, trunc), or None on a miss.
 
-    A file that is not a JSON object holding every summary field, or that
-    another package version wrote, is a miss too, so the caller rebuilds
-    the model and overwrites the file.
+    A file that cannot be read, that is not a JSON object holding every
+    summary field with the type and shape `spectrum_summary` gives it (a
+    bool or a float such as 2.0 is not an int, and each cluster is a
+    [float, int] pair), or that another package version wrote, is a miss
+    too, so the caller rebuilds the model and overwrites the file.
     """
-    path = cache_path(cache_dir, k, trunc)
-    if not os.path.exists(path):
-        return None
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(cache_path(cache_dir, k, trunc), "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except (ValueError, RecursionError):  # not JSON, not UTF-8, or nested too deeply
-            return None
-    if not isinstance(data, dict) or any(f not in data for f in _SUMMARY_FIELDS):
+    except (OSError, ValueError, RecursionError):  # unreadable, not JSON or UTF-8, too deep
         return None
-    if (data["tag"], data["version"], data["k"], data["trunc"]) != (CONVENTION_TAG, __version__,
-                                                                     k, trunc):
-        return None
-    return data
+    valid = (isinstance(data, dict) and data.keys() >= _SUMMARY_TYPES.keys()
+             and all(type(data[f]) is t for f, t in _SUMMARY_TYPES.items())
+             and (data["tag"], data["version"], data["k"], data["trunc"]) == (CONVENTION_TAG,
+                                                                              __version__, k, trunc)
+             and all(type(c) is list and len(c) == 2 and type(c[0]) is float
+                     and math.isfinite(c[0]) and type(c[1]) is int
+                     for c in data["eigs0"] + data["eigs1"]))
+    return data if valid else None
 
 
 def store_spectrum(cache_dir: str, model: SpectralModel) -> str:
-    """Write the summary atomically: a temporary file in the same directory, then a rename."""
+    """Write the summary atomically: a temporary file in the same directory, then a rename.
+
+    Raises OSError when the directory cannot be made or written; the
+    temporary file is removed.
+    """
     os.makedirs(cache_dir, exist_ok=True)
     path = cache_path(cache_dir, model.k, model.trunc)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".spectrum-", suffix=".tmp")

@@ -14,6 +14,7 @@ only in timestamps and runtimes.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import random
@@ -240,7 +241,8 @@ def _spectrum_data(cfg: SuiteConfig) -> Tuple[Dict[str, object], bool]:
     model = build_model(cfg.k, cfg.trunc)
     summary = spectrum_summary(model)
     if cfg.use_cache:
-        store_spectrum(_cache_dir(), model)
+        with contextlib.suppress(OSError):  # a cache that cannot be written costs only the cache
+            store_spectrum(_cache_dir(), model)
     return summary, False
 
 

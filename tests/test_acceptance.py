@@ -5,6 +5,7 @@ criterion; each test additionally writes a summary line with the measured
 values to the original stdout so it survives output capture.
 """
 
+import json
 import random
 import sys
 
@@ -196,9 +197,31 @@ def test_criterion_11_circle_localization():
     assert ok
 
 
+#: every check `hochheat all` runs, sorted: a change that drops, renames or adds
+#: a check updates this list on purpose
+SUITE_CHECK_IDS = [
+    "chern.degree.o1", "chern.todd-vs-harmonic", "chern.todd.integral", "cycles.boundary.omega2",
+    "cycles.boundary.omega4", "cycles.boundary.omega6", "cycles.normalized.omega2",
+    "cycles.normalized.omega4", "cycles.normalized.omega6", "harmonic.euler.k0",
+    "harmonic.euler.k1", "harmonic.euler.k2", "harmonic.euler.k3", "harmonic.euler.k4",
+    "harmonic.identity.k0", "harmonic.identity.k1", "harmonic.identity.k2", "harmonic.identity.k3",
+    "harmonic.identity.k4", "localization.long-time.gap", "localization.poisson",
+    "localization.short-time.bound", "localization.short-time.smallt", "mckean-singer.flat.k1",
+    "product.todd.x3", "shuffle.leibniz", "shuffle.multiplicative.2x2",
+    "shuffle.multiplicative.2x4", "spectrum.kernel.forms", "spectrum.kernel.sections",
+    "spectrum.susy.pairing", "symbol.volume.n1", "symbol.volume.n2", "symbol.volume.n3",
+    "tsygan.b.squared", "tsygan.bprime.squared", "tsygan.differential.squared",
+    "tsygan.intertwine", "tsygan.norm",
+]
+
+
 def test_command_line_suite_smoke(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("HOCHHEAT_CACHE_DIR", str(tmp_path))
-    code = main(["all"])
-    capsys.readouterr()
-    _report(12, code == 0, f"`hochheat all` exit code {code} (informational smoke check)")
-    assert code == 0
+    code = main(["--format", "json", "all"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    ids = sorted(c["id"] for c in checks)
+    failed = [c["id"] for c in checks if c["verdict"] != "pass"]
+    ok = code == 0 and ids == SUITE_CHECK_IDS and not failed
+    _report(12, ok, f"`hochheat all` exit code {code}, {len(ids)} checks, failed {failed}")
+    assert ids == SUITE_CHECK_IDS
+    assert code == 0 and not failed

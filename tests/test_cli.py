@@ -1,6 +1,7 @@
 """Tests for the report structures, suite runner, and command line."""
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from hochheat import chains, cli, spectral, suite
+from hochheat import chains, circle, cli, spectral, suite
 from hochheat.chains import TensorChain, bar_bprime, hochschild_b
 from hochheat.chern import ChartDensity, todd_density
 from hochheat.cli import main
@@ -189,20 +190,54 @@ def test_cli_exit_nonzero_on_failure(monkeypatch, capsys):
     assert "fail" in capsys.readouterr().out
 
 
+def _summary_with(**fields):
+    """The text of a valid cache file for (k, trunc) = (1, 8), with some fields replaced."""
+    return json.dumps({**spectral.spectrum_summary(spectral.build_model(1, 8)), **fields})
+
+
+def _cache_file(content):
+    """A cache directory whose file for (1, 8) holds `content`; it is rewritten on a miss."""
+    def make(tmp_path):
+        with open(cache_path(str(tmp_path), 1, 8), "w", encoding="utf-8") as fh:
+            fh.write(content() if callable(content) else content)
+        return str(tmp_path), True
+    return make
+
+
+def _directory_at_the_file(tmp_path):
+    os.mkdir(cache_path(str(tmp_path), 1, 8))
+    return str(tmp_path), False
+
+
+def _cache_dir_under_a_file(tmp_path):
+    (tmp_path / "file").write_text("")
+    return str(tmp_path / "file" / "sub"), False
+
+
 @pytest.mark.parametrize(
-    "content",
-    ["{not json", "[1, 2]", json.dumps({"k": 1, "trunc": 8, "tag": CONVENTION_TAG}),
-     "[" * 100000],
-    ids=["not-json", "not-an-object", "missing-fields", "nested-too-deeply"],
+    "make",
+    [_cache_file("{not json"), _cache_file("[1, 2]"),
+     _cache_file(json.dumps({"k": 1, "trunc": 8, "tag": CONVENTION_TAG})),
+     _cache_file("[" * 100000),
+     _cache_file(lambda: _summary_with(eigs1="x")),
+     _cache_file(lambda: _summary_with(eigs0=[[0.0]])),
+     _cache_file(lambda: _summary_with(dim_harmonic0=2.0)),
+     _cache_file(lambda: _summary_with(dim_harmonic1=False)),
+     _directory_at_the_file, _cache_dir_under_a_file],
+    ids=["not-json", "not-an-object", "missing-fields", "nested-too-deeply", "eigs1-not-a-list",
+         "short-cluster", "float-count", "bool-count", "directory-at-the-file",
+         "cache-dir-under-a-file"],
 )
-def test_cli_broken_cache_file_is_a_miss(tmp_path, capsys, monkeypatch, content):
-    monkeypatch.setenv("HOCHHEAT_CACHE_DIR", str(tmp_path))
-    path = cache_path(str(tmp_path), 1, 8)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(content)
+def test_cli_broken_cache_file_is_a_miss(tmp_path, capsys, monkeypatch, make):
+    # an unreadable file or a field of the wrong type or shape is a miss; an
+    # unwritable cache leaves the result uncached; neither is an error
+    cache_dir, writable = make(tmp_path)
+    monkeypatch.setenv("HOCHHEAT_CACHE_DIR", cache_dir)
     assert main(["spectrum", "--k", "1", "--trunc", "8"]) == 0
-    assert "(cached)" not in capsys.readouterr().out
-    assert load_spectrum(str(tmp_path), 1, 8)["dim_harmonic0"] == 2
+    out, err = capsys.readouterr()
+    assert "(cached)" not in out and err == ""
+    stored = load_spectrum(cache_dir, 1, 8)
+    assert stored["dim_harmonic0"] == 2 if writable else stored is None
 
 
 def _wrap_sign_flipped_b(c):
@@ -237,8 +272,22 @@ def _unsigned_shuffles(p, q, shuffles=chains._shuffles):
     return [(order, 0) for order, _ in shuffles(p, q)]
 
 
-def _offset_eigvalsh(a, eigvalsh=np.linalg.eigvalsh):
-    return eigvalsh(a) * (1 + 1e-9)
+def _degree_one_eigh(perturb):
+    """np.linalg.eigh with `perturb` applied to the eigenvalues of every second call.
+
+    `build_model` solves the degree-0 and then the degree-1 block of each
+    charge, so the perturbed calls are exactly the degree-1 solves.
+    """
+    real_eigh, calls = np.linalg.eigh, itertools.count()
+
+    def eigh(a):
+        lam, vecs = real_eigh(a)
+        return (perturb(lam) if next(calls) % 2 else lam), vecs
+    return eigh
+
+
+def _scaled_spectral_diagonal(t, length, real=circle.heat_diagonal_spectral):
+    return real(t, length) * (1 + 1e-12)
 
 
 def _doubled_dbar_star(a, b, n_trunc, k, dbar_star=spectral._dbar_star):
@@ -267,15 +316,18 @@ def _scaled_todd():
         (suite, "cyclic_tau", _unsigned_tau, ["tsygan", "--samples", "5"], "tsygan.intertwine"),
         (suite, "norm_n", _unsigned_norm, ["tsygan", "--samples", "5"], "tsygan.norm"),
         (chains, "_shuffles", _unsigned_shuffles, ["shuffle"], "shuffle.leibniz"),
-        (np.linalg, "eigvalsh", _offset_eigvalsh, ["mckean-singer"], "mckean-singer.flat.k1"),
+        (np.linalg, "eigh", _degree_one_eigh(lambda lam: lam * (1 + 1e-9)), ["mckean-singer"],
+         "mckean-singer.flat.k1"),
         (spectral, "_dbar_star", _doubled_dbar_star, ["spectrum", "--no-cache"],
          "spectrum.susy.pairing"),
         (spectral, "_dbar_star", _doubled_dbar_star, ["mckean-singer"], "mckean-singer.flat.k1"),
         (suite, "todd_density", _scaled_todd, ["chern-integrals"], "chern.todd.integral"),
+        (circle, "heat_diagonal_spectral", _scaled_spectral_diagonal, ["localization"],
+         "localization.short-time.bound"),
     ],
     ids=["boundary", "failures", "tolerance", "localization", "symbol-slot", "tau-sign",
          "norm-sign", "shuffle-sign", "eigenvalue-offset", "dbar-star-susy", "dbar-star-flat",
-         "todd-scale"],
+         "todd-scale", "spectral-diagonal-scale"],
 )
 def test_each_check_shape_can_fail(monkeypatch, capsys, owner, name, mutant, argv, check_id):
     monkeypatch.setattr(owner, name, mutant)
@@ -371,15 +423,12 @@ def test_grid_flag_refuses_non_finite_ends_and_huge_counts(text):
 
 
 def test_kernel_forms_check_can_fail(monkeypatch, capsys):
-    # only the degree-1 solve calls eigvalsh; zero the smallest eigenvalue of each block
-    real_eigvalsh = np.linalg.eigvalsh
-
-    def zeroed(a):
-        lam = real_eigvalsh(a)
+    # zero the smallest eigenvalue of each degree-1 block; degree 0 keeps its kernel
+    def zeroed(lam):
         lam[0] = 0.0
         return lam
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", zeroed)
+    monkeypatch.setattr(np.linalg, "eigh", _degree_one_eigh(zeroed))
     assert main(["--format", "json", "spectrum", "--no-cache"]) == 1
     verdicts = {c["id"]: c["verdict"] for c in json.loads(capsys.readouterr().out)["checks"]}
     assert verdicts["spectrum.kernel.forms"] == "fail"

@@ -21,7 +21,6 @@ from hochheat.spectral import (
     OperatorEscapeError,
     _apply_weyl,
     _charge_pairs,
-    _chi,
     _congruence,
     _dbar_chi,
     _dbar_star,
@@ -46,6 +45,16 @@ from hochheat.spectral import (
     store_spectrum,
 )
 from hochheat.weyl import WeylElement, add, d_var, monomial, mul, unit, z_var
+
+
+def _chi(a, b, n_trunc):
+    """The section basis function z^a zbar^b (1+|z|^2)^(-N)."""
+    return {(a, b, n_trunc): 1}
+
+
+def _psi(a, b, n_trunc):
+    """The dzbar coefficient z^a zbar^b (1+|z|^2)^(-(N+1)) of the form basis function psi_(a,b)."""
+    return {(a, b, n_trunc + 1): 1}
 
 
 def test_mono_integral_small_values():
@@ -317,6 +326,55 @@ def test_limit_supertrace_identity_reproduces_heat_flatness():
         assert abs(s - heat_supertrace(model, t)) <= 1e-10
 
 
+def _intertwined_degree_one_terms(model, op, grid):
+    """sum e^(-t lam_i) <op dbar e_i, dbar e_i> / lam_i over the nonzero degree-0 eigenvalues.
+
+    For k >= 0 the dbar e_i / sqrt(lam_i) are an orthonormal eigenbasis of
+    the degree-1 model with the same eigenvalues, so this is the degree-1 sum
+    of the limit supertrace without a degree-1 eigensolve; the reference.
+    Returns the sums and the sums of the terms' absolute values, the scale
+    of their rounding.
+    """
+    n, k = model.trunc, model.k
+    lams, diags = [], []
+    for block in model.blocks:
+        mat, scale = _pairing_matrix([_dbar_chi(a, b, n) for a, b in block.pairs], op, k)
+        v = [[sum(map(operator.mul, wi, col)) for col in zip(*mat)] for wi in block.w]
+        pairing = _round_congruence(v, block.w, block.norms, scale / block.scale)
+        keep = block.lam > 0
+        y = block.vecs[:, keep]
+        lams.append(block.lam[keep])
+        diags.append(np.einsum("ij,ij->j", y, pairing @ y) / block.lam[keep])
+    return ([sum(float((np.exp(-t * lam) * dg).sum()) for lam, dg in zip(lams, diags))
+             for t in grid],
+            [sum(float((np.exp(-t * lam) * np.abs(dg)).sum()) for lam, dg in zip(lams, diags))
+             for t in grid])
+
+
+def _eigenbasis_terms(model, op, degree, grid):
+    """sum e^(-t lam_i) <op e_i, e_i> over one degree's own eigenbasis."""
+    blocks = (model.blocks, model.forms)[degree]
+    mats = _operator_blocks(model, op, degree)
+    diags = [np.einsum("ij,ij->j", b.vecs, mats[bi] @ b.vecs) for bi, b in enumerate(blocks)]
+    return [sum(float((np.exp(-t * b.lam) * dg).sum()) for b, dg in zip(blocks, diags))
+            for t in grid]
+
+
+@pytest.mark.parametrize("k, n", [(0, 14), (1, 10), (2, 8), (3, 13)])
+def test_degree_one_limit_terms_match_the_intertwined_basis(k, n):
+    model = build_model(k, n)
+    grid = [0.3, 1.0, 4.0, 11.0]
+    for op in (unit(1), mul(z_var(1, 1), d_var(1, 1))):
+        # relative to the terms' absolute sum: at k = 0 the z d/dz terms cancel to 0
+        ref, scale = _intertwined_degree_one_terms(model, op, grid)
+        got = _eigenbasis_terms(model, op, 1, grid)
+        assert all(abs(x - y) <= 1e-12 * a for x, y, a in zip(got, ref, scale))
+        series, _ = limit_supertrace(model, op, grid)
+        deg0 = _eigenbasis_terms(model, op, 0, grid)
+        assert all(abs(s - (d - y)) <= 1e-12 * max(abs(d), a)
+                   for s, d, y, a in zip(series, deg0, ref, scale))
+
+
 def test_operator_escape_diagnostics():
     model = build_model(0, 8)
     with pytest.raises(OperatorEscapeError):
@@ -487,11 +545,11 @@ def test_closed_form_path_is_bit_identical_to_the_bareiss_oracle(monkeypatch, k,
         assert got.tobytes() == _oracle_congruence(gram, op, scale).tobytes()
     zd = mul(z_var(1, 1), d_var(1, 1))
     fact = [math.factorial(i) for i in range(2 * n + k + 2)]
-    which = range(len(model.blocks))
-    for side in ("sections", "forms"):
-        got = _operator_blocks(model, zd, side)
-        for bi, (mat, scale) in zip(which, _operator_pairings(model, zd, side, which)):
-            block = model.blocks[bi]
+    for degree, blocks in enumerate((model.blocks, model.forms)):
+        got = _operator_blocks(model, zd, degree)
+        which = range(len(blocks))
+        for bi, (mat, scale) in zip(which, _operator_pairings(model, zd, degree, which)):
+            block = blocks[bi]
             gram, _ = _reduced(_gram(block.pairs, fact), Fraction(1, fact[-1]))
             ref = _oracle_congruence(gram, mat, scale / block.scale)
             assert got[bi].tobytes() == ref.tobytes()
@@ -590,23 +648,19 @@ def _reference_congruence(gram, mat):
 
 
 def test_congruence_entries_are_within_two_ulp():
+    # each degree's largest block, against its own Gram, in its own basis
     k, n = 1, 8
     model = build_model(k, n)
-    bi = max(range(len(model.blocks)), key=lambda i: len(model.blocks[i].pairs))
-    pairs = model.blocks[bi].pairs
-    gram = [[mono_integral(a + b2, 2 * n + k + 2) for (_, b2) in pairs] for (a, _) in pairs]
-    forms = [_dbar_chi(a, b, n) for a, b in pairs]
-    sections = [_chi(a, b, n) for a, b in pairs]
     zd = mul(z_var(1, 1), d_var(1, 1))
-    cases = [
-        # the stiffness matrix, which the degree-0 eigensolve reduces
-        (_operator_blocks(model, unit(1), "forms")[bi],
-         [[pair_weighted(fj, fi, k) for fj in forms] for fi in forms]),
-        (_operator_blocks(model, zd, "sections")[bi],
-         [[pair_weighted(_apply_weyl(zd, fj), fi, k + 2) for fj in sections] for fi in sections]),
-    ]
-    for got, mat in cases:
-        ref = _reference_congruence(gram, mat)
+    for degree, (basis, extra) in enumerate([(_chi, k + 2), (_psi, k)]):
+        blocks = (model.blocks, model.forms)[degree]
+        bi = max(range(len(blocks)), key=lambda i: len(blocks[i].pairs))
+        pairs = blocks[bi].pairs
+        gram = [[mono_integral(a + b2, 2 * n + k + 2) for (_, b2) in pairs] for (a, _) in pairs]
+        funcs = [basis(a, b, n) for a, b in pairs]
+        got = _operator_blocks(model, zd, degree)[bi]
+        ref = _reference_congruence(
+            gram, [[pair_weighted(_apply_weyl(zd, fj), fi, extra) for fj in funcs] for fi in funcs])
         assert np.count_nonzero(ref) > len(pairs)
         for x, y in zip(got.ravel(), ref.ravel()):
             assert abs(x - y) <= 2 * math.ulp(y)
@@ -631,15 +685,19 @@ def _scaled(entries):
     return _reduced(mat, Fraction(1, top))
 
 
-def _reference_pairings(model, op, side, bi):
-    """<op f_j, f_i> of one block with one `_pairing` call per entry, row by row; the reference."""
-    n, k = model.trunc, model.k
+def _pairing_matrix(funcs, op, extra):
+    """<op f_j, f_i> with one `_pairing` call per entry, row by row; the reference."""
     den = math.lcm(*(c.denominator for _, c in op.terms))
-    basis, extra = (_chi, k + 2) if side == "sections" else (_dbar_chi, k)
-    funcs = [basis(a, b, n) for a, b in model.blocks[bi].pairs]
     applied = [{key: int(c * den) for key, c in _apply_weyl(op, f).items()} for f in funcs]
     mat, scale = _scaled([[_pairing(fj, fi, extra) for fj in applied] for fi in funcs])
     return mat, scale / den
+
+
+def _reference_pairings(model, op, degree, bi):
+    """The reference pairing of one block: chi with weight k+2, or psi with weight k."""
+    basis, extra = [(_chi, model.k + 2), (_psi, model.k)][degree]
+    pairs = (model.blocks, model.forms)[degree][bi].pairs
+    return _pairing_matrix([basis(a, b, model.trunc) for a, b in pairs], op, extra)
 
 
 def _moments(m):
@@ -654,18 +712,18 @@ def _outcome(assemble):
         return type(exc)
 
 
-def _both_assemblies(model, op, side):
-    which = range(len(model.blocks))
-    return (_outcome(lambda: list(_operator_pairings(model, op, side, which))),
-            _outcome(lambda: [_reference_pairings(model, op, side, bi) for bi in which]))
+def _both_assemblies(model, op, degree):
+    which = range(len((model.blocks, model.forms)[degree]))
+    return (_outcome(lambda: list(_operator_pairings(model, op, degree, which))),
+            _outcome(lambda: [_reference_pairings(model, op, degree, bi) for bi in which]))
 
 
 @pytest.mark.parametrize("k, n", [(0, 6), (1, 10), (3, 12)])
 def test_lifted_operator_blocks_equal_the_pairing_kernel(k, n):
     model = build_model(k, n)
     for op in _OPERATORS:
-        for side in ("sections", "forms"):
-            new, ref = _both_assemblies(model, op, side)
+        for degree in (0, 1):
+            new, ref = _both_assemblies(model, op, degree)
             assert isinstance(ref, list)
             assert new == ref
 
@@ -681,34 +739,34 @@ def one_variable_elements(draw, max_z):
 
 @given(st.sampled_from([(0, 3), (1, 4), (2, 5)]).flatmap(
     lambda kn: st.tuples(st.just(kn), one_variable_elements(kn[1]))),
-    st.sampled_from(["sections", "forms"]))
+    st.sampled_from([0, 1]))
 @settings(max_examples=60, deadline=None)
-def test_lifted_operator_blocks_equal_the_pairing_kernel_on_random_elements(case, side):
+def test_lifted_operator_blocks_equal_the_pairing_kernel_on_random_elements(case, degree):
     (k, n), op = case
-    new, ref = _both_assemblies(build_model(k, n), op, side)
+    new, ref = _both_assemblies(build_model(k, n), op, degree)
     assert new == ref
 
 
 def test_lifted_assembly_raises_what_the_pairing_kernel_raises():
     model = build_model(0, 8)
     for op in (monomial(1, (9,), (0,)), monomial(1, (8,), (0,))):
-        for side in ("sections", "forms"):
-            assert _both_assemblies(model, op, side) == (OperatorEscapeError,) * 2
-    for side in ("sections", "forms"):
+        for degree in (0, 1):
+            assert _both_assemblies(model, op, degree) == (OperatorEscapeError,) * 2
+    for degree in (0, 1):
         with pytest.raises(OperatorEscapeError):
-            _operator_blocks(model, z_var(1, n=2), side)
+            _operator_blocks(model, z_var(1, n=2), degree)
         with pytest.raises(OperatorEscapeError):
-            _reference_pairings(model, z_var(1, n=2), side, 0)
+            _reference_pairings(model, z_var(1, n=2), degree, 0)
     # one image against one basis function: a neutral term too high diverges, and the
     # identically zero image of test_pairing_handles_cancelling_divergences lifts to 0
     one = {(0, 0, 0): 1}
     with pytest.raises(DivergentIntegralError):
         _pairing({(2, 2, 1): 1}, one, 2)
     with pytest.raises(DivergentIntegralError):
-        _moment_block([_lift({(2, 2, 1): 1}, 1)], [_lift(one, 0)], _moments(3))
+        _moment_block([_lift({(2, 2, 1): 1}, 1)], [(0, 0)], _moments(3))
     zero = {(1, 1, 1): 1, (1, 1, 2): -1, (2, 2, 2): -1}
     assert _pairing(zero, one, 2)[0] == 0
-    assert _moment_block([_lift(zero, 2)], [_lift(one, 0)], _moments(4)) == [[0]]
+    assert _moment_block([_lift(zero, 2)], [(0, 0)], _moments(4)) == [[0]]
 
 
 def test_lifted_image_converges_where_its_terms_diverge_one_by_one():
@@ -722,7 +780,7 @@ def test_lifted_image_converges_where_its_terms_diverge_one_by_one():
     for key, c in image.items():
         with pytest.raises(OperatorEscapeError):
             _pairing({key: c}, _chi(8, 8, 8), 2)
-    new, ref = _both_assemblies(model, op, "sections")
+    new, ref = _both_assemblies(model, op, 0)
     assert isinstance(ref, list)
     assert new == ref
 
@@ -732,8 +790,10 @@ def test_harmonic_supertrace_builds_only_the_kernel_blocks():
     harmonic_supertrace(model, unit(1))
     kernel_blocks = {bi for bi, _ in model.harmonic0}
     assert len(kernel_blocks) == model.k + 1 < len(model.blocks)
-    assert set(model._op_cache) == {("sections", unit(1), bi) for bi in kernel_blocks}
+    assert set(model._op_cache) == {(0, unit(1), bi) for bi in kernel_blocks}
+    # for k >= 0 the degree-1 kernel is empty, so no degree-1 block is built
+    assert not model.harmonic1 and all(degree == 0 for degree, _, _ in model._op_cache)
     grid = [0.5, 2.0, 11.0]
     fresh = build_model(0, 14)
     assert limit_supertrace(model, unit(1), grid) == limit_supertrace(fresh, unit(1), grid)
-    assert len(model._op_cache) == 2 * len(model.blocks)
+    assert len(model._op_cache) == len(model.blocks) + len(model.forms)
