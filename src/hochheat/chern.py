@@ -62,23 +62,6 @@ def todd_density() -> ChartDensity:
     return ChartDensity("todd", fn)
 
 
-def volume_density() -> ChartDensity:
-    """Unit-mass volume density of the chart metric."""
-    base = chern_density(1)
-    return ChartDensity("volume", base.fn)
-
-
-def transformed_density(density: ChartDensity, angle: float, shift: Tuple[float, float]) -> ChartDensity:
-    """Pullback under a rotation followed by a shift (area preserving)."""
-    c, s = math.cos(angle), math.sin(angle)
-    dx, dy = shift
-
-    def fn(x, y):
-        return density(c * x - s * y + dx, s * x + c * y + dy)
-
-    return ChartDensity(f"{density.name}@rot{angle:.3f}", fn)
-
-
 @dataclass(frozen=True)
 class QuadratureResult:
     value: float
@@ -150,11 +133,6 @@ def integrate_chart(
                 return QuadratureResult(value, err, True, level, method)
         previous = value
     return QuadratureResult(value, err, False, levels - 1, method)
-
-
-def integrate_todd_p1(**kwargs) -> QuadratureResult:
-    """Integral of the sphere's Todd density; the exact answer is 1."""
-    return integrate_chart(todd_density(), **kwargs)
 
 
 @dataclass(frozen=True)

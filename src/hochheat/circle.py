@@ -16,9 +16,11 @@ times the kernel diagonal, so for short times it is the free-line value
 taken with the smaller of the two circumferences, so it covers every
 placement of the bump in the union.  The trace is the eigenvalue sum, so
 the short-time check compares it with a tail of the other series.
-Long-time deviations from the equilibrium value (1/L) integral phi fall
-below one ulp of the trace itself, so they are accumulated directly from
-the spectral tail instead of by subtraction.
+At long times the trace relaxes to the equilibrium value (1/L) integral phi
+at the rate of the first spectral gap.  Those times are read in units of
+the relaxation time L^2/(4 pi^2), so the deviation, taken from the image
+sum, stays far above the rounding of the subtraction, and the eigenvalue
+series bounds it from both sides.
 """
 
 from __future__ import annotations
@@ -79,11 +81,6 @@ def poisson_deviation(t: float, length: float) -> float:
 def _image_tail(t: float, length: float) -> float:
     """2 (4 pi t)^(-1/2) sum_(n>=1) exp(-(n length)^2 / (4 t)), no cancellation."""
     return _theta_tail(length * length / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
-
-
-def _spectral_tail(t: float, length: float) -> float:
-    """(2/length) sum_(j>=1) exp(-4 pi^2 j^2 t / length^2), no cancellation."""
-    return _theta_tail(4.0 * math.pi**2 * t / (length * length)) / length
 
 
 #: the exact integral, which a localization run takes a dozen times, costs
@@ -187,23 +184,33 @@ def compare_localization(
 class LongTimeRow:
     t: float
     deviation: float
+    floor: float
     bound: float
 
 
-def long_time_rows(length: float, bump: BumpFunction, t_grid: Sequence[float]) -> List[LongTimeRow]:
-    """Deviation of the localized trace from its equilibrium, with gap bound.
+def long_time_rows(length: float, bump: BumpFunction, s_grid: Sequence[float]) -> List[LongTimeRow]:
+    """Deviation of the localized trace from its equilibrium, between two gap bounds.
 
-    deviation = |Tr(phi e^(-t Laplacian)) - (1/L) integral phi|, accumulated
-    from the spectral tail; bound = 3 exp(-4 pi^2 t / L^2) integral phi,
-    valid for L not below ~2/3 (the first gap term dominates the rest).
+    Each s is a time in units of the relaxation time, t = s L^2 / (4 pi^2),
+    so g = 4 pi^2 t / L^2 = s.  deviation = (integral phi) (image sum - 1/L),
+    the image sum being the kernel diagonal computed without the eigenvalue
+    series.  That series puts it at (2/L) (integral phi) sum_(j>=1) e^(-g j^2),
+    which lies between floor = (2/L) e^(-g) integral phi and
+    bound = floor / (1 - e^(-3g)), since j^2 - 1 >= 3 (j - 1).  Both are
+    widened by 8 ulp of 1/L times integral phi, twice the largest rounding
+    error of the subtraction measured against 60-digit arithmetic (L from
+    0.05 to 10, s from 1 to 10).
     """
-    grid = [float(t) for t in t_grid]
-    if not grid or any(t <= 0 for t in grid):
-        raise ValueError("t_grid must be non-empty with positive entries")
+    grid = [float(s) for s in s_grid]
+    if not grid or any(s <= 0 for s in grid):
+        raise ValueError("s_grid must be non-empty with positive entries")
     mass = bump.integral()
+    allowance = 8.0 * math.ulp(1.0 / length) * mass
     rows = []
-    for t in grid:
-        deviation = mass * _spectral_tail(t, length)
-        bound = 3.0 * math.exp(-4.0 * math.pi**2 * t / (length * length)) * mass
-        rows.append(LongTimeRow(t, deviation, bound))
+    for s in grid:
+        t = s * length * length / (4.0 * math.pi**2)
+        deviation = mass * heat_diagonal_images(t, length) - mass / length
+        floor = 2.0 / length * math.exp(-s) * mass
+        bound = floor / -math.expm1(-3.0 * s)
+        rows.append(LongTimeRow(t, deviation, floor - allowance, bound + allowance))
     return rows

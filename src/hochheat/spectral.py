@@ -22,8 +22,8 @@ product reduces to
     integral z^s zbar^s (1+|z|^2)^(-m) (1/pi) dx dy = s! (m-s-2)! / (m-1)!
 
 so every matrix is an integer matrix times one exact rational scale: the
-Gram entries are s! (M-s-2)! over (M-1)! with M = 2N+k+2, and the integer
-pairing kernel returns numerators over (m-1)!.  The Gram and stiffness
+Gram entries are s! (M-s-2)! over (M-1)! with M = 2N+k+2, and each
+operator pairing is a numerator over (m-1)!.  The Gram and stiffness
 matrices are block diagonal over the charge q = a - b.  Index j of block q
 is the power of r = |z|^2 past r^|q|, so its Gram block is the Hankel
 moment matrix G_ij = (i+j+alpha)! (M-i-j-alpha-2)! of r^alpha (1+r)^(-M)
@@ -62,10 +62,10 @@ largest power of (1+|z|^2) the operator reaches, so entry (i, j) is the
 sum of c s! (m-s-2)!, s = a + b_i, over its charge-matched terms c z^a zbar^b.
 Each basis function has one charge and the top-degree part of a product of
 polynomials cannot cancel, so a pair fails to integrate exactly when its
-top degrees add up past 2m - 3; the check raises what the generic kernel
-`_pairing` raises on the same pair.  Blocks are built on demand and cached
-per (degree, operator, block), so `harmonic_supertrace` builds only the
-blocks that hold a kernel vector.
+top degrees add up past 2m - 3; the check raises what the generic pairing
+kernel of the test oracles (`tests/oracles.py`) raises on the same pair.
+Blocks are built on demand and cached per (degree, operator, block), so
+`harmonic_supertrace` builds only the blocks that hold a kernel vector.
 """
 
 from __future__ import annotations
@@ -98,9 +98,6 @@ MAX_TRUNC = 40
 #: sum c * z^a zbar^b (1+|z|^2)^(-g)
 WeightedFn = Dict[Tuple[int, int, int], Rational]
 
-#: a pairing value numerator / (m - 1)! as (numerator, m)
-Pairing = Tuple[int, int]
-
 IntMat = List[List[int]]
 
 
@@ -116,45 +113,6 @@ class IllConditionedGramError(RuntimeError):
     """The basis Gram matrix is numerically unusable."""
 
 
-def _pairing(f: WeightedFn, g: WeightedFn, extra: int) -> Pairing:
-    """Hermitian pairing of integer-coefficient functions, as an exact integer kernel.
-
-    Returns (numerator, m) with <f, g> = numerator / (m-1)!, the pairing
-    taken with an additional weight (1+|z|^2)^(-extra).  The product is
-    brought to a common denominator before integrating so that divergent
-    pieces that cancel algebraically are recognized; any surviving
-    non-integrable term raises.
-    """
-    prod: Dict[Tuple[int, int, int], int] = {}
-    for (a1, b1, g1), c1 in f.items():
-        for (a2, b2, g2), c2 in g.items():
-            key = (a1 + b2, b1 + a2, g1 + g2)
-            prod[key] = prod.get(key, 0) + c1 * c2
-    prod = {key: c for key, c in prod.items() if c}
-    if not prod:
-        return 0, 1
-    gmax = max(gk for (_, _, gk) in prod)
-    flat = _lift(prod, gmax)
-    m = gmax + extra
-    # angular components with nonzero net charge integrate to zero, but the
-    # leading radial power must still be absolutely integrable
-    for zp, bp in flat:
-        if zp != bp and zp + bp > 2 * m - 3:
-            raise OperatorEscapeError(
-                "pairing leaves the square-integrable truncation "
-                f"(angular charge {zp - bp}, radial degree {zp + bp}, weight {m})"
-            )
-    total = 0
-    for (zp, bp), c in flat.items():
-        if zp != bp:
-            continue
-        if m < zp + 2:
-            raise DivergentIntegralError(
-                f"integral of |z|^{2 * zp} against (1+|z|^2)^(-{m}) diverges")
-        total += c * factorial(zp) * factorial(m - zp - 2)
-    return total, m
-
-
 def _lift(f: WeightedFn, power: int) -> Dict[Tuple[int, int], int]:
     """The numerator of f over (1+|z|^2)^power >= every power in f, as {(a, b): c}."""
     flat: Dict[Tuple[int, int], int] = {}
@@ -164,30 +122,6 @@ def _lift(f: WeightedFn, power: int) -> Dict[Tuple[int, int], int]:
             key = (a + j, b + j)
             flat[key] = flat.get(key, 0) + c * comb(lift, j)
     return {key: c for key, c in flat.items() if c}
-
-
-def _as_fraction(value: Pairing) -> Fraction:
-    num, m = value
-    return Fraction(num, factorial(m - 1)) if num else Fraction(0)
-
-
-def _cleared(f: WeightedFn) -> Tuple[Dict[Tuple[int, int, int], int], int]:
-    """f times the lcm of its coefficient denominators, and that lcm."""
-    den = math.lcm(*(Fraction(c).denominator for c in f.values()))
-    return {key: int(c * den) for key, c in f.items()}, den
-
-
-def mono_integral(s: int, m: int) -> Fraction:
-    """integral z^s zbar^s (1+|z|^2)^(-m) (1/pi) dx dy, exact."""
-    mono = {(s, 0, 0): 1}
-    return _as_fraction(_pairing(mono, mono, m))
-
-
-def pair_weighted(f: WeightedFn, g: WeightedFn, extra: int) -> Fraction:
-    """Hermitian pairing <f, g> with an additional weight (1+|z|^2)^(-extra), exact."""
-    fi, df = _cleared(f)
-    gi, dg = _cleared(g)
-    return _as_fraction(_pairing(fi, gi, extra)) / (df * dg)
 
 
 # ---------------------------------------------------------------------------
@@ -332,25 +266,6 @@ class SpectralModel:
     _op_cache: Dict[Tuple[int, WeylElement, int], np.ndarray] = field(  # (degree, op, block index)
         repr=False, default_factory=dict
     )
-
-    def harmonic0_coordinates(self) -> List[Dict[Tuple[int, int], float]]:
-        """Numerical kernel vectors as coordinates over the (a, b) basis.
-
-        The coordinates are R^T y for a reduced eigenvector y, with
-        R = D^(-1/2) L^-1 = diag(1 / sqrt(scale norms[j])) W rounded once per
-        entry.
-        """
-        out = []
-        for bi, col in self.harmonic0:
-            block = self.blocks[bi]
-            sc = block.scale
-            r = np.zeros((len(block.w), len(block.w)))
-            for j, row in enumerate(block.w):
-                r[j, :j + 1] = [_scaled_root(v, sc.denominator, sc.numerator * block.norms[j])
-                                for v in row]
-            x = r.T @ block.vecs[:, col]
-            out.append({pair: x[i] for i, pair in enumerate(block.pairs)})
-        return out
 
 
 def _dbar_chi(a: int, b: int, n_trunc: int) -> WeightedFn:
@@ -535,7 +450,8 @@ def _moment_block(images: List[Dict[Tuple[int, int], int]], pairs: List[Tuple[in
     sum c mom[a + b_i] over the charge-q terms c z^a zbar^b of image j.  A
     pair escapes (diverges) when the top degree of the image's other-charge
     (charge-q) terms plus a_i + b_i exceeds 2m - 3; pairs are checked in
-    row-major order, as `_pairing` would be.
+    row-major order, as the generic pairing kernel of `tests/oracles.py`
+    would check them.
     """
     m = len(mom) + 1
     q = pairs[0][0] - pairs[0][1]

@@ -15,8 +15,8 @@ product of monomials, in `mul` and in the chain operators, goes through
 
 whose coefficients `_reorder` keeps in a small table, and distinct
 variables reorder independently.  The formula is cross-checked in the
-tests against `apply`, the action of an element on an ordinary
-polynomial, which is defined without any reordering.
+tests against the action of an element on an ordinary polynomial, which
+is defined without any reordering (`apply` in `tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -27,13 +27,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
 from operator import itemgetter
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 Exponents = Tuple[int, ...]
 #: a normal-ordered monomial z^z_exp d^d_exp as (z_exp, d_exp)
 Key = Tuple[Exponents, Exponents]
-#: plain commutative polynomial in z1..zn: exponent vector -> coefficient
-Polynomial = Dict[Exponents, Fraction]
 _ONE = Fraction(1)
 
 
@@ -114,10 +112,6 @@ def d_var(i: int, n: int) -> WeylElement:
     return WeylElement(n, ((((0,) * n, e), _ONE),))
 
 
-def monomial(n: int, z_exp: Exponents, d_exp: Exponents, coeff=1) -> WeylElement:
-    return WeylElement.from_terms(n, [((z_exp, d_exp), Fraction(coeff))])
-
-
 def add(a: WeylElement, b: WeylElement) -> WeylElement:
     if a.n != b.n:
         raise ValueError("cannot add elements with different variable counts")
@@ -178,56 +172,6 @@ def mul(a: WeylElement, b: WeylElement) -> WeylElement:
     den = da * db
     return WeylElement(a.n, tuple(sorted(((key, Fraction(k, den)) for key, k in acc.items() if k),
                                          key=itemgetter(0), reverse=True)))
-
-
-def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
-    return add(mul(a, b), scale(-1, mul(b, a)))
-
-
-def apply(a: WeylElement, p: Mapping[Exponents, Fraction]) -> Polynomial:
-    """Act with a on a polynomial in z1..zn (the differential-operator action).
-
-    This is the independent oracle for the reordering rule: the action of
-    z^p d^q is defined directly by falling factorials, so
-    apply(mul(a, b), f) == apply(a, apply(b, f)) exercises `mul` without
-    assuming its closed form.
-    """
-    out: Polynomial = {}
-    for (z_exp, d_exp), coeff in a.terms:
-        for exps, pc in p.items():
-            if len(exps) != a.n:
-                raise ValueError("polynomial arity does not match element")
-            c = coeff * pc
-            ok = True
-            new = []
-            for i in range(a.n):
-                q = d_exp[i]
-                m = exps[i]
-                if q > m:
-                    ok = False
-                    break
-                for r in range(q):
-                    c *= m - r
-                new.append(m - q + z_exp[i])
-            if not ok or not c:
-                continue
-            key = tuple(new)
-            tot = out.get(key, Fraction(0)) + c
-            if tot:
-                out[key] = tot
-            elif key in out:
-                del out[key]
-    return out
-
-
-def disjoint_embed(a: WeylElement, offset: int, total: int) -> WeylElement:
-    """Re-index a into the algebra on `total` variables, shifting by `offset`."""
-    if offset < 0 or a.n + offset > total:
-        raise ValueError("embedding does not fit in target algebra")
-    pad_l = (0,) * offset
-    pad_r = (0,) * (total - a.n - offset)
-    return WeylElement(total, tuple(((pad_l + z + pad_r, pad_l + d + pad_r), c)
-                                    for (z, d), c in a.terms))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,218 @@
+"""Independent oracles that the library is checked against.
+
+Nothing in the program calls these; each computes a quantity the library
+also computes, by a route that shares none of its shortcuts:
+
+* `_pairing`, the generic Hermitian pairing of weighted chart functions, and
+  its wrappers `mono_integral` and `pair_weighted`, against the closed-form
+  Grams and the lifted operator assembly of `hochheat.spectral`;
+* `harmonic0_coordinates`, the kernel vectors of a model back-solved to the
+  (a, b) basis, against the holomorphic sections they must be;
+* `apply`, the action of a Weyl element on an ordinary polynomial, against
+  the reordering closed form of `hochheat.weyl.mul`, with `commutator`,
+  `disjoint_embed` and `monomial` to build the inputs;
+* `integrate_todd_p1`, `volume_density` and `transformed_density`, densities
+  whose integrals over the chart are known.
+
+The tests import this module as ``from oracles import ...``.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from math import factorial
+from typing import Dict, List, Mapping, Tuple
+
+import numpy as np
+
+from hochheat.chern import ChartDensity, QuadratureResult, chern_density, integrate_chart, todd_density
+from hochheat.spectral import (
+    DivergentIntegralError,
+    OperatorEscapeError,
+    SpectralModel,
+    WeightedFn,
+    _lift,
+    _scaled_root,
+)
+from hochheat.weyl import Exponents, WeylElement, add, mul, scale
+
+# ---------------------------------------------------------------------------
+# spectral: the generic pairing kernel
+# ---------------------------------------------------------------------------
+
+#: a pairing value numerator / (m - 1)! as (numerator, m)
+Pairing = Tuple[int, int]
+
+
+def _pairing(f: WeightedFn, g: WeightedFn, extra: int) -> Pairing:
+    """Hermitian pairing of integer-coefficient functions, as an exact integer kernel.
+
+    Returns (numerator, m) with <f, g> = numerator / (m-1)!, the pairing
+    taken with an additional weight (1+|z|^2)^(-extra).  The product is
+    brought to a common denominator before integrating so that divergent
+    pieces that cancel algebraically are recognized; any surviving
+    non-integrable term raises.
+    """
+    prod: Dict[Tuple[int, int, int], int] = {}
+    for (a1, b1, g1), c1 in f.items():
+        for (a2, b2, g2), c2 in g.items():
+            key = (a1 + b2, b1 + a2, g1 + g2)
+            prod[key] = prod.get(key, 0) + c1 * c2
+    prod = {key: c for key, c in prod.items() if c}
+    if not prod:
+        return 0, 1
+    gmax = max(gk for (_, _, gk) in prod)
+    flat = _lift(prod, gmax)
+    m = gmax + extra
+    # angular components with nonzero net charge integrate to zero, but the
+    # leading radial power must still be absolutely integrable
+    for zp, bp in flat:
+        if zp != bp and zp + bp > 2 * m - 3:
+            raise OperatorEscapeError(
+                "pairing leaves the square-integrable truncation "
+                f"(angular charge {zp - bp}, radial degree {zp + bp}, weight {m})"
+            )
+    total = 0
+    for (zp, bp), c in flat.items():
+        if zp != bp:
+            continue
+        if m < zp + 2:
+            raise DivergentIntegralError(
+                f"integral of |z|^{2 * zp} against (1+|z|^2)^(-{m}) diverges")
+        total += c * factorial(zp) * factorial(m - zp - 2)
+    return total, m
+
+
+def _as_fraction(value: Pairing) -> Fraction:
+    num, m = value
+    return Fraction(num, factorial(m - 1)) if num else Fraction(0)
+
+
+def _cleared(f: WeightedFn) -> Tuple[Dict[Tuple[int, int, int], int], int]:
+    """f times the lcm of its coefficient denominators, and that lcm."""
+    den = math.lcm(*(Fraction(c).denominator for c in f.values()))
+    return {key: int(c * den) for key, c in f.items()}, den
+
+
+def mono_integral(s: int, m: int) -> Fraction:
+    """integral z^s zbar^s (1+|z|^2)^(-m) (1/pi) dx dy, exact."""
+    mono = {(s, 0, 0): 1}
+    return _as_fraction(_pairing(mono, mono, m))
+
+
+def pair_weighted(f: WeightedFn, g: WeightedFn, extra: int) -> Fraction:
+    """Hermitian pairing <f, g> with an additional weight (1+|z|^2)^(-extra), exact."""
+    fi, df = _cleared(f)
+    gi, dg = _cleared(g)
+    return _as_fraction(_pairing(fi, gi, extra)) / (df * dg)
+
+
+def harmonic0_coordinates(model: SpectralModel) -> List[Dict[Tuple[int, int], float]]:
+    """Numerical kernel vectors of a model as coordinates over the (a, b) basis.
+
+    The coordinates are R^T y for a reduced eigenvector y, with
+    R = D^(-1/2) L^-1 = diag(1 / sqrt(scale norms[j])) W rounded once per
+    entry.
+    """
+    out = []
+    for bi, col in model.harmonic0:
+        block = model.blocks[bi]
+        sc = block.scale
+        r = np.zeros((len(block.w), len(block.w)))
+        for j, row in enumerate(block.w):
+            r[j, :j + 1] = [_scaled_root(v, sc.denominator, sc.numerator * block.norms[j])
+                            for v in row]
+        x = r.T @ block.vecs[:, col]
+        out.append({pair: x[i] for i, pair in enumerate(block.pairs)})
+    return out
+
+
+# ---------------------------------------------------------------------------
+# weyl: the polynomial action
+# ---------------------------------------------------------------------------
+
+#: plain commutative polynomial in z1..zn: exponent vector -> coefficient
+Polynomial = Dict[Exponents, Fraction]
+
+
+def monomial(n: int, z_exp: Exponents, d_exp: Exponents, coeff=1) -> WeylElement:
+    return WeylElement.from_terms(n, [((z_exp, d_exp), Fraction(coeff))])
+
+
+def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
+    return add(mul(a, b), scale(-1, mul(b, a)))
+
+
+def apply(a: WeylElement, p: Mapping[Exponents, Fraction]) -> Polynomial:
+    """Act with a on a polynomial in z1..zn (the differential-operator action).
+
+    This is the independent oracle for the reordering rule: the action of
+    z^p d^q is defined directly by falling factorials, so
+    apply(mul(a, b), f) == apply(a, apply(b, f)) exercises `mul` without
+    assuming its closed form.
+    """
+    out: Polynomial = {}
+    for (z_exp, d_exp), coeff in a.terms:
+        for exps, pc in p.items():
+            if len(exps) != a.n:
+                raise ValueError("polynomial arity does not match element")
+            c = coeff * pc
+            ok = True
+            new = []
+            for i in range(a.n):
+                q = d_exp[i]
+                m = exps[i]
+                if q > m:
+                    ok = False
+                    break
+                for r in range(q):
+                    c *= m - r
+                new.append(m - q + z_exp[i])
+            if not ok or not c:
+                continue
+            key = tuple(new)
+            tot = out.get(key, Fraction(0)) + c
+            if tot:
+                out[key] = tot
+            elif key in out:
+                del out[key]
+    return out
+
+
+def disjoint_embed(a: WeylElement, offset: int, total: int) -> WeylElement:
+    """Re-index a into the algebra on `total` variables, shifting by `offset`."""
+    if offset < 0 or a.n + offset > total:
+        raise ValueError("embedding does not fit in target algebra")
+    pad_l = (0,) * offset
+    pad_r = (0,) * (total - a.n - offset)
+    return WeylElement(total, tuple(((pad_l + z + pad_r, pad_l + d + pad_r), c)
+                                    for (z, d), c in a.terms))
+
+
+# ---------------------------------------------------------------------------
+# chern: densities with known integrals
+# ---------------------------------------------------------------------------
+
+
+def volume_density() -> ChartDensity:
+    """Unit-mass volume density of the chart metric."""
+    base = chern_density(1)
+    return ChartDensity("volume", base.fn)
+
+
+def transformed_density(density: ChartDensity, angle: float,
+                        shift: Tuple[float, float]) -> ChartDensity:
+    """Pullback under a rotation followed by a shift (area preserving)."""
+    c, s = math.cos(angle), math.sin(angle)
+    dx, dy = shift
+
+    def fn(x, y):
+        return density(c * x - s * y + dx, s * x + c * y + dy)
+
+    return ChartDensity(f"{density.name}@rot{angle:.3f}", fn)
+
+
+def integrate_todd_p1(**kwargs) -> QuadratureResult:
+    """Integral of the sphere's Todd density; the exact answer is 1."""
+    return integrate_chart(todd_density(), **kwargs)

@@ -22,13 +22,14 @@ from hochheat.chains import (
     shuffle_product,
     tsygan_d,
 )
-from hochheat.chern import chern_density, integrate_chart, integrate_product, integrate_todd_p1, todd_density
+from hochheat.chern import chern_density, integrate_chart, integrate_product, todd_density
 from hochheat.circle import BumpFunction, TwoCircles, compare_localization, long_time_rows, poisson_deviation
 from hochheat.cli import main
 from hochheat.forms import hkr_symbol, volume_form
 from hochheat.randomgen import random_chain, random_column_vector
 from hochheat.spectral import build_model, harmonic_supertrace, heat_supertrace, limit_supertrace
 from hochheat.weyl import d_var, mul, unit, z_var
+from oracles import integrate_todd_p1
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -182,17 +183,20 @@ def test_criterion_11_circle_localization():
     small_ratio = rows[0].bound / mass
     lrows = long_time_rows(1.0, bump, [1.0, 2.0, 4.0, 7.0, 10.0])
     lexcess = max(r.deviation - r.bound for r in lrows)
+    lshort = max(r.floor - r.deviation for r in lrows)
     ok = (
         poisson <= 1e-12
         and excess <= 1e-14
         and small_ratio <= 1e-10
         and lexcess <= 0.0
+        and lshort <= 0.0
     )
     _report(
         11,
         ok,
         f"poisson {poisson:.2e} (tol 1e-12), short-time excess {excess:.2e} (tol 1e-14), "
-        f"bound/mass at t=0.01 {small_ratio:.2e} (tol 1e-10), long-time excess {lexcess:.2e}",
+        f"bound/mass at t=0.01 {small_ratio:.2e} (tol 1e-10), long-time excess {lexcess:.2e} "
+        f"over the bound and {lshort:.2e} under the floor",
     )
     assert ok
 

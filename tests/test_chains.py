@@ -37,8 +37,9 @@ from hochheat.chains import (
 from hochheat.forms import hkr_symbol, volume_form
 from hochheat.randomgen import random_chain, random_column_vector, random_element
 from hochheat.weyl import (MAX_DEGREE, MAX_VARIABLES, WeylElement, d_var, format_element,
-                           format_monomial, mono_product, monomial, parse_element,
-                           parse_monomial, unit, z_var)
+                           format_monomial, mono_product, parse_element, parse_monomial, unit,
+                           z_var)
+from oracles import monomial
 
 
 def one_word(n, coeff, slots):
@@ -157,7 +158,8 @@ def test_shuffle_two_by_two_example():
     # moved to the second variable block
     n = 2
     head_terms = []
-    from hochheat.weyl import disjoint_embed, mul
+    from hochheat.weyl import mul
+    from oracles import disjoint_embed
 
     head = mul(disjoint_embed(a0, 0, n), disjoint_embed(b0, 1, n))
     e_a1 = disjoint_embed(a1, 0, n)

@@ -9,11 +9,9 @@ from hochheat.chern import (
     chern_density,
     integrate_chart,
     integrate_product,
-    integrate_todd_p1,
     todd_density,
-    transformed_density,
-    volume_density,
 )
+from oracles import integrate_todd_p1, transformed_density, volume_density
 
 
 def test_line_bundle_degrees():

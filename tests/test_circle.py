@@ -113,10 +113,11 @@ def test_bound_uses_smaller_circle():
 
 def test_long_time_gap_bound():
     bump = BumpFunction(0.35, 0.2, 2)
-    rows = long_time_rows(1.0, bump, [1.0, 2.0, 5.0, 10.0])
-    for row in rows:
-        assert row.deviation <= row.bound
-    assert rows[0].deviation > 0  # nontrivial at t = 1
+    for length in (1.0, 0.5, 1.7, 3.0):
+        rows = long_time_rows(length, bump, [1.0, 2.0, 5.0, 10.0])
+        for row in rows:
+            assert row.floor <= row.deviation <= row.bound
+        assert rows[0].deviation > 0  # nontrivial at one relaxation time
 
 
 def test_grid_validation():

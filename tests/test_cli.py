@@ -134,6 +134,17 @@ def test_cli_bump_and_grid_parsing(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [["--l1", "0.5", "--bump", "0.2,0.1,2"],
+                                  ["--l1", "0.6", "--l2", "0.7"]])
+def test_long_time_gap_holds_on_short_circles(argv, capsys):
+    # the first gap term scales as 1/L; the short-time 1e-10 target holds only on
+    # longer circles, so `localization.short-time.smallt` still fails here
+    main(["--format", "json", "localization", *argv])
+    verdicts = {c["id"]: c["verdict"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert verdicts["localization.long-time.gap"] == "pass"
+    assert verdicts["localization.short-time.smallt"] == "fail"
+
+
 def test_cli_spectrum_cache(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("HOCHHEAT_CACHE_DIR", str(tmp_path))
     assert main(["spectrum", "--k", "1", "--trunc", "8"]) == 0
@@ -290,6 +301,12 @@ def _scaled_spectral_diagonal(t, length, real=circle.heat_diagonal_spectral):
     return real(t, length) * (1 + 1e-12)
 
 
+def _halved_image_tail(t, length):
+    """The image-sum kernel diagonal with its tail over n != 0 halved."""
+    return ((1.0 + circle._theta_tail(length * length / (4.0 * t)) / 2)
+            / math.sqrt(4.0 * math.pi * t))
+
+
 def _doubled_dbar_star(a, b, n_trunc, k, dbar_star=spectral._dbar_star):
     """dbar* with its first coefficient doubled."""
     return {key: 2 * c if key[0] == a - 1 else c
@@ -324,10 +341,15 @@ def _scaled_todd():
         (suite, "todd_density", _scaled_todd, ["chern-integrals"], "chern.todd.integral"),
         (circle, "heat_diagonal_spectral", _scaled_spectral_diagonal, ["localization"],
          "localization.short-time.bound"),
+        # the top degree-1 cluster, 120 at (k, N) = (1, 10), moves by 1e-3
+        (np.linalg, "eigh", _degree_one_eigh(lambda lam: np.where(lam > 100, lam + 1e-3, lam)),
+         ["spectrum", "--no-cache"], "spectrum.susy.pairing"),
+        (circle, "heat_diagonal_images", _halved_image_tail, ["localization"],
+         "localization.long-time.gap"),
     ],
     ids=["boundary", "failures", "tolerance", "localization", "symbol-slot", "tau-sign",
          "norm-sign", "shuffle-sign", "eigenvalue-offset", "dbar-star-susy", "dbar-star-flat",
-         "todd-scale", "spectral-diagonal-scale"],
+         "todd-scale", "spectral-diagonal-scale", "susy-top-cluster", "halved-image-tail"],
 )
 def test_each_check_shape_can_fail(monkeypatch, capsys, owner, name, mutant, argv, check_id):
     monkeypatch.setattr(owner, name, mutant)

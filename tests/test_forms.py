@@ -8,7 +8,8 @@ from fractions import Fraction
 from hochheat.chains import TensorChain, normalize, omega_cycle
 from hochheat.forms import PolyForm, hkr_symbol, volume_form
 from hochheat.randomgen import random_element
-from hochheat.weyl import monomial, mul, unit, z_var
+from hochheat.weyl import mul, unit, z_var
+from oracles import monomial
 
 
 def random_monomial(rng: random.Random, n: int, z_only: bool = False, d_only: bool = False):

@@ -1,9 +1,9 @@
 """Exact arithmetic in the normal-ordered operator algebra.
 
-The reordering closed form is never trusted on its own: `apply` (the
-action on polynomials, defined by falling factorials only) serves as the
-independent oracle, and associativity / composition are checked on seeded
-random elements.
+The reordering closed form is never trusted on its own: `oracles.apply`
+(the action on polynomials, defined by falling factorials only) serves as
+the independent oracle, and associativity / composition are checked on
+seeded random elements.
 """
 
 from __future__ import annotations
@@ -21,13 +21,9 @@ from hochheat.weyl import (
     MAX_VARIABLES,
     WeylElement,
     add,
-    apply,
-    commutator,
     d_var,
-    disjoint_embed,
     format_element,
     mono_product,
-    monomial,
     mul,
     parse_element,
     scale,
@@ -35,6 +31,7 @@ from hochheat.weyl import (
     z_var,
     zero,
 )
+from oracles import apply, commutator, disjoint_embed, monomial
 
 
 def random_element(rng: random.Random, n: int, max_deg: int = 2, max_terms: int = 3):
