@@ -125,10 +125,6 @@ class TensorChain:
         return _collect(n, expanded)
 
     @staticmethod
-    def zero(n: int) -> "TensorChain":
-        return TensorChain(n, {}, 1)
-
-    @staticmethod
     def word(n: int, coeff, slots: Sequence[WeylElement]) -> "TensorChain":
         return TensorChain.from_terms(n, [(Fraction(coeff), tuple(slots))])
 
@@ -352,12 +348,6 @@ class TsyganColumnVector:
             acc[col] = acc[col] + chain if col in acc else chain
         items = tuple((c, acc[c]) for c in sorted(acc) if not acc[c].is_zero())
         return TsyganColumnVector(n, items)
-
-    def column(self, p: int) -> TensorChain:
-        for col, chain in self.entries:
-            if col == p:
-                return chain
-        return TensorChain.zero(self.n)
 
     def is_zero(self) -> bool:
         return not self.entries

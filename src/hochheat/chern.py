@@ -13,12 +13,11 @@ pointwise.
 The plane is integrated in polar coordinates with the compactifying
 substitution r = tan(theta/2), theta in (0, pi), which maps our rational
 densities to analytic integrands (for the O(m) density the radial factor
-becomes m sin(theta) / (4 pi)).  The radial rule is tanh-sinh by default,
-with Gauss-Legendre as an alternative; the angular direction uses the
-uniform periodic rule.  Each level doubles both directions and the
-difference of the last two levels gives the reported error estimate; if
-the tolerance is never met the result is flagged as not converged rather
-than raising.
+becomes m sin(theta) / (4 pi)).  The radial rule is tanh-sinh and the
+angular direction uses the uniform periodic rule.  Each level doubles both
+directions and the difference of the last two levels gives the reported
+error estimate; if the tolerance is never met the result is flagged as not
+converged rather than raising.
 """
 
 from __future__ import annotations
@@ -30,36 +29,21 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 _U_MAX = 4.0  # tanh-sinh truncation; weights beyond are ~1e-36
+_ANGULAR_NODES = 8  # angular nodes at level 0; each level doubles them
 
-
-@dataclass(frozen=True)
-class ChartDensity:
-    """A density on the affine chart, vectorized over numpy arrays."""
-
-    name: str
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-    def __call__(self, x, y):
-        return self.fn(x, y)
+#: a density on the affine chart, vectorized over numpy arrays
+ChartDensity = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def chern_density(m: int) -> ChartDensity:
     """Curvature density of O(m); integrates to m."""
-
-    def fn(x, y):
-        return m * (1.0 / math.pi) * (1.0 + x * x + y * y) ** -2.0
-
-    return ChartDensity(f"chern-O({m})", fn)
+    return lambda x, y: m * (1.0 / math.pi) * (1.0 + x * x + y * y) ** -2.0
 
 
 def todd_density() -> ChartDensity:
     """Degree-2 Todd density of the sphere: half the O(2) curvature."""
     half = chern_density(2)
-
-    def fn(x, y):
-        return 0.5 * half(x, y)
-
-    return ChartDensity("todd", fn)
+    return lambda x, y: 0.5 * half(x, y)
 
 
 @dataclass(frozen=True)
@@ -68,7 +52,6 @@ class QuadratureResult:
     error_estimate: float
     converged: bool
     levels_used: int
-    method: str
 
 
 def _tanh_sinh_nodes(level: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -82,20 +65,9 @@ def _tanh_sinh_nodes(level: int) -> Tuple[np.ndarray, np.ndarray]:
     return theta, weights
 
 
-def _gauss_nodes(level: int) -> Tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(16 * 2**level)
-    theta = 0.5 * math.pi * (nodes + 1.0)
-    return theta, 0.5 * math.pi * weights
-
-
-def _level_value(density: ChartDensity, method: str, level: int, base_angular: int) -> float:
-    if method == "tanh-sinh":
-        theta, w_rad = _tanh_sinh_nodes(level)
-    elif method == "gauss-legendre":
-        theta, w_rad = _gauss_nodes(level)
-    else:
-        raise ValueError(f"unknown quadrature method {method!r}; use 'tanh-sinh' or 'gauss-legendre'")
-    m_ang = base_angular * 2**level
+def _level_value(density: ChartDensity, level: int) -> float:
+    theta, w_rad = _tanh_sinh_nodes(level)
+    m_ang = _ANGULAR_NODES * 2**level
     phi = 2.0 * math.pi * np.arange(m_ang) / m_ang
     w_ang = 2.0 * math.pi / m_ang
     r = np.tan(0.5 * theta)
@@ -108,13 +80,7 @@ def _level_value(density: ChartDensity, method: str, level: int, base_angular: i
     return math.fsum(float(c) for c in columns)
 
 
-def integrate_chart(
-    density: ChartDensity,
-    method: str = "tanh-sinh",
-    levels: int = 6,
-    tol: float = 1e-10,
-    base_angular: int = 8,
-) -> QuadratureResult:
+def integrate_chart(density: ChartDensity, levels: int = 6, tol: float = 1e-10) -> QuadratureResult:
     """Integrate a chart density over the plane with level doubling.
 
     Returns the last level's value with the two-level difference as error
@@ -126,29 +92,22 @@ def integrate_chart(
     value = 0.0
     err = math.inf
     for level in range(levels):
-        value = _level_value(density, method, level, base_angular)
+        value = _level_value(density, level)
         if previous is not None:
             err = abs(value - previous)
             if err <= tol:
-                return QuadratureResult(value, err, True, level, method)
+                return QuadratureResult(value, err, True, level)
         previous = value
-    return QuadratureResult(value, err, False, levels - 1, method)
+    return QuadratureResult(value, err, False, levels - 1)
 
 
-@dataclass(frozen=True)
-class ProductResult:
-    value: float
-    error_estimate: float
-    converged: bool
-    factors: Tuple[QuadratureResult, ...]
-
-
-def integrate_product(densities: Sequence[ChartDensity], **kwargs) -> ProductResult:
+def integrate_product(densities: Sequence[ChartDensity], **kwargs) -> QuadratureResult:
     """Integral of an outer product density over a product of spheres.
 
     Fubini: the integral is the product of the factor integrals.  The error
-    estimate propagates the factor estimates to first order, and the result
-    converged only if every factor did.
+    estimate propagates the factor estimates to first order, the result
+    converged only if every factor did, and `levels_used` is the largest
+    of the factors'.
     """
     if not 1 <= len(densities) <= 4:
         raise ValueError(f"product integrals support 1 to 4 factors, got {len(densities)}")
@@ -157,4 +116,5 @@ def integrate_product(densities: Sequence[ChartDensity], **kwargs) -> ProductRes
     err = 0.0
     for i, f in enumerate(factors):
         err += f.error_estimate * math.prod(abs(g.value) for j, g in enumerate(factors) if j != i)
-    return ProductResult(value, err, all(f.converged for f in factors), factors)
+    return QuadratureResult(value, err, all(f.converged for f in factors),
+                            max(f.levels_used for f in factors))

@@ -15,7 +15,9 @@ times the kernel diagonal, so for short times it is the free-line value
 (integral phi) (4 pi t)^(-1/2) up to the image tail.  The tail bound is
 taken with the smaller of the two circumferences, so it covers every
 placement of the bump in the union.  The trace is the eigenvalue sum, so
-the short-time check compares it with a tail of the other series.
+the short-time check compares it with a tail of the other series.  Short
+times are read in units of Lmin^2, the smaller circumference squared, so
+the relative size of that tail depends on the time alone.
 At long times the trace relaxes to the equilibrium value (1/L) integral phi
 at the rate of the first spectral gap.  Those times are read in units of
 the relaxation time L^2/(4 pi^2), so the deviation, taken from the image
@@ -149,40 +151,39 @@ def free_line_trace(bump: BumpFunction, t: float) -> float:
 
 @dataclass(frozen=True)
 class LocalizationRow:
-    t: float
-    local_trace: float
     free_trace: float
     delta: float
     bound: float
 
 
 def compare_localization(
-    circles: TwoCircles, bump: BumpFunction, t_grid: Sequence[float]
+    circles: TwoCircles, bump: BumpFunction, s_grid: Sequence[float]
 ) -> List[LocalizationRow]:
     """Short-time comparison of the localized trace with the free-line value.
 
-    delta is the actual discrepancy on circle A; bound is the image tail of
-    the smaller circumference times the bump integral, which dominates delta
-    regardless of which circle carries the bump.
+    Each s is a time in units of the smaller circumference squared,
+    t = s Lmin^2, so bound / free_trace = 2 sum_(n>=1) exp(-n^2 / (4 s))
+    depends on s alone.  delta is the actual discrepancy on circle A; bound
+    is the image tail of the smaller circumference times the bump integral,
+    which dominates delta regardless of which circle carries the bump.
     """
-    grid = [float(t) for t in t_grid]
-    if not grid or any(t <= 0 for t in grid):
-        raise ValueError("t_grid must be non-empty with positive entries")
+    grid = [float(s) for s in s_grid]
+    if not grid or any(s <= 0 for s in grid):
+        raise ValueError("s_grid must be non-empty with positive entries")
     lmin = min(circles.length_a, circles.length_b)
     mass = bump.integral()
     rows = []
-    for t in grid:
-        local = localized_trace(circles, bump, t)
+    for s in grid:
+        t = s * lmin * lmin
         free = free_line_trace(bump, t)
-        delta = abs(local - free)
+        delta = abs(localized_trace(circles, bump, t) - free)
         bound = mass * _image_tail(t, lmin)
-        rows.append(LocalizationRow(t, local, free, delta, bound))
+        rows.append(LocalizationRow(free, delta, bound))
     return rows
 
 
 @dataclass(frozen=True)
 class LongTimeRow:
-    t: float
     deviation: float
     floor: float
     bound: float
@@ -212,5 +213,5 @@ def long_time_rows(length: float, bump: BumpFunction, s_grid: Sequence[float]) -
         deviation = mass * heat_diagonal_images(t, length) - mass / length
         floor = 2.0 / length * math.exp(-s) * mass
         bound = floor / -math.expm1(-3.0 * s)
-        rows.append(LongTimeRow(t, deviation, floor - allowance, bound + allowance))
+        rows.append(LongTimeRow(deviation, floor - allowance, bound + allowance))
     return rows

@@ -72,7 +72,6 @@ COMMANDS = {
     # --product also runs the product family
     "chern-integrals": (["chern"], [], "curvature and Todd integrals", [
         ("--levels", "levels", dict(type=int)),
-        ("--method", "method", dict(choices=("tanh-sinh", "gauss-legendre"))),
         ("--product", "product_factors", dict(
             type=int, metavar="N", help="also integrate the N-fold product of spheres (1..4)"))]),
     "localization": (["localization"], [], "bump localization of circle heat traces", [
@@ -80,7 +79,8 @@ COMMANDS = {
         ("--l2", "length_b", dict(type=float, metavar="L2", help="second circumference")),
         ("--bump", "bump", dict(type=_parse_bump, metavar="C,RHO,M")),
         ("--t-grid", "short_times", dict(type=_parse_grid, metavar="A:B:N", help=(
-            f"log-spaced short-time grid (default {_TIMES[0]:g}:{_TIMES[-1]:g}:{len(_TIMES)})")))]),
+            "log-spaced short-time grid in units of min(L1, L2)^2"
+            f" (default {_TIMES[0]:g}:{_TIMES[-1]:g}:{len(_TIMES)})")))]),
     "all": (list(FAMILIES), [], "run every family", [_SEED]),
 }
 

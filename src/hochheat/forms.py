@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial, prod
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 from .chains import TensorChain
 from .weyl import Key
@@ -42,14 +42,6 @@ class PolyForm:
 
     n: int
     terms: Tuple[Tuple[FormKey, Fraction], ...]
-
-    @staticmethod
-    def from_terms(n: int, raw: Iterable[Tuple[FormKey, Fraction]]) -> "PolyForm":
-        """The form sum(coeff * term), merged once into sorted nonzero terms."""
-        acc: Dict[FormKey, Fraction] = {}
-        for key, coeff in raw:
-            acc[key] = acc.get(key, Fraction(0)) + coeff
-        return PolyForm(n, tuple(sorted((key, c) for key, c in acc.items() if c)))
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -13,22 +13,17 @@ from .chains import TensorChain, TsyganColumnVector
 from .weyl import WeylElement
 
 
-def random_element(
-    rng: random.Random,
-    n: int,
-    max_deg: int = 2,
-    max_terms: int = 2,
-    allow_zero: bool = False,
-) -> WeylElement:
+def random_element(rng: random.Random, n: int, max_deg: int = 2) -> WeylElement:
+    """A nonzero element of one or two terms, exponents up to `max_deg`."""
     while True:
         terms = []
-        for _ in range(rng.randint(1, max_terms)):
+        for _ in range(rng.randint(1, 2)):
             z_exp = tuple(rng.randint(0, max_deg) for _ in range(n))
             d_exp = tuple(rng.randint(0, max_deg) for _ in range(n))
             coeff = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
             terms.append(((z_exp, d_exp), coeff))
         el = WeylElement.from_terms(n, terms)
-        if allow_zero or not el.is_zero():
+        if not el.is_zero():
             return el
 
 
@@ -47,15 +42,11 @@ def random_chain(
     return TensorChain.from_terms(n, raw)
 
 
-def random_column_vector(
-    rng: random.Random,
-    n: int,
-    max_col: int = 3,
-    max_degree: int = 3,
-) -> TsyganColumnVector:
+def random_column_vector(rng: random.Random, n: int) -> TsyganColumnVector:
+    """One or two entries in columns 0..3, each a chain of degree 0..3."""
     entries = []
     for _ in range(rng.randint(1, 2)):
-        col = rng.randint(0, max_col)
-        degree = rng.randint(0, max_degree)
+        col = rng.randint(0, 3)
+        degree = rng.randint(0, 3)
         entries.append((col, random_chain(rng, n, degree, words=rng.randint(1, 2), max_deg=1)))
     return TsyganColumnVector.from_entries(n, entries)

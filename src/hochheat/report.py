@@ -64,12 +64,6 @@ class VerificationReport:
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
-    @staticmethod
-    def from_json(text: str) -> "VerificationReport":
-        payload = json.loads(text)
-        checks = tuple(CheckResult(**c) for c in payload["checks"])
-        return VerificationReport(payload["version"], payload["timestamp"], checks)
-
     def to_text(self) -> str:
         headers = ("id", "verdict", "computed", "target", "tolerance", "claim")
         rows = [

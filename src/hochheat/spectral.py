@@ -259,7 +259,6 @@ class SpectralModel:
     eigs1: List[Tuple[float, int]]
     harmonic0: List[Tuple[int, int]]   # (block index, eigen column)
     harmonic1: List[Tuple[int, int]]   # (form block index, eigen column)
-    kernel_threshold: float
     basis_meta: Dict[str, object]
     _flat0: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
     _flat1: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
@@ -312,10 +311,11 @@ def _gram(pairs: List[Tuple[int, int]], fact: List[int]) -> IntMat:
     return [[fact[a + b2] * fact[top - a - b2 - 2] for (_, b2) in pairs] for (a, _) in pairs]
 
 
-def _cluster(values: np.ndarray, rel: float = 1e-8) -> List[Tuple[float, int]]:
+def _cluster(values: np.ndarray) -> List[Tuple[float, int]]:
+    """Sorted (mean, multiplicity) clusters of values within 1e-8 relative of each other."""
     out: List[Tuple[float, int]] = []
     for v in np.sort(values):
-        if out and abs(v - out[-1][0]) <= rel * max(1.0, abs(out[-1][0])):
+        if out and abs(v - out[-1][0]) <= 1e-8 * max(1.0, abs(out[-1][0])):
             prev, mult = out[-1]
             out[-1] = ((prev * mult + v) / (mult + 1), mult + 1)
         else:
@@ -397,7 +397,6 @@ def build_model(k: int, trunc: int, cond_limit: float = 1e16) -> SpectralModel:
         eigs1=_cluster(flat[1]),
         harmonic0=harmonic[0],
         harmonic1=harmonic[1],
-        kernel_threshold=threshold,
         basis_meta={
             "tag": CONVENTION_TAG,
             "basis": "z^a zbar^b (1+|z|^2)^(-N), 0<=a<=N+k, 0<=b<=N",

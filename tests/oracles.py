@@ -14,19 +14,26 @@ also computes, by a route that shares none of its shortcuts:
 * `integrate_todd_p1`, `volume_density` and `transformed_density`, densities
   whose integrals over the chart are known.
 
+It also keeps the readers that only the tests need: `report_from_json`,
+`column` of a bicomplex vector and `form_from_terms`.
+
 The tests import this module as ``from oracles import ...``.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from math import factorial
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 import numpy as np
 
-from hochheat.chern import ChartDensity, QuadratureResult, chern_density, integrate_chart, todd_density
+from hochheat.chains import TensorChain, TsyganColumnVector
+from hochheat.chern import ChartDensity, QuadratureResult, integrate_chart, todd_density
+from hochheat.forms import FormKey, PolyForm
+from hochheat.report import CheckResult, VerificationReport
 from hochheat.spectral import (
     DivergentIntegralError,
     OperatorEscapeError,
@@ -197,8 +204,7 @@ def disjoint_embed(a: WeylElement, offset: int, total: int) -> WeylElement:
 
 def volume_density() -> ChartDensity:
     """Unit-mass volume density of the chart metric."""
-    base = chern_density(1)
-    return ChartDensity("volume", base.fn)
+    return lambda x, y: (1.0 + x * x + y * y) ** -2.0 / math.pi
 
 
 def transformed_density(density: ChartDensity, angle: float,
@@ -206,13 +212,34 @@ def transformed_density(density: ChartDensity, angle: float,
     """Pullback under a rotation followed by a shift (area preserving)."""
     c, s = math.cos(angle), math.sin(angle)
     dx, dy = shift
-
-    def fn(x, y):
-        return density(c * x - s * y + dx, s * x + c * y + dy)
-
-    return ChartDensity(f"{density.name}@rot{angle:.3f}", fn)
+    return lambda x, y: density(c * x - s * y + dx, s * x + c * y + dy)
 
 
 def integrate_todd_p1(**kwargs) -> QuadratureResult:
     """Integral of the sphere's Todd density; the exact answer is 1."""
     return integrate_chart(todd_density(), **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# readers only the tests need
+# ---------------------------------------------------------------------------
+
+
+def report_from_json(text: str) -> VerificationReport:
+    """The report that `VerificationReport.to_json` wrote."""
+    payload = json.loads(text)
+    checks = tuple(CheckResult(**c) for c in payload["checks"])
+    return VerificationReport(payload["version"], payload["timestamp"], checks)
+
+
+def column(v: TsyganColumnVector, p: int) -> TensorChain:
+    """The chain in column p of a bicomplex vector (zero if absent)."""
+    return dict(v.entries).get(p, TensorChain(v.n, {}, 1))
+
+
+def form_from_terms(n: int, raw: Iterable[Tuple[FormKey, Fraction]]) -> PolyForm:
+    """The form sum(coeff * term), merged once into sorted nonzero terms."""
+    acc: Dict[FormKey, Fraction] = {}
+    for key, coeff in raw:
+        acc[key] = acc.get(key, Fraction(0)) + coeff
+    return PolyForm(n, tuple(sorted((key, c) for key, c in acc.items() if c)))

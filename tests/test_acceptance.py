@@ -173,14 +173,13 @@ def test_criterion_10_quadrature_matches_spectral_count():
 def test_criterion_11_circle_localization():
     circles = TwoCircles(1.0, 1.7)
     bump = BumpFunction(0.35, 0.2, 2)
-    mass = bump.integral()
     poisson = max(
         poisson_deviation(t, length) for t in (0.01, 0.1, 1.0, 5.0) for length in (1.0, 1.7)
     )
     short_grid = [0.01 * 10 ** (i / 9) for i in range(10)]
     rows = compare_localization(circles, bump, short_grid)
     excess = max(r.delta - r.bound for r in rows)
-    small_ratio = rows[0].bound / mass
+    small_ratio = rows[0].bound / rows[0].free_trace
     lrows = long_time_rows(1.0, bump, [1.0, 2.0, 4.0, 7.0, 10.0])
     lexcess = max(r.deviation - r.bound for r in lrows)
     lshort = max(r.floor - r.deviation for r in lrows)
@@ -195,7 +194,7 @@ def test_criterion_11_circle_localization():
         11,
         ok,
         f"poisson {poisson:.2e} (tol 1e-12), short-time excess {excess:.2e} (tol 1e-14), "
-        f"bound/mass at t=0.01 {small_ratio:.2e} (tol 1e-10), long-time excess {lexcess:.2e} "
+        f"bound/free at t=0.01 {small_ratio:.2e} (tol 1e-10), long-time excess {lexcess:.2e} "
         f"over the bound and {lshort:.2e} under the floor",
     )
     assert ok

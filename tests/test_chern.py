@@ -15,10 +15,10 @@ from oracles import integrate_todd_p1, transformed_density, volume_density
 
 
 def test_line_bundle_degrees():
-    for m in (-2, -1, 1, 2, 5):
+    for m in (-2, -1, 1, 2, 3, 5):
         result = integrate_chart(chern_density(m))
         assert result.converged
-        assert result.value == pytest.approx(m, abs=1e-8)
+        assert result.value == pytest.approx(m, abs=1e-12)
 
 
 def test_todd_integral_is_one():
@@ -31,13 +31,6 @@ def test_volume_density_has_unit_mass():
     result = integrate_chart(volume_density())
     assert result.converged
     assert result.value == pytest.approx(1.0, abs=1e-8)
-
-
-def test_gauss_legendre_agrees_with_tanh_sinh():
-    a = integrate_chart(chern_density(3))
-    b = integrate_chart(chern_density(3), method="gauss-legendre")
-    assert b.converged
-    assert abs(a.value - b.value) <= 1e-10
 
 
 def test_todd_equals_degree_one_curvature_pointwise():
@@ -63,7 +56,11 @@ def test_product_integrals_factorize():
     assert triple.value == pytest.approx(1.0, abs=1e-6)
     mixed = integrate_product([chern_density(2), chern_density(3)])
     assert mixed.value == pytest.approx(6.0, abs=1e-6)
-    assert len(mixed.factors) == 2
+    # the shifted density needs one level more than the centred one
+    shifted = transformed_density(todd_density(), 0.7, (0.3, -0.4))
+    levels = [integrate_chart(d).levels_used for d in (todd_density(), shifted)]
+    assert levels == [3, 4]
+    assert integrate_product([todd_density(), shifted]).levels_used == 4
 
 
 def test_product_arity_validation():
@@ -87,8 +84,9 @@ def test_product_propagates_non_convergence():
 
 
 def test_method_and_level_validation():
-    with pytest.raises(ValueError):
-        integrate_chart(todd_density(), method="simpson")
+    # tanh-sinh is the only rule; there is no method to select
+    with pytest.raises(TypeError):
+        integrate_chart(todd_density(), method="tanh-sinh")
     with pytest.raises(ValueError):
         integrate_chart(todd_density(), levels=1)
 

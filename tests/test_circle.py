@@ -98,7 +98,18 @@ def test_short_time_delta_within_bound():
         # delta comes from a subtraction of O(1) traces, so allow one ulp of
         # absolute noise on top of the analytic bound
         assert row.delta <= row.bound + 1e-14
-    assert rows[0].bound <= 1e-10 * bump.integral()
+    assert rows[0].bound <= 1e-10 * rows[0].free_trace
+
+
+def test_short_times_are_in_units_of_the_smaller_circle_squared():
+    bump = BumpFunction(0.0, 0.02, 2)
+    ratios = []
+    for la, lb in ((1.0, 1.7), (0.5, 0.05), (10.0, 12.0)):
+        (row,) = compare_localization(TwoCircles(la, lb), bump, [0.01])
+        assert row.free_trace == pytest.approx(free_line_trace(bump, 0.01 * min(la, lb) ** 2),
+                                               rel=1e-15)
+        ratios.append(row.bound / row.free_trace)
+    assert ratios == pytest.approx([2.0 * math.exp(-25.0)] * 3, rel=1e-12)
 
 
 def test_bound_uses_smaller_circle():

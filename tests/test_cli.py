@@ -14,12 +14,13 @@ import pytest
 
 from hochheat import chains, circle, cli, spectral, suite
 from hochheat.chains import TensorChain, bar_bprime, hochschild_b
-from hochheat.chern import ChartDensity, todd_density
+from hochheat.chern import todd_density
 from hochheat.cli import main
 from hochheat.forms import hkr_symbol
 from hochheat.report import FAIL, CheckResult, VerificationReport
 from hochheat.spectral import CONVENTION_TAG, cache_path, harmonic_supertrace, load_spectrum
 from hochheat.suite import SuiteConfig, run_suite
+from oracles import report_from_json
 
 
 def _strip_volatile(report: VerificationReport):
@@ -31,7 +32,7 @@ def _strip_volatile(report: VerificationReport):
 
 def test_report_json_round_trip():
     report = run_suite(["cycles"], SuiteConfig(max_weyl=2))
-    again = VerificationReport.from_json(report.to_json())
+    again = report_from_json(report.to_json())
     assert again == report
 
 
@@ -135,14 +136,25 @@ def test_cli_bump_and_grid_parsing(capsys):
 
 
 @pytest.mark.parametrize("argv", [["--l1", "0.5", "--bump", "0.2,0.1,2"],
-                                  ["--l1", "0.6", "--l2", "0.7"]])
+                                  ["--l1", "0.6", "--l2", "0.7"],
+                                  ["--l1", "0.6", "--l2", "0.7", "--t-grid", "0.02:0.1:5"]])
 def test_long_time_gap_holds_on_short_circles(argv, capsys):
-    # the first gap term scales as 1/L; the short-time 1e-10 target holds only on
-    # longer circles, so `localization.short-time.smallt` still fails here
-    main(["--format", "json", "localization", *argv])
+    # short times are in units of Lmin^2, so the 1e-10 target at s = 0.01 holds on
+    # short circles too; a grid from s = 0.02, where the image tail is 7.5e-6 of the
+    # free-line trace, fails it
+    late = "--t-grid" in argv
+    code = main(["--format", "json", "localization", *argv])
     verdicts = {c["id"]: c["verdict"] for c in json.loads(capsys.readouterr().out)["checks"]}
     assert verdicts["localization.long-time.gap"] == "pass"
-    assert verdicts["localization.short-time.smallt"] == "fail"
+    assert verdicts["localization.short-time.smallt"] == ("fail" if late else "pass")
+    assert code == (1 if late else 0)
+
+
+def test_removed_quadrature_method_flag_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["chern-integrals", "--method", "gauss-legendre"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --method" in capsys.readouterr().err
 
 
 def test_cli_spectrum_cache(tmp_path, capsys, monkeypatch):
@@ -166,7 +178,7 @@ def test_cli_all_writes_report(tmp_path, capsys, monkeypatch):
     target = tmp_path / "report.json"
     assert main(["all", "--report", str(target)]) == 0
     capsys.readouterr()
-    report = VerificationReport.from_json(target.read_text())
+    report = report_from_json(target.read_text())
     assert report.all_passed()
     families = {c.id.split(".")[0] for c in report.checks}
     assert families == {
@@ -313,10 +325,6 @@ def _doubled_dbar_star(a, b, n_trunc, k, dbar_star=spectral._dbar_star):
             for key, c in dbar_star(a, b, n_trunc, k).items()}
 
 
-def _scaled_todd():
-    return ChartDensity("todd", lambda x, y: todd_density()(x, y) * (1 + 1e-6))
-
-
 @pytest.mark.parametrize(
     "owner, name, mutant, argv, check_id",
     [
@@ -338,7 +346,8 @@ def _scaled_todd():
         (spectral, "_dbar_star", _doubled_dbar_star, ["spectrum", "--no-cache"],
          "spectrum.susy.pairing"),
         (spectral, "_dbar_star", _doubled_dbar_star, ["mckean-singer"], "mckean-singer.flat.k1"),
-        (suite, "todd_density", _scaled_todd, ["chern-integrals"], "chern.todd.integral"),
+        (suite, "todd_density", lambda: lambda x, y: todd_density()(x, y) * (1 + 1e-6),
+         ["chern-integrals"], "chern.todd.integral"),
         (circle, "heat_diagonal_spectral", _scaled_spectral_diagonal, ["localization"],
          "localization.short-time.bound"),
         # the top degree-1 cluster, 120 at (k, N) = (1, 10), moves by 1e-3

@@ -2,7 +2,11 @@
 
 A module-level function or class of `src/hochheat` that no file of the
 package or of `bench/` names is reached by the tests alone; it belongs in
-`tests/oracles.py`, where the tests keep their independent oracles.
+`tests/oracles.py`, where the tests keep their independent oracles.  The
+same holds for the members of its classes: a method or dataclass field
+that no file of the package or of `bench/` reads as an attribute.  The
+scan goes by name, so a member that shares its name with an attribute read
+elsewhere escapes it.
 """
 
 import ast
@@ -52,6 +56,28 @@ def _unreached(package: Iterable[Tuple[str, str]], others: Iterable[Tuple[str, s
     return sorted(where for where, name in defined.items() if name not in named)
 
 
+def _unread_members(package: List[Tuple[str, str]], others: List[Tuple[str, str]]) -> List[str]:
+    """'file:Class.member' of each method or field of a `package` class read as no attribute.
+
+    Dunder methods are left out: the language calls them.
+    """
+    read = {node.attr for name, text in package + others for node in ast.walk(ast.parse(text, name))
+            if isinstance(node, ast.Attribute)}
+    unread = []
+    for name, text in package:
+        for cls in ast.parse(text, name).body:
+            for node in cls.body if isinstance(cls, ast.ClassDef) else ():
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    member = node.name
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    member = node.target.id
+                else:
+                    continue
+                if member not in read and not (member.startswith("__") and member.endswith("__")):
+                    unread.append(f"{name}:{cls.name}.{member}")
+    return sorted(unread)
+
+
 def test_every_package_definition_is_reached_from_the_package_or_the_benchmark():
     package = _sources(PACKAGE)
     assert {name for name, _ in package} >= {"spectral.py", "weyl.py", "chern.py", "circle.py"}
@@ -61,3 +87,14 @@ def test_every_package_definition_is_reached_from_the_package_or_the_benchmark()
 def test_a_definition_only_the_tests_call_is_flagged():
     package = _sources(PACKAGE) + [("extra.py", "def only_tests():\n    return 1\n")]
     assert "extra.py:only_tests" in _unreached(package, _sources(BENCH))
+
+
+def test_every_class_member_is_read_from_the_package_or_the_benchmark():
+    assert _unread_members(_sources(PACKAGE), _sources(BENCH)) == []
+
+
+def test_a_field_no_program_reads_is_flagged():
+    extra = ("extra.py", "class Row:\n    value: float\n    only_tests: float\n\n"
+                         "def total(row):\n    return row.value\n")
+    unread = _unread_members(_sources(PACKAGE) + [extra], _sources(BENCH))
+    assert "extra.py:Row.only_tests" in unread and "extra.py:Row.value" not in unread

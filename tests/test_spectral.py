@@ -158,7 +158,7 @@ def test_harmonic_vectors_are_holomorphic_polynomials():
 def test_supersymmetric_pairing_of_nonzero_spectra():
     for k in (0, 1, 3):
         model = build_model(k, 8)
-        nz0 = model._flat0[model._flat0 > model.kernel_threshold]
+        nz0 = model._flat0[model._flat0 > 0]
         assert len(nz0) == len(model._flat1)
         head = min(10, len(nz0))
         assert np.abs(nz0[:head] - model._flat1[:head]).max() <= 1e-6
@@ -212,7 +212,7 @@ def test_form_family_has_the_dimension_of_the_dbar_image():
         model = build_model(k, n)
         assert len(model._flat0) == (n + 1) * (n + k + 1)
         assert len(model._flat1) == n * (n + k + 2) == (n + 1) * (n + k + 1) - (k + 1)
-        nz0 = model._flat0[model._flat0 > model.kernel_threshold]
+        nz0 = model._flat0[model._flat0 > 0]
         assert np.abs(nz0 - model._flat1).max() <= 1e-12 * nz0.max()
 
 
