@@ -15,15 +15,15 @@ accumulates plain ints and reduces once, in `_canonical`.
 Only the public constructors validate: `TensorChain.from_terms` (and
 `TensorChain.word`, which calls it) checks variable counts and rejects
 empty words, then expands each slot element into monic keys.
-`chain_from_json` checks the same and reads keys too: each slot that
-`chain_to_json` wrote, one monic monomial, goes straight into its key, and
-only other slot text takes the element path.  `chain_to_json` writes
-`nums` over `den` and formats each distinct key once.  The operators
-below map keys to keys with `weyl.mono_product` (`shuffle_product`
-multiplies its slot-0 elements with `weyl.mul`) and build their results
-without checking them again.  `TensorChain.terms` is a derived view for
-readers of elements: the words in sorted key order, each with its
-`Fraction` coefficient and each slot as a one-term monic `WeylElement`.
+`chain_from_json` checks the same and reads keys only: it accepts the one
+slot grammar that `chain_to_json` writes, one monic monomial per slot,
+and refuses any other slot text.  `chain_to_json` writes `nums` over `den`
+and formats each distinct key once.  The operators below map keys to keys
+with `weyl.mono_product` (`shuffle_product` multiplies its slot-0
+elements with `weyl.mul`) and build their results without checking them
+again.  `TensorChain.terms` is a derived view for readers of elements: the
+words in sorted key order, each with its `Fraction` coefficient and each
+slot as a one-term monic `WeylElement`.
 
 Operators implemented here:
 
@@ -58,8 +58,8 @@ from itertools import combinations, permutations
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .weyl import (MAX_VARIABLES, Key, WeylElement, d_var, format_element, format_monomial,
-                   mono_product, mul, parse_element, parse_monomial, unit, z_var)
+from .weyl import (MAX_DEGREE, MAX_VARIABLES, Key, WeylElement, d_var, format_monomial,
+                   mono_product, mul, parse_monomial, unit, z_var)
 
 Word = Tuple[WeylElement, ...]
 #: a word as stored: one monomial key per slot
@@ -158,15 +158,6 @@ class TensorChain:
         c = Fraction(c)
         p = c.numerator
         return _canonical(self.n, {w: p * k for w, k in self.nums.items()}, self.den * c.denominator)
-
-    def __str__(self) -> str:
-        if not self.nums:
-            return "0"
-        parts = []
-        for coeff, word in self.terms:
-            body = " (x) ".join(f"[{format_element(el)}]" for el in word)
-            parts.append(f"({coeff}) {body}")
-        return " + ".join(parts)
 
 
 def _boundary(c: TensorChain, wrap: bool) -> TensorChain:
@@ -409,9 +400,9 @@ def _coefficient(coeff) -> Tuple[int, int]:
 def chain_from_json(text: str) -> TensorChain:
     """Parse `chain_to_json` output; malformed input raises `ValueError`.
 
-    A slot in the form `chain_to_json` writes is read straight into its
-    monomial key; any other slot text goes through `parse_element`, and
-    then the chain is built with `TensorChain.from_terms`.
+    Each slot must be a monic monomial in the form `chain_to_json` writes
+    and is read straight into its monomial key; any other slot text, also
+    another spelling of the same element, is refused.
     """
     try:
         payload = json.loads(text)
@@ -423,8 +414,8 @@ def chain_from_json(text: str) -> TensorChain:
     n = payload["n"]
     if not 1 <= n <= MAX_VARIABLES:
         raise ValueError(f"chain JSON needs 1 <= n <= {MAX_VARIABLES}, got {n}")
-    # each distinct slot text is read once, into a key or else an element
-    slots: Dict[str, Key | WeylElement] = {}
+    # each distinct slot text is read once, into its key
+    slots: Dict[str, Key] = {}
     expanded = []
     for t in payload["terms"]:
         if not (isinstance(t, dict) and isinstance(t.get("word"), list)
@@ -435,10 +426,11 @@ def chain_from_json(text: str) -> TensorChain:
             raise ValueError("a word needs at least one slot")
         for s in t["word"]:
             if s not in slots:
-                slots[s] = parse_monomial(s, n) or parse_element(s, n)
+                key = parse_monomial(s, n)
+                if key is None:
+                    shown = s if len(s) <= 40 else s[:40] + "..."
+                    raise ValueError(f"slot {shown!r} is not a monic monomial in z1..z{n}, d1..d{n}"
+                                     f" of degree at most {MAX_DEGREE}")
+                slots[s] = key
         expanded.append((p, q, tuple(map(slots.__getitem__, t["word"]))))
-    if any(isinstance(s, WeylElement) for s in slots.values()):
-        return TensorChain.from_terms(n, [
-            (Fraction(p, q), tuple(s if isinstance(s, WeylElement) else _slot(s) for s in w))
-            for p, q, w in expanded])
     return _collect(n, expanded)

@@ -39,7 +39,7 @@ def _check_positive(what: str, x: float) -> None:
 
 
 #: terms `_theta_tail` may sum; it needs about sqrt(69 / c), at most 38 in the
-#: suite's default checks (the image sum at t = 5 on the unit circle)
+#: suite's default checks (the image sum at t = 5 L^2, on any circle)
 _THETA_TERMS = 10_000
 
 

@@ -57,6 +57,7 @@ DEFAULT_CACHE_ENV = "HOCHHEAT_CACHE_DIR"
 MAX_SAMPLES = 10_000
 CROSS_TRUNC = 12                           # truncation for the quadrature cross-check
 LONG_TIMES = (1.0, 2.0, 4.0, 7.0, 10.0)    # in units of the relaxation time L^2/(4 pi^2)
+POISSON_TIMES = (0.01, 0.1, 1.0, 5.0)      # in units of each circumference squared
 
 
 @dataclass(frozen=True)
@@ -325,10 +326,12 @@ def _family_localization(cfg: SuiteConfig) -> List[CheckResult]:
     rec = _Recorder()
     circles = TwoCircles(cfg.length_a, cfg.length_b)
     bump = BumpFunction(*cfg.bump)
-    dev = max(poisson_deviation(t, length)
-              for t in (0.01, 0.1, 1.0, 5.0) for length in (cfg.length_a, cfg.length_b))
-    rec.check("localization.poisson", "image and spectral heat sums agree on both circles",
-              f"max deviation {_fmt(dev)}", "0", "1e-12", dev <= 1e-12)
+    # at t = s L^2 both sums are 1/L times a function of s, so L * deviation is dimensionless
+    dev = max(length * poisson_deviation(s * length * length, length)
+              for s in POISSON_TIMES for length in (cfg.length_a, cfg.length_b))
+    rec.check("localization.poisson",
+              "image and spectral heat sums agree on both circles at times in units of L^2",
+              f"max L*deviation {_fmt(dev)}", "0", "1e-12", dev <= 1e-12)
     rows = compare_localization(circles, bump, cfg.short_times)
     excess = max(row.delta - row.bound for row in rows)
     rec.check("localization.short-time.bound",

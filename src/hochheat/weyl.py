@@ -17,6 +17,12 @@ whose coefficients `_reorder` keeps in a small table, and distinct
 variables reorder independently.  The formula is cross-checked in the
 tests against the action of an element on an ordinary polynomial, which
 is defined without any reordering (`apply` in `tests/oracles.py`).
+
+Text goes out through `format_element` (an element) and `format_monomial`
+(a monic monomial).  The one reader, `parse_monomial`, reads exactly what
+`format_monomial` writes: the slot grammar of chain JSON.  The general
+element parser and the sums and scalings of elements, which no program
+path needs, are test oracles in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -69,31 +75,9 @@ class WeylElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "WeylElement") -> "WeylElement":
-        return add(self, other)
-
-    def __sub__(self, other: "WeylElement") -> "WeylElement":
-        return add(self, scale(Fraction(-1), other))
-
-    def __neg__(self) -> "WeylElement":
-        return scale(Fraction(-1), self)
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return mul(self, other)
-
-    def __rmul__(self, c) -> "WeylElement":
-        return scale(Fraction(c), self)
-
-    def __str__(self) -> str:
-        return format_element(self)
-
 
 def unit(n: int) -> WeylElement:
     return WeylElement(n, ((((0,) * n, (0,) * n), _ONE),))
-
-
-def zero(n: int) -> WeylElement:
-    return WeylElement(n, ())
 
 
 def z_var(i: int, n: int) -> WeylElement:
@@ -110,19 +94,6 @@ def d_var(i: int, n: int) -> WeylElement:
         raise ValueError(f"variable index {i} out of range 1..{n}")
     e = tuple(1 if j == i - 1 else 0 for j in range(n))
     return WeylElement(n, ((((0,) * n, e), _ONE),))
-
-
-def add(a: WeylElement, b: WeylElement) -> WeylElement:
-    if a.n != b.n:
-        raise ValueError("cannot add elements with different variable counts")
-    return WeylElement(a.n, _merge_terms(a.terms + b.terms))
-
-
-def scale(c, a: WeylElement) -> WeylElement:
-    c = Fraction(c)
-    if not c:
-        return zero(a.n)
-    return WeylElement(a.n, tuple((m, c * k) for m, k in a.terms))
 
 
 @lru_cache(maxsize=1024)
@@ -178,17 +149,11 @@ def mul(a: WeylElement, b: WeylElement) -> WeylElement:
 # text format: "3/2*z1^2*d1 + 1", "-z2 + 2/3", "0"
 # ---------------------------------------------------------------------------
 
-# a nonzero denominator is part of the grammar, so "3/0" is a malformed factor
-_FACTOR_RE = re.compile(r"^(?:(?P<num>\d+(?:/0*[1-9]\d*)?)|(?P<gen>[zd])(?P<idx>\d+)(?:\^(?P<pow>\d+))?)$")
-_SIGN_RE = re.compile(r"\s*([+-])\s*")
-
-# Cost bounds on text (and chain JSON) input, far above what the checks use
-# (at most 4 variables; terms of degree at most 18): variable indices and n
-# at most MAX_VARIABLES, the exponents of one term summing to at most
-# MAX_DEGREE, and no product in a term that could exceed MAX_TERMS monomials.
+# Cost bounds on chain JSON input, far above what the checks use (at most 4
+# variables; terms of degree at most 18): n at most MAX_VARIABLES and the
+# exponents of one slot summing to at most MAX_DEGREE.
 MAX_VARIABLES = 16
 MAX_DEGREE = 64
-MAX_TERMS = 1024
 
 
 def format_monomial(key: Key) -> str:
@@ -213,8 +178,8 @@ def parse_monomial(text: str, n: int) -> Key | None:
     """The key that `format_monomial` writes as `text`, or None.
 
     The exact inverse of `format_monomial` on keys with indices at most n
-    and degree at most MAX_DEGREE.  Any other text gives None, also text
-    that `parse_element` reads, such as "d1*z1", "z1^1" or "2*z1".
+    and degree at most MAX_DEGREE.  Any other text gives None, also other
+    spellings of an element, such as "d1*z1", "z1^1" or "2*z1".
     """
     if text == "1":
         return ((0,) * n, (0,) * n)
@@ -234,7 +199,7 @@ def parse_monomial(text: str, n: int) -> Key | None:
 
 
 def format_element(a: WeylElement) -> str:
-    """Render in the canonical term order; inverse of `parse_element`."""
+    """Render in the canonical term order, each term a coefficient times `format_monomial`."""
     if not a.terms:
         return "0"
     pieces = []
@@ -247,56 +212,3 @@ def format_element(a: WeylElement) -> str:
         else:
             pieces.append(("+ " if coeff > 0 else "- ") + body)
     return " ".join(pieces)
-
-
-def parse_element(text: str, n: int | None = None) -> WeylElement:
-    """Parse the text format.  If n is omitted, the highest index seen is used.
-
-    Factors within a term are multiplied left to right in the algebra, so
-    "z1*d1" is the normal-ordered monomial while "d1*z1" expands to
-    z1*d1 + 1.  Terms are joined by single signs and only the first term
-    may carry a sign of its own; any other input raises `ValueError`.
-    """
-    s = text.strip()
-    if not s:
-        raise ValueError("empty element string")
-    indices = [int(i) for i in re.findall(r"[zd](\d+)", s)]
-    if n is None:
-        n = max(indices + [1])
-    if not 1 <= n <= MAX_VARIABLES:
-        raise ValueError(f"element {text!r} needs 1 <= n <= {MAX_VARIABLES}, got n={n}")
-    if not all(1 <= i <= n for i in indices):
-        raise ValueError(f"element {text!r} needs variable indices in 1..n with n={n}")
-    # term, sign, term, ...; a leading sign leaves an empty first piece
-    pieces = _SIGN_RE.split(s)
-    pieces = pieces[1:] if not pieces[0] and len(pieces) > 1 else ["+"] + pieces
-    none = (0,) * n
-    total = zero(n)
-    for sign, body in zip(pieces[0::2], pieces[1::2]):
-        coeff = _ONE if sign == "+" else -_ONE
-        term = None  # the product of the generator factors so far
-        degree = 0
-        for f in body.split("*"):
-            m = _FACTOR_RE.match(f.strip())
-            if not m:
-                raise ValueError(f"cannot parse factor {f.strip()!r} in {text!r}")
-            if m.group("num"):
-                coeff *= Fraction(m.group("num"))
-                continue
-            i, power = int(m.group("idx")) - 1, int(m.group("pow") or 1)
-            degree += power
-            if degree > MAX_DEGREE:
-                raise ValueError(f"term {body!r} in {text!r} has degree above {MAX_DEGREE}")
-            # the regex has checked the factor, so the monic generator power is built as is
-            e = tuple(power if j == i else 0 for j in range(n))
-            gen = WeylElement(n, ((((e, none) if m.group("gen") == "z" else (none, e)), _ONE),))
-            if term is None:
-                term = gen
-                continue
-            # a product with g^power turns each monomial into at most power + 1
-            if len(term.terms) * (power + 1) > MAX_TERMS:
-                raise ValueError(f"term {body!r} in {text!r} expands beyond {MAX_TERMS} monomials")
-            term = mul(term, gen)
-        term = unit(n) if term is None else term
-        total = add(total, term if coeff == 1 else scale(coeff, term))
-    return total

@@ -10,7 +10,10 @@ also computes, by a route that shares none of its shortcuts:
   (a, b) basis, against the holomorphic sections they must be;
 * `apply`, the action of a Weyl element on an ordinary polynomial, against
   the reordering closed form of `hochheat.weyl.mul`, with `commutator`,
-  `disjoint_embed` and `monomial` to build the inputs;
+  `disjoint_embed`, `monomial`, `add`, `scale` and `zero` to build the inputs;
+* `parse_element`, the general reader of the element text format, which
+  multiplies its factors out in the algebra, against `format_element`,
+  `parse_monomial` and the chain JSON reader;
 * `integrate_todd_p1`, `volume_density` and `transformed_density`, densities
   whose integrals over the chart are known.
 
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 from math import factorial
 from typing import Dict, Iterable, List, Mapping, Tuple
@@ -42,7 +46,8 @@ from hochheat.spectral import (
     _lift,
     _scaled_root,
 )
-from hochheat.weyl import Exponents, WeylElement, add, mul, scale
+from hochheat.weyl import (MAX_DEGREE, MAX_VARIABLES, _ONE, Exponents, WeylElement, _merge_terms,
+                           mul, unit)
 
 # ---------------------------------------------------------------------------
 # spectral: the generic pairing kernel
@@ -143,6 +148,23 @@ def harmonic0_coordinates(model: SpectralModel) -> List[Dict[Tuple[int, int], fl
 Polynomial = Dict[Exponents, Fraction]
 
 
+def zero(n: int) -> WeylElement:
+    return WeylElement(n, ())
+
+
+def add(a: WeylElement, b: WeylElement) -> WeylElement:
+    if a.n != b.n:
+        raise ValueError("cannot add elements with different variable counts")
+    return WeylElement(a.n, _merge_terms(a.terms + b.terms))
+
+
+def scale(c, a: WeylElement) -> WeylElement:
+    c = Fraction(c)
+    if not c:
+        return zero(a.n)
+    return WeylElement(a.n, tuple((m, c * k) for m, k in a.terms))
+
+
 def monomial(n: int, z_exp: Exponents, d_exp: Exponents, coeff=1) -> WeylElement:
     return WeylElement.from_terms(n, [((z_exp, d_exp), Fraction(coeff))])
 
@@ -195,6 +217,71 @@ def disjoint_embed(a: WeylElement, offset: int, total: int) -> WeylElement:
     pad_r = (0,) * (total - a.n - offset)
     return WeylElement(total, tuple(((pad_l + z + pad_r, pad_l + d + pad_r), c)
                                     for (z, d), c in a.terms))
+
+
+# ---------------------------------------------------------------------------
+# weyl: the general text reader, "3/2*z1^2*d1 + 1", "-z2 + 2/3", "0"
+# ---------------------------------------------------------------------------
+
+# a nonzero denominator is part of the grammar, so "3/0" is a malformed factor
+_FACTOR_RE = re.compile(r"^(?:(?P<num>\d+(?:/0*[1-9]\d*)?)|(?P<gen>[zd])(?P<idx>\d+)(?:\^(?P<pow>\d+))?)$")
+_SIGN_RE = re.compile(r"\s*([+-])\s*")
+
+#: no product in a term may exceed MAX_TERMS monomials
+MAX_TERMS = 1024
+
+
+def parse_element(text: str, n: int | None = None) -> WeylElement:
+    """Parse the text format.  If n is omitted, the highest index seen is used.
+
+    Factors within a term are multiplied left to right in the algebra, so
+    "z1*d1" is the normal-ordered monomial while "d1*z1" expands to
+    z1*d1 + 1.  Terms are joined by single signs and only the first term
+    may carry a sign of its own; any other input raises `ValueError`.
+    """
+    s = text.strip()
+    if not s:
+        raise ValueError("empty element string")
+    indices = [int(i) for i in re.findall(r"[zd](\d+)", s)]
+    if n is None:
+        n = max(indices + [1])
+    if not 1 <= n <= MAX_VARIABLES:
+        raise ValueError(f"element {text!r} needs 1 <= n <= {MAX_VARIABLES}, got n={n}")
+    if not all(1 <= i <= n for i in indices):
+        raise ValueError(f"element {text!r} needs variable indices in 1..n with n={n}")
+    # term, sign, term, ...; a leading sign leaves an empty first piece
+    pieces = _SIGN_RE.split(s)
+    pieces = pieces[1:] if not pieces[0] and len(pieces) > 1 else ["+"] + pieces
+    none = (0,) * n
+    total = zero(n)
+    for sign, body in zip(pieces[0::2], pieces[1::2]):
+        coeff = _ONE if sign == "+" else -_ONE
+        term = None  # the product of the generator factors so far
+        degree = 0
+        for f in body.split("*"):
+            m = _FACTOR_RE.match(f.strip())
+            if not m:
+                raise ValueError(f"cannot parse factor {f.strip()!r} in {text!r}")
+            if m.group("num"):
+                coeff *= Fraction(m.group("num"))
+                continue
+            i, power = int(m.group("idx")) - 1, int(m.group("pow") or 1)
+            degree += power
+            if degree > MAX_DEGREE:
+                raise ValueError(f"term {body!r} in {text!r} has degree above {MAX_DEGREE}")
+            # the regex has checked the factor, so the monic generator power is built as is
+            e = tuple(power if j == i else 0 for j in range(n))
+            gen = WeylElement(n, ((((e, none) if m.group("gen") == "z" else (none, e)), _ONE),))
+            if term is None:
+                term = gen
+                continue
+            # a product with g^power turns each monomial into at most power + 1
+            if len(term.terms) * (power + 1) > MAX_TERMS:
+                raise ValueError(f"term {body!r} in {text!r} expands beyond {MAX_TERMS} monomials")
+            term = mul(term, gen)
+        term = unit(n) if term is None else term
+        total = add(total, term if coeff == 1 else scale(coeff, term))
+    return total
 
 
 # ---------------------------------------------------------------------------

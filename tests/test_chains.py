@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hochheat import chains as chains_module
 from hochheat.chains import (
     TensorChain,
     _shuffles,
@@ -37,9 +36,8 @@ from hochheat.chains import (
 from hochheat.forms import hkr_symbol, volume_form
 from hochheat.randomgen import random_chain, random_column_vector, random_element
 from hochheat.weyl import (MAX_DEGREE, MAX_VARIABLES, WeylElement, d_var, format_element,
-                           format_monomial, mono_product, parse_element, parse_monomial, unit,
-                           z_var)
-from oracles import column, monomial
+                           format_monomial, mono_product, parse_monomial, unit, z_var)
+from oracles import column, monomial, parse_element, scale
 
 
 def one_word(n, coeff, slots):
@@ -286,16 +284,25 @@ def _with_coeff(coeff):
     return {"n": 1, "terms": [{"coeff": coeff, "word": ["z1"]}]}
 
 
+#: one slot of 4000 distinct terms, about 73 kB, which the general element grammar
+#: takes seconds to read, its running total merged again after every term
+_LONG_SLOT = " + ".join([f"z1^{a}*z2^{b}*d3^{c}" for a in range(2, 20) for b in range(2, 20)
+                         for c in range(2, 20)][:4000])
+
+
 @pytest.mark.parametrize(
     "payload",
     [[], {"n": 0, "terms": []}, {"n": 1, "terms": [{"coeff": "1/0", "word": ["z1"]}]},
      {"n": 1, "terms": [{"coeff": "1", "word": []}]}, {"n": MAX_VARIABLES + 1, "terms": []},
      {"n": 1, "terms": [{"coeff": "1", "word": [f"z1^{MAX_DEGREE + 1}"]}]},
      _with_coeff(True), _with_coeff("1e10000000"), _with_coeff("1.5"), _with_coeff(" 1"),
-     _with_coeff("1/2\n"), _with_coeff("+1"), _with_coeff("\u0661")],
+     _with_coeff("1/2\n"), _with_coeff("+1"), _with_coeff("\u0661"),
+     {"n": 3, "terms": [{"coeff": "1", "word": [_LONG_SLOT]}]},
+     {"n": 1, "terms": [["1", ["z1"]]]}],
     ids=["not-an-object", "n-below-one", "zero-denominator", "empty-word", "n-above-bound",
          "degree-above-bound", "bool-coefficient", "exponent-coefficient", "decimal-coefficient",
-         "padded-coefficient", "trailing-newline", "plus-sign", "non-ascii-digit"],
+         "padded-coefficient", "trailing-newline", "plus-sign", "non-ascii-digit",
+         "slot-of-4000-terms", "term-not-an-object"],
 )
 def test_chain_from_json_rejects_malformed_input(payload):
     start = time.perf_counter()
@@ -386,19 +393,17 @@ def test_monomial_reader_inverts_the_formatter(drawn):
                                   "z1 + d1", "1", "0", "d1^01", "z4", " z1", "z1*",
                                   f"z1^{MAX_DEGREE // 2}*d1^{MAX_DEGREE // 2 + 1}"])
 def test_chain_from_json_reads_other_slot_texts_like_parse_element(text):
+    # the reader keeps one slot grammar: of these texts, most of which `parse_element`
+    # reads, it reads only the canonical "1" and refuses the rest, naming the slot
     payload = json.dumps({"n": 3, "terms": [{"coeff": "2/3", "word": ["z1*d2", text]},
                                             {"coeff": "-1", "word": [text, "d3^2"]}]})
     if text == "1":
         assert parse_monomial(text, 3) == ((0, 0, 0), (0, 0, 0))
-    else:
-        assert parse_monomial(text, 3) is None
-    try:
-        expected = _element_view_from_json(payload)
-    except ValueError:
-        with pytest.raises(ValueError):
-            chain_from_json(payload)
+        assert chain_from_json(payload) == _element_view_from_json(payload)
         return
-    assert chain_from_json(payload) == expected
+    assert parse_monomial(text, 3) is None
+    with pytest.raises(ValueError, match="slot"):
+        chain_from_json(payload)
 
 
 def test_canonical_round_trip_reads_keys_only(monkeypatch):
@@ -407,9 +412,8 @@ def test_canonical_round_trip_reads_keys_only(monkeypatch):
     texts = [chain_to_json(c) for c in samples]
 
     def refuse(*args):
-        raise AssertionError("a canonical slot went through the element path")
+        raise AssertionError("a canonical chain was built through the element path")
 
-    monkeypatch.setattr(chains_module, "parse_element", refuse)
     monkeypatch.setattr(TensorChain, "from_terms", staticmethod(refuse))
     for c, text in zip(samples, texts):
         assert chain_from_json(text) == c
@@ -420,6 +424,30 @@ def test_constructors_reject_an_empty_word():
         TensorChain.from_terms(1, [(Fraction(1), ())])
     with pytest.raises(ValueError):
         TensorChain.word(1, 1, [])
+
+
+def test_constructors_reject_bad_variable_counts():
+    with pytest.raises(ValueError, match="n >= 1"):
+        TensorChain.from_terms(0, [])
+    with pytest.raises(ValueError, match="variable count"):
+        TensorChain.word(2, 1, [unit(2), z_var(1, 1)])
+    with pytest.raises(ValueError, match="different algebras"):
+        TensorChain.word(1, 1, [unit(1)]) + TensorChain.word(2, 1, [unit(2)])
+    with pytest.raises(ValueError, match="n >= 1"):
+        omega_cycle(0)
+
+
+def test_column_vector_rejects_bad_entries():
+    c = TensorChain.word(1, 1, [unit(1), z_var(1, 1)])
+    with pytest.raises(ValueError, match="non-negative"):
+        TsyganColumnVector.from_entries(1, [(-1, c)])
+    with pytest.raises(ValueError, match="variable count"):
+        TsyganColumnVector.from_entries(2, [(0, c)])
+
+
+def test_chain_from_json_reads_an_integer_coefficient():
+    payload = {"n": 1, "terms": [{"coeff": -3, "word": ["1", "z1"]}]}
+    assert chain_from_json(json.dumps(payload)) == TensorChain.word(1, -3, [unit(1), z_var(1, 1)])
 
 
 def test_mixed_degree_chains_supported():
@@ -435,8 +463,6 @@ def test_scalar_slots_are_normalized_into_coefficients():
     # 1 (x) (2 z) and 2 (1 (x) z) are the same chain
     n = 1
     two_z = 2 * TensorChain.word(n, 1, [unit(n), z_var(1, n)])
-    from hochheat.weyl import scale
-
     packed = TensorChain.word(n, 1, [unit(n), scale(2, z_var(1, n))])
     assert two_z == packed
 

@@ -23,6 +23,10 @@ def test_poisson_summation_identity():
     for length in (1.0, 1.7, 3.0):
         for t in (0.01, 0.05, 0.3, 1.0, 5.0):
             assert poisson_deviation(t, length) <= 1e-12
+    # at t = s L^2 both sums are 1/L times a function of s, on short and long circles alike
+    for length in (1e-4, 0.003, 1000.0, 1e5):
+        for s in (0.01, 0.1, 1.0, 5.0):
+            assert length * poisson_deviation(s * length * length, length) <= 1e-12
 
 
 def test_short_time_diagonal_is_free():

@@ -130,6 +130,9 @@ def test_cli_bump_and_grid_parsing(capsys):
     with pytest.raises(SystemExit):
         main(["localization", "--bump", "bad"])
     capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["localization", "--bump", "a,0.2,2"])
+    assert exc.value.code == 2 and "--bump could not parse" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["localization", "--t-grid", "1:2"])
     capsys.readouterr()
@@ -148,6 +151,17 @@ def test_long_time_gap_holds_on_short_circles(argv, capsys):
     assert verdicts["localization.long-time.gap"] == "pass"
     assert verdicts["localization.short-time.smallt"] == ("fail" if late else "pass")
     assert code == (1 if late else 0)
+
+
+@pytest.mark.parametrize("argv", [["--l1", "0.003", "--l2", "0.003", "--bump", "0,0.001,2"],
+                                  ["--l1", "1000", "--l2", "1000"]], ids=["short", "long"])
+def test_poisson_check_holds_on_very_short_and_very_long_circles(argv, capsys):
+    # its times are in units of each circumference squared; at fixed absolute times
+    # the theta series of these circles needs more terms than it may sum
+    code = main(["--format", "json", "localization", *argv])
+    verdicts = {c["id"]: c["verdict"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert code == 0
+    assert verdicts["localization.poisson"] == "pass"
 
 
 def test_removed_quadrature_method_flag_is_refused(capsys):

@@ -41,8 +41,9 @@ from hochheat.spectral import (
     load_spectrum,
     store_spectrum,
 )
-from hochheat.weyl import WeylElement, add, d_var, mul, unit, z_var
-from oracles import _pairing, harmonic0_coordinates, mono_integral, monomial, pair_weighted
+from hochheat.weyl import WeylElement, d_var, mul, unit, z_var
+from oracles import (_pairing, add, harmonic0_coordinates, mono_integral, monomial, pair_weighted,
+                     scale)
 
 
 def _chi(a, b, n_trunc):
@@ -416,6 +417,18 @@ def test_eigenvalues_are_nonnegative():
     assert model._flat1.min() >= -1e-12
 
 
+def test_a_negative_eigenvalue_beyond_tolerance_is_refused(monkeypatch):
+    real_eigh = np.linalg.eigh
+
+    def shifted(a):
+        lam, vecs = real_eigh(a)
+        return lam - 1e-6, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", shifted)
+    with pytest.raises(IllConditionedGramError, match="negative eigenvalue"):
+        build_model(1, 8)
+
+
 def test_spectrum_cache_round_trip(tmp_path):
     model = build_model(1, 8)
     store_spectrum(str(tmp_path), model)
@@ -671,7 +684,7 @@ def test_congruence_entries_are_within_two_ulp():
 
 _Z, _D = z_var(1, 1), d_var(1, 1)
 _OPERATORS = [unit(1), mul(_Z, _D), _Z, _D, mul(mul(_Z, _Z), mul(_D, _D)), add(_Z, _D),
-              add(WeylElement.from_terms(1, [(((1,), (1,)), Fraction(1, 2))]), 3 * unit(1))]
+              add(WeylElement.from_terms(1, [(((1,), (1,)), Fraction(1, 2))]), scale(3, unit(1)))]
 
 
 def _scaled(entries):

@@ -17,21 +17,17 @@ from hypothesis import strategies as st
 
 from hochheat.weyl import (
     MAX_DEGREE,
-    MAX_TERMS,
     MAX_VARIABLES,
     WeylElement,
-    add,
     d_var,
     format_element,
     mono_product,
     mul,
-    parse_element,
-    scale,
     unit,
     z_var,
-    zero,
 )
-from oracles import apply, commutator, disjoint_embed, monomial
+from oracles import (MAX_TERMS, add, apply, commutator, disjoint_embed, monomial, parse_element,
+                     scale, zero)
 
 
 def random_element(rng: random.Random, n: int, max_deg: int = 2, max_terms: int = 3):
@@ -123,6 +119,19 @@ def test_distributivity_and_scaling():
         assert scale(Fraction(3, 2), add(a, b)) == add(
             scale(Fraction(3, 2), a), scale(Fraction(3, 2), b)
         )
+
+
+@pytest.mark.parametrize("i", [0, 3])
+def test_generators_refuse_an_index_out_of_range(i):
+    with pytest.raises(ValueError, match="out of range"):
+        z_var(i, 2)
+    with pytest.raises(ValueError, match="out of range"):
+        d_var(i, 2)
+
+
+def test_mul_refuses_different_variable_counts():
+    with pytest.raises(ValueError, match="different variable counts"):
+        mul(z_var(1, 1), z_var(1, 2))
 
 
 def test_unit_is_neutral():
