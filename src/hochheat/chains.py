@@ -384,16 +384,22 @@ def chain_to_json(c: TensorChain) -> str:
 _COEFF_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
+def _shown(value) -> str:
+    """repr(value) cut to its first 40 characters, for an error message."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def _coefficient(coeff) -> Tuple[int, int]:
     """(p, q) with q >= 1 for an int or a "p" or "p/q" string coefficient."""
     if type(coeff) is int:
         return coeff, 1
     m = _COEFF_RE.fullmatch(coeff) if isinstance(coeff, str) else None
     if m is None:
-        raise ValueError(f"coefficient {coeff!r} is not an integer or a fraction p/q")
+        raise ValueError(f"coefficient {_shown(coeff)} is not an integer or a fraction p/q")
     q = int(m[2] or 1)
     if not q:
-        raise ValueError(f"zero denominator in coefficient {coeff!r}")
+        raise ValueError(f"zero denominator in coefficient {_shown(coeff)}")
     return int(m[1]), q
 
 
@@ -420,7 +426,8 @@ def chain_from_json(text: str) -> TensorChain:
     for t in payload["terms"]:
         if not (isinstance(t, dict) and isinstance(t.get("word"), list)
                 and all(isinstance(s, str) for s in t["word"])):
-            raise ValueError(f"a term must be {{'coeff': str, 'word': [str, ...]}}, got {t!r}")
+            raise ValueError("a term must be {'coeff': str, 'word': [str, ...]}, "
+                             f"got {_shown(t)}")
         p, q = _coefficient(t.get("coeff"))
         if not t["word"]:
             raise ValueError("a word needs at least one slot")
@@ -428,9 +435,8 @@ def chain_from_json(text: str) -> TensorChain:
             if s not in slots:
                 key = parse_monomial(s, n)
                 if key is None:
-                    shown = s if len(s) <= 40 else s[:40] + "..."
-                    raise ValueError(f"slot {shown!r} is not a monic monomial in z1..z{n}, d1..d{n}"
-                                     f" of degree at most {MAX_DEGREE}")
+                    raise ValueError(f"slot {_shown(s)} is not a monic monomial in z1..z{n}, "
+                                     f"d1..d{n} of degree at most {MAX_DEGREE}")
                 slots[s] = key
         expanded.append((p, q, tuple(map(slots.__getitem__, t["word"]))))
     return _collect(n, expanded)

@@ -31,14 +31,17 @@ on [0, inf), alpha = |q|.  Its orthogonal polynomials are a finite
 Romanovski-Jacobi family, (alpha+1)_j 2F1(-j, j+alpha-M+1; alpha+1; -r)
 (Krattenthaler, *Advanced determinant calculus*), whose coefficients,
 each row divided by its content, form an integer lower triangular W with
-W G W^T = diag(p), p > 0.  Nothing is taken from the formula on trust:
-each block computes the lower triangle of U = W G exactly and is refused
-unless U is upper triangular and every p_j = U_jj W_jj is positive, which
-is W G W^T = diag(p) > 0.  A lower triangular congruence that diagonalizes
-G is unique up to row scales, so a wrong row cannot pass.  With
-G = L D L^T, the congruence D^(-1/2) L^-1 A L^-T D^(-1/2) is then
-X_ij / sqrt(p_i p_j) with X = W A W^T an integer matrix, so each entry
-leaves exact arithmetic once, just before the dense symmetric eigensolve.
+W G W^T = diag(p), p > 0.  Nothing is taken from the formula on trust.
+The Gram depends only on alpha and M, and every block of one alpha is a
+leading block of the largest one, so the rows of each alpha are certified
+once, on that largest block: the lower triangle of U = W G is computed
+exactly and the build is refused unless U is upper triangular and every
+p_j = U_jj W_jj is positive, which is W G W^T = diag(p) > 0.  A lower
+triangular congruence that diagonalizes G is unique up to row scales, so a
+wrong row cannot pass.  With G = L D L^T, the congruence
+D^(-1/2) L^-1 A L^-T D^(-1/2) is then X_ij / sqrt(p_i p_j) with
+X = W A W^T, so each entry leaves exact arithmetic once, just before the
+dense symmetric eigensolve.
 
 The (0,1)-forms get their own family, with the same Gram closed form and M,
 
@@ -48,13 +51,22 @@ and form block q+1 (alpha = |q+1|) is paired with section block q.
 dbar chi_(a,b) = b psi_(a,b-1) + (b-N) psi_(a+1,b) and dbar* psi_(a,b) =
 -a chi_(a-1,b) + (N+k+1-a) chi_(a,b+1) stay inside the two families, and
 for k >= 0 the forms span exactly dbar of the sections (dimension
-N(N+k+2), the section count minus k+1).  With D and T the integer
-incidences of dbar and dbar*, the stiffness is D G1 D^T in degree 0 and
-T G0 T^T in degree 1.  Both degrees build the same block: each is
-certified, reduced and solved on its own and keeps its eigenvectors.  Only
-integration by parts, T G0 = G1 D^T, ties their nonzero spectra together,
-so the supersymmetric pairing and the flat heat supertrace compare two
-independent eigensolves.
+N(N+k+2), the section count minus k+1), and both families share M.  With
+D and T the integer incidences of dbar and dbar*, the stiffness is
+D G1 D^T in degree 0 and T G0 T^T in degree 1.  Its congruence is not
+formed as a product.  Each row u_i = W0_i D is expanded in the form
+block's certified rows, den_i u_i = sum_m c_im W1_m exactly (W1 is
+triangular with a nonzero diagonal), so X_ij = sum_m c_im c_jm p1_m /
+(den_i den_j): the same rational as the product, so the same rounded bits.
+In each of the 780 models build_model admits (every k with N <= 40) each
+u_i has one or two c_im: the stiffness is tridiagonal in W coordinates.
+So a block costs O(s^2) instead of O(s^3), and exactness never rests on
+the sparsity.  With cond_limit=inf, build_model(0, 40) takes 0.23-0.25 s
+instead of 0.58-0.72 s on one 2-CPU host.  Degree 1 expands W1 T in W0 on
+its own, and each degree is solved on its own and keeps its eigenvectors.
+Only integration by parts, T G0 = G1 D^T, ties their nonzero spectra
+together, so the supersymmetric pairing and the flat heat supertrace
+compare two independent computations.
 
 Operator pairings <op f_j, f_i>, with f the chi or the psi of one block,
 use the same closed form.  Each image den * op f_j is lifted once to the
@@ -89,8 +101,8 @@ from .weyl import WeylElement, format_element
 CONVENTION_TAG = "fs-unit-volume:v1"
 
 #: largest truncation `build_model` accepts, checked before any work; a cost
-#: bound: with cond_limit=inf, N = 40 takes about 0.7 s for k = 0 or 1 and
-#: 1.8 s for k = 38, the largest k it admits, on one 2-CPU host
+#: bound: with cond_limit=inf, N = 40 takes about 0.25 s for k = 0 or 1 and
+#: 0.75 s for k = 38, the largest k it admits, on one 2-CPU host
 MAX_TRUNC = 40
 
 #: weighted chart function: (z exponent, zbar exponent, denominator power)
@@ -144,7 +156,7 @@ def _orthogonal_rows(size: int, alpha: int, m: int) -> IntMat:
     j+alpha-m+1; alpha+1; -r), C(j,c) (j+alpha-m+1)_c (alpha+c+1)_(j-c),
     divided by their content and signed so that the leading one is positive.
     Each coefficient follows from the previous one by the term ratio.
-    Needs 2 (size-1) + alpha <= m - 2; `_eliminate` certifies the result.
+    Needs 2 (size-1) + alpha <= m - 2; `_certify` certifies the result.
     """
     rows = []
     for j in range(size):
@@ -168,35 +180,29 @@ def _scaled_root(x: int, num: int, den: int) -> float:
     return -root if x < 0 else root
 
 
-def _round_congruence(v: IntMat, w: IntMat, norms: Sequence[int], scale: Fraction,
-                      symmetric: bool = False) -> np.ndarray:
+def _round_congruence(v: IntMat, w: IntMat, norms: Sequence[int], scale: Fraction) -> np.ndarray:
     """float(scale * S L^-1 A L^-T S) with S = D^(-1/2), given V = W A.
 
     W is lower triangular (row j has j+1 entries) with W G W^T = diag(norms).
     With X = V W^T = W A W^T the entry is scale * X_ij / sqrt(p_i p_j),
     p_i = norms[i]: a positive row scaling of W leaves it the same rational.
-    For a symmetric A the lower triangle is rounded and mirrored, which gives
-    the same bits, and only the lower triangle of V is read.
     """
     s = len(w)
     out = np.zeros((s, s))
     num, den = scale.numerator ** 2, scale.denominator ** 2
     for i in range(s):
         vi = v[i]
-        for j in range(i + 1 if symmetric else s):
+        for j in range(s):
             out[i, j] = _scaled_root(sum(map(mul, vi, w[j])), num, den * norms[i] * norms[j])
-    if symmetric:
-        upper = np.triu_indices(s, 1)
-        out[upper] = out.T[upper]
     return out
 
 
-def _eliminate(gram: IntMat, op: IntMat, scale: Fraction, w: IntMat):
-    """Certify W for one block; its norms and the rounded congruence of a symmetric op.
+def _certify(gram: IntMat, w: IntMat) -> List[int]:
+    """The norms of W G W^T = diag(norms) > 0, certified exactly.
 
     The lower triangle of U = W G is computed exactly (G is symmetric).
     W G W^T = U W^T is then diag(norms) > 0 exactly when U is upper
-    triangular and every norm_j = U_jj W_jj is positive; otherwise the block
+    triangular and every norm_j = U_jj W_jj is positive; otherwise this
     raises IllConditionedGramError.
     """
     norms = []
@@ -207,21 +213,66 @@ def _eliminate(gram: IntMat, op: IntMat, scale: Fraction, w: IntMat):
             raise IllConditionedGramError(
                 f"row {i} of W does not diagonalize the Gram block to a positive norm")
         norms.append(norm)
-    # the lower triangle of W A (A is symmetric) is all that X's lower triangle reads
-    v = [[sum(map(mul, wi, op[c])) for c in range(i + 1)] for i, wi in enumerate(w)]
-    return norms, _round_congruence(v, w, norms, scale, True)
+    return norms
 
 
-def _congruence(rows: List[Dict[int, int]], gram: IntMat) -> IntMat:
-    """R G R^T for a sparse integer R given as one {column: coefficient} dict per row.
+def _expand(u: List[int], w: IntMat) -> Tuple[int, Dict[int, int]]:
+    """(den, c) with den > 0 and den * u = sum of c[m] * w[m] exactly.
 
-    G is symmetric, so is the product: the lower triangle is summed and mirrored.
+    w is lower triangular (row m has m+1 entries) with a nonzero diagonal
+    and u has len(w) entries, so the rows are peeled off from the last
+    column down and nothing is left over; den grows only when a diagonal
+    entry does not divide what is left in its column.
     """
-    out = [[0] * len(rows) for _ in rows]
-    for i, ri in enumerate(rows):
-        for j, rj in enumerate(rows[:i + 1]):
-            out[i][j] = out[j][i] = sum(c * d * gram[r][s]
-                                        for r, c in ri.items() for s, d in rj.items())
+    rest, den, c = list(u), 1, {}
+    for m in range(len(w) - 1, -1, -1):
+        if not rest[m]:
+            continue
+        wm = w[m]
+        f = abs(wm[m]) // math.gcd(rest[m], wm[m])
+        if f != 1:
+            den *= f
+            rest = [v * f for v in rest[:m + 1]]
+            c = {key: v * f for key, v in c.items()}
+        c[m] = t = rest[m] // wm[m]
+        for j in range(m + 1):
+            rest[j] -= t * wm[j]
+    return den, c
+
+
+def _stiffness(w: IntMat, norms: Sequence[int], incidence: List[Dict[int, int]],
+               w_other: IntMat, norms_other: Sequence[int]) -> np.ndarray:
+    """The rounded congruence of the stiffness R G' R^T in one block's own W coordinates.
+
+    R is the integer incidence of the block's operator (dbar or dbar*) into
+    the other degree, whose block has the certified rows w_other with
+    W' G' W'^T = diag(norms_other).  Each row u_i = W_i R is expanded as
+    den_i u_i = sum_m c_im W'_m (`_expand`), so X = W R G' R^T W^T is
+    X_ij = sum_m c_im c_jm p'_m / (den_i den_j) and the entry
+    X_ij / sqrt(p_i p_j) is rounded once.  Each u_i has at most two
+    nonzero c_im in every model measured, so the block costs O(s^2); a
+    denser expansion would be as exact, only slower.
+    """
+    width = len(w_other)
+    by_row: Dict[int, List[Tuple[int, int]]] = {}  # m -> (i, c_im) in increasing i
+    dens = []
+    for i, wi in enumerate(w):
+        u = [0] * width
+        for wr, row in zip(wi, incidence):
+            for col, coeff in row.items():
+                u[col] += wr * coeff
+        den, c = _expand(u, w_other)
+        dens.append(den)
+        for m, cm in c.items():
+            by_row.setdefault(m, []).append((i, cm))
+    x: Dict[Tuple[int, int], int] = {}  # the lower triangle of den_i den_j X_ij
+    for m, col in by_row.items():
+        for a, (i, ci) in enumerate(col):
+            for j, cj in col[:a + 1]:
+                x[i, j] = x.get((i, j), 0) + ci * cj * norms_other[m]
+    out = np.zeros((len(w), len(w)))
+    for (i, j), v in x.items():
+        out[i, j] = out[j, i] = _scaled_root(v, 1, (dens[i] * dens[j]) ** 2 * norms[i] * norms[j])
     return out
 
 
@@ -242,9 +293,9 @@ def _accumulate(acc: Dict[tuple, Rational], key: tuple, c: Rational) -> None:
 @dataclass
 class _Block:
     pairs: List[Tuple[int, int]]
-    w: IntMat             # closed-form rows (row j has j+1 entries) for the reduced Gram G
+    w: IntMat             # closed-form rows (row j has j+1 entries): a prefix of its alpha's rows
     norms: List[int]      # W G W^T = diag(norms); with G = L D L^T, W = diag(sqrt(norms / D)) L^-1
-    scale: Fraction       # the Gram block is scale * (the reduced integer block)
+    scale: Fraction       # the Gram block is scale * G: 1/(M-1)! times the gcd of the certified norms
     lam: np.ndarray       # ascending eigenvalues of the block's Laplacian
     vecs: np.ndarray      # orthonormal eigenvectors (columns), reduced coords
 
@@ -305,10 +356,11 @@ def _charge_pairs(q: int, a_max: int, b_max: int) -> List[Tuple[int, int]]:
     return [(b + q, b) for b in range(max(0, -q), min(b_max, a_max - q) + 1)]
 
 
-def _gram(pairs: List[Tuple[int, int]], fact: List[int]) -> IntMat:
-    """(M-1)! times the Gram block of one charge: entries s! (M-s-2)! with s = a_i + b_j."""
+def _gram(size: int, alpha: int, fact: List[int]) -> IntMat:
+    """(M-1)! times the Gram block of charge +-alpha: entries s! (M-s-2)!, s = i + j + alpha."""
     top = len(fact)
-    return [[fact[a + b2] * fact[top - a - b2 - 2] for (_, b2) in pairs] for (a, _) in pairs]
+    return [[fact[s] * fact[top - s - 2] for s in range(i + alpha, i + alpha + size)]
+            for i in range(size)]
 
 
 def _cluster(values: np.ndarray) -> List[Tuple[float, int]]:
@@ -328,8 +380,8 @@ def build_model(k: int, trunc: int, cond_limit: float = 1e16) -> SpectralModel:
 
     Requires k >= 0 and k + 2 <= trunc <= MAX_TRUNC.  Raises
     IllConditionedGramError if the float condition estimate of a Gram block
-    exceeds cond_limit, or if a block's closed-form rows fail their exact
-    certificate (`_eliminate`).
+    exceeds cond_limit, or if the closed-form rows of an alpha fail their
+    exact certificate (`_certify`).
     """
     if k < 0:
         raise ValueError(f"bundle degree k must be >= 0, got {k}")
@@ -346,13 +398,11 @@ def build_model(k: int, trunc: int, cond_limit: float = 1e16) -> SpectralModel:
     for q, pairs, fpairs in layout:
         for alpha, size in ((abs(q), len(pairs)), (abs(q + 1), len(fpairs))):
             sizes[alpha] = max(sizes.get(alpha, 0), size)
-    rows = {alpha: _orthogonal_rows(size, alpha, len(fact)) for alpha, size in sizes.items()}
-    blocks: List[_Block] = []
-    forms: List[_Block] = []
+    grams = {alpha: _gram(size, alpha, fact) for alpha, size in sizes.items()}
     max_cond = 0.0
-    for q, pairs, fpairs in layout:
-        gram0 = _gram(pairs, fact)
-        gram_f = np.array([[v / fact[-1] for v in row] for row in gram0])
+    for q, pairs, _ in layout:
+        s = len(pairs)
+        gram_f = np.array([[v / fact[-1] for v in row[:s]] for row in grams[abs(q)][:s]])
         cond = float(np.linalg.cond(gram_f))
         if cond > cond_limit:
             raise IllConditionedGramError(
@@ -360,24 +410,27 @@ def build_model(k: int, trunc: int, cond_limit: float = 1e16) -> SpectralModel:
                 "reduce trunc or orthogonalize the basis"
             )
         max_cond = max(max_cond, cond)
-        gram0, g0_scale = _reduced(gram0, unit)
-        gram1, g1_scale = _reduced(_gram(fpairs, fact), unit)
+    # every block of one alpha, in either degree, uses a prefix of the same rows and Gram
+    rows = {alpha: _orthogonal_rows(size, alpha, len(fact)) for alpha, size in sizes.items()}
+    norms = {alpha: _certify(grams[alpha], w) for alpha, w in rows.items()}
+    blocks: List[_Block] = []
+    forms: List[_Block] = []
+    for q, pairs, fpairs in layout:
+        w0, p0 = rows[abs(q)][:len(pairs)], norms[abs(q)][:len(pairs)]
+        w1, p1 = rows[abs(q + 1)][:len(fpairs)], norms[abs(q + 1)][:len(fpairs)]
         dbar = _incidence([_dbar_chi(a, b, n) for a, b in pairs], fpairs, n + 1)
         dbar_star = _incidence([_dbar_star(a, b, n, k) for a, b in fpairs], pairs, n)
-        stiff0, s0_scale = _reduced(_congruence(dbar, gram1), g1_scale)  # D G1 D^T
-        stiff1, s1_scale = _reduced(_congruence(dbar_star, gram0), g0_scale)  # T G0 T^T
-        for degree, (charge, idx, gram, g_scale, stiff, s_scale) in enumerate((
-                (q, pairs, gram0, g0_scale, stiff0, s0_scale),
-                (q + 1, fpairs, gram1, g1_scale, stiff1, s1_scale))):
-            w = rows[abs(charge)][:len(idx)]
-            norms, c = _eliminate(gram, stiff, s_scale / g_scale, w)
-            lam, vecs = np.linalg.eigh(c)  # exactly symmetric: X is, and so is its rounding
+        for degree, (charge, idx, w, p, stiff) in enumerate((
+                (q, pairs, w0, p0, _stiffness(w0, p0, dbar, w1, p1)),  # D G1 D^T
+                (q + 1, fpairs, w1, p1, _stiffness(w1, p1, dbar_star, w0, p0)))):  # T G0 T^T
+            lam, vecs = np.linalg.eigh(stiff)  # exactly symmetric: X is, and so is its rounding
             if lam.min() < -1e-10:
                 raise IllConditionedGramError(
                     f"negative eigenvalue {lam.min():.3e} beyond solver tolerance in the "
                     f"degree-{degree} block at charge {charge}"
                 )
-            (blocks, forms)[degree].append(_Block(idx, w, norms, g_scale, lam, vecs))
+            g = math.gcd(*p)  # keeps the radicands of the operator congruences small
+            (blocks, forms)[degree].append(_Block(idx, w, [v // g for v in p], unit * g, lam, vecs))
 
     threshold = 1e-8 * max(max(float(b.lam.max()) for b in blocks + forms), 1e-300)
     harmonic, flat = [], []

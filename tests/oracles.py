@@ -6,6 +6,9 @@ also computes, by a route that shares none of its shortcuts:
 * `_pairing`, the generic Hermitian pairing of weighted chart functions, and
   its wrappers `mono_integral` and `pair_weighted`, against the closed-form
   Grams and the lifted operator assembly of `hochheat.spectral`;
+* `_congruence`, the stiffness R G R^T of an incidence R as one sum per
+  entry, against the rows the model build expands in the other degree's
+  certified basis;
 * `harmonic0_coordinates`, the kernel vectors of a model back-solved to the
   (a, b) basis, against the holomorphic sections they must be;
 * `apply`, the action of a Weyl element on an ordinary polynomial, against
@@ -118,6 +121,19 @@ def pair_weighted(f: WeightedFn, g: WeightedFn, extra: int) -> Fraction:
     fi, df = _cleared(f)
     gi, dg = _cleared(g)
     return _as_fraction(_pairing(fi, gi, extra)) / (df * dg)
+
+
+def _congruence(rows: List[Dict[int, int]], gram: List[List[int]]) -> List[List[int]]:
+    """R G R^T for a sparse integer R given as one {column: coefficient} dict per row.
+
+    G is symmetric, so is the product: the lower triangle is summed and mirrored.
+    """
+    out = [[0] * len(rows) for _ in rows]
+    for i, ri in enumerate(rows):
+        for j, rj in enumerate(rows[:i + 1]):
+            out[i][j] = out[j][i] = sum(c * d * gram[r][s]
+                                        for r, c in ri.items() for s, d in rj.items())
+    return out
 
 
 def harmonic0_coordinates(model: SpectralModel) -> List[Dict[Tuple[int, int], float]]:

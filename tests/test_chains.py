@@ -312,6 +312,24 @@ def test_chain_from_json_rejects_malformed_input(payload):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize(
+    "payload, shown",
+    [({"n": 1, "terms": [{"coeff": "1", "word": list(range(20000))}]},
+      "{'coeff': '1', 'word': [0, 1, 2, 3, 4, 5"),
+     (_with_coeff("7" * 20000 + "/x"), "'" + "7" * 39),
+     (_with_coeff("7" * 20000 + "/0"), "'" + "7" * 39),
+     ({"n": 1, "terms": [{"coeff": "1", "word": ["z1*" * 20000]}]}, "'" + "z1*" * 13)],
+    ids=["term", "coefficient", "zero-denominator", "slot"],
+)
+def test_chain_from_json_cuts_what_it_echoes_to_40_characters(payload, shown):
+    with pytest.raises(ValueError) as err:
+        chain_from_json(json.dumps(payload))
+    # each echo is its repr's first 40 characters: a word of 20,000 non-string slots
+    # was once echoed whole, in a 60,079-character message
+    message = str(err.value)
+    assert len(shown) == 40 and shown + "..." in message and len(message) < 140
+
+
 @pytest.mark.parametrize("text", ["[" * 100000, '{"n": ' * 100000], ids=["array", "object"])
 def test_chain_from_json_rejects_deeply_nested_input(text):
     with pytest.raises(ValueError):

@@ -20,11 +20,11 @@ from hochheat.spectral import (
     IllConditionedGramError,
     OperatorEscapeError,
     _apply_weyl,
+    _certify,
     _charge_pairs,
-    _congruence,
     _dbar_chi,
     _dbar_star,
-    _eliminate,
+    _expand,
     _gram,
     _incidence,
     _lift,
@@ -42,8 +42,8 @@ from hochheat.spectral import (
     store_spectrum,
 )
 from hochheat.weyl import WeylElement, d_var, mul, unit, z_var
-from oracles import (_pairing, add, harmonic0_coordinates, mono_integral, monomial, pair_weighted,
-                     scale)
+from oracles import (_congruence, _pairing, add, harmonic0_coordinates, mono_integral, monomial,
+                     pair_weighted, scale)
 
 
 def _chi(a, b, n_trunc):
@@ -93,13 +93,19 @@ def test_pairing_rejects_divergent_input():
 
 
 def test_gram_matches_generic_pairing():
+    # (M-1)! times each block's Gram, in both degrees, is the closed-form Hankel block
     k, n = 1, 4
+    fact = [math.factorial(i) for i in range(2 * n + k + 2)]
     model = build_model(k, n)
-    for block in model.blocks:
-        for i, (a1, b1) in enumerate(block.pairs):
-            for j, (a2, b2) in enumerate(block.pairs):
-                entry = mono_integral(a1 + b2, 2 * n + k + 2)
-                assert entry == pair_weighted(_chi(a1, b1, n), _chi(a2, b2, n), k + 2)
+    for basis, extra, blocks in ((_chi, k + 2, model.blocks), (_psi, k, model.forms)):
+        for block in blocks:
+            alpha = abs(block.pairs[0][0] - block.pairs[0][1])
+            gram = _gram(len(block.pairs), alpha, fact)
+            for i, (a1, b1) in enumerate(block.pairs):
+                for j, (a2, b2) in enumerate(block.pairs):
+                    entry = pair_weighted(basis(a1, b1, n), basis(a2, b2, n), extra)
+                    assert entry == mono_integral(a1 + b2, 2 * n + k + 2)
+                    assert entry * fact[-1] == gram[i][j]
 
 
 def test_apply_weyl_is_multiplicative():
@@ -176,7 +182,8 @@ def _block_incidences(k, n, q):
     fpairs = _charge_pairs(q + 1, n + k + 1, n - 1)
     dbar = _incidence([_dbar_chi(a, b, n) for a, b in pairs], fpairs, n + 1)
     star = _incidence([_dbar_star(a, b, n, k) for a, b in fpairs], pairs, n)
-    return pairs, fpairs, _gram(pairs, fact), _gram(fpairs, fact), dbar, star
+    return (pairs, fpairs, _gram(len(pairs), abs(q), fact), _gram(len(fpairs), abs(q + 1), fact),
+            dbar, star)
 
 
 def _dense(rows, width):
@@ -495,9 +502,15 @@ def _bareiss(gram, op):
 
 
 def _oracle_congruence(gram, op, scale):
-    """A block's rounded congruence through the Bareiss W, with norms deltas[j] deltas[j+1]."""
+    """A block's rounded congruence through the Bareiss W, with norms deltas[j] deltas[j+1].
+
+    G and A are divided by the gcd of their entries first, which keeps the
+    minors small and leaves the rational of each entry as it is.
+    """
     s = len(gram)
+    (gram, g_scale), (op, op_scale) = _reduced(gram, Fraction(1)), _reduced(op, scale)
     rows, deltas = _bareiss(gram, op)
+    scale = op_scale / g_scale
     norms = [deltas[j] * deltas[j + 1] for j in range(s)]
     return _round_congruence([row[2 * s:] for row in rows], [row[s:2 * s] for row in rows],
                              norms, scale)
@@ -539,31 +552,72 @@ def test_closed_form_rows_are_positive_multiples_of_the_bareiss_rows(case):
                for i in range(size) for j in range(size))
 
 
-@pytest.mark.parametrize("k, n", [(0, 6), (1, 10), (3, 12)])
+@pytest.mark.parametrize("k, n", [(0, 6), (1, 10), (3, 12),
+                                  pytest.param(0, spectral.MAX_TRUNC, marks=pytest.mark.large)])
 def test_closed_form_path_is_bit_identical_to_the_bareiss_oracle(monkeypatch, k, n):
-    calls = []  # (gram, op, scale, rounded congruence) of each `_eliminate` call
+    solved = []  # the rounded congruence of each block, in the order the blocks are solved
+    real_eigh = np.linalg.eigh
 
-    def recording(gram, op, scale, w):
-        norms, out = _eliminate(gram, op, scale, w)
-        calls.append((gram, op, scale, out))
-        return norms, out
+    def recording(a):
+        solved.append(a.copy())
+        return real_eigh(a)
 
-    monkeypatch.setattr(spectral, "_eliminate", recording)
-    model = build_model(k, n)
-    # one degree-0 and one degree-1 block per charge
-    assert len(calls) == 2 * len(model.blocks)
-    for gram, op, scale, got in calls:
-        assert got.tobytes() == _oracle_congruence(gram, op, scale).tobytes()
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    model = build_model(k, n, cond_limit=math.inf)
+    # one degree-0 and one degree-1 block per charge, solved in that order; each
+    # stiffness is the plain congruence of its own incidence, D G1 D^T or T G0 T^T,
+    # and (M-1)! scales the Gram and the stiffness alike
+    assert len(solved) == 2 * len(model.blocks)
+    for q, got0, got1 in zip(range(-n, n + k + 1), solved[::2], solved[1::2]):
+        _, _, g0, g1, dbar, star = _block_incidences(k, n, q)
+        for got, gram, incidence, other in ((got0, g0, dbar, g1), (got1, g1, star, g0)):
+            ref = _oracle_congruence(gram, _congruence(incidence, other), Fraction(1))
+            assert got.tobytes() == ref.tobytes()
     zd = mul(z_var(1, 1), d_var(1, 1))
     fact = [math.factorial(i) for i in range(2 * n + k + 2)]
     for degree, blocks in enumerate((model.blocks, model.forms)):
         got = _operator_blocks(model, zd, degree)
         which = range(len(blocks))
         for bi, (mat, scale) in zip(which, _operator_pairings(model, zd, degree, which)):
-            block = blocks[bi]
-            gram, _ = _reduced(_gram(block.pairs, fact), Fraction(1, fact[-1]))
-            ref = _oracle_congruence(gram, mat, scale / block.scale)
+            pairs = blocks[bi].pairs
+            gram = _gram(len(pairs), abs(pairs[0][0] - pairs[0][1]), fact)
+            ref = _oracle_congruence(gram, mat, scale * fact[-1])
             assert got[bi].tobytes() == ref.tobytes()
+
+
+@st.composite
+def triangular_rows_and_vector(draw):
+    """Lower triangular integer rows with a nonzero diagonal, and an integer vector to expand."""
+    s = draw(st.integers(1, 7))
+    entries = st.integers(-30, 30)
+    rows = [draw(st.lists(entries, min_size=j, max_size=j))
+            + [draw(entries.filter(bool))] for j in range(s)]
+    return rows, draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=s, max_size=s))
+
+
+@given(triangular_rows_and_vector())
+@settings(max_examples=200, deadline=None)
+def test_expansion_in_triangular_rows_is_exact(case):
+    rows, u = case
+    den, c = _expand(u, rows)
+    assert den > 0 and all(0 <= m < len(rows) and v for m, v in c.items())
+    assert [den * v for v in u] == [sum(cm * rows[m][col] for m, cm in c.items() if col <= m)
+                                    for col in range(len(u))]
+
+
+def test_certificate_is_taken_once_per_alpha(monkeypatch):
+    # degree 0 and degree 1 share M, and every block of one alpha uses a prefix of its rows
+    calls = []
+
+    def recording(gram, w):
+        calls.append(len(w))
+        return _certify(gram, w)
+
+    monkeypatch.setattr(spectral, "_certify", recording)
+    k, n = 2, 7
+    model = build_model(k, n)
+    alphas = {abs(b.pairs[0][0] - b.pairs[0][1]) for b in model.blocks + model.forms}
+    assert len(calls) == len(alphas) < len(model.blocks) + len(model.forms)
 
 
 @pytest.mark.parametrize("position", ["constant", "middle", "leading"])
