@@ -383,11 +383,28 @@ def chain_to_json(c: TensorChain) -> str:
 #: a coefficient as `chain_to_json` writes it: an integer or a fraction
 _COEFF_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
+#: the most digits the numerator or the denominator of a chain JSON coefficient may
+#: have: the interpreter's default bound on int() of a digit string and on str() of
+#: an int, so every coefficient `chain_to_json` writes under that default reads back
+MAX_COEFF_DIGITS = 4300
+
 
 def _shown(value) -> str:
     """repr(value) cut to its first 40 characters, for an error message."""
     text = repr(value)
     return text if len(text) <= 40 else text[:40] + "..."
+
+
+def _check_digits(coeff, *digits: int) -> None:
+    """Refuse a coefficient with a part of more than MAX_COEFF_DIGITS digits."""
+    if max(digits) > MAX_COEFF_DIGITS:
+        raise ValueError(f"coefficient {_shown(coeff)} has more than {MAX_COEFF_DIGITS} digits")
+
+
+def _json_int(text: str) -> int:
+    """A bare JSON integer, refused past MAX_COEFF_DIGITS digits before int() reads it."""
+    _check_digits(text, len(text.lstrip("-")))
+    return int(text)
 
 
 def _coefficient(coeff) -> Tuple[int, int]:
@@ -397,6 +414,7 @@ def _coefficient(coeff) -> Tuple[int, int]:
     m = _COEFF_RE.fullmatch(coeff) if isinstance(coeff, str) else None
     if m is None:
         raise ValueError(f"coefficient {_shown(coeff)} is not an integer or a fraction p/q")
+    _check_digits(coeff, len(m[1].lstrip("-")), len(m[2] or ""))
     q = int(m[2] or 1)
     if not q:
         raise ValueError(f"zero denominator in coefficient {_shown(coeff)}")
@@ -411,7 +429,7 @@ def chain_from_json(text: str) -> TensorChain:
     another spelling of the same element, is refused.
     """
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, parse_int=_json_int)
     except RecursionError:
         raise ValueError("chain JSON is nested too deeply") from None
     if not (isinstance(payload, dict) and type(payload.get("n")) is int

@@ -69,15 +69,24 @@ together, so the supersymmetric pairing and the flat heat supertrace
 compare two independent computations.
 
 Operator pairings <op f_j, f_i>, with f the chi or the psi of one block,
-use the same closed form.  Each image den * op f_j is lifted once to the
-largest power of (1+|z|^2) the operator reaches, so entry (i, j) is the
-sum of c s! (m-s-2)!, s = a + b_i, over its charge-matched terms c z^a zbar^b.
-Each basis function has one charge and the top-degree part of a product of
-polynomials cannot cancel, so a pair fails to integrate exactly when its
-top degrees add up past 2m - 3; the check raises what the generic pairing
-kernel of the test oracles (`tests/oracles.py`) raises on the same pair.
-Blocks are built on demand and cached per (degree, operator, block), so
-`harmonic_supertrace` builds only the blocks that hold a kernel vector.
+use the same closed form, and no image is built per basis function.  For
+f_j = z^a_j zbar^b_j (1+|z|^2)^(-g), den * op f_j lifted to the largest
+power g + dmax of (1+|z|^2) that op reaches is the sum of
+kappa[sigma, tau](a_j) z^(a_j+sigma+tau) zbar^(b_j+tau) over the charge
+shifts sigma = e - f of its terms z^e d^f and the lift offsets tau <= dmax;
+each kappa is one fixed combination of falling factorials of a_j.  Only
+sigma = 0 pairs with the block's charge and a_j + b_i = alpha + i + j, so,
+with m the total power of (1+|z|^2) in the integrand, (m-1)! times the
+pairing is P = sum_tau H_tau diag(kappa[0, tau]), with H_tau the Hankel
+slice s! (m-s-2)!, s = alpha + tau + i + j.  A pair fails to
+integrate exactly when the top degree of its nonzero terms adds up past
+2m - 3.  The kappa are the exact sums of the image's monomials, so a
+cancelled top term is left out, and the check raises what the term-by-term
+reference of the test oracles (`tests/oracles.py`) raises on the same pair.
+X = W P W^T is then formed exactly over the whole block and each entry is
+rounded once.  Blocks are built on demand and cached per (degree, operator,
+block), so `harmonic_supertrace` builds only the blocks that hold a kernel
+vector.
 """
 
 from __future__ import annotations
@@ -88,6 +97,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import comb, factorial
 from numbers import Rational
 from operator import mul
@@ -102,7 +112,9 @@ CONVENTION_TAG = "fs-unit-volume:v1"
 
 #: largest truncation `build_model` accepts, checked before any work; a cost
 #: bound: with cond_limit=inf, N = 40 takes about 0.25 s for k = 0 or 1 and
-#: 0.75 s for k = 38, the largest k it admits, on one 2-CPU host
+#: 0.75 s for k = 38, the largest k it admits, on one 2-CPU host, and one
+#: z d/dz `limit_supertrace` on the model 0.38-0.49 s for k = 0 and 1.1-1.3 s
+#: for k = 38, most of it the two exact O(s^3) products of each block's congruence
 MAX_TRUNC = 40
 
 #: weighted chart function: (z exponent, zbar exponent, denominator power)
@@ -125,17 +137,6 @@ class IllConditionedGramError(RuntimeError):
     """The basis Gram matrix is numerically unusable."""
 
 
-def _lift(f: WeightedFn, power: int) -> Dict[Tuple[int, int], int]:
-    """The numerator of f over (1+|z|^2)^power >= every power in f, as {(a, b): c}."""
-    flat: Dict[Tuple[int, int], int] = {}
-    for (a, b, g), c in f.items():
-        lift = power - g
-        for j in range(lift + 1):
-            key = (a + j, b + j)
-            flat[key] = flat.get(key, 0) + c * comb(lift, j)
-    return {key: c for key, c in flat.items() if c}
-
-
 # ---------------------------------------------------------------------------
 # exact linear algebra on integer blocks
 # ---------------------------------------------------------------------------
@@ -143,9 +144,9 @@ def _lift(f: WeightedFn, power: int) -> Dict[Tuple[int, int], int]:
 
 def _reduced(mat: IntMat, scale: Fraction) -> Tuple[IntMat, Fraction]:
     """scale * mat as an integer matrix divided by the gcd of its entries, and the new scale."""
-    g = math.gcd(*(v for row in mat for v in row))
-    if not g:
-        return mat, Fraction(0)
+    g = math.gcd(*chain.from_iterable(mat))
+    if g < 2:
+        return mat, scale * g
     return [[v // g for v in row] for row in mat], scale * g
 
 
@@ -180,21 +181,28 @@ def _scaled_root(x: int, num: int, den: int) -> float:
     return -root if x < 0 else root
 
 
-def _round_congruence(v: IntMat, w: IntMat, norms: Sequence[int], scale: Fraction) -> np.ndarray:
-    """float(scale * S L^-1 A L^-T S) with S = D^(-1/2), given V = W A.
+def _round_congruence(w: IntMat, mat: IntMat, norms: Sequence[int], scale: Fraction) -> np.ndarray:
+    """float(scale * S L^-1 A L^-T S) with S = D^(-1/2), for an integer matrix A.
 
     W is lower triangular (row j has j+1 entries) with W G W^T = diag(norms).
-    With X = V W^T = W A W^T the entry is scale * X_ij / sqrt(p_i p_j),
-    p_i = norms[i]: a positive row scaling of W leaves it the same rational.
+    X = W A W^T is formed exactly, as a block of Python integers, and each
+    entry scale * X_ij / sqrt(p_i p_j), p_i = norms[i], leaves exact
+    arithmetic once: its radicand X_ij^2 scale^2 / (p_i p_j) is one correctly
+    rounded int/int quotient, so a positive row scaling of W leaves it the
+    same float and no intermediate overflows.
     """
     s = len(w)
-    out = np.zeros((s, s))
-    num, den = scale.numerator ** 2, scale.denominator ** 2
-    for i in range(s):
-        vi = v[i]
-        for j in range(s):
-            out[i, j] = _scaled_root(sum(map(mul, vi, w[j])), num, den * norms[i] * norms[j])
-    return out
+    rows = [np.array(row, dtype=object) for row in w]
+    a = np.array(mat, dtype=object)
+    v, x = np.empty((s, s), dtype=object), np.empty((s, s), dtype=object)
+    for i, row in enumerate(rows):  # V = W A, then X = V W^T, each over W's lower triangle
+        v[i] = row.dot(a[:i + 1])
+    for j, row in enumerate(rows):
+        x[:, j] = v[:, :j + 1].dot(row)
+    p = np.array(norms, dtype=object)
+    radicand = x * x * scale.numerator ** 2 / np.outer(p * scale.denominator ** 2, p)
+    root = np.sqrt(radicand.astype(float))
+    return np.where(x < 0, -root, root)
 
 
 def _certify(gram: IntMat, w: IntMat) -> List[int]:
@@ -274,15 +282,6 @@ def _stiffness(w: IntMat, norms: Sequence[int], incidence: List[Dict[int, int]],
     for (i, j), v in x.items():
         out[i, j] = out[j, i] = _scaled_root(v, 1, (dens[i] * dens[j]) ** 2 * norms[i] * norms[j])
     return out
-
-
-def _accumulate(acc: Dict[tuple, Rational], key: tuple, c: Rational) -> None:
-    """acc[key] += c, dropping the key when the sum is zero."""
-    tot = acc.get(key, 0) + c
-    if tot:
-        acc[key] = tot
-    elif key in acc:
-        del acc[key]
 
 
 # ---------------------------------------------------------------------------
@@ -466,65 +465,64 @@ def build_model(k: int, trunc: int, cond_limit: float = 1e16) -> SpectralModel:
 # ---------------------------------------------------------------------------
 
 
-def _apply_weyl(op: WeylElement, f: WeightedFn, den: int = 1) -> WeightedFn:
-    """Act with den * op, for a one-variable operator element, on a weighted chart function.
+def _image_coefficients(op: WeylElement, den: int, power: int,
+                        dmax: int) -> List[Tuple[Tuple[int, int], int, int]]:
+    """den * op on z^a zbar^b (1+|z|^2)^(-power), lifted to the power power + dmax, in closed form.
 
-    d/dz (z^a zbar^b (1+|z|^2)^(-g)) = a z^(a-1) zbar^b (1+|z|^2)^(-g)
-                                       - g z^a zbar^(b+1) (1+|z|^2)^(-g-1).
-    Each power of d/dz is taken once; with den clearing the coefficient
-    denominators of op, an integer f has an integer image.
+    With w = 1+|z|^2, a term c z^e d^f of op (d = d/dz) gives, by Leibniz,
+    c sum_l C(f,l) (a)_(f-l) (-1)^l (power)^(l) z^(a+e-f+l) zbar^(b+l) w^-(power+l),
+    falling (a)_r and rising (power)^(l); lifting w^-(power+l) to
+    w^-(power+dmax) multiplies it by sum_u C(dmax-l, u) (z zbar)^u.  So the
+    lifted image is the sum over sigma = e - f and tau = l + u <= dmax of
+    kappa[sigma, tau](a) z^(a+sigma+tau) zbar^(b+tau), and kappa[sigma, tau](a)
+    is a sum of terms K (a)_r that does not depend on b.  Returns the
+    ((sigma, tau), r, K) of every term, K an integer once den clears the
+    coefficient denominators of op.
     """
-    if op.n != 1:
-        raise OperatorEscapeError("operators on the model must be one-variable elements")
-    derivs = [f]  # derivs[e] = (d/dz)^e f
-    out: WeightedFn = {}
-    for ((z_exp,), (d_exp,)), coeff in op.terms:
-        c_op = coeff * den
-        c_op = c_op.numerator if c_op.denominator == 1 else c_op
-        while len(derivs) <= d_exp:
-            nxt: WeightedFn = {}
-            for (a, b, g), c in derivs[-1].items():
-                if a:
-                    _accumulate(nxt, (a - 1, b, g), c * a)
-                if g:
-                    _accumulate(nxt, (a, b + 1, g + 1), -c * g)
-            derivs.append(nxt)
-        for (a, b, g), c in derivs[d_exp].items():
-            _accumulate(out, (a + z_exp, b, g), c * c_op)
+    out = []
+    for ((e,), (f,)), c in op.terms:
+        signed = int(c * den)  # c den (-1)^l (power)^(l) at step l
+        for l in range(f + 1):
+            for u in range(dmax - l + 1):
+                out.append(((e - f, l + u), f - l, signed * comb(f, l) * comb(dmax - l, u)))
+            signed *= -(power + l)
     return out
 
 
-def _moment_block(images: List[Dict[Tuple[int, int], int]], pairs: List[Tuple[int, int]],
-                  mom: List[int]) -> IntMat:
-    """(m-1)! <image_j, f_i> for lifted images and f_i = z^a_i zbar^b_i, (a_i, b_i) in pairs.
+def _check_integrable(kappa: Dict[Tuple[int, int], List[int]], s: int, alpha: int, m: int) -> None:
+    """Raise where an image of one block of size s does not integrate against a basis function.
 
-    Given mom[s] = s! (m-s-2)! and one charge q = a_i - b_i, entry (i, j) is
-    sum c mom[a + b_i] over the charge-q terms c z^a zbar^b of image j.  A
-    pair escapes (diverges) when the top degree of the image's other-charge
-    (charge-q) terms plus a_i + b_i exceeds 2m - 3; pairs are checked in
-    row-major order, as the generic pairing kernel of `tests/oracles.py`
-    would check them.
+    Image j is the sum of kappa[sigma, tau][j] z^(a_j+sigma+tau) zbar^(b_j+tau);
+    paired with f_i = z^a_i zbar^b_i under the total weight (1+|z|^2)^(-m),
+    each term has the radial degree sigma + 2 tau + a_i + b_i + a_j + b_j =
+    sigma + 2 (tau + i + j + alpha).  A pair escapes (diverges) when its top
+    degree over the nonzero charged (neutral, sigma = 0) terms exceeds
+    2m - 3.  The kappa are exactly the summed coefficients of the lifted
+    images, so a cancelled top term is left out.  The largest i is the worst,
+    so a passing block costs one pass over kappa; otherwise the pairs are
+    searched in row-major order, escape before divergence, as the generic
+    pairing kernel of `tests/oracles.py` would check them.
     """
-    m = len(mom) + 1
-    q = pairs[0][0] - pairs[0][1]
-
-    def top(keys: Iterable[Tuple[int, int]]) -> float:
-        return max((a + b for a, b in keys), default=-math.inf)
-
-    charged = [top(key for key in img if key[0] - key[1] != q) for img in images]
-    neutral = [top(key for key in img if key[0] - key[1] == q) for img in images]
-    for i, (a_i, b_i) in enumerate(pairs):
-        for j, (e, v) in enumerate(zip(charged, neutral)):
-            if e + a_i + b_i > 2 * m - 3:
+    tops = ([-math.inf] * s, [-math.inf] * s)  # charged, neutral
+    for (sigma, tau), vals in kappa.items():
+        top, deg = tops[sigma == 0], sigma + 2 * tau
+        for j, v in enumerate(vals):
+            if v and deg > top[j]:
+                top[j] = deg
+    limit = 2 * m - 3 - 2 * alpha
+    reach = max((max(e, v) + 2 * j for j, (e, v) in enumerate(zip(*tops))), default=-math.inf)
+    if reach + 2 * (s - 1) <= limit:
+        return
+    for i in range(s):
+        for j, (e, v) in enumerate(zip(*tops)):
+            if e + 2 * (i + j) > limit:
                 raise OperatorEscapeError(
                     f"image {j} paired with basis function {i} leaves the square-integrable "
-                    f"truncation (radial degree {e + a_i + b_i}, weight {m})")
-            if v + a_i + b_i > 2 * m - 3:
+                    f"truncation (radial degree {e + 2 * (i + j + alpha)}, weight {m})")
+            if v + 2 * (i + j) > limit:
                 raise DivergentIntegralError(
                     f"image {j} paired with basis function {i} diverges "
-                    f"(radial degree {v + a_i + b_i}, weight {m})")
-    rows = [[(a, c) for (a, b), c in img.items() if a - b == q] for img in images]
-    return [[sum(c * mom[a + b_i] for a, c in row) for row in rows] for _, b_i in pairs]
+                    f"(radial degree {v + 2 * (i + j + alpha)}, weight {m})")
 
 
 def _operator_pairings(model: SpectralModel, op: WeylElement, degree: int,
@@ -534,21 +532,40 @@ def _operator_pairings(model: SpectralModel, op: WeylElement, degree: int,
     f runs over the basis of one degree's block: z^a zbar^b (1+|z|^2)^(-power)
     with (power, weight) (N, k+2) for the sections chi (degree 0) and
     (N+1, k) for the coefficients of the forms psi (degree 1).  Each image
-    den * op f_j is lifted once to the largest power it can reach, so every
-    entry of every block is a sum over one moment row (`_moment_block`).
+    den * op f_j, lifted to the largest power top it can reach, is
+    sum kappa[sigma, tau][j] z^(a_j+sigma+tau) zbar^(b_j+tau)
+    (`_image_coefficients`), and only its sigma = 0 terms pair with the
+    block's charge.  Since a_j + b_i = alpha + i + j, the pairing times
+    (m-1)! is P = sum_tau H_tau diag(kappa[0, tau]), H_tau the Hankel slice
+    mom[alpha + tau + i + j] of mom[s] = s! (m-s-2)!, m = top + weight.
     """
     n, k = model.trunc, model.k
     den = math.lcm(*(c.denominator for _, c in op.terms))
     power, extra = (n, k + 2) if degree == 0 else (n + 1, k)
-    top = power + max((d for ((_,), (d,)), _ in op.terms), default=0)
-    m = top + power + extra
+    dmax = max((d for ((_,), (d,)), _ in op.terms), default=0)
+    m = power + dmax + power + extra
     mom = [factorial(s) * factorial(m - s - 2) for s in range(m - 1)]
     unit = Fraction(1, den * factorial(m - 1))
+    image = _image_coefficients(op, den, power, dmax)
     blocks = (model.blocks, model.forms)[degree]
     for bi in which:
         pairs = blocks[bi].pairs
-        images = [_lift(_apply_weyl(op, {(a, b, power): 1}, den), top) for a, b in pairs]
-        yield _reduced(_moment_block(images, pairs, mom), unit)
+        s, alpha = len(pairs), abs(pairs[0][0] - pairs[0][1])
+        kappa: Dict[Tuple[int, int], List[int]] = {}  # [sigma, tau][j]: kappa[sigma, tau](a_j)
+        for key, r, c in image:
+            vals = kappa.get(key, [0] * s)
+            kappa[key] = [v + c * math.perm(a, r) for v, (a, _) in zip(vals, pairs)]
+        _check_integrable(kappa, s, alpha, m)
+        # the moments the block reads, divided by their gcd; alpha + 2 (s-1) <= M - 2 for
+        # every block and m = M + dmax, so the window ends inside mom
+        window = mom[alpha:alpha + 2 * s - 1 + dmax]
+        g = math.gcd(*window)
+        window = np.array([v // g for v in window], dtype=object)
+        hankel = np.add.outer(np.arange(s), np.arange(s))
+        mat = sum((window[hankel + tau] * np.array(vals, dtype=object)
+                   for (sigma, tau), vals in kappa.items() if sigma == 0),
+                  np.zeros((s, s), dtype=object))
+        yield _reduced(mat.tolist(), unit * g)
 
 
 def _operator_blocks(model: SpectralModel, op: WeylElement, degree: int,
@@ -575,17 +592,15 @@ def _operator_blocks(model: SpectralModel, op: WeylElement, degree: int,
     todo = [bi for bi in which if (degree, op, bi) not in model._op_cache]
     for bi, (mat, scale) in zip(todo, _operator_pairings(model, op, degree, todo)):
         block = blocks[bi]
-        cols = list(zip(*mat))
-        v = [[sum(map(mul, wi, col)) for col in cols] for wi in block.w]
-        model._op_cache[(degree, op, bi)] = _round_congruence(v, block.w, block.norms,
+        model._op_cache[(degree, op, bi)] = _round_congruence(block.w, mat, block.norms,
                                                               scale / block.scale)
     return {bi: model._op_cache[(degree, op, bi)] for bi in which}
 
 
 def heat_supertrace(model: SpectralModel, t: float) -> float:
     """Trace of the heat operator on sections minus trace on (0,1)-forms."""
-    if t <= 0:
-        raise ValueError(f"heat time must be positive, got {t}")
+    if not (t > 0 and math.isfinite(t)):
+        raise ValueError(f"heat time must be positive and finite, got {t}")
     s0 = float(np.exp(-t * model._flat0).sum())
     s1 = float(np.exp(-t * model._flat1).sum())
     return s0 - s1
@@ -628,8 +643,11 @@ def limit_supertrace(
     grid = [float(t) for t in t_grid]
     if not grid:
         raise ValueError("t_grid must be non-empty")
-    if any(t <= 0 for t in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("t_grid must be strictly increasing and positive")
+    for t in grid:
+        if not (t > 0 and math.isfinite(t)):
+            raise ValueError(f"t_grid times must be positive and finite, got {t}")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("t_grid must be strictly increasing")
     terms = []  # (sign, eigenvalues, <op e_i, e_i>) of each block of both degrees
     for degree, (sign, blocks) in enumerate(((1.0, model.blocks), (-1.0, model.forms))):
         mats = _operator_blocks(model, op, degree)

@@ -5,7 +5,13 @@ also computes, by a route that shares none of its shortcuts:
 
 * `_pairing`, the generic Hermitian pairing of weighted chart functions, and
   its wrappers `mono_integral` and `pair_weighted`, against the closed-form
-  Grams and the lifted operator assembly of `hochheat.spectral`;
+  Grams and the operator pairings of `hochheat.spectral`;
+* `lifted_pairings`, the operator pairings built term by term: each image
+  applied to one basis function (`_apply_weyl`), lifted to one power of
+  1+|z|^2 (`_lift`) and paired with one moment sum per entry
+  (`_moment_block`), against their closed form, refusals included;
+* `_round_each_entry`, the congruence rounded one entry at a time, against
+  the whole-block rounding of `hochheat.spectral._round_congruence`;
 * `_congruence`, the stiffness R G R^T of an incidence R as one sum per
   entry, against the rows the model build expands in the other degree's
   certified basis;
@@ -32,8 +38,9 @@ import json
 import math
 import re
 from fractions import Fraction
-from math import factorial
-from typing import Dict, Iterable, List, Mapping, Tuple
+from math import comb, factorial
+from operator import mul as _times
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -46,7 +53,7 @@ from hochheat.spectral import (
     OperatorEscapeError,
     SpectralModel,
     WeightedFn,
-    _lift,
+    _reduced,
     _scaled_root,
 )
 from hochheat.weyl import (MAX_DEGREE, MAX_VARIABLES, _ONE, Exponents, WeylElement, _merge_terms,
@@ -58,6 +65,17 @@ from hochheat.weyl import (MAX_DEGREE, MAX_VARIABLES, _ONE, Exponents, WeylEleme
 
 #: a pairing value numerator / (m - 1)! as (numerator, m)
 Pairing = Tuple[int, int]
+
+
+def _lift(f: WeightedFn, power: int) -> Dict[Tuple[int, int], int]:
+    """The numerator of f over (1+|z|^2)^power >= every power in f, as {(a, b): c}."""
+    flat: Dict[Tuple[int, int], int] = {}
+    for (a, b, g), c in f.items():
+        lift = power - g
+        for j in range(lift + 1):
+            key = (a + j, b + j)
+            flat[key] = flat.get(key, 0) + c * comb(lift, j)
+    return {key: c for key, c in flat.items() if c}
 
 
 def _pairing(f: WeightedFn, g: WeightedFn, extra: int) -> Pairing:
@@ -121,6 +139,115 @@ def pair_weighted(f: WeightedFn, g: WeightedFn, extra: int) -> Fraction:
     fi, df = _cleared(f)
     gi, dg = _cleared(g)
     return _as_fraction(_pairing(fi, gi, extra)) / (df * dg)
+
+
+def _accumulate(acc: Dict[tuple, Fraction], key: tuple, c) -> None:
+    """acc[key] += c, dropping the key when the sum is zero."""
+    tot = acc.get(key, 0) + c
+    if tot:
+        acc[key] = tot
+    elif key in acc:
+        del acc[key]
+
+
+def _apply_weyl(op: WeylElement, f: WeightedFn, den: int = 1) -> WeightedFn:
+    """Act with den * op, for a one-variable operator element, on a weighted chart function.
+
+    d/dz (z^a zbar^b (1+|z|^2)^(-g)) = a z^(a-1) zbar^b (1+|z|^2)^(-g)
+                                       - g z^a zbar^(b+1) (1+|z|^2)^(-g-1).
+    Each power of d/dz is taken once; with den clearing the coefficient
+    denominators of op, an integer f has an integer image.
+    """
+    if op.n != 1:
+        raise OperatorEscapeError("operators on the model must be one-variable elements")
+    derivs = [f]  # derivs[e] = (d/dz)^e f
+    out: WeightedFn = {}
+    for ((z_exp,), (d_exp,)), coeff in op.terms:
+        c_op = coeff * den
+        c_op = c_op.numerator if c_op.denominator == 1 else c_op
+        while len(derivs) <= d_exp:
+            nxt: WeightedFn = {}
+            for (a, b, g), c in derivs[-1].items():
+                if a:
+                    _accumulate(nxt, (a - 1, b, g), c * a)
+                if g:
+                    _accumulate(nxt, (a, b + 1, g + 1), -c * g)
+            derivs.append(nxt)
+        for (a, b, g), c in derivs[d_exp].items():
+            _accumulate(out, (a + z_exp, b, g), c * c_op)
+    return out
+
+
+def _moment_block(images: List[Dict[Tuple[int, int], int]], pairs: List[Tuple[int, int]],
+                  mom: List[int]) -> List[List[int]]:
+    """(m-1)! <image_j, f_i> for lifted images and f_i = z^a_i zbar^b_i, (a_i, b_i) in pairs.
+
+    Given mom[s] = s! (m-s-2)! and one charge q = a_i - b_i, entry (i, j) is
+    sum c mom[a + b_i] over the charge-q terms c z^a zbar^b of image j.  A
+    pair escapes (diverges) when the top degree of the image's other-charge
+    (charge-q) terms plus a_i + b_i exceeds 2m - 3; pairs are checked in
+    row-major order, as `_pairing` would check them.
+    """
+    m = len(mom) + 1
+    q = pairs[0][0] - pairs[0][1]
+
+    def top(keys: Iterable[Tuple[int, int]]) -> float:
+        return max((a + b for a, b in keys), default=-math.inf)
+
+    charged = [top(key for key in img if key[0] - key[1] != q) for img in images]
+    neutral = [top(key for key in img if key[0] - key[1] == q) for img in images]
+    for i, (a_i, b_i) in enumerate(pairs):
+        for j, (e, v) in enumerate(zip(charged, neutral)):
+            if e + a_i + b_i > 2 * m - 3:
+                raise OperatorEscapeError(
+                    f"image {j} paired with basis function {i} leaves the square-integrable "
+                    f"truncation (radial degree {e + a_i + b_i}, weight {m})")
+            if v + a_i + b_i > 2 * m - 3:
+                raise DivergentIntegralError(
+                    f"image {j} paired with basis function {i} diverges "
+                    f"(radial degree {v + a_i + b_i}, weight {m})")
+    rows = [[(a, c) for (a, b), c in img.items() if a - b == q] for img in images]
+    return [[sum(c * mom[a + b_i] for a, c in row) for row in rows] for _, b_i in pairs]
+
+
+def lifted_pairings(model: SpectralModel, op: WeylElement, degree: int,
+                    which: Iterable[int]) -> Iterator[Tuple[List[List[int]], Fraction]]:
+    """What `hochheat.spectral._operator_pairings` yields, one image at a time.
+
+    Each image den * op f_j is built as a dict of terms, lifted to the
+    largest power of 1+|z|^2 the operator reaches and paired by one moment
+    sum per entry, so a cancelled term drops out of the dict before its
+    degree is read.
+    """
+    n, k = model.trunc, model.k
+    den = math.lcm(*(c.denominator for _, c in op.terms))
+    power, extra = (n, k + 2) if degree == 0 else (n + 1, k)
+    top = power + max((d for ((_,), (d,)), _ in op.terms), default=0)
+    m = top + power + extra
+    mom = [factorial(s) * factorial(m - s - 2) for s in range(m - 1)]
+    unit = Fraction(1, den * factorial(m - 1))
+    blocks = (model.blocks, model.forms)[degree]
+    for bi in which:
+        pairs = blocks[bi].pairs
+        images = [_lift(_apply_weyl(op, {(a, b, power): 1}, den), top) for a, b in pairs]
+        yield _reduced(_moment_block(images, pairs, mom), unit)
+
+
+def _round_each_entry(v: List[List[int]], w: List[List[int]], norms: Sequence[int],
+                      scale: Fraction) -> np.ndarray:
+    """float(scale * X_ij / sqrt(p_i p_j)), X = V W^T, rounded one entry at a time.
+
+    Given V = W A with W G W^T = diag(norms), p_i = norms[i], this is the
+    congruence S L^-1 A L^-T S, S = D^(-1/2), for G = L D L^T.
+    """
+    s = len(w)
+    out = np.zeros((s, s))
+    num, den = scale.numerator ** 2, scale.denominator ** 2
+    for i in range(s):
+        for j in range(s):
+            out[i, j] = _scaled_root(sum(map(_times, v[i], w[j])), num,
+                                     den * norms[i] * norms[j])
+    return out
 
 
 def _congruence(rows: List[Dict[int, int]], gram: List[List[int]]) -> List[List[int]]:

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hochheat.chains import (
+    MAX_COEFF_DIGITS,
     TensorChain,
     _shuffles,
     TsyganColumnVector,
@@ -284,6 +285,10 @@ def _with_coeff(coeff):
     return {"n": 1, "terms": [{"coeff": coeff, "word": ["z1"]}]}
 
 
+#: a chain JSON text whose coefficient is a bare 5000-digit integer, which json.dumps
+#: cannot write past the interpreter's int() bound
+_BARE_INT_TEXT = '{"n": 1, "terms": [{"coeff": ' + "7" * 5000 + ', "word": ["z1"]}]}'
+
 #: one slot of 4000 distinct terms, about 73 kB, which the general element grammar
 #: takes seconds to read, its running total merged again after every term
 _LONG_SLOT = " + ".join([f"z1^{a}*z2^{b}*d3^{c}" for a in range(2, 20) for b in range(2, 20)
@@ -298,18 +303,39 @@ _LONG_SLOT = " + ".join([f"z1^{a}*z2^{b}*d3^{c}" for a in range(2, 20) for b in 
      _with_coeff(True), _with_coeff("1e10000000"), _with_coeff("1.5"), _with_coeff(" 1"),
      _with_coeff("1/2\n"), _with_coeff("+1"), _with_coeff("\u0661"),
      {"n": 3, "terms": [{"coeff": "1", "word": [_LONG_SLOT]}]},
-     {"n": 1, "terms": [["1", ["z1"]]]}],
+     {"n": 1, "terms": [["1", ["z1"]]]},
+     _with_coeff("7" * 5000), _with_coeff("-" + "7" * 5000), _with_coeff("7" * 5000 + "/3"),
+     _with_coeff("3/" + "7" * 5000), _BARE_INT_TEXT],
     ids=["not-an-object", "n-below-one", "zero-denominator", "empty-word", "n-above-bound",
          "degree-above-bound", "bool-coefficient", "exponent-coefficient", "decimal-coefficient",
          "padded-coefficient", "trailing-newline", "plus-sign", "non-ascii-digit",
-         "slot-of-4000-terms", "term-not-an-object"],
+         "slot-of-4000-terms", "term-not-an-object", "5000-digit-coefficient",
+         "5000-digit-negative-coefficient", "5000-digit-numerator", "5000-digit-denominator",
+         "5000-digit-bare-integer"],
 )
 def test_chain_from_json_rejects_malformed_input(payload):
     start = time.perf_counter()
     with pytest.raises(ValueError):
-        chain_from_json(json.dumps(payload))
+        chain_from_json(payload if isinstance(payload, str) else json.dumps(payload))
     # "1e10000000" would cost seconds to expand, and one more digit minutes
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("text", [json.dumps(_with_coeff("7" * 5000 + "/3")), _BARE_INT_TEXT],
+                         ids=["string", "bare-integer"])
+def test_chain_from_json_names_the_coefficient_and_the_digit_bound(text):
+    # past 4300 digits int() itself refuses, naming neither the coefficient nor a bound
+    with pytest.raises(ValueError, match=f"coefficient '{'7' * 39}... has more than "
+                                         f"{MAX_COEFF_DIGITS} digits"):
+        chain_from_json(text)
+
+
+def test_chain_from_json_reads_a_coefficient_of_the_largest_digit_count():
+    big = int("7" * MAX_COEFF_DIGITS)
+    for coeff in (str(big), f"-{big}/{big + 2}"):
+        assert chain_from_json(json.dumps(_with_coeff(coeff))).terms[0][0] == Fraction(coeff)
+    text = json.dumps(_with_coeff(0)).replace(" 0,", f" {big},")
+    assert chain_from_json(text).terms[0][0] == big
 
 
 @pytest.mark.parametrize(

@@ -19,16 +19,14 @@ from hochheat.spectral import (
     DivergentIntegralError,
     IllConditionedGramError,
     OperatorEscapeError,
-    _apply_weyl,
     _certify,
+    _check_integrable,
     _charge_pairs,
     _dbar_chi,
     _dbar_star,
     _expand,
     _gram,
     _incidence,
-    _lift,
-    _moment_block,
     _operator_blocks,
     _operator_pairings,
     _orthogonal_rows,
@@ -42,8 +40,9 @@ from hochheat.spectral import (
     store_spectrum,
 )
 from hochheat.weyl import WeylElement, d_var, mul, unit, z_var
-from oracles import (_congruence, _pairing, add, harmonic0_coordinates, mono_integral, monomial,
-                     pair_weighted, scale)
+from oracles import (_apply_weyl, _congruence, _lift, _moment_block, _pairing, _round_each_entry,
+                     add, harmonic0_coordinates, lifted_pairings, mono_integral, monomial,
+                     pair_weighted, scale, zero)
 
 
 def _chi(a, b, n_trunc):
@@ -345,8 +344,7 @@ def _intertwined_degree_one_terms(model, op, grid):
     lams, diags = [], []
     for block in model.blocks:
         mat, scale = _pairing_matrix([_dbar_chi(a, b, n) for a, b in block.pairs], op, k)
-        v = [[sum(map(operator.mul, wi, col)) for col in zip(*mat)] for wi in block.w]
-        pairing = _round_congruence(v, block.w, block.norms, scale / block.scale)
+        pairing = _round_congruence(block.w, mat, block.norms, scale / block.scale)
         keep = block.lam > 0
         y = block.vecs[:, keep]
         lams.append(block.lam[keep])
@@ -416,6 +414,17 @@ def test_time_grid_validation():
         limit_supertrace(model, unit(1), [1.0, 0.5])
     with pytest.raises(ValueError):
         limit_supertrace(model, unit(1), [])
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_time_that_is_not_finite_is_refused(t):
+    # nan and inf once gave nan with a RuntimeWarning: inf times a zero eigenvalue is nan
+    model = build_model(0, 6)
+    with pytest.raises(ValueError, match=f"got {t}"):
+        heat_supertrace(model, t)
+    for grid in ([t], [0.5, t], [t, 1.0, 2.0]):
+        with pytest.raises(ValueError, match=f"got {t}"):
+            limit_supertrace(model, unit(1), grid)
 
 
 def test_eigenvalues_are_nonnegative():
@@ -512,7 +521,7 @@ def _oracle_congruence(gram, op, scale):
     rows, deltas = _bareiss(gram, op)
     scale = op_scale / g_scale
     norms = [deltas[j] * deltas[j + 1] for j in range(s)]
-    return _round_congruence([row[2 * s:] for row in rows], [row[s:2 * s] for row in rows],
+    return _round_each_entry([row[2 * s:] for row in rows], [row[s:2 * s] for row in rows],
                              norms, scale)
 
 
@@ -552,7 +561,7 @@ def test_closed_form_rows_are_positive_multiples_of_the_bareiss_rows(case):
                for i in range(size) for j in range(size))
 
 
-@pytest.mark.parametrize("k, n", [(0, 6), (1, 10), (3, 12),
+@pytest.mark.parametrize("k, n", [(0, 6), (1, 10), (3, 12), (0, 14), (2, 8),
                                   pytest.param(0, spectral.MAX_TRUNC, marks=pytest.mark.large)])
 def test_closed_form_path_is_bit_identical_to_the_bareiss_oracle(monkeypatch, k, n):
     solved = []  # the rounded congruence of each block, in the order the blocks are solved
@@ -848,6 +857,92 @@ def test_lifted_image_converges_where_its_terms_diverge_one_by_one():
     new, ref = _both_assemblies(model, op, 0)
     assert isinstance(ref, list)
     assert new == ref
+
+
+# ---------------------------------------------------------------------------
+# the closed-form image coefficients against the images built term by term
+# ---------------------------------------------------------------------------
+
+
+def _blocks_or_refusal(assemble):
+    """The assembled blocks, or the class and message of the error the assembly raised."""
+    try:
+        return list(assemble())
+    except (OperatorEscapeError, DivergentIntegralError) as exc:
+        return type(exc), str(exc)
+
+
+def _both_pairings(model, op, degree):
+    """The closed-form pairings and the term-by-term ones of every block of one degree."""
+    which = range(len((model.blocks, model.forms)[degree]))
+    return (_blocks_or_refusal(lambda: _operator_pairings(model, op, degree, which)),
+            _blocks_or_refusal(lambda: lifted_pairings(model, op, degree, which)))
+
+
+_MORE_OPERATORS = _OPERATORS + [mul(_Z, _Z), monomial(1, (1,), (2,)), monomial(1, (2,), (2,)),
+                                monomial(1, (2,), (1,)), mul(mul(_Z, _D), mul(_Z, _D)),
+                                monomial(1, (3,), (0,), Fraction(-2, 3)), zero(1)]
+
+
+@pytest.mark.parametrize("k, n", [(0, 2), (1, 4), (0, 6), (2, 8), (1, 10), (5, 12)])
+def test_closed_form_pairings_equal_the_lifted_images(k, n):
+    # blocks and refusals alike: z^(N+1) escapes on every model
+    model = build_model(k, n)
+    outcomes = set()
+    for op in _MORE_OPERATORS + [monomial(1, (n + 1,), (0,))]:
+        for degree in (0, 1):
+            new, ref = _both_pairings(model, op, degree)
+            assert new == ref
+            outcomes.add(type(new))
+    assert outcomes == {list, tuple}
+
+
+@given(st.sampled_from([(0, 2), (1, 4), (2, 5)]).flatmap(
+    lambda kn: st.tuples(st.just(kn), one_variable_elements(kn[1] + 2))),
+    st.sampled_from([0, 1]))
+@settings(max_examples=80, deadline=None)
+def test_closed_form_pairings_equal_the_lifted_images_on_random_elements(case, degree):
+    (k, n), op = case
+    new, ref = _both_pairings(build_model(k, n), op, degree)
+    assert new == ref
+
+
+def _cz_plus_z_d(c, e):
+    """c z^e + z^(e+1) d/dz: both terms shift the charge by e."""
+    return WeylElement.from_terms(1, [(((e,), (0,)), Fraction(c)), (((e + 1,), (1,)), Fraction(1))])
+
+
+@pytest.mark.parametrize("k, n", [(1, 4), (2, 6)])
+def test_a_top_coefficient_that_cancels_for_one_basis_function(k, n):
+    # on z^a zbar^b w^-g, w = 1+|z|^2, lifted to w^-(g+1), c z^e + z^(e+1) d/dz has the top
+    # charged coefficient c + a - g, which vanishes at a = g - c; g = N for the sections
+    # chi and N+1 for the forms psi, so with c = -k it vanishes at the largest a of each
+    model = build_model(k, n)
+    for degree in (0, 1):
+        # e = 1, c = N - 1: it vanishes at a = 1 (chi) and a = 2 (psi); nothing escapes anyway
+        new, ref = _both_assemblies(model, _cz_plus_z_d(n - 1, 1), degree)
+        assert isinstance(ref, list) and new == ref
+        # e = 2: the pair of the largest-a basis function with itself integrates only
+        # because its top term cancels; one more or one less in c and it escapes
+        op = _cz_plus_z_d(-k, 2)
+        new, ref = _both_assemblies(model, op, degree)
+        assert isinstance(ref, list) and new == ref == _both_pairings(model, op, degree)[1]
+        for c in (-k - 1, -k + 1):
+            assert _both_assemblies(model, _cz_plus_z_d(c, 2), degree) == (OperatorEscapeError,) * 2
+
+
+def test_an_integrability_check_reads_only_the_nonzero_coefficients():
+    # image z^2 zbar^2 w^-1 of the constant: neutral, radial degree 4 > 2m - 3 at m = 3
+    with pytest.raises(DivergentIntegralError, match="radial degree 4, weight 3"):
+        _check_integrable({(0, 2): [1]}, 1, 0, 3)
+    with pytest.raises(DivergentIntegralError, match="radial degree 4, weight 3"):
+        _moment_block([_lift({(2, 2, 1): 1}, 1)], [(0, 0)], _moments(3))
+    _check_integrable({(0, 2): [0], (0, 1): [5]}, 1, 0, 3)
+    # a charged term is an escape, checked before the divergence of the same pair
+    with pytest.raises(OperatorEscapeError, match="image 1 paired with basis function 1 .*"
+                                                  r"\(radial degree 6, weight 4\)"):
+        _check_integrable({(2, 0): [0, 1], (0, 1): [0, 1]}, 2, 0, 4)
+    _check_integrable({}, 1, 0, 3)
 
 
 def test_harmonic_supertrace_builds_only_the_kernel_blocks():
