@@ -366,14 +366,18 @@ def chain_to_json(c: TensorChain) -> str:
     """The chain as JSON: {"n": n, "terms": [{"coeff": "p/q", "word": [slot, ...]}, ...]}.
 
     Words come in sorted key order and each slot is its monic monomial in
-    the text format; each distinct key is formatted once.
+    the text format; each distinct key is formatted once.  A coefficient
+    part of more than MAX_COEFF_DIGITS digits raises `ValueError`.
     """
     nums, den = c.nums, c.den
     texts = {key: format_monomial(key) for key in {key for w in nums for key in w}}
 
     def coeff(num: int) -> str:  # str(Fraction(num, den)) without building the Fraction
         g = gcd(num, den)
-        return str(num // g) if g == den else f"{num // g}/{den // g}"
+        p, q = num // g, den // g
+        if not (-_COEFF_BOUND < p < _COEFF_BOUND and q < _COEFF_BOUND):
+            raise ValueError(f"a coefficient of the chain has more than {MAX_COEFF_DIGITS} digits")
+        return str(p) if q == 1 else f"{p}/{q}"
 
     terms = [{"coeff": coeff(nums[w]), "word": list(map(texts.__getitem__, w))}
              for w in sorted(nums)]
@@ -384,9 +388,10 @@ def chain_to_json(c: TensorChain) -> str:
 _COEFF_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 #: the most digits the numerator or the denominator of a chain JSON coefficient may
-#: have: the interpreter's default bound on int() of a digit string and on str() of
-#: an int, so every coefficient `chain_to_json` writes under that default reads back
+#: have, in the writer and the reader: the interpreter's default bound on int() of a
+#: digit string and on str() of an int
 MAX_COEFF_DIGITS = 4300
+_COEFF_BOUND = 10 ** MAX_COEFF_DIGITS  # the least integer of more than MAX_COEFF_DIGITS digits
 
 
 def _shown(value) -> str:

@@ -6,9 +6,9 @@ O(m) in the unit-mass normalization is
 
     m * (1/pi) * (1 + x^2 + y^2)^(-2),
 
-whose total integral is m; the degree-2 part of the Todd density of the
-sphere is half the curvature of O(2), hence equals the O(1) density
-pointwise.
+whose total integral is m.  The sphere's degree-2 Todd density is half the
+curvature of O(2), hence the O(1) density pointwise, so the O(1) integral
+is also the Todd integral.
 
 The plane is integrated in polar coordinates with the compactifying
 substitution r = tan(theta/2), theta in (0, pi), which maps our rational
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -38,12 +38,6 @@ ChartDensity = Callable[[np.ndarray, np.ndarray], np.ndarray]
 def chern_density(m: int) -> ChartDensity:
     """Curvature density of O(m); integrates to m."""
     return lambda x, y: m * (1.0 / math.pi) * (1.0 + x * x + y * y) ** -2.0
-
-
-def todd_density() -> ChartDensity:
-    """Degree-2 Todd density of the sphere: half the O(2) curvature."""
-    half = chern_density(2)
-    return lambda x, y: 0.5 * half(x, y)
 
 
 @dataclass(frozen=True)
@@ -99,22 +93,3 @@ def integrate_chart(density: ChartDensity, levels: int = 6, tol: float = 1e-10) 
                 return QuadratureResult(value, err, True, level)
         previous = value
     return QuadratureResult(value, err, False, levels - 1)
-
-
-def integrate_product(densities: Sequence[ChartDensity], **kwargs) -> QuadratureResult:
-    """Integral of an outer product density over a product of spheres.
-
-    Fubini: the integral is the product of the factor integrals.  The error
-    estimate propagates the factor estimates to first order, the result
-    converged only if every factor did, and `levels_used` is the largest
-    of the factors'.
-    """
-    if not 1 <= len(densities) <= 4:
-        raise ValueError(f"product integrals support 1 to 4 factors, got {len(densities)}")
-    factors = tuple(integrate_chart(d, **kwargs) for d in densities)
-    value = math.prod(f.value for f in factors)
-    err = 0.0
-    for i, f in enumerate(factors):
-        err += f.error_estimate * math.prod(abs(g.value) for j, g in enumerate(factors) if j != i)
-    return QuadratureResult(value, err, all(f.converged for f in factors),
-                            max(f.levels_used for f in factors))

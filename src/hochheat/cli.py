@@ -69,11 +69,7 @@ COMMANDS = {
     "harmonic": (["harmonic"], [], "supertraces on the harmonic spaces", [
         ("--k", "harmonic_ks", dict(type=degree, metavar="K",
                                     help=f"single bundle degree (default {_KS[0]}..{_KS[-1]})"))]),
-    # --product also runs the product family
-    "chern-integrals": (["chern"], [], "curvature and Todd integrals", [
-        ("--levels", "levels", dict(type=int)),
-        ("--product", "product_factors", dict(
-            type=int, metavar="N", help="also integrate the N-fold product of spheres (1..4)"))]),
+    "chern-integrals": (["chern"], [], "curvature and Todd integrals", []),
     "localization": (["localization"], [], "bump localization of circle heat traces", [
         ("--l1", "length_a", dict(type=float, metavar="L1", help="circumference carrying the bump")),
         ("--l2", "length_b", dict(type=float, metavar="L2", help="second circumference")),
@@ -105,8 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _selection(args: argparse.Namespace) -> Tuple[List[str], SuiteConfig]:
     """The families to run and the config that the parsed flags set."""
     settings = {f: v for f, v in vars(args).items() if f in SuiteConfig.__dataclass_fields__}
-    families = args.families + (["product"] if "product_factors" in settings else [])
-    return families, SuiteConfig(**settings)
+    return args.families, SuiteConfig(**settings)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

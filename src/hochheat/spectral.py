@@ -606,28 +606,26 @@ def heat_supertrace(model: SpectralModel, t: float) -> float:
     return s0 - s1
 
 
+def _diagonal(vecs: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """<op e_i, e_i> for each orthonormal column e_i of `vecs`: the diagonal of Y^T A Y."""
+    return np.diag(vecs.T @ mat @ vecs)
+
+
 def harmonic_supertrace(model: SpectralModel, op: WeylElement) -> float:
     """Supertrace of the compression of op to the numerical harmonic spaces.
 
-    Computed basis independently: trace = sum_ij (G_h^-1)_ij <op h_j, h_i>
-    over the kernel vectors h of each degree, counted + in degree 0 and -
-    in degree 1, so only the blocks that hold a kernel vector are built.
-    For k >= 0 the degree-1 kernel is empty (`spectrum.kernel.forms` checks
-    `harmonic1`), so no degree-1 block is built and only degree 0
-    contributes.
+    The kernel vectors h of each degree are orthonormal eigenvectors, so the
+    trace is sum <op h, h>, counted + in degree 0 and - in degree 1; only
+    the blocks that hold a kernel vector are built.  For k >= 0 the
+    degree-1 kernel is empty (`spectrum.kernel.forms` checks `harmonic1`),
+    so no degree-1 block is built and only degree 0 contributes.
     """
     total = 0.0
     for degree, (sign, blocks, harmonic) in enumerate(((1.0, model.blocks, model.harmonic0),
                                                        (-1.0, model.forms, model.harmonic1))):
-        by_block: Dict[int, List[int]] = {}
+        mats = _operator_blocks(model, op, degree, dict.fromkeys(bi for bi, _ in harmonic))
         for bi, col in harmonic:
-            by_block.setdefault(bi, []).append(col)
-        mats = _operator_blocks(model, op, degree, by_block)
-        for bi, cols in by_block.items():
-            y = blocks[bi].vecs[:, cols]
-            gh = y.T @ y
-            pair = y.T @ mats[bi] @ y
-            total += sign * float(np.trace(np.linalg.solve(gh, pair)))
+            total += sign * float(_diagonal(blocks[bi].vecs[:, [col]], mats[bi])[0])
     return total
 
 
@@ -652,8 +650,7 @@ def limit_supertrace(
     for degree, (sign, blocks) in enumerate(((1.0, model.blocks), (-1.0, model.forms))):
         mats = _operator_blocks(model, op, degree)
         for bi, block in enumerate(blocks):
-            y = block.vecs
-            terms.append((sign, block.lam, np.einsum("ij,ij->j", y, mats[bi] @ y)))
+            terms.append((sign, block.lam, _diagonal(block.vecs, mats[bi])))
     series = []
     for t in grid:
         tot = 0.0

@@ -37,12 +37,13 @@ from .chains import (
     shuffle_product,
     tsygan_d,
 )
-from .chern import chern_density, integrate_chart, integrate_product, todd_density
+from .chern import chern_density, integrate_chart
 from .circle import BumpFunction, TwoCircles, compare_localization, long_time_rows, poisson_deviation
 from .forms import hkr_symbol, volume_form
 from .randomgen import random_chain, random_column_vector
 from .report import FAIL, PASS, CheckResult, VerificationReport
 from .spectral import (
+    MAX_TRUNC,
     build_model,
     harmonic_supertrace,
     heat_supertrace,
@@ -74,8 +75,6 @@ class SuiteConfig:
     t_max: float = 5.0
     points: int = 20
     harmonic_ks: Tuple[int, ...] = (0, 1, 2, 3, 4)
-    levels: int = 6
-    product_factors: int = 3
     length_a: float = 1.0
     length_b: float = 1.7
     bump: Tuple[float, float, int] = (0.35, 0.2, 2)
@@ -93,8 +92,9 @@ class SuiteConfig:
              f"--t-min and --t-max need 0 < t-min < t-max < inf, got {self.t_min}, {self.t_max}"),
             (2 <= self.points <= cap, f"--points must be between 2 and {cap}, got {self.points}"),
             (len(self.harmonic_ks) > 0, "--k needs at least one bundle degree"),
-            (1 <= self.product_factors <= 4,
-             f"--product must be between 1 and 4, got {self.product_factors}"),
+            (all(0 <= k <= MAX_TRUNC - 2 for k in self.harmonic_ks),  # k + 2 <= MAX_TRUNC
+             f"--k must be between 0 and {MAX_TRUNC - 2}, "
+             f"got {max(self.harmonic_ks, key=abs, default=0)}"),
             (1 <= len(times) <= cap and all(map(math.isfinite, times)),
              f"--t-grid needs 1 to {cap} times, all finite, got {len(times)}"),
         ):
@@ -136,11 +136,10 @@ class _Recorder:
         self.check(check_id, claim, f"{failures} failures in {len(samples)} samples",
                    "0 failures", "exact", failures == 0 and len(samples) > 0)
 
-    def near(self, check_id: str, claim: str, value: float, target: float, tol: float,
-             ok: bool = True) -> None:
-        """|value - target| <= tol, and `ok` (e.g. quadrature convergence)."""
+    def near(self, check_id: str, claim: str, value: float, target: float, tol: float) -> None:
+        """|value - target| <= tol."""
         self.check(check_id, claim, _fmt(value), _fmt(target), f"{tol:.0e}",
-                   ok and abs(value - target) <= tol)
+                   abs(value - target) <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -299,26 +298,16 @@ def _family_harmonic(cfg: SuiteConfig) -> List[CheckResult]:
 
 def _family_chern(cfg: SuiteConfig) -> List[CheckResult]:
     rec = _Recorder()
-    res = integrate_chart(chern_density(1), levels=cfg.levels)
-    rec.near("chern.degree.o1", "the curvature integral of O(1) is its degree",
-             res.value, 1.0, 1e-8, res.converged)
-    todd = integrate_chart(todd_density(), levels=cfg.levels)
-    rec.near("chern.todd.integral", "the Todd integral of the sphere is 1",
-             todd.value, 1.0, 1e-8, todd.converged)
+    res = integrate_chart(chern_density(1))
+    rec.check("chern.degree.o1",
+              "the curvature integral of O(1), also the Todd integral of the sphere, is 1",
+              f"{_fmt(res.value)} (error estimate {res.error_estimate:.1e})", "1", "1e-08",
+              res.converged and abs(res.value - 1.0) <= 1e-8)
     counted = harmonic_supertrace(build_model(0, CROSS_TRUNC), unit(1))
     rec.check("chern.todd-vs-harmonic",
               "the quadrature Todd integral matches the spectral section count for k=0",
-              f"quadrature {_fmt(todd.value)}, spectral {_fmt(counted)}", "equal", "1e-06",
-              abs(todd.value - counted) <= 1e-6)
-    return rec.results
-
-
-def _family_product(cfg: SuiteConfig) -> List[CheckResult]:
-    rec = _Recorder()
-    n = cfg.product_factors
-    res = integrate_product([todd_density()] * n, levels=cfg.levels)
-    rec.near(f"product.todd.x{n}", f"the Todd integral of the {n}-fold product of spheres is 1",
-             res.value, 1.0, 1e-6, res.converged)
+              f"quadrature {_fmt(res.value)}, spectral {_fmt(counted)}", "equal", "1e-06",
+              abs(res.value - counted) <= 1e-6)
     return rec.results
 
 
@@ -359,7 +348,6 @@ FAMILIES: Dict[str, Callable[[SuiteConfig], List[CheckResult]]] = {
     "mckean-singer": _family_mckean_singer,
     "harmonic": _family_harmonic,
     "chern": _family_chern,
-    "product": _family_product,
     "localization": _family_localization,
 }
 

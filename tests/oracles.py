@@ -23,8 +23,10 @@ also computes, by a route that shares none of its shortcuts:
 * `parse_element`, the general reader of the element text format, which
   multiplies its factors out in the algebra, against `format_element`,
   `parse_monomial` and the chain JSON reader;
-* `integrate_todd_p1`, `volume_density` and `transformed_density`, densities
-  whose integrals over the chart are known.
+* `todd_density`, `integrate_todd_p1`, `volume_density` and
+  `transformed_density`, densities whose integrals over the chart are
+  known, and `integrate_product`, the integral over a product of spheres
+  by Fubini.
 
 It also keeps the readers that only the tests need: `report_from_json`,
 `column` of a bicomplex vector and `form_from_terms`.
@@ -45,7 +47,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from hochheat.chains import TensorChain, TsyganColumnVector
-from hochheat.chern import ChartDensity, QuadratureResult, integrate_chart, todd_density
+from hochheat.chern import ChartDensity, QuadratureResult, chern_density, integrate_chart
 from hochheat.forms import FormKey, PolyForm
 from hochheat.report import CheckResult, VerificationReport
 from hochheat.spectral import (
@@ -430,6 +432,31 @@ def parse_element(text: str, n: int | None = None) -> WeylElement:
 # ---------------------------------------------------------------------------
 # chern: densities with known integrals
 # ---------------------------------------------------------------------------
+
+
+def todd_density() -> ChartDensity:
+    """Degree-2 Todd density of the sphere: half the O(2) curvature."""
+    half = chern_density(2)
+    return lambda x, y: 0.5 * half(x, y)
+
+
+def integrate_product(densities: Sequence[ChartDensity], **kwargs) -> QuadratureResult:
+    """Integral of an outer product density over a product of spheres.
+
+    Fubini: the integral is the product of the factor integrals.  The error
+    estimate propagates the factor estimates to first order, the result
+    converged only if every factor did, and `levels_used` is the largest
+    of the factors'.
+    """
+    if not 1 <= len(densities) <= 4:
+        raise ValueError(f"product integrals support 1 to 4 factors, got {len(densities)}")
+    factors = tuple(integrate_chart(d, **kwargs) for d in densities)
+    value = math.prod(f.value for f in factors)
+    err = 0.0
+    for i, f in enumerate(factors):
+        err += f.error_estimate * math.prod(abs(g.value) for j, g in enumerate(factors) if j != i)
+    return QuadratureResult(value, err, all(f.converged for f in factors),
+                            max(f.levels_used for f in factors))
 
 
 def volume_density() -> ChartDensity:

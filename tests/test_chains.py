@@ -338,6 +338,26 @@ def test_chain_from_json_reads_a_coefficient_of_the_largest_digit_count():
     assert chain_from_json(text).terms[0][0] == big
 
 
+@pytest.mark.parametrize("coeff", [Fraction(10 ** MAX_COEFF_DIGITS - 1),
+                                   Fraction(-(10 ** MAX_COEFF_DIGITS - 1), 3),
+                                   Fraction(2, 10 ** MAX_COEFF_DIGITS - 1)],
+                         ids=["numerator", "negative-numerator", "denominator"])
+def test_chain_json_round_trips_a_coefficient_of_the_largest_digit_count(coeff):
+    c = TensorChain.from_terms(1, [(coeff, (z_var(1, 1),))])
+    assert chain_from_json(chain_to_json(c)) == c
+
+
+@pytest.mark.parametrize("coeff", [Fraction(10 ** MAX_COEFF_DIGITS),
+                                   Fraction(-(10 ** MAX_COEFF_DIGITS)),
+                                   Fraction(2, 10 ** MAX_COEFF_DIGITS + 1)],
+                         ids=["numerator", "negative-numerator", "denominator"])
+def test_chain_to_json_names_the_digit_bound(coeff):
+    # one digit more: str() past 4300 digits would raise the interpreter's own error
+    c = TensorChain.from_terms(1, [(coeff, (z_var(1, 1),))])
+    with pytest.raises(ValueError, match=f"more than {MAX_COEFF_DIGITS} digits"):
+        chain_to_json(c)
+
+
 @pytest.mark.parametrize(
     "payload, shown",
     [({"n": 1, "terms": [{"coeff": "1", "word": list(range(20000))}]},

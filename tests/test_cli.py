@@ -14,7 +14,7 @@ import pytest
 
 from hochheat import chains, circle, cli, spectral, suite
 from hochheat.chains import TensorChain, bar_bprime, hochschild_b
-from hochheat.chern import todd_density
+from hochheat.chern import chern_density
 from hochheat.cli import main
 from hochheat.forms import hkr_symbol
 from hochheat.report import FAIL, CheckResult, VerificationReport
@@ -92,8 +92,11 @@ def test_cli_json_format(capsys):
 def test_cli_invalid_flag_values(capsys):
     assert main(["cycles", "--n", "0"]) == 2
     assert "--n" in capsys.readouterr().err
-    assert main(["chern-integrals", "--product", "9"]) == 2
-    assert "--product" in capsys.readouterr().err
+    for flag in ("--product", "--levels"):  # removed with the product family
+        with pytest.raises(SystemExit) as exc:
+            main(["chern-integrals", flag, "3"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert main(["mckean-singer", "--t-min", "2.0", "--t-max", "1.0"]) == 2
     err = capsys.readouterr().err
     assert "t-max" in err
@@ -197,7 +200,7 @@ def test_cli_all_writes_report(tmp_path, capsys, monkeypatch):
     families = {c.id.split(".")[0] for c in report.checks}
     assert families == {
         "cycles", "shuffle", "symbol", "tsygan", "spectrum",
-        "mckean-singer", "harmonic", "chern", "product", "localization",
+        "mckean-singer", "harmonic", "chern", "localization",
     }
 
 
@@ -360,8 +363,8 @@ def _doubled_dbar_star(a, b, n_trunc, k, dbar_star=spectral._dbar_star):
         (spectral, "_dbar_star", _doubled_dbar_star, ["spectrum", "--no-cache"],
          "spectrum.susy.pairing"),
         (spectral, "_dbar_star", _doubled_dbar_star, ["mckean-singer"], "mckean-singer.flat.k1"),
-        (suite, "todd_density", lambda: lambda x, y: todd_density()(x, y) * (1 + 1e-6),
-         ["chern-integrals"], "chern.todd.integral"),
+        (suite, "chern_density", lambda m: lambda x, y: chern_density(m)(x, y) * (1 + 1e-6),
+         ["chern-integrals"], "chern.degree.o1"),
         (circle, "heat_diagonal_spectral", _scaled_spectral_diagonal, ["localization"],
          "localization.short-time.bound"),
         # the top degree-1 cluster, 120 at (k, N) = (1, 10), moves by 1e-3
@@ -369,10 +372,13 @@ def _doubled_dbar_star(a, b, n_trunc, k, dbar_star=spectral._dbar_star):
          ["spectrum", "--no-cache"], "spectrum.susy.pairing"),
         (circle, "heat_diagonal_images", _halved_image_tail, ["localization"],
          "localization.long-time.gap"),
+        (suite, "harmonic_supertrace", lambda *a: harmonic_supertrace(*a) + 1.0,
+         ["chern-integrals"], "chern.todd-vs-harmonic"),
     ],
     ids=["boundary", "failures", "tolerance", "localization", "symbol-slot", "tau-sign",
          "norm-sign", "shuffle-sign", "eigenvalue-offset", "dbar-star-susy", "dbar-star-flat",
-         "todd-scale", "spectral-diagonal-scale", "susy-top-cluster", "halved-image-tail"],
+         "todd-scale", "spectral-diagonal-scale", "susy-top-cluster", "halved-image-tail",
+         "section-count"],
 )
 def test_each_check_shape_can_fail(monkeypatch, capsys, owner, name, mutant, argv, check_id):
     monkeypatch.setattr(owner, name, mutant)
@@ -405,9 +411,9 @@ def test_table_flags_set_every_config_field_and_nothing_else():
     fields = {field for row in cli.COMMANDS.values() for _, field, _ in row[3]}
     assert fields == set(SuiteConfig.__dataclass_fields__)
     families, cfg = cli._selection(cli._build_parser().parse_args(
-        ["chern-integrals", "--product", "2", "--levels", "5"]))
-    assert families == ["chern", "product"]
-    assert cfg == SuiteConfig(product_factors=2, levels=5)
+        ["localization", "--l1", "2", "--bump", "0.3,0.15,2"]))
+    assert families == ["localization"]
+    assert cfg == SuiteConfig(length_a=2.0, bump=(0.3, 0.15, 2))
 
 
 @pytest.mark.parametrize(
@@ -420,9 +426,10 @@ def test_table_flags_set_every_config_field_and_nothing_else():
         ("points", 10_001, "--points", ["mckean-singer", "--points", "10001"]),
         ("t_min", math.nan, "--t-min", ["mckean-singer", "--t-min", "nan"]),
         ("t_max", math.inf, "--t-max", ["mckean-singer", "--t-max", "inf"]),
-        ("product_factors", 0, "--product", ["chern-integrals", "--product", "0"]),
+        ("harmonic_ks", (39,), "--k", ["harmonic", "--k", "39"]),
         ("short_times", (0.01, math.inf), "--t-grid", ["localization", "--t-grid", "1e-300:1e300:3"]),
         ("short_times", (), "--t-grid", None),
+        ("harmonic_ks", (-1,), "--k", ["harmonic", "--k", "-1"]),
     ],
 )
 def test_config_and_command_line_refuse_the_same_values(field, value, flag, argv, capsys):

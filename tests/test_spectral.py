@@ -24,6 +24,7 @@ from hochheat.spectral import (
     _charge_pairs,
     _dbar_chi,
     _dbar_star,
+    _diagonal,
     _expand,
     _gram,
     _incidence,
@@ -356,10 +357,15 @@ def _intertwined_degree_one_terms(model, op, grid):
 
 
 def _eigenbasis_terms(model, op, degree, grid):
-    """sum e^(-t lam_i) <op e_i, e_i> over one degree's own eigenbasis."""
+    """sum e^(-t lam_i) <op e_i, e_i> over one degree's own eigenbasis.
+
+    The diagonal is read as `limit_supertrace` reads it: at k = 0 the z d/dz
+    degree-0 sum is rounding noise, which the tolerances below, scaled by
+    that sum, do not absorb.
+    """
     blocks = (model.blocks, model.forms)[degree]
     mats = _operator_blocks(model, op, degree)
-    diags = [np.einsum("ij,ij->j", b.vecs, mats[bi] @ b.vecs) for bi, b in enumerate(blocks)]
+    diags = [_diagonal(b.vecs, mats[bi]) for bi, b in enumerate(blocks)]
     return [sum(float((np.exp(-t * b.lam) * dg).sum()) for b, dg in zip(blocks, diags))
             for t in grid]
 
