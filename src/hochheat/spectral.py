@@ -61,9 +61,9 @@ triangular with a nonzero diagonal), so X_ij = sum_m c_im c_jm p1_m /
 In each of the 780 models build_model admits (every k with N <= 40) each
 u_i has one or two c_im: the stiffness is tridiagonal in W coordinates.
 So a block costs O(s^2) instead of O(s^3), and exactness never rests on
-the sparsity.  With cond_limit=inf, build_model(0, 40) takes 0.23-0.25 s
-instead of 0.58-0.72 s on one 2-CPU host.  Degree 1 expands W1 T in W0 on
-its own, and each degree is solved on its own and keeps its eigenvectors.
+the sparsity: build_model(0, 40) takes 0.23-0.25 s instead of 0.58-0.72 s
+on one 2-CPU host.  Degree 1 expands W1 T in W0 on its own, and each
+degree is solved on its own and keeps its eigenvectors.
 Only integration by parts, T G0 = G1 D^T, ties their nonzero spectra
 together, so the supersymmetric pairing and the flat heat supertrace
 compare two independent computations.
@@ -111,10 +111,10 @@ from .weyl import WeylElement, format_element
 CONVENTION_TAG = "fs-unit-volume:v1"
 
 #: largest truncation `build_model` accepts, checked before any work; a cost
-#: bound: with cond_limit=inf, N = 40 takes about 0.25 s for k = 0 or 1 and
-#: 0.75 s for k = 38, the largest k it admits, on one 2-CPU host, and one
-#: z d/dz `limit_supertrace` on the model 0.38-0.49 s for k = 0 and 1.1-1.3 s
-#: for k = 38, most of it the two exact O(s^3) products of each block's congruence
+#: bound on one 2-CPU host: N = 40 takes about 0.25 s for k = 0 or 1 and 0.75 s
+#: for k = 38, the largest k it admits (as a whole command, `spectrum` about 1 s
+#: and `harmonic` 1.2-2.1 s), and one z d/dz `limit_supertrace` 0.38-0.49 s for
+#: k = 0 and 1.1-1.3 s for k = 38, most of it the two exact O(s^3) products
 MAX_TRUNC = 40
 
 #: weighted chart function: (z exponent, zbar exponent, denominator power)
@@ -134,7 +134,7 @@ class OperatorEscapeError(ValueError):
 
 
 class IllConditionedGramError(RuntimeError):
-    """The basis Gram matrix is numerically unusable."""
+    """A failed exact certificate, or an eigenvalue below its measured error."""
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +374,17 @@ def _cluster(values: np.ndarray) -> List[Tuple[float, int]]:
     return out
 
 
-def build_model(k: int, trunc: int, cond_limit: float = 1e16) -> SpectralModel:
+def build_model(k: int, trunc: int) -> SpectralModel:
     """Assemble and diagonalize the truncated model for O(k) at truncation N.
 
     Requires k >= 0 and k + 2 <= trunc <= MAX_TRUNC.  Raises
-    IllConditionedGramError if the float condition estimate of a Gram block
-    exceeds cond_limit, or if the closed-form rows of an alpha fail their
-    exact certificate (`_certify`).
+    IllConditionedGramError if the closed-form rows of an alpha fail their
+    exact certificate (`_certify`), or if a block's lowest eigenvalue is
+    below minus its measured error: the exact congruence X is positive
+    semidefinite, its one rounding (1 ulp an entry) moves an eigenvalue by
+    at most s 2^-52 ||X||_2 (Weyl), and some eigenvalue of the rounded block
+    lies within the residual of the computed one (Parlett, *The Symmetric
+    Eigenvalue Problem*, ch. 4).
     """
     if k < 0:
         raise ValueError(f"bundle degree k must be >= 0, got {k}")
@@ -398,17 +402,10 @@ def build_model(k: int, trunc: int, cond_limit: float = 1e16) -> SpectralModel:
         for alpha, size in ((abs(q), len(pairs)), (abs(q + 1), len(fpairs))):
             sizes[alpha] = max(sizes.get(alpha, 0), size)
     grams = {alpha: _gram(size, alpha, fact) for alpha, size in sizes.items()}
-    max_cond = 0.0
-    for q, pairs, _ in layout:
-        s = len(pairs)
-        gram_f = np.array([[v / fact[-1] for v in row[:s]] for row in grams[abs(q)][:s]])
-        cond = float(np.linalg.cond(gram_f))
-        if cond > cond_limit:
-            raise IllConditionedGramError(
-                f"Gram block at charge {q} has condition estimate {cond:.3e} > {cond_limit:.1e}; "
-                "reduce trunc or orthogonalize the basis"
-            )
-        max_cond = max(max_cond, cond)
+    # recorded only, never compared: the certificate below decides which rows are usable
+    max_cond = max(float(np.linalg.cond([[v / fact[-1] for v in row[:len(pairs)]]
+                                         for row in grams[abs(q)][:len(pairs)]]))
+                   for q, pairs, _ in layout)
     # every block of one alpha, in either degree, uses a prefix of the same rows and Gram
     rows = {alpha: _orthogonal_rows(size, alpha, len(fact)) for alpha, size in sizes.items()}
     norms = {alpha: _certify(grams[alpha], w) for alpha, w in rows.items()}
@@ -423,11 +420,13 @@ def build_model(k: int, trunc: int, cond_limit: float = 1e16) -> SpectralModel:
                 (q, pairs, w0, p0, _stiffness(w0, p0, dbar, w1, p1)),  # D G1 D^T
                 (q + 1, fpairs, w1, p1, _stiffness(w1, p1, dbar_star, w0, p0)))):  # T G0 T^T
             lam, vecs = np.linalg.eigh(stiff)  # exactly symmetric: X is, and so is its rounding
-            if lam.min() < -1e-10:
-                raise IllConditionedGramError(
-                    f"negative eigenvalue {lam.min():.3e} beyond solver tolerance in the "
-                    f"degree-{degree} block at charge {charge}"
-                )
+            if lam[0] < 0:  # the rounding bound plus the residual of the lowest eigenpair
+                error = len(lam) * 2.0 ** -52 * max(-lam[0], lam[-1]) + float(
+                    np.linalg.norm(stiff @ vecs[:, 0] - lam[0] * vecs[:, 0]))
+                if lam[0] < -error:
+                    raise IllConditionedGramError(
+                        f"negative eigenvalue {lam[0]:.3e} below its measured error {error:.1e} "
+                        f"in the degree-{degree} block at charge {charge}")
             g = math.gcd(*p)  # keeps the radicands of the operator congruences small
             (blocks, forms)[degree].append(_Block(idx, w, [v // g for v in p], unit * g, lam, vecs))
 

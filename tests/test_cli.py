@@ -450,22 +450,45 @@ def test_failures_with_no_samples_is_a_fail():
 @pytest.mark.parametrize(
     "argv",
     [
-        ["spectrum", "--k", "0", "--trunc", "40", "--no-cache"],
         ["harmonic", "--k", "40"],
-        ["mckean-singer", "--k", "10", "--trunc", "12"],
         ["localization", "--bump", "nan,0.2,2"],
         ["localization", "--l2", "1e200"],
         ["spectrum", "--trunc", "30000", "--no-cache"],
         ["harmonic", "--k", "30000"],
     ],
-    ids=["spectrum", "harmonic", "mckean-singer", "nan-bump", "overflowing-length",
-         "oversized-trunc", "oversized-k"],
+    ids=["harmonic", "nan-bump", "overflowing-length", "oversized-trunc", "oversized-k"],
 )
 def test_refused_model_or_geometry_exits_2(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("HOCHHEAT_CACHE_DIR", str(tmp_path))
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--k", "0", "--trunc", "40", "--no-cache"],
+        ["spectrum", "--k", "3", "--trunc", "14", "--no-cache"],
+        ["mckean-singer", "--k", "10", "--trunc", "12"],
+        ["harmonic", "--k", "13"],
+    ],
+    ids=["spectrum", "spectrum-k3", "mckean-singer", "harmonic-k13"],
+)
+def test_models_whose_float_gram_condition_exceeds_1e16_pass(argv, capsys, tmp_path, monkeypatch):
+    # the exact certificate decides which rows are usable, not the float condition number
+    monkeypatch.setenv("HOCHHEAT_CACHE_DIR", str(tmp_path))
+    assert main(["--format", "json", *argv]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks and all(c["verdict"] == "pass" for c in checks)
+
+
+@pytest.mark.large
+def test_every_harmonic_degree_passes():
+    ks = range(spectral.MAX_TRUNC - 1)  # every degree that --k accepts
+    report = run_suite(["harmonic"], SuiteConfig(harmonic_ks=tuple(ks)))
+    assert {f"harmonic.identity.k{k}" for k in ks} <= {c.id for c in report.checks}
+    assert report.all_passed()
 
 
 @pytest.mark.parametrize("text", ["0.01:inf:5", "nan:0.1:5", "0.01:0.1:10001"])

@@ -258,17 +258,25 @@ def test_low_spectrum_matches_round_sphere_law():
 def test_refinement_past_the_condition_guard():
     # the float Gram condition passes 1e16 near N = 15 for k = 1; the exact
     # reduction keeps the whole spectrum anyway
-    _assert_round_sphere_law(build_model(1, 18, cond_limit=math.inf))
+    _assert_round_sphere_law(build_model(1, 18))
 
 
 def test_refinement_at_n24():
-    _assert_round_sphere_law(build_model(1, 24, cond_limit=math.inf))
+    _assert_round_sphere_law(build_model(1, 24))
+
+
+def test_the_smallest_truncation_of_a_large_degree_builds():
+    # its float Gram condition is 6.2e16 at charge 0; nothing factors that matrix
+    model = build_model(10, 12)
+    assert model.basis_meta["max_gram_condition"] > 1e16
+    _assert_round_sphere_law(model)
 
 
 @pytest.mark.large
-@pytest.mark.parametrize("k, n", [(1, 36), (0, spectral.MAX_TRUNC)])
+@pytest.mark.parametrize("k, n", [(1, 36), (0, spectral.MAX_TRUNC),
+                                  (spectral.MAX_TRUNC - 2, spectral.MAX_TRUNC)])
 def test_refinement_up_to_the_truncation_bound(k, n):
-    _assert_round_sphere_law(build_model(k, n, cond_limit=math.inf))
+    _assert_round_sphere_law(build_model(k, n))
 
 
 def test_heat_supertrace_is_flat():
@@ -398,8 +406,6 @@ def test_build_preconditions():
         build_model(2, 3)
     with pytest.raises(ValueError):
         build_model(-1, 8)
-    with pytest.raises(IllConditionedGramError):
-        build_model(0, 12, cond_limit=10.0)
 
 
 def test_oversized_truncation_is_refused_before_any_work():
@@ -439,7 +445,38 @@ def test_eigenvalues_are_nonnegative():
     assert model._flat1.min() >= -1e-12
 
 
-def test_a_negative_eigenvalue_beyond_tolerance_is_refused(monkeypatch):
+def _shifted_stiffness(shift, stiffness=spectral._stiffness):
+    """`spectral._stiffness` minus shift times the identity: indefinite for shift > 0."""
+    def shifted(*args):
+        x = stiffness(*args)
+        return x - shift * np.eye(len(x))
+    return shifted
+
+
+def test_a_negative_eigenvalue_beyond_tolerance_is_refused(monkeypatch, capsys):
+    # shifting what eigh returns would shift its residual alike; shift the matrix instead
+    monkeypatch.setattr(spectral, "_stiffness", _shifted_stiffness(1e-6))
+    with pytest.raises(IllConditionedGramError, match="negative eigenvalue -1.000e-06 below its "
+                                                      "measured error"):
+        build_model(1, 8)
+    assert main(["spectrum", "--no-cache"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: negative eigenvalue") and captured.out == ""
+
+
+@pytest.mark.parametrize("shift, refused", [(1e-15, False), (1e-11, True)])
+def test_a_negative_eigenvalue_is_weighed_against_its_measured_error(monkeypatch, shift, refused):
+    # at (1, 8) the rounding bound plus the residual is about 1.6e-13
+    monkeypatch.setattr(spectral, "_stiffness", _shifted_stiffness(shift))
+    if refused:
+        with pytest.raises(IllConditionedGramError, match="measured error [0-9.]+e-1[34] "):
+            build_model(1, 8)
+    else:
+        _assert_round_sphere_law(build_model(1, 8))
+
+
+def test_the_residual_covers_an_eigenvalue_that_eigh_misplaces(monkeypatch):
+    # eigenvalues moved by -1e-6 after the solve leave a residual of 1e-6: the matrix is not indefinite
     real_eigh = np.linalg.eigh
 
     def shifted(a):
@@ -447,8 +484,7 @@ def test_a_negative_eigenvalue_beyond_tolerance_is_refused(monkeypatch):
         return lam - 1e-6, vecs
 
     monkeypatch.setattr(np.linalg, "eigh", shifted)
-    with pytest.raises(IllConditionedGramError, match="negative eigenvalue"):
-        build_model(1, 8)
+    assert len(build_model(1, 8).harmonic0) == 2
 
 
 def test_spectrum_cache_round_trip(tmp_path):
@@ -578,7 +614,7 @@ def test_closed_form_path_is_bit_identical_to_the_bareiss_oracle(monkeypatch, k,
         return real_eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
-    model = build_model(k, n, cond_limit=math.inf)
+    model = build_model(k, n)
     # one degree-0 and one degree-1 block per charge, solved in that order; each
     # stiffness is the plain congruence of its own incidence, D G1 D^T or T G0 T^T,
     # and (M-1)! scales the Gram and the stiffness alike
