@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -118,9 +119,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except (ValueError, IllConditionedGramError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        print(report.to_json() if args.format == "json" else report.to_text())
-        if fh:
+        if fh:  # before stdout, so that a reader who leaves early costs no report
             fh.write(report.to_json() + "\n")
+    try:
+        print(report.to_json() if args.format == "json" else report.to_text(), flush=True)
+    except BrokenPipeError:  # stdout's reader left: send the rest nowhere, so exit flushes quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if report.all_passed() else 1
 
 

@@ -1,6 +1,6 @@
 """Truncated spectral model for the d-bar Laplacians of O(k) on the sphere.
 
-Geometry conventions (the ``basis_meta`` tag ``fs-unit-volume:v1``):
+Geometry conventions (the cache tag ``fs-unit-volume:v1``):
 
 * base measure (1/pi) (1+|z|^2)^(-2) dx dy on the affine chart, total mass 1;
 * fibre weight (1+|z|^2)^(-k) for sections of O(k), k >= 0;
@@ -305,13 +305,12 @@ class SpectralModel:
     trunc: int
     blocks: List[_Block]               # degree 0, the sections chi, one block per charge
     forms: List[_Block]                # degree 1, the forms psi; forms[i] pairs with blocks[i]
-    eigs0: List[Tuple[float, int]]
-    eigs1: List[Tuple[float, int]]
     harmonic0: List[Tuple[int, int]]   # (block index, eigen column)
     harmonic1: List[Tuple[int, int]]   # (form block index, eigen column)
     basis_meta: Dict[str, object]
-    _flat0: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
-    _flat1: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
+    # each degree's eigenvalues, sorted, its kernel exactly 0: the one spectrum every view reads
+    _flat0: np.ndarray = field(repr=False)
+    _flat1: np.ndarray = field(repr=False)
     _op_cache: Dict[Tuple[int, WeylElement, int], np.ndarray] = field(  # (degree, op, block index)
         repr=False, default_factory=dict
     )
@@ -360,18 +359,6 @@ def _gram(size: int, alpha: int, fact: List[int]) -> IntMat:
     top = len(fact)
     return [[fact[s] * fact[top - s - 2] for s in range(i + alpha, i + alpha + size)]
             for i in range(size)]
-
-
-def _cluster(values: np.ndarray) -> List[Tuple[float, int]]:
-    """Sorted (mean, multiplicity) clusters of values within 1e-8 relative of each other."""
-    out: List[Tuple[float, int]] = []
-    for v in np.sort(values):
-        if out and abs(v - out[-1][0]) <= 1e-8 * max(1.0, abs(out[-1][0])):
-            prev, mult = out[-1]
-            out[-1] = ((prev * mult + v) / (mult + 1), mult + 1)
-        else:
-            out.append((float(v), 1))
-    return out
 
 
 def build_model(k: int, trunc: int) -> SpectralModel:
@@ -430,6 +417,7 @@ def build_model(k: int, trunc: int) -> SpectralModel:
             g = math.gcd(*p)  # keeps the radicands of the operator congruences small
             (blocks, forms)[degree].append(_Block(idx, w, [v // g for v in p], unit * g, lam, vecs))
 
+    # the one rule for zero: every view of the spectrum, the cache summary too, reads these zeros
     threshold = 1e-8 * max(max(float(b.lam.max()) for b in blocks + forms), 1e-300)
     harmonic, flat = [], []
     for degree_blocks in (blocks, forms):
@@ -439,24 +427,9 @@ def build_model(k: int, trunc: int) -> SpectralModel:
         harmonic.append([(bi, col) for bi, b in enumerate(degree_blocks)
                          for col in range(len(b.lam)) if b.lam[col] == 0.0])
         flat.append(np.sort(np.concatenate([b.lam for b in degree_blocks])))
-    model = SpectralModel(
-        k=k,
-        trunc=trunc,
-        blocks=blocks,
-        forms=forms,
-        eigs0=_cluster(flat[0]),
-        eigs1=_cluster(flat[1]),
-        harmonic0=harmonic[0],
-        harmonic1=harmonic[1],
-        basis_meta={
-            "tag": CONVENTION_TAG,
-            "basis": "z^a zbar^b (1+|z|^2)^(-N), 0<=a<=N+k, 0<=b<=N",
-            "max_gram_condition": max_cond,
-        },
-        _flat0=flat[0],
-        _flat1=flat[1],
-    )
-    return model
+    return SpectralModel(k=k, trunc=trunc, blocks=blocks, forms=forms, harmonic0=harmonic[0],
+                         harmonic1=harmonic[1], basis_meta={"max_gram_condition": max_cond},
+                         _flat0=flat[0], _flat1=flat[1])
 
 
 # ---------------------------------------------------------------------------
@@ -670,13 +643,14 @@ _SUMMARY_TYPES = {"k": int, "trunc": int, "tag": str, "version": str, "eigs0": l
 
 
 def spectrum_summary(model: SpectralModel) -> Dict[str, object]:
+    """The kernel dimensions and each degree's sorted nonzero eigenvalues, for the cache."""
     return {
         "k": model.k,
         "trunc": model.trunc,
         "tag": CONVENTION_TAG,
         "version": __version__,
-        "eigs0": [[v, m] for v, m in model.eigs0],
-        "eigs1": [[v, m] for v, m in model.eigs1],
+        "eigs0": model._flat0[model._flat0 > 0].tolist(),
+        "eigs1": model._flat1[model._flat1 > 0].tolist(),
         "dim_harmonic0": len(model.harmonic0),
         "dim_harmonic1": len(model.harmonic1),
     }
@@ -692,10 +666,10 @@ def load_spectrum(cache_dir: str, k: int, trunc: int):
     """The cached summary for (k, trunc), or None on a miss.
 
     A file that cannot be read, that is not a JSON object holding every
-    summary field with the type and shape `spectrum_summary` gives it (a
-    bool or a float such as 2.0 is not an int, and each cluster is a
-    [float, int] pair), or that another package version wrote, is a miss
-    too, so the caller rebuilds the model and overwrites the file.
+    summary field with the type `spectrum_summary` gives it (a bool or a
+    float such as 2.0 is not an int, and each eigenvalue is a finite
+    positive float), or that another package version wrote, is a miss too,
+    so the caller rebuilds the model and overwrites the file.
     """
     try:
         with open(cache_path(cache_dir, k, trunc), "r", encoding="utf-8") as fh:
@@ -706,9 +680,7 @@ def load_spectrum(cache_dir: str, k: int, trunc: int):
              and all(type(data[f]) is t for f, t in _SUMMARY_TYPES.items())
              and (data["tag"], data["version"], data["k"], data["trunc"]) == (CONVENTION_TAG,
                                                                               __version__, k, trunc)
-             and all(type(c) is list and len(c) == 2 and type(c[0]) is float
-                     and math.isfinite(c[0]) and type(c[1]) is int
-                     for c in data["eigs0"] + data["eigs1"]))
+             and all(type(v) is float and 0 < v < math.inf for v in data["eigs0"] + data["eigs1"]))
     return data if valid else None
 
 

@@ -102,14 +102,34 @@ def test_cli_invalid_flag_values(capsys):
     assert "t-max" in err
 
 
-def test_module_entry_point_runs_the_command_line():
+def _module_env(**extra):
+    """The environment for `python -m hochheat` in a subprocess: this package on its path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-m", "hochheat", "--help"], env=env,
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def test_module_entry_point_runs_the_command_line():
+    proc = subprocess.run([sys.executable, "-m", "hochheat", "--help"], env=_module_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: hochheat")
+
+
+def test_a_closed_stdout_keeps_the_report_and_prints_no_traceback(tmp_path):
+    # `hochheat all --report r.json | head -1` once left r.json empty behind a BrokenPipeError
+    env = _module_env(HOCHHEAT_CACHE_DIR=str(tmp_path / "cache"))
+    report = tmp_path / "r.json"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hochheat", "all", "--report", str(report)],
+                              env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert len(report_from_json(report.read_text()).checks) == 37
 
 
 def test_mckean_singer_stays_flat_at_large_times(capsys):
@@ -231,8 +251,18 @@ def test_cli_exit_nonzero_on_failure(monkeypatch, capsys):
 
 
 def _summary_with(**fields):
-    """The text of a valid cache file for (k, trunc) = (1, 8), with some fields replaced."""
-    return json.dumps({**spectral.spectrum_summary(spectral.build_model(1, 8)), **fields})
+    """The text of a valid cache file for (k, trunc) = (1, 8), with some fields replaced.
+
+    A callable replacement maps the valid value of its field to the new one.
+    """
+    summary = spectral.spectrum_summary(spectral.build_model(1, 8))
+    return json.dumps({**summary, **{f: v(summary[f]) if callable(v) else v
+                                     for f, v in fields.items()}})
+
+
+def _clusters(first):
+    """The old file shape: (value, multiplicity) clusters l (l + 2), 2 l + 2, l = first..8."""
+    return [[l * (l + 2.0), 2 * l + 2] for l in range(first, 9)]
 
 
 def _cache_file(content):
@@ -260,12 +290,16 @@ def _cache_dir_under_a_file(tmp_path):
      _cache_file(json.dumps({"k": 1, "trunc": 8, "tag": CONVENTION_TAG})),
      _cache_file("[" * 100000),
      _cache_file(lambda: _summary_with(eigs1="x")),
-     _cache_file(lambda: _summary_with(eigs0=[[0.0]])),
+     _cache_file(lambda: _summary_with(eigs0=lambda e: [3, *e[1:]])),
      _cache_file(lambda: _summary_with(dim_harmonic0=2.0)),
      _cache_file(lambda: _summary_with(dim_harmonic1=False)),
+     _cache_file(lambda: _summary_with(eigs0=_clusters(0), eigs1=_clusters(1))),
+     _cache_file(lambda: _summary_with(eigs0=lambda e: [0.0, *e])),
+     _cache_file(lambda: _summary_with(eigs1=lambda e: [-e[0], *e[1:]])),
      _directory_at_the_file, _cache_dir_under_a_file],
     ids=["not-json", "not-an-object", "missing-fields", "nested-too-deeply", "eigs1-not-a-list",
-         "short-cluster", "float-count", "bool-count", "directory-at-the-file",
+         "int-eigenvalue", "float-dimension", "bool-dimension", "cluster-shaped",
+         "zero-eigenvalue", "negative-eigenvalue", "directory-at-the-file",
          "cache-dir-under-a-file"],
 )
 def test_cli_broken_cache_file_is_a_miss(tmp_path, capsys, monkeypatch, make):
@@ -310,6 +344,11 @@ def _unsigned_norm(c):
 
 def _unsigned_shuffles(p, q, shuffles=chains._shuffles):
     return [(order, 0) for order, _ in shuffles(p, q)]
+
+
+def _first_position_shuffles(p, q, shuffles=chains._shuffles):
+    """Each interleaving signed by the parity of the first interior's first position."""
+    return [(order, order.index(0) % 2 if p else 0) for order, _ in shuffles(p, q)]
 
 
 def _degree_one_eigh(perturb):
@@ -358,6 +397,8 @@ def _doubled_dbar_star(a, b, n_trunc, k, dbar_star=spectral._dbar_star):
         (suite, "cyclic_tau", _unsigned_tau, ["tsygan", "--samples", "5"], "tsygan.intertwine"),
         (suite, "norm_n", _unsigned_norm, ["tsygan", "--samples", "5"], "tsygan.norm"),
         (chains, "_shuffles", _unsigned_shuffles, ["shuffle"], "shuffle.leibniz"),
+        (chains, "_shuffles", _first_position_shuffles, ["shuffle"],
+         "shuffle.multiplicative.2x2"),
         (np.linalg, "eigh", _degree_one_eigh(lambda lam: lam * (1 + 1e-9)), ["mckean-singer"],
          "mckean-singer.flat.k1"),
         (spectral, "_dbar_star", _doubled_dbar_star, ["spectrum", "--no-cache"],
@@ -367,7 +408,7 @@ def _doubled_dbar_star(a, b, n_trunc, k, dbar_star=spectral._dbar_star):
          ["chern-integrals"], "chern.degree.o1"),
         (circle, "heat_diagonal_spectral", _scaled_spectral_diagonal, ["localization"],
          "localization.short-time.bound"),
-        # the top degree-1 cluster, 120 at (k, N) = (1, 10), moves by 1e-3
+        # the top degree-1 level, 120 at (k, N) = (1, 10), moves by 1e-3
         (np.linalg, "eigh", _degree_one_eigh(lambda lam: np.where(lam > 100, lam + 1e-3, lam)),
          ["spectrum", "--no-cache"], "spectrum.susy.pairing"),
         (circle, "heat_diagonal_images", _halved_image_tail, ["localization"],
@@ -376,9 +417,9 @@ def _doubled_dbar_star(a, b, n_trunc, k, dbar_star=spectral._dbar_star):
          ["chern-integrals"], "chern.todd-vs-harmonic"),
     ],
     ids=["boundary", "failures", "tolerance", "localization", "symbol-slot", "tau-sign",
-         "norm-sign", "shuffle-sign", "eigenvalue-offset", "dbar-star-susy", "dbar-star-flat",
-         "todd-scale", "spectral-diagonal-scale", "susy-top-cluster", "halved-image-tail",
-         "section-count"],
+         "norm-sign", "shuffle-sign", "shuffle-first-position", "eigenvalue-offset",
+         "dbar-star-susy", "dbar-star-flat", "todd-scale", "spectral-diagonal-scale",
+         "susy-top-cluster", "halved-image-tail", "section-count"],
 )
 def test_each_check_shape_can_fail(monkeypatch, capsys, owner, name, mutant, argv, check_id):
     monkeypatch.setattr(owner, name, mutant)

@@ -7,10 +7,14 @@ same holds for the members of its classes: a method or dataclass field
 that no file of the package or of `bench/` reads as an attribute.  The
 scan goes by name, so a member that shares its name with an attribute read
 elsewhere escapes it.
+
+The package also imports nothing but the standard library, numpy and
+itself.
 """
 
 import ast
 import os
+import sys
 from typing import Dict, Iterable, List, Set, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -76,6 +80,31 @@ def _unread_members(package: List[Tuple[str, str]], others: List[Tuple[str, str]
                 if member not in read and not (member.startswith("__") and member.endswith("__")):
                     unread.append(f"{name}:{cls.name}.{member}")
     return sorted(unread)
+
+
+def _foreign_imports(package: Iterable[Tuple[str, str]]) -> List[str]:
+    """'file:module' of each import or absolute from-import beyond stdlib, numpy and the package."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "hochheat"}
+    out = []
+    for name, text in package:
+        for node in ast.walk(ast.parse(text, name)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            out += [f"{name}:{m}" for m in modules if m.split(".")[0] not in allowed]
+    return sorted(out)
+
+
+def test_the_package_depends_on_numpy_alone():
+    assert _foreign_imports(_sources(PACKAGE)) == []
+
+
+def test_an_import_of_another_library_is_flagged():
+    package = _sources(PACKAGE) + [("extra.py", "import sympy\nfrom mpmath import mp\n")]
+    assert _foreign_imports(package) == ["extra.py:mpmath", "extra.py:sympy"]
 
 
 def test_every_package_definition_is_reached_from_the_package_or_the_benchmark():

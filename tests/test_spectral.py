@@ -240,14 +240,14 @@ def test_incidence_leaving_the_basis_is_an_escape(monkeypatch):
 
 
 def _assert_round_sphere_law(model):
-    # every degree-0 cluster l = 0..N is l (l + k + 1) with multiplicity 2 l + k + 1,
-    # and the degree-1 clusters are the nonzero ones, l = 1..N
+    # degree 0 is l (l + k + 1), repeated 2 l + k + 1 times, for l = 0..N; degree 1
+    # is the same for l = 1..N; each eigenvalue within 1e-12 relative of its law value
     k, n = model.k, model.trunc
-    assert len(model.eigs0) == n + 1 and len(model.eigs1) == n
-    for eigs, first in ((model.eigs0, 0), (model.eigs1, 1)):
-        for l, (value, mult) in enumerate(eigs, start=first):
-            assert abs(value - l * (l + k + 1)) <= 1e-12 * l * (l + k + 1)
-            assert mult == 2 * l + k + 1
+    for flat, first in ((model._flat0, 0), (model._flat1, 1)):
+        law = np.repeat([l * (l + k + 1) for l in range(first, n + 1)],
+                        [2 * l + k + 1 for l in range(first, n + 1)]).astype(float)
+        assert len(flat) == len(law)
+        assert np.all(np.abs(flat - law) <= 1e-12 * law)
 
 
 def test_low_spectrum_matches_round_sphere_law():
@@ -286,17 +286,13 @@ def test_heat_supertrace_is_flat():
 
 
 def test_refinement_is_stable():
-    clusters = {}
-    counts = {}
-    for n in (8, 10, 12):
-        model = build_model(1, n)
-        clusters[n] = model.eigs0[:4]
-        counts[n] = len(model._flat0)
-    assert counts[8] < counts[10] < counts[12]
-    for l in range(4):
-        vals = [clusters[n][l][0] for n in (8, 10, 12)]
-        assert max(vals) - min(vals) <= 1e-9
-        assert all(clusters[n][l][1] == 2 * l + 2 for n in (8, 10, 12))
+    # refining adds eigenvalues and moves none: for k = 1 the four lowest levels
+    # 0, 3, 8, 15 hold 2, 4, 6 and 8 eigenvalues at every truncation
+    flats = [build_model(1, n)._flat0 for n in (8, 10, 12)]
+    assert len(flats[0]) < len(flats[1]) < len(flats[2])
+    low = np.repeat([0.0, 3.0, 8.0, 15.0], [2, 4, 6, 8])
+    for flat in flats:
+        assert np.abs(flat[:20] - low).max() <= 1e-9 and flat[20] > 16.0
 
 
 def test_harmonic_supertrace_identity_counts_sections():
@@ -365,17 +361,19 @@ def _intertwined_degree_one_terms(model, op, grid):
 
 
 def _eigenbasis_terms(model, op, degree, grid):
-    """sum e^(-t lam_i) <op e_i, e_i> over one degree's own eigenbasis.
+    """sum e^(-t lam_i) <op e_i, e_i> over one degree's own eigenbasis, and its absolute sum.
 
-    The diagonal is read as `limit_supertrace` reads it: at k = 0 the z d/dz
-    degree-0 sum is rounding noise, which the tolerances below, scaled by
-    that sum, do not absorb.
+    The diagonal is read as `limit_supertrace` reads it.  The absolute sums
+    are the scale of the rounding: at k = 0 the z d/dz degree-0 sum is
+    rounding noise, so a tolerance scaled by the signed sum absorbs none.
     """
     blocks = (model.blocks, model.forms)[degree]
     mats = _operator_blocks(model, op, degree)
     diags = [_diagonal(b.vecs, mats[bi]) for bi, b in enumerate(blocks)]
-    return [sum(float((np.exp(-t * b.lam) * dg).sum()) for b, dg in zip(blocks, diags))
-            for t in grid]
+    return ([sum(float((np.exp(-t * b.lam) * dg).sum()) for b, dg in zip(blocks, diags))
+             for t in grid],
+            [sum(float((np.exp(-t * b.lam) * np.abs(dg)).sum()) for b, dg in zip(blocks, diags))
+             for t in grid])
 
 
 @pytest.mark.parametrize("k, n", [(0, 14), (1, 10), (2, 8), (3, 13)])
@@ -385,12 +383,12 @@ def test_degree_one_limit_terms_match_the_intertwined_basis(k, n):
     for op in (unit(1), mul(z_var(1, 1), d_var(1, 1))):
         # relative to the terms' absolute sum: at k = 0 the z d/dz terms cancel to 0
         ref, scale = _intertwined_degree_one_terms(model, op, grid)
-        got = _eigenbasis_terms(model, op, 1, grid)
+        got, _ = _eigenbasis_terms(model, op, 1, grid)
         assert all(abs(x - y) <= 1e-12 * a for x, y, a in zip(got, ref, scale))
         series, _ = limit_supertrace(model, op, grid)
-        deg0 = _eigenbasis_terms(model, op, 0, grid)
-        assert all(abs(s - (d - y)) <= 1e-12 * max(abs(d), a)
-                   for s, d, y, a in zip(series, deg0, ref, scale))
+        deg0, scale0 = _eigenbasis_terms(model, op, 0, grid)
+        assert all(abs(s - (d - y)) <= 1e-12 * max(a0, a)
+                   for s, d, y, a0, a in zip(series, deg0, ref, scale0, scale))
 
 
 def test_operator_escape_diagnostics():
@@ -493,7 +491,9 @@ def test_spectrum_cache_round_trip(tmp_path):
     data = load_spectrum(str(tmp_path), 1, 8)
     assert data is not None
     assert data["dim_harmonic0"] == 2
-    assert data["eigs0"][0][1] == 2
+    # the sorted nonzero eigenvalues: l (l + 2) repeated 2 l + 2 times, l = 1..8
+    assert len(data["eigs0"]) == len(data["eigs1"]) == sum(2 * l + 2 for l in range(1, 9))
+    assert data["eigs0"] == sorted(data["eigs0"]) and abs(data["eigs0"][0] - 3.0) <= 1e-12
     assert load_spectrum(str(tmp_path), 2, 8) is None
 
 
