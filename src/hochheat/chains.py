@@ -4,26 +4,33 @@ A degree-k word is a (k+1)-tuple a0 (x) a1 (x) ... (x) ak of elements of
 the n-variable operator algebra; a chain is a finite rational combination
 of words (possibly of mixed degree).  By multilinearity every chain has
 one canonical form, and that form is what a `TensorChain` stores.  A word
-is a tuple of monomial keys (z_exp, d_exp), one per slot, each slot
-standing for the monic monomial z^z_exp d^d_exp.  The coefficients are
-integer numerators over one common denominator: `nums` maps each word to
-a nonzero int and the chain is sum(nums[w] * w) / den, with den >= 1 and
-gcd(den, *nums) == 1, so the zero chain has den == 1.  Equality of chains
-is then dict equality, exact and decidable, and every operator below
-accumulates plain ints and reduces once, in `_canonical`.
+is a tuple of packed monomial keys, one int per slot, each slot standing
+for the monic monomial z^z_exp d^d_exp: the key layout of `weyl.pack`,
+exponents z1..zn, d1..dn in fields of `weyl.FIELD_BITS` bits, most
+significant first.  Integer order of keys is the order of their exponent
+vectors, so sorted words come in the order of (z_exp, d_exp) keys, and
+the unit monomial 1 is the key 0.  Words hash and compare as flat tuples
+of ints.  The coefficients are integer numerators over one common
+denominator: `nums` maps each word to a nonzero int and the chain is
+sum(nums[w] * w) / den, with den >= 1 and gcd(den, *nums) == 1, so the
+zero chain has den == 1.  Equality of chains is then dict equality,
+exact and decidable, and every operator below accumulates plain ints and
+reduces once, in `_canonical`.
 
 Only the public constructors validate: `TensorChain.from_terms` (and
 `TensorChain.word`, which calls it) checks variable counts and rejects
-empty words, then expands each slot element into monic keys.
+empty words, then expands each slot element into monic keys, packed by
+`weyl.pack`, which refuses an exponent above `weyl.MAX_EXPONENT`.
 `chain_from_json` checks the same and reads keys only: it accepts the one
 slot grammar that `chain_to_json` writes, one monic monomial per slot,
 and refuses any other slot text.  `chain_to_json` writes `nums` over `den`
 and formats each distinct key once.  The operators below map keys to keys
-with `weyl.mono_product` (`shuffle_product` multiplies its slot-0
-elements with `weyl.mul`) and build their results without checking them
-again.  `TensorChain.terms` is a derived view for readers of elements: the
-words in sorted key order, each with its `Fraction` coefficient and each
-slot as a one-term monic `WeylElement`.
+with the one product kernel `weyl.mono_product`, which refuses a product
+exponent above the bound, and build their results without checking them
+again; `shuffle_product` multiplies its slot-0 elements with `weyl.mul`,
+which runs the same kernel.  `TensorChain.terms` is a derived view for
+readers of elements: the words in sorted key order, each with its
+`Fraction` coefficient and each slot as a one-term monic `WeylElement`.
 
 Operators implemented here:
 
@@ -58,18 +65,12 @@ from itertools import combinations, permutations
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .weyl import (MAX_DEGREE, MAX_VARIABLES, Key, WeylElement, d_var, format_monomial,
-                   mono_product, mul, parse_monomial, unit, z_var)
+from .weyl import (FIELD_BITS, MAX_DEGREE, MAX_VARIABLES, Key, WeylElement, d_var,
+                   format_monomial, mono_product, mul, pack, parse_monomial, unit, unpack, z_var)
 
 Word = Tuple[WeylElement, ...]
-#: a word as stored: one monomial key per slot
-KeyWord = Tuple[Key, ...]
-
-
-@lru_cache(maxsize=4096)
-def _slot(key: Key) -> WeylElement:
-    """The monic one-term element with monomial key `key`."""
-    return WeylElement(len(key[0]), ((key, Fraction(1)),))
+#: a word as stored: one packed monomial key per slot
+KeyWord = Tuple[int, ...]
 
 
 def _canonical(n: int, acc: Dict[KeyWord, int], den: int) -> "TensorChain":
@@ -95,8 +96,8 @@ def _collect(n: int, expanded: List[Tuple[int, int, KeyWord]]) -> "TensorChain":
 class TensorChain:
     """Rational combination of tensor words over the n-variable algebra.
 
-    The chain is sum(nums[w] * w) / den over words w (tuples of monomial
-    keys), in the canonical form of the module docstring; build chains
+    The chain is sum(nums[w] * w) / den over words w (tuples of packed
+    monomial keys), in the canonical form of the module docstring; build chains
     with `from_terms` or `word`.
     """
 
@@ -119,8 +120,9 @@ class TensorChain:
             for el in word:
                 if el.n != n:
                     raise ValueError("word entry has wrong variable count")
-                pieces = [(p * mc.numerator, q * mc.denominator, prefix + (key,))
-                          for p, q, prefix in pieces for key, mc in el.terms]
+                slot = [((pack(key),), mc.numerator, mc.denominator) for key, mc in el.terms]
+                pieces = [(p * mp, q * mq, prefix + packed)
+                          for p, q, prefix in pieces for packed, mp, mq in slot]
             expanded += pieces
         return _collect(n, expanded)
 
@@ -131,7 +133,10 @@ class TensorChain:
     @cached_property
     def terms(self) -> Tuple[Tuple[Fraction, Word], ...]:
         """(coeff, word) pairs in sorted word order, each slot a monic element."""
-        return tuple((Fraction(self.nums[w], self.den), tuple(map(_slot, w)))
+        n, one = self.n, Fraction(1)
+        slots = {key: WeylElement(n, ((unpack(key, n), one),))
+                 for key in {key for w in self.nums for key in w}}
+        return tuple((Fraction(self.nums[w], self.den), tuple(map(slots.__getitem__, w)))
                      for w in sorted(self.nums))
 
     def is_zero(self) -> bool:
@@ -167,9 +172,10 @@ def _boundary(c: TensorChain, wrap: bool) -> TensorChain:
     met in this call, so each pair goes through `mono_product` once; it is
     dropped on return.
     """
+    n = c.n
     acc: Dict[KeyWord, int] = {}
     get = acc.get
-    table: Dict[Tuple[Key, Key], List[Tuple[KeyWord, int]]] = {}
+    table: Dict[KeyWord, List[Tuple[KeyWord, int]]] = {}
     for word, num in c.nums.items():
         k = len(word) - 1
         for i in range(k + 1 if wrap and k else k):
@@ -179,7 +185,7 @@ def _boundary(c: TensorChain, wrap: bool) -> TensorChain:
                 head, pair, tail = (), (word[k], word[0]), word[1:k]
             products = table.get(pair)
             if products is None:
-                products = table[pair] = [((key,), m) for key, m in mono_product(*pair)]
+                products = table[pair] = [((key,), m) for key, m in mono_product(*pair, n)]
             sign = -num if i % 2 else num
             for slot, m in products:
                 w = head + slot + tail
@@ -214,9 +220,8 @@ def norm_n(c: TensorChain) -> TensorChain:
 
 
 def normalize(c: TensorChain) -> TensorChain:
-    """Kill words with a scalar multiple of 1 in any slot other than slot 0."""
-    one = ((0,) * c.n, (0,) * c.n)
-    return _canonical(c.n, {w: k for w, k in c.nums.items() if one not in w[1:]}, c.den)
+    """Kill words with a scalar multiple of 1, the key 0, in any slot other than slot 0."""
+    return _canonical(c.n, {w: k for w, k in c.nums.items() if 0 not in w[1:]}, c.den)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +250,7 @@ def _by_interior(c: TensorChain, n: int, pad) -> List[Tuple[KeyWord, WeylElement
     groups: Dict[KeyWord, List[Tuple[Key, Fraction]]] = {}
     for w, k in c.nums.items():
         head, *inner = map(pad, w)
-        groups.setdefault(tuple(inner), []).append((head, Fraction(k)))
+        groups.setdefault(tuple(inner), []).append((unpack(head, n), Fraction(k)))
     # distinct words with one interior have distinct heads: sorting is canonical order
     return [(inner, WeylElement(n, tuple(sorted(heads, reverse=True))))
             for inner, heads in groups.items()]
@@ -258,19 +263,21 @@ def shuffle_product(c1: TensorChain, c2: TensorChain) -> TensorChain:
     factor written as sum(A_i (x) i) over its interiors i, the shuffle of
     A (x) i and B (x) j is (A B) (x) sh(i, j): slot 0 is the `weyl.mul`
     product of the two slot-0 elements and the interior slots are all
-    signed interleavings of i and j.
+    signed interleavings of i and j.  A key pads by shifting its z and d
+    halves into the fields of its block.
     """
     n = c1.n + c2.n
-    pad1, pad2 = (0,) * c1.n, (0,) * c2.n
-    left = _by_interior(c1, n, lambda key: (key[0] + pad2, key[1] + pad2))
-    right = _by_interior(c2, n, lambda key: (pad1 + key[0], pad1 + key[1]))
+    half, half1, half2 = n * FIELD_BITS, c1.n * FIELD_BITS, c2.n * FIELD_BITS
+    d1, d2 = (1 << half1) - 1, (1 << half2) - 1
+    left = _by_interior(c1, n, lambda key: (key >> half1 << half2 + half) | (key & d1) << half2)
+    right = _by_interior(c2, n, lambda key: (key >> half2 << half) | (key & d2))
     acc: Dict[KeyWord, int] = {}
     get = acc.get
     for i1, a in left:
         for i2, b in right:
             interior = i1 + i2
             # integer coefficients times integer coefficients: every product is whole
-            heads = [((key,), coeff.numerator) for key, coeff in mul(a, b).terms]
+            heads = [((pack(key),), coeff.numerator) for key, coeff in mul(a, b).terms]
             for order, parity in _shuffles(len(i1), len(i2)):
                 tail = tuple(map(interior.__getitem__, order))
                 for head, num in heads:
@@ -298,13 +305,12 @@ def omega_cycle(n: int) -> TensorChain:
 def normalized_omega_formula(n: int) -> TensorChain:
     """Independent closed form: sum over permutations sigma of the 2n interior
     slots of sgn(sigma) 1 (x) sigma(d1 (x) z1 (x) ... (x) dn (x) zn)."""
-    one = ((0,) * n, (0,) * n)
-    letters = [el.terms[0][0] for i in range(1, n + 1) for el in (d_var(i, n), z_var(i, n))]
+    letters = [pack(el.terms[0][0]) for i in range(1, n + 1) for el in (d_var(i, n), z_var(i, n))]
     words = {}
     for perm in permutations(range(2 * n)):
         inv = sum(1 for i in range(2 * n) for j in range(i + 1, 2 * n) if perm[i] > perm[j])
         # distinct letters give distinct words, so nothing merges
-        words[(one,) + tuple(letters[p] for p in perm)] = -1 if inv % 2 else 1
+        words[(0,) + tuple(letters[p] for p in perm)] = -1 if inv % 2 else 1
     return TensorChain(n, words, 1)
 
 
@@ -366,11 +372,15 @@ def chain_to_json(c: TensorChain) -> str:
     """The chain as JSON: {"n": n, "terms": [{"coeff": "p/q", "word": [slot, ...]}, ...]}.
 
     Words come in sorted key order and each slot is its monic monomial in
-    the text format; each distinct key is formatted once.  A coefficient
-    part of more than MAX_COEFF_DIGITS digits raises `ValueError`.
+    the text format; each distinct key is formatted and quoted once.  The
+    text is the bytes of `json.dumps(..., indent=2)`, laid out here rather
+    than through the pure-Python encoder that `indent` selects.  A
+    coefficient part of more than MAX_COEFF_DIGITS digits raises
+    `ValueError`.
     """
-    nums, den = c.nums, c.den
-    texts = {key: format_monomial(key) for key in {key for w in nums for key in w}}
+    n, nums, den = c.n, c.nums, c.den
+    texts = {key: json.encoder.encode_basestring_ascii(format_monomial(unpack(key, n)))
+             for key in {key for w in nums for key in w}}
 
     def coeff(num: int) -> str:  # str(Fraction(num, den)) without building the Fraction
         g = gcd(num, den)
@@ -379,9 +389,11 @@ def chain_to_json(c: TensorChain) -> str:
             raise ValueError(f"a coefficient of the chain has more than {MAX_COEFF_DIGITS} digits")
         return str(p) if q == 1 else f"{p}/{q}"
 
-    terms = [{"coeff": coeff(nums[w]), "word": list(map(texts.__getitem__, w))}
+    terms = ['    {\n      "coeff": "' + coeff(nums[w]) + '",\n      "word": [\n        '
+             + ",\n        ".join(map(texts.__getitem__, w)) + "\n      ]\n    }"
              for w in sorted(nums)]
-    return json.dumps({"n": c.n, "terms": terms}, indent=2)
+    body = "[\n" + ",\n".join(terms) + "\n  ]" if terms else "[]"
+    return '{\n  "n": ' + str(n) + ',\n  "terms": ' + body + "\n}"
 
 
 #: a coefficient as `chain_to_json` writes it: an integer or a fraction
@@ -430,7 +442,7 @@ def chain_from_json(text: str) -> TensorChain:
     """Parse `chain_to_json` output; malformed input raises `ValueError`.
 
     Each slot must be a monic monomial in the form `chain_to_json` writes
-    and is read straight into its monomial key; any other slot text, also
+    and is read straight into its packed monomial key; any other slot text, also
     another spelling of the same element, is refused.
     """
     try:
@@ -443,8 +455,8 @@ def chain_from_json(text: str) -> TensorChain:
     n = payload["n"]
     if not 1 <= n <= MAX_VARIABLES:
         raise ValueError(f"chain JSON needs 1 <= n <= {MAX_VARIABLES}, got {n}")
-    # each distinct slot text is read once, into its key
-    slots: Dict[str, Key] = {}
+    # each distinct slot text is read once, into its packed key
+    slots: Dict[str, int] = {}
     expanded = []
     for t in payload["terms"]:
         if not (isinstance(t, dict) and isinstance(t.get("word"), list)
@@ -460,6 +472,6 @@ def chain_from_json(text: str) -> TensorChain:
                 if key is None:
                     raise ValueError(f"slot {_shown(s)} is not a monic monomial in z1..z{n}, "
                                      f"d1..d{n} of degree at most {MAX_DEGREE}")
-                slots[s] = key
+                slots[s] = pack(key)
         expanded.append((p, q, tuple(map(slots.__getitem__, t["word"]))))
     return _collect(n, expanded)

@@ -12,24 +12,24 @@ degree-k tensor word a0 (x) ... (x) ak maps to
     (1/k!) sigma(a0) d(sigma(a1)) ^ ... ^ d(sigma(ak))
 
 extended linearly to chains.  It reads the chain's own monomial keys:
-sigma of a slot key (a, b) is the exponent vector a + b, its differential
-is a short memoized tuple, and a word's form is the product of those
-tuples, signed by the order in which the one-forms enter.  Words with a
-scalar interior slot die under this map because d(1) = 0, so it factors
-through `normalize`.
+sigma of a slot key, unpacked to (a, b), is the exponent vector a + b,
+its differential is a short tuple, both formed once per distinct key in
+one call, and a word's form is the product of those tuples, signed by
+the order in which the one-forms enter.  Words with a scalar interior
+slot die under this map because d(1) = 0, so it factors through
+`normalize`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import factorial, prod
 from typing import Dict, Tuple
 
 from .chains import TensorChain
-from .weyl import Key
+from .weyl import unpack
 
 EvenExps = Tuple[int, ...]  # exponents of z1..zn then y1..yn
 OddKey = Tuple[int, ...]    # strictly increasing one-form indices
@@ -47,11 +47,9 @@ class PolyForm:
         return not self.terms
 
 
-@lru_cache(maxsize=4096)
-def _d_symbol(key: Key) -> Tuple[Tuple[int, EvenExps, int], ...]:
-    """d(sigma(z^a d^b)) as (one-form index, lowered exponents, factor) entries."""
-    n = len(key[0])
-    exps = key[0] + key[1]
+def _d_symbol(exps: EvenExps, n: int) -> Tuple[Tuple[int, EvenExps, int], ...]:
+    """d(sigma) for sigma = z^exps[:n] y^exps[n:], as (one-form index, lowered
+    exponents, factor) entries."""
     return tuple((2 * i if i < n else 2 * (i - n) + 1, exps[:i] + (e - 1,) + exps[i + 1:], e)
                  for i, e in enumerate(exps) if e)
 
@@ -62,13 +60,16 @@ def hkr_symbol(c: TensorChain) -> PolyForm:
     The sum is kept in integers over the one denominator c.den * K!, with K
     the top degree of `c`, and divided once per form term at the end.
     """
-    top = max(c.degrees(), default=0)
+    n, top = c.n, max(c.degrees(), default=0)
     lift = [factorial(top) // factorial(k) for k in range(top + 1)]  # K!/k!
+    # sigma(z^a d^b) = z^a y^b, as the one vector a + b, of each distinct slot key
+    sigma = {key: sum(unpack(key, n), ()) for key in {key for w in c.nums for key in w}}
+    d_sigma = {key: _d_symbol(exps, n) for key, exps in sigma.items()}
     acc: Dict[FormKey, int] = {}
     for word, num in c.nums.items():
-        head = word[0][0] + word[0][1]
+        head = sigma[word[0]]
         scaled = num * lift[len(word) - 1]
-        for pieces in product(*map(_d_symbol, word[1:])):
+        for pieces in product(*map(d_sigma.__getitem__, word[1:])):
             odd = [p[0] for p in pieces]
             if len(set(odd)) < len(odd):
                 continue  # a repeated one-form

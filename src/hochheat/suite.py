@@ -51,7 +51,7 @@ from .spectral import (
     spectrum_summary,
     store_spectrum,
 )
-from .weyl import d_var, mul, unit, z_var
+from .weyl import d_var, mul, pack, unit, unpack, z_var
 
 DEFAULT_CACHE_ENV = "HOCHHEAT_CACHE_DIR"
 #: the most random samples, time points or t-grid times one run may ask for
@@ -172,7 +172,8 @@ def _leibniz_holds(sample: Tuple[int, TensorChain, TensorChain]) -> bool:
 def _swap_blocks(c: TensorChain, n1: int) -> TensorChain:
     """c with its variable blocks 1..n1 and n1+1..n swapped: a bijection on words."""
     def swap(key):
-        return key[0][n1:] + key[0][:n1], key[1][n1:] + key[1][:n1]
+        z_exp, d_exp = unpack(key, c.n)
+        return pack((z_exp[n1:] + z_exp[:n1], d_exp[n1:] + d_exp[:n1]))
     return TensorChain(c.n, {tuple(map(swap, w)): k for w, k in c.nums.items()}, c.den)
 
 

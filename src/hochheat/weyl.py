@@ -7,16 +7,29 @@ factors.  A monomial is a pair of exponent vectors, an element a finite
 rational combination of monomials.  Coefficients are `fractions.Fraction`
 throughout; this module never touches floating point.
 
-A monomial's key is its pair of exponent vectors (z_exp, d_exp).  Every
-product of monomials, in `mul` and in the chain operators, goes through
-`mono_product` on keys.  Reordering a single variable uses the closed form
+A `WeylElement` keys its monomials by their exponent vectors
+(z_exp, d_exp).  The products run on packed keys: `pack` writes the
+exponents z1..zn, d1..dn into one int, FIELD_BITS bits per exponent, most
+significant field first, and `unpack` reads them back.  Integer order of
+packed keys is then the order of (z_exp, d_exp) keys, and the unit
+monomial is 0.  Every exponent stays at or below MAX_EXPONENT, which
+leaves each field's high bit clear: `pack` refuses a larger exponent
+with `ValueError`, so the sum of two packed keys carries into no other
+field, and `mono_product` raises `ValueError` when that sum sets a high
+bit rather than keep an exponent past the bound.
 
-    d^p z^q = sum_{j>=0} C(p,j) C(q,j) j! z^(q-j) d^(p-j)
+`mono_product` is the one product kernel: every product of monomials, in
+`mul` and in the chain operators, goes through it.  Without contractions
+the product of z^p d^q and z^r d^s is the key a + b; reordering variable
+i uses the closed form
 
-whose coefficients `_reorder` keeps in a small table, and distinct
-variables reorder independently.  The formula is cross-checked in the
-tests against the action of an element on an ordinary polynomial, which
-is defined without any reordering (`apply` in `tests/oracles.py`).
+    d^q z^r = sum_{j>=0} C(q,j) C(r,j) j! z^(r-j) d^(q-j)
+
+whose coefficients `_reorder` keeps in a small table, each contraction
+taking j from both z_i and d_i, and distinct variables reorder
+independently.  The formula is cross-checked in the tests against the
+action of an element on an ordinary polynomial, which is defined without
+any reordering (`apply` in `tests/oracles.py`).
 
 Text goes out through `format_element` (an element) and `format_monomial`
 (a monic monomial).  The one reader, `parse_monomial`, reads exactly what
@@ -96,28 +109,68 @@ def d_var(i: int, n: int) -> WeylElement:
     return WeylElement(n, ((((0,) * n, e), _ONE),))
 
 
+#: bits of one exponent field of a packed key
+FIELD_BITS = 16
+#: the largest exponent a packed key holds: each field's high bit stays clear
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+
+
+def pack(key: Key) -> int:
+    """The packed key of (z_exp, d_exp): fields z1..zn, d1..dn, most significant first."""
+    packed = 0
+    for e in key[0] + key[1]:
+        if not 0 <= e <= MAX_EXPONENT:
+            raise ValueError(f"exponent {e} is outside 0..{MAX_EXPONENT}")
+        packed = packed << FIELD_BITS | e
+    return packed
+
+
+@lru_cache(maxsize=4096)
+def unpack(packed: int, n: int) -> Key:
+    """The (z_exp, d_exp) key of a packed key in n variables: the inverse of `pack`."""
+    exps = [packed >> (FIELD_BITS * i) & _FIELD_MASK for i in range(2 * n - 1, -1, -1)]
+    return tuple(exps[:n]), tuple(exps[n:])
+
+
+@lru_cache(maxsize=64)
+def _high_bits(n: int) -> int:
+    """The high bit of each of the 2n fields of a packed key."""
+    return sum(1 << (FIELD_BITS * i + FIELD_BITS - 1) for i in range(2 * n))
+
+
 @lru_cache(maxsize=1024)
 def _reorder(p: int, r: int) -> Tuple[int, ...]:
     """C(p,j) C(r,j) j! for j = 0..min(p, r): the terms of d^p z^r."""
     return tuple(comb(p, j) * comb(r, j) * factorial(j) for j in range(min(p, r) + 1))
 
 
-def mono_product(a: Key, b: Key) -> List[Tuple[Key, int]]:
-    """Expand (z^p d^q)(z^r d^s) into normal-ordered (key, coefficient) terms.
+def mono_product(a: int, b: int, n: int) -> List[Tuple[int, int]]:
+    """Expand (z^p d^q)(z^r d^s), packed keys in n variables, into (packed key, coefficient) terms.
 
     Per variable, d^q z^r = sum_j C(q,j) C(r,j) j! z^(r-j) d^(q-j); the
     cross-variable factors commute, so contractions are independent and
     the result is the product over variables of the one-variable sums.
+    Uncontracted, the exponents add: the key a + b.  A contraction of j in
+    variable i subtracts j from its z_i and d_i fields.
     """
-    (az, ad), (bz, bd) = a, b
-    terms = [((), (), 1)]
-    for p, q, r, s in zip(az, ad, bz, bd):
+    top = a + b
+    if top & _high_bits(n):
+        raise ValueError(f"a product has an exponent above {MAX_EXPONENT}")
+    half = n * FIELD_BITS
+    terms = [(top, 1)]
+    # the d fields of a against the z fields of b, from variable n down to variable 1
+    q_fields, r_fields, shift = a & ((1 << half) - 1), b >> half, 0
+    while q_fields and r_fields:
+        q, r = q_fields & _FIELD_MASK, r_fields & _FIELD_MASK
         if q and r:
-            terms = [(z + (p + r - j,), d + (q + s - j,), c * cj)
-                     for z, d, c in terms for j, cj in enumerate(_reorder(q, r))]
-        else:
-            terms = [(z + (p + r,), d + (q + s,), c) for z, d, c in terms]
-    return [((z, d), c) for z, d, c in terms]
+            step = (1 << (half + shift)) | (1 << shift)  # z_i and d_i, each by one
+            terms = [(key - j * step, c * cj)
+                     for key, c in terms for j, cj in enumerate(_reorder(q, r))]
+        q_fields >>= FIELD_BITS
+        r_fields >>= FIELD_BITS
+        shift += FIELD_BITS
+    return terms
 
 
 def mul(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -125,24 +178,26 @@ def mul(a: WeylElement, b: WeylElement) -> WeylElement:
 
     Each factor's coefficients are read as int numerators over that
     factor's lcm denominator, so the term products accumulate plain ints
-    and each output key makes one `Fraction`.
+    and each output key makes one `Fraction`.  The monomial products run
+    on packed keys.
     """
     if a.n != b.n:
         raise ValueError("cannot multiply elements with different variable counts")
+    n = a.n
     da = lcm(*(c.denominator for _, c in a.terms))
     db = lcm(*(c.denominator for _, c in b.terms))
-    right = [(kb, cb.numerator * (db // cb.denominator)) for kb, cb in b.terms]
-    acc: Dict[Key, int] = {}
+    right = [(pack(kb), cb.numerator * (db // cb.denominator)) for kb, cb in b.terms]
+    acc: Dict[int, int] = {}
     get = acc.get
     for ka, ca in a.terms:
-        na = ca.numerator * (da // ca.denominator)
-        for kb, nb in right:
+        na, pa = ca.numerator * (da // ca.denominator), pack(ka)
+        for pb, nb in right:
             c = na * nb
-            for key, m in mono_product(ka, kb):
+            for key, m in mono_product(pa, pb, n):
                 acc[key] = get(key, 0) + c * m
     den = da * db
-    return WeylElement(a.n, tuple(sorted(((key, Fraction(k, den)) for key, k in acc.items() if k),
-                                         key=itemgetter(0), reverse=True)))
+    return WeylElement(n, tuple((unpack(key, n), Fraction(k, den))
+                                for key, k in sorted(acc.items(), reverse=True) if k))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,9 @@ also computes, by a route that shares none of its shortcuts:
 * `apply`, the action of a Weyl element on an ordinary polynomial, against
   the reordering closed form of `hochheat.weyl.mul`, with `commutator`,
   `disjoint_embed`, `monomial`, `add`, `scale` and `zero` to build the inputs;
+* `key_product`, the product of two monomials on their exponent tuples, one
+  variable at a time, against the packed-key kernel
+  `hochheat.weyl.mono_product`, and the product of the chain oracles;
 * `parse_element`, the general reader of the element text format, which
   multiplies its factors out in the algebra, against `format_element`,
   `parse_monomial` and the chain JSON reader;
@@ -58,8 +61,8 @@ from hochheat.spectral import (
     _reduced,
     _scaled_root,
 )
-from hochheat.weyl import (MAX_DEGREE, MAX_VARIABLES, _ONE, Exponents, WeylElement, _merge_terms,
-                           mul, unit)
+from hochheat.weyl import (MAX_DEGREE, MAX_VARIABLES, _ONE, Exponents, Key, WeylElement,
+                           _merge_terms, mul, unit)
 
 # ---------------------------------------------------------------------------
 # spectral: the generic pairing kernel
@@ -352,6 +355,19 @@ def apply(a: WeylElement, p: Mapping[Exponents, Fraction]) -> Polynomial:
             elif key in out:
                 del out[key]
     return out
+
+
+def key_product(a: Key, b: Key) -> List[Tuple[Key, int]]:
+    """Expand (z^p d^q)(z^r d^s), keys (z_exp, d_exp), into (key, coefficient) terms.
+
+    Per variable, d^q z^r = sum_j C(q,j) C(r,j) j! z^(r-j) d^(q-j), and the
+    one-variable sums multiply out over the variables.
+    """
+    terms = [((), (), 1)]
+    for p, q, r, s in zip(a[0], a[1], b[0], b[1]):
+        terms = [(z + (p + r - j,), d + (q + s - j,), c * comb(q, j) * comb(r, j) * factorial(j))
+                 for z, d, c in terms for j in range(min(q, r) + 1)]
+    return [((z, d), c) for z, d, c in terms]
 
 
 def disjoint_embed(a: WeylElement, offset: int, total: int) -> WeylElement:

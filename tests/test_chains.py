@@ -36,9 +36,10 @@ from hochheat.chains import (
 )
 from hochheat.forms import hkr_symbol, volume_form
 from hochheat.randomgen import random_chain, random_column_vector, random_element
-from hochheat.weyl import (MAX_DEGREE, MAX_VARIABLES, WeylElement, d_var, format_element,
-                           format_monomial, mono_product, parse_monomial, unit, z_var)
-from oracles import column, monomial, parse_element, scale
+from hochheat.weyl import (MAX_DEGREE, MAX_EXPONENT, MAX_VARIABLES, WeylElement, d_var,
+                           format_element, format_monomial, pack, parse_monomial, unit, unpack,
+                           z_var)
+from oracles import column, key_product, monomial, parse_element, scale
 
 
 def one_word(n, coeff, slots):
@@ -439,6 +440,12 @@ def test_chain_to_json_writes_the_element_view_bytes():
         assert chain_from_json(text) == _element_view_from_json(text) == c
 
 
+def test_chain_to_json_writes_the_zero_chain_as_dumps_does():
+    zero = TensorChain(2, {}, 1)
+    assert chain_to_json(zero) == json.dumps({"n": 2, "terms": []}, indent=2)
+    assert chain_from_json(chain_to_json(zero)) == zero
+
+
 @settings(deadline=None)
 @given(st.integers(1, 3).flatmap(
     lambda n: st.tuples(st.just(n), st.lists(st.integers(0, 12), min_size=2 * n, max_size=2 * n))))
@@ -501,6 +508,28 @@ def test_constructors_reject_bad_variable_counts():
         omega_cycle(0)
 
 
+def test_from_terms_refuses_an_exponent_past_the_field_bound():
+    top = monomial(2, (0, 0), (0, MAX_EXPONENT))
+    assert TensorChain.word(2, 1, [unit(2), top]).nums == {(0, MAX_EXPONENT): 1}
+    with pytest.raises(ValueError, match=str(MAX_EXPONENT)):
+        TensorChain.word(2, 1, [unit(2), monomial(2, (MAX_EXPONENT + 1, 0), (0, 0))])
+    # a face whose product passes the bound raises rather than carry into the next field
+    c = TensorChain.word(1, 1, [monomial(1, (MAX_EXPONENT,), (0,)), z_var(1, 1)])
+    with pytest.raises(ValueError, match=str(MAX_EXPONENT)):
+        hochschild_b(c)
+
+
+def test_normalize_reads_the_packed_unit_as_the_scalar_slot():
+    n = 2
+    z, d = z_var(1, n), d_var(2, n)
+    assert TensorChain.word(n, 1, [unit(n)]).nums == {(0,): 1}
+    kept = TensorChain.word(n, 1, [unit(n), z, d]) + TensorChain.word(n, 2, [z, d, z])
+    killed = sum((TensorChain.word(n, 1, w) for w in ([z, unit(n), d], [d, z, unit(n)],
+                                                      [unit(n), unit(n), z])),
+                 TensorChain(n, {}, 1))
+    assert normalize(kept + killed) == kept
+
+
 def test_column_vector_rejects_bad_entries():
     c = TensorChain.word(1, 1, [unit(1), z_var(1, 1)])
     with pytest.raises(ValueError, match="non-negative"):
@@ -555,16 +584,17 @@ def test_chains_are_stored_in_canonical_form():
     assert 2 * one_word(1, Fraction(1, 4), [z]) == one_word(1, Fraction(1, 2), [z])
     half = chain_from_json(json.dumps({"n": 1, "terms": [{"coeff": "2/4", "word": ["z1"]}]}))
     assert half == one_word(1, Fraction(1, 2), [z])
-    assert (half.nums, half.den) == ({(((1,), (0,)),): 1}, 2)
+    assert (half.nums, half.den) == ({(pack(((1,), (0,))),): 1}, 2)
     assert 0 * one_word(1, Fraction(1, 4), [z]) == TensorChain(1, {}, 1)
 
 
-# The Fraction-valued kernels that the integer-numerator operators replaced,
-# on chains given as {word of keys: Fraction coefficient}; the oracle below.
+# The Fraction-valued kernels that the integer-numerator operators replaced, on
+# chains given as {word of (z_exp, d_exp) keys: Fraction coefficient}, with
+# products by `oracles.key_product`; the oracle below.
 
 
 def _fractions(c):
-    return {w: Fraction(k, c.den) for w, k in c.nums.items()}
+    return {tuple(unpack(key, c.n) for key in w): Fraction(k, c.den) for w, k in c.nums.items()}
 
 
 def _merged(pairs):
@@ -582,7 +612,7 @@ def _oracle_boundary(words, wrap):
         if wrap and k:
             faces.append(((), word[k], word[0], word[1:k], (-1) ** k))
         for head, a, b, tail, sign in faces:
-            out += [(head + (key,) + tail, sign * m * coeff) for key, m in mono_product(a, b)]
+            out += [(head + (key,) + tail, sign * m * coeff) for key, m in key_product(a, b)]
     return _merged(out)
 
 
@@ -603,7 +633,7 @@ def _oracle_shuffle(words1, n1, words2, n2):
             left = tuple((z + pad2, d + pad2) for z, d in w1)
             right = tuple((pad1 + z, pad1 + d) for z, d in w2)
             interior = left[1:] + right[1:]
-            (head, m), = mono_product(left[0], right[0])
+            (head, m), = key_product(left[0], right[0])
             for order, parity in _shuffles(len(w1) - 1, len(w2) - 1):
                 out.append(((head,) + tuple(interior[i] for i in order),
                             (-1) ** parity * m * k1 * k2))

@@ -329,6 +329,11 @@ def _chain(n, pairs, den):
     return TensorChain(n, {w: k // g for w, k in nums.items()}, den // g)
 
 
+def _normalize_slot_one_only(c):
+    """normalize that looks for the unit, the packed key 0, in slot 1 only."""
+    return _chain(c.n, [(w, k) for w, k in c.nums.items() if w[1:2] != (0,)], c.den)
+
+
 def _symbol_dropping_last_slot(c):
     return hkr_symbol(_chain(c.n, [(w[:-1], k) for w, k in c.nums.items()], c.den))
 
@@ -415,11 +420,16 @@ def _doubled_dbar_star(a, b, n_trunc, k, dbar_star=spectral._dbar_star):
          "localization.long-time.gap"),
         (suite, "harmonic_supertrace", lambda *a: harmonic_supertrace(*a) + 1.0,
          ["chern-integrals"], "chern.todd-vs-harmonic"),
+        (suite, "hochschild_b", _wrap_sign_flipped_b, ["tsygan", "--samples", "5"],
+         "tsygan.b.squared"),
+        (suite, "normalize", _normalize_slot_one_only, ["cycles", "--n", "2"],
+         "cycles.normalized.omega4"),
     ],
     ids=["boundary", "failures", "tolerance", "localization", "symbol-slot", "tau-sign",
          "norm-sign", "shuffle-sign", "shuffle-first-position", "eigenvalue-offset",
          "dbar-star-susy", "dbar-star-flat", "todd-scale", "spectral-diagonal-scale",
-         "susy-top-cluster", "halved-image-tail", "section-count"],
+         "susy-top-cluster", "halved-image-tail", "section-count", "b-squared",
+         "normalize-slot-one"],
 )
 def test_each_check_shape_can_fail(monkeypatch, capsys, owner, name, mutant, argv, check_id):
     monkeypatch.setattr(owner, name, mutant)

@@ -17,17 +17,20 @@ from hypothesis import strategies as st
 
 from hochheat.weyl import (
     MAX_DEGREE,
+    MAX_EXPONENT,
     MAX_VARIABLES,
     WeylElement,
     d_var,
     format_element,
     mono_product,
     mul,
+    pack,
     unit,
+    unpack,
     z_var,
 )
-from oracles import (MAX_TERMS, add, apply, commutator, disjoint_embed, monomial, parse_element,
-                     scale, zero)
+from oracles import (MAX_TERMS, add, apply, commutator, disjoint_embed, key_product, monomial,
+                     parse_element, scale, zero)
 
 
 def random_element(rng: random.Random, n: int, max_deg: int = 2, max_terms: int = 3):
@@ -96,10 +99,57 @@ def test_mono_product_matches_apply_oracle():
             return tuple(rng.randint(0, 3) for _ in range(n))
 
         a, b = (exps(), exps()), (exps(), exps())
-        product = WeylElement.from_terms(
-            n, [(key, Fraction(c)) for key, c in mono_product(a, b)])
+        terms = [(unpack(key, n), c) for key, c in mono_product(pack(a), pack(b), n)]
+        assert sorted(terms) == sorted(key_product(a, b))
+        product = WeylElement.from_terms(n, [(key, Fraction(c)) for key, c in terms])
         p = random_poly(rng, n, max_deg=5)
         assert apply(product, p) == apply(monomial(n, *a), apply(monomial(n, *b), p))
+
+
+_KEYS = st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(0, MAX_EXPONENT)] * (2 * n)).map(lambda e: (e[:n], e[n:])),
+    min_size=1, max_size=6))
+
+
+@settings(deadline=None)
+@given(_KEYS)
+def test_packing_preserves_key_and_word_order(keys):
+    n = len(keys[0][0])
+    packed = [pack(key) for key in keys]
+    assert [unpack(p, n) for p in packed] == keys
+    assert pack(((0,) * n, (0,) * n)) == 0
+    for i in range(len(keys)):
+        for j in range(len(keys)):
+            assert (packed[i] < packed[j]) == (keys[i] < keys[j])
+        # two words of keys, of lengths i and len(keys) - i
+        assert ((tuple(packed[:i]) < tuple(packed[i:]))
+                == (tuple(keys[:i]) < tuple(keys[i:])))
+
+
+@pytest.mark.parametrize("key", [((MAX_EXPONENT + 1,), (0,)), ((0, 0), (0, MAX_EXPONENT + 1)),
+                                 ((-1,), (0,))], ids=["z-field", "last-field", "negative"])
+def test_pack_refuses_an_exponent_outside_the_field_bound(key):
+    with pytest.raises(ValueError, match=str(MAX_EXPONENT)):
+        pack(key)
+
+
+@pytest.mark.parametrize("a, b", [
+    (((MAX_EXPONENT,), (0,)), ((1,), (0,))),
+    (((0, 0), (0, MAX_EXPONENT)), ((0, 0), (0, 1))),
+    (((1, MAX_EXPONENT), (1, 0)), ((1, 1), (0, 0)))],
+    ids=["first-field", "last-field", "inner-field-with-a-contraction"])
+def test_a_product_past_the_field_bound_raises_and_does_not_carry(a, b):
+    n = len(a[0])
+    with pytest.raises(ValueError, match=str(MAX_EXPONENT)):
+        mono_product(pack(a), pack(b), n)
+    with pytest.raises(ValueError, match=str(MAX_EXPONENT)):
+        mul(monomial(n, *a), monomial(n, *b))
+
+
+def test_a_product_reaches_the_field_bound_exactly():
+    top = pack(((MAX_EXPONENT, 0), (0, MAX_EXPONENT)))
+    assert mono_product(pack(((MAX_EXPONENT - 1, 0), (0, 0))), pack(((1, 0), (0, MAX_EXPONENT))),
+                        2) == [(top, 1)]
 
 
 def test_mul_associative():
