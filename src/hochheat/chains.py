@@ -61,7 +61,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -304,13 +304,25 @@ def omega_cycle(n: int) -> TensorChain:
 
 def normalized_omega_formula(n: int) -> TensorChain:
     """Independent closed form: sum over permutations sigma of the 2n interior
-    slots of sgn(sigma) 1 (x) sigma(d1 (x) z1 (x) ... (x) dn (x) zn)."""
-    letters = [pack(el.terms[0][0]) for i in range(1, n + 1) for el in (d_var(i, n), z_var(i, n))]
-    words = {}
-    for perm in permutations(range(2 * n)):
-        inv = sum(1 for i in range(2 * n) for j in range(i + 1, 2 * n) if perm[i] > perm[j])
-        # distinct letters give distinct words, so nothing merges
-        words[(0,) + tuple(letters[p] for p in perm)] = -1 if inv % 2 else 1
+    slots of sgn(sigma) 1 (x) sigma(d1 (x) z1 (x) ... (x) dn (x) zn).
+
+    Heap's algorithm visits every permutation, each one transposition away
+    from the last, so the signs alternate from +1.
+    """
+    word = [0] + [pack(el.terms[0][0]) for i in range(1, n + 1) for el in (d_var(i, n), z_var(i, n))]
+    words, sign = {(*word,): 1}, 1  # distinct letters give distinct words, so nothing merges
+    counters, i = [0] * (2 * n + 1), 2
+    while i <= 2 * n:  # positions 1..2n of word; position 0 holds the unit
+        if counters[i] < i - 1:
+            j = 1 if i % 2 else counters[i] + 1
+            word[j], word[i] = word[i], word[j]
+            sign = -sign
+            words[(*word,)] = sign
+            counters[i] += 1
+            i = 2
+        else:
+            counters[i] = 0
+            i += 1
     return TensorChain(n, words, 1)
 
 
@@ -455,23 +467,38 @@ def chain_from_json(text: str) -> TensorChain:
     n = payload["n"]
     if not 1 <= n <= MAX_VARIABLES:
         raise ValueError(f"chain JSON needs 1 <= n <= {MAX_VARIABLES}, got {n}")
-    # each distinct slot text is read once, into its packed key
+    # each distinct slot text and each distinct coefficient text is checked and read
+    # once; a word's new slot texts are type-checked before its coefficient is read and
+    # parsed after, so each refusal comes in the order it always came
     slots: Dict[str, int] = {}
+    coeffs: Dict[str, Tuple[int, int]] = {}
     expanded = []
     for t in payload["terms"]:
-        if not (isinstance(t, dict) and isinstance(t.get("word"), list)
-                and all(isinstance(s, str) for s in t["word"])):
+        word, fresh = t.get("word") if isinstance(t, dict) else None, []
+        try:
+            if not isinstance(word, list):
+                raise TypeError
+            for s in word:
+                if s not in slots:  # a TypeError for an unhashable slot
+                    if not isinstance(s, str):
+                        raise TypeError
+                    fresh.append(s)
+        except TypeError:
             raise ValueError("a term must be {'coeff': str, 'word': [str, ...]}, "
-                             f"got {_shown(t)}")
-        p, q = _coefficient(t.get("coeff"))
-        if not t["word"]:
+                             f"got {_shown(t)}") from None
+        coeff = t.get("coeff")
+        if type(coeff) is not str:
+            pq = _coefficient(coeff)
+        elif (pq := coeffs.get(coeff)) is None:
+            pq = coeffs[coeff] = _coefficient(coeff)
+        if not word:
             raise ValueError("a word needs at least one slot")
-        for s in t["word"]:
+        for s in fresh:
             if s not in slots:
                 key = parse_monomial(s, n)
                 if key is None:
                     raise ValueError(f"slot {_shown(s)} is not a monic monomial in z1..z{n}, "
                                      f"d1..d{n} of degree at most {MAX_DEGREE}")
                 slots[s] = pack(key)
-        expanded.append((p, q, tuple(map(slots.__getitem__, t["word"]))))
+        expanded.append((*pq, tuple(map(slots.__getitem__, word))))
     return _collect(n, expanded)

@@ -364,6 +364,13 @@ def _gram(size: int, alpha: int, fact: List[int]) -> IntMat:
 def build_model(k: int, trunc: int) -> SpectralModel:
     """Assemble and diagonalize the truncated model for O(k) at truncation N.
 
+    Every block's rounded stiffness is assembled first, degree 0 and then
+    degree 1 of each charge; then one `np.linalg.eigh` call solves the
+    stack of all blocks of each size.  `basis_meta["max_gram_condition"]`,
+    recorded and never compared, is the float condition number of the
+    largest section Gram block of each alpha, which bounds those of its
+    leading blocks.
+
     Requires k >= 0 and k + 2 <= trunc <= MAX_TRUNC.  Raises
     IllConditionedGramError if the closed-form rows of an alpha fail their
     exact certificate (`_certify`), or if a block's lowest eigenvalue is
@@ -389,33 +396,43 @@ def build_model(k: int, trunc: int) -> SpectralModel:
         for alpha, size in ((abs(q), len(pairs)), (abs(q + 1), len(fpairs))):
             sizes[alpha] = max(sizes.get(alpha, 0), size)
     grams = {alpha: _gram(size, alpha, fact) for alpha, size in sizes.items()}
-    # recorded only, never compared: the certificate below decides which rows are usable
+    # recorded only, never compared: the certificate below decides which rows are usable;
+    # section block q >= 0 is the largest of alpha = q and holds block -q as a leading block
     max_cond = max(float(np.linalg.cond([[v / fact[-1] for v in row[:len(pairs)]]
-                                         for row in grams[abs(q)][:len(pairs)]]))
-                   for q, pairs, _ in layout)
+                                         for row in grams[q][:len(pairs)]]))
+                   for q, pairs, _ in layout if q >= 0)
     # every block of one alpha, in either degree, uses a prefix of the same rows and Gram
     rows = {alpha: _orthogonal_rows(size, alpha, len(fact)) for alpha, size in sizes.items()}
     norms = {alpha: _certify(grams[alpha], w) for alpha, w in rows.items()}
-    blocks: List[_Block] = []
-    forms: List[_Block] = []
+    assembled = []  # (degree, charge, pairs, w, norms, rounded stiffness) of every block
     for q, pairs, fpairs in layout:
         w0, p0 = rows[abs(q)][:len(pairs)], norms[abs(q)][:len(pairs)]
         w1, p1 = rows[abs(q + 1)][:len(fpairs)], norms[abs(q + 1)][:len(fpairs)]
         dbar = _incidence([_dbar_chi(a, b, n) for a, b in pairs], fpairs, n + 1)
         dbar_star = _incidence([_dbar_star(a, b, n, k) for a, b in fpairs], pairs, n)
-        for degree, (charge, idx, w, p, stiff) in enumerate((
-                (q, pairs, w0, p0, _stiffness(w0, p0, dbar, w1, p1)),  # D G1 D^T
-                (q + 1, fpairs, w1, p1, _stiffness(w1, p1, dbar_star, w0, p0)))):  # T G0 T^T
-            lam, vecs = np.linalg.eigh(stiff)  # exactly symmetric: X is, and so is its rounding
-            if lam[0] < 0:  # the rounding bound plus the residual of the lowest eigenpair
-                error = len(lam) * 2.0 ** -52 * max(-lam[0], lam[-1]) + float(
-                    np.linalg.norm(stiff @ vecs[:, 0] - lam[0] * vecs[:, 0]))
-                if lam[0] < -error:
-                    raise IllConditionedGramError(
-                        f"negative eigenvalue {lam[0]:.3e} below its measured error {error:.1e} "
-                        f"in the degree-{degree} block at charge {charge}")
-            g = math.gcd(*p)  # keeps the radicands of the operator congruences small
-            (blocks, forms)[degree].append(_Block(idx, w, [v // g for v in p], unit * g, lam, vecs))
+        assembled.append((0, q, pairs, w0, p0, _stiffness(w0, p0, dbar, w1, p1)))  # D G1 D^T
+        assembled.append((1, q + 1, fpairs, w1, p1,
+                          _stiffness(w1, p1, dbar_star, w0, p0)))  # T G0 T^T
+    # one eigensolve per block size: eigh solves a stack matrix by matrix, so each block
+    # gets the bits it gets alone; each X is exactly symmetric, and so is its rounding
+    solved: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    for size in {len(entry[-1]) for entry in assembled}:
+        members = [i for i, entry in enumerate(assembled) if len(entry[-1]) == size]
+        lams, vecs = np.linalg.eigh(np.stack([assembled[i][-1] for i in members]))
+        solved.update(zip(members, zip(lams, vecs)))
+    blocks: List[_Block] = []
+    forms: List[_Block] = []
+    for i, (degree, charge, idx, w, p, x) in enumerate(assembled):
+        lam, vecs = solved[i]
+        if lam[0] < 0:  # the rounding bound plus the residual of the lowest eigenpair
+            error = len(lam) * 2.0 ** -52 * max(-lam[0], lam[-1]) + float(
+                np.linalg.norm(x @ vecs[:, 0] - lam[0] * vecs[:, 0]))
+            if lam[0] < -error:
+                raise IllConditionedGramError(
+                    f"negative eigenvalue {lam[0]:.3e} below its measured error {error:.1e} "
+                    f"in the degree-{degree} block at charge {charge}")
+        g = math.gcd(*p)  # keeps the radicands of the operator congruences small
+        (blocks, forms)[degree].append(_Block(idx, w, [v // g for v in p], unit * g, lam, vecs))
 
     # the one rule for zero: every view of the spectrum, the cache summary too, reads these zeros
     threshold = 1e-8 * max(max(float(b.lam.max()) for b in blocks + forms), 1e-300)

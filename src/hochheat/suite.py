@@ -7,6 +7,12 @@ traces, curvature integrals, and circle localization.  `run_suite` runs a
 selection of families against a single configuration and collects the
 outcomes into a `VerificationReport`.
 
+One run does each shared piece of work once.  `run_suite` hands every
+family a memo of the cycles omega_2n that lives for that call only, so
+`cycles`, `shuffle` and `symbol` read one omega_2n each; `tsygan` takes
+b(c) and b'(c) of each sample chain once for the four checks that read
+them.  Nothing is kept across runs.
+
 Every check is deterministic given the configuration (random samples are
 drawn from a seeded generator), so two runs with the same settings differ
 only in timestamps and runtimes.
@@ -111,7 +117,9 @@ class _Recorder:
 
     A result's `runtime_ms` is the time since the previous result (or since
     the recorder was opened), so setup work counts toward the check that
-    needs it and a family's runtimes add up to its wall time.
+    needs it and a family's runtimes add up to its wall time.  Work shared
+    by several checks, also an omega_2n of the run's memo, is charged to
+    the first check that needs it.
     """
 
     def __init__(self) -> None:
@@ -142,15 +150,23 @@ class _Recorder:
                    abs(value - target) <= tol)
 
 
+class _Omegas(dict):
+    """omega_cycle(n) by n, each built on first use; one per `run_suite` call."""
+
+    def __missing__(self, n: int) -> TensorChain:
+        self[n] = omega = omega_cycle(n)
+        return omega
+
+
 # ---------------------------------------------------------------------------
 # families
 # ---------------------------------------------------------------------------
 
 
-def _family_cycles(cfg: SuiteConfig) -> List[CheckResult]:
+def _family_cycles(cfg: SuiteConfig, omegas: _Omegas) -> List[CheckResult]:
     rec = _Recorder()
     for n in range(1, cfg.max_weyl + 1):
-        omega = omega_cycle(n)
+        omega = omegas[n]
         boundary = hochschild_b(omega)
         rec.check(f"cycles.boundary.omega{2 * n}",
                   f"the degree-{2 * n} fundamental chain is a Hochschild cycle",
@@ -177,16 +193,16 @@ def _swap_blocks(c: TensorChain, n1: int) -> TensorChain:
     return TensorChain(c.n, {tuple(map(swap, w)): k for w, k in c.nums.items()}, c.den)
 
 
-def _family_shuffle(cfg: SuiteConfig) -> List[CheckResult]:
+def _family_shuffle(cfg: SuiteConfig, omegas: _Omegas) -> List[CheckResult]:
     rec = _Recorder()
     # omega_cycle(2) is this shuffle square, so compare it with its graded-commuted self
     rec.equal("shuffle.multiplicative.2x2",
               "the shuffle square of the degree-2 cycle, its variable blocks swapped, "
               "is the degree-4 cycle",
-              _swap_blocks(shuffle_product(omega_cycle(1), omega_cycle(1)), 1) == omega_cycle(2))
+              _swap_blocks(shuffle_product(omegas[1], omegas[1]), 1) == omegas[2])
     rec.equal("shuffle.multiplicative.2x4",
               "the shuffle of the degree-2 and degree-4 cycles is the degree-6 cycle",
-              shuffle_product(omega_cycle(1), omega_cycle(2)) == omega_cycle(3))
+              shuffle_product(omegas[1], omegas[2]) == omegas[3])
     rng = random.Random(cfg.seed)
     samples = []
     for _ in range(max(1, cfg.samples // 2)):
@@ -198,10 +214,10 @@ def _family_shuffle(cfg: SuiteConfig) -> List[CheckResult]:
     return rec.results
 
 
-def _family_symbol(cfg: SuiteConfig) -> List[CheckResult]:
+def _family_symbol(cfg: SuiteConfig, omegas: _Omegas) -> List[CheckResult]:
     rec = _Recorder()
     for n in range(1, cfg.max_weyl + 1):
-        sym = hkr_symbol(omega_cycle(n))
+        sym = hkr_symbol(omegas[n])
         ok = sym == volume_form(n)
         rec.check(f"symbol.volume.n{n}",
                   f"the antisymmetrized symbol of the degree-{2 * n} cycle is the volume form",
@@ -210,26 +226,28 @@ def _family_symbol(cfg: SuiteConfig) -> List[CheckResult]:
     return rec.results
 
 
-def _intertwines(c: TensorChain) -> bool:
-    bp = bar_bprime(c)
-    return hochschild_b(c + (-1) * cyclic_tau(c)) == bp + (-1) * cyclic_tau(bp)
+def _intertwines(sample: Tuple[TensorChain, TensorChain, TensorChain]) -> bool:
+    c, b, bp = sample
+    return b + (-1) * hochschild_b(cyclic_tau(c)) == bp + (-1) * cyclic_tau(bp)
 
 
-def _family_tsygan(cfg: SuiteConfig) -> List[CheckResult]:
+def _family_tsygan(cfg: SuiteConfig, omegas: _Omegas) -> List[CheckResult]:
     rec = _Recorder()
     rng = random.Random(cfg.seed)
     chains = [
         random_chain(rng, rng.randrange(1, 3), rng.randrange(0, 4)) for _ in range(cfg.samples)
     ]
+    # (c, b(c), b'(c)): each boundary once per chain, for the four checks that read it
+    samples = [(c, hochschild_b(c), bar_bprime(c)) for c in chains]
     rec.failures("tsygan.b.squared", "the Hochschild boundary squares to zero",
-                 lambda c: hochschild_b(hochschild_b(c)).is_zero(), chains)
+                 lambda s: hochschild_b(s[1]).is_zero(), samples)
     rec.failures("tsygan.bprime.squared", "the bar boundary squares to zero",
-                 lambda c: bar_bprime(bar_bprime(c)).is_zero(), chains)
+                 lambda s: bar_bprime(s[2]).is_zero(), samples)
     rec.failures("tsygan.intertwine",
                  "the boundary intertwines the cyclic operator with the bar boundary",
-                 _intertwines, chains)
+                 _intertwines, samples)
     rec.failures("tsygan.norm", "the norm operator intertwines the two boundaries",
-                 lambda c: bar_bprime(norm_n(c)) == norm_n(hochschild_b(c)), chains)
+                 lambda s: bar_bprime(norm_n(s[0])) == norm_n(s[1]), samples)
     vectors = [
         random_column_vector(rng, rng.randrange(1, 3)) for _ in range(max(1, cfg.samples // 2))
     ]
@@ -256,7 +274,7 @@ def _spectrum_data(cfg: SuiteConfig) -> Tuple[Dict[str, object], bool]:
     return summary, False
 
 
-def _family_spectrum(cfg: SuiteConfig) -> List[CheckResult]:
+def _family_spectrum(cfg: SuiteConfig, omegas: _Omegas) -> List[CheckResult]:
     rec = _Recorder()
     data, from_cache = _spectrum_data(cfg)
     note = " (cached)" if from_cache else ""
@@ -279,7 +297,7 @@ def _family_spectrum(cfg: SuiteConfig) -> List[CheckResult]:
     return rec.results
 
 
-def _family_mckean_singer(cfg: SuiteConfig) -> List[CheckResult]:
+def _family_mckean_singer(cfg: SuiteConfig, omegas: _Omegas) -> List[CheckResult]:
     rec = _Recorder()
     model = build_model(cfg.k, cfg.trunc)
     grid = np.linspace(cfg.t_min, cfg.t_max, cfg.points)
@@ -290,7 +308,7 @@ def _family_mckean_singer(cfg: SuiteConfig) -> List[CheckResult]:
     return rec.results
 
 
-def _family_harmonic(cfg: SuiteConfig) -> List[CheckResult]:
+def _family_harmonic(cfg: SuiteConfig, omegas: _Omegas) -> List[CheckResult]:
     rec = _Recorder()
     euler = mul(z_var(1, 1), d_var(1, 1))
     for k in cfg.harmonic_ks:
@@ -303,7 +321,7 @@ def _family_harmonic(cfg: SuiteConfig) -> List[CheckResult]:
     return rec.results
 
 
-def _family_chern(cfg: SuiteConfig) -> List[CheckResult]:
+def _family_chern(cfg: SuiteConfig, omegas: _Omegas) -> List[CheckResult]:
     rec = _Recorder()
     res = integrate_chart(chern_density(1))
     rec.check("chern.degree.o1",
@@ -318,7 +336,7 @@ def _family_chern(cfg: SuiteConfig) -> List[CheckResult]:
     return rec.results
 
 
-def _family_localization(cfg: SuiteConfig) -> List[CheckResult]:
+def _family_localization(cfg: SuiteConfig, omegas: _Omegas) -> List[CheckResult]:
     rec = _Recorder()
     circles = TwoCircles(cfg.length_a, cfg.length_b)
     bump = BumpFunction(*cfg.bump)
@@ -346,7 +364,8 @@ def _family_localization(cfg: SuiteConfig) -> List[CheckResult]:
     return rec.results
 
 
-FAMILIES: Dict[str, Callable[[SuiteConfig], List[CheckResult]]] = {
+#: each family takes the run's config and its memo of omega_2n
+FAMILIES: Dict[str, Callable[[SuiteConfig, _Omegas], List[CheckResult]]] = {
     "cycles": _family_cycles,
     "shuffle": _family_shuffle,
     "symbol": _family_symbol,
@@ -362,13 +381,17 @@ FAMILIES: Dict[str, Callable[[SuiteConfig], List[CheckResult]]] = {
 def run_suite(
     selection: Optional[Sequence[str]] = None, config: Optional[SuiteConfig] = None
 ) -> VerificationReport:
-    """Run the selected families (all by default) and collect a report."""
+    """Run the selected families (all by default) and collect a report.
+
+    The families share one memo of omega_2n, made here and dropped on return.
+    """
     cfg = config or SuiteConfig()
     names = list(selection) if selection is not None else list(FAMILIES)
     unknown = [n for n in names if n not in FAMILIES]
     if unknown:
         raise ValueError(f"unknown check families {unknown}; available: {', '.join(FAMILIES)}")
     checks: List[CheckResult] = []
+    omegas = _Omegas()
     for name in names:
-        checks.extend(FAMILIES[name](cfg))
+        checks.extend(FAMILIES[name](cfg, omegas))
     return VerificationReport.build(__version__, checks)

@@ -23,6 +23,9 @@ also computes, by a route that shares none of its shortcuts:
 * `key_product`, the product of two monomials on their exponent tuples, one
   variable at a time, against the packed-key kernel
   `hochheat.weyl.mono_product`, and the product of the chain oracles;
+* `normalized_omega_by_inversions`, the alternating permutation sum with
+  each sign counted from its permutation's inversions, against the
+  sign-carrying closed form `hochheat.chains.normalized_omega_formula`;
 * `parse_element`, the general reader of the element text format, which
   multiplies its factors out in the algebra, against `format_element`,
   `parse_monomial` and the chain JSON reader;
@@ -43,6 +46,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from itertools import permutations
 from math import comb, factorial
 from operator import mul as _times
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
@@ -62,7 +66,7 @@ from hochheat.spectral import (
     _scaled_root,
 )
 from hochheat.weyl import (MAX_DEGREE, MAX_VARIABLES, _ONE, Exponents, Key, WeylElement,
-                           _merge_terms, mul, unit)
+                           _merge_terms, d_var, mul, pack, unit, z_var)
 
 # ---------------------------------------------------------------------------
 # spectral: the generic pairing kernel
@@ -390,6 +394,18 @@ _SIGN_RE = re.compile(r"\s*([+-])\s*")
 
 #: no product in a term may exceed MAX_TERMS monomials
 MAX_TERMS = 1024
+
+
+def normalized_omega_by_inversions(n: int) -> TensorChain:
+    """sum over permutations sigma of the 2n interior slots of sgn(sigma)
+    1 (x) sigma(d1 (x) z1 (x) ... (x) dn (x) zn), sgn from the inversion count."""
+    letters = [pack(el.terms[0][0]) for i in range(1, n + 1) for el in (d_var(i, n), z_var(i, n))]
+    words = {}
+    for perm in permutations(range(2 * n)):
+        inv = sum(1 for i in range(2 * n) for j in range(i + 1, 2 * n) if perm[i] > perm[j])
+        # distinct letters give distinct words, so nothing merges
+        words[(0,) + tuple(letters[p] for p in perm)] = -1 if inv % 2 else 1
+    return TensorChain(n, words, 1)
 
 
 def parse_element(text: str, n: int | None = None) -> WeylElement:

@@ -39,7 +39,8 @@ from hochheat.randomgen import random_chain, random_column_vector, random_elemen
 from hochheat.weyl import (MAX_DEGREE, MAX_EXPONENT, MAX_VARIABLES, WeylElement, d_var,
                            format_element, format_monomial, pack, parse_monomial, unit, unpack,
                            z_var)
-from oracles import column, key_product, monomial, parse_element, scale
+from oracles import (column, key_product, monomial, normalized_omega_by_inversions,
+                     parse_element, scale)
 
 
 def one_word(n, coeff, slots):
@@ -238,6 +239,13 @@ def test_normalize_omega_matches_alternating_sum():
         assert normalize(omega_cycle(n)) == normalized_omega_formula(n)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, pytest.param(4, marks=pytest.mark.large)])
+def test_carried_signs_equal_the_inversion_counts(n):
+    formula = normalized_omega_formula(n)
+    assert formula == normalized_omega_by_inversions(n)
+    assert len(formula.nums) == math.factorial(2 * n)
+
+
 def test_normalize_idempotent_and_compatible_with_b():
     rng = random.Random(88)
     for _ in range(60):
@@ -306,13 +314,18 @@ _LONG_SLOT = " + ".join([f"z1^{a}*z2^{b}*d3^{c}" for a in range(2, 20) for b in 
      {"n": 3, "terms": [{"coeff": "1", "word": [_LONG_SLOT]}]},
      {"n": 1, "terms": [["1", ["z1"]]]},
      _with_coeff("7" * 5000), _with_coeff("-" + "7" * 5000), _with_coeff("7" * 5000 + "/3"),
-     _with_coeff("3/" + "7" * 5000), _BARE_INT_TEXT],
+     _with_coeff("3/" + "7" * 5000), _BARE_INT_TEXT,
+     # a known slot text is looked up straight away; a word that is no list of texts is
+     # still refused, also when its characters or keys are known slot texts
+     {"n": 1, "terms": [{"coeff": "1", "word": ["1"]}, {"coeff": "1", "word": "1"}]},
+     {"n": 1, "terms": [{"coeff": "1", "word": ["z1"]}, {"coeff": "1", "word": {"z1": 0}}]},
+     {"n": 1, "terms": [{"coeff": "1", "word": ["z1"]}, {"coeff": "1", "word": ["z1", ["z1"]]}]}],
     ids=["not-an-object", "n-below-one", "zero-denominator", "empty-word", "n-above-bound",
          "degree-above-bound", "bool-coefficient", "exponent-coefficient", "decimal-coefficient",
          "padded-coefficient", "trailing-newline", "plus-sign", "non-ascii-digit",
          "slot-of-4000-terms", "term-not-an-object", "5000-digit-coefficient",
          "5000-digit-negative-coefficient", "5000-digit-numerator", "5000-digit-denominator",
-         "5000-digit-bare-integer"],
+         "5000-digit-bare-integer", "word-a-known-text", "word-an-object", "unhashable-slot"],
 )
 def test_chain_from_json_rejects_malformed_input(payload):
     start = time.perf_counter()

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -20,6 +21,7 @@ from hochheat.forms import hkr_symbol
 from hochheat.report import FAIL, CheckResult, VerificationReport
 from hochheat.spectral import CONVENTION_TAG, cache_path, harmonic_supertrace, load_spectrum
 from hochheat.suite import SuiteConfig, run_suite
+from hochheat.weyl import mono_product
 from oracles import report_from_json
 
 
@@ -242,7 +244,7 @@ def test_cli_exit_nonzero_on_failure(monkeypatch, capsys):
     from hochheat import suite as suite_mod
     from hochheat.report import CheckResult
 
-    def bad_family(cfg):
+    def bad_family(cfg, omegas):
         return [CheckResult("zzz.forced", "forced failure", "1", "0", "exact", "fail", 0.0)]
 
     monkeypatch.setitem(suite_mod.FAMILIES, "cycles", bad_family)
@@ -356,18 +358,22 @@ def _first_position_shuffles(p, q, shuffles=chains._shuffles):
     return [(order, order.index(0) % 2 if p else 0) for order, _ in shuffles(p, q)]
 
 
-def _degree_one_eigh(perturb):
-    """np.linalg.eigh with `perturb` applied to the eigenvalues of every second call.
+def _degree_one_stiffness(perturb, stiffness=spectral._stiffness):
+    """`spectral._stiffness` with `perturb` applied to the spectrum of every second block.
 
-    `build_model` solves the degree-0 and then the degree-1 block of each
-    charge, so the perturbed calls are exactly the degree-1 solves.
+    `build_model` assembles the degree-0 and then the degree-1 block of each
+    charge, so the perturbed calls are exactly the degree-1 blocks; each
+    returns V diag(perturb(lam)) V^T for the eigenpairs (lam, V) of the block.
     """
-    real_eigh, calls = np.linalg.eigh, itertools.count()
+    calls = itertools.count()
 
-    def eigh(a):
-        lam, vecs = real_eigh(a)
-        return (perturb(lam) if next(calls) % 2 else lam), vecs
-    return eigh
+    def perturbed(*args):
+        x = stiffness(*args)
+        if next(calls) % 2 == 0:
+            return x
+        lam, vecs = np.linalg.eigh(x)
+        return (vecs * perturb(lam)) @ vecs.T
+    return perturbed
 
 
 def _scaled_spectral_diagonal(t, length, real=circle.heat_diagonal_spectral):
@@ -386,56 +392,175 @@ def _doubled_dbar_star(a, b, n_trunc, k, dbar_star=spectral._dbar_star):
             for key, c in dbar_star(a, b, n_trunc, k).items()}
 
 
-@pytest.mark.parametrize(
-    "owner, name, mutant, argv, check_id",
-    [
-        (suite, "hochschild_b", _wrap_sign_flipped_b, ["cycles", "--n", "1"],
-         "cycles.boundary.omega2"),
-        (suite, "bar_bprime", lambda c: (-1) * bar_bprime(c), ["tsygan", "--samples", "5"],
-         "tsygan.intertwine"),
-        (suite, "harmonic_supertrace", lambda *a: harmonic_supertrace(*a) + 1.0,
-         ["harmonic", "--k", "0"], "harmonic.identity.k0"),
-        (suite, "poisson_deviation", lambda t, length: 1.0, ["localization"],
-         "localization.poisson"),
-        (suite, "hkr_symbol", _symbol_dropping_last_slot, ["symbol", "--n", "1"],
-         "symbol.volume.n1"),
-        (suite, "cyclic_tau", _unsigned_tau, ["tsygan", "--samples", "5"], "tsygan.intertwine"),
-        (suite, "norm_n", _unsigned_norm, ["tsygan", "--samples", "5"], "tsygan.norm"),
-        (chains, "_shuffles", _unsigned_shuffles, ["shuffle"], "shuffle.leibniz"),
-        (chains, "_shuffles", _first_position_shuffles, ["shuffle"],
-         "shuffle.multiplicative.2x2"),
-        (np.linalg, "eigh", _degree_one_eigh(lambda lam: lam * (1 + 1e-9)), ["mckean-singer"],
-         "mckean-singer.flat.k1"),
-        (spectral, "_dbar_star", _doubled_dbar_star, ["spectrum", "--no-cache"],
-         "spectrum.susy.pairing"),
-        (spectral, "_dbar_star", _doubled_dbar_star, ["mckean-singer"], "mckean-singer.flat.k1"),
-        (suite, "chern_density", lambda m: lambda x, y: chern_density(m)(x, y) * (1 + 1e-6),
-         ["chern-integrals"], "chern.degree.o1"),
-        (circle, "heat_diagonal_spectral", _scaled_spectral_diagonal, ["localization"],
-         "localization.short-time.bound"),
-        # the top degree-1 level, 120 at (k, N) = (1, 10), moves by 1e-3
-        (np.linalg, "eigh", _degree_one_eigh(lambda lam: np.where(lam > 100, lam + 1e-3, lam)),
-         ["spectrum", "--no-cache"], "spectrum.susy.pairing"),
-        (circle, "heat_diagonal_images", _halved_image_tail, ["localization"],
-         "localization.long-time.gap"),
-        (suite, "harmonic_supertrace", lambda *a: harmonic_supertrace(*a) + 1.0,
-         ["chern-integrals"], "chern.todd-vs-harmonic"),
-        (suite, "hochschild_b", _wrap_sign_flipped_b, ["tsygan", "--samples", "5"],
-         "tsygan.b.squared"),
-        (suite, "normalize", _normalize_slot_one_only, ["cycles", "--n", "2"],
-         "cycles.normalized.omega4"),
-    ],
-    ids=["boundary", "failures", "tolerance", "localization", "symbol-slot", "tau-sign",
-         "norm-sign", "shuffle-sign", "shuffle-first-position", "eigenvalue-offset",
-         "dbar-star-susy", "dbar-star-flat", "todd-scale", "spectral-diagonal-scale",
-         "susy-top-cluster", "halved-image-tail", "section-count", "b-squared",
-         "normalize-slot-one"],
-)
+def _unsigned_bprime(c):
+    """bar_bprime with every face sign +."""
+    return _chain(c.n, [(w[:i] + (key,) + w[i + 2:], k * m) for w, k in c.nums.items()
+                        for i in range(len(w) - 1)
+                        for key, m in mono_product(w[i], w[i + 1], c.n)], c.den)
+
+
+def _negated_tau(c, tau=chains.cyclic_tau):
+    """cyclic_tau with the opposite sign: the bicomplex arrow 1 - tau becomes 1 + tau."""
+    return (-1) * tau(c)
+
+
+def _dbar_chi_without_its_second_term(a, b, n_trunc, dbar_chi=spectral._dbar_chi):
+    """dbar chi_(a,b) without its term (b - N) psi_(a+1,b)."""
+    return {key: c for key, c in dbar_chi(a, b, n_trunc).items() if key[0] == a}
+
+
+def _unsigned_image_coefficients(*args, image=spectral._image_coefficients):
+    """Every image coefficient taken positive: on 1 and z d/dz, the Leibniz sign of
+    d/dz acting on the weight (1+|z|^2)^(-power) is dropped."""
+    return [(shift, r, abs(coeff)) for shift, r, coeff in image(*args)]
+
+
+def _half_period_image_tail(t, length, tail=circle._image_tail):
+    """The image tail of a circle half as long: images at every half period."""
+    return tail(t, length / 2)
+
+
+def _zero_lowest(lam):
+    lam[0] = 0.0
+    return lam
+
+
+#: row id -> (owner, name, mutant, argv, check_id): with owner.name replaced by
+#: the mutant, the command exits 1 and the check fails
+CAN_FAIL = {
+    "boundary": (suite, "hochschild_b", _wrap_sign_flipped_b, ["cycles", "--n", "1"],
+                 "cycles.boundary.omega2"),
+    "failures": (suite, "bar_bprime", lambda c: (-1) * bar_bprime(c),
+                 ["tsygan", "--samples", "5"], "tsygan.intertwine"),
+    "tolerance": (suite, "harmonic_supertrace", lambda *a: harmonic_supertrace(*a) + 1.0,
+                  ["harmonic", "--k", "0"], "harmonic.identity.k0"),
+    "localization": (suite, "poisson_deviation", lambda t, length: 1.0, ["localization"],
+                     "localization.poisson"),
+    "symbol-slot": (suite, "hkr_symbol", _symbol_dropping_last_slot, ["symbol", "--n", "1"],
+                    "symbol.volume.n1"),
+    "tau-sign": (suite, "cyclic_tau", _unsigned_tau, ["tsygan", "--samples", "5"],
+                 "tsygan.intertwine"),
+    "norm-sign": (suite, "norm_n", _unsigned_norm, ["tsygan", "--samples", "5"], "tsygan.norm"),
+    "shuffle-sign": (chains, "_shuffles", _unsigned_shuffles, ["shuffle"], "shuffle.leibniz"),
+    "shuffle-first-position": (chains, "_shuffles", _first_position_shuffles, ["shuffle"],
+                               "shuffle.multiplicative.2x2"),
+    "eigenvalue-offset": (spectral, "_stiffness",
+                          _degree_one_stiffness(lambda lam: lam * (1 + 1e-9)), ["mckean-singer"],
+                          "mckean-singer.flat.k1"),
+    "dbar-star-susy": (spectral, "_dbar_star", _doubled_dbar_star, ["spectrum", "--no-cache"],
+                       "spectrum.susy.pairing"),
+    "dbar-star-flat": (spectral, "_dbar_star", _doubled_dbar_star, ["mckean-singer"],
+                       "mckean-singer.flat.k1"),
+    "todd-scale": (suite, "chern_density",
+                   lambda m: lambda x, y: chern_density(m)(x, y) * (1 + 1e-6),
+                   ["chern-integrals"], "chern.degree.o1"),
+    "spectral-diagonal-scale": (circle, "heat_diagonal_spectral", _scaled_spectral_diagonal,
+                                ["localization"], "localization.short-time.bound"),
+    # the top degree-1 level, 120 at (k, N) = (1, 10), moves by 1e-3
+    "susy-top-cluster": (spectral, "_stiffness",
+                         _degree_one_stiffness(lambda lam: np.where(lam > 100, lam + 1e-3, lam)),
+                         ["spectrum", "--no-cache"], "spectrum.susy.pairing"),
+    "halved-image-tail": (circle, "heat_diagonal_images", _halved_image_tail, ["localization"],
+                          "localization.long-time.gap"),
+    "section-count": (suite, "harmonic_supertrace", lambda *a: harmonic_supertrace(*a) + 1.0,
+                      ["chern-integrals"], "chern.todd-vs-harmonic"),
+    "b-squared": (suite, "hochschild_b", _wrap_sign_flipped_b, ["tsygan", "--samples", "5"],
+                  "tsygan.b.squared"),
+    "normalize-slot-one": (suite, "normalize", _normalize_slot_one_only, ["cycles", "--n", "2"],
+                           "cycles.normalized.omega4"),
+    # b'(c) is shared by the four checks that read it, so the mutant reaches both factors
+    "bprime-squared": (suite, "bar_bprime", _unsigned_bprime, ["tsygan", "--samples", "5"],
+                       "tsygan.bprime.squared"),
+    "differential-squared": (chains, "cyclic_tau", _negated_tau, ["tsygan"],
+                             "tsygan.differential.squared"),
+    "shuffle-first-position-2x4": (chains, "_shuffles", _first_position_shuffles, ["shuffle"],
+                                   "shuffle.multiplicative.2x4"),
+    "sections-kernel": (spectral, "_dbar_chi", _dbar_chi_without_its_second_term,
+                        ["spectrum", "--no-cache"], "spectrum.kernel.sections"),
+    "forms-kernel": (spectral, "_stiffness", _degree_one_stiffness(_zero_lowest),
+                     ["spectrum", "--no-cache"], "spectrum.kernel.forms"),
+    "euler-sign": (spectral, "_image_coefficients", _unsigned_image_coefficients,
+                   ["harmonic", "--k", "1"], "harmonic.euler.k1"),
+    "half-period-tail": (circle, "_image_tail", _half_period_image_tail, ["localization"],
+                         "localization.short-time.smallt"),
+}
+
+
+@pytest.mark.parametrize("owner, name, mutant, argv, check_id", list(CAN_FAIL.values()),
+                         ids=list(CAN_FAIL))
 def test_each_check_shape_can_fail(monkeypatch, capsys, owner, name, mutant, argv, check_id):
     monkeypatch.setattr(owner, name, mutant)
     assert main(["--format", "json", *argv]) == 1
     verdicts = {c["id"]: c["verdict"] for c in json.loads(capsys.readouterr().out)["checks"]}
     assert verdicts[check_id] == "fail"
+
+
+#: every check of `hochheat all --seed 0`: id -> (verdict, computed), the computed
+#: text pinned for the checks of tolerance `exact` whose text holds no float
+ALL_SEED_0 = {
+    "chern.degree.o1": ("pass", None),
+    "chern.todd-vs-harmonic": ("pass", None),
+    **{f"cycles.boundary.omega{2 * n}": ("pass", "0 residual terms") for n in (1, 2, 3)},
+    **{f"cycles.normalized.omega{2 * n}": ("pass", "equal") for n in (1, 2, 3)},
+    **{f"harmonic.{name}.k{k}": ("pass", None) for name in ("euler", "identity")
+       for k in range(5)},
+    "localization.long-time.gap": ("pass", None),  # exact, but its text is a float
+    "localization.poisson": ("pass", None),
+    "localization.short-time.bound": ("pass", None),
+    "localization.short-time.smallt": ("pass", None),
+    "mckean-singer.flat.k1": ("pass", None),
+    "shuffle.leibniz": ("pass", "0 failures in 20 samples"),
+    "shuffle.multiplicative.2x2": ("pass", "equal"),
+    "shuffle.multiplicative.2x4": ("pass", "equal"),
+    "spectrum.kernel.forms": ("pass", "0"),
+    "spectrum.kernel.sections": ("pass", "2"),
+    "spectrum.susy.pairing": ("pass", None),
+    **{f"symbol.volume.n{n}": ("pass", "volume form, coefficient 1") for n in (1, 2, 3)},
+    **{f"tsygan.{name}": ("pass", "0 failures in 40 samples")
+       for name in ("b.squared", "bprime.squared", "intertwine", "norm")},
+    "tsygan.differential.squared": ("pass", "0 failures in 20 samples"),
+}
+
+
+def test_all_seed_0_gives_the_pinned_report(tmp_path, monkeypatch):
+    monkeypatch.setenv("HOCHHEAT_CACHE_DIR", str(tmp_path))  # a cold cache: no "(cached)" note
+    checks = run_suite(None, SuiteConfig(seed=0)).checks
+    assert len(ALL_SEED_0) == 37
+    assert {c.id: c.verdict for c in checks} == {i: v for i, (v, _) in ALL_SEED_0.items()}
+    assert {c.id: c.computed for c in checks
+            if c.tolerance == "exact" and c.id != "localization.long-time.gap"} == {
+        i: text for i, (_, text) in ALL_SEED_0.items() if text is not None}
+
+
+def _shape(check_id):
+    """A check id without the numeric suffix of its last part: harmonic.euler.k3 -> harmonic.euler.k."""
+    return re.sub(r"(?<=\.)([a-z]+)[0-9]+$", r"\1", check_id)
+
+
+def test_every_check_shape_has_a_failing_row():
+    rows = {_shape(check_id) for *_, check_id in CAN_FAIL.values()}
+    assert sorted({_shape(i) for i in ALL_SEED_0} - rows) == []
+    assert _shape("shuffle.multiplicative.2x4") != _shape("shuffle.multiplicative.2x2")
+
+
+def test_one_run_builds_each_omega_once(monkeypatch):
+    calls, real = [], suite.omega_cycle
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(suite, "omega_cycle", counting)
+    assert run_suite(["cycles", "shuffle", "symbol"]).all_passed()
+    assert sorted(calls) == [1, 2, 3]
+
+
+def test_the_omega_memo_dies_with_its_run(monkeypatch):
+    assert run_suite(["cycles"], SuiteConfig(max_weyl=1)).all_passed()
+    real = suite.omega_cycle
+    monkeypatch.setattr(suite, "omega_cycle", lambda n: 2 * real(n))
+    verdicts = {c.id: c.verdict for c in run_suite(["cycles"], SuiteConfig(max_weyl=1)).checks}
+    assert verdicts["cycles.normalized.omega2"] == "fail"
 
 
 def test_setup_work_is_timed(monkeypatch):
@@ -550,11 +675,7 @@ def test_grid_flag_refuses_non_finite_ends_and_huge_counts(text):
 
 def test_kernel_forms_check_can_fail(monkeypatch, capsys):
     # zero the smallest eigenvalue of each degree-1 block; degree 0 keeps its kernel
-    def zeroed(lam):
-        lam[0] = 0.0
-        return lam
-
-    monkeypatch.setattr(np.linalg, "eigh", _degree_one_eigh(zeroed))
+    monkeypatch.setattr(spectral, "_stiffness", _degree_one_stiffness(_zero_lowest))
     assert main(["--format", "json", "spectrum", "--no-cache"]) == 1
     verdicts = {c["id"]: c["verdict"] for c in json.loads(capsys.readouterr().out)["checks"]}
     assert verdicts["spectrum.kernel.forms"] == "fail"

@@ -606,16 +606,16 @@ def test_closed_form_rows_are_positive_multiples_of_the_bareiss_rows(case):
 @pytest.mark.parametrize("k, n", [(0, 6), (1, 10), (3, 12), (0, 14), (2, 8),
                                   pytest.param(0, spectral.MAX_TRUNC, marks=pytest.mark.large)])
 def test_closed_form_path_is_bit_identical_to_the_bareiss_oracle(monkeypatch, k, n):
-    solved = []  # the rounded congruence of each block, in the order the blocks are solved
-    real_eigh = np.linalg.eigh
+    solved = []  # the rounded congruence of each block, in the order the blocks are assembled
+    real_stiffness = spectral._stiffness
 
-    def recording(a):
-        solved.append(a.copy())
-        return real_eigh(a)
+    def recording(*args):
+        solved.append(real_stiffness(*args))
+        return solved[-1]
 
-    monkeypatch.setattr(np.linalg, "eigh", recording)
+    monkeypatch.setattr(spectral, "_stiffness", recording)
     model = build_model(k, n)
-    # one degree-0 and one degree-1 block per charge, solved in that order; each
+    # one degree-0 and one degree-1 block per charge, assembled in that order; each
     # stiffness is the plain congruence of its own incidence, D G1 D^T or T G0 T^T,
     # and (M-1)! scales the Gram and the stiffness alike
     assert len(solved) == 2 * len(model.blocks)
@@ -654,6 +654,21 @@ def test_expansion_in_triangular_rows_is_exact(case):
     assert den > 0 and all(0 <= m < len(rows) and v for m, v in c.items())
     assert [den * v for v in u] == [sum(cm * rows[m][col] for m, cm in c.items() if col <= m)
                                     for col in range(len(u))]
+
+
+@pytest.mark.parametrize("k, n", [(0, 8), (1, 10), (3, 12)])
+def test_one_eigensolve_per_block_size(monkeypatch, k, n):
+    stacks, real_eigh = [], np.linalg.eigh
+
+    def recording(a):
+        stacks.append(a.shape)
+        return real_eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    model = build_model(k, n)
+    sizes = [len(b.pairs) for b in model.blocks + model.forms]
+    assert sorted(shape[-1] for shape in stacks) == sorted(set(sizes))
+    assert {shape[-1]: shape[0] for shape in stacks} == {s: sizes.count(s) for s in sizes}
 
 
 def test_certificate_is_taken_once_per_alpha(monkeypatch):
