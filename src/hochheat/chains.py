@@ -15,20 +15,26 @@ denominator: `nums` maps each word to a nonzero int and the chain is
 sum(nums[w] * w) / den, with den >= 1 and gcd(den, *nums) == 1, so the
 zero chain has den == 1.  Equality of chains is then dict equality,
 exact and decidable, and every operator below accumulates plain ints and
-reduces once, in `_canonical`.
+reduces once, in `_canonical`; a `weyl.WeylElement` stores its terms the
+same way, as packed keys with int numerators over one denominator.
+Negation, subtraction and integer scalars stay in ints too, and an
+operator whose result is canonical as it stands (negation, the rotation
+`cyclic_tau`) skips the reduction.
 
 Only the public constructors validate: `TensorChain.from_terms` (and
 `TensorChain.word`, which calls it) checks variable counts and rejects
-empty words, then expands each slot element into monic keys, packed by
-`weyl.pack`, which refuses an exponent above `weyl.MAX_EXPONENT`.
-`chain_from_json` checks the same and reads keys only: it accepts the one
-slot grammar that `chain_to_json` writes, one monic monomial per slot,
-and refuses any other slot text.  `chain_to_json` writes `nums` over `den`
-and formats each distinct key once.  The operators below map keys to keys
-with the one product kernel `weyl.mono_product`, which refuses a product
-exponent above the bound, and build their results without checking them
-again; `shuffle_product` multiplies its slot-0 elements with `weyl.mul`,
-which runs the same kernel.  `TensorChain.terms` is a derived view for
+empty words, then expands each slot element into its packed keys and
+numerators; `weyl.WeylElement.from_terms` has packed them, refusing an
+exponent above `weyl.MAX_EXPONENT`.  `chain_from_json` checks the same
+and reads keys only: it accepts the one slot grammar that `chain_to_json`
+writes, one monic monomial per slot, and refuses any other slot text.
+`chain_to_json` writes `nums` over `den` and formats each distinct key
+once.  The operators below map keys to keys with the one product kernel
+`weyl.mono_product`, which refuses a product exponent above the bound,
+and build their results without checking them again; `shuffle_product`
+groups the slot-0 keys and numerators of each interior into an element
+and multiplies two such elements with `weyl.mul`, which runs the same
+kernel on the same keys.  `TensorChain.terms` is a derived view for
 readers of elements: the words in sorted key order, each with its
 `Fraction` coefficient and each slot as a one-term monic `WeylElement`.
 
@@ -56,6 +62,7 @@ tests, as is d^2 itself.
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 from dataclasses import dataclass
@@ -65,7 +72,7 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .weyl import (FIELD_BITS, MAX_DEGREE, MAX_VARIABLES, Key, WeylElement, d_var,
+from .weyl import (FIELD_BITS, MAX_DEGREE, MAX_VARIABLES, WeylElement, _sum_over_lcm, d_var,
                    format_monomial, mono_product, mul, pack, parse_monomial, unit, unpack, z_var)
 
 Word = Tuple[WeylElement, ...]
@@ -84,12 +91,7 @@ def _canonical(n: int, acc: Dict[KeyWord, int], den: int) -> "TensorChain":
 
 def _collect(n: int, expanded: List[Tuple[int, int, KeyWord]]) -> "TensorChain":
     """The chain sum(p/q * w) over (p, q, w) with q >= 1, in canonical form."""
-    den = lcm(*(q for _, q, _ in expanded))
-    acc: Dict[KeyWord, int] = {}
-    get = acc.get
-    for p, q, w in expanded:
-        acc[w] = get(w, 0) + p * (den // q)
-    return _canonical(n, acc, den)
+    return _canonical(n, *_sum_over_lcm(expanded))
 
 
 @dataclass(frozen=True)
@@ -120,9 +122,8 @@ class TensorChain:
             for el in word:
                 if el.n != n:
                     raise ValueError("word entry has wrong variable count")
-                slot = [((pack(key),), mc.numerator, mc.denominator) for key, mc in el.terms]
-                pieces = [(p * mp, q * mq, prefix + packed)
-                          for p, q, prefix in pieces for packed, mp, mq in slot]
+                pieces = [(p * mp, q * el.den, prefix + (key,))
+                          for p, q, prefix in pieces for key, mp in el.nums]
             expanded += pieces
         return _collect(n, expanded)
 
@@ -133,8 +134,8 @@ class TensorChain:
     @cached_property
     def terms(self) -> Tuple[Tuple[Fraction, Word], ...]:
         """(coeff, word) pairs in sorted word order, each slot a monic element."""
-        n, one = self.n, Fraction(1)
-        slots = {key: WeylElement(n, ((unpack(key, n), one),))
+        n = self.n
+        slots = {key: WeylElement(n, ((key, 1),), 1)
                  for key in {key for w in self.nums for key in w}}
         return tuple((Fraction(self.nums[w], self.den), tuple(map(slots.__getitem__, w)))
                      for w in sorted(self.nums))
@@ -145,22 +146,30 @@ class TensorChain:
     def degrees(self) -> set:
         return {len(w) - 1 for w in self.nums}
 
-    def __add__(self, other: "TensorChain") -> "TensorChain":
+    def _plus(self, sign: int, other: "TensorChain") -> "TensorChain":
+        """self + sign * other for sign = 1 or -1, in one pass."""
         if self.n != other.n:
             raise ValueError("cannot add chains over different algebras")
         den = lcm(self.den, other.den)
-        up, up_other = den // self.den, den // other.den
+        up, up_other = den // self.den, sign * (den // other.den)
         acc = {w: k * up for w, k in self.nums.items()}
         get = acc.get
         for w, k in other.nums.items():
             acc[w] = get(w, 0) + k * up_other
         return _canonical(self.n, acc, den)
 
+    def __add__(self, other: "TensorChain") -> "TensorChain":
+        return self._plus(1, other)
+
     def __sub__(self, other: "TensorChain") -> "TensorChain":
-        return self + (-1) * other
+        return self._plus(-1, other)
+
+    def __neg__(self) -> "TensorChain":
+        return TensorChain(self.n, {w: -k for w, k in self.nums.items()}, self.den)
 
     def __rmul__(self, c) -> "TensorChain":
-        c = Fraction(c)
+        if type(c) is not int:
+            c = Fraction(c)
         p = c.numerator
         return _canonical(self.n, {w: p * k for w, k in self.nums.items()}, self.den * c.denominator)
 
@@ -202,9 +211,10 @@ def bar_bprime(c: TensorChain) -> TensorChain:
 
 
 def cyclic_tau(c: TensorChain) -> TensorChain:
-    # a rotation is a bijection on words, so nothing merges; (-1)^k = -1 for even length
-    return _canonical(c.n, {w[-1:] + w[:-1]: -k if len(w) % 2 == 0 else k
-                            for w, k in c.nums.items()}, c.den)
+    # a rotation is a bijection on words and keeps |numerators|, so the result is
+    # canonical as it stands; (-1)^k = -1 for even length
+    return TensorChain(c.n, {w[-1:] + w[:-1]: -k if len(w) % 2 == 0 else k
+                             for w, k in c.nums.items()}, c.den)
 
 
 def norm_n(c: TensorChain) -> TensorChain:
@@ -247,12 +257,13 @@ def _by_interior(c: TensorChain, n: int, pad) -> List[Tuple[KeyWord, WeylElement
     A_i, an element in n variables, collects the slot-0 keys of the words
     of c with interior i, each with its numerator as coefficient.
     """
-    groups: Dict[KeyWord, List[Tuple[Key, Fraction]]] = {}
+    groups: Dict[KeyWord, List[Tuple[int, int]]] = {}
     for w, k in c.nums.items():
         head, *inner = map(pad, w)
-        groups.setdefault(tuple(inner), []).append((unpack(head, n), Fraction(k)))
-    # distinct words with one interior have distinct heads: sorting is canonical order
-    return [(inner, WeylElement(n, tuple(sorted(heads, reverse=True))))
+        groups.setdefault(tuple(inner), []).append((head, k))
+    # distinct words with one interior have distinct heads, and the denominator is 1:
+    # sorted, the heads are in canonical form
+    return [(inner, WeylElement(n, tuple(sorted(heads, reverse=True)), 1))
             for inner, heads in groups.items()]
 
 
@@ -276,8 +287,8 @@ def shuffle_product(c1: TensorChain, c2: TensorChain) -> TensorChain:
     for i1, a in left:
         for i2, b in right:
             interior = i1 + i2
-            # integer coefficients times integer coefficients: every product is whole
-            heads = [((pack(key),), coeff.numerator) for key, coeff in mul(a, b).terms]
+            # over denominator 1, the product's numerators are its coefficients
+            heads = [((key,), num) for key, num in mul(a, b).nums]
             for order, parity in _shuffles(len(i1), len(i2)):
                 tail = tuple(map(interior.__getitem__, order))
                 for head, num in heads:
@@ -293,7 +304,7 @@ def omega_cycle(n: int) -> TensorChain:
     one = unit(1)
     base = (
         TensorChain.word(1, 1, [one, d_var(1, 1), z_var(1, 1)])
-        + (-1) * TensorChain.word(1, 1, [one, z_var(1, 1), d_var(1, 1)])
+        - TensorChain.word(1, 1, [one, z_var(1, 1), d_var(1, 1)])
         + TensorChain.word(1, 1, [one, one, one])
     )
     result = base
@@ -309,7 +320,7 @@ def normalized_omega_formula(n: int) -> TensorChain:
     Heap's algorithm visits every permutation, each one transposition away
     from the last, so the signs alternate from +1.
     """
-    word = [0] + [pack(el.terms[0][0]) for i in range(1, n + 1) for el in (d_var(i, n), z_var(i, n))]
+    word = [0] + [el.nums[0][0] for i in range(1, n + 1) for el in (d_var(i, n), z_var(i, n))]
     words, sign = {(*word,): 1}, 1  # distinct letters give distinct words, so nothing merges
     counters, i = [0] * (2 * n + 1), 2
     while i <= 2 * n:  # positions 1..2n of word; position 0 holds the unit
@@ -370,8 +381,8 @@ def tsygan_d(v: TsyganColumnVector) -> TsyganColumnVector:
             if col >= 1:
                 out.append((col - 1, norm_n(chain)))
         else:
-            out.append((col, (-1) * bar_bprime(chain)))
-            out.append((col - 1, chain + (-1) * cyclic_tau(chain)))
+            out.append((col, -bar_bprime(chain)))
+            out.append((col - 1, chain - cyclic_tau(chain)))
     return TsyganColumnVector.from_entries(v.n, out)
 
 
@@ -455,8 +466,21 @@ def chain_from_json(text: str) -> TensorChain:
 
     Each slot must be a monic monomial in the form `chain_to_json` writes
     and is read straight into its packed monomial key; any other slot text, also
-    another spelling of the same element, is refused.
+    another spelling of the same element, is refused.  The cyclic garbage
+    collector is paused while the text is read, since the parse makes a dict
+    and a list per term and nothing of it forms a cycle, and its state is
+    restored after.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _read_chain(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _read_chain(text: str) -> TensorChain:
     try:
         payload = json.loads(text, parse_int=_json_int)
     except RecursionError:

@@ -529,7 +529,7 @@ def _operator_pairings(model: SpectralModel, op: WeylElement, degree: int,
     mom[alpha + tau + i + j] of mom[s] = s! (m-s-2)!, m = top + weight.
     """
     n, k = model.trunc, model.k
-    den = math.lcm(*(c.denominator for _, c in op.terms))
+    den = op.den
     power, extra = (n, k + 2) if degree == 0 else (n + 1, k)
     dmax = max((d for ((_,), (d,)), _ in op.terms), default=0)
     m = power + dmax + power + extra

@@ -8,10 +8,12 @@ selection of families against a single configuration and collects the
 outcomes into a `VerificationReport`.
 
 One run does each shared piece of work once.  `run_suite` hands every
-family a memo of the cycles omega_2n that lives for that call only, so
-`cycles`, `shuffle` and `symbol` read one omega_2n each; `tsygan` takes
-b(c) and b'(c) of each sample chain once for the four checks that read
-them.  Nothing is kept across runs.
+family a memo that lives for that call only: it holds the cycles
+omega_2n, so `cycles`, `shuffle` and `symbol` read one omega_2n each, and
+the spectral models by (k, trunc), so `spectrum` (on a cache miss),
+`mckean-singer`, `harmonic` and `chern` build each model once.  `tsygan`
+takes b(c) and b'(c) of each sample chain once for the four checks that
+read them.  Nothing is kept across runs but the on-disk spectrum cache.
 
 Every check is deterministic given the configuration (random samples are
 drawn from a seeded generator), so two runs with the same settings differ
@@ -50,6 +52,7 @@ from .randomgen import random_chain, random_column_vector
 from .report import FAIL, PASS, CheckResult, VerificationReport
 from .spectral import (
     MAX_TRUNC,
+    SpectralModel,
     build_model,
     harmonic_supertrace,
     heat_supertrace,
@@ -118,8 +121,8 @@ class _Recorder:
     A result's `runtime_ms` is the time since the previous result (or since
     the recorder was opened), so setup work counts toward the check that
     needs it and a family's runtimes add up to its wall time.  Work shared
-    by several checks, also an omega_2n of the run's memo, is charged to
-    the first check that needs it.
+    by several checks, also an omega_2n or a model of the run's memo, is
+    charged to the first check that needs it.
     """
 
     def __init__(self) -> None:
@@ -150,12 +153,23 @@ class _Recorder:
                    abs(value - target) <= tol)
 
 
-class _Omegas(dict):
-    """omega_cycle(n) by n, each built on first use; one per `run_suite` call."""
+class _Memo:
+    """The work the families of one `run_suite` call share, each piece built on first use:
+    omega_cycle(n) by n and build_model(k, trunc) by (k, trunc)."""
 
-    def __missing__(self, n: int) -> TensorChain:
-        self[n] = omega = omega_cycle(n)
-        return omega
+    def __init__(self) -> None:
+        self._omegas: Dict[int, TensorChain] = {}
+        self._models: Dict[Tuple[int, int], SpectralModel] = {}
+
+    def omega(self, n: int) -> TensorChain:
+        if n not in self._omegas:
+            self._omegas[n] = omega_cycle(n)
+        return self._omegas[n]
+
+    def model(self, k: int, trunc: int) -> SpectralModel:
+        if (k, trunc) not in self._models:
+            self._models[k, trunc] = build_model(k, trunc)
+        return self._models[k, trunc]
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +177,10 @@ class _Omegas(dict):
 # ---------------------------------------------------------------------------
 
 
-def _family_cycles(cfg: SuiteConfig, omegas: _Omegas) -> List[CheckResult]:
+def _family_cycles(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
     rec = _Recorder()
     for n in range(1, cfg.max_weyl + 1):
-        omega = omegas[n]
+        omega = memo.omega(n)
         boundary = hochschild_b(omega)
         rec.check(f"cycles.boundary.omega{2 * n}",
                   f"the degree-{2 * n} fundamental chain is a Hochschild cycle",
@@ -193,16 +207,16 @@ def _swap_blocks(c: TensorChain, n1: int) -> TensorChain:
     return TensorChain(c.n, {tuple(map(swap, w)): k for w, k in c.nums.items()}, c.den)
 
 
-def _family_shuffle(cfg: SuiteConfig, omegas: _Omegas) -> List[CheckResult]:
+def _family_shuffle(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
     rec = _Recorder()
     # omega_cycle(2) is this shuffle square, so compare it with its graded-commuted self
     rec.equal("shuffle.multiplicative.2x2",
               "the shuffle square of the degree-2 cycle, its variable blocks swapped, "
               "is the degree-4 cycle",
-              _swap_blocks(shuffle_product(omegas[1], omegas[1]), 1) == omegas[2])
+              _swap_blocks(shuffle_product(memo.omega(1), memo.omega(1)), 1) == memo.omega(2))
     rec.equal("shuffle.multiplicative.2x4",
               "the shuffle of the degree-2 and degree-4 cycles is the degree-6 cycle",
-              shuffle_product(omegas[1], omegas[2]) == omegas[3])
+              shuffle_product(memo.omega(1), memo.omega(2)) == memo.omega(3))
     rng = random.Random(cfg.seed)
     samples = []
     for _ in range(max(1, cfg.samples // 2)):
@@ -214,10 +228,10 @@ def _family_shuffle(cfg: SuiteConfig, omegas: _Omegas) -> List[CheckResult]:
     return rec.results
 
 
-def _family_symbol(cfg: SuiteConfig, omegas: _Omegas) -> List[CheckResult]:
+def _family_symbol(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
     rec = _Recorder()
     for n in range(1, cfg.max_weyl + 1):
-        sym = hkr_symbol(omegas[n])
+        sym = hkr_symbol(memo.omega(n))
         ok = sym == volume_form(n)
         rec.check(f"symbol.volume.n{n}",
                   f"the antisymmetrized symbol of the degree-{2 * n} cycle is the volume form",
@@ -228,10 +242,10 @@ def _family_symbol(cfg: SuiteConfig, omegas: _Omegas) -> List[CheckResult]:
 
 def _intertwines(sample: Tuple[TensorChain, TensorChain, TensorChain]) -> bool:
     c, b, bp = sample
-    return b + (-1) * hochschild_b(cyclic_tau(c)) == bp + (-1) * cyclic_tau(bp)
+    return b - hochschild_b(cyclic_tau(c)) == bp - cyclic_tau(bp)
 
 
-def _family_tsygan(cfg: SuiteConfig, omegas: _Omegas) -> List[CheckResult]:
+def _family_tsygan(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
     rec = _Recorder()
     rng = random.Random(cfg.seed)
     chains = [
@@ -261,12 +275,12 @@ def _cache_dir() -> str:
     return os.environ.get(DEFAULT_CACHE_ENV) or default
 
 
-def _spectrum_data(cfg: SuiteConfig) -> Tuple[Dict[str, object], bool]:
+def _spectrum_data(cfg: SuiteConfig, memo: _Memo) -> Tuple[Dict[str, object], bool]:
     if cfg.use_cache:
         cached = load_spectrum(_cache_dir(), cfg.k, cfg.trunc)
         if cached is not None:
             return cached, True
-    model = build_model(cfg.k, cfg.trunc)
+    model = memo.model(cfg.k, cfg.trunc)
     summary = spectrum_summary(model)
     if cfg.use_cache:
         with contextlib.suppress(OSError):  # a cache that cannot be written costs only the cache
@@ -274,9 +288,9 @@ def _spectrum_data(cfg: SuiteConfig) -> Tuple[Dict[str, object], bool]:
     return summary, False
 
 
-def _family_spectrum(cfg: SuiteConfig, omegas: _Omegas) -> List[CheckResult]:
+def _family_spectrum(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
     rec = _Recorder()
-    data, from_cache = _spectrum_data(cfg)
+    data, from_cache = _spectrum_data(cfg, memo)
     note = " (cached)" if from_cache else ""
     k = cfg.k
     dim0 = data["dim_harmonic0"]
@@ -297,9 +311,9 @@ def _family_spectrum(cfg: SuiteConfig, omegas: _Omegas) -> List[CheckResult]:
     return rec.results
 
 
-def _family_mckean_singer(cfg: SuiteConfig, omegas: _Omegas) -> List[CheckResult]:
+def _family_mckean_singer(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
     rec = _Recorder()
-    model = build_model(cfg.k, cfg.trunc)
+    model = memo.model(cfg.k, cfg.trunc)
     grid = np.linspace(cfg.t_min, cfg.t_max, cfg.points)
     dev = max(abs(heat_supertrace(model, float(t)) - (cfg.k + 1)) for t in grid)
     rec.check(f"mckean-singer.flat.k{cfg.k}",
@@ -308,11 +322,11 @@ def _family_mckean_singer(cfg: SuiteConfig, omegas: _Omegas) -> List[CheckResult
     return rec.results
 
 
-def _family_harmonic(cfg: SuiteConfig, omegas: _Omegas) -> List[CheckResult]:
+def _family_harmonic(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
     rec = _Recorder()
     euler = mul(z_var(1, 1), d_var(1, 1))
     for k in cfg.harmonic_ks:
-        model = build_model(k, max(k + 2, 8))
+        model = memo.model(k, max(k + 2, 8))
         rec.near(f"harmonic.identity.k{k}",
                  f"the harmonic supertrace of the identity counts the k={k} sections",
                  harmonic_supertrace(model, unit(1)), k + 1, 1e-8)
@@ -321,14 +335,14 @@ def _family_harmonic(cfg: SuiteConfig, omegas: _Omegas) -> List[CheckResult]:
     return rec.results
 
 
-def _family_chern(cfg: SuiteConfig, omegas: _Omegas) -> List[CheckResult]:
+def _family_chern(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
     rec = _Recorder()
     res = integrate_chart(chern_density(1))
     rec.check("chern.degree.o1",
               "the curvature integral of O(1), also the Todd integral of the sphere, is 1",
               f"{_fmt(res.value)} (error estimate {res.error_estimate:.1e})", "1", "1e-08",
               res.converged and abs(res.value - 1.0) <= 1e-8)
-    counted = harmonic_supertrace(build_model(0, CROSS_TRUNC), unit(1))
+    counted = harmonic_supertrace(memo.model(0, CROSS_TRUNC), unit(1))
     rec.check("chern.todd-vs-harmonic",
               "the quadrature Todd integral matches the spectral section count for k=0",
               f"quadrature {_fmt(res.value)}, spectral {_fmt(counted)}", "equal", "1e-06",
@@ -336,7 +350,7 @@ def _family_chern(cfg: SuiteConfig, omegas: _Omegas) -> List[CheckResult]:
     return rec.results
 
 
-def _family_localization(cfg: SuiteConfig, omegas: _Omegas) -> List[CheckResult]:
+def _family_localization(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
     rec = _Recorder()
     circles = TwoCircles(cfg.length_a, cfg.length_b)
     bump = BumpFunction(*cfg.bump)
@@ -364,8 +378,8 @@ def _family_localization(cfg: SuiteConfig, omegas: _Omegas) -> List[CheckResult]
     return rec.results
 
 
-#: each family takes the run's config and its memo of omega_2n
-FAMILIES: Dict[str, Callable[[SuiteConfig, _Omegas], List[CheckResult]]] = {
+#: each family takes the run's config and its memo
+FAMILIES: Dict[str, Callable[[SuiteConfig, _Memo], List[CheckResult]]] = {
     "cycles": _family_cycles,
     "shuffle": _family_shuffle,
     "symbol": _family_symbol,
@@ -383,7 +397,7 @@ def run_suite(
 ) -> VerificationReport:
     """Run the selected families (all by default) and collect a report.
 
-    The families share one memo of omega_2n, made here and dropped on return.
+    The families share one memo of omega_2n and models, made here and dropped on return.
     """
     cfg = config or SuiteConfig()
     names = list(selection) if selection is not None else list(FAMILIES)
@@ -391,7 +405,7 @@ def run_suite(
     if unknown:
         raise ValueError(f"unknown check families {unknown}; available: {', '.join(FAMILIES)}")
     checks: List[CheckResult] = []
-    omegas = _Omegas()
+    memo = _Memo()
     for name in names:
-        checks.extend(FAMILIES[name](cfg, omegas))
+        checks.extend(FAMILIES[name](cfg, memo))
     return VerificationReport.build(__version__, checks)

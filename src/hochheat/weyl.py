@@ -4,12 +4,12 @@ The algebra has generators z1..zn and d1..dn (di = d/dzi) subject to
 [di, zj] = delta_ij, with all generators of distinct index commuting.
 Every element is kept in normal order: z factors to the left of d
 factors.  A monomial is a pair of exponent vectors, an element a finite
-rational combination of monomials.  Coefficients are `fractions.Fraction`
-throughout; this module never touches floating point.
+rational combination of monomials.  Coefficients are exact: int
+numerators over one int denominator, read out as `fractions.Fraction`;
+this module never touches floating point.
 
-A `WeylElement` keys its monomials by their exponent vectors
-(z_exp, d_exp).  The products run on packed keys: `pack` writes the
-exponents z1..zn, d1..dn into one int, FIELD_BITS bits per exponent, most
+Monomials are stored as packed keys: `pack` writes the exponents z1..zn,
+d1..dn of (z_exp, d_exp) into one int, FIELD_BITS bits per exponent, most
 significant field first, and `unpack` reads them back.  Integer order of
 packed keys is then the order of (z_exp, d_exp) keys, and the unit
 monomial is 0.  Every exponent stays at or below MAX_EXPONENT, which
@@ -17,6 +17,15 @@ leaves each field's high bit clear: `pack` refuses a larger exponent
 with `ValueError`, so the sum of two packed keys carries into no other
 field, and `mono_product` raises `ValueError` when that sum sets a high
 bit rather than keep an exponent past the bound.
+
+A `WeylElement` is the element-side twin of a chain (`chains.TensorChain`):
+(n, nums, den), with `nums` a tuple of (packed key, nonzero int numerator)
+pairs in descending key order over one reduced denominator, so equal
+elements are equal tuples and hash equal.  `WeylElement.from_terms`, the
+one validating constructor, reads ((z_exp, d_exp), coefficient) pairs
+and packs them, so the exponent bound is checked at construction; the
+cached `terms` is the view back in that form, with `Fraction`
+coefficients, for the text writer and the spectral operator readers.
 
 `mono_product` is the one product kernel: every product of monomials, in
 `mul` and in the chain operators, goes through it.  Without contractions
@@ -43,54 +52,76 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial, lcm
-from operator import itemgetter
+from functools import cached_property, lru_cache
+from math import comb, factorial, gcd, lcm
 from typing import Dict, Iterable, List, Tuple
 
 Exponents = Tuple[int, ...]
 #: a normal-ordered monomial z^z_exp d^d_exp as (z_exp, d_exp)
 Key = Tuple[Exponents, Exponents]
-_ONE = Fraction(1)
 
 
-def _merge_terms(terms: Iterable[Tuple[Key, Fraction]]) -> Tuple[Tuple[Key, Fraction], ...]:
-    acc: Dict[Key, Fraction] = {}
-    for key, coeff in terms:
-        acc[key] = acc[key] + coeff if key in acc else coeff
-    return tuple(sorted(((key, c) for key, c in acc.items() if c), key=itemgetter(0), reverse=True))
+def _sum_over_lcm(expanded: List[Tuple[int, int, object]]) -> Tuple[Dict[object, int], int]:
+    """(acc, den), den the lcm of the q, with sum(acc[x] * x) / den = sum(p/q * x) over the
+    (p, q, x) of `expanded`, q >= 1; x is a packed key or a chain word."""
+    den = lcm(*(q for _, q, _ in expanded))
+    acc: Dict[object, int] = {}
+    get = acc.get
+    for p, q, x in expanded:
+        acc[x] = get(x, 0) + p * (den // q)
+    return acc, den
+
+
+def _canonical(n: int, acc: Dict[int, int], den: int) -> "WeylElement":
+    """The element sum(acc[key] * key) / den for den >= 1, in canonical form."""
+    nums = sorted(((key, k) for key, k in acc.items() if k), reverse=True)
+    g = gcd(den, *(k for _, k in nums)) if den > 1 else 1
+    if g > 1:
+        nums = [(key, k // g) for key, k in nums]
+    return WeylElement(n, tuple(nums), den // g)
 
 
 @dataclass(frozen=True)
 class WeylElement:
     """Finite rational combination of normal-ordered monomials.
 
-    `terms` holds (key, coefficient) pairs with nonzero coefficients in
-    descending key order, the canonical order of `format_element`.
+    The element is sum(k * key) / den over the (packed key, numerator)
+    pairs of `nums`: distinct keys in descending order, each with a
+    nonzero int numerator, over den >= 1 with gcd(den, *numerators) == 1,
+    so the zero element is ((), 1).  Build elements with `from_terms`.
     """
 
     n: int
-    terms: Tuple[Tuple[Key, Fraction], ...]
+    nums: Tuple[Tuple[int, int], ...]
+    den: int
 
     @staticmethod
     def from_terms(n: int, terms: Iterable[Tuple[Key, Fraction]]) -> "WeylElement":
         """The element sum(coeff * z^z_exp d^d_exp) over ((z_exp, d_exp), coeff) pairs."""
-        checked = []
+        expanded = []
         for (z_exp, d_exp), coeff in terms:
             key = (tuple(z_exp), tuple(d_exp))
             if len(key[0]) != n or len(key[1]) != n:
                 raise ValueError("exponent vectors must have length n")
-            if any(e < 0 for e in key[0] + key[1]):
-                raise ValueError("exponents must be non-negative")
-            checked.append((key, coeff))
-        return WeylElement(n, _merge_terms(checked))
+            expanded.append((coeff.numerator, coeff.denominator, pack(key)))
+        return _canonical(n, *_sum_over_lcm(expanded))
+
+    @cached_property
+    def terms(self) -> Tuple[Tuple[Key, Fraction], ...]:
+        """((z_exp, d_exp), coefficient) pairs in descending key order."""
+        n, den = self.n, self.den
+        return tuple((unpack(key, n), Fraction(k, den)) for key, k in self.nums)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
+
+
+def _monic(n: int, key: Key) -> WeylElement:
+    return WeylElement(n, ((pack(key), 1),), 1)
 
 
 def unit(n: int) -> WeylElement:
-    return WeylElement(n, ((((0,) * n, (0,) * n), _ONE),))
+    return _monic(n, ((0,) * n, (0,) * n))
 
 
 def z_var(i: int, n: int) -> WeylElement:
@@ -98,7 +129,7 @@ def z_var(i: int, n: int) -> WeylElement:
     if not 1 <= i <= n:
         raise ValueError(f"variable index {i} out of range 1..{n}")
     e = tuple(1 if j == i - 1 else 0 for j in range(n))
-    return WeylElement(n, (((e, (0,) * n), _ONE),))
+    return _monic(n, (e, (0,) * n))
 
 
 def d_var(i: int, n: int) -> WeylElement:
@@ -106,7 +137,7 @@ def d_var(i: int, n: int) -> WeylElement:
     if not 1 <= i <= n:
         raise ValueError(f"variable index {i} out of range 1..{n}")
     e = tuple(1 if j == i - 1 else 0 for j in range(n))
-    return WeylElement(n, ((((0,) * n, e), _ONE),))
+    return _monic(n, ((0,) * n, e))
 
 
 #: bits of one exponent field of a packed key
@@ -176,28 +207,21 @@ def mono_product(a: int, b: int, n: int) -> List[Tuple[int, int]]:
 def mul(a: WeylElement, b: WeylElement) -> WeylElement:
     """The normal-ordered product a b.
 
-    Each factor's coefficients are read as int numerators over that
-    factor's lcm denominator, so the term products accumulate plain ints
-    and each output key makes one `Fraction`.  The monomial products run
-    on packed keys.
+    The numerator products accumulate as plain ints on the packed keys of
+    `mono_product`, over the product of the two denominators, and the sum
+    is reduced once.
     """
     if a.n != b.n:
         raise ValueError("cannot multiply elements with different variable counts")
     n = a.n
-    da = lcm(*(c.denominator for _, c in a.terms))
-    db = lcm(*(c.denominator for _, c in b.terms))
-    right = [(pack(kb), cb.numerator * (db // cb.denominator)) for kb, cb in b.terms]
     acc: Dict[int, int] = {}
     get = acc.get
-    for ka, ca in a.terms:
-        na, pa = ca.numerator * (da // ca.denominator), pack(ka)
-        for pb, nb in right:
+    for pa, na in a.nums:
+        for pb, nb in b.nums:
             c = na * nb
             for key, m in mono_product(pa, pb, n):
                 acc[key] = get(key, 0) + c * m
-    den = da * db
-    return WeylElement(n, tuple((unpack(key, n), Fraction(k, den))
-                                for key, k in sorted(acc.items(), reverse=True) if k))
+    return _canonical(n, acc, a.den * b.den)
 
 
 # ---------------------------------------------------------------------------

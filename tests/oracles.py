@@ -65,8 +65,8 @@ from hochheat.spectral import (
     _reduced,
     _scaled_root,
 )
-from hochheat.weyl import (MAX_DEGREE, MAX_VARIABLES, _ONE, Exponents, Key, WeylElement,
-                           _merge_terms, d_var, mul, pack, unit, z_var)
+from hochheat.weyl import (MAX_DEGREE, MAX_VARIABLES, Exponents, Key, WeylElement, d_var, mul,
+                           pack, unit, z_var)
 
 # ---------------------------------------------------------------------------
 # spectral: the generic pairing kernel
@@ -301,20 +301,18 @@ Polynomial = Dict[Exponents, Fraction]
 
 
 def zero(n: int) -> WeylElement:
-    return WeylElement(n, ())
+    return WeylElement(n, (), 1)
 
 
 def add(a: WeylElement, b: WeylElement) -> WeylElement:
     if a.n != b.n:
         raise ValueError("cannot add elements with different variable counts")
-    return WeylElement(a.n, _merge_terms(a.terms + b.terms))
+    return WeylElement.from_terms(a.n, a.terms + b.terms)
 
 
 def scale(c, a: WeylElement) -> WeylElement:
     c = Fraction(c)
-    if not c:
-        return zero(a.n)
-    return WeylElement(a.n, tuple((m, c * k) for m, k in a.terms))
+    return WeylElement.from_terms(a.n, ((m, c * k) for m, k in a.terms))
 
 
 def monomial(n: int, z_exp: Exponents, d_exp: Exponents, coeff=1) -> WeylElement:
@@ -380,8 +378,8 @@ def disjoint_embed(a: WeylElement, offset: int, total: int) -> WeylElement:
         raise ValueError("embedding does not fit in target algebra")
     pad_l = (0,) * offset
     pad_r = (0,) * (total - a.n - offset)
-    return WeylElement(total, tuple(((pad_l + z + pad_r, pad_l + d + pad_r), c)
-                                    for (z, d), c in a.terms))
+    return WeylElement.from_terms(total, (((pad_l + z + pad_r, pad_l + d + pad_r), c)
+                                          for (z, d), c in a.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +430,7 @@ def parse_element(text: str, n: int | None = None) -> WeylElement:
     none = (0,) * n
     total = zero(n)
     for sign, body in zip(pieces[0::2], pieces[1::2]):
-        coeff = _ONE if sign == "+" else -_ONE
+        coeff = Fraction(1 if sign == "+" else -1)
         term = None  # the product of the generator factors so far
         degree = 0
         for f in body.split("*"):
@@ -448,7 +446,7 @@ def parse_element(text: str, n: int | None = None) -> WeylElement:
                 raise ValueError(f"term {body!r} in {text!r} has degree above {MAX_DEGREE}")
             # the regex has checked the factor, so the monic generator power is built as is
             e = tuple(power if j == i else 0 for j in range(n))
-            gen = WeylElement(n, ((((e, none) if m.group("gen") == "z" else (none, e)), _ONE),))
+            gen = WeylElement.from_terms(n, [((e, none) if m.group("gen") == "z" else (none, e), 1)])
             if term is None:
                 term = gen
                 continue

@@ -6,6 +6,7 @@ All identities here are exact; no tolerances appear anywhere.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import random
@@ -20,6 +21,8 @@ from hypothesis import strategies as st
 from hochheat.chains import (
     MAX_COEFF_DIGITS,
     TensorChain,
+    _canonical,
+    _json_int,
     _shuffles,
     TsyganColumnVector,
     bar_bprime,
@@ -470,7 +473,7 @@ def test_monomial_reader_inverts_the_formatter(drawn):
         assert parse_monomial(text, n) is None
         return
     assert parse_monomial(text, n) == key
-    assert parse_element(text, n) == WeylElement(n, ((key, Fraction(1)),))
+    assert parse_element(text, n) == WeylElement.from_terms(n, [(key, 1)])
 
 
 @pytest.mark.parametrize("text", ["d1*z1", "z1^1", "z1^0", "z01", "z2*z1", "z1*z1", "2*z1",
@@ -687,6 +690,8 @@ def test_integer_kernels_agree_with_the_fraction_oracle(inputs, scalar):
         "N": (norm_n(c), _oracle_norm(f)),
         "normalize": (normalize(c), {w: k for w, k in f.items() if one not in w[1:]}),
         "+": (c + other, _merged(list(f.items()) + list(g.items()))),
+        "-": (c - other, _merged(list(f.items()) + [(w, -k) for w, k in g.items()])),
+        "neg": (-c, {w: -k for w, k in f.items()}),
         "scalar": (scalar * c, _merged((w, scalar * k) for w, k in f.items())),
         "shuffle": (shuffle_product(c, small),
                     _oracle_shuffle(f, c.n, _fractions(small), small.n)),
@@ -694,6 +699,44 @@ def test_integer_kernels_agree_with_the_fraction_oracle(inputs, scalar):
     for name, (got, expected) in results.items():
         assert _is_canonical(got), name
         assert _fractions(got) == expected, name
+
+
+def test_negation_subtraction_and_rotation_match_the_scaled_and_canonicalized_forms():
+    rng = random.Random(1618)
+    for _ in range(60):
+        n = rng.choice([1, 2])
+        a, b = (random_chain(rng, n, degree=rng.randint(0, 3)) for _ in range(2))
+        assert -a == (-1) * a and _is_canonical(-a)
+        assert a - b == a + (-1) * b and _is_canonical(a - b)
+        rotated = _canonical(n, {w[-1:] + w[:-1]: (-1) ** (len(w) - 1) * k
+                                 for w, k in a.nums.items()}, a.den)
+        assert cyclic_tau(a) == rotated and _is_canonical(cyclic_tau(a))
+    assert (a - a).nums == {} and (a - a).den == 1
+
+
+def test_chain_from_json_pauses_the_collector_and_restores_its_state(monkeypatch):
+    text, seen, real = chain_to_json(omega_cycle(1)), [], _json_int
+
+    def spy(digits):  # called by the parse for the bare integer "n"
+        seen.append(gc.isenabled())
+        return real(digits)
+
+    monkeypatch.setattr("hochheat.chains._json_int", spy)
+    was = gc.isenabled()
+    try:
+        gc.enable()
+        assert chain_from_json(text) == omega_cycle(1)
+        assert seen == [False] and gc.isenabled()
+        with pytest.raises(ValueError, match="slot"):
+            chain_from_json(text.replace('"d1"', '"d1*z1"'))
+        assert gc.isenabled()
+        gc.disable()
+        assert chain_from_json(text) == omega_cycle(1)
+        with pytest.raises(ValueError):
+            chain_from_json("[")
+        assert not gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 @pytest.mark.large

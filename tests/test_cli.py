@@ -563,6 +563,23 @@ def test_the_omega_memo_dies_with_its_run(monkeypatch):
     assert verdicts["cycles.normalized.omega2"] == "fail"
 
 
+def test_one_cold_run_builds_each_model_once(tmp_path, monkeypatch):
+    monkeypatch.setenv("HOCHHEAT_CACHE_DIR", str(tmp_path))  # empty: `spectrum` builds (1, 10)
+    calls, real = [], suite.build_model
+
+    def counting(k, trunc):
+        calls.append((k, trunc))
+        return real(k, trunc)
+
+    monkeypatch.setattr(suite, "build_model", counting)
+    assert run_suite(None, SuiteConfig(seed=0)).all_passed()
+    assert (1, 10) in calls and len(calls) == len(set(calls))
+    # the memo dies with its run: the next run builds its model again
+    calls.clear()
+    assert run_suite(["mckean-singer"]).all_passed()
+    assert calls == [(1, 10)]
+
+
 def test_setup_work_is_timed(monkeypatch):
     real_build = suite.build_model
 

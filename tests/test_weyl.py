@@ -8,6 +8,7 @@ seeded random elements.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -152,6 +153,40 @@ def test_a_product_reaches_the_field_bound_exactly():
                         2) == [(top, 1)]
 
 
+def _is_canonical(e):
+    keys = [key for key, _ in e.nums]
+    return (e.den >= 1 and all(type(k) is int and k for _, k in e.nums)
+            and math.gcd(e.den, *(k for _, k in e.nums)) == 1 and keys == sorted(set(keys), reverse=True))
+
+
+def test_one_element_has_one_canonical_form():
+    a, b, c = ((2,), (1,)), ((0,), (0,)), ((1,), (3,))
+    e = WeylElement.from_terms(1, [(a, Fraction(3, 2)), (b, Fraction(1, 2))])
+    forms = [
+        [(b, Fraction(1, 2)), (a, Fraction(3, 2))],                               # permuted
+        [(a, Fraction(1, 2)), (b, Fraction(1, 2)), (a, 1)],                         # a repeated key
+        [(a, Fraction(1, 6)), (a, Fraction(4, 3)), (b, Fraction(1, 4)), (b, Fraction(1, 4))],
+        [(c, Fraction(2, 7)), (a, Fraction(3, 2)), (b, Fraction(1, 2)), (c, Fraction(-2, 7))],
+    ]
+    for terms in forms:
+        f = WeylElement.from_terms(1, terms)
+        assert f == e and hash(f) == hash(e) and _is_canonical(f)
+        assert {e: "cached"}[f] == "cached"  # the operator cache of a model keys on elements
+    assert (e.nums, e.den) == (((pack(a), 3), (pack(b), 1)), 2)
+    gone = WeylElement.from_terms(1, [(a, Fraction(1, 3)), (c, 5), (a, Fraction(-1, 3)), (c, -5)])
+    assert gone == zero(1) and (gone.nums, gone.den) == ((), 1) and gone.is_zero()
+
+
+def test_products_are_canonical():
+    rng = random.Random(41)
+    for _ in range(200):
+        n = rng.choice([1, 2])
+        a, b = random_element(rng, n), random_element(rng, n)
+        product = mul(a, b)
+        assert _is_canonical(product)
+        assert product == WeylElement.from_terms(n, product.terms)
+
+
 def test_mul_associative():
     rng = random.Random(11)
     for _ in range(200):
@@ -239,6 +274,14 @@ def elements(draw):
 @given(elements())
 def test_text_round_trip_property(a):
     assert parse_element(format_element(a), a.n) == a
+
+
+@settings(deadline=None)
+@given(elements())
+def test_from_terms_of_the_terms_view_is_the_element(e):
+    assert _is_canonical(e)
+    assert WeylElement.from_terms(e.n, e.terms) == e
+    assert [key for key, _ in e.terms] == sorted((key for key, _ in e.terms), reverse=True)
 
 
 @pytest.mark.parametrize(
