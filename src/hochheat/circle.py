@@ -9,15 +9,16 @@ and the spectral sum (1/L) sum_j exp(-4 pi^2 j^2 t / L^2).  Both are
 constant along the circle and agree exactly (Poisson summation), which
 gives an end-to-end consistency check of the two representations.
 
-A polynomial bump phi(x) = (1 - ((x - c)/rho)^2)^m supported in one circle
-localizes the trace: Tr(phi e^(-t Laplacian)) equals (integral of phi)
-times the kernel diagonal, so for short times it is the free-line value
-(integral phi) (4 pi t)^(-1/2) up to the image tail.  The tail bound is
-taken with the smaller of the two circumferences, so it covers every
-placement of the bump in the union.  The trace is the eigenvalue sum, so
-the short-time check compares it with a tail of the other series.  Short
-times are read in units of Lmin^2, the smaller circumference squared, so
-the relative size of that tail depends on the time alone.
+A polynomial bump phi(x) = (1 - ((x - c)/rho)^2)^m on circle A, the first
+of the two circumferences, localizes the trace: Tr(phi e^(-t Laplacian))
+equals (integral of phi) times the kernel diagonal, so for short times it
+is the free-line value (integral phi) (4 pi t)^(-1/2) up to the image
+tail.  The tail bound is taken with the smaller of the two circumferences,
+so it covers every placement of the bump in the union.  The trace is the
+eigenvalue sum, so the short-time check compares it with a tail of the
+other series.  Short times are read in units of Lmin^2, the smaller
+circumference squared, so the relative size of that tail depends on the
+time alone.
 At long times the trace relaxes to the equilibrium value (1/L) integral phi
 at the rate of the first spectral gap.  Those times are read in units of
 the relaxation time L^2/(4 pi^2), so the deviation, taken from the image
@@ -119,37 +120,6 @@ class BumpFunction:
 
 
 @dataclass(frozen=True)
-class TwoCircles:
-    """Disjoint union of two circles; the bump always lives on circle A."""
-
-    length_a: float
-    length_b: float
-
-    def __post_init__(self):
-        _check_positive("circumference A", self.length_a)
-        _check_positive("circumference B", self.length_b)
-
-
-def localized_trace(circles: TwoCircles, bump: BumpFunction, t: float) -> float:
-    """Tr(phi e^(-t Laplacian)) on the union; phi is supported in circle A.
-
-    The kernel diagonal is constant, so the trace is the eigenvalue sum times
-    the bump integral.  The bump support (width 2 radius) must fit in circle A.
-    """
-    if 2.0 * bump.radius > circles.length_a:
-        raise ValueError(
-            f"bump support 2*{bump.radius} exceeds circumference {circles.length_a}"
-        )
-    return bump.integral() * heat_diagonal_spectral(t, circles.length_a)
-
-
-def free_line_trace(bump: BumpFunction, t: float) -> float:
-    """The non-compact model value (integral phi) (4 pi t)^(-1/2)."""
-    _check_positive("heat time", t)
-    return bump.integral() / math.sqrt(4.0 * math.pi * t)
-
-
-@dataclass(frozen=True)
 class LocalizationRow:
     free_trace: float
     delta: float
@@ -157,28 +127,33 @@ class LocalizationRow:
 
 
 def compare_localization(
-    circles: TwoCircles, bump: BumpFunction, s_grid: Sequence[float]
+    length_a: float, length_b: float, bump: BumpFunction, s_grid: Sequence[float]
 ) -> List[LocalizationRow]:
     """Short-time comparison of the localized trace with the free-line value.
 
-    Each s is a time in units of the smaller circumference squared,
-    t = s Lmin^2, so bound / free_trace = 2 sum_(n>=1) exp(-n^2 / (4 s))
-    depends on s alone.  delta is the actual discrepancy on circle A; bound
-    is the image tail of the smaller circumference times the bump integral,
-    which dominates delta regardless of which circle carries the bump.
+    The bump lives on circle A and must fit there; its trace is its integral
+    times the eigenvalue sum of circle A.  Each s is a time in units of the
+    smaller circumference squared, t = s Lmin^2, so bound / free_trace =
+    2 sum_(n>=1) exp(-n^2 / (4 s)) depends on s alone.  delta is the actual
+    discrepancy on circle A; bound is the image tail of the smaller
+    circumference times the bump integral, which dominates delta regardless
+    of which circle carries the bump.
     """
+    _check_positive("circumference A", length_a)
+    _check_positive("circumference B", length_b)
+    if 2.0 * bump.radius > length_a:
+        raise ValueError(f"bump support 2*{bump.radius} exceeds circumference {length_a}")
     grid = [float(s) for s in s_grid]
     if not grid or any(s <= 0 for s in grid):
         raise ValueError("s_grid must be non-empty with positive entries")
-    lmin = min(circles.length_a, circles.length_b)
+    lmin = min(length_a, length_b)
     mass = bump.integral()
     rows = []
     for s in grid:
         t = s * lmin * lmin
-        free = free_line_trace(bump, t)
-        delta = abs(localized_trace(circles, bump, t) - free)
-        bound = mass * _image_tail(t, lmin)
-        rows.append(LocalizationRow(free, delta, bound))
+        free = mass / math.sqrt(4.0 * math.pi * t)
+        delta = abs(mass * heat_diagonal_spectral(t, length_a) - free)
+        rows.append(LocalizationRow(free, delta, mass * _image_tail(t, lmin)))
     return rows
 
 
@@ -202,6 +177,7 @@ def long_time_rows(length: float, bump: BumpFunction, s_grid: Sequence[float]) -
     error of the subtraction measured against 60-digit arithmetic (L from
     0.05 to 10, s from 1 to 10).
     """
+    _check_positive("circumference", length)
     grid = [float(s) for s in s_grid]
     if not grid or any(s <= 0 for s in grid):
         raise ValueError("s_grid must be non-empty with positive entries")

@@ -85,8 +85,9 @@ cancelled top term is left out, and the check raises what the term-by-term
 reference of the test oracles (`tests/oracles.py`) raises on the same pair.
 X = W P W^T is then formed exactly over the whole block and each entry is
 rounded once.  Blocks are built on demand and cached per (degree, operator,
-block), so `harmonic_supertrace` builds only the blocks that hold a kernel
-vector.
+block).  `limit_supertrace` and `harmonic_supertrace` read the same signed
+diagonals <op e, e>, the latter at the kernel vectors only, so it builds
+only the blocks that hold one; `heat_supertrace` reads the sorted spectra.
 """
 
 from __future__ import annotations
@@ -595,27 +596,36 @@ def heat_supertrace(model: SpectralModel, t: float) -> float:
     return s0 - s1
 
 
-def _diagonal(vecs: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """<op e_i, e_i> for each orthonormal column e_i of `vecs`: the diagonal of Y^T A Y."""
-    return np.diag(vecs.T @ mat @ vecs)
+def _supertrace_terms(model: SpectralModel, op: WeylElement,
+                      columns: Sequence[Dict[int, object]]) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and signed diagonals +-<op e, e> (+ in degree 0, - in degree 1) of the
+    eigen-columns `columns[degree][block index]` (a list, or `slice(None)` for all); only
+    those blocks are built.  Each diagonal is a row-wise dot of Y with A Y."""
+    lams, diags = [np.empty(0)], [np.empty(0)]
+    for degree, (sign, blocks, chosen) in enumerate(zip((1.0, -1.0), (model.blocks, model.forms),
+                                                        columns)):
+        mats = _operator_blocks(model, op, degree, chosen)
+        for bi, cols in chosen.items():
+            y = blocks[bi].vecs[:, cols]
+            lams.append(blocks[bi].lam[cols])
+            diags.append(sign * np.einsum("ij,ij->j", y, mats[bi] @ y))
+    return np.concatenate(lams), np.concatenate(diags)
 
 
 def harmonic_supertrace(model: SpectralModel, op: WeylElement) -> float:
     """Supertrace of the compression of op to the numerical harmonic spaces.
 
-    The kernel vectors h of each degree are orthonormal eigenvectors, so the
-    trace is sum <op h, h>, counted + in degree 0 and - in degree 1; only
-    the blocks that hold a kernel vector are built.  For k >= 0 the
-    degree-1 kernel is empty (`spectrum.kernel.forms` checks `harmonic1`),
-    so no degree-1 block is built and only degree 0 contributes.
+    The t = infinity case of `limit_supertrace`: the same terms, read only
+    at the kernel vectors of `harmonic0` and `harmonic1`, so only the blocks
+    that hold one are built.  For k >= 0 the degree-1 kernel is empty
+    (`spectrum.kernel.forms` checks `harmonic1`), so only degree 0
+    contributes.
     """
-    total = 0.0
-    for degree, (sign, blocks, harmonic) in enumerate(((1.0, model.blocks, model.harmonic0),
-                                                       (-1.0, model.forms, model.harmonic1))):
-        mats = _operator_blocks(model, op, degree, dict.fromkeys(bi for bi, _ in harmonic))
+    columns: List[Dict[int, object]] = [{}, {}]
+    for chosen, harmonic in zip(columns, (model.harmonic0, model.harmonic1)):
         for bi, col in harmonic:
-            total += sign * float(_diagonal(blocks[bi].vecs[:, [col]], mats[bi])[0])
-    return total
+            chosen.setdefault(bi, []).append(col)
+    return float(_supertrace_terms(model, op, columns)[1].sum())
 
 
 def limit_supertrace(
@@ -624,8 +634,8 @@ def limit_supertrace(
     """Supertrace of op e^(-t Laplacian) on a grid, and its terminal value.
 
     Each degree sums e^(-t lam_i) <op e_i, e_i> over its own orthonormal
-    eigenbasis, counted + in degree 0 and - in degree 1.  As t grows the
-    series converges to `harmonic_supertrace`.
+    eigenbasis, counted + in degree 0 and - in degree 1, one dot product a
+    time.  As t grows it converges to `harmonic_supertrace`.
     """
     grid = [float(t) for t in t_grid]
     if not grid:
@@ -635,17 +645,9 @@ def limit_supertrace(
             raise ValueError(f"t_grid times must be positive and finite, got {t}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("t_grid must be strictly increasing")
-    terms = []  # (sign, eigenvalues, <op e_i, e_i>) of each block of both degrees
-    for degree, (sign, blocks) in enumerate(((1.0, model.blocks), (-1.0, model.forms))):
-        mats = _operator_blocks(model, op, degree)
-        for bi, block in enumerate(blocks):
-            terms.append((sign, block.lam, _diagonal(block.vecs, mats[bi])))
-    series = []
-    for t in grid:
-        tot = 0.0
-        for sign, lam, dg in terms:
-            tot += sign * float((np.exp(-t * lam) * dg).sum())
-        series.append(tot)
+    lam, diag = _supertrace_terms(model, op, [dict.fromkeys(range(len(blocks)), slice(None))
+                                              for blocks in (model.blocks, model.forms)])
+    series = [float(np.exp(-t * lam) @ diag) for t in grid]
     return series, series[-1]
 
 

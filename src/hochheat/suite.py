@@ -10,10 +10,11 @@ outcomes into a `VerificationReport`.
 One run does each shared piece of work once.  `run_suite` hands every
 family a memo that lives for that call only: it holds the cycles
 omega_2n, so `cycles`, `shuffle` and `symbol` read one omega_2n each, and
-the spectral models by (k, trunc), so `spectrum` (on a cache miss),
-`mckean-singer`, `harmonic` and `chern` build each model once.  `tsygan`
-takes b(c) and b'(c) of each sample chain once for the four checks that
-read them.  Nothing is kept across runs but the on-disk spectrum cache.
+the last spectral model by (k, trunc), dropped before the next is built,
+so `spectrum` (on a cache miss) and `mckean-singer` share (1, 10).
+`tsygan` takes b(c) and b'(c) of each sample chain once for the four
+checks that read them.  Nothing is kept across runs but the on-disk
+spectrum cache.
 
 Every check is deterministic given the configuration (random samples are
 drawn from a seeded generator), so two runs with the same settings differ
@@ -46,7 +47,7 @@ from .chains import (
     tsygan_d,
 )
 from .chern import chern_density, integrate_chart
-from .circle import BumpFunction, TwoCircles, compare_localization, long_time_rows, poisson_deviation
+from .circle import BumpFunction, compare_localization, long_time_rows, poisson_deviation
 from .forms import hkr_symbol, volume_form
 from .randomgen import random_chain, random_column_vector
 from .report import FAIL, PASS, CheckResult, VerificationReport
@@ -104,6 +105,8 @@ class SuiteConfig:
             (all(0 <= k <= MAX_TRUNC - 2 for k in self.harmonic_ks),  # k + 2 <= MAX_TRUNC
              f"--k must be between 0 and {MAX_TRUNC - 2}, "
              f"got {max(self.harmonic_ks, key=abs, default=0)}"),
+            (0 < self.length_a < math.inf, f"--l1 must be positive and finite, got {self.length_a}"),
+            (0 < self.length_b < math.inf, f"--l2 must be positive and finite, got {self.length_b}"),
             (1 <= len(times) <= cap and all(map(math.isfinite, times)),
              f"--t-grid needs 1 to {cap} times, all finite, got {len(times)}"),
         ):
@@ -155,11 +158,11 @@ class _Recorder:
 
 class _Memo:
     """The work the families of one `run_suite` call share, each piece built on first use:
-    omega_cycle(n) by n and build_model(k, trunc) by (k, trunc)."""
+    omega_cycle(n) by n, and the last build_model(k, trunc), dropped before the next."""
 
     def __init__(self) -> None:
         self._omegas: Dict[int, TensorChain] = {}
-        self._models: Dict[Tuple[int, int], SpectralModel] = {}
+        self._model: Optional[Tuple[Tuple[int, int], SpectralModel]] = None
 
     def omega(self, n: int) -> TensorChain:
         if n not in self._omegas:
@@ -167,9 +170,10 @@ class _Memo:
         return self._omegas[n]
 
     def model(self, k: int, trunc: int) -> SpectralModel:
-        if (k, trunc) not in self._models:
-            self._models[k, trunc] = build_model(k, trunc)
-        return self._models[k, trunc]
+        if self._model is None or self._model[0] != (k, trunc):
+            self._model = None  # so that two models are never alive at once
+            self._model = ((k, trunc), build_model(k, trunc))
+        return self._model[1]
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +330,12 @@ def _family_harmonic(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
     rec = _Recorder()
     euler = mul(z_var(1, 1), d_var(1, 1))
     for k in cfg.harmonic_ks:
-        model = memo.model(k, max(k + 2, 8))
+        # no local name holds the model, so the memo can drop it before building the next
         rec.near(f"harmonic.identity.k{k}",
                  f"the harmonic supertrace of the identity counts the k={k} sections",
-                 harmonic_supertrace(model, unit(1)), k + 1, 1e-8)
+                 harmonic_supertrace(memo.model(k, max(k + 2, 8)), unit(1)), k + 1, 1e-8)
         rec.near(f"harmonic.euler.k{k}", f"the harmonic supertrace of z d/dz for k={k} is k(k+1)/2",
-                 harmonic_supertrace(model, euler), k * (k + 1) / 2, 1e-6)
+                 harmonic_supertrace(memo.model(k, max(k + 2, 8)), euler), k * (k + 1) / 2, 1e-6)
     return rec.results
 
 
@@ -352,7 +356,6 @@ def _family_chern(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
 
 def _family_localization(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
     rec = _Recorder()
-    circles = TwoCircles(cfg.length_a, cfg.length_b)
     bump = BumpFunction(*cfg.bump)
     # at t = s L^2 both sums are 1/L times a function of s, so L * deviation is dimensionless
     dev = max(length * poisson_deviation(s * length * length, length)
@@ -360,7 +363,7 @@ def _family_localization(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
     rec.check("localization.poisson",
               "image and spectral heat sums agree on both circles at times in units of L^2",
               f"max L*deviation {_fmt(dev)}", "0", "1e-12", dev <= 1e-12)
-    rows = compare_localization(circles, bump, cfg.short_times)
+    rows = compare_localization(cfg.length_a, cfg.length_b, bump, cfg.short_times)
     excess = max(row.delta - row.bound for row in rows)
     rec.check("localization.short-time.bound",
               "the localized trace deviates from the free-line value within the image tail",

@@ -23,7 +23,7 @@ from hochheat.chains import (
     tsygan_d,
 )
 from hochheat.chern import chern_density, integrate_chart
-from hochheat.circle import BumpFunction, TwoCircles, compare_localization, long_time_rows, poisson_deviation
+from hochheat.circle import BumpFunction, compare_localization, long_time_rows, poisson_deviation
 from hochheat.cli import main
 from hochheat.forms import hkr_symbol, volume_form
 from hochheat.randomgen import random_chain, random_column_vector
@@ -171,13 +171,12 @@ def test_criterion_10_quadrature_matches_spectral_count():
 
 
 def test_criterion_11_circle_localization():
-    circles = TwoCircles(1.0, 1.7)
     bump = BumpFunction(0.35, 0.2, 2)
     poisson = max(
         poisson_deviation(t, length) for t in (0.01, 0.1, 1.0, 5.0) for length in (1.0, 1.7)
     )
     short_grid = [0.01 * 10 ** (i / 9) for i in range(10)]
-    rows = compare_localization(circles, bump, short_grid)
+    rows = compare_localization(1.0, 1.7, bump, short_grid)
     excess = max(r.delta - r.bound for r in rows)
     small_ratio = rows[0].bound / rows[0].free_trace
     lrows = long_time_rows(1.0, bump, [1.0, 2.0, 4.0, 7.0, 10.0])

@@ -7,13 +7,10 @@ import pytest
 
 from hochheat.circle import (
     BumpFunction,
-    TwoCircles,
     _theta_tail,
     compare_localization,
-    free_line_trace,
     heat_diagonal_images,
     heat_diagonal_spectral,
-    localized_trace,
     long_time_rows,
     poisson_deviation,
 )
@@ -78,26 +75,30 @@ def test_bump_validation():
 
 
 def test_localized_trace_matches_spectral_route():
-    circles = TwoCircles(1.0, 1.7)
     bump = BumpFunction(0.35, 0.2, 2)
-    # the trace is the eigenvalue sum, and the image sum agrees with it
-    for t in (0.05, 0.7, 2.0):
-        trace = localized_trace(circles, bump, t)
-        assert trace == bump.integral() * heat_diagonal_spectral(t, circles.length_a)
-        via_images = bump.integral() * heat_diagonal_images(t, circles.length_a)
-        assert trace == pytest.approx(via_images, rel=1e-12)
+    mass = bump.integral()
+    # Lmin = 1, so t = s; the trace is the eigenvalue sum of circle A times the bump integral
+    grid = [0.05, 0.7, 2.0]
+    for t, row in zip(grid, compare_localization(1.0, 1.7, bump, grid)):
+        assert row.free_trace == mass / math.sqrt(4.0 * math.pi * t)
+        trace = mass * heat_diagonal_spectral(t, 1.0)
+        assert row.delta == abs(trace - row.free_trace)
+        # the image sum agrees with it, and it lies above the free-line value
+        via_images = mass * heat_diagonal_images(t, 1.0)
+        assert row.free_trace + row.delta == pytest.approx(via_images, rel=1e-12)
 
 
 def test_bump_must_fit_in_its_circle():
-    with pytest.raises(ValueError):
-        localized_trace(TwoCircles(0.3, 5.0), BumpFunction(0.0, 0.2, 2), 0.1)
+    with pytest.raises(ValueError, match="bump support"):
+        compare_localization(0.3, 5.0, BumpFunction(0.0, 0.2, 2), [0.1])
+    # circle B may be the small one: only circle A carries the bump
+    assert compare_localization(5.0, 0.3, BumpFunction(0.0, 0.2, 2), [0.1])
 
 
 def test_short_time_delta_within_bound():
-    circles = TwoCircles(1.0, 1.7)
     bump = BumpFunction(0.35, 0.2, 2)
     grid = [0.01 * (10 ** (i / 9)) for i in range(10)]  # log spaced in [0.01, 0.1]
-    rows = compare_localization(circles, bump, grid)
+    rows = compare_localization(1.0, 1.7, bump, grid)
     for row in rows:
         # delta comes from a subtraction of O(1) traces, so allow one ulp of
         # absolute noise on top of the analytic bound
@@ -109,8 +110,9 @@ def test_short_times_are_in_units_of_the_smaller_circle_squared():
     bump = BumpFunction(0.0, 0.02, 2)
     ratios = []
     for la, lb in ((1.0, 1.7), (0.5, 0.05), (10.0, 12.0)):
-        (row,) = compare_localization(TwoCircles(la, lb), bump, [0.01])
-        assert row.free_trace == pytest.approx(free_line_trace(bump, 0.01 * min(la, lb) ** 2),
+        (row,) = compare_localization(la, lb, bump, [0.01])
+        t = 0.01 * min(la, lb) ** 2
+        assert row.free_trace == pytest.approx(bump.integral() / math.sqrt(4.0 * math.pi * t),
                                                rel=1e-15)
         ratios.append(row.bound / row.free_trace)
     assert ratios == pytest.approx([2.0 * math.exp(-25.0)] * 3, rel=1e-12)
@@ -118,9 +120,8 @@ def test_short_times_are_in_units_of_the_smaller_circle_squared():
 
 def test_bound_uses_smaller_circle():
     # bump on the larger circle: its own tail is strictly below the bound
-    circles = TwoCircles(1.7, 1.0)
     bump = BumpFunction(0.0, 0.2, 2)
-    rows = compare_localization(circles, bump, [0.02, 0.05])
+    rows = compare_localization(1.7, 1.0, bump, [0.02, 0.05])
     for row in rows:
         assert row.delta < row.bound
         assert row.bound > 0
@@ -138,22 +139,26 @@ def test_long_time_gap_bound():
 def test_grid_validation():
     bump = BumpFunction(0.0, 0.2, 2)
     with pytest.raises(ValueError):
-        compare_localization(TwoCircles(1.0, 1.0), bump, [])
+        compare_localization(1.0, 1.0, bump, [])
     with pytest.raises(ValueError):
-        compare_localization(TwoCircles(1.0, 1.0), bump, [0.1, -0.2])
+        compare_localization(1.0, 1.0, bump, [0.1, -0.2])
     with pytest.raises(ValueError):
         long_time_rows(1.0, bump, [0.0])
     with pytest.raises(ValueError):
         heat_diagonal_images(0.5, -1.0)
     with pytest.raises(ValueError):
-        free_line_trace(bump, 0.0)
+        compare_localization(1.0, 1.0, bump, [0.0])
 
 
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: TwoCircles(math.nan, 1.0),
-        lambda: TwoCircles(1.0, math.inf),
+        lambda: compare_localization(math.nan, 1.0, BumpFunction(0.0, 0.2, 2), [0.1]),
+        lambda: compare_localization(1.0, math.inf, BumpFunction(0.0, 0.2, 2), [0.1]),
+        lambda: compare_localization(1.0, 0.0, BumpFunction(0.0, 0.2, 2), [0.1]),
+        lambda: long_time_rows(0.0, BumpFunction(0.0, 0.2, 2), [1.0]),
+        lambda: long_time_rows(math.nan, BumpFunction(0.0, 0.2, 2), [1.0]),
+        lambda: long_time_rows(math.inf, BumpFunction(0.0, 0.2, 2), [1.0]),
         lambda: BumpFunction(math.nan, 0.2, 2),
         lambda: BumpFunction(0.35, math.nan, 2),
         lambda: BumpFunction(0.35, math.inf, 2),
@@ -161,12 +166,25 @@ def test_grid_validation():
         lambda: heat_diagonal_spectral(0.01, 1e200),
         lambda: heat_diagonal_images(0.01, 1e200),
     ],
-    ids=["nan-length", "inf-length", "nan-center", "nan-radius", "inf-radius",
+    ids=["nan-length", "inf-length", "zero-length", "zero-length-long", "nan-length-long",
+         "inf-length-long", "nan-center", "nan-radius", "inf-radius",
          "power-above-cap", "overflowing-length-spectral", "overflowing-length-images"],
 )
 def test_non_finite_or_unbounded_input_is_refused(make):
     with pytest.raises(ValueError):
         make()
+
+
+@pytest.mark.parametrize("length", [0.0, -1.0, math.nan, math.inf])
+def test_a_refused_circumference_is_named(length):
+    # 0 once raised ZeroDivisionError in long_time_rows, and nan was refused as a heat time
+    bump = BumpFunction(0.0, 0.2, 2)
+    with pytest.raises(ValueError, match="circumference"):
+        long_time_rows(length, bump, [1.0])
+    with pytest.raises(ValueError, match="circumference A"):
+        compare_localization(length, 1.0, bump, [0.1])
+    with pytest.raises(ValueError, match="circumference B"):
+        compare_localization(1.0, length, bump, [0.1])
 
 
 @pytest.mark.parametrize("c", [0.0, math.nan, math.inf, -1.0, 1e-9])

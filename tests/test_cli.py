@@ -1,6 +1,7 @@
 """Tests for the report structures, suite runner, and command line."""
 
 import argparse
+import gc
 import itertools
 import json
 import math
@@ -9,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -580,6 +582,22 @@ def test_one_cold_run_builds_each_model_once(tmp_path, monkeypatch):
     assert calls == [(1, 10)]
 
 
+def test_the_model_memo_keeps_one_model(monkeypatch):
+    # when a model is built, every model built before it is gone
+    refs, alive, real = [], [], suite.build_model
+
+    def tracking(k, trunc):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in refs))
+        model = real(k, trunc)
+        refs.append(weakref.ref(model))
+        return model
+
+    monkeypatch.setattr(suite, "build_model", tracking)
+    assert run_suite(["harmonic"], SuiteConfig(harmonic_ks=(0, 1, 2, 3, 4, 5))).all_passed()
+    assert alive == [0] * 6
+
+
 def test_setup_work_is_timed(monkeypatch):
     real_build = suite.build_model
 
@@ -623,6 +641,9 @@ def test_table_flags_set_every_config_field_and_nothing_else():
         ("short_times", (0.01, math.inf), "--t-grid", ["localization", "--t-grid", "1e-300:1e300:3"]),
         ("short_times", (), "--t-grid", None),
         ("harmonic_ks", (-1,), "--k", ["harmonic", "--k", "-1"]),
+        ("length_a", 0.0, "--l1", ["localization", "--l1", "0"]),
+        ("length_a", math.nan, "--l1", ["localization", "--l1", "nan"]),
+        ("length_b", math.inf, "--l2", ["localization", "--l2", "inf"]),
     ],
 )
 def test_config_and_command_line_refuse_the_same_values(field, value, flag, argv, capsys):
