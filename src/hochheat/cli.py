@@ -9,36 +9,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
 from .spectral import IllConditionedGramError
-from .suite import FAMILIES, MAX_SAMPLES, SuiteConfig, run_suite
-
-
-def _triple(text: str, sep: str, flag: str, form: str) -> Tuple[float, float, int]:
-    parts = text.split(sep)
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"{flag} expects {form}, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{flag} could not parse {text!r}: {exc}") from None
-
-
-def _parse_bump(text: str) -> Tuple[float, float, int]:
-    return _triple(text, ",", "--bump", "center,radius,power (e.g. 0.35,0.2,2)")
-
-
-def _parse_grid(text: str) -> Tuple[float, ...]:
-    start, stop, count = _triple(text, ":", "--t-grid", "start:stop:count (e.g. 0.01:0.1:10)")
-    if not (2 <= count <= MAX_SAMPLES and 0 < start < stop < math.inf):
-        raise argparse.ArgumentTypeError(
-            f"--t-grid needs finite stop > start > 0 and 2 <= count <= {MAX_SAMPLES}")
-    ratio = (stop / start) ** (1.0 / (count - 1))
-    return tuple(start * ratio**i for i in range(count))
+from .suite import FAMILIES, SuiteConfig, run_suite
 
 
 def degree(text: str) -> Tuple[int]:
@@ -46,7 +22,7 @@ def degree(text: str) -> Tuple[int]:
     return (int(text),)
 
 
-_KS, _TIMES = SuiteConfig().harmonic_ks, SuiteConfig().short_times
+_KS = SuiteConfig().harmonic_ks
 _N = ("--n", "max_weyl", dict(type=int, metavar="N", help="largest number of variable pairs (1..4)"))
 _SEED = ("--seed", "seed", dict(type=int))
 
@@ -71,13 +47,7 @@ COMMANDS = {
         ("--k", "harmonic_ks", dict(type=degree, metavar="K",
                                     help=f"single bundle degree (default {_KS[0]}..{_KS[-1]})"))]),
     "chern-integrals": (["chern"], [], "curvature and Todd integrals", []),
-    "localization": (["localization"], [], "bump localization of circle heat traces", [
-        ("--l1", "length_a", dict(type=float, metavar="L1", help="circumference carrying the bump")),
-        ("--l2", "length_b", dict(type=float, metavar="L2", help="second circumference")),
-        ("--bump", "bump", dict(type=_parse_bump, metavar="C,RHO,M")),
-        ("--t-grid", "short_times", dict(type=_parse_grid, metavar="A:B:N", help=(
-            "log-spaced short-time grid in units of min(L1, L2)^2"
-            f" (default {_TIMES[0]:g}:{_TIMES[-1]:g}:{len(_TIMES)})")))]),
+    "localization": (["localization"], [], "bump localization of circle heat traces", []),
     "all": (list(FAMILIES), [], "run every family", [_SEED]),
 }
 
@@ -105,14 +75,18 @@ def _selection(args: argparse.Namespace) -> Tuple[List[str], SuiteConfig]:
     return args.families, SuiteConfig(**settings)
 
 
+def _unwritable(path: str, exc: OSError) -> int:
+    print(f"error: cannot write the report to {path!r}: {exc.strerror}", file=sys.stderr)
+    return 2
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     path = getattr(args, "report", None)
     try:  # before the run, so that an unwritable path costs no run
         sink = open(path, "w", encoding="utf-8") if path else contextlib.nullcontext()
     except OSError as exc:
-        print(f"error: cannot write the report to {path!r}: {exc.strerror}", file=sys.stderr)
-        return 2
+        return _unwritable(path, exc)
     with sink as fh:
         try:
             report = run_suite(*_selection(args))
@@ -120,7 +94,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         if fh:  # before stdout, so that a reader who leaves early costs no report
-            fh.write(report.to_json() + "\n")
+            try:
+                fh.write(report.to_json() + "\n")
+                fh.close()  # here, so that a write that fails on the last flush is caught too
+            except OSError as exc:
+                return _unwritable(path, exc)
     try:
         print(report.to_json() if args.format == "json" else report.to_text(), flush=True)
     except BrokenPipeError:  # stdout's reader left: send the rest nowhere, so exit flushes quietly

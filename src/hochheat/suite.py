@@ -64,9 +64,12 @@ from .spectral import (
 from .weyl import d_var, mul, pack, unit, unpack, z_var
 
 DEFAULT_CACHE_ENV = "HOCHHEAT_CACHE_DIR"
-#: the most random samples, time points or t-grid times one run may ask for
+#: the most random samples or time points one run may ask for
 MAX_SAMPLES = 10_000
 CROSS_TRUNC = 12                           # truncation for the quadrature cross-check
+LENGTHS = (1.0, 1.7)                       # the two circumferences; the bump sits on the first
+BUMP = BumpFunction(0.35, 0.2, 2)
+SHORT_TIMES = tuple(0.01 * 10 ** (i / 9) for i in range(10))  # in units of Lmin^2
 LONG_TIMES = (1.0, 2.0, 4.0, 7.0, 10.0)    # in units of the relaxation time L^2/(4 pi^2)
 POISSON_TIMES = (0.01, 0.1, 1.0, 5.0)      # in units of each circumference squared
 
@@ -85,19 +88,17 @@ class SuiteConfig:
     t_max: float = 5.0
     points: int = 20
     harmonic_ks: Tuple[int, ...] = (0, 1, 2, 3, 4)
-    length_a: float = 1.0
-    length_b: float = 1.7
-    bump: Tuple[float, float, int] = (0.35, 0.2, 2)
-    # in units of Lmin^2, the smaller circumference squared
-    short_times: Tuple[float, ...] = tuple(0.01 * 10 ** (i / 9) for i in range(10))
 
     def __post_init__(self) -> None:
         """Refuse an out-of-range value with a message that names the flag setting it."""
-        cap, times = MAX_SAMPLES, self.short_times
+        cap = MAX_SAMPLES
         for ok, message in (
             # the degree-2n cycle has 131,265 words at n = 4 and about 10^7 at n = 5
             (1 <= self.max_weyl <= 4, f"--n must be between 1 and 4, got {self.max_weyl}"),
             (1 <= self.samples <= cap, f"--samples must be between 1 and {cap}, got {self.samples}"),
+            (0 <= self.k <= MAX_TRUNC - 2, f"--k must be between 0 and {MAX_TRUNC - 2}, got {self.k}"),
+            (self.k + 2 <= self.trunc <= MAX_TRUNC,
+             f"--trunc must be between --k + 2 = {self.k + 2} and {MAX_TRUNC}, got {self.trunc}"),
             (0 < self.t_min < self.t_max < math.inf,
              f"--t-min and --t-max need 0 < t-min < t-max < inf, got {self.t_min}, {self.t_max}"),
             (2 <= self.points <= cap, f"--points must be between 2 and {cap}, got {self.points}"),
@@ -105,10 +106,6 @@ class SuiteConfig:
             (all(0 <= k <= MAX_TRUNC - 2 for k in self.harmonic_ks),  # k + 2 <= MAX_TRUNC
              f"--k must be between 0 and {MAX_TRUNC - 2}, "
              f"got {max(self.harmonic_ks, key=abs, default=0)}"),
-            (0 < self.length_a < math.inf, f"--l1 must be positive and finite, got {self.length_a}"),
-            (0 < self.length_b < math.inf, f"--l2 must be positive and finite, got {self.length_b}"),
-            (1 <= len(times) <= cap and all(map(math.isfinite, times)),
-             f"--t-grid needs 1 to {cap} times, all finite, got {len(times)}"),
         ):
             if not ok:
                 raise ValueError(message)
@@ -356,24 +353,23 @@ def _family_chern(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
 
 def _family_localization(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
     rec = _Recorder()
-    bump = BumpFunction(*cfg.bump)
     # at t = s L^2 both sums are 1/L times a function of s, so L * deviation is dimensionless
     dev = max(length * poisson_deviation(s * length * length, length)
-              for s in POISSON_TIMES for length in (cfg.length_a, cfg.length_b))
+              for s in POISSON_TIMES for length in LENGTHS)
     rec.check("localization.poisson",
               "image and spectral heat sums agree on both circles at times in units of L^2",
               f"max L*deviation {_fmt(dev)}", "0", "1e-12", dev <= 1e-12)
-    rows = compare_localization(cfg.length_a, cfg.length_b, bump, cfg.short_times)
+    rows = compare_localization(*LENGTHS, BUMP, SHORT_TIMES)
     excess = max(row.delta - row.bound for row in rows)
     rec.check("localization.short-time.bound",
               "the localized trace deviates from the free-line value within the image tail",
               f"max excess {_fmt(excess)}", "no excess", "1e-14", excess <= 1e-14)
     ratio = rows[0].bound / rows[0].free_trace
     rec.check("localization.short-time.smallt",
-              f"at t={cfg.short_times[0]:g} Lmin^2 the localization error is below 1e-10"
+              f"at t={SHORT_TIMES[0]:g} Lmin^2 the localization error is below 1e-10"
               " of the free-line trace",
               f"bound/free {_fmt(ratio)}", "<= 1e-10", "1e-10", ratio <= 1e-10)
-    lrows = long_time_rows(cfg.length_a, bump, LONG_TIMES)
+    lrows = long_time_rows(LENGTHS[0], BUMP, LONG_TIMES)
     lexcess = max(max(row.deviation - row.bound, row.floor - row.deviation) for row in lrows)
     rec.check("localization.long-time.gap",
               "the trace approaches equilibrium within the spectral gap bound",

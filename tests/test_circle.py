@@ -14,6 +14,7 @@ from hochheat.circle import (
     long_time_rows,
     poisson_deviation,
 )
+from hochheat.suite import LONG_TIMES, POISSON_TIMES, SHORT_TIMES
 
 
 def test_poisson_summation_identity():
@@ -134,6 +135,30 @@ def test_long_time_gap_bound():
         for row in rows:
             assert row.floor <= row.deviation <= row.bound
         assert rows[0].deviation > 0  # nontrivial at one relaxation time
+
+
+@pytest.mark.parametrize(
+    "la, lb, bump, s0, below",
+    [(0.5, 1.7, BumpFunction(0.2, 0.1, 2), SHORT_TIMES[0], True),
+     (0.6, 0.7, BumpFunction(0.35, 0.2, 2), SHORT_TIMES[0], True),
+     (0.6, 0.7, BumpFunction(0.35, 0.2, 2), 0.02, False)],
+    ids=["l1-0.5", "l1-0.6-l2-0.7", "from-s-0.02"],
+)
+def test_long_time_gap_holds_on_short_circles(la, lb, bump, s0, below):
+    for row in long_time_rows(la, bump, LONG_TIMES):
+        assert row.floor <= row.deviation <= row.bound
+    # short times are in units of Lmin^2, so the 1e-10 target at s = 0.01 holds on
+    # short circles too; at s = 0.02 the image tail is 7.5e-6 of the free-line trace
+    (row,) = compare_localization(la, lb, bump, [s0])
+    assert (row.bound <= 1e-10 * row.free_trace) == below
+
+
+@pytest.mark.parametrize("length", [0.003, 1000.0], ids=["short", "long"])
+def test_poisson_check_holds_on_very_short_and_very_long_circles(length):
+    # its times are in units of each circumference squared; at fixed absolute times
+    # the theta series of these circles needs more terms than it may sum
+    for s in POISSON_TIMES:
+        assert length * poisson_deviation(s * length * length, length) <= 1e-12
 
 
 def test_grid_validation():

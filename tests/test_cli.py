@@ -1,12 +1,14 @@
 """Tests for the report structures, suite runner, and command line."""
 
-import argparse
+import errno
 import gc
+import io
 import itertools
 import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -113,6 +115,17 @@ def _module_env(**extra):
     return {**os.environ, "PYTHONPATH": path, **extra}
 
 
+def test_readme_command_lines_parse():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"^```sh\n(.*?)^```", fh.read(), flags=re.M | re.S)
+    lines = [shlex.split(line, comments=True) for block in blocks
+             for line in block.splitlines() if line.startswith("hochheat ")]
+    assert len(lines) >= 9
+    for argv in lines:  # a line that does not parse exits 2, its error on stderr
+        cli._build_parser().parse_args(argv[1:])
+
+
 def test_module_entry_point_runs_the_command_line():
     proc = subprocess.run([sys.executable, "-m", "hochheat", "--help"], env=_module_env(),
                           capture_output=True, text=True, timeout=60)
@@ -151,51 +164,21 @@ def test_cli_bounds_the_cost_of_n(command, capsys):
     assert "--n must be between 1 and 4" in capsys.readouterr().err
 
 
-def test_cli_bump_and_grid_parsing(capsys):
-    code = main(["localization", "--bump", "0.3,0.15,2", "--t-grid", "0.01:0.1:6"])
-    assert code == 0
-    with pytest.raises(SystemExit):
-        main(["localization", "--bump", "bad"])
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["localization", "--bump", "a,0.2,2"])
-    assert exc.value.code == 2 and "--bump could not parse" in capsys.readouterr().err
-    with pytest.raises(SystemExit):
-        main(["localization", "--t-grid", "1:2"])
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize("argv", [["--l1", "0.5", "--bump", "0.2,0.1,2"],
-                                  ["--l1", "0.6", "--l2", "0.7"],
-                                  ["--l1", "0.6", "--l2", "0.7", "--t-grid", "0.02:0.1:5"]])
-def test_long_time_gap_holds_on_short_circles(argv, capsys):
-    # short times are in units of Lmin^2, so the 1e-10 target at s = 0.01 holds on
-    # short circles too; a grid from s = 0.02, where the image tail is 7.5e-6 of the
-    # free-line trace, fails it
-    late = "--t-grid" in argv
-    code = main(["--format", "json", "localization", *argv])
-    verdicts = {c["id"]: c["verdict"] for c in json.loads(capsys.readouterr().out)["checks"]}
-    assert verdicts["localization.long-time.gap"] == "pass"
-    assert verdicts["localization.short-time.smallt"] == ("fail" if late else "pass")
-    assert code == (1 if late else 0)
-
-
-@pytest.mark.parametrize("argv", [["--l1", "0.003", "--l2", "0.003", "--bump", "0,0.001,2"],
-                                  ["--l1", "1000", "--l2", "1000"]], ids=["short", "long"])
-def test_poisson_check_holds_on_very_short_and_very_long_circles(argv, capsys):
-    # its times are in units of each circumference squared; at fixed absolute times
-    # the theta series of these circles needs more terms than it may sum
-    code = main(["--format", "json", "localization", *argv])
-    verdicts = {c["id"]: c["verdict"] for c in json.loads(capsys.readouterr().out)["checks"]}
-    assert code == 0
-    assert verdicts["localization.poisson"] == "pass"
-
-
 def test_removed_quadrature_method_flag_is_refused(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["chern-integrals", "--method", "gauss-legendre"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --method" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--l1", "1"], ["--l2", "1.7"], ["--bump", "0.35,0.2,2"],
+                                  ["--t-grid", "0.01:0.1:10"]])
+def test_removed_geometry_flags_are_refused(argv, capsys):
+    # the circle lane runs one fixed geometry, suite.LENGTHS, BUMP and SHORT_TIMES
+    with pytest.raises(SystemExit) as exc:
+        main(["localization", *argv])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
 
 
 def test_cli_spectrum_cache(tmp_path, capsys, monkeypatch):
@@ -239,6 +222,28 @@ def test_cli_unwritable_report_path_exits_2_before_the_run(tmp_path, capsys, mon
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert main(["all", "--report", str(tmp_path)]) == 2  # a directory
     assert capsys.readouterr().err.startswith("error: ")
+
+
+class _FullSink(io.StringIO):
+    """A report file on a full disk: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("where", ["write", "close"])
+def test_cli_report_that_cannot_be_written_exits_2(where, capsys, monkeypatch):
+    # a full disk once raised OSError out of the report's write, a traceback and exit 1
+    if where == "write":
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: _FullSink(), raising=False)
+    elif not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    # a short report stays in the file's buffer until close flushes it to /dev/full
+    monkeypatch.setattr(cli, "run_suite", lambda names, cfg: run_suite(["shuffle"], cfg))
+    assert main(["all", "--report", "/dev/full"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: cannot write the report to '/dev/full': No space left on device\n"
 
 
 def test_cli_exit_nonzero_on_failure(monkeypatch, capsys):
@@ -622,9 +627,9 @@ def test_table_flags_set_every_config_field_and_nothing_else():
     fields = {field for row in cli.COMMANDS.values() for _, field, _ in row[3]}
     assert fields == set(SuiteConfig.__dataclass_fields__)
     families, cfg = cli._selection(cli._build_parser().parse_args(
-        ["localization", "--l1", "2", "--bump", "0.3,0.15,2"]))
-    assert families == ["localization"]
-    assert cfg == SuiteConfig(length_a=2.0, bump=(0.3, 0.15, 2))
+        ["mckean-singer", "--k", "2", "--points", "7"]))
+    assert families == ["mckean-singer"]
+    assert cfg == SuiteConfig(k=2, points=7)
 
 
 @pytest.mark.parametrize(
@@ -638,12 +643,10 @@ def test_table_flags_set_every_config_field_and_nothing_else():
         ("t_min", math.nan, "--t-min", ["mckean-singer", "--t-min", "nan"]),
         ("t_max", math.inf, "--t-max", ["mckean-singer", "--t-max", "inf"]),
         ("harmonic_ks", (39,), "--k", ["harmonic", "--k", "39"]),
-        ("short_times", (0.01, math.inf), "--t-grid", ["localization", "--t-grid", "1e-300:1e300:3"]),
-        ("short_times", (), "--t-grid", None),
+        ("k", -1, "--k", ["spectrum", "--k", "-1"]),
+        ("trunc", 41, "--trunc", ["spectrum", "--trunc", "41", "--no-cache"]),
         ("harmonic_ks", (-1,), "--k", ["harmonic", "--k", "-1"]),
-        ("length_a", 0.0, "--l1", ["localization", "--l1", "0"]),
-        ("length_a", math.nan, "--l1", ["localization", "--l1", "nan"]),
-        ("length_b", math.inf, "--l2", ["localization", "--l2", "inf"]),
+        ("k", 9, "--trunc", ["mckean-singer", "--k", "9"]),  # at the default trunc, 10
     ],
 )
 def test_config_and_command_line_refuse_the_same_values(field, value, flag, argv, capsys):
@@ -665,12 +668,10 @@ def test_failures_with_no_samples_is_a_fail():
     "argv",
     [
         ["harmonic", "--k", "40"],
-        ["localization", "--bump", "nan,0.2,2"],
-        ["localization", "--l2", "1e200"],
         ["spectrum", "--trunc", "30000", "--no-cache"],
         ["harmonic", "--k", "30000"],
     ],
-    ids=["harmonic", "nan-bump", "overflowing-length", "oversized-trunc", "oversized-k"],
+    ids=["harmonic", "oversized-trunc", "oversized-k"],
 )
 def test_refused_model_or_geometry_exits_2(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("HOCHHEAT_CACHE_DIR", str(tmp_path))
@@ -703,12 +704,6 @@ def test_every_harmonic_degree_passes():
     report = run_suite(["harmonic"], SuiteConfig(harmonic_ks=tuple(ks)))
     assert {f"harmonic.identity.k{k}" for k in ks} <= {c.id for c in report.checks}
     assert report.all_passed()
-
-
-@pytest.mark.parametrize("text", ["0.01:inf:5", "nan:0.1:5", "0.01:0.1:10001"])
-def test_grid_flag_refuses_non_finite_ends_and_huge_counts(text):
-    with pytest.raises(argparse.ArgumentTypeError):
-        cli._parse_grid(text)
 
 
 def test_kernel_forms_check_can_fail(monkeypatch, capsys):
