@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import os
 import sys
 from typing import List, Optional, Sequence, Tuple
@@ -32,17 +33,14 @@ COMMANDS = {
     "cycles": (["cycles"], ["verify-cycles"], "fundamental cycle identities", [_N]),
     "shuffle": (["shuffle"], [], "shuffle product multiplicativity and Leibniz rule", []),
     "symbol": (["symbol"], [], "antisymmetrized symbol of the fundamental cycles", [_N]),
-    "tsygan": (["tsygan"], [], "boundary and bicomplex identities on random chains",
-               [("--samples", "samples", dict(type=int)), _SEED]),
+    "tsygan": (["tsygan"], [], "boundary and bicomplex identities on random chains", [_SEED]),
     "spectrum": (["spectrum"], [], "kernel dimensions and paired spectra", [
         ("--k", "k", dict(type=int, help="bundle degree")),
         ("--trunc", "trunc", dict(type=int, help="basis truncation")),
         ("--no-cache", "use_cache", dict(action="store_false",
                                          help="ignore and skip the spectrum cache"))]),
     "mckean-singer": (["mckean-singer"], [], "flatness of the heat supertrace", [
-        ("--k", "k", dict(type=int)), ("--trunc", "trunc", dict(type=int)),
-        ("--t-min", "t_min", dict(type=float)), ("--t-max", "t_max", dict(type=float)),
-        ("--points", "points", dict(type=int))]),
+        ("--k", "k", dict(type=int)), ("--trunc", "trunc", dict(type=int))]),
     "harmonic": (["harmonic"], [], "supertraces on the harmonic spaces", [
         ("--k", "harmonic_ks", dict(type=degree, metavar="K",
                                     help=f"single bundle degree (default {_KS[0]}..{_KS[-1]})"))]),
@@ -71,7 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _selection(args: argparse.Namespace) -> Tuple[List[str], SuiteConfig]:
     """The families to run and the config that the parsed flags set."""
-    settings = {f: v for f, v in vars(args).items() if f in SuiteConfig.__dataclass_fields__}
+    fields = {f.name for f in dataclasses.fields(SuiteConfig)}  # not its ClassVar constants
+    settings = {f: v for f, v in vars(args).items() if f in fields}
     return args.families, SuiteConfig(**settings)
 
 
@@ -84,7 +83,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     path = getattr(args, "report", None)
     try:  # before the run, so that an unwritable path costs no run
-        sink = open(path, "w", encoding="utf-8") if path else contextlib.nullcontext()
+        sink = open(path, "w", encoding="utf-8") if path is not None else contextlib.nullcontext()
     except OSError as exc:
         return _unwritable(path, exc)
     with sink as fh:

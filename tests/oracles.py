@@ -58,7 +58,6 @@ from hochheat.chern import ChartDensity, QuadratureResult, chern_density, integr
 from hochheat.forms import FormKey, PolyForm
 from hochheat.report import CheckResult, VerificationReport
 from hochheat.spectral import (
-    DivergentIntegralError,
     OperatorEscapeError,
     SpectralModel,
     WeightedFn,
@@ -74,6 +73,14 @@ from hochheat.weyl import (MAX_DEGREE, MAX_VARIABLES, Exponents, Key, WeylElemen
 
 #: a pairing value numerator / (m - 1)! as (numerator, m)
 Pairing = Tuple[int, int]
+
+
+class DivergentIntegralError(ArithmeticError):
+    """A requested closed-form integral does not converge.
+
+    Only the generic kernels here can meet one: no pairing of a block that
+    `hochheat.spectral.build_model` admits diverges.
+    """
 
 
 def _lift(f: WeightedFn, power: int) -> Dict[Tuple[int, int], int]:

@@ -1,5 +1,6 @@
 """Tests for the report structures, suite runner, and command line."""
 
+import dataclasses
 import errno
 import gc
 import io
@@ -58,7 +59,7 @@ def test_report_rejects_bad_verdict_and_duplicate_ids():
 
 
 def test_suite_is_deterministic_modulo_timing():
-    cfg = SuiteConfig(seed=3, samples=10)
+    cfg = SuiteConfig(seed=3)
     a = run_suite(["tsygan", "shuffle"], cfg)
     b = run_suite(["tsygan", "shuffle"], cfg)
     assert _strip_volatile(a) == _strip_volatile(b)
@@ -103,9 +104,6 @@ def test_cli_invalid_flag_values(capsys):
             main(["chern-integrals", flag, "3"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-    assert main(["mckean-singer", "--t-min", "2.0", "--t-max", "1.0"]) == 2
-    err = capsys.readouterr().err
-    assert "t-max" in err
 
 
 def _module_env(**extra):
@@ -149,13 +147,12 @@ def test_a_closed_stdout_keeps_the_report_and_prints_no_traceback(tmp_path):
     assert len(report_from_json(report.read_text()).checks) == 37
 
 
-def test_mckean_singer_stays_flat_at_large_times(capsys):
+def test_mckean_singer_stays_flat_at_large_times():
     # the kernel eigenvalues are exactly 0, so their rounding cannot tilt the
     # supertrace as e^(-t lam) decays: at (3, 12) it used to reach 1.6e-8 at t = 1e6
-    assert main(["--format", "json", "mckean-singer", "--k", "3", "--trunc", "12",
-                 "--t-max", "1e6"]) == 0
-    (check,) = json.loads(capsys.readouterr().out)["checks"]
-    assert check["verdict"] == "pass"
+    model = spectral.build_model(3, 12)
+    for t in np.linspace(0.2, 1e6, 20):
+        assert abs(spectral.heat_supertrace(model, float(t)) - 4) <= 1e-10
 
 
 @pytest.mark.parametrize("command", ["cycles", "symbol"])
@@ -171,14 +168,19 @@ def test_removed_quadrature_method_flag_is_refused(capsys):
     assert "unrecognized arguments: --method" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["--l1", "1"], ["--l2", "1.7"], ["--bump", "0.35,0.2,2"],
-                                  ["--t-grid", "0.01:0.1:10"]])
+@pytest.mark.parametrize("argv", [
+    ["localization", "--l1", "1"], ["localization", "--l2", "1.7"],
+    ["localization", "--bump", "0.35,0.2,2"], ["localization", "--t-grid", "0.01:0.1:10"],
+    ["tsygan", "--samples", "5"], ["mckean-singer", "--t-min", "0.5"],
+    ["mckean-singer", "--t-max", "1e6"], ["mckean-singer", "--points", "7"],
+])
 def test_removed_geometry_flags_are_refused(argv, capsys):
-    # the circle lane runs one fixed geometry, suite.LENGTHS, BUMP and SHORT_TIMES
+    # the circle lane runs one fixed geometry, suite.LENGTHS, BUMP and SHORT_TIMES, the
+    # random identities draw suite.SAMPLES samples and mckean-singer reads one heat grid
     with pytest.raises(SystemExit) as exc:
-        main(["localization", *argv])
+        main(argv)
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
 def test_cli_spectrum_cache(tmp_path, capsys, monkeypatch):
@@ -222,6 +224,18 @@ def test_cli_unwritable_report_path_exits_2_before_the_run(tmp_path, capsys, mon
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert main(["all", "--report", str(tmp_path)]) == 2  # a directory
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_empty_report_path_exits_2_before_the_run(capsys, monkeypatch):
+    # an empty path once ran the suite, wrote no report and exited 0
+    def no_run(*args):
+        raise AssertionError("the suite ran although the report cannot be written")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    assert main(["all", "--report", ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: cannot write the report to '': No such file or directory\n"
 
 
 class _FullSink(io.StringIO):
@@ -437,17 +451,16 @@ def _zero_lowest(lam):
 CAN_FAIL = {
     "boundary": (suite, "hochschild_b", _wrap_sign_flipped_b, ["cycles", "--n", "1"],
                  "cycles.boundary.omega2"),
-    "failures": (suite, "bar_bprime", lambda c: (-1) * bar_bprime(c),
-                 ["tsygan", "--samples", "5"], "tsygan.intertwine"),
+    "failures": (suite, "bar_bprime", lambda c: (-1) * bar_bprime(c), ["tsygan"],
+                 "tsygan.intertwine"),
     "tolerance": (suite, "harmonic_supertrace", lambda *a: harmonic_supertrace(*a) + 1.0,
                   ["harmonic", "--k", "0"], "harmonic.identity.k0"),
     "localization": (suite, "poisson_deviation", lambda t, length: 1.0, ["localization"],
                      "localization.poisson"),
     "symbol-slot": (suite, "hkr_symbol", _symbol_dropping_last_slot, ["symbol", "--n", "1"],
                     "symbol.volume.n1"),
-    "tau-sign": (suite, "cyclic_tau", _unsigned_tau, ["tsygan", "--samples", "5"],
-                 "tsygan.intertwine"),
-    "norm-sign": (suite, "norm_n", _unsigned_norm, ["tsygan", "--samples", "5"], "tsygan.norm"),
+    "tau-sign": (suite, "cyclic_tau", _unsigned_tau, ["tsygan"], "tsygan.intertwine"),
+    "norm-sign": (suite, "norm_n", _unsigned_norm, ["tsygan"], "tsygan.norm"),
     "shuffle-sign": (chains, "_shuffles", _unsigned_shuffles, ["shuffle"], "shuffle.leibniz"),
     "shuffle-first-position": (chains, "_shuffles", _first_position_shuffles, ["shuffle"],
                                "shuffle.multiplicative.2x2"),
@@ -471,12 +484,11 @@ CAN_FAIL = {
                           "localization.long-time.gap"),
     "section-count": (suite, "harmonic_supertrace", lambda *a: harmonic_supertrace(*a) + 1.0,
                       ["chern-integrals"], "chern.todd-vs-harmonic"),
-    "b-squared": (suite, "hochschild_b", _wrap_sign_flipped_b, ["tsygan", "--samples", "5"],
-                  "tsygan.b.squared"),
+    "b-squared": (suite, "hochschild_b", _wrap_sign_flipped_b, ["tsygan"], "tsygan.b.squared"),
     "normalize-slot-one": (suite, "normalize", _normalize_slot_one_only, ["cycles", "--n", "2"],
                            "cycles.normalized.omega4"),
     # b'(c) is shared by the four checks that read it, so the mutant reaches both factors
-    "bprime-squared": (suite, "bar_bprime", _unsigned_bprime, ["tsygan", "--samples", "5"],
+    "bprime-squared": (suite, "bar_bprime", _unsigned_bprime, ["tsygan"],
                        "tsygan.bprime.squared"),
     "differential-squared": (chains, "cyclic_tau", _negated_tau, ["tsygan"],
                              "tsygan.differential.squared"),
@@ -625,28 +637,40 @@ def test_table_without_flags_gives_the_default_config(command, families):
 
 def test_table_flags_set_every_config_field_and_nothing_else():
     fields = {field for row in cli.COMMANDS.values() for _, field, _ in row[3]}
-    assert fields == set(SuiteConfig.__dataclass_fields__)
+    assert fields == {f.name for f in dataclasses.fields(SuiteConfig)}
     families, cfg = cli._selection(cli._build_parser().parse_args(
-        ["mckean-singer", "--k", "2", "--points", "7"]))
+        ["mckean-singer", "--k", "2", "--trunc", "7"]))
     assert families == ["mckean-singer"]
-    assert cfg == SuiteConfig(k=2, points=7)
+    assert cfg == SuiteConfig(k=2, trunc=7)
+
+
+def test_the_heat_grid_and_the_sample_count_are_constants():
+    names = [f.name for f in dataclasses.fields(SuiteConfig)]
+    assert names == ["seed", "max_weyl", "k", "trunc", "use_cache", "harmonic_ks"]
+    cfg = SuiteConfig()
+    assert (cfg.t_min, cfg.t_max, cfg.points) == (0.2, 5.0, 20)
+    assert suite.SAMPLES == 40
 
 
 @pytest.mark.parametrize(
     "field, value, flag, argv",
     [
-        ("samples", 0, "--samples", ["tsygan", "--samples", "0"]),
-        ("samples", 10_001, "--samples", ["tsygan", "--samples", "10001"]),
+        # a float or a bool for an integer setting, which no flag can pass
+        ("max_weyl", 2.5, "--n", None),
+        ("k", 1.5, "--k", None),
         ("max_weyl", 0, "--n", ["symbol", "--n", "0"]),
         ("harmonic_ks", (), "--k", None),
-        ("points", 10_001, "--points", ["mckean-singer", "--points", "10001"]),
-        ("t_min", math.nan, "--t-min", ["mckean-singer", "--t-min", "nan"]),
-        ("t_max", math.inf, "--t-max", ["mckean-singer", "--t-max", "inf"]),
+        ("trunc", 10.0, "--trunc", None),
+        ("seed", True, "--seed", None),
+        ("harmonic_ks", (0, 1.0), "--k", None),
         ("harmonic_ks", (39,), "--k", ["harmonic", "--k", "39"]),
         ("k", -1, "--k", ["spectrum", "--k", "-1"]),
         ("trunc", 41, "--trunc", ["spectrum", "--trunc", "41", "--no-cache"]),
         ("harmonic_ks", (-1,), "--k", ["harmonic", "--k", "-1"]),
         ("k", 9, "--trunc", ["mckean-singer", "--k", "9"]),  # at the default trunc, 10
+        ("k", False, "--k", None),
+        ("trunc", 10.5, "--trunc", None),
+        ("seed", 0.0, "--seed", None),
     ],
 )
 def test_config_and_command_line_refuse_the_same_values(field, value, flag, argv, capsys):
@@ -656,6 +680,13 @@ def test_config_and_command_line_refuse_the_same_values(field, value, flag, argv
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag in err
+
+
+@pytest.mark.parametrize("ks, named", [((5, -1), -1), ((39, 40), 39), ((-3, 40), -3)])
+def test_an_out_of_range_degree_is_named(ks, named):
+    # the first degree out of range, not the largest in size, which may be a valid one
+    with pytest.raises(ValueError, match=f"--k must be between 0 and 38, got {named}$"):
+        SuiteConfig(harmonic_ks=ks)
 
 
 def test_failures_with_no_samples_is_a_fail():

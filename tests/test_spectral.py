@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from hochheat import spectral
 from hochheat.cli import main
 from hochheat.spectral import (
-    DivergentIntegralError,
     IllConditionedGramError,
     OperatorEscapeError,
     _certify,
@@ -40,9 +39,9 @@ from hochheat.spectral import (
     store_spectrum,
 )
 from hochheat.weyl import WeylElement, d_var, mul, unit, z_var
-from oracles import (_apply_weyl, _congruence, _lift, _moment_block, _pairing, _round_each_entry,
-                     add, harmonic0_coordinates, lifted_pairings, mono_integral, monomial,
-                     pair_weighted, scale, zero)
+from oracles import (DivergentIntegralError, _apply_weyl, _congruence, _lift, _moment_block,
+                     _pairing, _round_each_entry, add, harmonic0_coordinates, lifted_pairings,
+                     mono_integral, monomial, pair_weighted, scale, zero)
 
 
 def _chi(a, b, n_trunc):
@@ -404,6 +403,10 @@ def test_build_preconditions():
         build_model(2, 3)
     with pytest.raises(ValueError):
         build_model(-1, 8)
+    # a float or a bool once passed these checks and failed later with a TypeError
+    for args, name in (((1, 10.0), "trunc"), ((1.0, 10), "k"), ((True, 10), "k")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+            build_model(*args)
 
 
 def test_oversized_truncation_is_refused_before_any_work():
@@ -989,17 +992,34 @@ def test_a_top_coefficient_that_cancels_for_one_basis_function(k, n):
 
 
 def test_an_integrability_check_reads_only_the_nonzero_coefficients():
-    # image z^2 zbar^2 w^-1 of the constant: neutral, radial degree 4 > 2m - 3 at m = 3
-    with pytest.raises(DivergentIntegralError, match="radial degree 4, weight 3"):
-        _check_integrable({(0, 2): [1]}, 1, 0, 3)
-    with pytest.raises(DivergentIntegralError, match="radial degree 4, weight 3"):
-        _moment_block([_lift({(2, 2, 1): 1}, 1)], [(0, 0)], _moments(3))
-    _check_integrable({(0, 2): [0], (0, 1): [5]}, 1, 0, 3)
-    # a charged term is an escape, checked before the divergence of the same pair
+    # image z^3 zbar w^-1 of the constant: charged, radial degree 4 > 2m - 3 at m = 3
+    with pytest.raises(OperatorEscapeError, match="radial degree 4, weight 3"):
+        _check_integrable({(2, 1): [1]}, 1, 0, 3)
+    with pytest.raises(OperatorEscapeError, match="radial degree 4, weight 3"):
+        _moment_block([_lift({(3, 1, 1): 1}, 1)], [(0, 0)], _moments(3))
+    _check_integrable({(2, 1): [0], (2, 0): [5]}, 1, 0, 3)
+    # the first escaping pair in row-major order is named
     with pytest.raises(OperatorEscapeError, match="image 1 paired with basis function 1 .*"
                                                   r"\(radial degree 6, weight 4\)"):
         _check_integrable({(2, 0): [0, 1], (0, 1): [0, 1]}, 2, 0, 4)
+    # a neutral term is not read: in an admitted block none can diverge
+    _check_integrable({(0, 2): [1]}, 1, 0, 3)
     _check_integrable({}, 1, 0, 3)
+
+
+def test_no_neutral_pairing_of_an_admitted_block_can_diverge():
+    # _check_integrable reads only charged terms because alpha + 2 (s-1) <= M - 2 in every
+    # block, in both degrees, of every model build_model admits; the bound is attained
+    worst, models = -math.inf, 0
+    for k in range(spectral.MAX_TRUNC - 1):
+        for n in range(k + 2, spectral.MAX_TRUNC + 1):
+            models += 1
+            top = 2 * n + k + 2 - 2  # M - 2
+            for q in range(-n, n + k + 1):
+                for alpha, size in ((abs(q), len(_charge_pairs(q, n + k, n))),
+                                    (abs(q + 1), len(_charge_pairs(q + 1, n + k + 1, n - 1)))):
+                    worst = max(worst, alpha + 2 * (size - 1) - top)
+    assert models == 780 and worst == 0
 
 
 def test_harmonic_supertrace_builds_only_the_kernel_blocks():
