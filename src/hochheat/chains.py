@@ -23,7 +23,8 @@ operator whose result is canonical as it stands (negation, the rotation
 
 Only the public constructors validate: `TensorChain.from_terms` (and
 `TensorChain.word`, which calls it) checks variable counts and rejects
-empty words, then expands each slot element into its packed keys and
+empty words and any coefficient, like a scalar of `*`, that is not an int
+or a `Fraction`, then expands each slot element into its packed keys and
 numerators; `weyl.WeylElement.from_terms` has packed them, refusing an
 exponent above `weyl.MAX_EXPONENT`.  `chain_from_json` checks the same
 and reads keys only: it accepts the one slot grammar that `chain_to_json`
@@ -72,8 +73,9 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .weyl import (FIELD_BITS, MAX_DEGREE, MAX_VARIABLES, WeylElement, _sum_over_lcm, d_var,
-                   format_monomial, mono_product, mul, pack, parse_monomial, unit, unpack, z_var)
+from .weyl import (FIELD_BITS, MAX_DEGREE, MAX_VARIABLES, WeylElement, _rational, _shown,
+                   _sum_over_lcm, d_var, format_monomial, mono_product, mul, pack, parse_monomial,
+                   unit, unpack, z_var)
 
 Word = Tuple[WeylElement, ...]
 #: a word as stored: one packed monomial key per slot
@@ -81,17 +83,12 @@ KeyWord = Tuple[int, ...]
 
 
 def _canonical(n: int, acc: Dict[KeyWord, int], den: int) -> "TensorChain":
-    """The chain sum(acc[w] * w) / den for den >= 1, in canonical form."""
-    nums = {w: k for w, k in acc.items() if k}
+    """The chain sum(acc[w] * w) / den for den >= 1, in canonical form; it may keep `acc`."""
+    nums = acc if all(acc.values()) else {w: k for w, k in acc.items() if k}
     g = gcd(den, *nums.values()) if den > 1 else 1
     if g > 1:
         nums = {w: k // g for w, k in nums.items()}
     return TensorChain(n, nums, den // g)
-
-
-def _collect(n: int, expanded: List[Tuple[int, int, KeyWord]]) -> "TensorChain":
-    """The chain sum(p/q * w) over (p, q, w) with q >= 1, in canonical form."""
-    return _canonical(n, *_sum_over_lcm(expanded))
 
 
 @dataclass(frozen=True)
@@ -117,19 +114,18 @@ class TensorChain:
         for coeff, word in raw:
             if not word:
                 raise ValueError("a word needs at least one slot")
-            coeff = Fraction(coeff)
-            pieces = [(coeff.numerator, coeff.denominator, ())]
+            pieces = [(*_rational(coeff), ())]
             for el in word:
                 if el.n != n:
                     raise ValueError("word entry has wrong variable count")
                 pieces = [(p * mp, q * el.den, prefix + (key,))
                           for p, q, prefix in pieces for key, mp in el.nums]
             expanded += pieces
-        return _collect(n, expanded)
+        return _canonical(n, *_sum_over_lcm(expanded))
 
     @staticmethod
     def word(n: int, coeff, slots: Sequence[WeylElement]) -> "TensorChain":
-        return TensorChain.from_terms(n, [(Fraction(coeff), tuple(slots))])
+        return TensorChain.from_terms(n, [(coeff, tuple(slots))])
 
     @cached_property
     def terms(self) -> Tuple[Tuple[Fraction, Word], ...]:
@@ -152,7 +148,7 @@ class TensorChain:
             raise ValueError("cannot add chains over different algebras")
         den = lcm(self.den, other.den)
         up, up_other = den // self.den, sign * (den // other.den)
-        acc = {w: k * up for w, k in self.nums.items()}
+        acc = dict(self.nums) if up == 1 else {w: k * up for w, k in self.nums.items()}
         get = acc.get
         for w, k in other.nums.items():
             acc[w] = get(w, 0) + k * up_other
@@ -168,38 +164,43 @@ class TensorChain:
         return TensorChain(self.n, {w: -k for w, k in self.nums.items()}, self.den)
 
     def __rmul__(self, c) -> "TensorChain":
-        if type(c) is not int:
-            c = Fraction(c)
-        p = c.numerator
-        return _canonical(self.n, {w: p * k for w, k in self.nums.items()}, self.den * c.denominator)
+        p, q = (c, 1) if type(c) is int else _rational(c)
+        return _canonical(self.n, {w: p * k for w, k in self.nums.items()}, self.den * q)
 
 
 def _boundary(c: TensorChain, wrap: bool) -> TensorChain:
     """Signed adjacent products, plus the wrap-around product if `wrap`.
 
-    `table` holds the product terms of each distinct (left, right) key pair
-    met in this call, so each pair goes through `mono_product` once; it is
-    dropped on return.
+    `table` holds the `mono_product` terms of each distinct (left, right)
+    key pair met in this call, so each pair is multiplied once; it is
+    dropped on return.  Face i carries the sign (-1)^i, by negation.
     """
     n = c.n
     acc: Dict[KeyWord, int] = {}
     get = acc.get
-    table: Dict[KeyWord, List[Tuple[KeyWord, int]]] = {}
+    table: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+    products_of = table.get
     for word, num in c.nums.items():
         k = len(word) - 1
-        for i in range(k + 1 if wrap and k else k):
-            if i < k:
-                head, pair, tail = word[:i], word[i:i + 2], word[i + 2:]
-            else:  # the wrap-around face (ak a0) (x) a1 (x) ... (x) a(k-1)
-                head, pair, tail = (), (word[k], word[0]), word[1:k]
-            products = table.get(pair)
+        sign = num
+        for i in range(k):
+            a, b = word[i], word[i + 1]
+            products = products_of((a, b))
             if products is None:
-                products = table[pair] = [((key,), m) for key, m in mono_product(*pair, n)]
-            sign = -num if i % 2 else num
-            for slot, m in products:
-                w = head + slot + tail
+                products = table[a, b] = mono_product(a, b, n)
+            for key, m in products:
+                w = word[:i] + (key,) + word[i + 2:]
                 acc[w] = get(w, 0) + sign * m
-    return _canonical(c.n, acc, c.den)
+            sign = -sign
+        if wrap and k:  # the face (ak a0) (x) a1 (x) ... (x) a(k-1), sign (-1)^k
+            a, b = word[k], word[0]
+            products = products_of((a, b))
+            if products is None:
+                products = table[a, b] = mono_product(a, b, n)
+            for key, m in products:
+                w = (key,) + word[1:k]
+                acc[w] = get(w, 0) + sign * m
+    return _canonical(n, acc, c.den)
 
 
 def hochschild_b(c: TensorChain) -> TensorChain:
@@ -221,11 +222,12 @@ def norm_n(c: TensorChain) -> TensorChain:
     acc: Dict[KeyWord, int] = {}
     get = acc.get
     for w, num in c.nums.items():
-        k = len(w) - 1
-        for j in range(k + 1):
-            # tau^j: rotate by j with sign (-1)^(jk)
-            r = w[k + 1 - j:] + w[:k + 1 - j]
-            acc[r] = get(r, 0) + (-num if j * k % 2 else num)
+        acc[w] = get(w, 0) + num  # tau^0; tau^j rotates by j with sign (-1)^(jk), k = len(w) - 1
+        sign, flip = num, -1 if len(w) % 2 == 0 else 1
+        for j in range(1, len(w)):
+            sign *= flip
+            r = w[-j:] + w[:-j]
+            acc[r] = get(r, 0) + sign
     return _canonical(c.n, acc, c.den)
 
 
@@ -257,10 +259,10 @@ def _by_interior(c: TensorChain, n: int, pad) -> List[Tuple[KeyWord, WeylElement
     A_i, an element in n variables, collects the slot-0 keys of the words
     of c with interior i, each with its numerator as coefficient.
     """
+    padded = {key: pad(key) for key in {key for w in c.nums for key in w}}.__getitem__
     groups: Dict[KeyWord, List[Tuple[int, int]]] = {}
     for w, k in c.nums.items():
-        head, *inner = map(pad, w)
-        groups.setdefault(tuple(inner), []).append((head, k))
+        groups.setdefault(tuple(map(padded, w[1:])), []).append((padded(w[0]), k))
     # distinct words with one interior have distinct heads, and the denominator is 1:
     # sorted, the heads are in canonical form
     return [(inner, WeylElement(n, tuple(sorted(heads, reverse=True)), 1))
@@ -278,6 +280,8 @@ def shuffle_product(c1: TensorChain, c2: TensorChain) -> TensorChain:
     halves into the fields of its block.
     """
     n = c1.n + c2.n
+    if n > MAX_VARIABLES:
+        raise ValueError(f"a shuffle in {n} variables, more than {MAX_VARIABLES}")
     half, half1, half2 = n * FIELD_BITS, c1.n * FIELD_BITS, c2.n * FIELD_BITS
     d1, d2 = (1 << half1) - 1, (1 << half2) - 1
     left = _by_interior(c1, n, lambda key: (key >> half1 << half2 + half) | (key & d1) << half2)
@@ -429,12 +433,6 @@ MAX_COEFF_DIGITS = 4300
 _COEFF_BOUND = 10 ** MAX_COEFF_DIGITS  # the least integer of more than MAX_COEFF_DIGITS digits
 
 
-def _shown(value) -> str:
-    """repr(value) cut to its first 40 characters, for an error message."""
-    text = repr(value)
-    return text if len(text) <= 40 else text[:40] + "..."
-
-
 def _check_digits(coeff, *digits: int) -> None:
     """Refuse a coefficient with a part of more than MAX_COEFF_DIGITS digits."""
     if max(digits) > MAX_COEFF_DIGITS:
@@ -525,4 +523,4 @@ def _read_chain(text: str) -> TensorChain:
                                      f"d1..d{n} of degree at most {MAX_DEGREE}")
                 slots[s] = pack(key)
         expanded.append((*pq, tuple(map(slots.__getitem__, word))))
-    return _collect(n, expanded)
+    return _canonical(n, *_sum_over_lcm(expanded))

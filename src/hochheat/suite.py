@@ -97,6 +97,7 @@ class SuiteConfig:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{flag} must be an integer, got {value!r}")
         bad_k = next((k for k in self.harmonic_ks if not 0 <= k <= MAX_TRUNC - 2), None)
+        repeated = next((k for k in self.harmonic_ks if self.harmonic_ks.count(k) > 1), None)
         for ok, message in (
             # the degree-2n cycle has 131,265 words at n = 4 and about 10^7 at n = 5
             (1 <= self.max_weyl <= 4, f"--n must be between 1 and 4, got {self.max_weyl}"),
@@ -106,6 +107,7 @@ class SuiteConfig:
             (len(self.harmonic_ks) > 0, "--k needs at least one bundle degree"),
             (bad_k is None,  # k + 2 <= MAX_TRUNC
              f"--k must be between 0 and {MAX_TRUNC - 2}, got {bad_k}"),
+            (repeated is None, f"--k repeats the bundle degree {repeated}"),
         ):
             if not ok:
                 raise ValueError(message)

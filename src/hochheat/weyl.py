@@ -16,14 +16,16 @@ monomial is 0.  Every exponent stays at or below MAX_EXPONENT, which
 leaves each field's high bit clear: `pack` refuses a larger exponent
 with `ValueError`, so the sum of two packed keys carries into no other
 field, and `mono_product` raises `ValueError` when that sum sets a high
-bit rather than keep an exponent past the bound.
+bit rather than keep an exponent past the bound.  `pack` also refuses a key
+in more than MAX_VARIABLES variables: the high-bit masks are a table by n.
 
 A `WeylElement` is the element-side twin of a chain (`chains.TensorChain`):
 (n, nums, den), with `nums` a tuple of (packed key, nonzero int numerator)
 pairs in descending key order over one reduced denominator, so equal
 elements are equal tuples and hash equal.  `WeylElement.from_terms`, the
-one validating constructor, reads ((z_exp, d_exp), coefficient) pairs
-and packs them, so the exponent bound is checked at construction; the
+one validating constructor, reads ((z_exp, d_exp), coefficient) pairs,
+refuses a coefficient that is not an int or a `Fraction`, and packs the
+keys, so the exponent bound is checked at construction; the
 cached `terms` is the view back in that form, with `Fraction`
 coefficients, for the text writer and the spectral operator readers.
 
@@ -54,6 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial, gcd, lcm
+from numbers import Rational
 from typing import Dict, Iterable, List, Tuple
 
 Exponents = Tuple[int, ...]
@@ -70,6 +73,19 @@ def _sum_over_lcm(expanded: List[Tuple[int, int, object]]) -> Tuple[Dict[object,
     for p, q, x in expanded:
         acc[x] = get(x, 0) + p * (den // q)
     return acc, den
+
+
+def _shown(value) -> str:
+    """repr(value) cut to its first 40 characters, for an error message."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
+def _rational(coeff) -> Tuple[int, int]:
+    """(p, q) of an int or a `Fraction`; any other coefficient raises `ValueError`."""
+    if not isinstance(coeff, Rational):
+        raise ValueError(f"coefficient {_shown(coeff)} is not an int or a Fraction")
+    return int(coeff.numerator), int(coeff.denominator)
 
 
 def _canonical(n: int, acc: Dict[int, int], den: int) -> "WeylElement":
@@ -103,7 +119,7 @@ class WeylElement:
             key = (tuple(z_exp), tuple(d_exp))
             if len(key[0]) != n or len(key[1]) != n:
                 raise ValueError("exponent vectors must have length n")
-            expanded.append((coeff.numerator, coeff.denominator, pack(key)))
+            expanded.append((*_rational(coeff), pack(key)))
         return _canonical(n, *_sum_over_lcm(expanded))
 
     @cached_property
@@ -145,10 +161,17 @@ FIELD_BITS = 16
 #: the largest exponent a packed key holds: each field's high bit stays clear
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 _FIELD_MASK = (1 << FIELD_BITS) - 1
+#: the most variables an element or a chain has, far above the 4 the checks use
+MAX_VARIABLES = 16
+#: by n, the high bit of each of the 2n fields of a packed key in n variables
+_HIGH_BITS = tuple(sum(1 << (FIELD_BITS * i + FIELD_BITS - 1) for i in range(2 * n))
+                   for n in range(MAX_VARIABLES + 1))
 
 
 def pack(key: Key) -> int:
     """The packed key of (z_exp, d_exp): fields z1..zn, d1..dn, most significant first."""
+    if len(key[0]) > MAX_VARIABLES:
+        raise ValueError(f"a key in {len(key[0])} variables, more than {MAX_VARIABLES}")
     packed = 0
     for e in key[0] + key[1]:
         if not 0 <= e <= MAX_EXPONENT:
@@ -164,16 +187,10 @@ def unpack(packed: int, n: int) -> Key:
     return tuple(exps[:n]), tuple(exps[n:])
 
 
-@lru_cache(maxsize=64)
-def _high_bits(n: int) -> int:
-    """The high bit of each of the 2n fields of a packed key."""
-    return sum(1 << (FIELD_BITS * i + FIELD_BITS - 1) for i in range(2 * n))
-
-
 @lru_cache(maxsize=1024)
-def _reorder(p: int, r: int) -> Tuple[int, ...]:
-    """C(p,j) C(r,j) j! for j = 0..min(p, r): the terms of d^p z^r."""
-    return tuple(comb(p, j) * comb(r, j) * factorial(j) for j in range(min(p, r) + 1))
+def _reorder(p: int, r: int) -> Tuple[Tuple[int, int], ...]:
+    """(j, C(p,j) C(r,j) j!) for j = 0..min(p, r): the terms of d^p z^r."""
+    return tuple((j, comb(p, j) * comb(r, j) * factorial(j)) for j in range(min(p, r) + 1))
 
 
 def mono_product(a: int, b: int, n: int) -> List[Tuple[int, int]]:
@@ -186,21 +203,21 @@ def mono_product(a: int, b: int, n: int) -> List[Tuple[int, int]]:
     variable i subtracts j from its z_i and d_i fields.
     """
     top = a + b
-    if top & _high_bits(n):
+    if top & _HIGH_BITS[n]:
         raise ValueError(f"a product has an exponent above {MAX_EXPONENT}")
+    if not a or not b:  # a unit factor
+        return [(top, 1)]
     half = n * FIELD_BITS
     terms = [(top, 1)]
-    # the d fields of a against the z fields of b, from variable n down to variable 1
-    q_fields, r_fields, shift = a & ((1 << half) - 1), b >> half, 0
+    # the d fields of a against the z fields of b, variable n down to 1; step: z_i and d_i by one
+    q_fields, r_fields, step = a & ((1 << half) - 1), b >> half, (1 << half) | 1
     while q_fields and r_fields:
         q, r = q_fields & _FIELD_MASK, r_fields & _FIELD_MASK
         if q and r:
-            step = (1 << (half + shift)) | (1 << shift)  # z_i and d_i, each by one
-            terms = [(key - j * step, c * cj)
-                     for key, c in terms for j, cj in enumerate(_reorder(q, r))]
+            terms = [(key - j * step, c * cj) for key, c in terms for j, cj in _reorder(q, r)]
         q_fields >>= FIELD_BITS
         r_fields >>= FIELD_BITS
-        shift += FIELD_BITS
+        step <<= FIELD_BITS
     return terms
 
 
@@ -228,10 +245,8 @@ def mul(a: WeylElement, b: WeylElement) -> WeylElement:
 # text format: "3/2*z1^2*d1 + 1", "-z2 + 2/3", "0"
 # ---------------------------------------------------------------------------
 
-# Cost bounds on chain JSON input, far above what the checks use (at most 4
-# variables; terms of degree at most 18): n at most MAX_VARIABLES and the
-# exponents of one slot summing to at most MAX_DEGREE.
-MAX_VARIABLES = 16
+# Cost bound on chain JSON input, far above what the checks use (terms of
+# degree at most 18): the exponents of one slot sum to at most MAX_DEGREE.
 MAX_DEGREE = 64
 
 

@@ -10,6 +10,7 @@ import gc
 import json
 import math
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -524,6 +525,42 @@ def test_constructors_reject_bad_variable_counts():
         omega_cycle(0)
 
 
+_INEXACT = pytest.mark.parametrize("coeff", [0.1, 0.5, "1/2", 1j, None],
+                                   ids=["float", "binary-float", "text", "complex", "none"])
+
+
+@_INEXACT
+def test_from_terms_refuses_an_inexact_coefficient(coeff):
+    # 0.1 was read as its binary expansion, over the denominator 2**55
+    with pytest.raises(ValueError, match=f"coefficient {re.escape(repr(coeff))} is not an int"):
+        TensorChain.from_terms(1, [(coeff, (z_var(1, 1),))])
+    exact = TensorChain.from_terms(1, [(Fraction(1, 10), (z_var(1, 1),)), (3, (unit(1),))])
+    assert (exact.nums, exact.den) == ({(pack(((1,), (0,))),): 1, (0,): 30}, 10)
+
+
+@_INEXACT
+def test_word_refuses_an_inexact_coefficient(coeff):
+    with pytest.raises(ValueError, match=f"coefficient {re.escape(repr(coeff))} is not an int"):
+        TensorChain.word(1, coeff, [z_var(1, 1)])
+    assert TensorChain.word(1, Fraction(1, 2), [z_var(1, 1)]).den == 2
+
+
+@_INEXACT
+def test_scaling_refuses_an_inexact_coefficient(coeff):
+    with pytest.raises(ValueError, match=f"coefficient {re.escape(repr(coeff))} is not an int"):
+        coeff * omega_cycle(1)
+    assert (Fraction(1, 10) * omega_cycle(1)).den == 10
+    assert (True * omega_cycle(1)) == omega_cycle(1)
+
+
+def test_a_shuffle_into_more_than_the_most_variables_is_refused():
+    half = MAX_VARIABLES // 2 + 1
+    c = TensorChain.word(half, 1, [z_var(1, half), d_var(half, half)])
+    assert shuffle_product(c, TensorChain.word(half - 2, 1, [unit(half - 2)])).n == MAX_VARIABLES
+    with pytest.raises(ValueError, match=f"more than {MAX_VARIABLES}"):
+        shuffle_product(c, c)
+
+
 def test_from_terms_refuses_an_exponent_past_the_field_bound():
     top = monomial(2, (0, 0), (0, MAX_EXPONENT))
     assert TensorChain.word(2, 1, [unit(2), top]).nums == {(0, MAX_EXPONENT): 1}
@@ -677,7 +714,7 @@ def _oracle_inputs(draw):
     return draw(_oracle_chain(n)), draw(_oracle_chain(n)), draw(_oracle_chain(1, 2, 1))
 
 
-@settings(deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(_oracle_inputs(), _ORACLE_COEFFS)
 def test_integer_kernels_agree_with_the_fraction_oracle(inputs, scalar):
     c, other, small = inputs
@@ -699,6 +736,25 @@ def test_integer_kernels_agree_with_the_fraction_oracle(inputs, scalar):
     for name, (got, expected) in results.items():
         assert _is_canonical(got), name
         assert _fractions(got) == expected, name
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_integer_kernels_agree_with_the_fraction_oracle_on_the_omega_cycles(n):
+    # omega_cycle(3) has 1,891 words of 7 slots, so each call's product table is met
+    # thousands of times; b(omega) = 0 checks every face sign, b'(omega) is not 0
+    omega = omega_cycle(n)
+    f = _fractions(omega)
+    results = {
+        "b": (hochschild_b(omega), _oracle_boundary(f, True)),
+        "b'": (bar_bprime(omega), _oracle_boundary(f, False)),
+        "tau": (cyclic_tau(omega), _oracle_tau(f)),
+        "N": (norm_n(omega), _oracle_norm(f)),
+    }
+    assert len(omega.nums) == {2: 49, 3: 1891}[n]
+    for name, (got, expected) in results.items():
+        assert _is_canonical(got), name
+        assert _fractions(got) == expected, name
+    assert results["b'"][1]
 
 
 def test_negation_subtraction_and_rotation_match_the_scaled_and_canonicalized_forms():

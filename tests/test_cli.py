@@ -671,6 +671,9 @@ def test_the_heat_grid_and_the_sample_count_are_constants():
         ("k", False, "--k", None),
         ("trunc", 10.5, "--trunc", None),
         ("seed", 0.0, "--seed", None),
+        # a repeated degree would build its models and run its checks twice, then clash
+        # in the report's check ids; the command line passes one --k only
+        ("harmonic_ks", (0, 0), "--k", None),
     ],
 )
 def test_config_and_command_line_refuse_the_same_values(field, value, flag, argv, capsys):

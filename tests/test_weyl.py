@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -107,6 +108,25 @@ def test_mono_product_matches_apply_oracle():
         assert apply(product, p) == apply(monomial(n, *a), apply(monomial(n, *b), p))
 
 
+@pytest.mark.parametrize("n", [3, MAX_VARIABLES])
+def test_mono_product_matches_the_apply_oracle_on_the_end_fields(n):
+    # the first and the last variable are the fields at both ends of a key; a few
+    # others may be nonzero too, so a product has at most 4^4 terms
+    rng = random.Random(2718 + n)
+    for _ in range(100):
+        live = {0, n - 1, *rng.sample(range(n), 2)}
+
+        def exps():
+            return tuple(rng.randint(0, 3) if i in live else 0 for i in range(n))
+
+        a, b = (exps(), exps()), (exps(), exps())
+        terms = [(unpack(key, n), c) for key, c in mono_product(pack(a), pack(b), n)]
+        assert sorted(terms) == sorted(key_product(a, b))
+        product = WeylElement.from_terms(n, [(key, Fraction(c)) for key, c in terms])
+        p = random_poly(rng, n, max_deg=5)
+        assert apply(product, p) == apply(monomial(n, *a), apply(monomial(n, *b), p))
+
+
 _KEYS = st.integers(1, 3).flatmap(lambda n: st.lists(
     st.tuples(*[st.integers(0, MAX_EXPONENT)] * (2 * n)).map(lambda e: (e[:n], e[n:])),
     min_size=1, max_size=6))
@@ -134,11 +154,18 @@ def test_pack_refuses_an_exponent_outside_the_field_bound(key):
         pack(key)
 
 
+_ZEROS = (0,) * MAX_VARIABLES
+
+
 @pytest.mark.parametrize("a, b", [
     (((MAX_EXPONENT,), (0,)), ((1,), (0,))),
     (((0, 0), (0, MAX_EXPONENT)), ((0, 0), (0, 1))),
-    (((1, MAX_EXPONENT), (1, 0)), ((1, 1), (0, 0)))],
-    ids=["first-field", "last-field", "inner-field-with-a-contraction"])
+    (((1, MAX_EXPONENT), (1, 0)), ((1, 1), (0, 0))),
+    # no contraction, in the end fields of a key in the most variables
+    (((MAX_EXPONENT,) + _ZEROS[1:], _ZEROS), ((1,) + _ZEROS[1:], _ZEROS)),
+    ((_ZEROS, _ZEROS[1:] + (MAX_EXPONENT,)), (_ZEROS, _ZEROS[1:] + (1,)))],
+    ids=["first-field", "last-field", "inner-field-with-a-contraction",
+         "first-field-of-the-most-variables", "last-field-of-the-most-variables"])
 def test_a_product_past_the_field_bound_raises_and_does_not_carry(a, b):
     n = len(a[0])
     with pytest.raises(ValueError, match=str(MAX_EXPONENT)):
@@ -294,6 +321,25 @@ def test_from_terms_and_monomial_refuse_bad_exponents(z_exp, d_exp):
         WeylElement.from_terms(2, [((z_exp, d_exp), Fraction(1))])
     with pytest.raises(ValueError):
         monomial(2, z_exp, d_exp)
+
+
+@pytest.mark.parametrize("coeff", [0.5, 0.1, "1/2", None], ids=["binary-float", "float", "text", "none"])
+def test_from_terms_refuses_an_inexact_coefficient(coeff):
+    # 0.5 used to die with an AttributeError from reading float.numerator
+    with pytest.raises(ValueError, match=f"coefficient {re.escape(repr(coeff))} is not an int"):
+        WeylElement.from_terms(1, [(((1,), (0,)), coeff)])
+    exact = WeylElement.from_terms(1, [(((1,), (0,)), 3), (((0,), (0,)), Fraction(1, 2))])
+    assert (exact.nums, exact.den) == (((pack(((1,), (0,))), 6), (0, 1)), 2)
+
+
+def test_keys_in_more_than_the_most_variables_are_refused():
+    n = MAX_VARIABLES + 1
+    assert mul(z_var(1, n - 1), d_var(n - 1, n - 1)) == monomial(n - 1, (1,) + _ZEROS[1:],
+                                                                 _ZEROS[1:] + (1,))
+    with pytest.raises(ValueError, match=f"more than {MAX_VARIABLES}"):
+        z_var(1, n)
+    with pytest.raises(ValueError, match=f"more than {MAX_VARIABLES}"):
+        WeylElement.from_terms(n, [(((0,) * n, (0,) * n), 1)])
 
 
 def test_parse_reorders_products():
