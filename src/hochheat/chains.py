@@ -38,6 +38,11 @@ and multiplies two such elements with `weyl.mul`, which runs the same
 kernel on the same keys.  `TensorChain.terms` is a derived view for
 readers of elements: the words in sorted key order, each with its
 `Fraction` coefficient and each slot as a one-term monic `WeylElement`.
+`TensorChain._key_arrays` is the cached view for array kernels: the
+distinct keys in sorted order and, per word length, the words as rows of
+key ids and their numerators.  The boundary of a chain of at least
+ARRAY_WORDS words runs on it (`_array_boundary`) whenever its int64
+codes and sums cannot overflow, and `forms.hkr_symbol` reads it always.
 
 Operators implemented here:
 
@@ -69,9 +74,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .weyl import (FIELD_BITS, MAX_DEGREE, MAX_VARIABLES, WeylElement, _rational, _shown,
                    _sum_over_lcm, d_var, format_monomial, mono_product, mul, pack, parse_monomial,
@@ -136,11 +143,29 @@ class TensorChain:
         return tuple((Fraction(self.nums[w], self.den), tuple(map(slots.__getitem__, w)))
                      for w in sorted(self.nums))
 
+    @cached_property
+    def _key_arrays(self) -> Tuple[List[int], Dict[int, Tuple[np.ndarray, np.ndarray]]]:
+        """(keys, groups): the distinct keys in sorted order, and by word length L the
+        (ids, nums) of the words of that length, ids a (words, L) int64 array of
+        positions in keys and nums their numerators, int64 where each fits, else ints
+        in an object array."""
+        by_length: Dict[int, List[KeyWord]] = {}
+        for w in self.nums:
+            by_length.setdefault(len(w), []).append(w)
+        flat = list(chain.from_iterable(self.nums))
+        keys = sorted(set(flat))
+        index = dict(zip(keys, range(len(keys)))).__getitem__
+        groups = {}
+        for length, words in by_length.items():
+            ids = np.fromiter(map(index, chain.from_iterable(words)), np.int64,
+                              len(words) * length).reshape(-1, length)
+            nums = [self.nums[w] for w in words]
+            fits = max(map(abs, nums)) >> 63 == 0
+            groups[length] = ids, np.array(nums, dtype=np.int64 if fits else object)
+        return keys, groups
+
     def is_zero(self) -> bool:
         return not self.nums
-
-    def degrees(self) -> set:
-        return {len(w) - 1 for w in self.nums}
 
     def _plus(self, sign: int, other: "TensorChain") -> "TensorChain":
         """self + sign * other for sign = 1 or -1, in one pass."""
@@ -168,13 +193,26 @@ class TensorChain:
         return _canonical(self.n, {w: p * k for w, k in self.nums.items()}, self.den * q)
 
 
+#: the fewest words of a chain whose boundary runs on its key arrays, the measured
+#: crossover: on random chains in 1 or 2 variables of degree 2 or 3 both paths take
+#: the same time at about 384 words (chains whose faces cancel, like omega_2n, cross
+#: lower), and below it numpy's cost per call outweighs its saving per word
+ARRAY_WORDS = 384
+
+
 def _boundary(c: TensorChain, wrap: bool) -> TensorChain:
     """Signed adjacent products, plus the wrap-around product if `wrap`.
 
+    A chain of at least ARRAY_WORDS words goes to `_array_boundary`, and
+    the loop below runs when it is smaller or the arrays could overflow.
     `table` holds the `mono_product` terms of each distinct (left, right)
     key pair met in this call, so each pair is multiplied once; it is
     dropped on return.  Face i carries the sign (-1)^i, by negation.
     """
+    if len(c.nums) >= ARRAY_WORDS:
+        out = _array_boundary(c, wrap)
+        if out is not None:
+            return out
     n = c.n
     acc: Dict[KeyWord, int] = {}
     get = acc.get
@@ -201,6 +239,91 @@ def _boundary(c: TensorChain, wrap: bool) -> TensorChain:
                 w = (key,) + word[1:k]
                 acc[w] = get(w, 0) + sign * m
     return _canonical(n, acc, c.den)
+
+
+def _array_boundary(c: TensorChain, wrap: bool) -> Optional[TensorChain]:
+    """The boundary of `_boundary` on the key arrays of `c`, or None if it could overflow.
+
+    Face f of a degree-k word, f < k the product of slots f and f+1 and
+    f = k the wrap-around product of slots k and 0, carries the sign (-1)^f
+    and puts its product at output slot f, or 0 for the wrap.  Each
+    distinct (left, right) id pair of all faces is multiplied once with
+    `mono_product`, and its product keys join the key table.  Each output
+    word packs into one int64 code, `bits` bits per slot, the first slot
+    highest; every face expands into one code per product term, and equal
+    codes are summed after one argsort.  None if an output word needs more
+    than 63 bits or a sum could reach 2^62.
+    """
+    n = c.n
+    keys, groups = c._key_arrays
+    size = len(keys)
+    # by word length, the (left, right) slots of each face and its output slot
+    faces = {length: [(f, f + 1, f) for f in range(length - 1)]
+             + ([(length - 1, 0, 0)] if wrap else []) for length in groups if length > 1}
+    if not faces:
+        return _canonical(n, {}, c.den)
+    distinct, inverse = np.unique(np.concatenate(
+        [groups[length][0][:, a] * size + groups[length][0][:, b]
+         for length, fs in faces.items() for a, b, _ in fs]), return_inverse=True)
+    products = [mono_product(keys[a], keys[b], n)
+                for a, b in zip((distinct // size).tolist(), (distinct % size).tolist())]
+    counts = np.fromiter(map(len, products), np.int64, len(products))
+    product_keys, mults = zip(*chain.from_iterable(products))
+    index = dict(zip(keys, range(size)))
+    product_ids = np.array([index.setdefault(key, len(index)) for key in product_keys])
+    bits = max(1, (len(index) - 1).bit_length())
+    rows = int(np.bincount(inverse, minlength=len(counts)) @ counts)
+    if (max(faces) - 1) * bits > 63 or max(map(abs, c.nums.values())) * max(mults) * rows >> 62:
+        return None
+    first_term = np.cumsum(counts) - counts
+    mults = np.array(mults, dtype=np.int64)
+    table = np.array(list(index), dtype=object)
+    acc: Dict[KeyWord, int] = {}
+    offset = 0
+    for length, fs in faces.items():
+        ids, nums = groups[length]
+        # output slot p sits shifts[p] bits up; column f of `place` puts the slots that
+        # face f keeps in order around its product's slot, so ids @ place packs them
+        shifts = bits * np.arange(length - 2, -1, -1)
+        weight = [1 << int(s) for s in shifts]
+        place = np.zeros((length, len(fs)), dtype=np.int64)
+        for f, (a, b, at) in enumerate(fs):
+            place[[j for j in range(length) if j not in (a, b)], f] = weight[:at] + weight[at + 1:]
+        # face rows run face-major: row f * words + w is face f of word w
+        base = (ids @ place).ravel(order="F")
+        shift = np.repeat(shifts[[at for _, _, at in fs]], len(ids))
+        signed = np.outer((-1) ** np.arange(len(fs)), nums).ravel()
+        inv = inverse[offset:offset + len(base)]
+        offset += len(base)
+        per = counts[inv]
+        face_row = np.repeat(np.arange(len(base), dtype=np.int32), per)
+        term = np.repeat(first_term[inv] - np.cumsum(per) + per, per).astype(np.int32)
+        term += np.arange(len(face_row), dtype=np.int32)
+        codes = product_ids[term]
+        codes <<= shift[face_row]
+        codes += base[face_row]
+        values = mults[term]
+        values *= signed[face_row]
+        # the sort's copies are the peak of the call: nothing else of this length is held
+        del base, shift, signed, inv, per, face_row, term
+        codes, sums = _sum_runs(codes, values)
+        slots = codes[:, None] >> shifts & (1 << bits) - 1
+        acc.update(zip(map(tuple, table[slots].tolist()), sums.tolist()))
+    return _canonical(n, acc, c.den)
+
+
+def _sum_runs(codes: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(distinct, sums): the distinct codes whose values sum to nonzero, and those sums;
+    one argsort, then one reduceat."""
+    order = np.argsort(codes)
+    codes, values = codes[order], values[order]
+    del order
+    # a run starts at row 0, if there is one, and wherever the code changes
+    first = np.flatnonzero(np.concatenate((np.ones(min(1, len(codes)), dtype=bool),
+                                           codes[1:] != codes[:-1])))
+    sums = np.add.reduceat(values, first)
+    kept = sums != 0
+    return codes[first[kept]], sums[kept]
 
 
 def hochschild_b(c: TensorChain) -> TensorChain:

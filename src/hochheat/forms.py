@@ -11,24 +11,27 @@ degree-k tensor word a0 (x) ... (x) ak maps to
 
     (1/k!) sigma(a0) d(sigma(a1)) ^ ... ^ d(sigma(ak))
 
-extended linearly to chains.  It reads the chain's own monomial keys:
-sigma of a slot key, unpacked to (a, b), is the exponent vector a + b,
-its differential is a short tuple, both formed once per distinct key in
-one call, and a word's form is the product of those tuples, signed by
-the order in which the one-forms enter.  Words with a scalar interior
-slot die under this map because d(1) = 0, so it factors through
-`normalize`.
+extended linearly to chains.  It reads the chain's key arrays
+(`TensorChain._key_arrays`): sigma of a slot key, unpacked to (a, b), is
+the exponent vector a + b, and its differential is one piece per nonzero
+exponent e at position p, the one-form of p with factor e and exponent p
+lowered by one; both are tables over the distinct keys.  The words expand
+into one row per choice of a piece in each interior slot, all slots at
+once, and a row's sign is the parity of the order in which its one-forms
+enter.  Words with a scalar interior slot die under this map because
+d(1) = 0, so it factors through `normalize`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import factorial, prod
+from math import factorial
 from typing import Dict, Tuple
 
-from .chains import TensorChain
+import numpy as np
+
+from .chains import TensorChain, _sum_runs
 from .weyl import unpack
 
 EvenExps = Tuple[int, ...]  # exponents of z1..zn then y1..yn
@@ -47,39 +50,67 @@ class PolyForm:
         return not self.terms
 
 
-def _d_symbol(exps: EvenExps, n: int) -> Tuple[Tuple[int, EvenExps, int], ...]:
-    """d(sigma) for sigma = z^exps[:n] y^exps[n:], as (one-form index, lowered
-    exponents, factor) entries."""
-    return tuple((2 * i if i < n else 2 * (i - n) + 1, exps[:i] + (e - 1,) + exps[i + 1:], e)
-                 for i, e in enumerate(exps) if e)
+def _alternation(odd: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(distinct, parity) of each row of one-form indices: whether the row has no
+    repeated index, and the parity of its inversions."""
+    distinct = np.ones(len(odd), dtype=bool)
+    parity = np.zeros(len(odd), dtype=bool)
+    for a in range(odd.shape[1]):
+        for b in range(a + 1, odd.shape[1]):
+            distinct &= odd[:, a] != odd[:, b]
+            parity ^= odd[:, a] > odd[:, b]
+    return distinct, parity
 
 
 def hkr_symbol(c: TensorChain) -> PolyForm:
-    """The antisymmetrized symbol of `c`, read from its words of monomial keys.
+    """The antisymmetrized symbol of `c`, read from its key arrays.
 
     The sum is kept in integers over the one denominator c.den * K!, with K
-    the top degree of `c`, and divided once per form term at the end.
+    the top degree of `c`, and divided once per form term at the end.  The
+    row values are int64 when max|num| * K! * (largest exponent)^K < 2^62,
+    and ints in object arrays otherwise.
     """
-    n, top = c.n, max(c.degrees(), default=0)
-    lift = [factorial(top) // factorial(k) for k in range(top + 1)]  # K!/k!
-    # sigma(z^a d^b) = z^a y^b, as the one vector a + b, of each distinct slot key
-    sigma = {key: sum(unpack(key, n), ()) for key in {key for w in c.nums for key in w}}
-    d_sigma = {key: _d_symbol(exps, n) for key, exps in sigma.items()}
-    acc: Dict[FormKey, int] = {}
-    for word, num in c.nums.items():
-        head = sigma[word[0]]
-        scaled = num * lift[len(word) - 1]
-        for pieces in product(*map(d_sigma.__getitem__, word[1:])):
-            odd = [p[0] for p in pieces]
-            if len(set(odd)) < len(odd):
-                continue  # a repeated one-form
-            inversions = sum(a > b for i, a in enumerate(odd) for b in odd[i + 1:])
-            even = tuple(map(sum, zip(head, *(p[1] for p in pieces))))
-            value = scaled * prod(p[2] for p in pieces)
-            key = (even, tuple(sorted(odd)))
-            acc[key] = acc.get(key, 0) + (-value if inversions % 2 else value)
+    n, (keys, groups) = c.n, c._key_arrays
+    top = max(groups, default=1) - 1
+    # sigma(z^a d^b) = z^a y^b, as the one vector a + b, of each distinct key
+    sigma = np.array([sum(unpack(key, n), ()) for key in keys], dtype=np.int64).reshape(-1, 2 * n)
+    # d(sigma) of key i: pieces start[i] .. start[i] + count[i] - 1, by exponent position
+    owner, position = np.nonzero(sigma)
+    factor = sigma[owner, position]
+    count = np.count_nonzero(sigma, axis=1)
+    start = np.cumsum(count) - count
+    one_form = np.where(position < n, 2 * position, 2 * (position - n) + 1)
+    big = max(map(abs, c.nums.values()), default=0) * factorial(top)
+    dtype = np.int64 if big * int(sigma.max(initial=0)) ** top >> 62 == 0 else object
+    acc: Dict[FormKey, int] = {}  # words of distinct lengths give distinct form keys
+    for length, (ids, nums) in groups.items():
+        # one row per word and choice of a piece in each interior slot, counted in the
+        # mixed radix of the slots' piece counts
+        slots = ids[:, 1:]
+        radix = count[slots]
+        after = np.ones_like(radix)  # the product of the radices of the later slots
+        after[:, :-1] = np.cumprod(radix[:, :0:-1], axis=1)[:, ::-1]
+        combos = radix.prod(axis=1)
+        word = np.repeat(np.arange(len(ids)), combos)
+        local = np.arange(len(word)) - np.repeat(np.cumsum(combos) - combos, combos)
+        chosen = start[slots][word] + local[:, None] // after[word] % radix[word]
+        value = (nums[word].astype(dtype) * (factorial(top) // factorial(length - 1))
+                 * factor[chosen].astype(dtype).prod(axis=1))
+        distinct, parity = _alternation(one_form[chosen])
+        word, chosen, value = word[distinct], chosen[distinct], value[distinct]
+        value[parity[distinct]] *= -1
+        # the exponents of all slots of a word, each chosen position lowered by one
+        even = sum(sigma[ids[:, j]] for j in range(length))[word]
+        even[np.arange(len(word))[:, None], position[chosen]] -= 1  # distinct positions
+        # rows of (even exponents, sorted one-forms), merged as byte strings
+        rows = np.concatenate([even, np.sort(one_form[chosen], axis=1)], axis=1)
+        width = rows.shape[1]
+        rows, sums = _sum_runs(rows.view(np.dtype((np.void, 8 * width))).ravel(), value)
+        rows = rows.view(np.int64).reshape(-1, width).tolist()
+        acc.update(((tuple(row[:2 * n]), tuple(row[2 * n:])), v)
+                   for row, v in zip(rows, sums.tolist()))
     den = c.den * factorial(top)
-    return PolyForm(c.n, tuple(sorted((key, Fraction(v, den)) for key, v in acc.items() if v)))
+    return PolyForm(c.n, tuple(sorted((key, Fraction(v, den)) for key, v in acc.items())))
 
 
 def volume_form(n: int) -> PolyForm:

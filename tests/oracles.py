@@ -29,6 +29,13 @@ also computes, by a route that shares none of its shortcuts:
 * `parse_element`, the general reader of the element text format, which
   multiplies its factors out in the algebra, against `format_element`,
   `parse_monomial` and the chain JSON reader;
+* `symbol_by_words`, the symbol summed word by word over the products of
+  the slots' differentials, against the array kernel
+  `hochheat.forms.hkr_symbol`;
+* `draw_element`, `draw_chain` and `draw_column_vector`, the seeded samples
+  built through `Fraction` coefficients and the validating constructors,
+  against the generators of `hochheat.randomgen`, which draw straight into
+  packed keys;
 * `todd_density`, `integrate_todd_p1`, `volume_density` and
   `transformed_density`, densities whose integrals over the chart are
   known, and `integrate_product`, the integral over a product of spheres
@@ -44,9 +51,10 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import re
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import comb, factorial
 from operator import mul as _times
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
@@ -55,7 +63,7 @@ import numpy as np
 
 from hochheat.chains import TensorChain, TsyganColumnVector
 from hochheat.chern import ChartDensity, QuadratureResult, chern_density, integrate_chart
-from hochheat.forms import FormKey, PolyForm
+from hochheat.forms import EvenExps, FormKey, PolyForm
 from hochheat.report import CheckResult, VerificationReport
 from hochheat.spectral import (
     OperatorEscapeError,
@@ -65,7 +73,7 @@ from hochheat.spectral import (
     _scaled_root,
 )
 from hochheat.weyl import (MAX_DEGREE, MAX_VARIABLES, Exponents, Key, WeylElement, d_var, mul,
-                           pack, unit, z_var)
+                           pack, unit, unpack, z_var)
 
 # ---------------------------------------------------------------------------
 # spectral: the generic pairing kernel
@@ -464,6 +472,82 @@ def parse_element(text: str, n: int | None = None) -> WeylElement:
         term = unit(n) if term is None else term
         total = add(total, term if coeff == 1 else scale(coeff, term))
     return total
+
+
+# ---------------------------------------------------------------------------
+# forms: the symbol word by word
+# ---------------------------------------------------------------------------
+
+
+def _d_symbol(exps: EvenExps, n: int) -> Tuple[Tuple[int, EvenExps, int], ...]:
+    """d(sigma) for sigma = z^exps[:n] y^exps[n:], as (one-form index, lowered
+    exponents, factor) entries."""
+    return tuple((2 * i if i < n else 2 * (i - n) + 1, exps[:i] + (e - 1,) + exps[i + 1:], e)
+                 for i, e in enumerate(exps) if e)
+
+
+def symbol_by_words(c: TensorChain) -> PolyForm:
+    """The antisymmetrized symbol of `c`, one word and one choice of the slots'
+    differential pieces at a time, summed over c.den * K! for the top degree K."""
+    n, top = c.n, max((len(w) - 1 for w in c.nums), default=0)
+    lift = [factorial(top) // factorial(k) for k in range(top + 1)]  # K!/k!
+    # sigma(z^a d^b) = z^a y^b, as the one vector a + b, of each distinct slot key
+    sigma = {key: sum(unpack(key, n), ()) for key in {key for w in c.nums for key in w}}
+    d_sigma = {key: _d_symbol(exps, n) for key, exps in sigma.items()}
+    acc: Dict[FormKey, int] = {}
+    for word, num in c.nums.items():
+        head = sigma[word[0]]
+        scaled = num * lift[len(word) - 1]
+        for pieces in product(*map(d_sigma.__getitem__, word[1:])):
+            odd = [p[0] for p in pieces]
+            if len(set(odd)) < len(odd):
+                continue  # a repeated one-form
+            inversions = sum(a > b for i, a in enumerate(odd) for b in odd[i + 1:])
+            even = tuple(map(sum, zip(head, *(p[1] for p in pieces))))
+            value = scaled * math.prod(p[2] for p in pieces)
+            key = (even, tuple(sorted(odd)))
+            acc[key] = acc.get(key, 0) + (-value if inversions % 2 else value)
+    den = c.den * factorial(top)
+    return PolyForm(c.n, tuple(sorted((key, Fraction(v, den)) for key, v in acc.items() if v)))
+
+
+# ---------------------------------------------------------------------------
+# randomgen: the samples through Fraction coefficients
+# ---------------------------------------------------------------------------
+
+
+def draw_element(rng: random.Random, n: int, max_deg: int = 2) -> WeylElement:
+    """A nonzero element of one or two terms, exponents up to `max_deg`."""
+    while True:
+        terms = []
+        for _ in range(rng.randint(1, 2)):
+            z_exp = tuple(rng.randint(0, max_deg) for _ in range(n))
+            d_exp = tuple(rng.randint(0, max_deg) for _ in range(n))
+            coeff = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            terms.append(((z_exp, d_exp), coeff))
+        el = WeylElement.from_terms(n, terms)
+        if not el.is_zero():
+            return el
+
+
+def draw_chain(rng: random.Random, n: int, degree: int, words: int = 2,
+               max_deg: int = 2) -> TensorChain:
+    raw = []
+    for _ in range(words):
+        word = tuple(draw_element(rng, n, max_deg=max_deg) for _ in range(degree + 1))
+        coeff = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        raw.append((coeff, word))
+    return TensorChain.from_terms(n, raw)
+
+
+def draw_column_vector(rng: random.Random, n: int) -> TsyganColumnVector:
+    """One or two entries in columns 0..3, each a chain of degree 0..3."""
+    entries = []
+    for _ in range(rng.randint(1, 2)):
+        col = rng.randint(0, 3)
+        degree = rng.randint(0, 3)
+        entries.append((col, draw_chain(rng, n, degree, words=rng.randint(1, 2), max_deg=1)))
+    return TsyganColumnVector.from_entries(n, entries)
 
 
 # ---------------------------------------------------------------------------

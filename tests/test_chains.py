@@ -16,12 +16,15 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hochheat import chains as chains_module
 from hochheat.chains import (
+    ARRAY_WORDS,
     MAX_COEFF_DIGITS,
     TensorChain,
+    _array_boundary,
     _canonical,
     _json_int,
     _shuffles,
@@ -43,8 +46,8 @@ from hochheat.randomgen import random_chain, random_column_vector, random_elemen
 from hochheat.weyl import (MAX_DEGREE, MAX_EXPONENT, MAX_VARIABLES, WeylElement, d_var,
                            format_element, format_monomial, pack, parse_monomial, unit, unpack,
                            z_var)
-from oracles import (column, key_product, monomial, normalized_omega_by_inversions,
-                     parse_element, scale)
+from oracles import (column, draw_chain, draw_column_vector, draw_element, key_product, monomial,
+                     normalized_omega_by_inversions, parse_element, scale)
 
 
 def one_word(n, coeff, slots):
@@ -601,7 +604,7 @@ def test_mixed_degree_chains_supported():
     a = random_chain(rng, 1, degree=1)
     b = random_chain(rng, 1, degree=3)
     mixed = a + b
-    assert mixed.degrees() == {1, 3}
+    assert {len(w) - 1 for w in mixed.nums} == {1, 3}
     assert hochschild_b(hochschild_b(mixed)).is_zero()
 
 
@@ -738,23 +741,93 @@ def test_integer_kernels_agree_with_the_fraction_oracle(inputs, scalar):
         assert _fractions(got) == expected, name
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_integer_kernels_agree_with_the_fraction_oracle_on_the_omega_cycles(n):
     # omega_cycle(3) has 1,891 words of 7 slots, so each call's product table is met
-    # thousands of times; b(omega) = 0 checks every face sign, b'(omega) is not 0
+    # thousands of times; b(omega) = 0 checks every face sign, b'(omega) is not 0.
+    # The array boundary is called directly at every n; `hochschild_b` takes it at n = 3
     omega = omega_cycle(n)
     f = _fractions(omega)
     results = {
         "b": (hochschild_b(omega), _oracle_boundary(f, True)),
         "b'": (bar_bprime(omega), _oracle_boundary(f, False)),
+        "array b": (_array_boundary(omega, True), _oracle_boundary(f, True)),
+        "array b'": (_array_boundary(omega, False), _oracle_boundary(f, False)),
         "tau": (cyclic_tau(omega), _oracle_tau(f)),
         "N": (norm_n(omega), _oracle_norm(f)),
     }
-    assert len(omega.nums) == {2: 49, 3: 1891}[n]
+    assert len(omega.nums) == {1: 3, 2: 49, 3: 1891}[n]
     for name, (got, expected) in results.items():
         assert _is_canonical(got), name
         assert _fractions(got) == expected, name
     assert results["b'"][1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(_oracle_chain(n), _oracle_chain(n))))
+def test_the_array_boundary_agrees_with_the_fraction_oracle(pair):
+    # mixed degrees 0..4 in up to 3 variables, over a denominator above 1
+    c = pair[0] + pair[1]
+    assume(c.den > 1)
+    f = _fractions(c)
+    for wrap in (True, False):
+        got = _array_boundary(c, wrap)
+        assert _is_canonical(got)
+        assert _fractions(got) == _oracle_boundary(f, wrap)
+
+
+def test_boundaries_whose_codes_or_sums_could_overflow_take_the_dict_loop(monkeypatch):
+    # 34-slot words over four keys: the products add keys, so 33 output slots need
+    # more than 63 bits
+    rng = random.Random(34)
+    letters = [pack(((z,), (d,))) for z in (0, 1) for d in (0, 1)]
+    long = _canonical(1, {tuple(rng.choice(letters) for _ in range(34)): rng.randint(1, 9)
+                          for _ in range(ARRAY_WORDS)}, 3)
+    # numerators of 2^62 and 2^70, the second past int64: the sums could reach 2^62
+    omega = omega_cycle(3)
+    scaled = [big * omega for big in (1 << 62, 1 << 70)]
+    assert [_array_boundary(c, wrap)
+            for c in (long, *scaled) for wrap in (True, False)] == [None] * 6
+    got = [op(c) for c in (long, *scaled) for op in (hochschild_b, bar_bprime)]
+    monkeypatch.setattr(chains_module, "ARRAY_WORDS", math.inf)  # the dict loop only
+    assert got == [op(c) for c in (long, *scaled) for op in (hochschild_b, bar_bprime)]
+    assert got[2].is_zero() and got[3] == (1 << 62) * bar_bprime(omega)
+
+
+def test_large_chains_take_the_array_boundary_and_small_ones_do_not(monkeypatch):
+    # the suite's random chains reach 192 words and omega_6 has 1,891
+    assert 192 < ARRAY_WORDS < 1891
+    sizes, real = [], chains_module._array_boundary
+
+    def spy(c, wrap):
+        sizes.append(len(c.nums))
+        return real(c, wrap)
+
+    monkeypatch.setattr(chains_module, "_array_boundary", spy)
+    omega = omega_cycle(3)
+    assert hochschild_b(omega).is_zero()
+    assert sizes == [1891]
+    # the largest boundary input of exact-random
+    small = TensorChain(3, dict(list(omega.nums.items())[:108]), 1)
+    hochschild_b(small)
+    bar_bprime(small)
+    assert sizes == [1891]
+
+
+def test_the_seeded_samples_equal_the_fraction_built_draws():
+    # the same rng calls in the same order: equal samples, dict order included, and
+    # the same stream state after
+    for seed in range(250):
+        rng, ref = random.Random(seed), random.Random(seed)
+        n, degree, words, max_deg = seed % 3 + 1, seed % 5, seed % 4 + 1, seed % 3
+        got = [random_element(rng, n, max_deg), random_chain(rng, n, degree, words, max_deg),
+               random_chain(rng, n, degree), random_column_vector(rng, n)]
+        expected = [draw_element(ref, n, max_deg), draw_chain(ref, n, degree, words, max_deg),
+                    draw_chain(ref, n, degree), draw_column_vector(ref, n)]
+        assert got == expected
+        assert [list(c.nums.items()) for c in got[1:3]] == [list(c.nums.items())
+                                                             for c in expected[1:3]]
+        assert rng.random() == ref.random()
 
 
 def test_negation_subtraction_and_rotation_match_the_scaled_and_canonicalized_forms():
@@ -801,7 +874,6 @@ def test_degree_eight_json_round_trip():
     assert chain_from_json(chain_to_json(omega)) == omega
 
 
-@pytest.mark.large
 def test_degree_eight_pipeline():
     omega = omega_cycle(4)
     assert len(omega.nums) == 131265

@@ -18,7 +18,7 @@ import weakref
 import numpy as np
 import pytest
 
-from hochheat import chains, circle, cli, spectral, suite
+from hochheat import chains, circle, cli, forms, spectral, suite
 from hochheat.chains import TensorChain, bar_bprime, hochschild_b
 from hochheat.chern import chern_density
 from hochheat.cli import main
@@ -342,6 +342,18 @@ def _wrap_sign_flipped_b(c):
     return 2 * bar_bprime(c) + (-1) * hochschild_b(c)
 
 
+def _array_wrap_sign_flipped(c, wrap, boundary=chains._array_boundary):
+    """The array boundary with the sign of the wrap-around face flipped: b' - (b - b')."""
+    bprime = boundary(c, False)
+    return 2 * bprime + (-1) * boundary(c, True) if wrap else bprime
+
+
+def _parity_dropped(odd, alternation=forms._alternation):
+    """The array symbol's test for repeated one-forms, with every parity flip dropped."""
+    distinct, parity = alternation(odd)
+    return distinct, np.zeros_like(parity)
+
+
 def _chain(n, pairs, den):
     """The chain sum(num * word) / den over (word of keys, num) pairs, in canonical form."""
     acc = {}
@@ -502,6 +514,11 @@ CAN_FAIL = {
                    ["harmonic", "--k", "1"], "harmonic.euler.k1"),
     "half-period-tail": (circle, "_image_tail", _half_period_image_tail, ["localization"],
                          "localization.short-time.smallt"),
+    # omega_6 is the one boundary of the suite large enough for the array kernel
+    "array-boundary-wrap-sign": (chains, "_array_boundary", _array_wrap_sign_flipped,
+                                 ["cycles", "--n", "3"], "cycles.boundary.omega6"),
+    "array-symbol-parity": (forms, "_alternation", _parity_dropped, ["symbol", "--n", "3"],
+                            "symbol.volume.n3"),
 }
 
 

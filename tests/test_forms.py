@@ -7,9 +7,9 @@ from fractions import Fraction
 
 from hochheat.chains import TensorChain, normalize, omega_cycle
 from hochheat.forms import PolyForm, hkr_symbol, volume_form
-from hochheat.randomgen import random_element
+from hochheat.randomgen import random_chain, random_element
 from hochheat.weyl import mul, unit, z_var
-from oracles import form_from_terms, monomial
+from oracles import form_from_terms, monomial, symbol_by_words
 
 
 def random_monomial(rng: random.Random, n: int, z_only: bool = False, d_only: bool = False):
@@ -57,6 +57,20 @@ def test_hkr_symbol_of_omega_is_volume():
         assert len(vol.terms) == 1
         assert hkr_symbol(omega_cycle(n)) == vol
         assert hkr_symbol(normalize(omega_cycle(n))) == vol
+
+
+def test_hkr_symbol_equals_the_word_by_word_oracle():
+    rng = random.Random(2718)
+    chains = [omega_cycle(n) for n in (1, 2, 3)]
+    chains += [normalize(c) for c in chains]
+    # mixed degrees 0..4 in 1..3 variables, some with a scalar slot
+    chains += [random_chain(rng, n, rng.randrange(5), words=3)
+               + random_chain(rng, n, rng.randrange(5)) for n in (1, 2, 3) for _ in range(40)]
+    # numerators past int64, so the rows are ints in object arrays
+    chains += [(1 << 70) * omega_cycle(2), (1 << 70) * chains[-1]]
+    for c in chains:
+        assert hkr_symbol(c) == symbol_by_words(c)
+    assert hkr_symbol(TensorChain(2, {}, 1)) == symbol_by_words(TensorChain(2, {}, 1))
 
 
 def test_hkr_symbol_linear():
