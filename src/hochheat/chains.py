@@ -42,7 +42,8 @@ readers of elements: the words in sorted key order, each with its
 distinct keys in sorted order and, per word length, the words as rows of
 key ids and their numerators.  The boundary of a chain of at least
 ARRAY_WORDS words runs on it (`_array_boundary`) whenever its int64
-codes and sums cannot overflow, and `forms.hkr_symbol` reads it always.
+codes and sums cannot overflow (`_sums_fit`), and `forms.hkr_symbol`
+reads it always.
 
 Operators implemented here:
 
@@ -146,18 +147,17 @@ class TensorChain:
     @cached_property
     def _key_arrays(self) -> Tuple[List[int], Dict[int, Tuple[np.ndarray, np.ndarray]]]:
         """(keys, groups): the distinct keys in sorted order, and by word length L the
-        (ids, nums) of the words of that length, ids a (words, L) int64 array of
+        (ids, nums) of the words of that length, ids a (words, L) int32 array of
         positions in keys and nums their numerators, int64 where each fits, else ints
         in an object array."""
         by_length: Dict[int, List[KeyWord]] = {}
         for w in self.nums:
             by_length.setdefault(len(w), []).append(w)
-        flat = list(chain.from_iterable(self.nums))
-        keys = sorted(set(flat))
+        keys = sorted(set(chain.from_iterable(self.nums)))
         index = dict(zip(keys, range(len(keys)))).__getitem__
         groups = {}
         for length, words in by_length.items():
-            ids = np.fromiter(map(index, chain.from_iterable(words)), np.int64,
+            ids = np.fromiter(map(index, chain.from_iterable(words)), np.int32,
                               len(words) * length).reshape(-1, length)
             nums = [self.nums[w] for w in words]
             fits = max(map(abs, nums)) >> 63 == 0
@@ -263,7 +263,7 @@ def _array_boundary(c: TensorChain, wrap: bool) -> Optional[TensorChain]:
     if not faces:
         return _canonical(n, {}, c.den)
     distinct, inverse = np.unique(np.concatenate(
-        [groups[length][0][:, a] * size + groups[length][0][:, b]
+        [groups[length][0][:, a].astype(np.int64) * size + groups[length][0][:, b]
          for length, fs in faces.items() for a, b, _ in fs]), return_inverse=True)
     products = [mono_product(keys[a], keys[b], n)
                 for a, b in zip((distinct // size).tolist(), (distinct % size).tolist())]
@@ -273,7 +273,8 @@ def _array_boundary(c: TensorChain, wrap: bool) -> Optional[TensorChain]:
     product_ids = np.array([index.setdefault(key, len(index)) for key in product_keys])
     bits = max(1, (len(index) - 1).bit_length())
     rows = int(np.bincount(inverse, minlength=len(counts)) @ counts)
-    if (max(faces) - 1) * bits > 63 or max(map(abs, c.nums.values())) * max(mults) * rows >> 62:
+    largest = max(map(abs, c.nums.values())) * max(map(abs, mults))
+    if (max(faces) - 1) * bits > 63 or not _sums_fit(largest, rows):
         return None
     first_term = np.cumsum(counts) - counts
     mults = np.array(mults, dtype=np.int64)
@@ -310,6 +311,12 @@ def _array_boundary(c: TensorChain, wrap: bool) -> Optional[TensorChain]:
         slots = codes[:, None] >> shifts & (1 << bits) - 1
         acc.update(zip(map(tuple, table[slots].tolist()), sums.tolist()))
     return _canonical(n, acc, c.den)
+
+
+def _sums_fit(largest: int, rows: int) -> bool:
+    """Whether `rows` values, each of size at most `largest`, sum in int64: every
+    partial sum of `_sum_runs` over them then stays below 2^62."""
+    return largest * rows >> 62 == 0
 
 
 def _sum_runs(codes: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

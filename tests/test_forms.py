@@ -8,7 +8,7 @@ from fractions import Fraction
 from hochheat.chains import TensorChain, normalize, omega_cycle
 from hochheat.forms import PolyForm, hkr_symbol, volume_form
 from hochheat.randomgen import random_chain, random_element
-from hochheat.weyl import mul, unit, z_var
+from hochheat.weyl import mul, pack, unit, z_var
 from oracles import form_from_terms, monomial, symbol_by_words
 
 
@@ -68,6 +68,13 @@ def test_hkr_symbol_equals_the_word_by_word_oracle():
                + random_chain(rng, n, rng.randrange(5)) for n in (1, 2, 3) for _ in range(40)]
     # numerators past int64, so the rows are ints in object arrays
     chains += [(1 << 70) * omega_cycle(2), (1 << 70) * chains[-1]]
+    # rows that each fit in int64 but whose sum does not: the four words
+    # z^i (x) z^(4-i) all map to 10 (2^60 - 1) z^3 dz
+    chains.append(TensorChain(1, {(pack(((i,), (0,))), pack(((4 - i,), (0,)))): (1 << 60) - 1
+                                  for i in range(4)}, 1))
+    # scalar words only, so no exponent bounds a row: 2^62 (1) + (1 (x) 1 (x) 1) has
+    # the degree-0 value 2^62 * 2!, and 2^70 (1) a numerator past int64
+    chains += [TensorChain(1, {(0,): big, (0, 0, 0): 1}, 1) for big in (1 << 62, 1 << 70)]
     for c in chains:
         assert hkr_symbol(c) == symbol_by_words(c)
     assert hkr_symbol(TensorChain(2, {}, 1)) == symbol_by_words(TensorChain(2, {}, 1))
