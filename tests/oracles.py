@@ -42,7 +42,8 @@ also computes, by a route that shares none of its shortcuts:
   by Fubini.
 
 It also keeps the readers that only the tests need: `report_from_json`,
-`column` of a bicomplex vector and `form_from_terms`.
+`column` of a bicomplex vector and `form_from_terms`, and `_reduced`, which
+divides an integer matrix given as lists by the gcd of its entries.
 
 The tests import this module as ``from oracles import ...``.
 """
@@ -54,7 +55,7 @@ import math
 import random
 import re
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from math import comb, factorial
 from operator import mul as _times
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
@@ -69,7 +70,6 @@ from hochheat.spectral import (
     OperatorEscapeError,
     SpectralModel,
     WeightedFn,
-    _reduced,
     _scaled_root,
 )
 from hochheat.weyl import (MAX_DEGREE, MAX_VARIABLES, Exponents, Key, WeylElement, d_var, mul,
@@ -81,6 +81,14 @@ from hochheat.weyl import (MAX_DEGREE, MAX_VARIABLES, Exponents, Key, WeylElemen
 
 #: a pairing value numerator / (m - 1)! as (numerator, m)
 Pairing = Tuple[int, int]
+
+
+def _reduced(mat: List[List[int]], scale: Fraction) -> Tuple[List[List[int]], Fraction]:
+    """scale * mat as an integer matrix divided by the gcd of its entries, and the new scale."""
+    g = math.gcd(*chain.from_iterable(mat))
+    if g < 2:
+        return mat, scale * g
+    return [[v // g for v in row] for row in mat], scale * g
 
 
 class DivergentIntegralError(ArithmeticError):
@@ -292,16 +300,16 @@ def harmonic0_coordinates(model: SpectralModel) -> List[Dict[Tuple[int, int], fl
 
     The coordinates are R^T y for a reduced eigenvector y, with
     R = D^(-1/2) L^-1 = diag(1 / sqrt(scale norms[j])) W rounded once per
-    entry.
+    entry, W the block's lower triangular rows.
     """
     out = []
     for bi, col in model.harmonic0:
         block = model.blocks[bi]
         sc = block.scale
         r = np.zeros((len(block.w), len(block.w)))
-        for j, row in enumerate(block.w):
+        for j, row in enumerate(block.w.tolist()):
             r[j, :j + 1] = [_scaled_root(v, sc.denominator, sc.numerator * block.norms[j])
-                            for v in row]
+                            for v in row[:j + 1]]
         x = r.T @ block.vecs[:, col]
         out.append({pair: x[i] for i, pair in enumerate(block.pairs)})
     return out

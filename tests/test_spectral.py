@@ -5,6 +5,7 @@ import math
 import operator
 import os
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -29,7 +30,6 @@ from hochheat.spectral import (
     _operator_blocks,
     _operator_pairings,
     _orthogonal_rows,
-    _reduced,
     _round_congruence,
     build_model,
     harmonic_supertrace,
@@ -40,8 +40,8 @@ from hochheat.spectral import (
 )
 from hochheat.weyl import WeylElement, d_var, mul, unit, z_var
 from oracles import (DivergentIntegralError, _apply_weyl, _congruence, _lift, _moment_block,
-                     _pairing, _round_each_entry, add, harmonic0_coordinates, lifted_pairings,
-                     mono_integral, monomial, pair_weighted, scale, zero)
+                     _pairing, _reduced, _round_each_entry, add, harmonic0_coordinates,
+                     lifted_pairings, mono_integral, monomial, pair_weighted, scale, zero)
 
 
 def _chi(a, b, n_trunc):
@@ -347,7 +347,8 @@ def _intertwined_degree_one_terms(model, op, grid):
     lams, diags = [], []
     for block in model.blocks:
         mat, scale = _pairing_matrix([_dbar_chi(a, b, n) for a, b in block.pairs], op, k)
-        pairing = _round_congruence(block.w, mat, block.norms, scale / block.scale)
+        pairing = _round_congruence(block.w, np.array(mat, dtype=object), block.norms,
+                                    scale / block.scale)
         keep = block.lam > 0
         y = block.vecs[:, keep]
         lams.append(block.lam[keep])
@@ -438,6 +439,32 @@ def test_a_time_that_is_not_finite_is_refused(t):
     for grid in ([t], [0.5, t], [t, 1.0, 2.0]):
         with pytest.raises(ValueError, match=f"got {t}"):
             limit_supertrace(model, unit(1), grid)
+
+
+@pytest.mark.parametrize("query, named", [
+    (lambda model: limit_supertrace(model, unit(1), ["0.5", "1"]), "'0.5'"),
+    (lambda model: limit_supertrace(model, unit(1), [True, 2]), "True"),
+    (lambda model: heat_supertrace(model, True), "True"),
+    (lambda model: heat_supertrace(model, np.True_), "np.True_"),
+    (lambda model: heat_supertrace(model, "1.0"), "'1.0'"),
+    (lambda model: heat_supertrace(model, 1j), "1j"),
+], ids=["string-grid", "bool-grid", "bool", "numpy-bool", "string", "complex"])
+def test_a_time_that_is_not_a_real_number_is_refused(query, named):
+    # strings were parsed and bools read as 1.0, or a TypeError came from the comparison
+    with pytest.raises(ValueError, match=f"got {re.escape(named)}$"):
+        query(build_model(0, 6))
+
+
+def test_real_times_of_every_type_give_the_same_supertraces():
+    model = build_model(0, 6)
+    assert {heat_supertrace(model, t) for t in (0.5, np.float32(0.5), np.float64(0.5),
+                                                Fraction(1, 2))} == {heat_supertrace(model, 0.5)}
+    grid = [0.5, 1.0, 2.0]
+    ref = limit_supertrace(model, unit(1), grid)
+    for same in (np.array(grid), [Fraction(1, 2), 1, np.float32(2.0)]):
+        assert limit_supertrace(model, unit(1), same) == ref
+    with pytest.raises(ValueError, match="positive finite"):
+        heat_supertrace(model, 10 ** 400)
 
 
 def test_eigenvalues_are_nonnegative():
@@ -606,9 +633,10 @@ def test_closed_form_rows_are_positive_multiples_of_the_bareiss_rows(case):
                for i in range(size) for j in range(size))
 
 
-@pytest.mark.parametrize("k, n", [(0, 6), (1, 10), (3, 12), (0, 14), (2, 8),
+@pytest.mark.parametrize("k, n", [(0, 6), (1, 10), (3, 12), (0, 14), (2, 8), (0, 20),
                                   pytest.param(0, spectral.MAX_TRUNC, marks=pytest.mark.large)])
 def test_closed_form_path_is_bit_identical_to_the_bareiss_oracle(monkeypatch, k, n):
+    # (0, 20) and (0, 40) congruences take both the machine-word and the Python-integer path
     solved = []  # the rounded congruence of each block, in the order the blocks are assembled
     real_stiffness = spectral._stiffness
 
@@ -635,7 +663,7 @@ def test_closed_form_path_is_bit_identical_to_the_bareiss_oracle(monkeypatch, k,
         for bi, (mat, scale) in zip(which, _operator_pairings(model, zd, degree, which)):
             pairs = blocks[bi].pairs
             gram = _gram(len(pairs), abs(pairs[0][0] - pairs[0][1]), fact)
-            ref = _oracle_congruence(gram, mat, scale * fact[-1])
+            ref = _oracle_congruence(gram, mat.tolist(), scale * fact[-1])
             assert got[bi].tobytes() == ref.tobytes()
 
 
@@ -657,6 +685,129 @@ def test_expansion_in_triangular_rows_is_exact(case):
     assert den > 0 and all(0 <= m < len(rows) and v for m, v in c.items())
     assert [den * v for v in u] == [sum(cm * rows[m][col] for m, cm in c.items() if col <= m)
                                     for col in range(len(u))]
+
+
+def _square(rows):
+    """Lower triangular rows (row j has j+1 entries) padded with zeros to a square."""
+    return [row + [0] * (len(rows) - len(row)) for row in rows]
+
+
+def _integer_array(rows):
+    """Integer rows as the model keeps them: int64 where every entry is exact in float64,
+    otherwise Python integers."""
+    fits = all(abs(v) < spectral._EXACT for row in rows for v in row)
+    return np.array(rows, dtype=np.int64 if fits else object)
+
+
+def _congruence_against_the_oracle(w, a, norms, scale):
+    """Whether `_round_congruence` of W (lower triangular rows) and A took machine words.
+
+    Its result is checked bit for bit against the congruence rounded one
+    entry at a time from the exact V = W A.
+    """
+    s = len(w)
+    w_arr, a_arr = _integer_array(_square(w)), _integer_array(a)
+    machine = spectral._machine_congruence(w_arr, a_arr) is not None
+    got = _round_congruence(w_arr, a_arr, norms, scale)
+    v = [[sum(w[i][c] * a[c][j] for c in range(i + 1)) for j in range(s)] for i in range(s)]
+    assert got.tobytes() == _round_each_entry(v, w, norms, scale).tobytes()
+    return machine
+
+
+@st.composite
+def congruence_cases(draw):
+    """Lower triangular W with a nonzero diagonal, A, positive norms and a positive scale.
+
+    The entries of one case stay below 2^bits: machine words that the
+    float bound proves or cannot prove, entries at and past 2^52, and past int64.
+    """
+    s = draw(st.integers(1, 6))
+    bits = draw(st.sampled_from([8, 14, 26, 51, 52, 53, 63, 70]))
+    entries = st.integers(-2 ** bits, 2 ** bits)
+    w = [draw(st.lists(entries, min_size=j, max_size=j)) + [draw(entries.filter(bool))]
+         for j in range(s)]
+    a = [draw(st.lists(entries, min_size=s, max_size=s)) for _ in range(s)]
+    norms = draw(st.lists(st.integers(1, 2 ** 80), min_size=s, max_size=s))
+    scale = draw(st.fractions(min_value=0, max_value=2 ** 40, max_denominator=2 ** 40).filter(bool))
+    return w, a, norms, scale
+
+
+@given(congruence_cases())
+@settings(max_examples=200, deadline=None)
+def test_the_congruence_is_rounded_as_one_entry_at_a_time(case):
+    _congruence_against_the_oracle(*case)
+
+
+_WIDE = [[1], [2 ** 51, 2 ** 51 - 1]]  # its rows nearly cancel against [[1, -1], [-1, 1]]
+
+
+@pytest.mark.parametrize("w, a, machine", [
+    # X = (1 1; 1 1) while |W||A||W|^T is about 2^104, and 4 s u of it 2^54: proved exact
+    (_WIDE, [[1, -1], [-1, 1]], True),
+    # 2^51 times A: X = 2^51 (1 1; 1 1), but 4 s u |W||A||W|^T passes 2^62
+    (_WIDE, [[2 ** 51, -2 ** 51], [-2 ** 51, 2 ** 51]], False),
+    # X = 3 2^62 passes 2^63, and its residue modulo 2^64 reads -2^62
+    ([[2 ** 31]], [[3]], False),
+    # X_22 is about -1.38e19, past -2^63, while the float product reads at most 4.5e17 in
+    # magnitude, below 2^62: only the error bound, about 2^73 here, tells them apart
+    ([[1], [0, 1], [7615844611, 7367867196, 5316810025]],
+     [[-566640415797176, -1014788577973509, 2217922546809489],
+      [-1014788577973509, 422222430037531, 868489434353068],
+      [2217922546809489, 868489434353068, -4380496609746180]], False),
+], ids=["wide-bound", "wide-bound-unproved", "past-int64", "float-reads-low"])
+def test_the_congruence_at_the_edges_of_its_bound(w, a, machine):
+    s = len(w)
+    x = [[sum(w[i][c] * a[c][d] * w[j][d] for c in range(i + 1) for d in range(j + 1))
+          for j in range(s)] for i in range(s)]
+    wf, af = np.array(_square(w), dtype=float), np.array(a, dtype=float)
+    wide = (np.abs(wf) @ np.abs(af) @ np.abs(wf).T).max()
+    wu = np.array(_square(w), dtype=np.uint64)
+    wrapped = (wu @ np.array(a, dtype=np.int64).astype(np.uint64) @ wu.T).view(np.int64)
+    assert max(abs(v) for row in _square(w) + a for v in row) < 2 ** 52  # machine words
+    # a bound on |W||A||W|^T alone would refuse, or the words wrap
+    assert wide >= 2 ** 62 or wrapped.tolist() != x
+    assert _congruence_against_the_oracle(w, a, [3] * s, Fraction(5, 7)) == machine
+
+
+@pytest.fixture(scope="module")
+def model_0_24():
+    return build_model(0, 24)
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+@pytest.mark.parametrize("op", [z_var(1, 1), d_var(1, 1)], ids=["z", "d"])
+def test_a_moment_window_past_the_words_is_summed_in_python_integers(monkeypatch, model_0_24,
+                                                                     op, degree):
+    # z and d pair no neutral term, so the kappa factor of the int64 bound is 0, while at
+    # N = 24 their moment window alone passes 2^63
+    model = model_0_24
+    which = range(len((model.blocks, model.forms)[degree]))
+    assert any(mat.dtype == object for mat, _ in _operator_pairings(model, op, degree, which))
+    model._op_cache.clear()
+    got = _operator_blocks(model, op, degree)
+    model._op_cache.clear()
+    monkeypatch.setattr(spectral, "_EXACT", 0)  # no array stays in machine words
+    ref = _operator_blocks(model, op, degree)
+    assert all(got[bi].tobytes() == ref[bi].tobytes() for bi in which)
+
+
+def test_each_block_takes_the_path_its_bound_proves(monkeypatch, model_0_24):
+    taken, real = [], spectral._machine_congruence
+
+    def recording(w, a):
+        x = real(w, a)
+        taken.append(x is not None)
+        return x
+
+    monkeypatch.setattr(spectral, "_machine_congruence", recording)
+    zd = mul(z_var(1, 1), d_var(1, 1))
+    for model, paths in ((build_model(0, 14), {True}), (model_0_24, {True, False})):
+        model._op_cache.clear()
+        taken.clear()
+        for degree in (0, 1):
+            _operator_blocks(model, zd, degree)
+        assert len(taken) == len(model.blocks) + len(model.forms)
+        assert set(taken) == paths
 
 
 @pytest.mark.parametrize("k, n", [(0, 8), (1, 10), (3, 12)])
@@ -846,9 +997,14 @@ def _outcome(assemble):
         return type(exc)
 
 
+def _as_lists(pairings):
+    """Each yielded (integer array, scale) with the array as nested lists of Python ints."""
+    return [(mat.tolist(), scale) for mat, scale in pairings]
+
+
 def _both_assemblies(model, op, degree):
     which = range(len((model.blocks, model.forms)[degree]))
-    return (_outcome(lambda: list(_operator_pairings(model, op, degree, which))),
+    return (_outcome(lambda: _as_lists(_operator_pairings(model, op, degree, which))),
             _outcome(lambda: [_reference_pairings(model, op, degree, bi) for bi in which]))
 
 
@@ -935,7 +1091,7 @@ def _blocks_or_refusal(assemble):
 def _both_pairings(model, op, degree):
     """The closed-form pairings and the term-by-term ones of every block of one degree."""
     which = range(len((model.blocks, model.forms)[degree]))
-    return (_blocks_or_refusal(lambda: _operator_pairings(model, op, degree, which)),
+    return (_blocks_or_refusal(lambda: _as_lists(_operator_pairings(model, op, degree, which))),
             _blocks_or_refusal(lambda: lifted_pairings(model, op, degree, which)))
 
 
