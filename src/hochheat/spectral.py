@@ -59,11 +59,19 @@ block's certified rows, den_i u_i = sum_m c_im W1_m exactly (W1 is
 triangular with a nonzero diagonal), so X_ij = sum_m c_im c_jm p1_m /
 (den_i den_j): the same rational as the product, so the same rounded bits.
 In each of the 780 models build_model admits (every k with N <= 40) each
-u_i has one or two c_im: the stiffness is tridiagonal in W coordinates.
-So a block costs O(s^2) instead of O(s^3), and exactness never rests on
-the sparsity: build_model(0, 40) takes 0.23-0.25 s instead of 0.58-0.72 s
-on one 2-CPU host.  Degree 1 expands W1 T in W0 on its own, and each
-degree is solved on its own and keeps its eigenvectors.
+u_i has one or two c_im and rows two apart share none: the stiffness is
+tridiagonal in W coordinates.  Every block of one degree is expanded in
+one array pass (`_stiffness`): U = W0 D over the lower triangles, two
+peeling steps of the expansion on every row at once (`_peel`), both in
+int64 where a Python-integer bound proves every term below 2^63 and in
+Python integers otherwise, and X on its tridiagonal.  A block where a row
+or a shared W1_m breaks that shape is expanded row by row and summed in
+full, so exactness never rests on the sparsity.  Each entry is rounded
+once (`_signed_root`), in float64 only where its integers are exact
+there.  build_model(0, 40) and build_model(38, 40), whose expansions pass
+int64, take 0.12-0.19 s and 0.38-0.5 s on one 2-CPU host.
+Degree 1 expands W1 T in W0 on its own, and each degree is solved on
+its own and keeps its eigenvectors.
 Only integration by parts, T G0 = G1 D^T, ties their nonzero spectra
 together, so the supersymmetric pairing and the flat heat supertrace
 compare two independent computations.
@@ -89,6 +97,8 @@ rounded once.  Where W and P are int64 below 2^52 and a float error bound
 proves |X| < 2^62, X is their uint64 product, exact modulo 2^64, else Python
 integers (`_round_congruence`); the floats are the same either way.  Every
 z d/dz block does so for N <= 15 and k <= 8, and 75 of 98 at (k, N) = (0, 24).
+Its rounding is the stiffness's (`_signed_root`), in float64 for 115 of the
+200 z d/dz blocks of (k, N) = (0, 14), (1, 10), (2, 8) and (3, 13).
 Blocks are built on demand and cached per (degree, operator, block).
 `limit_supertrace` and `harmonic_supertrace` read the same signed diagonals
 <op e, e>, the latter at the kernel vectors only, so it builds only the
@@ -103,6 +113,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import comb, factorial
 from numbers import Rational, Real
 from operator import mul
@@ -116,10 +127,11 @@ from .weyl import WeylElement, format_element
 CONVENTION_TAG = "fs-unit-volume:v1"
 
 #: largest truncation `build_model` accepts, checked before any work; a cost
-#: bound on one 2-CPU host: N = 40 takes about 0.25 s for k = 0 or 1 and 0.75 s
-#: for k = 38, the largest k it admits (as a whole command, `spectrum` about 1 s
-#: and `harmonic` 1.2-2.1 s), and one z d/dz `limit_supertrace` 0.44 s for k = 0
-#: and 1.3 s for k = 38, most of it exact O(s^3) products past the machine words
+#: bound on one 2-CPU host: N = 40 takes 0.12-0.2 s for k = 0 or 1 and 0.4-0.5 s
+#: for k = 38, the largest k it admits (as a whole command, `spectrum` 0.6-0.7 s
+#: and `harmonic` 1.0-1.3 s), and one z d/dz `limit_supertrace` 0.3-0.4 s for
+#: k = 0 and 0.8-1.0 s for k = 38, most of it exact O(s^3) products past the
+#: machine words
 MAX_TRUNC = 40
 
 #: weighted chart function: (z exponent, zbar exponent, denominator power)
@@ -131,6 +143,10 @@ IntMat = List[List[int]]
 
 #: the operator congruence keeps rows and pairings in int64 only below this, exact in float64
 _EXACT = 2 ** 52
+#: integers below this are exact in float64
+_FLOAT = 2 ** 53
+#: int64 magnitudes stay below this
+_WORD = 2 ** 63
 
 
 class OperatorEscapeError(ValueError):
@@ -167,14 +183,23 @@ def _orthogonal_rows(size: int, alpha: int, m: int) -> IntMat:
     return rows
 
 
-def _scaled_root(x: int, num: int, den: int) -> float:
-    """x * sqrt(num / den) for integers num, den > 0, as a float within one ulp.
+def _signed_root(x: np.ndarray, scale: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sign(x) sqrt(x^2 scale / (left right)) for integer arrays, broadcast together.
 
-    The radicand x^2 num / den leaves exact arithmetic as one correctly
-    rounded int/int quotient, so no intermediate overflows.
+    x is int64 or Python integers, left, right > 0 are Python integers, and
+    scale >= 1.  Each radicand leaves exact arithmetic once.  When the
+    maxima put every x^2 scale and every left right below 2^53, those
+    integers and every product that forms them are exact in float64, whose
+    division is correctly rounded, as Python's int / int is; otherwise each
+    radicand is one int / int quotient of Python integers.  So the float is
+    the same either way, and no intermediate overflows.
     """
-    root = math.sqrt(x * x * num / den)
-    return -root if x < 0 else root
+    if (int(abs(x).max()) ** 2 * scale < _FLOAT
+            and int(left.max()) * int(right.max()) < _FLOAT):
+        xf = x.astype(float)
+        return np.copysign(np.sqrt(xf * xf * scale / (left.astype(float) * right.astype(float))), xf)
+    root = np.sqrt((x.astype(object) ** 2 * scale / (left * right)).astype(float))
+    return np.where(x < 0, -root, root)
 
 
 def _machine_congruence(w: np.ndarray, a: np.ndarray) -> Optional[np.ndarray]:
@@ -206,9 +231,9 @@ def _round_congruence(w: np.ndarray, mat: np.ndarray, norms: Sequence[int],
     machine words where `_machine_congruence` proves them exact, otherwise
     as a block of Python integers over W's lower triangle.  Each entry
     scale * X_ij / sqrt(p_i p_j), p_i = norms[i], leaves exact arithmetic
-    once: its radicand X_ij^2 scale^2 / (p_i p_j), in Python integers, is
-    one correctly rounded int/int quotient, so a positive row scaling of W
-    leaves it the same float and no intermediate overflows.
+    once: its radicand X_ij^2 scale^2 / (p_i p_j) is one correctly rounded
+    quotient (`_signed_root`), so a positive row scaling of W leaves it the
+    same float.
     """
     x = _machine_congruence(w, mat)
     if x is None:
@@ -220,9 +245,7 @@ def _round_congruence(w: np.ndarray, mat: np.ndarray, norms: Sequence[int],
         for j in range(s):
             x[:, j] = v[:, :j + 1].dot(w[j, :j + 1])
     p = np.array(norms, dtype=object)
-    radicand = (x.astype(object) * scale.numerator) ** 2 / np.outer(p * scale.denominator ** 2, p)
-    root = np.sqrt(radicand.astype(float))
-    return np.where(x < 0, -root, root)
+    return _signed_root(x, scale.numerator ** 2, (p * scale.denominator ** 2)[:, None], p)
 
 
 def _certify(gram: IntMat, w: IntMat) -> List[int]:
@@ -247,10 +270,11 @@ def _certify(gram: IntMat, w: IntMat) -> List[int]:
 def _expand(u: List[int], w: IntMat) -> Tuple[int, Dict[int, int]]:
     """(den, c) with den > 0 and den * u = sum of c[m] * w[m] exactly.
 
-    w is lower triangular (row m has m+1 entries) with a nonzero diagonal
-    and u has len(w) entries, so the rows are peeled off from the last
-    column down and nothing is left over; den grows only when a diagonal
-    entry does not divide what is left in its column.
+    w is lower triangular (row m has m+1 entries; any past them are not
+    read) with a nonzero diagonal and u has len(w) entries, so the rows are
+    peeled off from the last column down and nothing is left over; den
+    grows only when a diagonal entry does not divide what is left in its
+    column.
     """
     rest, den, c = list(u), 1, {}
     for m in range(len(w) - 1, -1, -1):
@@ -268,40 +292,124 @@ def _expand(u: List[int], w: IntMat) -> Tuple[int, Dict[int, int]]:
     return den, c
 
 
-def _stiffness(w: IntMat, norms: Sequence[int], incidence: List[Dict[int, int]],
-               w_other: IntMat, norms_other: Sequence[int]) -> np.ndarray:
-    """The rounded congruence of the stiffness R G' R^T in one block's own W coordinates.
+def _peel(u: np.ndarray, w: np.ndarray, owner: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Two steps of `_expand` on every row of u at once, row i in the rows w[owner[i]].
 
-    R is the integer incidence of the block's operator (dbar or dbar*) into
-    the other degree, whose block has the certified rows w_other with
-    W' G' W'^T = diag(norms_other).  Each row u_i = W_i R is expanded as
-    den_i u_i = sum_m c_im W'_m (`_expand`), so X = W R G' R^T W^T is
-    X_ij = sum_m c_im c_jm p'_m / (den_i den_j) and the entry
-    X_ij / sqrt(p_i p_j) is rounded once.  Each u_i has at most two
-    nonzero c_im in every model measured, so the block costs O(s^2); a
-    denser expansion would be as exact, only slower.
+    Each step takes the last nonzero column m of what is left of the row,
+    scales it, and the den and the coefficients so far, by
+    f = |w_mm| / gcd(rest_m, w_mm), and subtracts t w_m, t = f rest_m / w_mm;
+    a zero row takes m = -1, f = 1 and t = 0.  A step runs in int64 while a
+    Python-integer bound proves every term below 2^63, otherwise in Python
+    integers.  Returns (rest, den, m, c), m and c with one column per step:
+    den u_i = sum c_i W_(m_i) + rest_i, so a row is expanded where rest is 0.
     """
-    width = len(w_other)
-    by_row: Dict[int, List[Tuple[int, int]]] = {}  # m -> (i, c_im) in increasing i
-    dens = []
-    for i, wi in enumerate(w):
-        u = [0] * width
-        for wr, row in zip(wi, incidence):
-            for col, coeff in row.items():
-                u[col] += wr * coeff
-        den, c = _expand(u, w_other)
-        dens.append(den)
-        for m, cm in c.items():
-            by_row.setdefault(m, []).append((i, cm))
-    x: Dict[Tuple[int, int], int] = {}  # the lower triangle of den_i den_j X_ij
-    for m, col in by_row.items():
-        for a, (i, ci) in enumerate(col):
-            for j, cj in col[:a + 1]:
-                x[i, j] = x.get((i, j), 0) + ci * cj * norms_other[m]
-    out = np.zeros((len(w), len(w)))
-    for (i, j), v in x.items():
-        out[i, j] = out[j, i] = _scaled_root(v, 1, (dens[i] * dens[j]) ** 2 * norms[i] * norms[j])
-    return out
+    n, width = u.shape
+    at = np.arange(n)
+    state = np.zeros((n, width + 3), dtype=u.dtype)  # rest | den | c of each step
+    state[:, :width], state[:, width] = u, 1
+    reach = int(np.abs(w).max()) if w.dtype == np.int64 else 0
+    cols = []
+    for step in range(2):
+        nonzero = state[:, :width] != 0
+        m = width - 1 - np.argmax(nonzero[:, ::-1], axis=1)  # the last nonzero column
+        live = nonzero[at, m]
+        peel = w[owner, m]
+        top = np.where(live, peel[at, m], 1)
+        lead = state[at, m]  # 0 on a zero row
+        g = np.gcd(lead, top)
+        f, t = abs(top) // g, lead // g * np.sign(top)
+        if state.dtype == np.int64 and (int(np.abs(state).max()) * int(f.max())
+                                        + int(abs(t).max()) * reach) >= _WORD:
+            state, f, t = state.astype(object), f.astype(object), t.astype(object)
+        state *= f[:, None]
+        state[:, :width] -= t[:, None] * peel
+        state[:, width + 1 + step] = t
+        cols.append(np.where(live, m, -1))
+    return state[:, :width], state[:, width], np.stack(cols, axis=1), state[:, width + 1:]
+
+
+def _stiffness(w: Sequence[np.ndarray], norms: Sequence[Sequence[int]],
+               incidence: Sequence[List[Dict[int, int]]], w_other: Sequence[np.ndarray],
+               norms_other: Sequence[Sequence[int]]) -> List[np.ndarray]:
+    """The rounded congruences of the stiffness R G' R^T of one degree's blocks.
+
+    Block b has the certified rows w[b], W G W^T = diag(norms[b]), and its
+    operator (dbar or dbar*) the integer incidence R = incidence[b] into
+    block b of the other degree, whose rows w_other[b] give
+    W' G' W'^T = diag(norms_other[b]).  Each row u_i = W_i R is expanded as
+    den_i u_i = sum_m c_im W'_m (`_expand`), so X = W R G' R^T W^T is
+    X_ij = sum_m c_im c_jm p'_m / (den_i den_j), and each entry
+    X_ij / sqrt(p_i p_j) is rounded once (`_signed_root`).
+
+    The blocks go together, their rows one after another: U = W R over
+    each block's lower triangle, in int64 where max|W| max|R| s < 2^63;
+    two steps of `_expand` on every row (`_peel`); and X on its
+    tridiagonal.  In every model measured each u_i has one or two c_im and
+    rows two apart share no W'_m, so X is tridiagonal.  A block where that
+    fails, a row that two steps leave unexpanded or two rows two apart that
+    share a W'_m, is expanded by `_expand` and accumulated in full instead:
+    as exact, only slower.  Returns each block's matrix, in order.
+    """
+    sizes, width = [len(wb) for wb in w], max(map(len, w_other))
+    nb, start = len(w), np.cumsum([0] + sizes)
+    owner = np.repeat(np.arange(nb), sizes)  # the block of each row; its rows are consecutive
+    index = np.arange(start[-1]) - start[owner]  # each row's index in its block
+    flat = np.concatenate([wb.ravel() for wb in w])  # W_b[i, r] = flat[offset_b + i s_b + r]
+    offset = np.cumsum([0] + [s * s for s in sizes])
+    rows = list(chain.from_iterable(incidence))  # row r of R_b is rows[start_b + r]
+    col = np.fromiter(chain.from_iterable(rows), dtype=np.intp)
+    coef = list(chain.from_iterable(row.values() for row in rows))
+    words = (all(wb.dtype == np.int64 for wb in (*w, *w_other))  # |U| <= max|W| max|R| s
+             and int(np.abs(flat).max()) * max(map(abs, coef), default=0) * max(sizes) < _WORD)
+    dtype = np.int64 if words else object
+    # entry e of R_b, at (r, col), adds W_b[i, r] R_b[r, col] to U_b[i, col] for each i >= r
+    src = np.repeat(np.arange(len(rows)), [len(row) for row in rows])  # start_b + r of each e
+    span = start[owner[src] + 1] - src
+    e = np.repeat(np.arange(len(src)), span)
+    dest = src[e] + np.arange(len(e)) - np.repeat(np.cumsum(span) - span, span)  # start_b + i
+    u = np.zeros(len(owner) * width, dtype=dtype)
+    np.add.at(u, dest * width + col[e],
+              flat[offset[owner[dest]] + index[dest] * np.asarray(sizes)[owner[dest]]
+                   + index[src[e]]].astype(dtype) * np.array(coef, dtype=dtype)[e])
+    u = u.reshape(-1, width)
+    w_stack = np.zeros((nb, width, width), dtype=dtype)
+    for b, wb in enumerate(w_other):
+        w_stack[b, :len(wb), :len(wb)] = wb
+    rest, den, m, c = _peel(u, w_stack, owner)
+
+    # rows two apart share no W'_m when the rows of each (block, m) span at most two
+    live = m >= 0
+    key, row = (owner[:, None] * width + m)[live], np.nonzero(live)[0]
+    first, last = np.full(nb * width, len(m)), np.full(nb * width, -1)
+    np.minimum.at(first, key, row)
+    np.maximum.at(last, key, row)
+    general = set(owner[(rest != 0).any(axis=1)]) | set(np.flatnonzero(last - first > 1) // width)
+
+    p = np.array(list(chain.from_iterable(norms)), dtype=object)
+    p_other = np.array(list(chain.from_iterable(norms_other)), dtype=object)
+    start_other = np.cumsum([0] + [len(qb) for qb in norms_other])
+    weight = p_other[start_other[owner][:, None] + np.maximum(m, 0)] * c  # c_im p'_m
+    pair = np.flatnonzero(owner[1:] == owner[:-1])  # rows i and i+1 of one block
+    left, right = np.r_[np.arange(len(m)), pair], np.r_[np.arange(len(m)), pair + 1]
+    x = sum(weight[left, a] * np.where(m[right, 0] == m[left, a], c[right, 0],
+                                       np.where(m[right, 1] == m[left, a], c[right, 1], 0))
+            for a in range(2))  # X_ii, then X_(i,i+1)
+    scaled = den.astype(object) ** 2 * p  # den_i^2 p_i
+    out = np.zeros((nb, max(sizes), max(sizes)))
+    out[owner[left], index[left], index[right]] = out[owner[left], index[right], index[left]] = (
+        _signed_root(x, 1, scaled[left], scaled[right]))
+
+    for b in general:
+        rows_other, full = w_other[b].tolist(), np.zeros((sizes[b], sizes[b]), dtype=object)
+        expanded = [_expand(ub[:len(rows_other)], rows_other)
+                    for ub in u[start[b]:start[b + 1]].tolist()]
+        for i, (_, ci) in enumerate(expanded):
+            for j, (_, cj) in enumerate(expanded):
+                full[i, j] = sum(v * cj.get(mm, 0) * p_other[start_other[b] + mm]
+                                 for mm, v in ci.items())
+        scaled_b = np.array([d for d, _ in expanded], dtype=object) ** 2 * p[start[b]:start[b + 1]]
+        out[b, :sizes[b], :sizes[b]] = _signed_root(full, 1, scaled_b[:, None], scaled_b)
+    return [out[b, :s, :s] for b, s in enumerate(sizes)]
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +492,12 @@ def _gram(size: int, alpha: int, fact: List[int]) -> IntMat:
 def build_model(k: int, trunc: int) -> SpectralModel:
     """Assemble and diagonalize the truncated model for O(k) at truncation N.
 
-    Every block's rounded stiffness is assembled first, degree 0 and then
-    degree 1 of each charge; then one `np.linalg.eigh` call solves the
-    stack of all blocks of each size.  `basis_meta["max_gram_condition"]`,
-    recorded and never compared, is the float condition number of the
-    largest section Gram block of each alpha, which bounds those of its
-    leading blocks.
+    Every block's rounded stiffness is assembled first, one `_stiffness`
+    call for all of degree 0 and one for all of degree 1; then one
+    `np.linalg.eigh` call solves the stack of all blocks of each size.
+    `basis_meta["max_gram_condition"]`, recorded and never compared, is the
+    float condition number of the largest section Gram block of each alpha,
+    which bounds those of its leading blocks.
 
     Requires integers k >= 0 and k + 2 <= trunc <= MAX_TRUNC.  Raises
     IllConditionedGramError if the closed-form rows of an alpha fail their
@@ -427,15 +535,23 @@ def build_model(k: int, trunc: int) -> SpectralModel:
     # every block of one alpha, in either degree, uses a prefix of the same rows and Gram
     rows = {alpha: _orthogonal_rows(size, alpha, len(fact)) for alpha, size in sizes.items()}
     norms = {alpha: _certify(grams[alpha], w) for alpha, w in rows.items()}
-    assembled = []  # (degree, charge, pairs, norms, rounded stiffness) of every block
+    triangles = {}  # each alpha's rows as one lower triangle, int64 where exact in float64
+    for alpha, w in rows.items():
+        t = np.array([r + [0] * (len(w) - len(r)) for r in w], dtype=object)
+        triangles[alpha] = t.astype(np.int64) if np.abs(t).max() < _EXACT else t
+    shapes = ([(abs(q), len(pairs)) for q, pairs, _ in layout],  # degree 0, then degree 1
+              [(abs(q + 1), len(fpairs)) for q, _, fpairs in layout])
+    w0, w1 = ([triangles[alpha][:s, :s] for alpha, s in shape] for shape in shapes)
+    p0, p1 = ([norms[alpha][:s] for alpha, s in shape] for shape in shapes)
+    dbar, dbar_star = [], []
     for q, pairs, fpairs in layout:
-        w0, p0 = rows[abs(q)][:len(pairs)], norms[abs(q)][:len(pairs)]
-        w1, p1 = rows[abs(q + 1)][:len(fpairs)], norms[abs(q + 1)][:len(fpairs)]
-        dbar = _incidence([_dbar_chi(a, b, n) for a, b in pairs], fpairs, n + 1)
-        dbar_star = _incidence([_dbar_star(a, b, n, k) for a, b in fpairs], pairs, n)
-        assembled.append((0, q, pairs, p0, _stiffness(w0, p0, dbar, w1, p1)))  # D G1 D^T
-        assembled.append((1, q + 1, fpairs, p1,
-                          _stiffness(w1, p1, dbar_star, w0, p0)))  # T G0 T^T
+        dbar.append(_incidence([_dbar_chi(a, b, n) for a, b in pairs], fpairs, n + 1))
+        dbar_star.append(_incidence([_dbar_star(a, b, n, k) for a, b in fpairs], pairs, n))
+    x0 = _stiffness(w0, p0, dbar, w1, p1)  # D G1 D^T
+    x1 = _stiffness(w1, p1, dbar_star, w0, p0)  # T G0 T^T
+    assembled = []  # (degree, charge, pairs, rows, norms, rounded stiffness) of every block
+    for (q, pairs, fpairs), *block in zip(layout, w0, p0, x0, w1, p1, x1):
+        assembled += [(0, q, pairs, *block[:3]), (1, q + 1, fpairs, *block[3:])]
     # one eigensolve per block size: eigh solves a stack matrix by matrix, so each block
     # gets the bits it gets alone; each X is exactly symmetric, and so is its rounding
     solved: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
@@ -445,11 +561,7 @@ def build_model(k: int, trunc: int) -> SpectralModel:
         solved.update(zip(members, zip(lams, vecs)))
     blocks: List[_Block] = []
     forms: List[_Block] = []
-    triangles = {}  # each alpha's rows as one lower triangle for the operator congruence
-    for alpha, w in rows.items():
-        t = np.array([r + [0] * (len(w) - len(r)) for r in w], dtype=object)
-        triangles[alpha] = t.astype(np.int64) if np.abs(t).max() < _EXACT else t
-    for i, (degree, charge, idx, p, x) in enumerate(assembled):
+    for i, (degree, charge, idx, w, p, x) in enumerate(assembled):
         lam, vecs = solved[i]
         if lam[0] < 0:  # the rounding bound plus the residual of the lowest eigenpair
             error = len(lam) * 2.0 ** -52 * max(-lam[0], lam[-1]) + float(
@@ -458,9 +570,8 @@ def build_model(k: int, trunc: int) -> SpectralModel:
                 raise IllConditionedGramError(
                     f"negative eigenvalue {lam[0]:.3e} below its measured error {error:.1e} "
                     f"in the degree-{degree} block at charge {charge}")
-        g, s = math.gcd(*p), len(idx)  # g keeps the radicands of the operator congruences small
-        (blocks, forms)[degree].append(
-            _Block(idx, triangles[abs(charge)][:s, :s], [v // g for v in p], unit * g, lam, vecs))
+        g = math.gcd(*p)  # g keeps the radicands of the operator congruences small
+        (blocks, forms)[degree].append(_Block(idx, w, [v // g for v in p], unit * g, lam, vecs))
 
     # the one rule for zero: every view of the spectrum, the cache summary too, reads these zeros
     threshold = 1e-8 * max(max(float(b.lam.max()) for b in blocks + forms), 1e-300)
@@ -675,9 +786,16 @@ def limit_supertrace(
 
     Each degree sums e^(-t lam_i) <op e_i, e_i> over its own orthonormal
     eigenbasis, counted + in degree 0 and - in degree 1, one dot product a
-    time.  As t grows it converges to `harmonic_supertrace`.
+    time.  As t grows it converges to `harmonic_supertrace`.  A grid that is
+    not a sequence of times, a bare time or a string, is a ValueError.
     """
-    grid = [_heat_time(t) for t in t_grid]
+    try:
+        times = None if isinstance(t_grid, (str, bytes)) else list(t_grid)
+    except TypeError:  # a bare time, or anything else that does not iterate
+        times = None
+    if times is None:
+        raise ValueError(f"t_grid must be a sequence of heat times, got {t_grid!r}")
+    grid = [_heat_time(t) for t in times]
     if not grid:
         raise ValueError("t_grid must be non-empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):

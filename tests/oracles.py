@@ -10,8 +10,9 @@ also computes, by a route that shares none of its shortcuts:
   applied to one basis function (`_apply_weyl`), lifted to one power of
   1+|z|^2 (`_lift`) and paired with one moment sum per entry
   (`_moment_block`), against their closed form, refusals included;
-* `_round_each_entry`, the congruence rounded one entry at a time, against
-  the whole-block rounding of `hochheat.spectral._round_congruence`;
+* `_round_each_entry`, the congruence rounded one entry at a time by
+  `_scaled_root`, against the whole-block rounding of
+  `hochheat.spectral._round_congruence` and the stiffness;
 * `_congruence`, the stiffness R G R^T of an incidence R as one sum per
   entry, against the rows the model build expands in the other degree's
   certified basis;
@@ -43,7 +44,9 @@ also computes, by a route that shares none of its shortcuts:
 
 It also keeps the readers that only the tests need: `report_from_json`,
 `column` of a bicomplex vector and `form_from_terms`, and `_reduced`, which
-divides an integer matrix given as lists by the gcd of its entries.
+divides an integer matrix given as lists by the gcd of its entries; and
+`dbar_chi_without_its_second_term`, a broken section operator that more
+than one test runs the model build under.
 
 The tests import this module as ``from oracles import ...``.
 """
@@ -62,16 +65,12 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from hochheat import spectral
 from hochheat.chains import TensorChain, TsyganColumnVector
 from hochheat.chern import ChartDensity, QuadratureResult, chern_density, integrate_chart
 from hochheat.forms import EvenExps, FormKey, PolyForm
 from hochheat.report import CheckResult, VerificationReport
-from hochheat.spectral import (
-    OperatorEscapeError,
-    SpectralModel,
-    WeightedFn,
-    _scaled_root,
-)
+from hochheat.spectral import OperatorEscapeError, SpectralModel, WeightedFn
 from hochheat.weyl import (MAX_DEGREE, MAX_VARIABLES, Exponents, Key, WeylElement, d_var, mul,
                            pack, unit, unpack, z_var)
 
@@ -263,6 +262,26 @@ def lifted_pairings(model: SpectralModel, op: WeylElement, degree: int,
         pairs = blocks[bi].pairs
         images = [_lift(_apply_weyl(op, {(a, b, power): 1}, den), top) for a, b in pairs]
         yield _reduced(_moment_block(images, pairs, mom), unit)
+
+
+def _scaled_root(x: int, num: int, den: int) -> float:
+    """x * sqrt(num / den) for integers num, den > 0, as a float within one ulp.
+
+    The radicand x^2 num / den leaves exact arithmetic as one correctly
+    rounded int/int quotient, so no intermediate overflows.
+    """
+    root = math.sqrt(x * x * num / den)
+    return -root if x < 0 else root
+
+
+def dbar_chi_without_its_second_term(a: int, b: int, n_trunc: int,
+                                     dbar_chi=spectral._dbar_chi) -> WeightedFn:
+    """dbar chi_(a,b) without its term (b - N) psi_(a+1,b).
+
+    Its rows in the form basis are no longer spanned by two certified rows,
+    so the model build expands them in full.
+    """
+    return {key: c for key, c in dbar_chi(a, b, n_trunc).items() if key[0] == a}
 
 
 def _round_each_entry(v: List[List[int]], w: List[List[int]], norms: Sequence[int],

@@ -27,7 +27,7 @@ from hochheat.report import FAIL, CheckResult, VerificationReport
 from hochheat.spectral import CONVENTION_TAG, cache_path, harmonic_supertrace, load_spectrum
 from hochheat.suite import SuiteConfig, run_suite
 from hochheat.weyl import mono_product
-from oracles import report_from_json
+from oracles import dbar_chi_without_its_second_term, report_from_json
 
 
 def _strip_volatile(report: VerificationReport):
@@ -392,20 +392,20 @@ def _first_position_shuffles(p, q, shuffles=chains._shuffles):
 
 
 def _degree_one_stiffness(perturb, stiffness=spectral._stiffness):
-    """`spectral._stiffness` with `perturb` applied to the spectrum of every second block.
+    """`spectral._stiffness` with `perturb` applied to the spectrum of every degree-1 block.
 
-    `build_model` assembles the degree-0 and then the degree-1 block of each
-    charge, so the perturbed calls are exactly the degree-1 blocks; each
-    returns V diag(perturb(lam)) V^T for the eigenpairs (lam, V) of the block.
+    `build_model` assembles all degree-0 blocks in one call and then all
+    degree-1 blocks in the next, so the perturbed calls are exactly every
+    second one; each of their blocks becomes V diag(perturb(lam)) V^T for
+    the eigenpairs (lam, V) of the block.
     """
     calls = itertools.count()
 
     def perturbed(*args):
-        x = stiffness(*args)
+        blocks = stiffness(*args)
         if next(calls) % 2 == 0:
-            return x
-        lam, vecs = np.linalg.eigh(x)
-        return (vecs * perturb(lam)) @ vecs.T
+            return blocks
+        return [(vecs * perturb(lam)) @ vecs.T for lam, vecs in map(np.linalg.eigh, blocks)]
     return perturbed
 
 
@@ -435,11 +435,6 @@ def _unsigned_bprime(c):
 def _negated_tau(c, tau=chains.cyclic_tau):
     """cyclic_tau with the opposite sign: the bicomplex arrow 1 - tau becomes 1 + tau."""
     return (-1) * tau(c)
-
-
-def _dbar_chi_without_its_second_term(a, b, n_trunc, dbar_chi=spectral._dbar_chi):
-    """dbar chi_(a,b) without its term (b - N) psi_(a+1,b)."""
-    return {key: c for key, c in dbar_chi(a, b, n_trunc).items() if key[0] == a}
 
 
 def _unsigned_image_coefficients(*args, image=spectral._image_coefficients):
@@ -506,7 +501,7 @@ CAN_FAIL = {
                              "tsygan.differential.squared"),
     "shuffle-first-position-2x4": (chains, "_shuffles", _first_position_shuffles, ["shuffle"],
                                    "shuffle.multiplicative.2x4"),
-    "sections-kernel": (spectral, "_dbar_chi", _dbar_chi_without_its_second_term,
+    "sections-kernel": (spectral, "_dbar_chi", dbar_chi_without_its_second_term,
                         ["spectrum", "--no-cache"], "spectrum.kernel.sections"),
     "forms-kernel": (spectral, "_stiffness", _degree_one_stiffness(_zero_lowest),
                      ["spectrum", "--no-cache"], "spectrum.kernel.forms"),

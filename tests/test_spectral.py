@@ -8,6 +8,7 @@ import random
 import re
 import time
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -40,8 +41,9 @@ from hochheat.spectral import (
 )
 from hochheat.weyl import WeylElement, d_var, mul, unit, z_var
 from oracles import (DivergentIntegralError, _apply_weyl, _congruence, _lift, _moment_block,
-                     _pairing, _reduced, _round_each_entry, add, harmonic0_coordinates,
-                     lifted_pairings, mono_integral, monomial, pair_weighted, scale, zero)
+                     _pairing, _reduced, _round_each_entry, _scaled_root, add,
+                     dbar_chi_without_its_second_term, harmonic0_coordinates, lifted_pairings,
+                     mono_integral, monomial, pair_weighted, scale, zero)
 
 
 def _chi(a, b, n_trunc):
@@ -178,8 +180,8 @@ def _block_incidences(k, n, q):
     fact = [math.factorial(i) for i in range(2 * n + k + 2)]
     pairs = _charge_pairs(q, n + k, n)
     fpairs = _charge_pairs(q + 1, n + k + 1, n - 1)
-    dbar = _incidence([_dbar_chi(a, b, n) for a, b in pairs], fpairs, n + 1)
-    star = _incidence([_dbar_star(a, b, n, k) for a, b in fpairs], pairs, n)
+    dbar = _incidence([spectral._dbar_chi(a, b, n) for a, b in pairs], fpairs, n + 1)
+    star = _incidence([spectral._dbar_star(a, b, n, k) for a, b in fpairs], pairs, n)
     return (pairs, fpairs, _gram(len(pairs), abs(q), fact), _gram(len(fpairs), abs(q + 1), fact),
             dbar, star)
 
@@ -430,6 +432,15 @@ def test_time_grid_validation():
         limit_supertrace(model, unit(1), [])
 
 
+@pytest.mark.parametrize("grid", [1.0, np.float64(1.0), "0.5"], ids=["float", "numpy-float",
+                                                                    "string"])
+def test_a_bare_time_is_not_a_time_grid(grid):
+    # a float raised TypeError: 'float' object is not iterable, and a string was read
+    # character by character
+    with pytest.raises(ValueError, match=f"sequence of heat times, got {re.escape(repr(grid))}$"):
+        limit_supertrace(build_model(0, 6), unit(1), grid)
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_a_time_that_is_not_finite_is_refused(t):
     # nan and inf once gave nan with a RuntimeWarning: inf times a zero eigenvalue is nan
@@ -474,10 +485,10 @@ def test_eigenvalues_are_nonnegative():
 
 
 def _shifted_stiffness(shift, stiffness=spectral._stiffness):
-    """`spectral._stiffness` minus shift times the identity: indefinite for shift > 0."""
+    """`spectral._stiffness` with each block minus shift times the identity: indefinite for
+    shift > 0."""
     def shifted(*args):
-        x = stiffness(*args)
-        return x - shift * np.eye(len(x))
+        return [x - shift * np.eye(len(x)) for x in stiffness(*args)]
     return shifted
 
 
@@ -633,11 +644,19 @@ def test_closed_form_rows_are_positive_multiples_of_the_bareiss_rows(case):
                for i in range(size) for j in range(size))
 
 
-@pytest.mark.parametrize("k, n", [(0, 6), (1, 10), (3, 12), (0, 14), (2, 8), (0, 20),
-                                  pytest.param(0, spectral.MAX_TRUNC, marks=pytest.mark.large)])
-def test_closed_form_path_is_bit_identical_to_the_bareiss_oracle(monkeypatch, k, n):
-    # (0, 20) and (0, 40) congruences take both the machine-word and the Python-integer path
-    solved = []  # the rounded congruence of each block, in the order the blocks are assembled
+@pytest.mark.parametrize("k, n, dbar_chi", [
+    (0, 6, None), (1, 10, None), (3, 12, None), (0, 14, None), (2, 8, None), (0, 20, None),
+    # rows wider than two certified rows: the full expansion of `_expand`, block by block
+    (0, 10, dbar_chi_without_its_second_term),
+    pytest.param(0, spectral.MAX_TRUNC, None, marks=pytest.mark.large),
+    pytest.param(spectral.MAX_TRUNC - 2, spectral.MAX_TRUNC, None, marks=pytest.mark.large),
+], ids=["0-6", "1-10", "3-12", "0-14", "2-8", "0-20", "0-10-sections-kernel", "0-40", "38-40"])
+def test_closed_form_path_is_bit_identical_to_the_bareiss_oracle(monkeypatch, k, n, dbar_chi):
+    # (0, 20) and (0, 40) congruences take both the machine-word and the Python-integer path,
+    # and so do the stiffness expansions of (0, 40) and (38, 40)
+    if dbar_chi is not None:
+        monkeypatch.setattr(spectral, "_dbar_chi", dbar_chi)
+    solved = []  # each degree's rounded congruences, block by block in charge order
     real_stiffness = spectral._stiffness
 
     def recording(*args):
@@ -646,11 +665,11 @@ def test_closed_form_path_is_bit_identical_to_the_bareiss_oracle(monkeypatch, k,
 
     monkeypatch.setattr(spectral, "_stiffness", recording)
     model = build_model(k, n)
-    # one degree-0 and one degree-1 block per charge, assembled in that order; each
+    # one call for degree 0 and one for degree 1, one block per charge in each; each
     # stiffness is the plain congruence of its own incidence, D G1 D^T or T G0 T^T,
     # and (M-1)! scales the Gram and the stiffness alike
-    assert len(solved) == 2 * len(model.blocks)
-    for q, got0, got1 in zip(range(-n, n + k + 1), solved[::2], solved[1::2]):
+    assert [len(x) for x in solved] == [len(model.blocks)] * 2
+    for q, got0, got1 in zip(range(-n, n + k + 1), *solved):
         _, _, g0, g1, dbar, star = _block_incidences(k, n, q)
         for got, gram, incidence, other in ((got0, g0, dbar, g1), (got1, g1, star, g0)):
             ref = _oracle_congruence(gram, _congruence(incidence, other), Fraction(1))
@@ -685,6 +704,119 @@ def test_expansion_in_triangular_rows_is_exact(case):
     assert den > 0 and all(0 <= m < len(rows) and v for m, v in c.items())
     assert [den * v for v in u] == [sum(cm * rows[m][col] for m, cm in c.items() if col <= m)
                                     for col in range(len(u))]
+
+
+def _peel_against_expand(blocks, rows, owner):
+    """`spectral._peel` of rows, row i in the lower triangular rows blocks[owner[i]], checked
+    row by row against `_expand`; returns whether it ended in machine words.
+
+    A row that `_expand` writes with at most two rows must come out with `_expand`'s
+    (den, c) and nothing left over; a wider one must be left with a remainder, and its
+    two steps must still satisfy den u = sum c W'_m + rest exactly.
+    """
+    width = max(map(len, blocks))
+    words = all(abs(v) < 2 ** 63 for r in [*rows, *chain(*blocks)] for v in r)
+    w = np.zeros((len(blocks), width, width), dtype=np.int64 if words else object)
+    for b, rows_b in enumerate(blocks):
+        w[b, :len(rows_b), :len(rows_b)] = _square(rows_b)
+    rest, den, m, c = spectral._peel(np.array(rows, dtype=w.dtype), w, np.array(owner))
+    for i, (u, b) in enumerate(zip(rows, owner)):
+        got = {int(m[i, a]): int(c[i, a]) for a in range(2) if m[i, a] >= 0}
+        ref_den, ref_c = _expand(u[:len(blocks[b])], blocks[b])
+        if len(ref_c) <= 2:
+            assert not any(rest[i]) and (int(den[i]), got) == (ref_den, ref_c)
+        else:
+            assert any(rest[i]) and len(got) == 2
+        assert [int(den[i]) * v for v in u] == [
+            sum(cm * _square(blocks[b])[mm][col] for mm, cm in got.items()) + int(rest[i, col])
+            if col < len(blocks[b]) else int(rest[i, col]) for col in range(width)]
+    return c.dtype == np.int64
+
+
+@st.composite
+def peel_cases(draw):
+    """Blocks of lower triangular rows with a nonzero diagonal, and rows to expand, each in
+    one block and zero past its width: an integer combination of none, one, two or three of
+    its rows, divided by its content or not, or a random row.  The entries of one case stay
+    below 2^bits, from small to past int64."""
+    bits = draw(st.sampled_from([4, 12, 24, 40, 62, 70]))
+    entries = st.integers(-2 ** bits, 2 ** bits)
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    blocks = [[draw(st.lists(entries, min_size=j, max_size=j)) + [draw(entries.filter(bool))]
+               for j in range(s)] for s in sizes]
+    rows, owner = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        b = draw(st.integers(0, len(sizes) - 1))
+        square = _square(blocks[b])
+        if draw(st.booleans()):
+            picked = draw(st.lists(st.integers(0, sizes[b] - 1), max_size=3, unique=True))
+            coeffs = [draw(entries.filter(bool)) for _ in picked]
+            u = [sum(a * square[mm][col] for a, mm in zip(coeffs, picked))
+                 for col in range(sizes[b])]
+            if draw(st.booleans()) and any(u):
+                u = [v // math.gcd(*u) for v in u]
+        else:
+            u = draw(st.lists(entries, min_size=sizes[b], max_size=sizes[b]))
+        rows.append(u + [0] * (max(sizes) - sizes[b]))
+        owner.append(b)
+    return blocks, rows, owner
+
+
+@given(peel_cases())
+@settings(max_examples=200, deadline=None)
+def test_the_batched_peel_is_expand_row_by_row(case):
+    _peel_against_expand(*case)
+
+
+@pytest.mark.parametrize("rows, w, machine", [
+    # every term is at most 2^62 - 1 and the bound 2 (2^62 - 1) stays below 2^63
+    ([[2 ** 62 - 1]], [[1]], True),
+    # the bound reaches 2^63 exactly
+    ([[2 ** 62]], [[1]], False),
+    # the first step scales 2^61 by f = 8: 2^64 wraps in int64
+    ([[2 ** 61, 1]], [[1], [0, 8]], False),
+    # the first step fits (2^40 f = 2^61), the second subtracts t = 2^61 - 3 times 2^21
+    ([[2 ** 40, 3]], [[1], [1, 2 ** 21]], False),
+    # the same rows one power of two smaller: both steps in int64
+    ([[2 ** 20, 3]], [[1], [1, 2 ** 21]], True),
+    # three rows: two steps leave a remainder
+    ([[1, 1, 1]], [[1], [0, 1], [0, 0, 1]], True),
+], ids=["largest-word", "at-the-bound", "scaling-wraps", "second-step-wraps", "two-steps-fit",
+        "three-rows"])
+def test_the_peel_at_the_edges_of_its_bound(rows, w, machine):
+    assert _peel_against_expand([w], rows, [0] * len(rows)) == machine
+
+
+def test_rows_two_apart_that_share_a_form_row_are_summed_in_full():
+    # each row expands in at most two rows of W' = I, but rows 0 and 2 share row 0, so
+    # X = R R^T is not tridiagonal: X_02 = 1 comes only from the full accumulation
+    eye = np.eye(3, dtype=np.int64)
+    (got,) = spectral._stiffness([eye], [[1, 1, 1]], [[{0: 1}, {1: 1}, {0: 1, 2: 1}]], [eye],
+                                 [[1, 1, 1]])
+    assert got.tolist() == [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 2.0]]
+
+
+def test_a_stiffness_row_past_int64_is_summed_in_python_integers():
+    # U = 3 2^50 2^12 = 3 2^62 would wrap to -2^62 in int64, so X = U^2 would read 2^124
+    w = np.array([[3 * 2 ** 50]], dtype=np.int64)
+    (got,) = spectral._stiffness([w], [[1]], [[{0: 2 ** 12}]], [np.ones((1, 1), dtype=np.int64)],
+                                 [[1]])
+    assert got.tolist() == [[float(9 * 2 ** 124)]]
+
+
+@pytest.mark.parametrize("x, left, right", [
+    # x^2 = 3.2e16 passes 2^53: float64 squares it inexactly and the root moves by one ulp
+    (179827493, 385, 1999),
+    # left right = 5.2e16 passes 2^53: float64 multiplies them inexactly, the same way
+    (318030, 256679541, 202467124),
+    # x^2 is the largest square below 2^53 and left right = 2^53 - 2^26 - 1: float64 is exact
+    (94906265, 2 ** 26 - 1, 2 ** 27 + 1),
+], ids=["numerator-past-2^53", "denominator-past-2^53", "largest-exact"])
+def test_the_rounding_takes_float64_only_where_it_is_exact(x, left, right):
+    for sign in (1, -1):
+        got = spectral._signed_root(np.array([sign * x]), 1, np.array([left], dtype=object),
+                                    np.array([right], dtype=object))
+        assert got.tobytes() == np.array([_scaled_root(sign * x, 1, left * right)]).tobytes()
 
 
 def _square(rows):
