@@ -67,8 +67,8 @@ int64 where a Python-integer bound proves every term below 2^63 and in
 Python integers otherwise, and X on its tridiagonal.  A block where a row
 or a shared W1_m breaks that shape is expanded row by row and summed in
 full, so exactness never rests on the sparsity.  Each entry is rounded
-once (`_signed_root`), in float64 only where its integers are exact
-there.  build_model(0, 40) and build_model(38, 40), whose expansions pass
+once (`_signed_root`), one Python int / int quotient per radicand.
+build_model(0, 40) and build_model(38, 40), whose expansions pass
 int64, take 0.12-0.19 s and 0.38-0.5 s on one 2-CPU host.
 Degree 1 expands W1 T in W0 on its own, and each degree is solved on
 its own and keeps its eigenvectors.
@@ -97,8 +97,7 @@ rounded once.  Where W and P are int64 below 2^52 and a float error bound
 proves |X| < 2^62, X is their uint64 product, exact modulo 2^64, else Python
 integers (`_round_congruence`); the floats are the same either way.  Every
 z d/dz block does so for N <= 15 and k <= 8, and 75 of 98 at (k, N) = (0, 24).
-Its rounding is the stiffness's (`_signed_root`), in float64 for 115 of the
-200 z d/dz blocks of (k, N) = (0, 14), (1, 10), (2, 8) and (3, 13).
+Its rounding is the stiffness's (`_signed_root`).
 Blocks are built on demand and cached per (degree, operator, block).
 `limit_supertrace` and `harmonic_supertrace` read the same signed diagonals
 <op e, e>, the latter at the kernel vectors only, so it builds only the
@@ -143,8 +142,6 @@ IntMat = List[List[int]]
 
 #: the operator congruence keeps rows and pairings in int64 only below this, exact in float64
 _EXACT = 2 ** 52
-#: integers below this are exact in float64
-_FLOAT = 2 ** 53
 #: int64 magnitudes stay below this
 _WORD = 2 ** 63
 
@@ -187,17 +184,10 @@ def _signed_root(x: np.ndarray, scale: int, left: np.ndarray, right: np.ndarray)
     """sign(x) sqrt(x^2 scale / (left right)) for integer arrays, broadcast together.
 
     x is int64 or Python integers, left, right > 0 are Python integers, and
-    scale >= 1.  Each radicand leaves exact arithmetic once.  When the
-    maxima put every x^2 scale and every left right below 2^53, those
-    integers and every product that forms them are exact in float64, whose
-    division is correctly rounded, as Python's int / int is; otherwise each
-    radicand is one int / int quotient of Python integers.  So the float is
-    the same either way, and no intermediate overflows.
+    scale >= 1.  Each radicand leaves exact arithmetic once, as one
+    correctly rounded int / int quotient of Python integers, so no
+    intermediate overflows.
     """
-    if (int(abs(x).max()) ** 2 * scale < _FLOAT
-            and int(left.max()) * int(right.max()) < _FLOAT):
-        xf = x.astype(float)
-        return np.copysign(np.sqrt(xf * xf * scale / (left.astype(float) * right.astype(float))), xf)
     root = np.sqrt((x.astype(object) ** 2 * scale / (left * right)).astype(float))
     return np.where(x < 0, -root, root)
 

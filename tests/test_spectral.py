@@ -805,14 +805,14 @@ def test_a_stiffness_row_past_int64_is_summed_in_python_integers():
 
 
 @pytest.mark.parametrize("x, left, right", [
-    # x^2 = 3.2e16 passes 2^53: float64 squares it inexactly and the root moves by one ulp
+    # x^2 = 3.2e16 passes 2^53: a float64 square would be inexact and move the root by one ulp
     (179827493, 385, 1999),
-    # left right = 5.2e16 passes 2^53: float64 multiplies them inexactly, the same way
+    # left right = 5.2e16 passes 2^53: a float64 product would be inexact, the same way
     (318030, 256679541, 202467124),
-    # x^2 is the largest square below 2^53 and left right = 2^53 - 2^26 - 1: float64 is exact
+    # x^2 is the largest square below 2^53 and left right = 2^53 - 2^26 - 1
     (94906265, 2 ** 26 - 1, 2 ** 27 + 1),
-], ids=["numerator-past-2^53", "denominator-past-2^53", "largest-exact"])
-def test_the_rounding_takes_float64_only_where_it_is_exact(x, left, right):
+], ids=["numerator-past-2^53", "denominator-past-2^53", "largest-below-2^53"])
+def test_the_rounding_is_one_correctly_rounded_quotient(x, left, right):
     for sign in (1, -1):
         got = spectral._signed_root(np.array([sign * x]), 1, np.array([left], dtype=object),
                                     np.array([right], dtype=object))
