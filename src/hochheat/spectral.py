@@ -51,25 +51,27 @@ and form block q+1 (alpha = |q+1|) is paired with section block q.
 dbar chi_(a,b) = b psi_(a,b-1) + (b-N) psi_(a+1,b) and dbar* psi_(a,b) =
 -a chi_(a-1,b) + (N+k+1-a) chi_(a,b+1) stay inside the two families, and
 for k >= 0 the forms span exactly dbar of the sections (dimension
-N(N+k+2), the section count minus k+1), and both families share M.  With
-D and T the integer incidences of dbar and dbar*, the stiffness is
-D G1 D^T in degree 0 and T G0 T^T in degree 1.  Its congruence is not
-formed as a product.  Each row u_i = W0_i D is expanded in the form
-block's certified rows, den_i u_i = sum_m c_im W1_m exactly (W1 is
-triangular with a nonzero diagonal), so X_ij = sum_m c_im c_jm p1_m /
-(den_i den_j): the same rational as the product, so the same rounded bits.
-In each of the 780 models build_model admits (every k with N <= 40) each
-u_i has one or two c_im and rows two apart share none: the stiffness is
-tridiagonal in W coordinates.  Every block of one degree is expanded in
-one array pass (`_stiffness`): U = W0 D over the lower triangles, two
-peeling steps of the expansion on every row at once (`_peel`), both in
-int64 where a Python-integer bound proves every term below 2^63 and in
-Python integers otherwise, and X on its tridiagonal.  A block where a row
-or a shared W1_m breaks that shape is expanded row by row and summed in
-full, so exactness never rests on the sparsity.  Each entry is rounded
-once (`_signed_root`), one Python int / int quotient per radicand.
-build_model(0, 40) and build_model(38, 40), whose expansions pass
-int64, take 0.12-0.19 s and 0.38-0.5 s on one 2-CPU host.
+N(N+k+2), the section count minus k+1), and both families share M.  The
+integer incidences D and T of dbar and dbar* come straight from that
+index arithmetic, two terms a row over every block of a degree, a term
+that would leave the basis with coefficient 0 (`_incidence`).  The
+stiffness is D G1 D^T in degree 0 and T G0 T^T in degree 1, and its
+congruence is X = U G1 U^T with U = W0 D.  Each row u_i is expanded in
+the form block's certified rows, den_i u_i = sum_m c_im W1_m exactly (W1
+is triangular with a nonzero diagonal), so X_ij = sum_m c_im c_jm p1_m /
+(den_i den_j): the same rational, so the same rounded bits.  In each of
+the 780 models build_model admits (every k with N <= 40) each u_i has one
+or two c_im and rows two apart share none: the stiffness is tridiagonal
+in W coordinates.  Every block of one degree goes in one array pass
+(`_stiffness`): U over the lower triangles, two peeling steps of the
+expansion on every row at once (`_peel`), both in int64 where a
+Python-integer bound proves every term below 2^63 and in Python integers
+otherwise, and X on its tridiagonal.  A block where a row or a shared
+W1_m breaks that shape forms U G1 U^T in Python integers, so exactness
+never rests on the sparsity.  Each entry is rounded once
+(`_signed_root`), one Python int / int quotient per radicand.
+build_model(0, 40) and build_model(38, 40), whose expansions pass int64,
+take 0.19-0.22 s and 0.5-0.76 s on one 2-CPU host.
 Degree 1 expands W1 T in W0 on its own, and each degree is solved on
 its own and keeps its eigenvectors.
 Only integration by parts, T G0 = G1 D^T, ties their nonzero spectra
@@ -114,8 +116,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import comb, factorial
-from numbers import Rational, Real
-from operator import mul
+from numbers import Real
+from operator import le, mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -132,11 +134,6 @@ CONVENTION_TAG = "fs-unit-volume:v1"
 #: k = 0 and 0.8-1.0 s for k = 38, most of it exact O(s^3) products past the
 #: machine words
 MAX_TRUNC = 40
-
-#: weighted chart function: (z exponent, zbar exponent, denominator power)
-#: -> rational coefficient (int or Fraction), denoting
-#: sum c * z^a zbar^b (1+|z|^2)^(-g)
-WeightedFn = Dict[Tuple[int, int, int], Rational]
 
 IntMat = List[List[int]]
 
@@ -257,33 +254,9 @@ def _certify(gram: IntMat, w: IntMat) -> List[int]:
     return norms
 
 
-def _expand(u: List[int], w: IntMat) -> Tuple[int, Dict[int, int]]:
-    """(den, c) with den > 0 and den * u = sum of c[m] * w[m] exactly.
-
-    w is lower triangular (row m has m+1 entries; any past them are not
-    read) with a nonzero diagonal and u has len(w) entries, so the rows are
-    peeled off from the last column down and nothing is left over; den
-    grows only when a diagonal entry does not divide what is left in its
-    column.
-    """
-    rest, den, c = list(u), 1, {}
-    for m in range(len(w) - 1, -1, -1):
-        if not rest[m]:
-            continue
-        wm = w[m]
-        f = abs(wm[m]) // math.gcd(rest[m], wm[m])
-        if f != 1:
-            den *= f
-            rest = [v * f for v in rest[:m + 1]]
-            c = {key: v * f for key, v in c.items()}
-        c[m] = t = rest[m] // wm[m]
-        for j in range(m + 1):
-            rest[j] -= t * wm[j]
-    return den, c
-
-
 def _peel(u: np.ndarray, w: np.ndarray, owner: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """Two steps of `_expand` on every row of u at once, row i in the rows w[owner[i]].
+    """Two steps of the expansion den u_i = sum c_im W_m on every row of u at once, row i
+    in the lower triangular rows w[owner[i]].
 
     Each step takes the last nonzero column m of what is left of the row,
     scales it, and the den and the coefficients so far, by
@@ -319,26 +292,29 @@ def _peel(u: np.ndarray, w: np.ndarray, owner: np.ndarray) -> Tuple[np.ndarray, 
 
 
 def _stiffness(w: Sequence[np.ndarray], norms: Sequence[Sequence[int]],
-               incidence: Sequence[List[Dict[int, int]]], w_other: Sequence[np.ndarray],
-               norms_other: Sequence[Sequence[int]]) -> List[np.ndarray]:
+               incidence: Tuple[np.ndarray, np.ndarray], w_other: Sequence[np.ndarray],
+               norms_other: Sequence[Sequence[int]], gram_other: Sequence[IntMat]
+               ) -> List[np.ndarray]:
     """The rounded congruences of the stiffness R G' R^T of one degree's blocks.
 
     Block b has the certified rows w[b], W G W^T = diag(norms[b]), and its
-    operator (dbar or dbar*) the integer incidence R = incidence[b] into
-    block b of the other degree, whose rows w_other[b] give
-    W' G' W'^T = diag(norms_other[b]).  Each row u_i = W_i R is expanded as
-    den_i u_i = sum_m c_im W'_m (`_expand`), so X = W R G' R^T W^T is
-    X_ij = sum_m c_im c_jm p'_m / (den_i den_j), and each entry
-    X_ij / sqrt(p_i p_j) is rounded once (`_signed_root`).
+    operator (dbar or dbar*) an integer incidence R_b into block b of the
+    other degree, whose Gram is the leading block G' of gram_other[b] and
+    whose rows w_other[b] give W' G' W'^T = diag(norms_other[b]).  Row r of
+    R_b is row start_b + r of incidence = (col, coef), `_incidence`'s two
+    terms; a term with a nonzero coefficient outside the other block is an
+    OperatorEscapeError.  Each entry of X = U G' U^T, U = W R, is rounded
+    once as X_ij / sqrt(p_i p_j) (`_signed_root`).
 
     The blocks go together, their rows one after another: U = W R over
     each block's lower triangle, in int64 where max|W| max|R| s < 2^63;
-    two steps of `_expand` on every row (`_peel`); and X on its
-    tridiagonal.  In every model measured each u_i has one or two c_im and
-    rows two apart share no W'_m, so X is tridiagonal.  A block where that
-    fails, a row that two steps leave unexpanded or two rows two apart that
-    share a W'_m, is expanded by `_expand` and accumulated in full instead:
-    as exact, only slower.  Returns each block's matrix, in order.
+    two peeling steps of den_i u_i = sum_m c_im W'_m on every row (`_peel`);
+    and X_ij = sum_m c_im c_jm p'_m / (den_i den_j), the same rational, on
+    its tridiagonal.  In every model `build_model` admits each u_i has one
+    or two c_im and rows two apart share no W'_m, so X is tridiagonal.  A
+    block where that fails, a row that two steps leave unexpanded or two
+    rows two apart that share a W'_m, forms U G' U^T in Python integers
+    instead: as exact, only slower.  Returns each block's matrix, in order.
     """
     sizes, width = [len(wb) for wb in w], max(map(len, w_other))
     nb, start = len(w), np.cumsum([0] + sizes)
@@ -346,21 +322,26 @@ def _stiffness(w: Sequence[np.ndarray], norms: Sequence[Sequence[int]],
     index = np.arange(start[-1]) - start[owner]  # each row's index in its block
     flat = np.concatenate([wb.ravel() for wb in w])  # W_b[i, r] = flat[offset_b + i s_b + r]
     offset = np.cumsum([0] + [s * s for s in sizes])
-    rows = list(chain.from_iterable(incidence))  # row r of R_b is rows[start_b + r]
-    col = np.fromiter(chain.from_iterable(rows), dtype=np.intp)
-    coef = list(chain.from_iterable(row.values() for row in rows))
+    col, coef = incidence
+    sizes_other = np.array([len(wb) for wb in w_other])
+    outside = (coef != 0) & ((col < 0) | (col >= sizes_other[owner, None]))
+    if outside.any():
+        i, t = np.argwhere(outside)[0]
+        raise OperatorEscapeError(f"term {t} of row {index[i]} in block {owner[i]} "
+                                  f"leaves the basis at column {col[i, t]}")
     words = (all(wb.dtype == np.int64 for wb in (*w, *w_other))  # |U| <= max|W| max|R| s
-             and int(np.abs(flat).max()) * max(map(abs, coef), default=0) * max(sizes) < _WORD)
+             and int(np.abs(flat).max()) * int(np.abs(coef).max()) * max(sizes) < _WORD)
     dtype = np.int64 if words else object
     # entry e of R_b, at (r, col), adds W_b[i, r] R_b[r, col] to U_b[i, col] for each i >= r
-    src = np.repeat(np.arange(len(rows)), [len(row) for row in rows])  # start_b + r of each e
+    src, term = np.nonzero(coef)  # start_b + r of each e
+    col, coef = col[src, term], coef[src, term].astype(dtype)
     span = start[owner[src] + 1] - src
     e = np.repeat(np.arange(len(src)), span)
     dest = src[e] + np.arange(len(e)) - np.repeat(np.cumsum(span) - span, span)  # start_b + i
     u = np.zeros(len(owner) * width, dtype=dtype)
     np.add.at(u, dest * width + col[e],
               flat[offset[owner[dest]] + index[dest] * np.asarray(sizes)[owner[dest]]
-                   + index[src[e]]].astype(dtype) * np.array(coef, dtype=dtype)[e])
+                   + index[src[e]]].astype(dtype) * coef[e])
     u = u.reshape(-1, width)
     w_stack = np.zeros((nb, width, width), dtype=dtype)
     for b, wb in enumerate(w_other):
@@ -389,16 +370,12 @@ def _stiffness(w: Sequence[np.ndarray], norms: Sequence[Sequence[int]],
     out[owner[left], index[left], index[right]] = out[owner[left], index[right], index[left]] = (
         _signed_root(x, 1, scaled[left], scaled[right]))
 
-    for b in general:
-        rows_other, full = w_other[b].tolist(), np.zeros((sizes[b], sizes[b]), dtype=object)
-        expanded = [_expand(ub[:len(rows_other)], rows_other)
-                    for ub in u[start[b]:start[b + 1]].tolist()]
-        for i, (_, ci) in enumerate(expanded):
-            for j, (_, cj) in enumerate(expanded):
-                full[i, j] = sum(v * cj.get(mm, 0) * p_other[start_other[b] + mm]
-                                 for mm, v in ci.items())
-        scaled_b = np.array([d for d, _ in expanded], dtype=object) ** 2 * p[start[b]:start[b + 1]]
-        out[b, :sizes[b], :sizes[b]] = _signed_root(full, 1, scaled_b[:, None], scaled_b)
+    for b in general:  # X = U G' U^T, in Python integers since G' is
+        s = len(w_other[b])
+        ub = u[start[b]:start[b + 1], :s]
+        x = ub @ np.array([row[:s] for row in gram_other[b][:s]], dtype=object) @ ub.T
+        pb = p[start[b]:start[b + 1]]
+        out[b, :sizes[b], :sizes[b]] = _signed_root(x, 1, pb[:, None], pb)
     return [out[b, :s, :s] for b, s in enumerate(sizes)]
 
 
@@ -434,37 +411,26 @@ class SpectralModel:
     )
 
 
-def _dbar_chi(a: int, b: int, n_trunc: int) -> WeightedFn:
-    """Coefficient of dzbar in dbar applied to chi_(a,b)."""
-    out: WeightedFn = {}
-    if b:
-        out[(a, b - 1, n_trunc + 1)] = b
-    if b != n_trunc:
-        out[(a + 1, b, n_trunc + 1)] = b - n_trunc
-    return out
+def _incidence(k: int, n: int, degree: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The integer incidence of dbar (degree 0) or dbar* (degree 1) as (col, coef), each (rows, 2).
 
-
-def _dbar_star(a: int, b: int, n_trunc: int, k: int) -> WeightedFn:
-    """dbar* of psi_(a,b) = z^a zbar^b (1+|z|^2)^(-N-1) dzbar, over the sections chi.
-
-    The adjoint of dbar is g dzbar -> -(1+|z|^2)^(k+2) d/dz ((1+|z|^2)^(-k) g).
+    The rows run over the degree's basis, block after block in charge
+    order; each holds the two terms of its image in the other degree's
+    block: dbar chi_(a,b) = b psi_(a,b-1) + (b-N) psi_(a+1,b), at columns
+    b - max(0,-q-1) + (-1, 0), and dbar* psi_(a,b) = -a chi_(a-1,b) +
+    (N+k+1-a) chi_(a,b+1), at columns b - max(0,-q) + (0, 1), with q the
+    charge of the section block.  A term that would leave the basis has
+    coefficient 0.  The adjoint of dbar is
+    g dzbar -> -(1+|z|^2)^(k+2) d/dz ((1+|z|^2)^(-k) g).
     """
-    out: WeightedFn = {}
-    if a:
-        out[(a - 1, b, n_trunc)] = -a
-    if a != n_trunc + k + 1:
-        out[(a, b + 1, n_trunc)] = n_trunc + k + 1 - a
-    return out
-
-
-def _incidence(images: List[WeightedFn], pairs: List[Tuple[int, int]],
-               power: int) -> List[Dict[int, int]]:
-    """Each image as {column: coefficient} over z^a zbar^b (1+|z|^2)^(-power), (a, b) in pairs."""
-    index = {(a, b, power): j for j, (a, b) in enumerate(pairs)}
-    escaped = [key for img in images for key in img if key not in index]
-    if escaped:
-        raise OperatorEscapeError(f"image term (a, b, power) = {escaped[0]} leaves the basis")
-    return [{index[key]: c for key, c in img.items()} for img in images]
+    q = np.arange(-n, n + k + 1)
+    lo = np.maximum(0, -q - degree)  # the first zbar exponent b of each block
+    size = np.minimum(n - degree, n + k - q) - lo + 1
+    q = np.repeat(q, size)  # each row's section charge, and its b
+    b = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size) + np.repeat(lo, size)
+    col = (b - np.maximum(0, degree - 1 - q))[:, None] + ((-1, 0), (0, 1))[degree]
+    a = b + q + 1
+    return col, np.stack([b, b - n] if degree == 0 else [-a, n + k + 1 - a], axis=1)
 
 
 def _charge_pairs(q: int, a_max: int, b_max: int) -> List[Tuple[int, int]]:
@@ -482,9 +448,10 @@ def _gram(size: int, alpha: int, fact: List[int]) -> IntMat:
 def build_model(k: int, trunc: int) -> SpectralModel:
     """Assemble and diagonalize the truncated model for O(k) at truncation N.
 
-    Every block's rounded stiffness is assembled first, one `_stiffness`
-    call for all of degree 0 and one for all of degree 1; then one
-    `np.linalg.eigh` call solves the stack of all blocks of each size.
+    Every block's rounded stiffness is assembled first from the closed-form
+    incidences (`_incidence`) and the Grams of the other degree, one
+    `_stiffness` call for all of degree 0 and one for all of degree 1; then
+    one `np.linalg.eigh` call solves the stack of all blocks of each size.
     `basis_meta["max_gram_condition"]`, recorded and never compared, is the
     float condition number of the largest section Gram block of each alpha,
     which bounds those of its leading blocks.
@@ -533,12 +500,9 @@ def build_model(k: int, trunc: int) -> SpectralModel:
               [(abs(q + 1), len(fpairs)) for q, _, fpairs in layout])
     w0, w1 = ([triangles[alpha][:s, :s] for alpha, s in shape] for shape in shapes)
     p0, p1 = ([norms[alpha][:s] for alpha, s in shape] for shape in shapes)
-    dbar, dbar_star = [], []
-    for q, pairs, fpairs in layout:
-        dbar.append(_incidence([_dbar_chi(a, b, n) for a, b in pairs], fpairs, n + 1))
-        dbar_star.append(_incidence([_dbar_star(a, b, n, k) for a, b in fpairs], pairs, n))
-    x0 = _stiffness(w0, p0, dbar, w1, p1)  # D G1 D^T
-    x1 = _stiffness(w1, p1, dbar_star, w0, p0)  # T G0 T^T
+    g0, g1 = ([grams[alpha] for alpha, _ in shape] for shape in shapes)
+    x0 = _stiffness(w0, p0, _incidence(k, n, 0), w1, p1, g1)  # D G1 D^T
+    x1 = _stiffness(w1, p1, _incidence(k, n, 1), w0, p0, g0)  # T G0 T^T
     assembled = []  # (degree, charge, pairs, rows, norms, rounded stiffness) of every block
     for (q, pairs, fpairs), *block in zip(layout, w0, p0, x0, w1, p1, x1):
         assembled += [(0, q, pairs, *block[:3]), (1, q + 1, fpairs, *block[3:])]
@@ -832,8 +796,11 @@ def load_spectrum(cache_dir: str, k: int, trunc: int):
     A file that cannot be read, that is not a JSON object holding every
     summary field with the type `spectrum_summary` gives it (a bool or a
     float such as 2.0 is not an int, and each eigenvalue is a finite
-    positive float), or that another package version wrote, is a miss too,
-    so the caller rebuilds the model and overwrites the file.
+    positive float), that another package version wrote, or whose spectra
+    cannot be those of (k, trunc) is a miss too, so the caller rebuilds the
+    model and overwrites the file.  Each degree's eigenvalues must ascend
+    and, with its kernel dimension >= 0, count its whole basis:
+    (N+1)(N+k+1) sections and N(N+k+2) forms.
     """
     try:
         with open(cache_path(cache_dir, k, trunc), "r", encoding="utf-8") as fh:
@@ -844,7 +811,11 @@ def load_spectrum(cache_dir: str, k: int, trunc: int):
              and all(type(data[f]) is t for f, t in _SUMMARY_TYPES.items())
              and (data["tag"], data["version"], data["k"], data["trunc"]) == (CONVENTION_TAG,
                                                                               __version__, k, trunc)
-             and all(type(v) is float and 0 < v < math.inf for v in data["eigs0"] + data["eigs1"]))
+             and all(type(v) is float and 0 < v < math.inf for v in data["eigs0"] + data["eigs1"])
+             and all(dim >= 0 and len(eigs) + dim == size and all(map(le, eigs, eigs[1:]))
+                     for eigs, dim, size in (
+                         (data["eigs0"], data["dim_harmonic0"], (trunc + 1) * (trunc + k + 1)),
+                         (data["eigs1"], data["dim_harmonic1"], trunc * (trunc + k + 2)))))
     return data if valid else None
 
 

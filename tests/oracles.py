@@ -16,6 +16,13 @@ also computes, by a route that shares none of its shortcuts:
 * `_congruence`, the stiffness R G R^T of an incidence R as one sum per
   entry, against the rows the model build expands in the other degree's
   certified basis;
+* `incidence_by_images`, the d-bar and d-bar* incidences looked up term by
+  term from the images `dbar_chi` and `dbar_star` of single basis
+  functions, against the closed-form arrays of
+  `hochheat.spectral._incidence`;
+* `_expand`, the exact expansion of one row in triangular rows, peeled one
+  row at a time, against the two batched peeling steps of
+  `hochheat.spectral._peel`;
 * `harmonic0_coordinates`, the kernel vectors of a model back-solved to the
   (a, b) basis, against the holomorphic sections they must be;
 * `apply`, the action of a Weyl element on an ordinary polynomial, against
@@ -45,7 +52,7 @@ also computes, by a route that shares none of its shortcuts:
 It also keeps the readers that only the tests need: `report_from_json`,
 `column` of a bicomplex vector and `form_from_terms`, and `_reduced`, which
 divides an integer matrix given as lists by the gcd of its entries; and
-`dbar_chi_without_its_second_term`, a broken section operator that more
+`dbar_chi_without_its_second_term`, a broken section incidence that more
 than one test runs the model build under.
 
 The tests import this module as ``from oracles import ...``.
@@ -60,6 +67,7 @@ import re
 from fractions import Fraction
 from itertools import chain, permutations, product
 from math import comb, factorial
+from numbers import Rational
 from operator import mul as _times
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
@@ -70,7 +78,7 @@ from hochheat.chains import TensorChain, TsyganColumnVector
 from hochheat.chern import ChartDensity, QuadratureResult, chern_density, integrate_chart
 from hochheat.forms import EvenExps, FormKey, PolyForm
 from hochheat.report import CheckResult, VerificationReport
-from hochheat.spectral import OperatorEscapeError, SpectralModel, WeightedFn
+from hochheat.spectral import OperatorEscapeError, SpectralModel
 from hochheat.weyl import (MAX_DEGREE, MAX_VARIABLES, Exponents, Key, WeylElement, d_var, mul,
                            pack, unit, unpack, z_var)
 
@@ -80,6 +88,11 @@ from hochheat.weyl import (MAX_DEGREE, MAX_VARIABLES, Exponents, Key, WeylElemen
 
 #: a pairing value numerator / (m - 1)! as (numerator, m)
 Pairing = Tuple[int, int]
+
+#: weighted chart function: (z exponent, zbar exponent, denominator power)
+#: -> rational coefficient (int or Fraction), denoting
+#: sum c * z^a zbar^b (1+|z|^2)^(-g)
+WeightedFn = Dict[Tuple[int, int, int], Rational]
 
 
 def _reduced(mat: List[List[int]], scale: Fraction) -> Tuple[List[List[int]], Fraction]:
@@ -274,14 +287,87 @@ def _scaled_root(x: int, num: int, den: int) -> float:
     return -root if x < 0 else root
 
 
-def dbar_chi_without_its_second_term(a: int, b: int, n_trunc: int,
-                                     dbar_chi=spectral._dbar_chi) -> WeightedFn:
-    """dbar chi_(a,b) without its term (b - N) psi_(a+1,b).
+def dbar_chi(a: int, b: int, n_trunc: int) -> WeightedFn:
+    """Coefficient of dzbar in dbar applied to chi_(a,b)."""
+    out: WeightedFn = {}
+    if b:
+        out[(a, b - 1, n_trunc + 1)] = b
+    if b != n_trunc:
+        out[(a + 1, b, n_trunc + 1)] = b - n_trunc
+    return out
 
-    Its rows in the form basis are no longer spanned by two certified rows,
-    so the model build expands them in full.
+
+def dbar_star(a: int, b: int, n_trunc: int, k: int) -> WeightedFn:
+    """dbar* of psi_(a,b) = z^a zbar^b (1+|z|^2)^(-N-1) dzbar, over the sections chi.
+
+    The adjoint of dbar is g dzbar -> -(1+|z|^2)^(k+2) d/dz ((1+|z|^2)^(-k) g).
     """
-    return {key: c for key, c in dbar_chi(a, b, n_trunc).items() if key[0] == a}
+    out: WeightedFn = {}
+    if a:
+        out[(a - 1, b, n_trunc)] = -a
+    if a != n_trunc + k + 1:
+        out[(a, b + 1, n_trunc)] = n_trunc + k + 1 - a
+    return out
+
+
+def incidence_by_images(k: int, n: int, degree: int) -> List[Dict[int, int]]:
+    """The incidence of dbar (degree 0) or dbar* (degree 1), one {column: coefficient} per row.
+
+    Each basis function's image (`dbar_chi` or `dbar_star`) is looked up
+    term by term in the other degree's block of the same charge pair; the
+    rows run over the blocks in charge order.
+    """
+    out = []
+    for q in range(-n, n + k + 1):
+        pairs = [(b + q, b) for b in range(n + 1) if 0 <= b + q <= n + k]
+        fpairs = [(b + q + 1, b) for b in range(n) if 0 <= b + q + 1 <= n + k + 1]
+        if degree == 0:
+            images, other, power = [dbar_chi(a, b, n) for a, b in pairs], fpairs, n + 1
+        else:
+            images, other, power = [dbar_star(a, b, n, k) for a, b in fpairs], pairs, n
+        index = {(a, b, power): j for j, (a, b) in enumerate(other)}
+        out += [{index[key]: c for key, c in img.items()} for img in images]
+    return out
+
+
+def _expand(u: List[int], w: List[List[int]]) -> Tuple[int, Dict[int, int]]:
+    """(den, c) with den > 0 and den * u = sum of c[m] * w[m] exactly.
+
+    w is lower triangular (row m has m+1 entries; any past them are not
+    read) with a nonzero diagonal and u has len(w) entries, so the rows are
+    peeled off from the last column down and nothing is left over; den
+    grows only when a diagonal entry does not divide what is left in its
+    column.
+    """
+    rest, den, c = list(u), 1, {}
+    for m in range(len(w) - 1, -1, -1):
+        if not rest[m]:
+            continue
+        wm = w[m]
+        f = abs(wm[m]) // math.gcd(rest[m], wm[m])
+        if f != 1:
+            den *= f
+            rest = [v * f for v in rest[:m + 1]]
+            c = {key: v * f for key, v in c.items()}
+        c[m] = t = rest[m] // wm[m]
+        for j in range(m + 1):
+            rest[j] -= t * wm[j]
+    return den, c
+
+
+def dbar_chi_without_its_second_term(k: int, n: int, degree: int, incidence=spectral._incidence
+                                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """`spectral._incidence` with dbar chi_(a,b) missing its term (b - N) psi_(a+1,b).
+
+    Degree 0's second coefficient is zeroed.  Its rows in the form basis are
+    no longer spanned by two certified rows, so the model build forms their
+    blocks' U G' U^T in full.
+    """
+    col, coef = incidence(k, n, degree)
+    if degree == 0:
+        coef = coef.copy()
+        coef[:, 1] = 0
+    return col, coef
 
 
 def _round_each_entry(v: List[List[int]], w: List[List[int]], norms: Sequence[int],

@@ -319,10 +319,17 @@ def _cache_dir_under_a_file(tmp_path):
      _cache_file(lambda: _summary_with(eigs0=_clusters(0), eigs1=_clusters(1))),
      _cache_file(lambda: _summary_with(eigs0=lambda e: [0.0, *e])),
      _cache_file(lambda: _summary_with(eigs1=lambda e: [-e[0], *e[1:]])),
+     _cache_file(lambda: _summary_with(eigs0=[2.0], eigs1=[2.0])),
+     _cache_file(lambda: _summary_with(eigs1=lambda e: e[:-1])),
+     _cache_file(lambda: _summary_with(eigs0=lambda e: [*e, e[-1], e[-1], e[-1]],
+                                       dim_harmonic0=-1)),
+     _cache_file(lambda: _summary_with(eigs0=lambda e: e[::-1])),
+     _cache_file(lambda: _summary_with(eigs1=lambda e: [e[-1], *e[1:-1], e[0]])),
      _directory_at_the_file, _cache_dir_under_a_file],
     ids=["not-json", "not-an-object", "missing-fields", "nested-too-deeply", "eigs1-not-a-list",
          "int-eigenvalue", "float-dimension", "bool-dimension", "cluster-shaped",
-         "zero-eigenvalue", "negative-eigenvalue", "directory-at-the-file",
+         "zero-eigenvalue", "negative-eigenvalue", "one-eigenvalue-each", "form-short-by-one",
+         "negative-dimension", "descending", "forms-out-of-order", "directory-at-the-file",
          "cache-dir-under-a-file"],
 )
 def test_cli_broken_cache_file_is_a_miss(tmp_path, capsys, monkeypatch, make):
@@ -419,10 +426,10 @@ def _halved_image_tail(t, length):
             / math.sqrt(4.0 * math.pi * t))
 
 
-def _doubled_dbar_star(a, b, n_trunc, k, dbar_star=spectral._dbar_star):
-    """dbar* with its first coefficient doubled."""
-    return {key: 2 * c if key[0] == a - 1 else c
-            for key, c in dbar_star(a, b, n_trunc, k).items()}
+def _doubled_dbar_star(k, n, degree, incidence=spectral._incidence):
+    """`spectral._incidence` with dbar*'s first coefficient, -a of -a chi_(a-1,b), doubled."""
+    col, coef = incidence(k, n, degree)
+    return col, coef * [2, 1] if degree == 1 else coef
 
 
 def _unsigned_bprime(c):
@@ -474,9 +481,9 @@ CAN_FAIL = {
     "eigenvalue-offset": (spectral, "_stiffness",
                           _degree_one_stiffness(lambda lam: lam * (1 + 1e-9)), ["mckean-singer"],
                           "mckean-singer.flat.k1"),
-    "dbar-star-susy": (spectral, "_dbar_star", _doubled_dbar_star, ["spectrum", "--no-cache"],
+    "dbar-star-susy": (spectral, "_incidence", _doubled_dbar_star, ["spectrum", "--no-cache"],
                        "spectrum.susy.pairing"),
-    "dbar-star-flat": (spectral, "_dbar_star", _doubled_dbar_star, ["mckean-singer"],
+    "dbar-star-flat": (spectral, "_incidence", _doubled_dbar_star, ["mckean-singer"],
                        "mckean-singer.flat.k1"),
     "todd-scale": (suite, "chern_density",
                    lambda m: lambda x, y: chern_density(m)(x, y) * (1 + 1e-6),
@@ -501,7 +508,7 @@ CAN_FAIL = {
                              "tsygan.differential.squared"),
     "shuffle-first-position-2x4": (chains, "_shuffles", _first_position_shuffles, ["shuffle"],
                                    "shuffle.multiplicative.2x4"),
-    "sections-kernel": (spectral, "_dbar_chi", dbar_chi_without_its_second_term,
+    "sections-kernel": (spectral, "_incidence", dbar_chi_without_its_second_term,
                         ["spectrum", "--no-cache"], "spectrum.kernel.sections"),
     "forms-kernel": (spectral, "_stiffness", _degree_one_stiffness(_zero_lowest),
                      ["spectrum", "--no-cache"], "spectrum.kernel.forms"),

@@ -23,11 +23,7 @@ from hochheat.spectral import (
     _certify,
     _check_integrable,
     _charge_pairs,
-    _dbar_chi,
-    _dbar_star,
-    _expand,
     _gram,
-    _incidence,
     _operator_blocks,
     _operator_pairings,
     _orthogonal_rows,
@@ -40,10 +36,11 @@ from hochheat.spectral import (
     store_spectrum,
 )
 from hochheat.weyl import WeylElement, d_var, mul, unit, z_var
-from oracles import (DivergentIntegralError, _apply_weyl, _congruence, _lift, _moment_block,
-                     _pairing, _reduced, _round_each_entry, _scaled_root, add,
-                     dbar_chi_without_its_second_term, harmonic0_coordinates, lifted_pairings,
-                     mono_integral, monomial, pair_weighted, scale, zero)
+from oracles import (DivergentIntegralError, _apply_weyl, _congruence, _expand, _lift,
+                     _moment_block, _pairing, _reduced, _round_each_entry, _scaled_root, add,
+                     dbar_chi, dbar_chi_without_its_second_term, harmonic0_coordinates,
+                     incidence_by_images, lifted_pairings, mono_integral, monomial,
+                     pair_weighted, scale, zero)
 
 
 def _chi(a, b, n_trunc):
@@ -175,15 +172,45 @@ def test_supersymmetric_pairing_of_nonzero_spectra():
 _ASSEMBLY_CASES = [(0, 2), (0, 6), (1, 5), (2, 9), (3, 7), (5, 8)]
 
 
+def _nonzero_terms(col, coef):
+    """Rows of `_incidence` arrays as {column: coefficient} dicts of their nonzero terms."""
+    return [{int(c): int(v) for c, v in zip(cr, vr) if v} for cr, vr in zip(col, coef)]
+
+
 def _block_incidences(k, n, q):
-    """Section and form indices of charge q and q + 1, their (M-1)! Grams, D and T."""
+    """Section and form indices of charge q and q + 1, their (M-1)! Grams, and the rows of
+    D and T in block q, sliced from `spectral._incidence` (read at run time, so a patched
+    incidence reaches the reference)."""
     fact = [math.factorial(i) for i in range(2 * n + k + 2)]
     pairs = _charge_pairs(q, n + k, n)
     fpairs = _charge_pairs(q + 1, n + k + 1, n - 1)
-    dbar = _incidence([spectral._dbar_chi(a, b, n) for a, b in pairs], fpairs, n + 1)
-    star = _incidence([spectral._dbar_star(a, b, n, k) for a, b in fpairs], pairs, n)
+    rows = []
+    for degree, (a_max, b_max) in enumerate(((n + k, n), (n + k + 1, n - 1))):
+        start = sum(len(_charge_pairs(c + degree, a_max, b_max)) for c in range(-n, q))
+        col, coef = spectral._incidence(k, n, degree)
+        size = len((pairs, fpairs)[degree])
+        rows.append(_nonzero_terms(col[start:start + size], coef[start:start + size]))
     return (pairs, fpairs, _gram(len(pairs), abs(q), fact), _gram(len(fpairs), abs(q + 1), fact),
-            dbar, star)
+            *rows)
+
+
+def _assert_incidence_is_the_images(k, n):
+    for degree in (0, 1):
+        col, coef = spectral._incidence(k, n, degree)
+        assert col.shape == coef.shape == (len(col), 2)
+        assert _nonzero_terms(col, coef) == incidence_by_images(k, n, degree)
+
+
+def test_incidence_is_the_images_term_by_term():
+    for k, n in _ASSEMBLY_CASES:
+        _assert_incidence_is_the_images(k, n)
+
+
+@pytest.mark.large
+def test_incidence_is_the_images_term_by_term_in_every_admitted_model():
+    for k in range(spectral.MAX_TRUNC - 1):
+        for n in range(k + 2, spectral.MAX_TRUNC + 1):
+            _assert_incidence_is_the_images(k, n)
 
 
 def _dense(rows, width):
@@ -209,7 +236,7 @@ def test_closed_form_stiffness_matches_the_pairing_kernel():
         top = 2 * n + k + 2
         for q in range(-n, n + k + 1):
             pairs, _, _, g1, dbar, _ = _block_incidences(k, n, q)
-            images = [_dbar_chi(a, b, n) for a, b in pairs]
+            images = [dbar_chi(a, b, n) for a, b in pairs]
             ref = [[_pairing(fi, fj, k) for fj in images] for fi in images]
             assert _congruence(dbar, g1) == [[num for num, _ in row] for row in ref]
             assert {m for row in ref for num, m in row if num} == {top}
@@ -225,16 +252,26 @@ def test_form_family_has_the_dimension_of_the_dbar_image():
 
 
 def test_incidence_leaving_the_basis_is_an_escape(monkeypatch):
-    with pytest.raises(OperatorEscapeError):
-        _incidence([{(3, 0, 4): 1}], [(0, 0), (1, 1)], 4)
-    with pytest.raises(OperatorEscapeError):
-        _incidence([{(1, 1, 5): 1}], [(0, 0), (1, 1)], 4)
+    eye = np.eye(2, dtype=np.int64)
 
-    def off_by_one(a, b, n_trunc, k):
-        # keeps the second term at a = N+k+1, where it would leave the sections
-        return {**_dbar_star(a, b, n_trunc, k), (a, b + 1, n_trunc): n_trunc + k + 2 - a}
+    def stiffness(col, coef):
+        return spectral._stiffness([eye], [[1, 1]], (np.array(col), np.array(coef)), [eye],
+                                   [[1, 1]], [eye.tolist()])
 
-    monkeypatch.setattr(spectral, "_dbar_star", off_by_one)
+    # a nonzero term left of the other block's first column or past its last
+    for col in ([[-1, 0], [1, 1]], [[0, 0], [1, 2]]):
+        with pytest.raises(OperatorEscapeError):
+            stiffness(col, [[1, 1], [1, 1]])
+    # there, a zero coefficient is a term that would leave the basis, and drops out
+    (got,) = stiffness([[-1, 0], [1, 2]], [[0, 1], [1, 0]])
+    assert got.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    def off_by_one(k, n, degree, incidence=spectral._incidence):
+        # dbar*'s second coefficient N+k+2-a: 1, not 0, at a = N+k+1, where it leaves the sections
+        col, coef = incidence(k, n, degree)
+        return col, coef + [0, 1] if degree == 1 else coef
+
+    monkeypatch.setattr(spectral, "_incidence", off_by_one)
     with pytest.raises(OperatorEscapeError):
         build_model(1, 6)
 
@@ -348,7 +385,7 @@ def _intertwined_degree_one_terms(model, op, grid):
     n, k = model.trunc, model.k
     lams, diags = [], []
     for block in model.blocks:
-        mat, scale = _pairing_matrix([_dbar_chi(a, b, n) for a, b in block.pairs], op, k)
+        mat, scale = _pairing_matrix([dbar_chi(a, b, n) for a, b in block.pairs], op, k)
         pairing = _round_congruence(block.w, np.array(mat, dtype=object), block.norms,
                                     scale / block.scale)
         keep = block.lam > 0
@@ -644,18 +681,21 @@ def test_closed_form_rows_are_positive_multiples_of_the_bareiss_rows(case):
                for i in range(size) for j in range(size))
 
 
-@pytest.mark.parametrize("k, n, dbar_chi", [
+@pytest.mark.parametrize("k, n, incidence", [
     (0, 6, None), (1, 10, None), (3, 12, None), (0, 14, None), (2, 8, None), (0, 20, None),
-    # rows wider than two certified rows: the full expansion of `_expand`, block by block
+    # rows wider than two certified rows: each block's U G' U^T in full, U in int64 at
+    # (0, 10) and in Python integers at (16, 22), the first such model
     (0, 10, dbar_chi_without_its_second_term),
+    pytest.param(16, 22, dbar_chi_without_its_second_term, marks=pytest.mark.large),
     pytest.param(0, spectral.MAX_TRUNC, None, marks=pytest.mark.large),
     pytest.param(spectral.MAX_TRUNC - 2, spectral.MAX_TRUNC, None, marks=pytest.mark.large),
-], ids=["0-6", "1-10", "3-12", "0-14", "2-8", "0-20", "0-10-sections-kernel", "0-40", "38-40"])
-def test_closed_form_path_is_bit_identical_to_the_bareiss_oracle(monkeypatch, k, n, dbar_chi):
+], ids=["0-6", "1-10", "3-12", "0-14", "2-8", "0-20", "0-10-sections-kernel",
+        "16-22-sections-kernel", "0-40", "38-40"])
+def test_closed_form_path_is_bit_identical_to_the_bareiss_oracle(monkeypatch, k, n, incidence):
     # (0, 20) and (0, 40) congruences take both the machine-word and the Python-integer path,
     # and so do the stiffness expansions of (0, 40) and (38, 40)
-    if dbar_chi is not None:
-        monkeypatch.setattr(spectral, "_dbar_chi", dbar_chi)
+    if incidence is not None:
+        monkeypatch.setattr(spectral, "_incidence", incidence)
     solved = []  # each degree's rounded congruences, block by block in charge order
     real_stiffness = spectral._stiffness
 
@@ -788,19 +828,25 @@ def test_the_peel_at_the_edges_of_its_bound(rows, w, machine):
 
 
 def test_rows_two_apart_that_share_a_form_row_are_summed_in_full():
-    # each row expands in at most two rows of W' = I, but rows 0 and 2 share row 0, so
-    # X = R R^T is not tridiagonal: X_02 = 1 comes only from the full accumulation
+    # rows r e0, r e1, r (e0 + e2), each in at most two rows of W' = I with G' = diag(p), but
+    # rows 0 and 2 share row 0, so X is not tridiagonal: X_02 comes only from U G' U^T in full.
+    # For p = (2, 3, 5), X = r^2 R G' R^T is r^2 times the second matrix: past int64 with U in
+    # int64 at r = 2^40, and with U past the int64 bound max|W| max|R| s < 2^63 at r = 2^62
     eye = np.eye(3, dtype=np.int64)
-    (got,) = spectral._stiffness([eye], [[1, 1, 1]], [[{0: 1}, {1: 1}, {0: 1, 2: 1}]], [eye],
-                                 [[1, 1, 1]])
-    assert got.tolist() == [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 2.0]]
+    for r, p, want in ((1, [1, 1, 1], [[1, 0, 1], [0, 1, 0], [1, 0, 2]]),
+                       (2 ** 40, [2, 3, 5], [[2, 0, 2], [0, 3, 0], [2, 0, 7]]),
+                       (2 ** 62, [2, 3, 5], [[2, 0, 2], [0, 3, 0], [2, 0, 7]])):
+        incidence = np.array([[0, 0], [1, 1], [0, 2]]), r * np.array([[1, 0], [1, 0], [1, 1]])
+        (got,) = spectral._stiffness([eye], [[1, 1, 1]], incidence, [eye], [p],
+                                     [np.diag(p).tolist()])
+        assert got.tolist() == [[float(r * r * v) for v in row] for row in want]
 
 
 def test_a_stiffness_row_past_int64_is_summed_in_python_integers():
     # U = 3 2^50 2^12 = 3 2^62 would wrap to -2^62 in int64, so X = U^2 would read 2^124
     w = np.array([[3 * 2 ** 50]], dtype=np.int64)
-    (got,) = spectral._stiffness([w], [[1]], [[{0: 2 ** 12}]], [np.ones((1, 1), dtype=np.int64)],
-                                 [[1]])
+    (got,) = spectral._stiffness([w], [[1]], (np.array([[0, 0]]), np.array([[2 ** 12, 0]])),
+                                 [np.ones((1, 1), dtype=np.int64)], [[1]], [[[1]]])
     assert got.tolist() == [[float(9 * 2 ** 124)]]
 
 
