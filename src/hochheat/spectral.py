@@ -59,19 +59,18 @@ stiffness is D G1 D^T in degree 0 and T G0 T^T in degree 1, and its
 congruence is X = U G1 U^T with U = W0 D.  Each row u_i is expanded in
 the form block's certified rows, den_i u_i = sum_m c_im W1_m exactly (W1
 is triangular with a nonzero diagonal), so X_ij = sum_m c_im c_jm p1_m /
-(den_i den_j): the same rational, so the same rounded bits.  In each of
-the 780 models build_model admits (every k with N <= 40) each u_i has one
-or two c_im and rows two apart share none: the stiffness is tridiagonal
-in W coordinates.  Every block of one degree goes in one array pass
-(`_stiffness`): U over the lower triangles, two peeling steps of the
-expansion on every row at once (`_peel`), both in int64 where a
-Python-integer bound proves every term below 2^63 and in Python integers
-otherwise, and X on its tridiagonal.  A block where a row or a shared
-W1_m breaks that shape forms U G1 U^T in Python integers, so exactness
-never rests on the sparsity.  Each entry is rounded once
-(`_signed_root`), one Python int / int quotient per radicand.
-build_model(0, 40) and build_model(38, 40), whose expansions pass int64,
-take 0.19-0.22 s and 0.5-0.76 s on one 2-CPU host.
+(den_i den_j), summed over the pairs of terms that share a block and an m:
+the same rational, so the same rounded bits.  Every block of one degree
+goes in one array pass (`_stiffness`): U over the lower triangles and the
+expansion of every row at once, one step a column (`_peel`), both in int64
+where a Python-integer bound proves every term below 2^63 and in Python
+integers otherwise.  In each of the 780 models build_model admits (every
+k with N <= 40) each u_i has one or two c_im and rows two apart share
+none, so X is tridiagonal in W coordinates; that shape sets only the cost,
+and no code path reads it.  Each entry is rounded once (`_signed_root`),
+one Python int / int quotient per radicand.  build_model(0, 40) and
+build_model(38, 40), whose expansions pass int64, take 0.14-0.21 s and
+0.55-0.67 s on one 2-CPU host.
 Degree 1 expands W1 T in W0 on its own, and each degree is solved on
 its own and keeps its eigenvectors.
 Only integration by parts, T G0 = G1 D^T, ties their nonzero spectra
@@ -114,6 +113,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import comb, factorial
 from numbers import Real
@@ -123,16 +123,16 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .weyl import WeylElement, format_element
+from .weyl import WeylElement, format_element, unpack
 
 CONVENTION_TAG = "fs-unit-volume:v1"
 
 #: largest truncation `build_model` accepts, checked before any work; a cost
-#: bound on one 2-CPU host: N = 40 takes 0.12-0.2 s for k = 0 or 1 and 0.4-0.5 s
-#: for k = 38, the largest k it admits (as a whole command, `spectrum` 0.6-0.7 s
-#: and `harmonic` 1.0-1.3 s), and one z d/dz `limit_supertrace` 0.3-0.4 s for
-#: k = 0 and 0.8-1.0 s for k = 38, most of it exact O(s^3) products past the
-#: machine words
+#: bound on one 2-CPU host: N = 40 takes 0.14-0.21 s for k = 0 or 1 and
+#: 0.55-0.67 s for k = 38, the largest k it admits (as a whole command,
+#: `spectrum` 0.83-0.93 s and `harmonic` 1.35-1.67 s), and one z d/dz
+#: `limit_supertrace` 0.33-0.46 s for k = 0 and 1.18-1.37 s for k = 38, most of
+#: it exact O(s^3) products past the machine words
 MAX_TRUNC = 40
 
 IntMat = List[List[int]]
@@ -254,67 +254,66 @@ def _certify(gram: IntMat, w: IntMat) -> List[int]:
     return norms
 
 
-def _peel(u: np.ndarray, w: np.ndarray, owner: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """Two steps of the expansion den u_i = sum c_im W_m on every row of u at once, row i
-    in the lower triangular rows w[owner[i]].
+def _peel(u: np.ndarray, w: np.ndarray, owner: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The expansion den_i u_i = sum_m c_im W_m of every row of u at once, row i in the
+    lower triangular rows w[owner[i]], whose diagonal is nonzero.
 
-    Each step takes the last nonzero column m of what is left of the row,
-    scales it, and the den and the coefficients so far, by
-    f = |w_mm| / gcd(rest_m, w_mm), and subtracts t w_m, t = f rest_m / w_mm;
-    a zero row takes m = -1, f = 1 and t = 0.  A step runs in int64 while a
-    Python-integer bound proves every term below 2^63, otherwise in Python
-    integers.  Returns (rest, den, m, c), m and c with one column per step:
-    den u_i = sum c_i W_(m_i) + rest_i, so a row is expanded where rest is 0.
+    Each step takes the last nonzero column m of what is left of every live
+    row, scales the row, den and the coefficients so far by
+    f = |w_mm| / gcd(rest_m, w_mm), subtracts t w_m, t = f rest_m / w_mm, and
+    keeps c_im = t in column m, which the subtraction has just zeroed.  So a
+    row takes at most one step a column, and its coefficients share one array
+    with what is left of it: the columns from its last m on hold c, the ones
+    before it the rest.  A step runs in int64 while a Python-integer bound
+    proves every term below 2^63, otherwise in Python integers.  Returns
+    (den, c), c with one column per row of w, once no row has anything left.
     """
     n, width = u.shape
-    at = np.arange(n)
-    state = np.zeros((n, width + 3), dtype=u.dtype)  # rest | den | c of each step
+    state = np.zeros((n, width + 1), dtype=u.dtype)  # rest, then c | den
     state[:, :width], state[:, width] = u, 1
+    end = np.full(n, width)  # where each row's c begins
     reach = int(np.abs(w).max()) if w.dtype == np.int64 else 0
-    cols = []
-    for step in range(2):
-        nonzero = state[:, :width] != 0
-        m = width - 1 - np.argmax(nonzero[:, ::-1], axis=1)  # the last nonzero column
-        live = nonzero[at, m]
-        peel = w[owner, m]
-        top = np.where(live, peel[at, m], 1)
-        lead = state[at, m]  # 0 on a zero row
+    while True:
+        left = (state[:, :width] != 0) & (np.arange(width) < end[:, None])
+        live = np.flatnonzero(left.any(axis=1))
+        if not len(live):
+            return state[:, width], state[:, :width]
+        m = width - 1 - np.argmax(left[live, ::-1], axis=1)  # the last nonzero column
+        rows, peel, at = state[live], w[owner[live], m], np.arange(len(live))
+        top, lead = peel[at, m], rows[at, m]
         g = np.gcd(lead, top)
         f, t = abs(top) // g, lead // g * np.sign(top)
-        if state.dtype == np.int64 and (int(np.abs(state).max()) * int(f.max())
+        if state.dtype == np.int64 and (int(np.abs(rows).max()) * int(f.max())
                                         + int(abs(t).max()) * reach) >= _WORD:
-            state, f, t = state.astype(object), f.astype(object), t.astype(object)
-        state *= f[:, None]
-        state[:, :width] -= t[:, None] * peel
-        state[:, width + 1 + step] = t
-        cols.append(np.where(live, m, -1))
-    return state[:, :width], state[:, width], np.stack(cols, axis=1), state[:, width + 1:]
+            state, rows, f, t = (a.astype(object) for a in (state, rows, f, t))
+        rows *= f[:, None]
+        rows[:, :width] -= t[:, None] * peel
+        rows[at, m] = t
+        state[live], end[live] = rows, m
 
 
 def _stiffness(w: Sequence[np.ndarray], norms: Sequence[Sequence[int]],
                incidence: Tuple[np.ndarray, np.ndarray], w_other: Sequence[np.ndarray],
-               norms_other: Sequence[Sequence[int]], gram_other: Sequence[IntMat]
-               ) -> List[np.ndarray]:
+               norms_other: Sequence[Sequence[int]]) -> List[np.ndarray]:
     """The rounded congruences of the stiffness R G' R^T of one degree's blocks.
 
     Block b has the certified rows w[b], W G W^T = diag(norms[b]), and its
     operator (dbar or dbar*) an integer incidence R_b into block b of the
-    other degree, whose Gram is the leading block G' of gram_other[b] and
-    whose rows w_other[b] give W' G' W'^T = diag(norms_other[b]).  Row r of
-    R_b is row start_b + r of incidence = (col, coef), `_incidence`'s two
-    terms; a term with a nonzero coefficient outside the other block is an
-    OperatorEscapeError.  Each entry of X = U G' U^T, U = W R, is rounded
-    once as X_ij / sqrt(p_i p_j) (`_signed_root`).
+    other degree, whose Gram G' has the certified rows w_other[b],
+    W' G' W'^T = diag(norms_other[b]).  Row r of R_b is row start_b + r of
+    incidence = (col, coef), `_incidence`'s two terms; a term with a nonzero
+    coefficient outside the other block is an OperatorEscapeError.  Each
+    entry of X = U G' U^T, U = W R, is rounded once as X_ij / sqrt(p_i p_j)
+    (`_signed_root`).
 
     The blocks go together, their rows one after another: U = W R over
     each block's lower triangle, in int64 where max|W| max|R| s < 2^63;
-    two peeling steps of den_i u_i = sum_m c_im W'_m on every row (`_peel`);
-    and X_ij = sum_m c_im c_jm p'_m / (den_i den_j), the same rational, on
-    its tridiagonal.  In every model `build_model` admits each u_i has one
-    or two c_im and rows two apart share no W'_m, so X is tridiagonal.  A
-    block where that fails, a row that two steps leave unexpanded or two
-    rows two apart that share a W'_m, forms U G' U^T in Python integers
-    instead: as exact, only slower.  Returns each block's matrix, in order.
+    the expansion den_i u_i = sum_m c_im W'_m of every row (`_peel`); and
+    X_ij = sum_m c_im c_jm p'_m / (den_i den_j), the same rational, summed
+    exactly over the pairs of terms that share a block and an m.  In every
+    model `build_model` admits each u_i has one or two c_im and rows two
+    apart share none, so X is tridiagonal; that decides only the cost.
+    Returns each block's matrix, in order.
     """
     sizes, width = [len(wb) for wb in w], max(map(len, w_other))
     nb, start = len(w), np.cumsum([0] + sizes)
@@ -346,36 +345,29 @@ def _stiffness(w: Sequence[np.ndarray], norms: Sequence[Sequence[int]],
     w_stack = np.zeros((nb, width, width), dtype=dtype)
     for b, wb in enumerate(w_other):
         w_stack[b, :len(wb), :len(wb)] = wb
-    rest, den, m, c = _peel(u, w_stack, owner)
+    den, c = _peel(u, w_stack, owner)
 
-    # rows two apart share no W'_m when the rows of each (block, m) span at most two
-    live = m >= 0
-    key, row = (owner[:, None] * width + m)[live], np.nonzero(live)[0]
-    first, last = np.full(nb * width, len(m)), np.full(nb * width, -1)
-    np.minimum.at(first, key, row)
-    np.maximum.at(last, key, row)
-    general = set(owner[(rest != 0).any(axis=1)]) | set(np.flatnonzero(last - first > 1) // width)
-
-    p = np.array(list(chain.from_iterable(norms)), dtype=object)
+    # X_ij sums c_im c_jm p'_m over the pairs of terms that share a (block, m): in (block,
+    # m, row) order, term lo pairs with itself and with every later term hi of its (block, m)
+    row, m = np.nonzero(c)
+    order = np.argsort(owner[row] * width + m, kind="stable")
+    row, m = row[order], m[order]
+    key, cm = owner[row] * width + m, c[row, m].astype(object)
     p_other = np.array(list(chain.from_iterable(norms_other)), dtype=object)
     start_other = np.cumsum([0] + [len(qb) for qb in norms_other])
-    weight = p_other[start_other[owner][:, None] + np.maximum(m, 0)] * c  # c_im p'_m
-    pair = np.flatnonzero(owner[1:] == owner[:-1])  # rows i and i+1 of one block
-    left, right = np.r_[np.arange(len(m)), pair], np.r_[np.arange(len(m)), pair + 1]
-    x = sum(weight[left, a] * np.where(m[right, 0] == m[left, a], c[right, 0],
-                                       np.where(m[right, 1] == m[left, a], c[right, 1], 0))
-            for a in range(2))  # X_ii, then X_(i,i+1)
+    weight = cm * p_other[start_other[owner[row]] + m]  # c_im p'_m
+    group = np.searchsorted(key, key, side="right") - np.arange(len(key))  # the terms from lo on
+    lo = np.repeat(np.arange(len(key)), group)
+    hi = lo + np.arange(len(lo)) - np.repeat(np.cumsum(group) - group, group)
+    pos, inverse = np.unique(row[lo] * len(owner) + row[hi], return_inverse=True)
+    x = np.zeros(len(pos), dtype=object)
+    np.add.at(x, inverse, weight[lo] * cm[hi])
+    i, j = np.divmod(pos, len(owner))
+    p = np.array(list(chain.from_iterable(norms)), dtype=object)
     scaled = den.astype(object) ** 2 * p  # den_i^2 p_i
     out = np.zeros((nb, max(sizes), max(sizes)))
-    out[owner[left], index[left], index[right]] = out[owner[left], index[right], index[left]] = (
-        _signed_root(x, 1, scaled[left], scaled[right]))
-
-    for b in general:  # X = U G' U^T, in Python integers since G' is
-        s = len(w_other[b])
-        ub = u[start[b]:start[b + 1], :s]
-        x = ub @ np.array([row[:s] for row in gram_other[b][:s]], dtype=object) @ ub.T
-        pb = p[start[b]:start[b + 1]]
-        out[b, :sizes[b], :sizes[b]] = _signed_root(x, 1, pb[:, None], pb)
+    out[owner[i], index[i], index[j]] = out[owner[i], index[j], index[i]] = (
+        _signed_root(x, 1, scaled[i], scaled[j]))
     return [out[b, :s, :s] for b, s in enumerate(sizes)]
 
 
@@ -402,13 +394,23 @@ class SpectralModel:
     forms: List[_Block]                # degree 1, the forms psi; forms[i] pairs with blocks[i]
     harmonic0: List[Tuple[int, int]]   # (block index, eigen column)
     harmonic1: List[Tuple[int, int]]   # (form block index, eigen column)
-    basis_meta: Dict[str, object]
     # each degree's eigenvalues, sorted, its kernel exactly 0: the one spectrum every view reads
     _flat0: np.ndarray = field(repr=False)
     _flat1: np.ndarray = field(repr=False)
     _op_cache: Dict[Tuple[int, WeylElement, int], np.ndarray] = field(  # (degree, op, block index)
         repr=False, default_factory=dict
     )
+
+    @cached_property
+    def basis_meta(self) -> Dict[str, object]:
+        """`max_gram_condition`, recorded only and computed on first read: the float condition
+        number of the largest section Gram block of each alpha, which bounds its leading ones."""
+        fact = [factorial(i) for i in range(2 * self.trunc + self.k + 2)]
+        # section block q >= 0 is the largest of alpha = q and holds block -q as a leading block
+        grams = (_gram(len(b.pairs), q, fact) for b in self.blocks
+                 for q in [b.pairs[0][0] - b.pairs[0][1]] if q >= 0)
+        return {"max_gram_condition": max(float(np.linalg.cond([[v / fact[-1] for v in row]
+                                                                 for row in g])) for g in grams)}
 
 
 def _incidence(k: int, n: int, degree: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -449,12 +451,11 @@ def build_model(k: int, trunc: int) -> SpectralModel:
     """Assemble and diagonalize the truncated model for O(k) at truncation N.
 
     Every block's rounded stiffness is assembled first from the closed-form
-    incidences (`_incidence`) and the Grams of the other degree, one
-    `_stiffness` call for all of degree 0 and one for all of degree 1; then
-    one `np.linalg.eigh` call solves the stack of all blocks of each size.
-    `basis_meta["max_gram_condition"]`, recorded and never compared, is the
-    float condition number of the largest section Gram block of each alpha,
-    which bounds those of its leading blocks.
+    incidences (`_incidence`) and the certified rows and norms of the other
+    degree, one `_stiffness` call for all of degree 0 and one for all of
+    degree 1; then one `np.linalg.eigh` call solves the stack of all blocks
+    of each size.  `basis_meta`, recorded and never compared, is computed
+    on its first read, not here.
 
     Requires integers k >= 0 and k + 2 <= trunc <= MAX_TRUNC.  Raises
     IllConditionedGramError if the closed-form rows of an alpha fail their
@@ -484,11 +485,6 @@ def build_model(k: int, trunc: int) -> SpectralModel:
         for alpha, size in ((abs(q), len(pairs)), (abs(q + 1), len(fpairs))):
             sizes[alpha] = max(sizes.get(alpha, 0), size)
     grams = {alpha: _gram(size, alpha, fact) for alpha, size in sizes.items()}
-    # recorded only, never compared: the certificate below decides which rows are usable;
-    # section block q >= 0 is the largest of alpha = q and holds block -q as a leading block
-    max_cond = max(float(np.linalg.cond([[v / fact[-1] for v in row[:len(pairs)]]
-                                         for row in grams[q][:len(pairs)]]))
-                   for q, pairs, _ in layout if q >= 0)
     # every block of one alpha, in either degree, uses a prefix of the same rows and Gram
     rows = {alpha: _orthogonal_rows(size, alpha, len(fact)) for alpha, size in sizes.items()}
     norms = {alpha: _certify(grams[alpha], w) for alpha, w in rows.items()}
@@ -500,9 +496,8 @@ def build_model(k: int, trunc: int) -> SpectralModel:
               [(abs(q + 1), len(fpairs)) for q, _, fpairs in layout])
     w0, w1 = ([triangles[alpha][:s, :s] for alpha, s in shape] for shape in shapes)
     p0, p1 = ([norms[alpha][:s] for alpha, s in shape] for shape in shapes)
-    g0, g1 = ([grams[alpha] for alpha, _ in shape] for shape in shapes)
-    x0 = _stiffness(w0, p0, _incidence(k, n, 0), w1, p1, g1)  # D G1 D^T
-    x1 = _stiffness(w1, p1, _incidence(k, n, 1), w0, p0, g0)  # T G0 T^T
+    x0 = _stiffness(w0, p0, _incidence(k, n, 0), w1, p1)  # D G1 D^T
+    x1 = _stiffness(w1, p1, _incidence(k, n, 1), w0, p0)  # T G0 T^T
     assembled = []  # (degree, charge, pairs, rows, norms, rounded stiffness) of every block
     for (q, pairs, fpairs), *block in zip(layout, w0, p0, x0, w1, p1, x1):
         assembled += [(0, q, pairs, *block[:3]), (1, q + 1, fpairs, *block[3:])]
@@ -538,8 +533,7 @@ def build_model(k: int, trunc: int) -> SpectralModel:
                          for col in range(len(b.lam)) if b.lam[col] == 0.0])
         flat.append(np.sort(np.concatenate([b.lam for b in degree_blocks])))
     return SpectralModel(k=k, trunc=trunc, blocks=blocks, forms=forms, harmonic0=harmonic[0],
-                         harmonic1=harmonic[1], basis_meta={"max_gram_condition": max_cond},
-                         _flat0=flat[0], _flat1=flat[1])
+                         harmonic1=harmonic[1], _flat0=flat[0], _flat1=flat[1])
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +541,9 @@ def build_model(k: int, trunc: int) -> SpectralModel:
 # ---------------------------------------------------------------------------
 
 
-def _image_coefficients(op: WeylElement, den: int, power: int,
+def _image_coefficients(op: WeylElement, power: int,
                         dmax: int) -> List[Tuple[Tuple[int, int], int, int]]:
-    """den * op on z^a zbar^b (1+|z|^2)^(-power), lifted to the power power + dmax, in closed form.
+    """den * op on z^a zbar^b (1+|z|^2)^(-power), den = op.den, lifted to the power power + dmax.
 
     With w = 1+|z|^2, a term c z^e d^f of op (d = d/dz) gives, by Leibniz,
     c sum_l C(f,l) (a)_(f-l) (-1)^l (power)^(l) z^(a+e-f+l) zbar^(b+l) w^-(power+l),
@@ -558,12 +552,12 @@ def _image_coefficients(op: WeylElement, den: int, power: int,
     lifted image is the sum over sigma = e - f and tau = l + u <= dmax of
     kappa[sigma, tau](a) z^(a+sigma+tau) zbar^(b+tau), and kappa[sigma, tau](a)
     is a sum of terms K (a)_r that does not depend on b.  Returns the
-    ((sigma, tau), r, K) of every term, K an integer once den clears the
-    coefficient denominators of op.
+    ((sigma, tau), r, K) of every term, K an integer: op's numerators
+    `op.nums` are c den.
     """
     out = []
-    for ((e,), (f,)), c in op.terms:
-        signed = int(c * den)  # c den (-1)^l (power)^(l) at step l
+    for key, signed in op.nums:  # c den (-1)^l (power)^(l) at step l
+        (e,), (f,) = unpack(key, 1)
         for l in range(f + 1):
             for u in range(dmax - l + 1):
                 out.append(((e - f, l + u), f - l, signed * comb(f, l) * comb(dmax - l, u)))
@@ -623,12 +617,12 @@ def _operator_pairings(model: SpectralModel, op: WeylElement, degree: int,
     n, k = model.trunc, model.k
     den = op.den
     power, extra = (n, k + 2) if degree == 0 else (n + 1, k)
-    dmax = max((d for ((_,), (d,)), _ in op.terms), default=0)
+    dmax = max((unpack(key, 1)[1][0] for key, _ in op.nums), default=0)
     m = power + dmax + power + extra
     mom = [factorial(s) * factorial(m - s - 2) for s in range(m - 1)]
     unit = Fraction(1, den * factorial(m - 1))
     kappa_of: Dict[Tuple[int, int], List[int]] = {}  # [sigma, tau][a]: kappa[sigma, tau](a)
-    for key, r, c in _image_coefficients(op, den, power, dmax):
+    for key, r, c in _image_coefficients(op, power, dmax):
         vals = kappa_of.setdefault(key, [0] * (n + k + 2))  # every a of either degree
         kappa_of[key] = [v + c * math.perm(a, r) for a, v in enumerate(vals)]
     blocks = (model.blocks, model.forms)[degree]
@@ -666,7 +660,7 @@ def _operator_blocks(model: SpectralModel, op: WeylElement, degree: int,
     """
     if op.n != 1:
         raise OperatorEscapeError("operators on the model must be one-variable elements")
-    max_coeff_deg = max((z[0] for (z, _), _ in op.terms), default=0)
+    max_coeff_deg = max((unpack(key, 1)[0][0] for key, _ in op.nums), default=0)
     if max_coeff_deg > model.trunc:
         raise OperatorEscapeError(
             f"operator coefficient degree {max_coeff_deg} exceeds truncation {model.trunc} "

@@ -21,7 +21,7 @@ also computes, by a route that shares none of its shortcuts:
   functions, against the closed-form arrays of
   `hochheat.spectral._incidence`;
 * `_expand`, the exact expansion of one row in triangular rows, peeled one
-  row at a time, against the two batched peeling steps of
+  row at a time, against the batched expansion of every row in
   `hochheat.spectral._peel`;
 * `harmonic0_coordinates`, the kernel vectors of a model back-solved to the
   (a, b) basis, against the holomorphic sections they must be;
@@ -360,14 +360,24 @@ def dbar_chi_without_its_second_term(k: int, n: int, degree: int, incidence=spec
     """`spectral._incidence` with dbar chi_(a,b) missing its term (b - N) psi_(a+1,b).
 
     Degree 0's second coefficient is zeroed.  Its rows in the form basis are
-    no longer spanned by two certified rows, so the model build forms their
-    blocks' U G' U^T in full.
+    no longer spanned by two certified rows: the model build expands them in
+    up to N steps, and rows far apart share a certified row.
     """
     col, coef = incidence(k, n, degree)
     if degree == 0:
         coef = coef.copy()
         coef[:, 1] = 0
     return col, coef
+
+
+def doubled_dbar_star(k: int, n: int, degree: int, incidence=spectral._incidence
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """`spectral._incidence` with dbar*'s first coefficient, -a of -a chi_(a-1,b), doubled.
+
+    Degree 1's rows in the section basis then take up to N + 1 expansion steps.
+    """
+    col, coef = incidence(k, n, degree)
+    return col, coef * [2, 1] if degree == 1 else coef
 
 
 def _round_each_entry(v: List[List[int]], w: List[List[int]], norms: Sequence[int],

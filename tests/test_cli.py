@@ -27,7 +27,7 @@ from hochheat.report import FAIL, CheckResult, VerificationReport
 from hochheat.spectral import CONVENTION_TAG, cache_path, harmonic_supertrace, load_spectrum
 from hochheat.suite import SuiteConfig, run_suite
 from hochheat.weyl import mono_product
-from oracles import dbar_chi_without_its_second_term, report_from_json
+from oracles import dbar_chi_without_its_second_term, doubled_dbar_star, report_from_json
 
 
 def _strip_volatile(report: VerificationReport):
@@ -426,12 +426,6 @@ def _halved_image_tail(t, length):
             / math.sqrt(4.0 * math.pi * t))
 
 
-def _doubled_dbar_star(k, n, degree, incidence=spectral._incidence):
-    """`spectral._incidence` with dbar*'s first coefficient, -a of -a chi_(a-1,b), doubled."""
-    col, coef = incidence(k, n, degree)
-    return col, coef * [2, 1] if degree == 1 else coef
-
-
 def _unsigned_bprime(c):
     """bar_bprime with every face sign +."""
     return _chain(c.n, [(w[:i] + (key,) + w[i + 2:], k * m) for w, k in c.nums.items()
@@ -481,9 +475,9 @@ CAN_FAIL = {
     "eigenvalue-offset": (spectral, "_stiffness",
                           _degree_one_stiffness(lambda lam: lam * (1 + 1e-9)), ["mckean-singer"],
                           "mckean-singer.flat.k1"),
-    "dbar-star-susy": (spectral, "_incidence", _doubled_dbar_star, ["spectrum", "--no-cache"],
+    "dbar-star-susy": (spectral, "_incidence", doubled_dbar_star, ["spectrum", "--no-cache"],
                        "spectrum.susy.pairing"),
-    "dbar-star-flat": (spectral, "_incidence", _doubled_dbar_star, ["mckean-singer"],
+    "dbar-star-flat": (spectral, "_incidence", doubled_dbar_star, ["mckean-singer"],
                        "mckean-singer.flat.k1"),
     "todd-scale": (suite, "chern_density",
                    lambda m: lambda x, y: chern_density(m)(x, y) * (1 + 1e-6),

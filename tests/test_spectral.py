@@ -38,7 +38,8 @@ from hochheat.spectral import (
 from hochheat.weyl import WeylElement, d_var, mul, unit, z_var
 from oracles import (DivergentIntegralError, _apply_weyl, _congruence, _expand, _lift,
                      _moment_block, _pairing, _reduced, _round_each_entry, _scaled_root, add,
-                     dbar_chi, dbar_chi_without_its_second_term, harmonic0_coordinates,
+                     dbar_chi, dbar_chi_without_its_second_term, doubled_dbar_star,
+                     harmonic0_coordinates,
                      incidence_by_images, lifted_pairings, mono_integral, monomial,
                      pair_weighted, scale, zero)
 
@@ -256,7 +257,7 @@ def test_incidence_leaving_the_basis_is_an_escape(monkeypatch):
 
     def stiffness(col, coef):
         return spectral._stiffness([eye], [[1, 1]], (np.array(col), np.array(coef)), [eye],
-                                   [[1, 1]], [eye.tolist()])
+                                   [[1, 1]])
 
     # a nonzero term left of the other block's first column or past its last
     for col in ([[-1, 0], [1, 1]], [[0, 0], [1, 2]]):
@@ -683,14 +684,17 @@ def test_closed_form_rows_are_positive_multiples_of_the_bareiss_rows(case):
 
 @pytest.mark.parametrize("k, n, incidence", [
     (0, 6, None), (1, 10, None), (3, 12, None), (0, 14, None), (2, 8, None), (0, 20, None),
-    # rows wider than two certified rows: each block's U G' U^T in full, U in int64 at
-    # (0, 10) and in Python integers at (16, 22), the first such model
+    # rows wider than two certified rows, expanded in up to N steps in degree 0, U in int64
+    # at (0, 10) and in Python integers at (16, 22), the first such model; and in up to
+    # N + 1 steps in degree 1
     (0, 10, dbar_chi_without_its_second_term),
     pytest.param(16, 22, dbar_chi_without_its_second_term, marks=pytest.mark.large),
+    (1, 10, doubled_dbar_star), (0, 20, doubled_dbar_star),
     pytest.param(0, spectral.MAX_TRUNC, None, marks=pytest.mark.large),
     pytest.param(spectral.MAX_TRUNC - 2, spectral.MAX_TRUNC, None, marks=pytest.mark.large),
 ], ids=["0-6", "1-10", "3-12", "0-14", "2-8", "0-20", "0-10-sections-kernel",
-        "16-22-sections-kernel", "0-40", "38-40"])
+        "16-22-sections-kernel", "1-10-doubled-dbar-star", "0-20-doubled-dbar-star", "0-40",
+        "38-40"])
 def test_closed_form_path_is_bit_identical_to_the_bareiss_oracle(monkeypatch, k, n, incidence):
     # (0, 20) and (0, 40) congruences take both the machine-word and the Python-integer path,
     # and so do the stiffness expansions of (0, 40) and (38, 40)
@@ -726,6 +730,32 @@ def test_closed_form_path_is_bit_identical_to_the_bareiss_oracle(monkeypatch, k,
             assert got[bi].tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("k, n", [(0, 14), (1, 10), (2, 8), (3, 13), (0, 8), (1, 8), (3, 8),
+                                  (4, 8), (0, 12)])
+def test_the_benchmarked_models_expand_in_two_steps_to_a_tridiagonal_stiffness(monkeypatch, k, n):
+    # the spectral sweep's models and the suite's: every row of each degree is expanded in at
+    # most two steps and rows two apart share no certified row, so each X is tridiagonal.
+    # No code path reads this shape; the build's cost does
+    steps, stiffness = [], []
+    real_peel, real_stiffness = spectral._peel, spectral._stiffness
+
+    def peel(*args):
+        den, c = real_peel(*args)
+        steps.append(int((c != 0).sum(axis=1).max()))
+        return den, c
+
+    def recording(*args):
+        blocks = real_stiffness(*args)
+        stiffness.extend(blocks)
+        return blocks
+
+    monkeypatch.setattr(spectral, "_peel", peel)
+    monkeypatch.setattr(spectral, "_stiffness", recording)
+    build_model(k, n)
+    assert len(steps) == 2 and max(steps) <= 2
+    assert all(not np.triu(x, 2).any() for x in stiffness)
+
+
 @st.composite
 def triangular_rows_and_vector(draw):
     """Lower triangular integer rows with a nonzero diagonal, and an integer vector to expand."""
@@ -748,28 +778,18 @@ def test_expansion_in_triangular_rows_is_exact(case):
 
 def _peel_against_expand(blocks, rows, owner):
     """`spectral._peel` of rows, row i in the lower triangular rows blocks[owner[i]], checked
-    row by row against `_expand`; returns whether it ended in machine words.
-
-    A row that `_expand` writes with at most two rows must come out with `_expand`'s
-    (den, c) and nothing left over; a wider one must be left with a remainder, and its
-    two steps must still satisfy den u = sum c W'_m + rest exactly.
-    """
+    row by row against `_expand`: the same den and coefficients, nothing left over; returns
+    whether it ended in machine words."""
     width = max(map(len, blocks))
     words = all(abs(v) < 2 ** 63 for r in [*rows, *chain(*blocks)] for v in r)
     w = np.zeros((len(blocks), width, width), dtype=np.int64 if words else object)
     for b, rows_b in enumerate(blocks):
         w[b, :len(rows_b), :len(rows_b)] = _square(rows_b)
-    rest, den, m, c = spectral._peel(np.array(rows, dtype=w.dtype), w, np.array(owner))
+    den, c = spectral._peel(np.array(rows, dtype=w.dtype), w, np.array(owner))
+    assert c.shape == (len(rows), width)
     for i, (u, b) in enumerate(zip(rows, owner)):
-        got = {int(m[i, a]): int(c[i, a]) for a in range(2) if m[i, a] >= 0}
-        ref_den, ref_c = _expand(u[:len(blocks[b])], blocks[b])
-        if len(ref_c) <= 2:
-            assert not any(rest[i]) and (int(den[i]), got) == (ref_den, ref_c)
-        else:
-            assert any(rest[i]) and len(got) == 2
-        assert [int(den[i]) * v for v in u] == [
-            sum(cm * _square(blocks[b])[mm][col] for mm, cm in got.items()) + int(rest[i, col])
-            if col < len(blocks[b]) else int(rest[i, col]) for col in range(width)]
+        got = {m: int(v) for m, v in enumerate(c[i]) if v}
+        assert (int(den[i]), got) == _expand(u[:len(blocks[b])], blocks[b])
     return c.dtype == np.int64
 
 
@@ -819,26 +839,31 @@ def test_the_batched_peel_is_expand_row_by_row(case):
     ([[2 ** 40, 3]], [[1], [1, 2 ** 21]], False),
     # the same rows one power of two smaller: both steps in int64
     ([[2 ** 20, 3]], [[1], [1, 2 ** 21]], True),
-    # three rows: two steps leave a remainder
+    # three rows, three steps
     ([[1, 1, 1]], [[1], [0, 1], [0, 0, 1]], True),
+    # the first step keeps c = 2^60, the second scales it by 3 and the third by 3 again: the
+    # bound 9 2^60 + 2 3 passes 2^63 only through a coefficient no longer in the rest
+    ([[1, 1, 2 ** 60]], [[3], [1, 3], [0, 0, 1]], False),
+    # no row has anything to expand: no step at all
+    ([[0, 0], [0, 0]], [[1], [1, 1]], True),
 ], ids=["largest-word", "at-the-bound", "scaling-wraps", "second-step-wraps", "two-steps-fit",
-        "three-rows"])
+        "three-rows", "third-step-wraps", "every-row-zero"])
 def test_the_peel_at_the_edges_of_its_bound(rows, w, machine):
     assert _peel_against_expand([w], rows, [0] * len(rows)) == machine
 
 
 def test_rows_two_apart_that_share_a_form_row_are_summed_in_full():
     # rows r e0, r e1, r (e0 + e2), each in at most two rows of W' = I with G' = diag(p), but
-    # rows 0 and 2 share row 0, so X is not tridiagonal: X_02 comes only from U G' U^T in full.
-    # For p = (2, 3, 5), X = r^2 R G' R^T is r^2 times the second matrix: past int64 with U in
-    # int64 at r = 2^40, and with U past the int64 bound max|W| max|R| s < 2^63 at r = 2^62
+    # rows 0 and 2 share row 0, so X is not tridiagonal: X_02 comes from the pair of terms two
+    # apart.  For p = (2, 3, 5), X = r^2 R G' R^T is r^2 times the second matrix: past int64
+    # with U in int64 at r = 2^40, and with U past the int64 bound max|W| max|R| s < 2^63 at
+    # r = 2^62
     eye = np.eye(3, dtype=np.int64)
     for r, p, want in ((1, [1, 1, 1], [[1, 0, 1], [0, 1, 0], [1, 0, 2]]),
                        (2 ** 40, [2, 3, 5], [[2, 0, 2], [0, 3, 0], [2, 0, 7]]),
                        (2 ** 62, [2, 3, 5], [[2, 0, 2], [0, 3, 0], [2, 0, 7]])):
         incidence = np.array([[0, 0], [1, 1], [0, 2]]), r * np.array([[1, 0], [1, 0], [1, 1]])
-        (got,) = spectral._stiffness([eye], [[1, 1, 1]], incidence, [eye], [p],
-                                     [np.diag(p).tolist()])
+        (got,) = spectral._stiffness([eye], [[1, 1, 1]], incidence, [eye], [p])
         assert got.tolist() == [[float(r * r * v) for v in row] for row in want]
 
 
@@ -846,7 +871,7 @@ def test_a_stiffness_row_past_int64_is_summed_in_python_integers():
     # U = 3 2^50 2^12 = 3 2^62 would wrap to -2^62 in int64, so X = U^2 would read 2^124
     w = np.array([[3 * 2 ** 50]], dtype=np.int64)
     (got,) = spectral._stiffness([w], [[1]], (np.array([[0, 0]]), np.array([[2 ** 12, 0]])),
-                                 [np.ones((1, 1), dtype=np.int64)], [[1]], [[[1]]])
+                                 [np.ones((1, 1), dtype=np.int64)], [[1]])
     assert got.tolist() == [[float(9 * 2 ** 124)]]
 
 
