@@ -24,24 +24,27 @@ product reduces to
 so every matrix is an integer matrix times one exact rational scale: the
 Gram entries are s! (M-s-2)! over (M-1)! with M = 2N+k+2, and each
 operator pairing is a numerator over (m-1)!.  The Gram and stiffness
-matrices are block diagonal over the charge q = a - b.  Index j of block q
-is the power of r = |z|^2 past r^|q|, so its Gram block is the Hankel
-moment matrix G_ij = (i+j+alpha)! (M-i-j-alpha-2)! of r^alpha (1+r)^(-M)
-on [0, inf), alpha = |q|.  Its orthogonal polynomials are a finite
-Romanovski-Jacobi family, (alpha+1)_j 2F1(-j, j+alpha-M+1; alpha+1; -r)
-(Krattenthaler, *Advanced determinant calculus*), whose coefficients,
-each row divided by its content, form an integer lower triangular W with
-W G W^T = diag(p), p > 0.  Nothing is taken from the formula on trust.
-The Gram depends only on alpha and M, and every block of one alpha is a
-leading block of the largest one, so the rows of each alpha are certified
-once, on that largest block: the lower triangle of U = W G is computed
-exactly and the build is refused unless U is upper triangular and every
-p_j = U_jj W_jj is positive, which is W G W^T = diag(p) > 0.  A lower
-triangular congruence that diagonalizes G is unique up to row scales, so a
-wrong row cannot pass.  With G = L D L^T, the congruence
-D^(-1/2) L^-1 A L^-T D^(-1/2) is then X_ij / sqrt(p_i p_j) with
-X = W A W^T, so each entry leaves exact arithmetic once, just before the
-dense symmetric eigensolve.
+matrices are block diagonal over the charge q = a - b: block q holds
+z^(b+q) zbar^b for b = max(0,-q), max(0,-q) + 1, ..., each degree's
+(charge, size) are one closed form (`_layout`), and every reader takes a
+block's basis from them.  Index j of block q is the power of r = |z|^2
+past r^|q|, so its Gram block is the Hankel moment matrix
+G_ij = (i+j+alpha)! (M-i-j-alpha-2)! of r^alpha (1+r)^(-M) on [0, inf),
+alpha = |q|.  Its orthogonal polynomials are a finite Romanovski-Jacobi
+family, (alpha+1)_j 2F1(-j, j+alpha-M+1; alpha+1; -r) (Krattenthaler,
+*Advanced determinant calculus*), whose coefficients, each row divided by
+its content, form one integer lower triangle W with W G W^T = diag(p),
+p > 0.  Nothing is taken from the formula on trust.  The Gram depends only
+on alpha and M, and every block of one alpha is a leading block of the
+largest one, so the rows of each alpha are certified once, on that largest
+block, against the moment sequence s! (M-s-2)!: the lower triangle of
+U = W G is summed exactly and the build is refused unless U is upper
+triangular and every p_j = U_jj W_jj is positive, which is
+W G W^T = diag(p) > 0.  A lower triangular congruence that diagonalizes G
+is unique up to row scales, so a wrong row cannot pass.  With G = L D L^T,
+the congruence D^(-1/2) L^-1 A L^-T D^(-1/2) is then X_ij / sqrt(p_i p_j)
+with X = W A W^T, so each entry leaves exact arithmetic once, just before
+the dense symmetric eigensolve.
 
 The (0,1)-forms get their own family, with the same Gram closed form and M,
 
@@ -53,7 +56,7 @@ dbar chi_(a,b) = b psi_(a,b-1) + (b-N) psi_(a+1,b) and dbar* psi_(a,b) =
 for k >= 0 the forms span exactly dbar of the sections (dimension
 N(N+k+2), the section count minus k+1), and both families share M.  The
 integer incidences D and T of dbar and dbar* come straight from that
-index arithmetic, two terms a row over every block of a degree, a term
+index arithmetic over the blocks of `_layout`, two terms a row, a term
 that would leave the basis with coefficient 0 (`_incidence`).  The
 stiffness is D G1 D^T in degree 0 and T G0 T^T in degree 1, and its
 congruence is X = U G1 U^T with U = W0 D.  Each row u_i is expanded in
@@ -156,16 +159,17 @@ class IllConditionedGramError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _orthogonal_rows(size: int, alpha: int, m: int) -> IntMat:
-    """Rows 0..size-1 of W for the Hankel Gram (i+j+alpha)! (m-i-j-alpha-2)!.
+def _orthogonal_rows(size: int, alpha: int, m: int) -> np.ndarray:
+    """Rows 0..size-1 of W for the Hankel Gram (i+j+alpha)! (m-i-j-alpha-2)!: a lower triangle.
 
     Row j holds the coefficients of r^0..r^j in (alpha+1)_j 2F1(-j,
     j+alpha-m+1; alpha+1; -r), C(j,c) (j+alpha-m+1)_c (alpha+c+1)_(j-c),
     divided by their content and signed so that the leading one is positive.
-    Each coefficient follows from the previous one by the term ratio.
-    Needs 2 (size-1) + alpha <= m - 2; `_certify` certifies the result.
+    Each coefficient follows from the previous one by the term ratio; int64
+    below `_EXACT`, else Python integers.  Needs 2 (size-1) + alpha <= m - 2;
+    `_certify` certifies the result.
     """
-    rows = []
+    w = np.zeros((size, size), dtype=object)
     for j in range(size):
         term = math.prod(range(alpha + 1, alpha + j + 1))
         row = [term]
@@ -173,8 +177,8 @@ def _orthogonal_rows(size: int, alpha: int, m: int) -> IntMat:
             term = term * (j - c) * (j + alpha - m + 1 + c) // ((c + 1) * (alpha + c + 1))
             row.append(term)
         g = math.gcd(*row)
-        rows.append([v // g if term > 0 else -v // g for v in row])
-    return rows
+        w[j, :j + 1] = [v // g if term > 0 else -v // g for v in row]
+    return w.astype(np.int64) if np.abs(w).max() < _EXACT else w
 
 
 def _signed_root(x: np.ndarray, scale: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -235,17 +239,17 @@ def _round_congruence(w: np.ndarray, mat: np.ndarray, norms: Sequence[int],
     return _signed_root(x, scale.numerator ** 2, (p * scale.denominator ** 2)[:, None], p)
 
 
-def _certify(gram: IntMat, w: IntMat) -> List[int]:
-    """The norms of W G W^T = diag(norms) > 0, certified exactly.
+def _certify(mom: Sequence[int], alpha: int, w: np.ndarray) -> List[int]:
+    """The norms of W G W^T = diag(norms) > 0, certified exactly, for G_jr = mom[alpha + j + r].
 
-    The lower triangle of U = W G is computed exactly (G is symmetric).
+    The lower triangle of U = W G is summed exactly over W's lower triangle.
     W G W^T = U W^T is then diag(norms) > 0 exactly when U is upper
     triangular and every norm_j = U_jj W_jj is positive; otherwise this
     raises IllConditionedGramError.
     """
     norms = []
-    for i, wi in enumerate(w):
-        u = [sum(map(mul, wi, gram[j])) for j in range(i + 1)]
+    for i, wi in enumerate(w.tolist()):
+        u = [sum(map(mul, wi, mom[alpha + j:alpha + j + i + 1])) for j in range(i + 1)]
         norm = u[i] * wi[i]
         if any(u[:i]) or norm <= 0:
             raise IllConditionedGramError(
@@ -273,13 +277,16 @@ def _peel(u: np.ndarray, w: np.ndarray, owner: np.ndarray) -> Tuple[np.ndarray, 
     state[:, :width], state[:, width] = u, 1
     end = np.full(n, width)  # where each row's c begins
     reach = int(np.abs(w).max()) if w.dtype == np.int64 else 0
+    live, rows = np.arange(n), state  # the rows with something left, and their state
     while True:
-        left = (state[:, :width] != 0) & (np.arange(width) < end[:, None])
-        live = np.flatnonzero(left.any(axis=1))
+        left = (rows[:, :width] != 0) & (np.arange(width) < end[live, None])
+        keep = left.any(axis=1)
+        if not keep.all():  # a row with nothing left is never read again
+            live, rows, left = live[keep], rows[keep], left[keep]
         if not len(live):
             return state[:, width], state[:, :width]
-        m = width - 1 - np.argmax(left[live, ::-1], axis=1)  # the last nonzero column
-        rows, peel, at = state[live], w[owner[live], m], np.arange(len(live))
+        m = width - 1 - np.argmax(left[:, ::-1], axis=1)  # the last nonzero column
+        peel, at = w[owner[live], m], np.arange(len(live))
         top, lead = peel[at, m], rows[at, m]
         g = np.gcd(lead, top)
         f, t = abs(top) // g, lead // g * np.sign(top)
@@ -378,7 +385,7 @@ def _stiffness(w: Sequence[np.ndarray], norms: Sequence[Sequence[int]],
 
 @dataclass
 class _Block:
-    pairs: List[Tuple[int, int]]
+    charge: int           # a - b of its basis, whose closed form `_layout` gives
     w: np.ndarray         # closed-form rows, lower triangular: a leading block of the alpha's rows
     norms: List[int]      # W G W^T = diag(norms); with G = L D L^T, W = diag(sqrt(norms / D)) L^-1
     scale: Fraction       # the Gram block is scale * G: 1/(M-1)! times the gcd of the certified norms
@@ -407,37 +414,38 @@ class SpectralModel:
         number of the largest section Gram block of each alpha, which bounds its leading ones."""
         fact = [factorial(i) for i in range(2 * self.trunc + self.k + 2)]
         # section block q >= 0 is the largest of alpha = q and holds block -q as a leading block
-        grams = (_gram(len(b.pairs), q, fact) for b in self.blocks
-                 for q in [b.pairs[0][0] - b.pairs[0][1]] if q >= 0)
+        grams = (_gram(len(b.w), b.charge, fact) for b in self.blocks if b.charge >= 0)
         return {"max_gram_condition": max(float(np.linalg.cond([[v / fact[-1] for v in row]
                                                                  for row in g])) for g in grams)}
+
+
+def _layout(k: int, n: int, degree: int) -> np.ndarray:
+    """Each block, a row (charge c, size), of the sections (degree 0: c = -N..N+k, a <= N+k,
+    b <= N) or the forms (degree 1: c = 1-N..N+k+1, a <= N+k+1, b <= N-1), in charge order.
+    Block c holds z^(b+c) zbar^b, b = max(0,-c), max(0,-c) + 1, ...: its first a is max(c, 0)."""
+    charge = np.arange(-n, n + k + 1) + degree
+    size = np.minimum(n - degree, n + k + degree - charge) - np.maximum(0, -charge) + 1
+    return np.stack([charge, size], axis=1)
 
 
 def _incidence(k: int, n: int, degree: int) -> Tuple[np.ndarray, np.ndarray]:
     """The integer incidence of dbar (degree 0) or dbar* (degree 1) as (col, coef), each (rows, 2).
 
-    The rows run over the degree's basis, block after block in charge
-    order; each holds the two terms of its image in the other degree's
-    block: dbar chi_(a,b) = b psi_(a,b-1) + (b-N) psi_(a+1,b), at columns
+    The rows run over the degree's basis, block after block of `_layout`;
+    each holds the two terms of its image in the other degree's block:
+    dbar chi_(a,b) = b psi_(a,b-1) + (b-N) psi_(a+1,b), at columns
     b - max(0,-q-1) + (-1, 0), and dbar* psi_(a,b) = -a chi_(a-1,b) +
     (N+k+1-a) chi_(a,b+1), at columns b - max(0,-q) + (0, 1), with q the
     charge of the section block.  A term that would leave the basis has
-    coefficient 0.  The adjoint of dbar is
-    g dzbar -> -(1+|z|^2)^(k+2) d/dz ((1+|z|^2)^(-k) g).
+    coefficient 0.  The adjoint of dbar is g dzbar -> -(1+|z|^2)^(k+2) d/dz ((1+|z|^2)^(-k) g).
     """
-    q = np.arange(-n, n + k + 1)
-    lo = np.maximum(0, -q - degree)  # the first zbar exponent b of each block
-    size = np.minimum(n - degree, n + k - q) - lo + 1
-    q = np.repeat(q, size)  # each row's section charge, and its b
+    charge, size = _layout(k, n, degree).T
+    lo = np.maximum(0, -charge)  # the first zbar exponent b of each block
+    q = np.repeat(charge - degree, size)  # each row's section charge, and its b
     b = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size) + np.repeat(lo, size)
     col = (b - np.maximum(0, degree - 1 - q))[:, None] + ((-1, 0), (0, 1))[degree]
     a = b + q + 1
     return col, np.stack([b, b - n] if degree == 0 else [-a, n + k + 1 - a], axis=1)
-
-
-def _charge_pairs(q: int, a_max: int, b_max: int) -> List[Tuple[int, int]]:
-    """The indices (a, b) with a - b = q, 0 <= a <= a_max and 0 <= b <= b_max."""
-    return [(b + q, b) for b in range(max(0, -q), min(b_max, a_max - q) + 1)]
 
 
 def _gram(size: int, alpha: int, fact: List[int]) -> IntMat:
@@ -450,20 +458,20 @@ def _gram(size: int, alpha: int, fact: List[int]) -> IntMat:
 def build_model(k: int, trunc: int) -> SpectralModel:
     """Assemble and diagonalize the truncated model for O(k) at truncation N.
 
-    Every block's rounded stiffness is assembled first from the closed-form
-    incidences (`_incidence`) and the certified rows and norms of the other
-    degree, one `_stiffness` call for all of degree 0 and one for all of
-    degree 1; then one `np.linalg.eigh` call solves the stack of all blocks
-    of each size.  `basis_meta`, recorded and never compared, is computed
-    on its first read, not here.
+    The rows of each alpha are made (`_orthogonal_rows`) and certified
+    (`_certify`) once, for its largest block in `_layout`.  Each degree is
+    then assembled once, degree 0 first: one `_stiffness` call for all its
+    blocks, from its incidence (`_incidence`) and the other degree's rows
+    and norms.  One `np.linalg.eigh` call solves the stack of all blocks of
+    each size.  `basis_meta`, recorded only, is computed on its first read.
 
     Requires integers k >= 0 and k + 2 <= trunc <= MAX_TRUNC.  Raises
     IllConditionedGramError if the closed-form rows of an alpha fail their
-    exact certificate (`_certify`), or if a block's lowest eigenvalue is
-    below minus its measured error: the exact congruence X is positive
-    semidefinite, its one rounding (1 ulp an entry) moves an eigenvalue by
-    at most s 2^-52 ||X||_2 (Weyl), and some eigenvalue of the rounded block
-    lies within the residual of the computed one (Parlett, *The Symmetric
+    exact certificate, or if a block's lowest eigenvalue is below minus its
+    measured error: the exact congruence X is positive semidefinite, its
+    one rounding (1 ulp an entry) moves an eigenvalue by at most
+    s 2^-52 ||X||_2 (Weyl), and some eigenvalue of the rounded block lies
+    within the residual of the computed one (Parlett, *The Symmetric
     Eigenvalue Problem*, ch. 4).
     """
     for name, value in (("k", k), ("trunc", trunc)):
@@ -477,50 +485,41 @@ def build_model(k: int, trunc: int) -> SpectralModel:
         raise ValueError(f"trunc must be at most {MAX_TRUNC}, got {trunc}")
     n = trunc
     fact = [factorial(i) for i in range(2 * n + k + 2)]  # up to (M-1)!, M = 2N+k+2
+    mom = [fact[s] * fact[-2 - s] for s in range(len(fact) - 1)]  # s! (M-s-2)!
     unit = Fraction(1, fact[-1])
-    layout = [(q, _charge_pairs(q, n + k, n), _charge_pairs(q + 1, n + k + 1, n - 1))
-              for q in range(-n, n + k + 1)]
-    sizes: Dict[int, int] = {}  # alpha -> the largest block that uses it
-    for q, pairs, fpairs in layout:
-        for alpha, size in ((abs(q), len(pairs)), (abs(q + 1), len(fpairs))):
-            sizes[alpha] = max(sizes.get(alpha, 0), size)
-    grams = {alpha: _gram(size, alpha, fact) for alpha, size in sizes.items()}
-    # every block of one alpha, in either degree, uses a prefix of the same rows and Gram
-    rows = {alpha: _orthogonal_rows(size, alpha, len(fact)) for alpha, size in sizes.items()}
-    norms = {alpha: _certify(grams[alpha], w) for alpha, w in rows.items()}
-    triangles = {}  # each alpha's rows as one lower triangle, int64 where exact in float64
-    for alpha, w in rows.items():
-        t = np.array([r + [0] * (len(w) - len(r)) for r in w], dtype=object)
-        triangles[alpha] = t.astype(np.int64) if np.abs(t).max() < _EXACT else t
-    shapes = ([(abs(q), len(pairs)) for q, pairs, _ in layout],  # degree 0, then degree 1
-              [(abs(q + 1), len(fpairs)) for q, _, fpairs in layout])
-    w0, w1 = ([triangles[alpha][:s, :s] for alpha, s in shape] for shape in shapes)
-    p0, p1 = ([norms[alpha][:s] for alpha, s in shape] for shape in shapes)
-    x0 = _stiffness(w0, p0, _incidence(k, n, 0), w1, p1)  # D G1 D^T
-    x1 = _stiffness(w1, p1, _incidence(k, n, 1), w0, p0)  # T G0 T^T
-    assembled = []  # (degree, charge, pairs, rows, norms, rounded stiffness) of every block
-    for (q, pairs, fpairs), *block in zip(layout, w0, p0, x0, w1, p1, x1):
-        assembled += [(0, q, pairs, *block[:3]), (1, q + 1, fpairs, *block[3:])]
+    layout = [_layout(k, n, degree).tolist() for degree in (0, 1)]
+    largest: Dict[int, int] = {}  # alpha -> the largest block that uses it, in either degree
+    for charge, size in chain(*layout):
+        largest[abs(charge)] = max(largest.get(abs(charge), 0), size)
+    rows = {alpha: _orthogonal_rows(size, alpha, len(fact)) for alpha, size in largest.items()}
+    norms = {alpha: _certify(mom, alpha, w) for alpha, w in rows.items()}
+    w = [[rows[abs(c)][:s, :s] for c, s in blocks] for blocks in layout]
+    p = [[norms[abs(c)][:s] for c, s in blocks] for blocks in layout]
+    # D G1 D^T in degree 0, T G0 T^T in degree 1
+    x = [_stiffness(w[d], p[d], _incidence(k, n, d), w[1 - d], p[1 - d]) for d in (0, 1)]
     # one eigensolve per block size: eigh solves a stack matrix by matrix, so each block
     # gets the bits it gets alone; each X is exactly symmetric, and so is its rounding
-    solved: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    for size in {len(entry[-1]) for entry in assembled}:
-        members = [i for i, entry in enumerate(assembled) if len(entry[-1]) == size]
-        lams, vecs = np.linalg.eigh(np.stack([assembled[i][-1] for i in members]))
-        solved.update(zip(members, zip(lams, vecs)))
+    mats = x[0] + x[1]
+    solved = [None] * len(mats)  # (lam, vecs) of each matrix
+    for size in {len(a) for a in mats}:
+        members = [i for i, a in enumerate(mats) if len(a) == size]
+        for i, lam, vecs in zip(members, *np.linalg.eigh(np.stack([mats[i] for i in members]))):
+            solved[i] = lam, vecs
+    eigen = iter(solved)
     blocks: List[_Block] = []
     forms: List[_Block] = []
-    for i, (degree, charge, idx, w, p, x) in enumerate(assembled):
-        lam, vecs = solved[i]
-        if lam[0] < 0:  # the rounding bound plus the residual of the lowest eigenpair
-            error = len(lam) * 2.0 ** -52 * max(-lam[0], lam[-1]) + float(
-                np.linalg.norm(x @ vecs[:, 0] - lam[0] * vecs[:, 0]))
-            if lam[0] < -error:
-                raise IllConditionedGramError(
-                    f"negative eigenvalue {lam[0]:.3e} below its measured error {error:.1e} "
-                    f"in the degree-{degree} block at charge {charge}")
-        g = math.gcd(*p)  # g keeps the radicands of the operator congruences small
-        (blocks, forms)[degree].append(_Block(idx, w, [v // g for v in p], unit * g, lam, vecs))
+    for degree, out in enumerate((blocks, forms)):
+        for (charge, _), wb, pb, xb in zip(layout[degree], w[degree], p[degree], x[degree]):
+            lam, vecs = next(eigen)
+            if lam[0] < 0:  # the rounding bound plus the residual of the lowest eigenpair
+                error = len(lam) * 2.0 ** -52 * max(-lam[0], lam[-1]) + float(
+                    np.linalg.norm(xb @ vecs[:, 0] - lam[0] * vecs[:, 0]))
+                if lam[0] < -error:
+                    raise IllConditionedGramError(
+                        f"negative eigenvalue {lam[0]:.3e} below its measured error {error:.1e} "
+                        f"in the degree-{degree} block at charge {charge}")
+            g = math.gcd(*pb)  # g keeps the radicands of the operator congruences small
+            out.append(_Block(charge, wb, [v // g for v in pb], unit * g, lam, vecs))
 
     # the one rule for zero: every view of the spectrum, the cache summary too, reads these zeros
     threshold = 1e-8 * max(max(float(b.lam.max()) for b in blocks + forms), 1e-300)
@@ -627,8 +626,8 @@ def _operator_pairings(model: SpectralModel, op: WeylElement, degree: int,
         kappa_of[key] = [v + c * math.perm(a, r) for a, v in enumerate(vals)]
     blocks = (model.blocks, model.forms)[degree]
     for bi in which:
-        pairs = blocks[bi].pairs
-        s, a0, alpha = len(pairs), pairs[0][0], abs(pairs[0][0] - pairs[0][1])  # a_j = a0 + j
+        charge, s = blocks[bi].charge, len(blocks[bi].w)
+        a0, alpha = max(charge, 0), abs(charge)  # a_j = a0 + j
         kappa = {key: vals[a0:a0 + s] for key, vals in kappa_of.items()}  # [sigma, tau][j]
         _check_integrable(kappa, s, alpha, m)
         # the moments the block reads, divided by their gcd; alpha + 2 (s-1) <= M - 2 for
@@ -793,8 +792,8 @@ def load_spectrum(cache_dir: str, k: int, trunc: int):
     positive float), that another package version wrote, or whose spectra
     cannot be those of (k, trunc) is a miss too, so the caller rebuilds the
     model and overwrites the file.  Each degree's eigenvalues must ascend
-    and, with its kernel dimension >= 0, count its whole basis:
-    (N+1)(N+k+1) sections and N(N+k+2) forms.
+    and, with its kernel dimension >= 0, count its whole basis, the sizes of
+    the blocks of `_layout`: (N+1)(N+k+1) sections and N(N+k+2) forms.
     """
     try:
         with open(cache_path(cache_dir, k, trunc), "r", encoding="utf-8") as fh:
@@ -806,10 +805,10 @@ def load_spectrum(cache_dir: str, k: int, trunc: int):
              and (data["tag"], data["version"], data["k"], data["trunc"]) == (CONVENTION_TAG,
                                                                               __version__, k, trunc)
              and all(type(v) is float and 0 < v < math.inf for v in data["eigs0"] + data["eigs1"])
-             and all(dim >= 0 and len(eigs) + dim == size and all(map(le, eigs, eigs[1:]))
-                     for eigs, dim, size in (
-                         (data["eigs0"], data["dim_harmonic0"], (trunc + 1) * (trunc + k + 1)),
-                         (data["eigs1"], data["dim_harmonic1"], trunc * (trunc + k + 2)))))
+             and all(dim >= 0 and len(eigs) + dim == _layout(k, trunc, degree)[:, 1].sum()
+                     and all(map(le, eigs, eigs[1:])) for degree, eigs, dim in (
+                         (0, data["eigs0"], data["dim_harmonic0"]),
+                         (1, data["eigs1"], data["dim_harmonic1"]))))
     return data if valid else None
 
 

@@ -16,6 +16,10 @@ also computes, by a route that shares none of its shortcuts:
 * `_congruence`, the stiffness R G R^T of an incidence R as one sum per
   entry, against the rows the model build expands in the other degree's
   certified basis;
+* `charge_pairs`, the indices (a, b) of one charge block picked out of the
+  whole truncation box, against the closed-form layout of
+  `hochheat.spectral._layout`, with `pairs_of` to read a model block's
+  indices back from its charge and size;
 * `incidence_by_images`, the d-bar and d-bar* incidences looked up term by
   term from the images `dbar_chi` and `dbar_star` of single basis
   functions, against the closed-form arrays of
@@ -272,7 +276,7 @@ def lifted_pairings(model: SpectralModel, op: WeylElement, degree: int,
     unit = Fraction(1, den * factorial(m - 1))
     blocks = (model.blocks, model.forms)[degree]
     for bi in which:
-        pairs = blocks[bi].pairs
+        pairs = pairs_of(blocks[bi])
         images = [_lift(_apply_weyl(op, {(a, b, power): 1}, den), top) for a, b in pairs]
         yield _reduced(_moment_block(images, pairs, mom), unit)
 
@@ -310,6 +314,22 @@ def dbar_star(a: int, b: int, n_trunc: int, k: int) -> WeightedFn:
     return out
 
 
+def charge_pairs(q: int, a_max: int, b_max: int) -> List[Tuple[int, int]]:
+    """The indices (a, b) with a - b = q, 0 <= a <= a_max and 0 <= b <= b_max, by ascending b.
+
+    Block q of the sections for (a_max, b_max) = (N+k, N), and of the forms
+    for (N+k+1, N-1), each index tested against the box one at a time.
+    """
+    return [(b + q, b) for b in range(b_max + 1) if 0 <= b + q <= a_max]
+
+
+def pairs_of(block) -> List[Tuple[int, int]]:
+    """The indices (a, b) of a model block's basis: z^(b+c) zbar^b for b = max(0, -c), ...,
+    one for each of its rows, c its charge."""
+    lo = max(0, -block.charge)
+    return [(b + block.charge, b) for b in range(lo, lo + len(block.w))]
+
+
 def incidence_by_images(k: int, n: int, degree: int) -> List[Dict[int, int]]:
     """The incidence of dbar (degree 0) or dbar* (degree 1), one {column: coefficient} per row.
 
@@ -319,8 +339,7 @@ def incidence_by_images(k: int, n: int, degree: int) -> List[Dict[int, int]]:
     """
     out = []
     for q in range(-n, n + k + 1):
-        pairs = [(b + q, b) for b in range(n + 1) if 0 <= b + q <= n + k]
-        fpairs = [(b + q + 1, b) for b in range(n) if 0 <= b + q + 1 <= n + k + 1]
+        pairs, fpairs = charge_pairs(q, n + k, n), charge_pairs(q + 1, n + k + 1, n - 1)
         if degree == 0:
             images, other, power = [dbar_chi(a, b, n) for a, b in pairs], fpairs, n + 1
         else:
@@ -426,7 +445,7 @@ def harmonic0_coordinates(model: SpectralModel) -> List[Dict[Tuple[int, int], fl
             r[j, :j + 1] = [_scaled_root(v, sc.denominator, sc.numerator * block.norms[j])
                             for v in row[:j + 1]]
         x = r.T @ block.vecs[:, col]
-        out.append({pair: x[i] for i, pair in enumerate(block.pairs)})
+        out.append({pair: x[i] for i, pair in enumerate(pairs_of(block))})
     return out
 
 

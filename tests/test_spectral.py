@@ -22,8 +22,9 @@ from hochheat.spectral import (
     OperatorEscapeError,
     _certify,
     _check_integrable,
-    _charge_pairs,
     _gram,
+    _incidence,
+    _layout,
     _operator_blocks,
     _operator_pairings,
     _orthogonal_rows,
@@ -38,10 +39,10 @@ from hochheat.spectral import (
 from hochheat.weyl import WeylElement, d_var, mul, unit, z_var
 from oracles import (DivergentIntegralError, _apply_weyl, _congruence, _expand, _lift,
                      _moment_block, _pairing, _reduced, _round_each_entry, _scaled_root, add,
-                     dbar_chi, dbar_chi_without_its_second_term, doubled_dbar_star,
+                     charge_pairs, dbar_chi, dbar_chi_without_its_second_term, doubled_dbar_star,
                      harmonic0_coordinates,
                      incidence_by_images, lifted_pairings, mono_integral, monomial,
-                     pair_weighted, scale, zero)
+                     pair_weighted, pairs_of, scale, zero)
 
 
 def _chi(a, b, n_trunc):
@@ -97,10 +98,10 @@ def test_gram_matches_generic_pairing():
     model = build_model(k, n)
     for basis, extra, blocks in ((_chi, k + 2, model.blocks), (_psi, k, model.forms)):
         for block in blocks:
-            alpha = abs(block.pairs[0][0] - block.pairs[0][1])
-            gram = _gram(len(block.pairs), alpha, fact)
-            for i, (a1, b1) in enumerate(block.pairs):
-                for j, (a2, b2) in enumerate(block.pairs):
+            pairs = pairs_of(block)
+            gram = _gram(len(pairs), abs(pairs[0][0] - pairs[0][1]), fact)
+            for i, (a1, b1) in enumerate(pairs):
+                for j, (a2, b2) in enumerate(pairs):
                     entry = pair_weighted(basis(a1, b1, n), basis(a2, b2, n), extra)
                     assert entry == mono_integral(a1 + b2, 2 * n + k + 2)
                     assert entry * fact[-1] == gram[i][j]
@@ -183,11 +184,11 @@ def _block_incidences(k, n, q):
     D and T in block q, sliced from `spectral._incidence` (read at run time, so a patched
     incidence reaches the reference)."""
     fact = [math.factorial(i) for i in range(2 * n + k + 2)]
-    pairs = _charge_pairs(q, n + k, n)
-    fpairs = _charge_pairs(q + 1, n + k + 1, n - 1)
+    pairs = charge_pairs(q, n + k, n)
+    fpairs = charge_pairs(q + 1, n + k + 1, n - 1)
     rows = []
     for degree, (a_max, b_max) in enumerate(((n + k, n), (n + k + 1, n - 1))):
-        start = sum(len(_charge_pairs(c + degree, a_max, b_max)) for c in range(-n, q))
+        start = sum(len(charge_pairs(c + degree, a_max, b_max)) for c in range(-n, q))
         col, coef = spectral._incidence(k, n, degree)
         size = len((pairs, fpairs)[degree])
         rows.append(_nonzero_terms(col[start:start + size], coef[start:start + size]))
@@ -386,7 +387,7 @@ def _intertwined_degree_one_terms(model, op, grid):
     n, k = model.trunc, model.k
     lams, diags = [], []
     for block in model.blocks:
-        mat, scale = _pairing_matrix([dbar_chi(a, b, n) for a, b in block.pairs], op, k)
+        mat, scale = _pairing_matrix([dbar_chi(a, b, n) for a, b in pairs_of(block)], op, k)
         pairing = _round_congruence(block.w, np.array(mat, dtype=object), block.norms,
                                     scale / block.scale)
         keep = block.lam > 0
@@ -669,10 +670,13 @@ def test_closed_form_rows_are_positive_multiples_of_the_bareiss_rows(case):
     gram = _hankel_gram(size, alpha, m)
     rows, _ = _bareiss(gram, [[0] * size for _ in range(size)])
     closed = _orthogonal_rows(size, alpha, m)
-    assert len(closed) == size
+    # one lower triangle, int64 exactly when every entry is exact in float64
+    assert closed.shape == (size, size) and not np.triu(closed, 1).any()
+    assert closed.dtype == (np.int64 if np.abs(closed).max() < 2 ** 52 else object)
+    closed = [row[:j + 1] for j, row in enumerate(closed.tolist())]
     for j, (row, ref) in enumerate(zip(closed, rows)):
         ref = ref[size:2 * size]
-        assert len(row) == j + 1 and not any(ref[j + 1:])
+        assert not any(ref[j + 1:])
         # row * ref[j] == ref * row[j], with both leading coefficients positive
         assert row[j] > 0 and ref[j] > 0
         assert [v * ref[j] for v in row] == [v * row[j] for v in ref[:j + 1]]
@@ -724,7 +728,7 @@ def test_closed_form_path_is_bit_identical_to_the_bareiss_oracle(monkeypatch, k,
         got = _operator_blocks(model, zd, degree)
         which = range(len(blocks))
         for bi, (mat, scale) in zip(which, _operator_pairings(model, zd, degree, which)):
-            pairs = blocks[bi].pairs
+            pairs = pairs_of(blocks[bi])
             gram = _gram(len(pairs), abs(pairs[0][0] - pairs[0][1]), fact)
             ref = _oracle_congruence(gram, mat.tolist(), scale * fact[-1])
             assert got[bi].tobytes() == ref.tobytes()
@@ -1023,7 +1027,7 @@ def test_one_eigensolve_per_block_size(monkeypatch, k, n):
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
     model = build_model(k, n)
-    sizes = [len(b.pairs) for b in model.blocks + model.forms]
+    sizes = [len(pairs_of(b)) for b in model.blocks + model.forms]
     assert sorted(shape[-1] for shape in stacks) == sorted(set(sizes))
     assert {shape[-1]: shape[0] for shape in stacks} == {s: sizes.count(s) for s in sizes}
 
@@ -1032,15 +1036,41 @@ def test_certificate_is_taken_once_per_alpha(monkeypatch):
     # degree 0 and degree 1 share M, and every block of one alpha uses a prefix of its rows
     calls = []
 
-    def recording(gram, w):
-        calls.append(len(w))
-        return _certify(gram, w)
+    def recording(mom, alpha, w):
+        calls.append((alpha, len(w)))
+        return _certify(mom, alpha, w)
 
     monkeypatch.setattr(spectral, "_certify", recording)
     k, n = 2, 7
     model = build_model(k, n)
-    alphas = {abs(b.pairs[0][0] - b.pairs[0][1]) for b in model.blocks + model.forms}
-    assert len(calls) == len(alphas) < len(model.blocks) + len(model.forms)
+    largest = {}  # alpha -> its largest block, in either degree
+    for b in model.blocks + model.forms:
+        pairs = pairs_of(b)
+        alpha = abs(pairs[0][0] - pairs[0][1])
+        largest[alpha] = max(largest.get(alpha, 0), len(pairs))
+    assert sorted(calls) == sorted(largest.items())
+    assert len(calls) < len(model.blocks) + len(model.forms)
+
+
+@pytest.mark.parametrize("k, n", [(1, 8), (0, 14), (3, 13)])
+def test_the_certificate_reads_the_moments_not_only_the_rows(k, n):
+    # rows made for the weight M are refused against the moments of M + 1, at the first row
+    # that fails, and so is one last row made for M among rows made for M + 1: the highest
+    # moments, which only the last row of an alpha reads, are read too
+    m = 2 * n + k + 2
+    moments = [math.factorial(s) * math.factorial(m - 1 - s) for s in range(m)]  # of m + 1
+    for alpha in (0, 1, n // 2):
+        size = (m - 2 - alpha) // 2 + 1  # the largest block the weight M admits
+        wrong, right = _orthogonal_rows(size, alpha, m), _orthogonal_rows(size, alpha, m + 1)
+        gram = _hankel_gram(size, alpha, m + 1)
+        assert _certify(moments, alpha, right) == [
+            sum(wi[r] * gram[r][c] * wi[c] for r in range(size) for c in range(size))
+            for wi in right.tolist()]
+        with pytest.raises(IllConditionedGramError, match="^row 1 of W does not diagonalize"):
+            _certify(moments, alpha, wrong)
+        right[-1] = wrong[-1]
+        with pytest.raises(IllConditionedGramError, match=f"^row {size - 1} of W does not"):
+            _certify(moments, alpha, right)
 
 
 @pytest.mark.parametrize("position", ["constant", "middle", "leading"])
@@ -1142,8 +1172,8 @@ def test_congruence_entries_are_within_two_ulp():
     zd = mul(z_var(1, 1), d_var(1, 1))
     for degree, (basis, extra) in enumerate([(_chi, k + 2), (_psi, k)]):
         blocks = (model.blocks, model.forms)[degree]
-        bi = max(range(len(blocks)), key=lambda i: len(blocks[i].pairs))
-        pairs = blocks[bi].pairs
+        bi = max(range(len(blocks)), key=lambda i: len(pairs_of(blocks[i])))
+        pairs = pairs_of(blocks[bi])
         gram = [[mono_integral(a + b2, 2 * n + k + 2) for (_, b2) in pairs] for (a, _) in pairs]
         funcs = [basis(a, b, n) for a, b in pairs]
         got = _operator_blocks(model, zd, degree)[bi]
@@ -1184,7 +1214,7 @@ def _pairing_matrix(funcs, op, extra):
 def _reference_pairings(model, op, degree, bi):
     """The reference pairing of one block: chi with weight k+2, or psi with weight k."""
     basis, extra = [(_chi, model.k + 2), (_psi, model.k)][degree]
-    pairs = (model.blocks, model.forms)[degree][bi].pairs
+    pairs = pairs_of((model.blocks, model.forms)[degree][bi])
     return _pairing_matrix([basis(a, b, model.trunc) for a, b in pairs], op, extra)
 
 
@@ -1368,16 +1398,25 @@ def test_an_integrability_check_reads_only_the_nonzero_coefficients():
 
 def test_no_neutral_pairing_of_an_admitted_block_can_diverge():
     # _check_integrable reads only charged terms because alpha + 2 (s-1) <= M - 2 in every
-    # block, in both degrees, of every model build_model admits; the bound is attained
+    # block, in both degrees, of every model build_model admits; the bound is attained.  Each
+    # block (charge c, size s) of `_layout` holds the reference indices z^(b+c) zbar^b,
+    # b = max(0, -c) .. max(0, -c) + s - 1, and `_incidence`'s rows come block by block in
+    # that order: the first coefficient of dbar chi_(a,b) is b, of dbar* psi_(a,b) it is -a
     worst, models = -math.inf, 0
     for k in range(spectral.MAX_TRUNC - 1):
         for n in range(k + 2, spectral.MAX_TRUNC + 1):
             models += 1
             top = 2 * n + k + 2 - 2  # M - 2
-            for q in range(-n, n + k + 1):
-                for alpha, size in ((abs(q), len(_charge_pairs(q, n + k, n))),
-                                    (abs(q + 1), len(_charge_pairs(q + 1, n + k + 1, n - 1)))):
-                    worst = max(worst, alpha + 2 * (size - 1) - top)
+            for degree, (a_max, b_max) in enumerate(((n + k, n), (n + k + 1, n - 1))):
+                charges = range(degree - n, n + k + 1 + degree)
+                pairs = [charge_pairs(c, a_max, b_max) for c in charges]
+                layout = _layout(k, n, degree).tolist()
+                assert layout == [[c, len(p)] for c, p in zip(charges, pairs)]
+                assert all(p == [(b + c, b) for b in range(max(0, -c), max(0, -c) + s)]
+                           for (c, s), p in zip(layout, pairs))
+                first = _incidence(k, n, degree)[1][:, 0].tolist()
+                assert first == [(b, -a)[degree] for p in pairs for a, b in p]
+                worst = max(worst, max(abs(c) + 2 * (s - 1) - top for c, s in layout))
     assert models == 780 and worst == 0
 
 
