@@ -37,14 +37,14 @@ its content, form one integer lower triangle W with W G W^T = diag(p),
 p > 0.  Nothing is taken from the formula on trust.  The Gram depends only
 on alpha and M, and every block of one alpha is a leading block of the
 largest one, so the rows of each alpha are certified once, on that largest
-block, against the moment sequence s! (M-s-2)!: the lower triangle of
-U = W G is summed exactly and the build is refused unless U is upper
-triangular and every p_j = U_jj W_jj is positive, which is
-W G W^T = diag(p) > 0.  A lower triangular congruence that diagonalizes G
-is unique up to row scales, so a wrong row cannot pass.  With G = L D L^T,
-the congruence D^(-1/2) L^-1 A L^-T D^(-1/2) is then X_ij / sqrt(p_i p_j)
-with X = W A W^T, so each entry leaves exact arithmetic once, just before
-the dense symmetric eigensolve.
+block, against the moment sequence s! (M-s-2)!: each row of the lower
+triangle of U = W G is one exact Hankel correlation of the moments with a
+row of W, and the build is refused unless U is upper triangular and every
+p_j = U_jj W_jj is positive, which is W G W^T = diag(p) > 0.  A lower
+triangular congruence that diagonalizes G is unique up to row scales, so a
+wrong row cannot pass.  With G = L D L^T, the congruence D^(-1/2) L^-1 A
+L^-T D^(-1/2) is then X_ij / sqrt(p_i p_j) with X = W A W^T, so each entry
+leaves exact arithmetic once, just before the dense symmetric eigensolve.
 
 The (0,1)-forms get their own family, with the same Gram closed form and M,
 
@@ -72,8 +72,8 @@ k with N <= 40) each u_i has one or two c_im and rows two apart share
 none, so X is tridiagonal in W coordinates; that shape sets only the cost,
 and no code path reads it.  Each entry is rounded once (`_signed_root`),
 one Python int / int quotient per radicand.  build_model(0, 40) and
-build_model(38, 40), whose expansions pass int64, take 0.14-0.21 s and
-0.55-0.67 s on one 2-CPU host.
+build_model(38, 40), whose expansions pass int64, take 0.16-0.24 s and
+0.54-0.73 s on one 2-CPU host.
 Degree 1 expands W1 T in W0 on its own, and each degree is solved on
 its own and keeps its eigenvectors.
 Only integration by parts, T G0 = G1 D^T, ties their nonzero spectra
@@ -92,10 +92,11 @@ with m the total power of (1+|z|^2) in the integrand, (m-1)! times the
 pairing is P = sum_tau H_tau diag(kappa[0, tau]), with H_tau the Hankel
 slice s! (m-s-2)!, s = alpha + tau + i + j.  A pair fails to
 integrate exactly when the top degree of its nonzero charged terms adds up
-past 2m - 3; no neutral term can (`_check_integrable`).  The kappa are the
-exact sums of the image's monomials, so a cancelled top term is left out,
-and the check raises what the term-by-term reference of the test oracles
-(`tests/oracles.py`) raises on the same pair.
+past 2m - 3; no neutral term can.  So one table of each a's top charged
+sigma + 2 tau decides every escape, the first escaping pair by arithmetic
+(`_check_integrable`), and raises what the term-by-term reference of the
+test oracles (`tests/oracles.py`) raises on the same pair: the kappa are
+the exact sums of the image's monomials, so a cancelled top term is left out.
 X = W P W^T is then formed exactly over the whole block and each entry is
 rounded once.  Where W and P are int64 below 2^52 and a float error bound
 proves |X| < 2^62, X is their uint64 product, exact modulo 2^64, else Python
@@ -120,7 +121,7 @@ from functools import cached_property
 from itertools import chain
 from math import comb, factorial
 from numbers import Real
-from operator import le, mul
+from operator import le
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -131,10 +132,10 @@ from .weyl import WeylElement, format_element, unpack
 CONVENTION_TAG = "fs-unit-volume:v1"
 
 #: largest truncation `build_model` accepts, checked before any work; a cost
-#: bound on one 2-CPU host: N = 40 takes 0.14-0.21 s for k = 0 or 1 and
-#: 0.55-0.67 s for k = 38, the largest k it admits (as a whole command,
-#: `spectrum` 0.83-0.93 s and `harmonic` 1.35-1.67 s), and one z d/dz
-#: `limit_supertrace` 0.33-0.46 s for k = 0 and 1.18-1.37 s for k = 38, most of
+#: bound on one 2-CPU host: N = 40 takes 0.16-0.24 s for k = 0 and
+#: 0.54-0.73 s for k = 38, the largest k it admits (as a whole command,
+#: `spectrum` 0.95-1.16 s and `harmonic` 1.80-2.03 s), and one z d/dz
+#: `limit_supertrace` 0.37-0.53 s for k = 0 and 1.16-1.54 s for k = 38, most of
 #: it exact O(s^3) products past the machine words
 MAX_TRUNC = 40
 
@@ -242,16 +243,18 @@ def _round_congruence(w: np.ndarray, mat: np.ndarray, norms: Sequence[int],
 def _certify(mom: Sequence[int], alpha: int, w: np.ndarray) -> List[int]:
     """The norms of W G W^T = diag(norms) > 0, certified exactly, for G_jr = mom[alpha + j + r].
 
-    The lower triangle of U = W G is summed exactly over W's lower triangle.
-    W G W^T = U W^T is then diag(norms) > 0 exactly when U is upper
+    Row i of the lower triangle of U = W G, U_ij = sum_r W_ir mom[alpha + j + r]
+    for j <= i, is one exact Hankel correlation of the moments with row i of
+    W.  W G W^T = U W^T is then diag(norms) > 0 exactly when U is upper
     triangular and every norm_j = U_jj W_jj is positive; otherwise this
     raises IllConditionedGramError.
     """
+    mom = np.array(mom[alpha:alpha + 2 * len(w) - 1], dtype=object)
     norms = []
-    for i, wi in enumerate(w.tolist()):
-        u = [sum(map(mul, wi, mom[alpha + j:alpha + j + i + 1])) for j in range(i + 1)]
-        norm = u[i] * wi[i]
-        if any(u[:i]) or norm <= 0:
+    for i, wi in enumerate(w.astype(object)):
+        *u, top = np.correlate(mom[:2 * i + 1], wi[:i + 1]).tolist()  # U_i0 .. U_ii
+        norm = top * wi[i]
+        if any(u) or norm <= 0:
             raise IllConditionedGramError(
                 f"row {i} of W does not diagonalize the Gram block to a positive norm")
         norms.append(norm)
@@ -465,14 +468,17 @@ def build_model(k: int, trunc: int) -> SpectralModel:
     and norms.  One `np.linalg.eigh` call solves the stack of all blocks of
     each size.  `basis_meta`, recorded only, is computed on its first read.
 
-    Requires integers k >= 0 and k + 2 <= trunc <= MAX_TRUNC.  Raises
+    Requires integers k >= 0 and k + 2 <= trunc <= MAX_TRUNC.  Each block's
+    measured error, s 2^-52 max|lam| plus the residual of its lowest
+    eigenpair, is taken once per stack: the exact congruence X is positive
+    semidefinite, its one rounding (1 ulp an entry) moves an eigenvalue by
+    at most s 2^-52 ||X||_2 (Weyl), and some eigenvalue of the rounded block
+    lies within the residual of the computed one (Parlett, *The Symmetric
+    Eigenvalue Problem*, ch. 4).  An eigenvalue within it of 0 is exactly 0,
+    the kernel every view of the spectrum reads.  Raises
     IllConditionedGramError if the closed-form rows of an alpha fail their
     exact certificate, or if a block's lowest eigenvalue is below minus its
-    measured error: the exact congruence X is positive semidefinite, its
-    one rounding (1 ulp an entry) moves an eigenvalue by at most
-    s 2^-52 ||X||_2 (Weyl), and some eigenvalue of the rounded block lies
-    within the residual of the computed one (Parlett, *The Symmetric
-    Eigenvalue Problem*, ch. 4).
+    measured error.
     """
     for name, value in (("k", k), ("trunc", trunc)):
         if not isinstance(value, int) or isinstance(value, bool):
@@ -500,37 +506,31 @@ def build_model(k: int, trunc: int) -> SpectralModel:
     # one eigensolve per block size: eigh solves a stack matrix by matrix, so each block
     # gets the bits it gets alone; each X is exactly symmetric, and so is its rounding
     mats = x[0] + x[1]
-    solved = [None] * len(mats)  # (lam, vecs) of each matrix
+    solved = {}  # matrix index -> (lam, vecs, error)
     for size in {len(a) for a in mats}:
         members = [i for i, a in enumerate(mats) if len(a) == size]
-        for i, lam, vecs in zip(members, *np.linalg.eigh(np.stack([mats[i] for i in members]))):
-            solved[i] = lam, vecs
-    eigen = iter(solved)
-    blocks: List[_Block] = []
-    forms: List[_Block] = []
+        stack = np.stack([mats[i] for i in members])
+        lam, vecs = np.linalg.eigh(stack)
+        low = vecs[:, :, :1]  # each block's lowest eigenvector, as a column
+        error = size * 2.0 ** -52 * np.abs(lam).max(axis=1) + np.linalg.norm(
+            (stack @ low - lam[:, :1, None] * low)[:, :, 0], axis=1)
+        # the one rule for zero: a rounded kernel would tilt heat traces at large t
+        lam[np.abs(lam) <= error[:, None]] = 0.0
+        solved.update(zip(members, zip(lam, vecs, error)))
+    eigen = (solved[i] for i in range(len(mats)))
+    blocks, forms = [], []
     for degree, out in enumerate((blocks, forms)):
-        for (charge, _), wb, pb, xb in zip(layout[degree], w[degree], p[degree], x[degree]):
-            lam, vecs = next(eigen)
-            if lam[0] < 0:  # the rounding bound plus the residual of the lowest eigenpair
-                error = len(lam) * 2.0 ** -52 * max(-lam[0], lam[-1]) + float(
-                    np.linalg.norm(xb @ vecs[:, 0] - lam[0] * vecs[:, 0]))
-                if lam[0] < -error:
-                    raise IllConditionedGramError(
-                        f"negative eigenvalue {lam[0]:.3e} below its measured error {error:.1e} "
-                        f"in the degree-{degree} block at charge {charge}")
+        for (charge, _), wb, pb in zip(layout[degree], w[degree], p[degree]):
+            lam, vecs, error = next(eigen)
+            if lam[0] < 0:  # below minus its measured error
+                raise IllConditionedGramError(
+                    f"negative eigenvalue {lam[0]:.3e} below its measured error {error:.1e} "
+                    f"in the degree-{degree} block at charge {charge}")
             g = math.gcd(*pb)  # g keeps the radicands of the operator congruences small
             out.append(_Block(charge, wb, [v // g for v in pb], unit * g, lam, vecs))
-
-    # the one rule for zero: every view of the spectrum, the cache summary too, reads these zeros
-    threshold = 1e-8 * max(max(float(b.lam.max()) for b in blocks + forms), 1e-300)
-    harmonic, flat = [], []
-    for degree_blocks in (blocks, forms):
-        for b in degree_blocks:
-            # the kernel is exactly 0: its rounding (about 1e-14) would tilt heat traces at large t
-            b.lam[b.lam < threshold] = 0.0
-        harmonic.append([(bi, col) for bi, b in enumerate(degree_blocks)
-                         for col in range(len(b.lam)) if b.lam[col] == 0.0])
-        flat.append(np.sort(np.concatenate([b.lam for b in degree_blocks])))
+    harmonic = [[(bi, col) for bi, b in enumerate(bs) for col in range(len(b.lam))
+                 if b.lam[col] == 0.0] for bs in (blocks, forms)]
+    flat = [np.sort(np.concatenate([b.lam for b in bs])) for bs in (blocks, forms)]
     return SpectralModel(k=k, trunc=trunc, blocks=blocks, forms=forms, harmonic0=harmonic[0],
                          harmonic1=harmonic[1], _flat0=flat[0], _flat1=flat[1])
 
@@ -564,37 +564,29 @@ def _image_coefficients(op: WeylElement, power: int,
     return out
 
 
-def _check_integrable(kappa: Dict[Tuple[int, int], List[int]], s: int, alpha: int, m: int) -> None:
+def _check_integrable(tops: Sequence[float], s: int, alpha: int, m: int) -> None:
     """Raise where an image of one block of size s escapes against a basis function.
 
-    Image j is the sum of kappa[sigma, tau][j] z^(a_j+sigma+tau) zbar^(b_j+tau);
-    paired with f_i = z^a_i zbar^b_i under the total weight (1+|z|^2)^(-m),
-    each term has the radial degree sigma + 2 tau + a_i + b_i + a_j + b_j =
-    sigma + 2 (tau + i + j + alpha).  A pair escapes when its top degree over
-    the nonzero charged (sigma != 0) terms exceeds 2m - 3.  A neutral term
+    tops[j] is the largest sigma + 2 tau over the nonzero charged (sigma != 0)
+    coefficients kappa[sigma, tau][j] of image j, -inf where there is none.
+    Paired with f_i = z^a_i zbar^b_i under the total weight (1+|z|^2)^(-m),
+    a term has the radial degree sigma + 2 (tau + i + j + alpha), so the pair
+    escapes when tops[j] + 2 (i + j + alpha) exceeds 2m - 3.  A neutral term
     never diverges: every block `build_model` admits has alpha + 2 (s-1) <=
     M - 2 (`tests/test_spectral.py` checks all 780 models), and tau <= dmax
-    with m = M + dmax, so its degree is at most 2 (m - 2) = 2m - 4.  The kappa
-    are exactly the summed coefficients of the lifted images, so a cancelled
-    top term is left out.  The largest i is the worst, so a passing block
-    costs one pass over kappa; otherwise the pairs are searched in row-major
-    order, as the generic pairing kernel of `tests/oracles.py` would check them.
+    with m = M + dmax, so its degree is at most 2 (m - 2) = 2m - 4.  The
+    first escaping row is the least i with 2 i > limit - max_j (tops[j] + 2 j),
+    limit = 2m - 3 - 2 alpha; its first escaping j is named, the pair that the
+    generic pairing kernel of `tests/oracles.py` names in row-major order.
     """
-    tops = [-math.inf] * s
-    for (sigma, tau), vals in kappa.items():
-        if sigma:
-            for j, v in enumerate(vals):
-                if v and sigma + 2 * tau > tops[j]:
-                    tops[j] = sigma + 2 * tau
     limit = 2 * m - 3 - 2 * alpha
-    if max((e + 2 * j for j, e in enumerate(tops)), default=-math.inf) + 2 * (s - 1) <= limit:
-        return
-    for i in range(s):
-        for j, e in enumerate(tops):
-            if e + 2 * (i + j) > limit:
-                raise OperatorEscapeError(
-                    f"image {j} paired with basis function {i} leaves the square-integrable "
-                    f"truncation (radial degree {e + 2 * (i + j + alpha)}, weight {m})")
+    reach = np.asarray(tops, dtype=float) + 2 * np.arange(s)  # tops[j] + 2 j
+    i = max(0.0, np.floor((limit - reach.max(initial=-math.inf)) / 2) + 1)  # the first row
+    if i < s:
+        j = int(np.argmax(reach > limit - 2 * i))
+        raise OperatorEscapeError(
+            f"image {j} paired with basis function {int(i)} leaves the square-integrable "
+            f"truncation (radial degree {int(tops[j] + 2 * (i + j + alpha))}, weight {m})")
 
 
 def _operator_pairings(model: SpectralModel, op: WeylElement, degree: int,
@@ -607,11 +599,15 @@ def _operator_pairings(model: SpectralModel, op: WeylElement, degree: int,
     den * op f_j, lifted to the largest power top it can reach, is
     sum kappa[sigma, tau][j] z^(a_j+sigma+tau) zbar^(b_j+tau)
     (`_image_coefficients`), and only its sigma = 0 terms pair with the
-    block's charge.  Since a_j + b_i = alpha + i + j, the pairing times
-    (m-1)! is P = sum_tau H_tau diag(kappa[0, tau]), H_tau the Hankel slice
-    mom[alpha + tau + i + j] of mom[s] = s! (m-s-2)!, m = top + weight.
-    P is assembled in int64 when the window and max(window) sum_tau
-    max_j |kappa[0, tau][j]|, a bound on |P|, are below `_EXACT`.
+    block's charge.  One pass over every a of either degree tabulates the
+    kappa and tops[a], the largest sigma + 2 tau of a's nonzero charged
+    kappa (-inf where there is none); a block's slice of tops decides its
+    escapes (`_check_integrable`).  Since a_j + b_i = alpha + i + j, the
+    pairing times (m-1)! is P = sum_tau H_tau diag(kappa[0, tau]), H_tau the
+    Hankel slice mom[alpha + tau + i + j] of mom[s] = s! (m-s-2)!,
+    m = top + weight.  P is assembled in int64 when the window and
+    max(window) sum_tau max_j |kappa[0, tau][j]|, a bound on |P|, are below
+    `_EXACT`.
     """
     n, k = model.trunc, model.k
     den = op.den
@@ -624,23 +620,26 @@ def _operator_pairings(model: SpectralModel, op: WeylElement, degree: int,
     for key, r, c in _image_coefficients(op, power, dmax):
         vals = kappa_of.setdefault(key, [0] * (n + k + 2))  # every a of either degree
         kappa_of[key] = [v + c * math.perm(a, r) for a, v in enumerate(vals)]
+    # [a]: the top sigma + 2 tau of a's nonzero charged terms; a cancelled term is left out
+    tops = np.max([np.full(n + k + 2, -math.inf)] + [
+        np.where(np.array(vals, dtype=object) != 0, sigma + 2 * tau, -math.inf)
+        for (sigma, tau), vals in kappa_of.items() if sigma], axis=0)
     blocks = (model.blocks, model.forms)[degree]
     for bi in which:
         charge, s = blocks[bi].charge, len(blocks[bi].w)
         a0, alpha = max(charge, 0), abs(charge)  # a_j = a0 + j
-        kappa = {key: vals[a0:a0 + s] for key, vals in kappa_of.items()}  # [sigma, tau][j]
-        _check_integrable(kappa, s, alpha, m)
+        _check_integrable(tops[a0:a0 + s], s, alpha, m)
         # the moments the block reads, divided by their gcd; alpha + 2 (s-1) <= M - 2 for
         # every block and m = M + dmax, so the window ends inside mom
         window = mom[alpha:alpha + 2 * s - 1 + dmax]
         g = math.gcd(*window)
         window = [v // g for v in window]
-        neutral = [(tau, vals) for (sigma, tau), vals in kappa.items() if sigma == 0]
-        reach = sum(max(map(abs, vals)) for _, vals in neutral)  # 0 when nothing pairs
+        kappa = [(tau, vals[a0:a0 + s]) for (sigma, tau), vals in kappa_of.items() if not sigma]
+        reach = sum(max(map(abs, vals)) for _, vals in kappa)  # 0 when nothing pairs
         dtype = np.int64 if max(window) * max(reach, 1) < _EXACT else object
         window, mat = np.array(window, dtype=dtype), np.zeros((s, s), dtype=dtype)
         hankel = np.arange(s)[:, None] + np.arange(s)
-        for tau, vals in neutral:
+        for tau, vals in kappa:
             mat += window[hankel + tau] * np.array(vals, dtype=dtype)
         content = int(np.gcd.reduce(mat, axis=None))
         yield (mat // content if content > 1 else mat), unit * (g * content)

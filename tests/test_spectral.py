@@ -1383,17 +1383,50 @@ def test_a_top_coefficient_that_cancels_for_one_basis_function(k, n):
 def test_an_integrability_check_reads_only_the_nonzero_coefficients():
     # image z^3 zbar w^-1 of the constant: charged, radial degree 4 > 2m - 3 at m = 3
     with pytest.raises(OperatorEscapeError, match="radial degree 4, weight 3"):
-        _check_integrable({(2, 1): [1]}, 1, 0, 3)
+        _check_integrable([4], 1, 0, 3)
     with pytest.raises(OperatorEscapeError, match="radial degree 4, weight 3"):
         _moment_block([_lift({(3, 1, 1): 1}, 1)], [(0, 0)], _moments(3))
-    _check_integrable({(2, 1): [0], (2, 0): [5]}, 1, 0, 3)
+    # a zero kappa[2, 1] leaves kappa[2, 0] on top
+    _check_integrable([2], 1, 0, 3)
     # the first escaping pair in row-major order is named
     with pytest.raises(OperatorEscapeError, match="image 1 paired with basis function 1 .*"
                                                   r"\(radial degree 6, weight 4\)"):
-        _check_integrable({(2, 0): [0, 1], (0, 1): [0, 1]}, 2, 0, 4)
-    # a neutral term is not read: in an admitted block none can diverge
-    _check_integrable({(0, 2): [1]}, 1, 0, 3)
-    _check_integrable({}, 1, 0, 3)
+        _check_integrable([-math.inf, 2], 2, 0, 4)
+    # no charged term: nothing escapes
+    _check_integrable([-math.inf], 1, 0, 3)
+    _check_integrable([], 0, 0, 3)
+    # the table reads each a's nonzero charged coefficients only.  On the section block of
+    # charge k, -k z^2 + z^3 d/dz has the top charged coefficient a - N - k (kappa[2, 1],
+    # sigma + 2 tau = 4), zero at the last image j = N, whose pair with i = N is the only
+    # one that this term would take past 2m - 3 = 4N + 2k + 3; kappa[2, 0] = a - k is not
+    k, n = 1, 4
+    model = build_model(k, n)
+    assert len(_as_lists(_operator_pairings(model, _cz_plus_z_d(-k, 2), 0, [n + k]))) == 1
+    with pytest.raises(OperatorEscapeError, match=f"image {n} paired with basis function {n} .*"
+                                                  rf"\(radial degree {4 * n + 2 * k + 4}, "
+                                                  rf"weight {2 * n + k + 3}\)"):
+        list(_operator_pairings(model, _cz_plus_z_d(-k + 1, 2), 0, [n + k]))
+    # a neutral term is not read: z^2 d^2 lifts to w^-(g+2), and none of its terms diverges
+    assert len(_as_lists(_operator_pairings(model, monomial(1, (2,), (2,)), 0, [n + k]))) == 1
+
+
+@given(st.integers(0, 12).flatmap(lambda s: st.lists(
+    st.one_of(st.integers(-6, 30), st.just(-math.inf)), min_size=s, max_size=s)),
+    st.integers(0, 10), st.integers(1, 40))
+@settings(max_examples=300, deadline=None)
+def test_the_escape_is_the_first_pair_of_a_row_major_search(tops, alpha, m):
+    s = len(tops)
+    first = next(((i, j, e + 2 * (i + j + alpha)) for i in range(s) for j, e in enumerate(tops)
+                  if e + 2 * (i + j + alpha) > 2 * m - 3), None)  # row-major
+    if first is None:
+        _check_integrable(tops, s, alpha, m)
+    else:
+        with pytest.raises(OperatorEscapeError) as info:
+            _check_integrable(tops, s, alpha, m)
+        i, j, degree = first
+        assert str(info.value) == (f"image {j} paired with basis function {i} leaves the "
+                                   f"square-integrable truncation (radial degree {degree}, "
+                                   f"weight {m})")
 
 
 def test_no_neutral_pairing_of_an_admitted_block_can_diverge():
