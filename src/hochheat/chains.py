@@ -22,7 +22,8 @@ operator whose result is canonical as it stands (negation, the rotation
 `cyclic_tau`) skips the reduction.
 
 Only the public constructors validate: `TensorChain.from_terms` (and
-`TensorChain.word`, which calls it) checks variable counts and rejects
+`TensorChain.word`, which calls it) checks variable counts, 1 to
+`weyl.MAX_VARIABLES` as in `chain_from_json`, and rejects
 empty words and any coefficient, like a scalar of `*`, that is not an int
 or a `Fraction`, then expands each slot element into its packed keys and
 numerators; `weyl.WeylElement.from_terms` has packed them, refusing an
@@ -31,8 +32,9 @@ and reads keys only: it accepts the one slot grammar that `chain_to_json`
 writes, one monic monomial per slot, and refuses any other slot text.
 `chain_to_json` writes `nums` over `den` and formats each distinct key
 once.  The operators below map keys to keys with the one product kernel
-`weyl.mono_product`, which refuses a product exponent above the bound,
-and build their results without checking them again; `shuffle_product`
+`weyl.mono_product`, which refuses a product exponent above the bound
+and whose bounded cache is the one product table of every call, and
+build their results without checking them again; `shuffle_product`
 groups the slot-0 keys and numerators of each interior into an element
 and multiplies two such elements with `weyl.mul`, which runs the same
 kernel on the same keys.  `TensorChain.terms` is a derived view for
@@ -117,6 +119,8 @@ class TensorChain:
         """The chain sum(coeff * word) for words of `WeylElement` slots."""
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
+        if n > MAX_VARIABLES:
+            raise ValueError(f"chain needs 1 <= n <= {MAX_VARIABLES}, got {n}")
         # (numerator, denominator, word) of every word of the multilinear expansion
         expanded: List[Tuple[int, int, KeyWord]] = []
         for coeff, word in raw:
@@ -205,9 +209,10 @@ def _boundary(c: TensorChain, wrap: bool) -> TensorChain:
 
     A chain of at least ARRAY_WORDS words goes to `_array_boundary`, and
     the loop below runs when it is smaller or the arrays could overflow.
-    `table` holds the `mono_product` terms of each distinct (left, right)
-    key pair met in this call, so each pair is multiplied once; it is
-    dropped on return.  Face i carries the sign (-1)^i, by negation.
+    Each face takes its product from `weyl.mono_product`, whose bounded
+    cache serves the key pairs that recur within and across calls, and
+    slices the slots it keeps once.  Face i carries the sign (-1)^i, by
+    negation.
     """
     if len(c.nums) >= ARRAY_WORDS:
         out = _array_boundary(c, wrap)
@@ -216,27 +221,19 @@ def _boundary(c: TensorChain, wrap: bool) -> TensorChain:
     n = c.n
     acc: Dict[KeyWord, int] = {}
     get = acc.get
-    table: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    products_of = table.get
     for word, num in c.nums.items():
         k = len(word) - 1
         sign = num
         for i in range(k):
-            a, b = word[i], word[i + 1]
-            products = products_of((a, b))
-            if products is None:
-                products = table[a, b] = mono_product(a, b, n)
-            for key, m in products:
-                w = word[:i] + (key,) + word[i + 2:]
+            head, tail = word[:i], word[i + 2:]
+            for key, m in mono_product(word[i], word[i + 1], n):
+                w = head + (key,) + tail
                 acc[w] = get(w, 0) + sign * m
             sign = -sign
         if wrap and k:  # the face (ak a0) (x) a1 (x) ... (x) a(k-1), sign (-1)^k
-            a, b = word[k], word[0]
-            products = products_of((a, b))
-            if products is None:
-                products = table[a, b] = mono_product(a, b, n)
-            for key, m in products:
-                w = (key,) + word[1:k]
+            tail = word[1:k]
+            for key, m in mono_product(word[k], word[0], n):
+                w = (key,) + tail
                 acc[w] = get(w, 0) + sign * m
     return _canonical(n, acc, c.den)
 
@@ -589,6 +586,11 @@ def _coefficient(coeff) -> Tuple[int, int]:
     return int(m[1]), q
 
 
+#: a bound on the slot texts `format_monomial` writes, 2 * MAX_VARIABLES factors of at
+#: most "*z16^64": a longer text is refused before the reader's bounded cache can hold it
+_LONGEST_SLOT = 2 * MAX_VARIABLES * len(f"*z{MAX_VARIABLES}^{MAX_DEGREE}")
+
+
 def chain_from_json(text: str) -> TensorChain:
     """Parse `chain_to_json` output; malformed input raises `ValueError`.
 
@@ -647,7 +649,7 @@ def _read_chain(text: str) -> TensorChain:
             raise ValueError("a word needs at least one slot")
         for s in fresh:
             if s not in slots:
-                key = parse_monomial(s, n)
+                key = parse_monomial(s, n) if len(s) <= _LONGEST_SLOT else None
                 if key is None:
                     raise ValueError(f"slot {_shown(s)} is not a monic monomial in z1..z{n}, "
                                      f"d1..d{n} of degree at most {MAX_DEGREE}")

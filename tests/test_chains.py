@@ -497,6 +497,31 @@ def test_chain_from_json_reads_other_slot_texts_like_parse_element(text):
         chain_from_json(payload)
 
 
+def test_a_refused_slot_text_is_refused_again():
+    # the reader's cache keeps the refusal None as a value, and every read refuses anew
+    text = f"z1^{MAX_DEGREE}*d1"
+    payload = json.dumps({"n": 1, "terms": [{"coeff": "1", "word": [text]}]})
+    for _ in range(3):
+        assert parse_monomial(text, 1) is None
+        with pytest.raises(ValueError, match="slot"):
+            chain_from_json(payload)
+    assert parse_monomial(f"z1^{MAX_DEGREE}", 1) == ((MAX_DEGREE,), (0,))
+
+
+def test_the_longest_slot_text_is_read_and_a_longer_one_is_not_cached():
+    n = MAX_VARIABLES
+    # every generator of the most variables squared, of degree MAX_DEGREE: the longest text
+    # the writer makes, since a factor's exponent above 2 costs more degree per character
+    longest = format_monomial(((2,) * n, (2,) * n))
+    assert len(longest) <= chains_module._LONGEST_SLOT
+    assert chain_from_json(json.dumps({"n": n, "terms": [{"coeff": "1", "word": [longest]}]})
+                           ) == TensorChain(n, {(pack(parse_monomial(longest, n)),): 1}, 1)
+    misses = parse_monomial.cache_info().misses
+    with pytest.raises(ValueError, match="slot"):
+        chain_from_json(json.dumps({"n": 1, "terms": [{"coeff": "1", "word": ["z1*" * 10 ** 5]}]}))
+    assert parse_monomial.cache_info().misses == misses
+
+
 def test_canonical_round_trip_reads_keys_only(monkeypatch):
     rng = random.Random(99)
     samples = [omega_cycle(2)] + [random_chain(rng, 2, degree=rng.randint(0, 3)) for _ in range(20)]
@@ -526,6 +551,16 @@ def test_constructors_reject_bad_variable_counts():
         TensorChain.word(1, 1, [unit(1)]) + TensorChain.word(2, 1, [unit(2)])
     with pytest.raises(ValueError, match="n >= 1"):
         omega_cycle(0)
+
+
+def test_from_terms_refuses_more_than_the_most_variables_as_the_json_reader_does():
+    n = MAX_VARIABLES + 1
+    message = re.escape(f"needs 1 <= n <= {MAX_VARIABLES}, got {n}")
+    with pytest.raises(ValueError, match=message):
+        TensorChain.from_terms(n, [])
+    with pytest.raises(ValueError, match=message):
+        chain_from_json(json.dumps({"n": n, "terms": []}))
+    assert TensorChain.from_terms(MAX_VARIABLES, []).is_zero()
 
 
 _INEXACT = pytest.mark.parametrize("coeff", [0.1, 0.5, "1/2", 1j, None],

@@ -8,7 +8,9 @@ seeded random elements.
 
 from __future__ import annotations
 
+import importlib
 import math
+import pkgutil
 import random
 import re
 from fractions import Fraction
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hochheat
 from hochheat.weyl import (
     MAX_DEGREE,
     MAX_EXPONENT,
@@ -24,9 +27,11 @@ from hochheat.weyl import (
     WeylElement,
     d_var,
     format_element,
+    format_monomial,
     mono_product,
     mul,
     pack,
+    parse_monomial,
     unit,
     unpack,
     z_var,
@@ -177,7 +182,52 @@ def test_a_product_past_the_field_bound_raises_and_does_not_carry(a, b):
 def test_a_product_reaches_the_field_bound_exactly():
     top = pack(((MAX_EXPONENT, 0), (0, MAX_EXPONENT)))
     assert mono_product(pack(((MAX_EXPONENT - 1, 0), (0, 0))), pack(((1, 0), (0, MAX_EXPONENT))),
-                        2) == [(top, 1)]
+                        2) == ((top, 1),)
+
+
+@pytest.mark.parametrize("n", [0, -1, MAX_VARIABLES + 1])
+def test_mono_product_refuses_a_variable_count_outside_the_bound(n):
+    for _ in range(2):  # the cache keeps no refusal: a repeat raises again
+        with pytest.raises(ValueError, match=f"outside 1..{MAX_VARIABLES}"):
+            mono_product(1, 1, n)
+
+
+def test_a_repeated_product_past_the_field_bound_raises_every_time():
+    a, b = pack(((MAX_EXPONENT, 0), (0, 0))), pack(((1, 0), (0, 0)))
+    for _ in range(3):
+        with pytest.raises(ValueError, match=str(MAX_EXPONENT)):
+            mono_product(a, b, 2)
+
+
+def _is_frozen(value):
+    """Whether value is built of tuples, ints and strings only, so no caller can change it."""
+    if isinstance(value, tuple):
+        return all(map(_is_frozen, value))
+    return type(value) in (int, str)
+
+
+def test_the_memoized_kernels_return_immutable_values():
+    a, b = pack(((0, 1), (2, 0))), pack(((3, 0), (0, 1)))
+    terms = mono_product(a, b, 2)
+    assert _is_frozen(terms) and len(terms) == 3
+    assert mono_product(a, b, 2) is terms
+    key = parse_monomial("z2*d1^2", 2)
+    assert key == ((0, 1), (2, 0)) and _is_frozen(key)
+    assert parse_monomial("z2*d1^2", 2) is key
+    assert format_monomial(key) == "z2*d1^2"
+
+
+def test_every_cache_of_the_package_is_bounded():
+    modules = [importlib.import_module(f"hochheat.{info.name}")
+               for info in pkgutil.iter_modules(hochheat.__path__)]
+    caches = {f"{mod.__name__}.{name}": obj.cache_info().maxsize
+              for mod in modules for name, obj in vars(mod).items()
+              if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__}
+    assert {"hochheat.weyl.unpack", "hochheat.weyl._reorder",
+            "hochheat.chains._shuffles"} <= set(caches)
+    assert all(size is not None and 0 < size <= 4096 for size in caches.values()), caches
+    assert [caches[f"hochheat.weyl.{name}"]
+            for name in ("mono_product", "parse_monomial", "format_monomial")] == [256] * 3
 
 
 def _is_canonical(e):
