@@ -97,13 +97,18 @@ sigma + 2 tau decides every escape, the first escaping pair by arithmetic
 (`_check_integrable`), and raises what the term-by-term reference of the
 test oracles (`tests/oracles.py`) raises on the same pair: the kappa are
 the exact sums of the image's monomials, so a cancelled top term is left out.
-X = W P W^T is then formed exactly over the whole block and each entry is
-rounded once.  Where W and P are int64 below 2^52 and a float error bound
-proves |X| < 2^62, X is their uint64 product, exact modulo 2^64, else Python
-integers (`_round_congruence`); the floats are the same either way.  Every
-z d/dz block does so for N <= 15 and k <= 8, and 75 of 98 at (k, N) = (0, 24).
-Its rounding is the stiffness's (`_signed_root`).
-Blocks are built on demand and cached per (degree, operator, block).
+A query builds its blocks in one array pass per (model, degree, operator):
+their escapes are tested at once, the first in its order raising before any
+is built; their int64 pairings are one padded Hankel sum
+(`_operator_pairings`); and X = W P W^T is exact for all of them
+(`_round_congruences`), the int64 blocks one stack that a float error bound
+proves exact (the float product itself below 2^52, else the uint64 one),
+the others in Python integers.  Every z d/dz block takes machine words for
+N <= 15 and k <= 8, and 75 of 98 do at (k, N) = (0, 24).  Each entry is
+rounded once (`_signed_root`): in float64 for the blocks whose radicands
+X_ij^2 num^2 / (p_i den^2 p_j) have every part below 2^53 (115 of the 200
+z d/dz blocks of the four sweep models), else in Python integers, with the
+same floats either way.  A query's blocks are cached all or none.
 `limit_supertrace` and `harmonic_supertrace` read the same signed diagonals
 <op e, e>, the latter at the kernel vectors only, so it builds only the
 blocks that hold one; `heat_supertrace` reads the sorted spectra.
@@ -135,7 +140,7 @@ CONVENTION_TAG = "fs-unit-volume:v1"
 #: bound on one 2-CPU host: N = 40 takes 0.16-0.24 s for k = 0 and
 #: 0.54-0.73 s for k = 38, the largest k it admits (as a whole command,
 #: `spectrum` 0.95-1.16 s and `harmonic` 1.80-2.03 s), and one z d/dz
-#: `limit_supertrace` 0.37-0.53 s for k = 0 and 1.16-1.54 s for k = 38, most of
+#: `limit_supertrace` 0.34-0.45 s for k = 0 and 1.05-1.25 s for k = 38, most of
 #: it exact O(s^3) products past the machine words
 MAX_TRUNC = 40
 
@@ -145,6 +150,8 @@ IntMat = List[List[int]]
 _EXACT = 2 ** 52
 #: int64 magnitudes stay below this
 _WORD = 2 ** 63
+#: entries in one Python-integer rounding pass: few enough that its temporaries stay in cache
+_RUN = 4096
 
 
 class OperatorEscapeError(ValueError):
@@ -182,62 +189,107 @@ def _orthogonal_rows(size: int, alpha: int, m: int) -> np.ndarray:
     return w.astype(np.int64) if np.abs(w).max() < _EXACT else w
 
 
-def _signed_root(x: np.ndarray, scale: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+def _signed_root(x: np.ndarray, scale, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """sign(x) sqrt(x^2 scale / (left right)) for integer arrays, broadcast together.
 
-    x is int64 or Python integers, left, right > 0 are Python integers, and
-    scale >= 1.  Each radicand leaves exact arithmetic once, as one
-    correctly rounded int / int quotient of Python integers, so no
-    intermediate overflows.
+    left, right > 0 and scale >= 0.  Each radicand leaves exact arithmetic
+    once, as one correctly rounded quotient: of Python integers, so no
+    intermediate overflows, or of float64 where every x^2 scale and
+    left right is an integer below 2^53, so exact.
     """
-    root = np.sqrt((x.astype(object) ** 2 * scale / (left * right)).astype(float))
+    root = np.sqrt((x * x * scale / (left * right)).astype(float))
     return np.where(x < 0, -root, root)
 
 
-def _machine_congruence(w: np.ndarray, a: np.ndarray) -> Optional[np.ndarray]:
-    """X = W A W^T in int64 where a float error bound proves that exact, else None.
+def _machine_congruences(w: np.ndarray, a: np.ndarray,
+                         sizes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """X_b = W_b A_b W_b^T for a stack of int64 blocks padded with zeros, and where it is exact.
 
-    Only int64 W and A qualify, made so only below `_EXACT`: exact in float64.
-    By |fl(BC) - BC| <= g |B||C|, g = s u / (1 - s u), u = 2^-53 (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., sec. 3.5), for
-    both products, |X| < |Xh| + 4 s u Bh with Xh = fl(fl(W A) W^T) and
-    Bh = fl(|W||A||W|^T); below 2^62, the uint64 product, exact modulo 2^64,
-    read as int64 is X itself.
+    W and A are int64 only below `_EXACT`, so exact in float64; W_b has a
+    nonzero integer diagonal and sizes[b] rows.  By |fl(BC) - BC| <= g |B||C|,
+    g = s u / (1 - s u), u = 2^-53 (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., sec. 3.5), |X| < |Xh| + 4 s u Bh with
+    Xh = fl(fl(W A) W^T) and Bh = fl(|W||A||W|^T).  Below Bh = 2^52 every
+    partial sum of both products is an integer below 2^53 (|W||A| <= Bh), so
+    Xh is X; below |Xh| + 4 s u Bh = 2^62 the uint64 product, exact modulo
+    2^64, read as int64 is X.  Returns X and where it is proved.
     """
-    if w.dtype != np.int64 or a.dtype != np.int64:
-        return None
     wf, af = w.astype(float), a.astype(float)
-    bound = np.abs(wf) @ np.abs(af) @ np.abs(wf).T
-    if not (np.abs(wf @ af @ wf.T) + 4 * len(w) * 2.0 ** -53 * bound).max() < 2.0 ** 62:
-        return None
-    wu = w.astype(np.uint64)
-    return (wu @ a.astype(np.uint64) @ wu.T).view(np.int64)
+    wt = wf.transpose(0, 2, 1)
+    aw = np.abs(wf)
+    xh, bound = wf @ af @ wt, aw @ np.abs(af) @ aw.transpose(0, 2, 1)
+    small = bound.reshape(len(w), -1).max(axis=1, initial=0) < 2.0 ** 52
+    if small.all():
+        return xh.astype(np.int64), small
+    error = np.abs(xh) + (4 * 2.0 ** -53 * sizes)[:, None, None] * bound
+    proved = error.reshape(len(w), -1).max(axis=1, initial=0) < 2.0 ** 62
+    x = np.where(small[:, None, None], xh, 0).astype(np.int64)
+    wide = proved & ~small
+    if wide.any():
+        wu = w[wide].astype(np.uint64)
+        x[wide] = (wu @ a[wide].astype(np.uint64) @ wu.transpose(0, 2, 1)).view(np.int64)
+    return x, proved
 
 
-def _round_congruence(w: np.ndarray, mat: np.ndarray, norms: Sequence[int],
-                      scale: Fraction) -> np.ndarray:
-    """float(scale * S L^-1 A L^-T S) with S = D^(-1/2), for an integer matrix A.
+def _round_congruences(w: Sequence[np.ndarray], mats: Sequence[np.ndarray],
+                       norms: Sequence[Sequence[int]],
+                       scales: Sequence[Fraction]) -> List[np.ndarray]:
+    """float(scale_b S L^-1 A_b L^-T S), S = D^(-1/2), for every block b of a batch at once.
 
-    W is lower triangular with W G W^T = diag(norms); W and A are integer
-    arrays, int64 or Python integers.  X = W A W^T is formed exactly: in
-    machine words where `_machine_congruence` proves them exact, otherwise
-    as a block of Python integers over W's lower triangle.  Each entry
-    scale * X_ij / sqrt(p_i p_j), p_i = norms[i], leaves exact arithmetic
-    once: its radicand X_ij^2 scale^2 / (p_i p_j) is one correctly rounded
-    quotient (`_signed_root`), so a positive row scaling of W leaves it the
-    same float.
+    W_b holds lower triangular rows, W G W^T = diag(norms[b]), and A_b is an
+    integer matrix, each int64 or Python integers.  X = W A W^T is exact: one
+    stack of the int64 blocks where `_machine_congruences` proves it, Python
+    integers over W's lower triangle for the others.  Each radicand
+    X_ij^2 num^2 / (p_i den^2 p_j), scale_b = num / den, p = norms[b], is one
+    correctly rounded quotient (`_signed_root`): one float64 pass for the
+    blocks whose every such numerator and denominator is below 2^53, so an
+    exact float, and Python integers for the others, in runs of about `_RUN`
+    entries.  So each block gets the bits it gets alone.
     """
-    x = _machine_congruence(w, mat)
-    if x is None:
-        s = len(w)
-        w, a = w.astype(object), mat.astype(object)
-        v, x = np.empty((s, s), dtype=object), np.empty((s, s), dtype=object)
-        for i in range(s):  # V = W A, then X = V W^T, each over W's lower triangle
-            v[i] = w[i, :i + 1].dot(a[:i + 1])
-        for j in range(s):
-            x[:, j] = v[:, :j + 1].dot(w[j, :j + 1])
-    p = np.array(norms, dtype=object)
-    return _signed_root(x, scale.numerator ** 2, (p * scale.denominator ** 2)[:, None], p)
+    sizes = [len(wb) for wb in w]
+    x: List[np.ndarray] = [None] * len(w)
+    fits: List[int] = []  # the blocks whose radicands are exact floats
+    words = [b for b in range(len(w)) if w[b].dtype == mats[b].dtype == np.int64]
+    if words:
+        s = max(sizes[b] for b in words)
+        stack = np.zeros((2, len(words), s, s), dtype=np.int64)
+        for row, b in enumerate(words):
+            stack[0, row, :sizes[b], :sizes[b]], stack[1, row, :sizes[b], :sizes[b]] = w[b], mats[b]
+        xw, proved = _machine_congruences(*stack, np.array([sizes[b] for b in words]))
+        top = np.abs(xw).max(axis=(1, 2)).tolist()
+        for row, b in enumerate(words):
+            if proved[row]:
+                x[b] = xw[row, :sizes[b], :sizes[b]]
+                if (top[row] ** 2 * scales[b].numerator ** 2 < 2 ** 53
+                        and max(norms[b]) ** 2 * scales[b].denominator ** 2 < 2 ** 53):
+                    fits.append(b)
+    for b in range(len(w)):
+        if x[b] is None:  # V = W A, then X = V W^T, each over W's lower triangle
+            s = sizes[b]
+            wb, ab = w[b].astype(object), mats[b].astype(object)
+            v, x[b] = np.empty((s, s), dtype=object), np.empty((s, s), dtype=object)
+            for i in range(s):
+                v[i] = wb[i, :i + 1].dot(ab[:i + 1])
+            for j in range(s):
+                x[b][:, j] = v[:, :j + 1].dot(wb[j, :j + 1])
+    runs = [fits, []]  # the float64 pass, then the others in runs of about _RUN entries
+    for b in (b for b in range(len(w)) if b not in fits):
+        if sum(sizes[r] ** 2 for r in runs[-1]) >= _RUN:
+            runs.append([])
+        runs[-1].append(b)
+    out: List[np.ndarray] = [None] * len(w)
+    for dtype, run in zip([float] + [object] * len(runs), runs):
+        if run:  # each block padded with x = 0 and p = 1
+            s = max(sizes[b] for b in run)
+            xs, p = np.zeros((len(run), s, s), dtype=dtype), np.ones((len(run), s), dtype=dtype)
+            for row, b in enumerate(run):
+                xs[row, :sizes[b], :sizes[b]], p[row, :sizes[b]] = x[b], norms[b]
+            num, den = np.array([(scales[b].numerator ** 2, scales[b].denominator ** 2)
+                                 for b in run], dtype=dtype).T[:, :, None]
+            root = _signed_root(xs, num[:, :, None], (p * den)[:, :, None], p[:, None, :])
+            for row, b in enumerate(run):
+                out[b] = root[row, :sizes[b], :sizes[b]].copy()
+    return out
 
 
 def _certify(mom: Sequence[int], alpha: int, w: np.ndarray) -> List[int]:
@@ -601,48 +653,72 @@ def _operator_pairings(model: SpectralModel, op: WeylElement, degree: int,
     (`_image_coefficients`), and only its sigma = 0 terms pair with the
     block's charge.  One pass over every a of either degree tabulates the
     kappa and tops[a], the largest sigma + 2 tau of a's nonzero charged
-    kappa (-inf where there is none); a block's slice of tops decides its
-    escapes (`_check_integrable`).  Since a_j + b_i = alpha + i + j, the
-    pairing times (m-1)! is P = sum_tau H_tau diag(kappa[0, tau]), H_tau the
-    Hankel slice mom[alpha + tau + i + j] of mom[s] = s! (m-s-2)!,
-    m = top + weight.  P is assembled in int64 when the window and
-    max(window) sum_tau max_j |kappa[0, tau][j]|, a bound on |P|, are below
-    `_EXACT`.
+    kappa (-inf where there is none), which test every block at once: the
+    first to escape in `which` order raises (`_check_integrable`) before any
+    is built.  Since a_j + b_i = alpha + i + j, the pairing times (m-1)! is
+    P = sum_tau H_tau diag(kappa[0, tau]), H_tau the Hankel slice
+    mom[alpha + tau + i + j] of mom[s] = s! (m-s-2)!, m = top + weight, the
+    window divided by its gcd once per (alpha, size).  The blocks where the
+    window and max(window) sum_tau max_j |kappa[0, tau][j]|, a bound on |P|,
+    are below `_EXACT` are one padded int64 Hankel sum; each other one is
+    summed alone in Python integers.
     """
     n, k = model.trunc, model.k
-    den = op.den
     power, extra = (n, k + 2) if degree == 0 else (n + 1, k)
     dmax = max((unpack(key, 1)[1][0] for key, _ in op.nums), default=0)
     m = power + dmax + power + extra
     mom = [factorial(s) * factorial(m - s - 2) for s in range(m - 1)]
-    unit = Fraction(1, den * factorial(m - 1))
     kappa_of: Dict[Tuple[int, int], List[int]] = {}  # [sigma, tau][a]: kappa[sigma, tau](a)
     for key, r, c in _image_coefficients(op, power, dmax):
         vals = kappa_of.setdefault(key, [0] * (n + k + 2))  # every a of either degree
         kappa_of[key] = [v + c * math.perm(a, r) for a, v in enumerate(vals)]
-    # [a]: the top sigma + 2 tau of a's nonzero charged terms; a cancelled term is left out
-    tops = np.max([np.full(n + k + 2, -math.inf)] + [
-        np.where(np.array(vals, dtype=object) != 0, sigma + 2 * tau, -math.inf)
-        for (sigma, tau), vals in kappa_of.items() if sigma], axis=0)
-    blocks = (model.blocks, model.forms)[degree]
-    for bi in which:
-        charge, s = blocks[bi].charge, len(blocks[bi].w)
-        a0, alpha = max(charge, 0), abs(charge)  # a_j = a0 + j
-        _check_integrable(tops[a0:a0 + s], s, alpha, m)
-        # the moments the block reads, divided by their gcd; alpha + 2 (s-1) <= M - 2 for
-        # every block and m = M + dmax, so the window ends inside mom
-        window = mom[alpha:alpha + 2 * s - 1 + dmax]
+    blocks = [(model.blocks, model.forms)[degree][bi] for bi in which]
+    keys = [(abs(b.charge), len(b.w)) for b in blocks]  # (alpha, s)
+    size = np.array([s for _, s in keys], dtype=int)
+    j = np.arange(max(size, default=0))
+    inside = j < size[:, None]  # (block, j)
+    a0 = np.array([max(b.charge, 0) for b in blocks], dtype=int)  # a_j = a0 + j
+    at = np.where(inside, a0[:, None] + j, n + k + 2)  # a_j, or a column of zeros
+    charged = [(sigma + 2 * tau, vals + [0]) for (sigma, tau), vals in kappa_of.items() if sigma]
+    if charged:  # tops[a_j] as above, -inf past the block; its last row i = s - 1 reaches farthest
+        tops = np.max([np.where(np.array(v, dtype=object) != 0, t, -math.inf) for t, v in charged],
+                      axis=0)
+        reach = (tops[at] + 2 * j).max(axis=1, initial=-math.inf) + 2 * (size - 1)
+        for b in np.flatnonzero(reach + 2 * np.array([a for a, _ in keys]) > 2 * m - 3)[:1]:
+            _check_integrable(tops[at[b, :size[b]]], keys[b][1], keys[b][0], m)
+    neutral = [(tau, vals + [0]) for (sigma, tau), vals in kappa_of.items() if not sigma]
+    fits = max((abs(v) for _, vals in neutral for v in vals), default=0) < _EXACT
+    kappa = np.array([vals for _, vals in neutral], dtype=np.int64 if fits else object).reshape(
+        len(neutral), n + k + 3).T[at]  # (block, j, tau), 0 past the block
+    bound = np.abs(kappa).max(axis=1, initial=0).sum(axis=1).tolist()  # 0 when nothing pairs
+    # the moments each block reads, divided by their gcd, and their largest; alpha + 2 (s-1)
+    # <= M - 2 for every block and m = M + dmax, so the window ends inside mom
+    windows = {}
+    for a, s in set(keys):
+        window = mom[a:a + 2 * s - 1 + dmax]
         g = math.gcd(*window)
-        window = [v // g for v in window]
-        kappa = [(tau, vals[a0:a0 + s]) for (sigma, tau), vals in kappa_of.items() if not sigma]
-        reach = sum(max(map(abs, vals)) for _, vals in kappa)  # 0 when nothing pairs
-        dtype = np.int64 if max(window) * max(reach, 1) < _EXACT else object
-        window, mat = np.array(window, dtype=dtype), np.zeros((s, s), dtype=dtype)
-        hankel = np.arange(s)[:, None] + np.arange(s)
-        for tau, vals in kappa:
-            mat += window[hankel + tau] * np.array(vals, dtype=dtype)
-        content = int(np.gcd.reduce(mat, axis=None))
-        yield (mat // content if content > 1 else mat), unit * (g * content)
+        windows[a, s] = g, [v // g for v in window], max(window) // g
+    words = [windows[key][2] * max(r, 1) < _EXACT for key, r in zip(keys, bound)]
+    hankel, unit = j[:, None] + j, op.den * factorial(m - 1)
+    mats: List[np.ndarray] = [None] * len(keys)
+    scales: List[Fraction] = [None] * len(keys)
+    for part in filter(None, [[b for b, w in enumerate(words) if w]]
+                       + [[b] for b, w in enumerate(words) if not w]):
+        dtype, s = np.int64 if words[part[0]] else object, max(keys[b][1] for b in part)
+        sel = slice(None) if len(part) == len(keys) else part
+        win = np.array([windows[keys[b]][1] + [0] * (2 * (s - keys[b][1])) for b in part], dtype)
+        kap, mat = kappa[sel, None, :s].astype(dtype), np.zeros((len(part), s, s), dtype)
+        for t, (tau, _) in enumerate(neutral):
+            mat += win[:, tau:][:, hankel[:s, :s]] * kap[..., t]
+        if len(part) > 1:  # rows past a block's size read the rest of its window
+            mat *= inside[sel, :s, None]
+        gcd = np.gcd.reduce(mat.reshape(len(part), -1), axis=1)
+        if (gcd > 1).any():
+            mat //= np.maximum(gcd, 1)[:, None, None]
+        for row, b in enumerate(part):
+            mats[b] = mat[row, :keys[b][1], :keys[b][1]]
+            scales[b] = Fraction(windows[keys[b]][0] * int(gcd[row]), unit)
+    return zip(mats, scales)
 
 
 def _operator_blocks(model: SpectralModel, op: WeylElement, degree: int,
@@ -652,9 +728,10 @@ def _operator_blocks(model: SpectralModel, op: WeylElement, degree: int,
     Degree 0: entries <op chi_j, chi_i>; degree 1: entries <op psi_j, psi_i>,
     with op acting on the dzbar coefficient.  Only the blocks in `which`
     (default: all of that degree) are returned; each is built once per
-    (degree, op, block) and cached on the model.  The pairing is an exact
-    integer matrix (`_operator_pairings`) before the congruence by the
-    block's own rows and norms, which rounds each entry once.
+    (degree, op, block) and cached on the model, those not yet cached in one
+    pass: their exact integer pairings (`_operator_pairings`), then their
+    congruences by each block's own rows and norms, which round each entry
+    once (`_round_congruences`).  An escape leaves none of them cached.
     """
     if op.n != 1:
         raise OperatorEscapeError("operators on the model must be one-variable elements")
@@ -667,10 +744,12 @@ def _operator_blocks(model: SpectralModel, op: WeylElement, degree: int,
     blocks = (model.blocks, model.forms)[degree]
     which = list(range(len(blocks)) if which is None else which)
     todo = [bi for bi in which if (degree, op, bi) not in model._op_cache]
-    for bi, (mat, scale) in zip(todo, _operator_pairings(model, op, degree, todo)):
-        block = blocks[bi]
-        model._op_cache[(degree, op, bi)] = _round_congruence(block.w, mat, block.norms,
-                                                              scale / block.scale)
+    if todo:
+        mats, scales = zip(*_operator_pairings(model, op, degree, todo))
+        got = _round_congruences([blocks[bi].w for bi in todo], mats,
+                                 [blocks[bi].norms for bi in todo],
+                                 [scale / blocks[bi].scale for bi, scale in zip(todo, scales)])
+        model._op_cache.update(zip([(degree, op, bi) for bi in todo], got))
     return {bi: model._op_cache[(degree, op, bi)] for bi in which}
 
 
@@ -697,7 +776,7 @@ def _supertrace_terms(model: SpectralModel, op: WeylElement,
                       columns: Sequence[Dict[int, object]]) -> Tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and signed diagonals +-<op e, e> (+ in degree 0, - in degree 1) of the
     eigen-columns `columns[degree][block index]` (a list, or `slice(None)` for all); only
-    those blocks are built.  Each diagonal is a row-wise dot of Y with A Y."""
+    those blocks are built, one pass a degree.  Each diagonal is a row-wise dot of Y with A Y."""
     lams, diags = [np.empty(0)], [np.empty(0)]
     for degree, (sign, blocks, chosen) in enumerate(zip((1.0, -1.0), (model.blocks, model.forms),
                                                         columns)):
@@ -732,8 +811,9 @@ def limit_supertrace(
 
     Each degree sums e^(-t lam_i) <op e_i, e_i> over its own orthonormal
     eigenbasis, counted + in degree 0 and - in degree 1, one dot product a
-    time.  As t grows it converges to `harmonic_supertrace`.  A grid that is
-    not a sequence of times, a bare time or a string, is a ValueError.
+    time, each degree's blocks built in one pass.  As t grows it converges to
+    `harmonic_supertrace`.  A grid that is not a sequence of times, a bare
+    time or a string, is a ValueError.
     """
     try:
         times = None if isinstance(t_grid, (str, bytes)) else list(t_grid)

@@ -11,8 +11,12 @@ also computes, by a route that shares none of its shortcuts:
   1+|z|^2 (`_lift`) and paired with one moment sum per entry
   (`_moment_block`), against their closed form, refusals included;
 * `_round_each_entry`, the congruence rounded one entry at a time by
-  `_scaled_root`, against the whole-block rounding of
-  `hochheat.spectral._round_congruence` and the stiffness;
+  `_scaled_root`, against the batched rounding of
+  `hochheat.spectral._round_congruences` and the stiffness;
+* `_round_congruence` and `_machine_congruence`, the operator congruence of
+  one block formed and rounded on its own, in machine words where a float
+  bound proves them exact, against the one array pass over every block of
+  a query in `hochheat.spectral._round_congruences`;
 * `_congruence`, the stiffness R G R^T of an incidence R as one sum per
   entry, against the rows the model build expands in the other degree's
   certified basis;
@@ -73,7 +77,7 @@ from itertools import chain, permutations, product
 from math import comb, factorial
 from numbers import Rational
 from operator import mul as _times
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -414,6 +418,51 @@ def _round_each_entry(v: List[List[int]], w: List[List[int]], norms: Sequence[in
             out[i, j] = _scaled_root(sum(map(_times, v[i], w[j])), num,
                                      den * norms[i] * norms[j])
     return out
+
+
+def _machine_congruence(w: np.ndarray, a: np.ndarray) -> Optional[np.ndarray]:
+    """X = W A W^T of one block in int64 where a float error bound proves that exact, else None.
+
+    Only int64 W and A qualify, made so only below 2^52: exact in float64.
+    By |fl(BC) - BC| <= g |B||C|, g = s u / (1 - s u), u = 2^-53 (Higham,
+    sec. 3.5), for both products, |X| < |Xh| + 4 s u Bh with
+    Xh = fl(fl(W A) W^T) and Bh = fl(|W||A||W|^T); below 2^62, the uint64
+    product, exact modulo 2^64, read as int64 is X itself.
+    """
+    if w.dtype != np.int64 or a.dtype != np.int64:
+        return None
+    wf, af = w.astype(float), a.astype(float)
+    bound = np.abs(wf) @ np.abs(af) @ np.abs(wf).T
+    if not (np.abs(wf @ af @ wf.T) + 4 * len(w) * 2.0 ** -53 * bound).max() < 2.0 ** 62:
+        return None
+    wu = w.astype(np.uint64)
+    return (wu @ a.astype(np.uint64) @ wu.T).view(np.int64)
+
+
+def _round_congruence(w: np.ndarray, mat: np.ndarray, norms: Sequence[int],
+                      scale: Fraction) -> np.ndarray:
+    """float(scale * S L^-1 A L^-T S), S = D^(-1/2), of one block, formed and rounded alone.
+
+    W is lower triangular with W G W^T = diag(norms); W and A are integer
+    arrays, int64 or Python integers.  X = W A W^T is exact: in machine words
+    where `_machine_congruence` proves it, otherwise in Python integers over
+    W's lower triangle.  Each radicand X_ij^2 scale^2 / (p_i p_j),
+    p_i = norms[i], is one correctly rounded Python int / int quotient.
+    """
+    x = _machine_congruence(w, mat)
+    if x is None:
+        s = len(w)
+        w, a = w.astype(object), mat.astype(object)
+        v, x = np.empty((s, s), dtype=object), np.empty((s, s), dtype=object)
+        for i in range(s):  # V = W A, then X = V W^T, each over W's lower triangle
+            v[i] = w[i, :i + 1].dot(a[:i + 1])
+        for j in range(s):
+            x[:, j] = v[:, :j + 1].dot(w[j, :j + 1])
+    p = np.array(norms, dtype=object)
+    radicand = x.astype(object) ** 2 * scale.numerator ** 2 / (
+        (p * scale.denominator ** 2)[:, None] * p)
+    root = np.sqrt(radicand.astype(float))
+    return np.where(x < 0, -root, root)
 
 
 def _congruence(rows: List[Dict[int, int]], gram: List[List[int]]) -> List[List[int]]:

@@ -1,5 +1,6 @@
 """Tests for the truncated spectral model of O(k) on the sphere."""
 
+import dataclasses
 import json
 import math
 import operator
@@ -28,7 +29,7 @@ from hochheat.spectral import (
     _operator_blocks,
     _operator_pairings,
     _orthogonal_rows,
-    _round_congruence,
+    _round_congruences,
     build_model,
     harmonic_supertrace,
     heat_supertrace,
@@ -38,7 +39,8 @@ from hochheat.spectral import (
 )
 from hochheat.weyl import WeylElement, d_var, mul, unit, z_var
 from oracles import (DivergentIntegralError, _apply_weyl, _congruence, _expand, _lift,
-                     _moment_block, _pairing, _reduced, _round_each_entry, _scaled_root, add,
+                     _moment_block, _pairing, _reduced, _round_congruence, _round_each_entry,
+                     _scaled_root, add,
                      charge_pairs, dbar_chi, dbar_chi_without_its_second_term, doubled_dbar_star,
                      harmonic0_coordinates,
                      incidence_by_images, lifted_pairings, mono_integral, monomial,
@@ -879,19 +881,50 @@ def test_a_stiffness_row_past_int64_is_summed_in_python_integers():
     assert got.tolist() == [[float(9 * 2 ** 124)]]
 
 
+#: the largest square below 2^53, and the smallest odd square above it, which float64 rounds
+_BELOW, _ABOVE = 94906265, 94906267
+
+
 @pytest.mark.parametrize("x, left, right", [
     # x^2 = 3.2e16 passes 2^53: a float64 square would be inexact and move the root by one ulp
     (179827493, 385, 1999),
     # left right = 5.2e16 passes 2^53: a float64 product would be inexact, the same way
     (318030, 256679541, 202467124),
     # x^2 is the largest square below 2^53 and left right = 2^53 - 2^26 - 1
-    (94906265, 2 ** 26 - 1, 2 ** 27 + 1),
-], ids=["numerator-past-2^53", "denominator-past-2^53", "largest-below-2^53"])
+    (_BELOW, 2 ** 26 - 1, 2 ** 27 + 1),
+    # the float64 lane: a block goes through it while every radicand numerator X_ij^2 num^2
+    # and denominator p_i den^2 p_j is below 2^53.  Their largest, max|X|^2 num^2 and
+    # max(p)^2 den^2, are squares, never 2^53 - 1, 2^53 or 2^53 + 1, so the lane's edges
+    # are the squares on either side: below it the float64 quotient is exact, above it
+    # float64 would round the radicand's numerator or denominator and move the root by one ulp
+    (_BELOW, 3, 3),
+    (_ABOVE, 3, 3),
+    (9, _BELOW, _BELOW),
+    (9, _ABOVE, _ABOVE),
+    # the denominator p_i p_j of an entry at 2^53 - 1, 2^53 and 2^53 + 1: outside the lane
+    (3, 6361 * 69431, 20394401),
+    (3, 2 ** 26, 2 ** 27),
+    (3, 3 * 107, 28059810762433),
+], ids=["numerator-past-2^53", "denominator-past-2^53", "largest-below-2^53",
+        "lane-numerator-below-2^53", "lane-numerator-past-2^53", "lane-denominator-below-2^53",
+        "lane-denominator-past-2^53", "denominator-2^53-1", "denominator-2^53",
+        "denominator-2^53+1"])
 def test_the_rounding_is_one_correctly_rounded_quotient(x, left, right):
+    # X_01 = x in a block with W = I, A = X and norms (left, right) has the radicand x^2 /
+    # (left right); it is rounded alone, beside a block in the float64 lane and beside one
+    # outside it, and each time gets the bits of one correctly rounded quotient
+    eye = np.eye(2, dtype=np.int64)
+    inside = (eye, np.array([[0, 1], [1, 0]]), [1, 1], Fraction(1))
+    outside = (eye, np.array([[_ABOVE, 0], [0, 1]]), [3, 3], Fraction(1))
     for sign in (1, -1):
-        got = spectral._signed_root(np.array([sign * x]), 1, np.array([left], dtype=object),
-                                    np.array([right], dtype=object))
-        assert got.tobytes() == np.array([_scaled_root(sign * x, 1, left * right)]).tobytes()
+        want = np.array([_scaled_root(sign * x, 1, left * right)]).tobytes()
+        got = spectral._signed_root(*(np.array([v], dtype=object)
+                                      for v in (sign * x, 1, left, right)))
+        assert got.tobytes() == want
+        block = (eye, np.array([[0, sign * x], [sign * x, 0]]), [left, right], Fraction(1))
+        for batch in ([block], [inside, block], [block, outside], [outside, block, inside]):
+            rounded = _round_congruences(*map(list, zip(*batch)))
+            assert rounded[[b is block for b in batch].index(True)][0, 1:].tobytes() == want
 
 
 def _square(rows):
@@ -906,18 +939,27 @@ def _integer_array(rows):
     return np.array(rows, dtype=np.int64 if fits else object)
 
 
-def _congruence_against_the_oracle(w, a, norms, scale):
-    """Whether `_round_congruence` of W (lower triangular rows) and A took machine words.
+def _congruences_against_the_oracle(batch):
+    """Whether each block of a batch takes machine words in `_round_congruences`.
 
-    Its result is checked bit for bit against the congruence rounded one
-    entry at a time from the exact V = W A.
+    Each case is (W as lower triangular rows, A, norms, scale).  The whole
+    batch goes in one call, and each block's result is checked bit for bit
+    against the congruence rounded one entry at a time from the exact
+    V = W A, and against the block rounded alone.  A block takes machine
+    words where W and A are int64 and `_machine_congruences` proves X exact.
     """
-    s = len(w)
-    w_arr, a_arr = _integer_array(_square(w)), _integer_array(a)
-    machine = spectral._machine_congruence(w_arr, a_arr) is not None
-    got = _round_congruence(w_arr, a_arr, norms, scale)
-    v = [[sum(w[i][c] * a[c][j] for c in range(i + 1)) for j in range(s)] for i in range(s)]
-    assert got.tobytes() == _round_each_entry(v, w, norms, scale).tobytes()
+    arrays = [(_integer_array(_square(w)), _integer_array(a)) for w, a, _, _ in batch]
+    norms, scales = [case[2] for case in batch], [case[3] for case in batch]
+    got = _round_congruences([w for w, _ in arrays], [a for _, a in arrays], norms, scales)
+    machine = []
+    for (w, a, p, scale), (w_arr, a_arr), block in zip(batch, arrays, got):
+        s = len(w)
+        v = [[sum(w[i][c] * a[c][j] for c in range(i + 1)) for j in range(s)] for i in range(s)]
+        assert block.tobytes() == _round_each_entry(v, w, p, scale).tobytes()
+        assert block.tobytes() == _round_congruences([w_arr], [a_arr], [p], [scale])[0].tobytes()
+        words = w_arr.dtype == a_arr.dtype == np.int64
+        machine.append(words and bool(spectral._machine_congruences(
+            w_arr[None], a_arr[None], np.array([s]))[1][0]))
     return machine
 
 
@@ -939,13 +981,16 @@ def congruence_cases(draw):
     return w, a, norms, scale
 
 
-@given(congruence_cases())
+@given(st.lists(congruence_cases(), min_size=1, max_size=3))
 @settings(max_examples=200, deadline=None)
-def test_the_congruence_is_rounded_as_one_entry_at_a_time(case):
-    _congruence_against_the_oracle(*case)
+def test_the_congruence_is_rounded_as_one_entry_at_a_time(batch):
+    # a batch of one to three blocks of any sizes, each path and each lane mixed at random
+    _congruences_against_the_oracle(batch)
 
 
 _WIDE = [[1], [2 ** 51, 2 ** 51 - 1]]  # its rows nearly cancel against [[1, -1], [-1, 1]]
+#: a block past the machine words: W holds 2^53 + 1, so W and A are Python integers
+_PAST_WORDS = ([[2 ** 53 + 1]], [[3]], [5], Fraction(2, 3))
 
 
 @pytest.mark.parametrize("w, a, machine", [
@@ -973,7 +1018,13 @@ def test_the_congruence_at_the_edges_of_its_bound(w, a, machine):
     assert max(abs(v) for row in _square(w) + a for v in row) < 2 ** 52  # machine words
     # a bound on |W||A||W|^T alone would refuse, or the words wrap
     assert wide >= 2 ** 62 or wrapped.tolist() != x
-    assert _congruence_against_the_oracle(w, a, [3] * s, Fraction(5, 7)) == machine
+    case = (w, a, [3] * s, Fraction(5, 7))
+    assert _congruences_against_the_oracle([case]) == [machine]
+    # beside a block of the other path and one of Python integers, in one batch
+    wide = [[1, -1], [-1, 1]] if not machine else [[2 ** 51, -2 ** 51], [-2 ** 51, 2 ** 51]]
+    other = (_WIDE, wide, [2, 7], Fraction(3))
+    assert _congruences_against_the_oracle([other, _PAST_WORDS, case]) == [not machine, False,
+                                                                           machine]
 
 
 @pytest.fixture(scope="module")
@@ -999,22 +1050,29 @@ def test_a_moment_window_past_the_words_is_summed_in_python_integers(monkeypatch
 
 
 def test_each_block_takes_the_path_its_bound_proves(monkeypatch, model_0_24):
-    taken, real = [], spectral._machine_congruence
+    calls, real = [], spectral._machine_congruences
 
-    def recording(w, a):
-        x = real(w, a)
-        taken.append(x is not None)
-        return x
+    def recording(w, a, sizes):
+        x, proved = real(w, a, sizes)
+        calls.append(proved.tolist())
+        return x, proved
 
-    monkeypatch.setattr(spectral, "_machine_congruence", recording)
+    monkeypatch.setattr(spectral, "_machine_congruences", recording)
     zd = mul(z_var(1, 1), d_var(1, 1))
     for model, paths in ((build_model(0, 14), {True}), (model_0_24, {True, False})):
         model._op_cache.clear()
-        taken.clear()
-        for degree in (0, 1):
+        calls.clear()
+        words = 0  # the blocks whose W and P are int64, each decided by the bound
+        for degree, blocks in enumerate((model.blocks, model.forms)):
+            which = range(len(blocks))
+            pairs = _operator_pairings(model, zd, degree, which)
+            words += sum(b.w.dtype == mat.dtype == np.int64 for b, (mat, _) in zip(blocks, pairs))
             _operator_blocks(model, zd, degree)
-        assert len(taken) == len(model.blocks) + len(model.forms)
-        assert set(taken) == paths
+        # one stacked decision per degree, one entry per machine-word block
+        assert len(calls) == 2 and len(calls[0]) + len(calls[1]) == words
+        assert set(chain(*calls)) == paths
+        if paths == {True}:  # every z d/dz block of (0, 14) goes on machine words
+            assert words == len(model.blocks) + len(model.forms)
 
 
 @pytest.mark.parametrize("k, n", [(0, 8), (1, 10), (3, 12)])
@@ -1465,3 +1523,99 @@ def test_harmonic_supertrace_builds_only_the_kernel_blocks():
     fresh = build_model(0, 14)
     assert limit_supertrace(model, unit(1), grid) == limit_supertrace(fresh, unit(1), grid)
     assert len(model._op_cache) == len(model.blocks) + len(model.forms)
+
+
+# ---------------------------------------------------------------------------
+# the array pass of a query against each block built on its own
+# ---------------------------------------------------------------------------
+
+
+def _queried_operators(k):
+    """1, z d/dz, z^2 d^2, z, F = d/dz and E = z^2 d/dz - k z, by name."""
+    e = WeylElement.from_terms(1, [(((2,), (1,)), Fraction(1)), (((1,), (0,)), Fraction(-k))])
+    return {"1": unit(1), "z d/dz": mul(_Z, _D), "z^2 d^2": mul(mul(_Z, _Z), mul(_D, _D)),
+            "z": _Z, "F = d": _D, "E": e}
+
+
+def _blocks_alone(model, op, degree, which):
+    """Each listed block built on its own: its term-by-term pairing (`lifted_pairings`) and
+    its congruence formed and rounded alone (`_round_congruence`), as bytes by block index;
+    or the text of the escape the pairings raise, the first in `which` order."""
+    blocks = (model.blocks, model.forms)[degree]
+    try:
+        pairs = list(lifted_pairings(model, op, degree, which))
+    except OperatorEscapeError as exc:
+        return str(exc)
+    return {bi: _round_congruence(blocks[bi].w, np.array(mat, dtype=object), blocks[bi].norms,
+                                  scale / blocks[bi].scale).tobytes()
+            for bi, (mat, scale) in zip(which, pairs)}
+
+
+def _blocks_of_one_query(model, op, degree, which=None):
+    """What `_operator_blocks` returns, as bytes by block index, or the text of its escape."""
+    try:
+        return {bi: mat.tobytes() for bi, mat in _operator_blocks(model, op, degree, which).items()}
+    except OperatorEscapeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("k, n", [(0, 14), (1, 10), (2, 8), (3, 13), (0, 24), (5, 20),
+                                  pytest.param(0, 40, marks=pytest.mark.large),
+                                  pytest.param(38, 40, marks=pytest.mark.large)])
+def test_each_operator_block_gets_the_bits_it_gets_alone(k, n):
+    # the spectral sweep's four models and two past its machine words, where the query mixes
+    # int64 and Python-integer pairings and congruences; at (0, 40) and (38, 40), z d/dz alone,
+    # whose congruences take int64, uint64 and Python integers
+    model = build_model(k, n)
+    ops = _queried_operators(k) if n < 40 else {"z d/dz": mul(_Z, _D)}
+    for op in ops.values():
+        for degree, blocks in enumerate((model.blocks, model.forms)):
+            model._op_cache.clear()
+            assert (_blocks_of_one_query(model, op, degree)
+                    == _blocks_alone(model, op, degree, range(len(blocks))))
+
+
+def test_a_later_escape_raises_the_first_in_which_order_and_caches_nothing():
+    # at (0, 8), z^6 escapes in degree 0 at the section blocks 6 to 10 only: a query raises what
+    # the first of them in `which` order raises alone, and keeps none of its blocks
+    model = build_model(0, 8)
+    op = monomial(1, (6,), (0,))
+    texts = set()
+    for which in (range(len(model.blocks)), range(len(model.blocks))[::-1], [0, 1, 9, 2, 6]):
+        got = _blocks_of_one_query(model, op, 0, which)
+        assert isinstance(got, str) and got == _blocks_alone(model, op, 0, which)
+        assert not model._op_cache
+        texts.add(got)
+    assert len(texts) == 2  # block 9 names another pair than block 6
+    assert _blocks_of_one_query(model, op, 0, range(6)) == _blocks_alone(model, op, 0, range(6))
+
+
+def test_a_query_tests_only_the_blocks_it_builds():
+    # z^6 escapes only at the section blocks 6 to 10 of (0, 8): a model whose kernel sat in
+    # block 0 would build that block alone, so its harmonic supertrace does not escape
+    # while its limit supertrace does
+    model = build_model(0, 8)
+    op = monomial(1, (6,), (0,))
+    moved = dataclasses.replace(model, harmonic0=[(0, 0)], _op_cache={})
+    assert harmonic_supertrace(moved, op) == 0.0
+    assert set(moved._op_cache) == {(0, op, 0)}
+    with pytest.raises(OperatorEscapeError, match="leaves the square-integrable truncation"):
+        limit_supertrace(moved, op, [1.0])
+    with pytest.raises(OperatorEscapeError):
+        harmonic_supertrace(model, op)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_the_charged_operators_f_and_e_get_what_each_block_gets_alone(k):
+    # F = d/dz and E = z^2 d/dz - k z shift the charge by -1 and +1, so no block pairs a term
+    # and every supertrace is 0; each block, and whether it escapes, is the one it is alone
+    ops = _queried_operators(k)
+    for n in (k + 2, 8, 12):
+        model = build_model(k, n)
+        for op in (ops["F = d"], ops["E"]):
+            for degree, blocks in enumerate((model.blocks, model.forms)):
+                model._op_cache.clear()
+                assert (_blocks_of_one_query(model, op, degree)
+                        == _blocks_alone(model, op, degree, range(len(blocks))))
+            assert harmonic_supertrace(model, op) == 0.0
+            assert limit_supertrace(model, op, [0.5, 11.0]) == ([0.0, 0.0], 0.0)
