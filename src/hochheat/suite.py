@@ -16,9 +16,12 @@ so `spectrum` (on a cache miss) and `mckean-singer` share (1, 10).
 checks that read them.  Nothing is kept across runs but the on-disk
 spectrum cache.
 
-Every check is deterministic given the configuration (random samples are
-drawn from a seeded generator), so two runs with the same settings differ
-only in timestamps and runtimes.
+Every check is one `_Recorder.check(id, claim, value, target, tol)`: its
+verdict and its printed `computed`, `target` and `tolerance` read the same
+values, each float as the shortest text that reads back to it.  Every check
+is deterministic given the configuration (random samples are drawn from a
+seeded generator), so two runs with the same settings differ only in
+timestamps and runtimes.
 """
 
 from __future__ import annotations
@@ -113,8 +116,9 @@ class SuiteConfig:
                 raise ValueError(message)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
+def _show(x: object) -> str:
+    """A float as the shortest text that reads back to it, anything else as its text."""
+    return repr(float(x)) if isinstance(x, float) else str(x)
 
 
 class _Recorder:
@@ -131,28 +135,29 @@ class _Recorder:
         self.results: List[CheckResult] = []
         self._mark = time.perf_counter()
 
-    def check(self, check_id: str, claim: str, computed: str, target: str, tolerance: str,
-              ok: bool) -> None:
+    def check(self, check_id: str, claim: str, value: object, target: object,
+              tol: Optional[float] = None, *, at_most: bool = False, unit: str = "",
+              note: str = "") -> None:
+        """Pass if value == target, |value - target| <= tol given `tol`, or value <= target
+        (+ tol) `at_most`; NaN fails each, so families take maxima by `np.max`, which keeps
+        it.  A chain, neither number nor text, prints "equal" or "mismatch" against "equal"."""
+        ok = (value <= target + (tol or 0) if at_most else
+              value == target if tol is None else abs(value - target) <= tol)
+        if not isinstance(value, (int, float, str)):
+            value, target = "equal" if ok else "mismatch", "equal"
         now = time.perf_counter()
         runtime_ms = round(1000.0 * (now - self._mark), 3)
         self._mark = now
-        self.results.append(CheckResult(check_id, claim, computed, target, tolerance,
-                                        PASS if ok else FAIL, runtime_ms))
-
-    def equal(self, check_id: str, claim: str, ok: bool) -> None:
-        """Exact equality of two canonical forms."""
-        self.check(check_id, claim, "equal" if ok else "mismatch", "equal", "exact", ok)
+        self.results.append(CheckResult(
+            check_id, claim, f"{_show(value)}{unit}{note}",
+            f"{'<= ' if at_most else ''}{_show(target)}{unit}",
+            "exact" if tol is None else _show(tol), PASS if ok else FAIL, runtime_ms))
 
     def failures(self, check_id: str, claim: str, holds: Callable, samples: Sequence) -> None:
-        """An exact identity, `holds(sample)`, tested on random samples."""
+        """An exact identity, `holds(sample)`, tested on random samples; none is a fail."""
         failures = sum(0 if holds(x) else 1 for x in samples)
-        self.check(check_id, claim, f"{failures} failures in {len(samples)} samples",
-                   "0 failures", "exact", failures == 0 and len(samples) > 0)
-
-    def near(self, check_id: str, claim: str, value: float, target: float, tol: float) -> None:
-        """|value - target| <= tol."""
-        self.check(check_id, claim, _fmt(value), _fmt(target), f"{tol:.0e}",
-                   abs(value - target) <= tol)
+        self.check(check_id, claim, failures if samples else math.nan, 0, unit=" failures",
+                   note=f" in {len(samples)} samples")
 
 
 class _Memo:
@@ -184,14 +189,12 @@ def _family_cycles(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
     rec = _Recorder()
     for n in range(1, cfg.max_weyl + 1):
         omega = memo.omega(n)
-        boundary = hochschild_b(omega)
         rec.check(f"cycles.boundary.omega{2 * n}",
                   f"the degree-{2 * n} fundamental chain is a Hochschild cycle",
-                  f"{len(boundary.nums)} residual terms", "0 residual terms", "exact",
-                  boundary.is_zero())
-        rec.equal(f"cycles.normalized.omega{2 * n}",
+                  len(hochschild_b(omega).nums), 0, unit=" residual terms")
+        rec.check(f"cycles.normalized.omega{2 * n}",
                   f"normalization of the degree-{2 * n} cycle is the alternating permutation sum",
-                  normalize(omega) == normalized_omega_formula(n))
+                  normalize(omega), normalized_omega_formula(n))
     return rec.results
 
 
@@ -213,13 +216,13 @@ def _swap_blocks(c: TensorChain, n1: int) -> TensorChain:
 def _family_shuffle(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
     rec = _Recorder()
     # omega_cycle(2) is this shuffle square, so compare it with its graded-commuted self
-    rec.equal("shuffle.multiplicative.2x2",
+    rec.check("shuffle.multiplicative.2x2",
               "the shuffle square of the degree-2 cycle, its variable blocks swapped, "
               "is the degree-4 cycle",
-              _swap_blocks(shuffle_product(memo.omega(1), memo.omega(1)), 1) == memo.omega(2))
-    rec.equal("shuffle.multiplicative.2x4",
+              _swap_blocks(shuffle_product(memo.omega(1), memo.omega(1)), 1), memo.omega(2))
+    rec.check("shuffle.multiplicative.2x4",
               "the shuffle of the degree-2 and degree-4 cycles is the degree-6 cycle",
-              shuffle_product(memo.omega(1), memo.omega(2)) == memo.omega(3))
+              shuffle_product(memo.omega(1), memo.omega(2)), memo.omega(3))
     rng = random.Random(cfg.seed)
     samples = []
     for _ in range(SAMPLES // 2):
@@ -234,12 +237,12 @@ def _family_shuffle(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
 def _family_symbol(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
     rec = _Recorder()
     for n in range(1, cfg.max_weyl + 1):
-        sym = hkr_symbol(memo.omega(n))
-        ok = sym == volume_form(n)
+        sym, ((key, one),) = hkr_symbol(memo.omega(n)), volume_form(n).terms
+        multiple = [k for k, _ in sym.terms] == [key]
         rec.check(f"symbol.volume.n{n}",
                   f"the antisymmetrized symbol of the degree-{2 * n} cycle is the volume form",
-                  "volume form, coefficient 1" if ok else f"{len(sym.terms)} terms",
-                  "volume form, coefficient 1", "exact", ok)
+                  f"volume form, coefficient {sym.terms[0][1] / one}" if multiple
+                  else f"{len(sym.terms)} terms", "volume form, coefficient 1")
     return rec.results
 
 
@@ -292,21 +295,18 @@ def _family_spectrum(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
     data, from_cache = _spectrum_data(cfg, memo)
     note = " (cached)" if from_cache else ""
     k = cfg.k
-    dim0 = data["dim_harmonic0"]
     rec.check("spectrum.kernel.sections",
               f"the section Laplacian for k={k} has an exactly (k+1)-dimensional kernel",
-              f"{dim0}{note}", f"{k + 1}", "exact", dim0 == k + 1)
-    dim1 = data["dim_harmonic1"]
+              data["dim_harmonic0"], k + 1, note=note)
     rec.check("spectrum.kernel.forms", f"the form Laplacian for k={k} has trivial kernel",
-              f"{dim1}{note}", "0", "exact", dim1 == 0)
+              data["dim_harmonic1"], 0, note=note)
     eigs0, eigs1 = data["eigs0"], data["eigs1"]  # sorted, nonzero
-    dev = max((abs(a - b) for a, b in zip(eigs0, eigs1)), default=math.inf)
-    ok = len(eigs0) == len(eigs1) and dev <= 1e-6
-    counted = (f"{len(eigs0)} eigenvalues" if len(eigs0) == len(eigs1)
-               else f"{len(eigs0)} section and {len(eigs1)} form eigenvalues")
+    paired = len(eigs0) == len(eigs1)
+    # spectra of unequal counts do not pair, whatever their common prefix
+    dev = max((abs(a - b) for a, b in zip(eigs0, eigs1)), default=math.inf) if paired else math.inf
+    counted = f"{len(eigs0)} section and {len(eigs1)} form eigenvalues"
     rec.check("spectrum.susy.pairing", "nonzero section and form spectra agree with multiplicity",
-              f"max deviation {_fmt(dev)} over {counted}{note}", "identical spectra",
-              "1e-06", ok)
+              dev, 0, 1e-6, note=f" (max deviation over {counted}){note}")
     return rec.results
 
 
@@ -314,10 +314,10 @@ def _family_mckean_singer(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
     rec = _Recorder()
     model = memo.model(cfg.k, cfg.trunc)
     grid = np.linspace(cfg.t_min, cfg.t_max, cfg.points)
-    dev = max(abs(heat_supertrace(model, float(t)) - (cfg.k + 1)) for t in grid)
+    dev = np.max([abs(heat_supertrace(model, float(t)) - (cfg.k + 1)) for t in grid])
     rec.check(f"mckean-singer.flat.k{cfg.k}",
               f"the heat supertrace for k={cfg.k} is constant at k+1 across the time grid",
-              f"max deviation {_fmt(dev)}", f"{cfg.k + 1}", "1e-10", dev <= 1e-10)
+              dev, 0, 1e-10, note=f" (max |supertrace - (k+1)| over {len(grid)} times)")
     return rec.results
 
 
@@ -326,52 +326,52 @@ def _family_harmonic(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
     euler = mul(z_var(1, 1), d_var(1, 1))
     for k in cfg.harmonic_ks:
         # no local name holds the model, so the memo can drop it before building the next
-        rec.near(f"harmonic.identity.k{k}",
-                 f"the harmonic supertrace of the identity counts the k={k} sections",
-                 harmonic_supertrace(memo.model(k, max(k + 2, 8)), unit(1)), k + 1, 1e-8)
-        rec.near(f"harmonic.euler.k{k}", f"the harmonic supertrace of z d/dz for k={k} is k(k+1)/2",
-                 harmonic_supertrace(memo.model(k, max(k + 2, 8)), euler), k * (k + 1) / 2, 1e-6)
+        rec.check(f"harmonic.identity.k{k}",
+                  f"the harmonic supertrace of the identity counts the k={k} sections",
+                  harmonic_supertrace(memo.model(k, max(k + 2, 8)), unit(1)), k + 1, 1e-8)
+        rec.check(f"harmonic.euler.k{k}",
+                  f"the harmonic supertrace of z d/dz for k={k} is k(k+1)/2",
+                  harmonic_supertrace(memo.model(k, max(k + 2, 8)), euler), k * (k + 1) // 2, 1e-6)
     return rec.results
 
 
 def _family_chern(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
     rec = _Recorder()
     res = integrate_chart(chern_density(1))
+    todd = res.value if res.converged else math.nan  # both checks read a converged value only
+    why = "" if res.converged else f", not converged: {_show(res.value)} at level {res.levels_used}"
     rec.check("chern.degree.o1",
               "the curvature integral of O(1), also the Todd integral of the sphere, is 1",
-              f"{_fmt(res.value)} (error estimate {res.error_estimate:.1e})", "1", "1e-08",
-              res.converged and abs(res.value - 1.0) <= 1e-8)
-    counted = harmonic_supertrace(memo.model(0, CROSS_TRUNC), unit(1))
+              todd, 1, 1e-8, note=f" (error estimate {res.error_estimate:.1e}{why})")
     rec.check("chern.todd-vs-harmonic",
               "the quadrature Todd integral matches the spectral section count for k=0",
-              f"quadrature {_fmt(res.value)}, spectral {_fmt(counted)}", "equal", "1e-06",
-              abs(res.value - counted) <= 1e-6)
+              todd, harmonic_supertrace(memo.model(0, CROSS_TRUNC), unit(1)), 1e-6,
+              unit=" sections", note=" by quadrature")
     return rec.results
 
 
 def _family_localization(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
     rec = _Recorder()
     # at t = s L^2 both sums are 1/L times a function of s, so L * deviation is dimensionless
-    dev = max(length * poisson_deviation(s * length * length, length)
-              for s in POISSON_TIMES for length in LENGTHS)
+    dev = np.max([length * poisson_deviation(s * length * length, length)
+                  for s in POISSON_TIMES for length in LENGTHS])
     rec.check("localization.poisson",
               "image and spectral heat sums agree on both circles at times in units of L^2",
-              f"max L*deviation {_fmt(dev)}", "0", "1e-12", dev <= 1e-12)
+              dev, 0, 1e-12, note=" (max L*deviation)")
     rows = compare_localization(*LENGTHS, BUMP, SHORT_TIMES)
-    excess = max(row.delta - row.bound for row in rows)
     rec.check("localization.short-time.bound",
               "the localized trace deviates from the free-line value within the image tail",
-              f"max excess {_fmt(excess)}", "no excess", "1e-14", excess <= 1e-14)
-    ratio = rows[0].bound / rows[0].free_trace
+              np.max([row.delta - row.bound for row in rows]), 0, 1e-14, at_most=True,
+              note=" (max excess)")
     rec.check("localization.short-time.smallt",
               f"at t={SHORT_TIMES[0]:g} Lmin^2 the localization error is below 1e-10"
               " of the free-line trace",
-              f"bound/free {_fmt(ratio)}", "<= 1e-10", "1e-10", ratio <= 1e-10)
+              rows[0].bound / rows[0].free_trace, 0, 1e-10, at_most=True, note=" (bound/free)")
     lrows = long_time_rows(LENGTHS[0], BUMP, LONG_TIMES)
-    lexcess = max(max(row.deviation - row.bound, row.floor - row.deviation) for row in lrows)
     rec.check("localization.long-time.gap",
               "the trace approaches equilibrium within the spectral gap bound",
-              f"max excess {_fmt(lexcess)}", "no excess", "exact", lexcess <= 0.0)
+              np.max([(row.deviation - row.bound, row.floor - row.deviation) for row in lrows]), 0,
+              at_most=True, note=" (max excess)")
     return rec.results
 
 

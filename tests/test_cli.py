@@ -20,10 +20,10 @@ import pytest
 
 from hochheat import chains, circle, cli, forms, spectral, suite
 from hochheat.chains import TensorChain, bar_bprime, hochschild_b
-from hochheat.chern import chern_density
+from hochheat.chern import QuadratureResult, chern_density
 from hochheat.cli import main
 from hochheat.forms import hkr_symbol
-from hochheat.report import FAIL, CheckResult, VerificationReport
+from hochheat.report import FAIL, PASS, CheckResult, VerificationReport
 from hochheat.spectral import CONVENTION_TAG, cache_path, harmonic_supertrace, load_spectrum
 from hochheat.suite import SuiteConfig, run_suite
 from hochheat.weyl import mono_product
@@ -562,6 +562,119 @@ def test_all_seed_0_gives_the_pinned_report(tmp_path, monkeypatch):
     assert {c.id: c.computed for c in checks
             if c.tolerance == "exact" and c.id != "localization.long-time.gap"} == {
         i: text for i, (_, text) in ALL_SEED_0.items() if text is not None}
+
+
+#: a number that starts a printed value: an int as `str`, a float as `repr` writes it
+_NUMBER = re.compile(r"-?(?:inf|nan|\d+(?:\.\d+)?(?:e[-+]\d+)?)(?=\s|$)")
+
+
+def _verdict_from_text(check):
+    """The verdict that a check's printed `computed`, `target` and `tolerance` decide alone.
+
+    A target after "<= " is an upper bound; a tolerance is "exact" or a number. When
+    the computed and target texts start with numbers, these compare by the relation, and
+    the target's unit must start the computed text's tail; otherwise the texts compare
+    whole.
+    """
+    at_most = check.target.startswith("<= ")
+    target = check.target[3:] if at_most else check.target
+    value, goal = _NUMBER.match(check.computed), _NUMBER.match(target)
+    if value is None or goal is None:
+        return PASS if check.computed == target else FAIL
+    v, t = float(value.group()), float(goal.group())
+    tol = 0.0 if check.tolerance == "exact" else float(check.tolerance)
+    ok = v <= t + tol if at_most else v == t if check.tolerance == "exact" else abs(v - t) <= tol
+    same_unit = check.computed[value.end():].startswith(target[goal.end():])
+    return PASS if ok and same_unit else FAIL
+
+
+@pytest.mark.parametrize("row", [None, *CAN_FAIL], ids=["all-seed-0", *CAN_FAIL])
+def test_every_verdict_reads_from_its_printed_strings(monkeypatch, capsys, tmp_path, row):
+    # `all --seed 0` twice, cold then warm, and each CAN_FAIL mutant, so both verdicts appear
+    monkeypatch.setenv("HOCHHEAT_CACHE_DIR", str(tmp_path))
+    if row is None:
+        runs = [["all", "--seed", "0"]] * 2
+    else:
+        owner, name, mutant, argv, _ = CAN_FAIL[row]
+        monkeypatch.setattr(owner, name, mutant)
+        runs = [argv]
+    for argv in runs:
+        main(["--format", "json", *argv])
+        checks = report_from_json(capsys.readouterr().out).checks
+        assert [(c.id, _verdict_from_text(c)) for c in checks] == [(c.id, c.verdict) for c in checks]
+        assert (FAIL in {c.verdict for c in checks}) == (row is not None)
+
+
+@pytest.mark.parametrize("value, target, tol, at_most, verdict", [
+    (2, 2, None, False, PASS),
+    (3, 2, None, False, FAIL),
+    (math.nan, 2, None, False, FAIL),
+    (1.000000001, 1, 1e-8, False, PASS),
+    (0.99999998, 1, 1e-8, False, FAIL),
+    (math.nan, 1, 1e-8, False, FAIL),
+    (-3e-16, 0, None, True, PASS),
+    (1e-16, 0, None, True, FAIL),
+    (2e-11, 0, 1e-10, True, PASS),
+    (-5.0, 0, 1e-10, True, PASS),
+    (2e-10, 0, 1e-10, True, FAIL),
+    (math.nan, 0, 1e-10, True, FAIL),
+    (math.nan, 0, None, True, FAIL),
+])
+def test_each_relation_of_the_recorder(value, target, tol, at_most, verdict):
+    rec = suite._Recorder()
+    rec.check("x.relation", "a relation", value, target, tol, at_most=at_most, note=" (x)")
+    (check,) = rec.results
+    assert check.verdict == verdict
+    assert _verdict_from_text(check) == verdict
+    assert check.tolerance == ("exact" if tol is None else repr(tol))
+    assert check.target.startswith("<= ") == at_most and check.computed.endswith(" (x)")
+
+
+def test_the_recorder_prints_a_chain_by_its_comparison():
+    rec = suite._Recorder()
+    zero, two = TensorChain(1, {}, 1), 2 * chains.omega_cycle(1)
+    rec.check("x.same", "a chain equals itself", two, 2 * chains.omega_cycle(1))
+    rec.check("x.other", "two chains differ", zero, two)
+    assert [(c.computed, c.target, c.tolerance, c.verdict) for c in rec.results] == [
+        ("equal", "equal", "exact", PASS), ("mismatch", "equal", "exact", FAIL)]
+
+
+def test_a_quadrature_that_does_not_converge_fails_and_says_so(monkeypatch):
+    monkeypatch.setattr(suite, "integrate_chart",
+                        lambda density: QuadratureResult(1.0, 1e-3, False, 5))
+    checks = {c.id: c for c in run_suite(["chern"]).checks}
+    assert [c.verdict for c in checks.values()] == [FAIL, FAIL]
+    assert checks["chern.degree.o1"].computed == (
+        "nan (error estimate 1.0e-03, not converged: 1.0 at level 5)")
+    assert checks["chern.todd-vs-harmonic"].computed == "nan sections by quadrature"
+
+
+@pytest.mark.parametrize("name, family, check_id", [
+    ("heat_supertrace", "mckean-singer", "mckean-singer.flat.k1"),
+    ("poisson_deviation", "localization", "localization.poisson"),
+])
+def test_a_nan_amid_a_maximum_fails_its_check(monkeypatch, name, family, check_id):
+    # Python's max keeps a NaN only when it comes first; this one comes third
+    real, calls = getattr(suite, name), []
+
+    def nan_third(*args):
+        calls.append(args)
+        return math.nan if len(calls) == 3 else real(*args)
+
+    monkeypatch.setattr(suite, name, nan_third)
+    check = next(c for c in run_suite([family]).checks if c.id == check_id)
+    assert check.verdict == FAIL and check.computed.startswith("nan ")
+
+
+def test_spectra_of_unequal_counts_print_an_infinite_deviation(monkeypatch):
+    # a summary whose form spectrum lacks the top eigenvalue: the common prefix agrees
+    summary = {"dim_harmonic0": 2, "dim_harmonic1": 0, "eigs0": [2.0, 6.0, 6.0],
+               "eigs1": [2.0, 6.0]}
+    monkeypatch.setattr(suite, "load_spectrum", lambda *args: summary)
+    pairing = next(c for c in run_suite(["spectrum"]).checks if c.id == "spectrum.susy.pairing")
+    assert pairing.verdict == FAIL and _verdict_from_text(pairing) == FAIL
+    assert pairing.computed == (
+        "inf (max deviation over 3 section and 2 form eigenvalues) (cached)")
 
 
 def _shape(check_id):

@@ -9,7 +9,9 @@ scan goes by name, so a member that shares its name with an attribute read
 elsewhere escapes it.
 
 The package also imports nothing but the standard library, numpy and
-itself.
+itself.  Its checks are declared one way: only `report.py` and the one
+method `_Recorder.check` build a `CheckResult`, and no recorder call passes
+a verdict, so each verdict is read from the values the report prints.
 """
 
 import ast
@@ -127,3 +129,76 @@ def test_a_field_no_program_reads_is_flagged():
                          "def total(row):\n    return row.value\n")
     unread = _unread_members(_sources(PACKAGE) + [extra], _sources(BENCH))
     assert "extra.py:Row.only_tests" in unread and "extra.py:Row.value" not in unread
+
+
+def _callee(call: ast.Call) -> str:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+
+
+def _result_builders(package: Iterable[Tuple[str, str]]) -> List[str]:
+    """'file:qualified.name' of each function, or '<module>', that calls `CheckResult(...)`."""
+    found: Set[str] = set()
+
+    def visit(node: ast.AST, file: str, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, file, f"{where}.{child.name}" if where else child.name)
+                continue
+            if isinstance(child, ast.Call) and _callee(child) == "CheckResult":
+                found.add(f"{file}:{where or '<module>'}")
+            visit(child, file, where)
+
+    for name, text in package:
+        visit(ast.parse(text, name), name, "")
+    return sorted(found)
+
+
+def _is_verdict(node: ast.AST) -> bool:
+    """A comparison, `and`/`or`, `not`, True or False, or a conditional that chooses by one."""
+    if isinstance(node, ast.IfExp):
+        return _is_verdict(node.test)
+    return (isinstance(node, (ast.Compare, ast.BoolOp))
+            or isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not)
+            or isinstance(node, ast.Constant) and isinstance(node.value, bool))
+
+
+def _passed_verdicts(package: Iterable[Tuple[str, str]]) -> List[str]:
+    """'file:line' of each `.check` or `.failures` call that passes a verdict: a sixth
+    positional argument, an `ok` or `verdict` keyword, or an argument that `_is_verdict`;
+    a bool constant may name a relation by keyword."""
+    out = []
+    for name, text in package:
+        for node in ast.walk(ast.parse(text, name)):
+            if not (isinstance(node, ast.Call) and _callee(node) in ("check", "failures")):
+                continue
+            keywords = [kw for kw in node.keywords if not isinstance(kw.value, ast.Constant)]
+            # a sixth positional argument is where a free verdict went
+            if (len(node.args) > 5 or any(kw.arg in ("ok", "verdict") for kw in node.keywords)
+                    or any(_is_verdict(a) for a in node.args + [kw.value for kw in keywords])):
+                out.append(f"{name}:{node.lineno}")
+    return out
+
+
+def test_only_the_report_and_the_recorder_build_a_check_result():
+    builders = _result_builders(_sources(PACKAGE))
+    assert "suite.py:_Recorder.check" in builders
+    assert [b for b in builders if b != "suite.py:_Recorder.check"
+            and not b.startswith("report.py:")] == []
+
+
+def test_no_check_is_declared_with_its_verdict():
+    assert _passed_verdicts(_sources(PACKAGE)) == []
+
+
+def test_a_passed_verdict_and_a_second_builder_are_flagged():
+    extra = ("extra.py", "def family(rec, a, b):\n"
+                         "    rec.check('x.a', 'claim', 'a', 'b', 'exact', a == b)\n"
+                         "    rec.check('x.b', 'claim', 'equal' if a == b else 'no', 'equal')\n"
+                         "    rec.check('x.c', 'claim', a, b, ok=True)\n"
+                         "    rec.check('x.d', 'claim', 'a', 'b', 'exact', ok)\n"
+                         "    rec.check('x.e', 'claim', a, b, 1e-6, at_most=True)\n"
+                         "    return [CheckResult('x.e', 'c', '1', '1', 'exact', 'pass', 0.0)]\n")
+    package = _sources(PACKAGE) + [extra]
+    assert _passed_verdicts(package) == ["extra.py:2", "extra.py:3", "extra.py:4", "extra.py:5"]
+    assert "extra.py:family" in _result_builders(package)
