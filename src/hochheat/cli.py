@@ -36,9 +36,7 @@ COMMANDS = {
     "tsygan": (["tsygan"], [], "boundary and bicomplex identities on random chains", [_SEED]),
     "spectrum": (["spectrum"], [], "kernel dimensions and paired spectra", [
         ("--k", "k", dict(type=int, help="bundle degree")),
-        ("--trunc", "trunc", dict(type=int, help="basis truncation")),
-        ("--no-cache", "use_cache", dict(action="store_false",
-                                         help="ignore and skip the spectrum cache"))]),
+        ("--trunc", "trunc", dict(type=int, help="basis truncation"))]),
     "mckean-singer": (["mckean-singer"], [], "flatness of the heat supertrace", [
         ("--k", "k", dict(type=int)), ("--trunc", "trunc", dict(type=int))]),
     "harmonic": (["harmonic"], [], "supertraces on the harmonic spaces", [

@@ -1,6 +1,6 @@
 """Truncated spectral model for the d-bar Laplacians of O(k) on the sphere.
 
-Geometry conventions (the cache tag ``fs-unit-volume:v1``):
+Geometry conventions:
 
 * base measure (1/pi) (1+|z|^2)^(-2) dx dy on the affine chart, total mass 1;
 * fibre weight (1+|z|^2)^(-k) for sections of O(k), k >= 0;
@@ -108,7 +108,7 @@ N <= 15 and k <= 8, and 75 of 98 do at (k, N) = (0, 24).  Each entry is
 rounded once (`_signed_root`): in float64 for the blocks whose radicands
 X_ij^2 num^2 / (p_i den^2 p_j) have every part below 2^53 (115 of the 200
 z d/dz blocks of the four sweep models), else in Python integers, with the
-same floats either way.  A query's blocks are cached all or none.
+same floats either way.
 `limit_supertrace` and `harmonic_supertrace` read the same signed diagonals
 <op e, e>, the latter at the kernel vectors only, so it builds only the
 blocks that hold one; `heat_supertrace` reads the sorted spectra.
@@ -126,15 +126,11 @@ from functools import cached_property
 from itertools import chain
 from math import comb, factorial
 from numbers import Real
-from operator import le
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import __version__
 from .weyl import WeylElement, format_element, unpack
-
-CONVENTION_TAG = "fs-unit-volume:v1"
 
 #: largest truncation `build_model` accepts, checked before any work; a cost
 #: bound on one 2-CPU host: N = 40 takes 0.16-0.24 s for k = 0 and
@@ -448,7 +444,7 @@ class _Block:
     vecs: np.ndarray      # orthonormal eigenvectors (columns), reduced coords
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectralModel:
     k: int
     trunc: int
@@ -459,9 +455,6 @@ class SpectralModel:
     # each degree's eigenvalues, sorted, its kernel exactly 0: the one spectrum every view reads
     _flat0: np.ndarray = field(repr=False)
     _flat1: np.ndarray = field(repr=False)
-    _op_cache: Dict[Tuple[int, WeylElement, int], np.ndarray] = field(  # (degree, op, block index)
-        repr=False, default_factory=dict
-    )
 
     @cached_property
     def basis_meta(self) -> Dict[str, object]:
@@ -727,11 +720,9 @@ def _operator_blocks(model: SpectralModel, op: WeylElement, degree: int,
 
     Degree 0: entries <op chi_j, chi_i>; degree 1: entries <op psi_j, psi_i>,
     with op acting on the dzbar coefficient.  Only the blocks in `which`
-    (default: all of that degree) are returned; each is built once per
-    (degree, op, block) and cached on the model, those not yet cached in one
-    pass: their exact integer pairings (`_operator_pairings`), then their
-    congruences by each block's own rows and norms, which round each entry
-    once (`_round_congruences`).  An escape leaves none of them cached.
+    (default: all of that degree) are built, in one pass: their exact integer
+    pairings (`_operator_pairings`), then their congruences by each block's
+    own rows and norms, which round each entry once (`_round_congruences`).
     """
     if op.n != 1:
         raise OperatorEscapeError("operators on the model must be one-variable elements")
@@ -743,14 +734,12 @@ def _operator_blocks(model: SpectralModel, op: WeylElement, degree: int,
         )
     blocks = (model.blocks, model.forms)[degree]
     which = list(range(len(blocks)) if which is None else which)
-    todo = [bi for bi in which if (degree, op, bi) not in model._op_cache]
-    if todo:
-        mats, scales = zip(*_operator_pairings(model, op, degree, todo))
-        got = _round_congruences([blocks[bi].w for bi in todo], mats,
-                                 [blocks[bi].norms for bi in todo],
-                                 [scale / blocks[bi].scale for bi, scale in zip(todo, scales)])
-        model._op_cache.update(zip([(degree, op, bi) for bi in todo], got))
-    return {bi: model._op_cache[(degree, op, bi)] for bi in which}
+    if not which:
+        return {}
+    mats, scales = zip(*_operator_pairings(model, op, degree, which))
+    return dict(zip(which, _round_congruences(
+        [blocks[bi].w for bi in which], mats, [blocks[bi].norms for bi in which],
+        [scale / blocks[bi].scale for bi, scale in zip(which, scales)])))
 
 
 def _heat_time(t: object) -> float:
@@ -837,18 +826,11 @@ def limit_supertrace(
 # ---------------------------------------------------------------------------
 
 
-#: the keys of `spectrum_summary`, which a cache file must hold, and the type of each value
-_SUMMARY_TYPES = {"k": int, "trunc": int, "tag": str, "version": str, "eigs0": list,
-                  "eigs1": list, "dim_harmonic0": int, "dim_harmonic1": int}
-
-
 def spectrum_summary(model: SpectralModel) -> Dict[str, object]:
-    """The kernel dimensions and each degree's sorted nonzero eigenvalues, for the cache."""
+    """The kernel dimensions and each degree's sorted nonzero eigenvalues, as JSON values."""
     return {
         "k": model.k,
         "trunc": model.trunc,
-        "tag": CONVENTION_TAG,
-        "version": __version__,
         "eigs0": model._flat0[model._flat0 > 0].tolist(),
         "eigs1": model._flat1[model._flat1 > 0].tolist(),
         "dim_harmonic0": len(model.harmonic0),
@@ -856,43 +838,36 @@ def spectrum_summary(model: SpectralModel) -> Dict[str, object]:
     }
 
 
+def _record(summary: Dict[str, object]) -> bytes:
+    """The bytes of a model's cache file: its summary as indented JSON, keys sorted."""
+    return json.dumps(summary, indent=2, sort_keys=True).encode("ascii")
+
+
 def cache_path(cache_dir: str, k: int, trunc: int) -> str:
-    """The cache file for (k, trunc), keyed by the convention tag and the package version."""
-    tag = CONVENTION_TAG.replace(":", "-")
-    return os.path.join(cache_dir, f"spectrum_k{k}_N{trunc}_{tag}_v{__version__}.json")
+    """The cache file for (k, trunc)."""
+    return os.path.join(cache_dir, f"spectrum_k{k}_N{trunc}.json")
 
 
-def load_spectrum(cache_dir: str, k: int, trunc: int):
-    """The cached summary for (k, trunc), or None on a miss.
+def load_spectrum(cache_dir: str, model: SpectralModel) -> Optional[Dict[str, object]]:
+    """The model's summary if its cache file holds exactly the bytes `store_spectrum` writes
+    for it, else None: a miss, after which the caller rewrites the file.
 
-    A file that cannot be read, that is not a JSON object holding every
-    summary field with the type `spectrum_summary` gives it (a bool or a
-    float such as 2.0 is not an int, and each eigenvalue is a finite
-    positive float), that another package version wrote, or whose spectra
-    cannot be those of (k, trunc) is a miss too, so the caller rebuilds the
-    model and overwrites the file.  Each degree's eigenvalues must ascend
-    and, with its kernel dimension >= 0, count its whole basis, the sizes of
-    the blocks of `_layout`: (N+1)(N+k+1) sections and N(N+k+2) forms.
+    The file is a record of the model, never a source of values: a hit and a
+    miss give the same summary.  The read stops one byte past the record's
+    length, so a longer file differs without being read whole.
     """
+    summary = spectrum_summary(model)
+    record = _record(summary)
     try:
-        with open(cache_path(cache_dir, k, trunc), "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError, RecursionError):  # unreadable, not JSON or UTF-8, too deep
+        with open(cache_path(cache_dir, model.k, model.trunc), "rb") as fh:
+            held = fh.read(len(record) + 1)
+    except OSError:  # no file, a directory, unreadable
         return None
-    valid = (isinstance(data, dict) and data.keys() >= _SUMMARY_TYPES.keys()
-             and all(type(data[f]) is t for f, t in _SUMMARY_TYPES.items())
-             and (data["tag"], data["version"], data["k"], data["trunc"]) == (CONVENTION_TAG,
-                                                                              __version__, k, trunc)
-             and all(type(v) is float and 0 < v < math.inf for v in data["eigs0"] + data["eigs1"])
-             and all(dim >= 0 and len(eigs) + dim == _layout(k, trunc, degree)[:, 1].sum()
-                     and all(map(le, eigs, eigs[1:])) for degree, eigs, dim in (
-                         (0, data["eigs0"], data["dim_harmonic0"]),
-                         (1, data["eigs1"], data["dim_harmonic1"]))))
-    return data if valid else None
+    return summary if held == record else None
 
 
 def store_spectrum(cache_dir: str, model: SpectralModel) -> str:
-    """Write the summary atomically: a temporary file in the same directory, then a rename.
+    """Write the record atomically: a temporary file in the same directory, then a rename.
 
     Raises OSError when the directory cannot be made or written; the
     temporary file is removed.
@@ -901,8 +876,8 @@ def store_spectrum(cache_dir: str, model: SpectralModel) -> str:
     path = cache_path(cache_dir, model.k, model.trunc)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".spectrum-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(spectrum_summary(model), fh, indent=2, sort_keys=True)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_record(spectrum_summary(model)))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

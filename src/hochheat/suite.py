@@ -11,10 +11,11 @@ One run does each shared piece of work once.  `run_suite` hands every
 family a memo that lives for that call only: it holds the cycles
 omega_2n, so `cycles`, `shuffle` and `symbol` read one omega_2n each, and
 the last spectral model by (k, trunc), dropped before the next is built,
-so `spectrum` (on a cache miss) and `mckean-singer` share (1, 10).
+so `spectrum` and `mckean-singer` share (1, 10).
 `tsygan` takes b(c) and b'(c) of each sample chain once for the four
 checks that read them.  Nothing is kept across runs but the on-disk
-spectrum cache.
+spectrum cache, a record that says only whether a model's summary was seen
+before: every value a check reads comes from the model.
 
 Every check is one `_Recorder.check(id, claim, value, target, tol)`: its
 verdict and its printed `computed`, `target` and `tolerance` read the same
@@ -90,7 +91,6 @@ class SuiteConfig:
     max_weyl: int = 3                      # largest n for the degree-2n cycles
     k: int = 1                             # bundle degree for spectral checks
     trunc: int = 10
-    use_cache: bool = True
     harmonic_ks: Tuple[int, ...] = (0, 1, 2, 3, 4)
 
     def __post_init__(self) -> None:
@@ -277,23 +277,15 @@ def _cache_dir() -> str:
     return os.environ.get(DEFAULT_CACHE_ENV) or default
 
 
-def _spectrum_data(cfg: SuiteConfig, memo: _Memo) -> Tuple[Dict[str, object], bool]:
-    if cfg.use_cache:
-        cached = load_spectrum(_cache_dir(), cfg.k, cfg.trunc)
-        if cached is not None:
-            return cached, True
-    model = memo.model(cfg.k, cfg.trunc)
-    summary = spectrum_summary(model)
-    if cfg.use_cache:
-        with contextlib.suppress(OSError):  # a cache that cannot be written costs only the cache
-            store_spectrum(_cache_dir(), model)
-    return summary, False
-
-
 def _family_spectrum(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
     rec = _Recorder()
-    data, from_cache = _spectrum_data(cfg, memo)
-    note = " (cached)" if from_cache else ""
+    model = memo.model(cfg.k, cfg.trunc)
+    # the cache file only says whether it already held this model's record
+    cached = load_spectrum(_cache_dir(), model) is not None
+    if not cached:
+        with contextlib.suppress(OSError):  # a cache that cannot be written costs only the cache
+            store_spectrum(_cache_dir(), model)
+    data, note = spectrum_summary(model), " (cached)" if cached else ""
     k = cfg.k
     rec.check("spectrum.kernel.sections",
               f"the section Laplacian for k={k} has an exactly (k+1)-dimensional kernel",

@@ -24,7 +24,7 @@ from hochheat.chern import QuadratureResult, chern_density
 from hochheat.cli import main
 from hochheat.forms import hkr_symbol
 from hochheat.report import FAIL, PASS, CheckResult, VerificationReport
-from hochheat.spectral import CONVENTION_TAG, cache_path, harmonic_supertrace, load_spectrum
+from hochheat.spectral import cache_path, harmonic_supertrace, load_spectrum
 from hochheat.suite import SuiteConfig, run_suite
 from hochheat.weyl import mono_product
 from oracles import dbar_chi_without_its_second_term, doubled_dbar_star, report_from_json
@@ -188,15 +188,49 @@ def test_cli_spectrum_cache(tmp_path, capsys, monkeypatch):
     assert main(["spectrum", "--k", "1", "--trunc", "8"]) == 0
     capsys.readouterr()
     path = cache_path(str(tmp_path), 1, 8)
-    assert os.path.exists(path)
+    with open(path, encoding="utf-8") as fh:  # the text that the rows of broken files vary
+        assert fh.read() == _summary_with()
     # second run hits the cache and says so
     assert main(["spectrum", "--k", "1", "--trunc", "8"]) == 0
     assert "(cached)" in capsys.readouterr().out
-    # --no-cache bypasses reading and writing
-    os.remove(path)
-    assert main(["spectrum", "--k", "1", "--trunc", "8", "--no-cache"]) == 0
-    capsys.readouterr()
-    assert not os.path.exists(path)
+    # the flag that skipped the cache is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--k", "1", "--trunc", "8", "--no-cache"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-cache" in capsys.readouterr().err
+
+
+def _spectrum_checks(capsys):
+    """(id, computed without its " (cached)" note, verdict) of each check of `spectrum`, and
+    whether any check said "(cached)"."""
+    assert main(["--format", "json", "spectrum"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    rows = [(c["id"], c["computed"].removesuffix(" (cached)"), c["verdict"]) for c in checks]
+    return rows, any(c["computed"].endswith(" (cached)") for c in checks)
+
+
+def test_a_forged_cache_file_is_a_miss_and_is_rewritten(tmp_path, capsys, monkeypatch):
+    # a (1, 10) file whose every eigenvalue is 2.0, at the right counts and in the right
+    # layout, once passed all three spectrum checks as "(cached)"
+    monkeypatch.setenv("HOCHHEAT_CACHE_DIR", str(tmp_path))
+    path = cache_path(str(tmp_path), 1, 10)
+    cold, cached = _spectrum_checks(capsys)
+    assert not cached
+    with open(path, "rb") as fh:
+        record = fh.read()
+    warm, cached = _spectrum_checks(capsys)
+    assert cached and warm == cold
+    summary = json.loads(record)
+    summary.update(eigs0=[2.0] * len(summary["eigs0"]), eigs1=[2.0] * len(summary["eigs1"]))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(summary, indent=2, sort_keys=True))
+    forged, cached = _spectrum_checks(capsys)
+    assert not cached and forged == cold
+    pairing = {i: c for i, c, _ in forged}["spectrum.susy.pairing"]
+    assert pairing == ("4.263256414560601e-14 "
+                       "(max deviation over 130 section and 130 form eigenvalues)")
+    with open(path, "rb") as fh:
+        assert fh.read() == record
 
 
 def test_cli_all_writes_report(tmp_path, capsys, monkeypatch):
@@ -274,13 +308,14 @@ def test_cli_exit_nonzero_on_failure(monkeypatch, capsys):
 
 
 def _summary_with(**fields):
-    """The text of a valid cache file for (k, trunc) = (1, 8), with some fields replaced.
+    """The text of the cache file for (k, trunc) = (1, 8), in its own layout, with some
+    fields replaced: a file that differs from the record in those fields alone.
 
     A callable replacement maps the valid value of its field to the new one.
     """
     summary = spectral.spectrum_summary(spectral.build_model(1, 8))
     return json.dumps({**summary, **{f: v(summary[f]) if callable(v) else v
-                                     for f, v in fields.items()}})
+                                     for f, v in fields.items()}}, indent=2, sort_keys=True)
 
 
 def _clusters(first):
@@ -310,7 +345,7 @@ def _cache_dir_under_a_file(tmp_path):
 @pytest.mark.parametrize(
     "make",
     [_cache_file("{not json"), _cache_file("[1, 2]"),
-     _cache_file(json.dumps({"k": 1, "trunc": 8, "tag": CONVENTION_TAG})),
+     _cache_file(json.dumps({"k": 1, "trunc": 8, "tag": "fs-unit-volume:v1"})),
      _cache_file("[" * 100000),
      _cache_file(lambda: _summary_with(eigs1="x")),
      _cache_file(lambda: _summary_with(eigs0=lambda e: [3, *e[1:]])),
@@ -325,22 +360,26 @@ def _cache_dir_under_a_file(tmp_path):
                                        dim_harmonic0=-1)),
      _cache_file(lambda: _summary_with(eigs0=lambda e: e[::-1])),
      _cache_file(lambda: _summary_with(eigs1=lambda e: [e[-1], *e[1:-1], e[0]])),
+     _cache_file(lambda: _summary_with() + "\n"),
+     _cache_file(lambda: _summary_with() + " " * 100000),
      _directory_at_the_file, _cache_dir_under_a_file],
     ids=["not-json", "not-an-object", "missing-fields", "nested-too-deeply", "eigs1-not-a-list",
          "int-eigenvalue", "float-dimension", "bool-dimension", "cluster-shaped",
          "zero-eigenvalue", "negative-eigenvalue", "one-eigenvalue-each", "form-short-by-one",
-         "negative-dimension", "descending", "forms-out-of-order", "directory-at-the-file",
-         "cache-dir-under-a-file"],
+         "negative-dimension", "descending", "forms-out-of-order", "trailing-newline",
+         "oversized", "directory-at-the-file", "cache-dir-under-a-file"],
 )
 def test_cli_broken_cache_file_is_a_miss(tmp_path, capsys, monkeypatch, make):
-    # an unreadable file or a field of the wrong type or shape is a miss; an
-    # unwritable cache leaves the result uncached; neither is an error
+    # an unreadable file or any bytes but the model's record is a miss; an
+    # unwritable cache leaves the result uncached; neither is an error.  The
+    # float-dimension and bool-dimension rows parse equal to the record (2.0 == 2,
+    # False == 0), so the comparison is on bytes
     cache_dir, writable = make(tmp_path)
     monkeypatch.setenv("HOCHHEAT_CACHE_DIR", cache_dir)
     assert main(["spectrum", "--k", "1", "--trunc", "8"]) == 0
     out, err = capsys.readouterr()
     assert "(cached)" not in out and err == ""
-    stored = load_spectrum(cache_dir, 1, 8)
+    stored = load_spectrum(cache_dir, spectral.build_model(1, 8))
     assert stored["dim_harmonic0"] == 2 if writable else stored is None
 
 
@@ -475,7 +514,7 @@ CAN_FAIL = {
     "eigenvalue-offset": (spectral, "_stiffness",
                           _degree_one_stiffness(lambda lam: lam * (1 + 1e-9)), ["mckean-singer"],
                           "mckean-singer.flat.k1"),
-    "dbar-star-susy": (spectral, "_incidence", doubled_dbar_star, ["spectrum", "--no-cache"],
+    "dbar-star-susy": (spectral, "_incidence", doubled_dbar_star, ["spectrum"],
                        "spectrum.susy.pairing"),
     "dbar-star-flat": (spectral, "_incidence", doubled_dbar_star, ["mckean-singer"],
                        "mckean-singer.flat.k1"),
@@ -487,7 +526,7 @@ CAN_FAIL = {
     # the top degree-1 level, 120 at (k, N) = (1, 10), moves by 1e-3
     "susy-top-cluster": (spectral, "_stiffness",
                          _degree_one_stiffness(lambda lam: np.where(lam > 100, lam + 1e-3, lam)),
-                         ["spectrum", "--no-cache"], "spectrum.susy.pairing"),
+                         ["spectrum"], "spectrum.susy.pairing"),
     "halved-image-tail": (circle, "heat_diagonal_images", _halved_image_tail, ["localization"],
                           "localization.long-time.gap"),
     "section-count": (suite, "harmonic_supertrace", lambda *a: harmonic_supertrace(*a) + 1.0,
@@ -503,9 +542,9 @@ CAN_FAIL = {
     "shuffle-first-position-2x4": (chains, "_shuffles", _first_position_shuffles, ["shuffle"],
                                    "shuffle.multiplicative.2x4"),
     "sections-kernel": (spectral, "_incidence", dbar_chi_without_its_second_term,
-                        ["spectrum", "--no-cache"], "spectrum.kernel.sections"),
+                        ["spectrum"], "spectrum.kernel.sections"),
     "forms-kernel": (spectral, "_stiffness", _degree_one_stiffness(_zero_lowest),
-                     ["spectrum", "--no-cache"], "spectrum.kernel.forms"),
+                     ["spectrum"], "spectrum.kernel.forms"),
     "euler-sign": (spectral, "_image_coefficients", _unsigned_image_coefficients,
                    ["harmonic", "--k", "1"], "harmonic.euler.k1"),
     "half-period-tail": (circle, "_image_tail", _half_period_image_tail, ["localization"],
@@ -521,6 +560,8 @@ CAN_FAIL = {
 @pytest.mark.parametrize("owner, name, mutant, argv, check_id", list(CAN_FAIL.values()),
                          ids=list(CAN_FAIL))
 def test_each_check_shape_can_fail(monkeypatch, capsys, owner, name, mutant, argv, check_id):
+    if argv[0] == "spectrum":  # warm the cache with the unmutated model's record
+        assert main(argv) == 0 and "(cached)" not in capsys.readouterr().out
     monkeypatch.setattr(owner, name, mutant)
     assert main(["--format", "json", *argv]) == 1
     verdicts = {c["id"]: c["verdict"] for c in json.loads(capsys.readouterr().out)["checks"]}
@@ -670,11 +711,10 @@ def test_spectra_of_unequal_counts_print_an_infinite_deviation(monkeypatch):
     # a summary whose form spectrum lacks the top eigenvalue: the common prefix agrees
     summary = {"dim_harmonic0": 2, "dim_harmonic1": 0, "eigs0": [2.0, 6.0, 6.0],
                "eigs1": [2.0, 6.0]}
-    monkeypatch.setattr(suite, "load_spectrum", lambda *args: summary)
+    monkeypatch.setattr(suite, "spectrum_summary", lambda model: summary)
     pairing = next(c for c in run_suite(["spectrum"]).checks if c.id == "spectrum.susy.pairing")
     assert pairing.verdict == FAIL and _verdict_from_text(pairing) == FAIL
-    assert pairing.computed == (
-        "inf (max deviation over 3 section and 2 form eigenvalues) (cached)")
+    assert pairing.computed == "inf (max deviation over 3 section and 2 form eigenvalues)"
 
 
 def _shape(check_id):
@@ -772,7 +812,7 @@ def test_table_flags_set_every_config_field_and_nothing_else():
 
 def test_the_heat_grid_and_the_sample_count_are_constants():
     names = [f.name for f in dataclasses.fields(SuiteConfig)]
-    assert names == ["seed", "max_weyl", "k", "trunc", "use_cache", "harmonic_ks"]
+    assert names == ["seed", "max_weyl", "k", "trunc", "harmonic_ks"]
     cfg = SuiteConfig()
     assert (cfg.t_min, cfg.t_max, cfg.points) == (0.2, 5.0, 20)
     assert suite.SAMPLES == 40
@@ -791,7 +831,7 @@ def test_the_heat_grid_and_the_sample_count_are_constants():
         ("harmonic_ks", (0, 1.0), "--k", None),
         ("harmonic_ks", (39,), "--k", ["harmonic", "--k", "39"]),
         ("k", -1, "--k", ["spectrum", "--k", "-1"]),
-        ("trunc", 41, "--trunc", ["spectrum", "--trunc", "41", "--no-cache"]),
+        ("trunc", 41, "--trunc", ["spectrum", "--trunc", "41"]),
         ("harmonic_ks", (-1,), "--k", ["harmonic", "--k", "-1"]),
         ("k", 9, "--trunc", ["mckean-singer", "--k", "9"]),  # at the default trunc, 10
         ("k", False, "--k", None),
@@ -828,7 +868,7 @@ def test_failures_with_no_samples_is_a_fail():
     "argv",
     [
         ["harmonic", "--k", "40"],
-        ["spectrum", "--trunc", "30000", "--no-cache"],
+        ["spectrum", "--trunc", "30000"],
         ["harmonic", "--k", "30000"],
     ],
     ids=["harmonic", "oversized-trunc", "oversized-k"],
@@ -843,8 +883,8 @@ def test_refused_model_or_geometry_exits_2(argv, capsys, tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["spectrum", "--k", "0", "--trunc", "40", "--no-cache"],
-        ["spectrum", "--k", "3", "--trunc", "14", "--no-cache"],
+        ["spectrum", "--k", "0", "--trunc", "40"],
+        ["spectrum", "--k", "3", "--trunc", "14"],
         ["mckean-singer", "--k", "10", "--trunc", "12"],
         ["harmonic", "--k", "13"],
     ],
@@ -869,7 +909,7 @@ def test_every_harmonic_degree_passes():
 def test_kernel_forms_check_can_fail(monkeypatch, capsys):
     # zero the smallest eigenvalue of each degree-1 block; degree 0 keeps its kernel
     monkeypatch.setattr(spectral, "_stiffness", _degree_one_stiffness(_zero_lowest))
-    assert main(["--format", "json", "spectrum", "--no-cache"]) == 1
+    assert main(["--format", "json", "spectrum"]) == 1
     verdicts = {c["id"]: c["verdict"] for c in json.loads(capsys.readouterr().out)["checks"]}
     assert verdicts["spectrum.kernel.forms"] == "fail"
     assert verdicts["spectrum.kernel.sections"] == "pass"

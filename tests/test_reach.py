@@ -11,13 +11,19 @@ elsewhere escapes it.
 The package also imports nothing but the standard library, numpy and
 itself.  Its checks are declared one way: only `report.py` and the one
 method `_Recorder.check` build a `CheckResult`, and no recorder call passes
-a verdict, so each verdict is read from the values the report prints.
+a verdict, so each verdict is read from the values the report prints.  A
+spectral model is frozen, so a query keeps nothing on it.
 """
 
 import ast
+import dataclasses
 import os
 import sys
 from typing import Dict, Iterable, List, Set, Tuple
+
+import pytest
+
+from hochheat.spectral import SpectralModel, build_model
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "hochheat")
@@ -202,3 +208,12 @@ def test_a_passed_verdict_and_a_second_builder_are_flagged():
     package = _sources(PACKAGE) + [extra]
     assert _passed_verdicts(package) == ["extra.py:2", "extra.py:3", "extra.py:4", "extra.py:5"]
     assert "extra.py:family" in _result_builders(package)
+
+
+def test_a_spectral_model_is_frozen():
+    # neither a field nor a new attribute, such as a memo of operator blocks, can be set
+    model = build_model(0, 2)
+    assert SpectralModel.__dataclass_params__.frozen
+    for name in [f.name for f in dataclasses.fields(model)] + ["_op_cache"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model, name, None)

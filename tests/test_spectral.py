@@ -539,7 +539,7 @@ def test_a_negative_eigenvalue_beyond_tolerance_is_refused(monkeypatch, capsys):
     with pytest.raises(IllConditionedGramError, match="negative eigenvalue -1.000e-06 below its "
                                                       "measured error"):
         build_model(1, 8)
-    assert main(["spectrum", "--no-cache"]) == 2
+    assert main(["spectrum"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: negative eigenvalue") and captured.out == ""
 
@@ -569,25 +569,32 @@ def test_the_residual_covers_an_eigenvalue_that_eigh_misplaces(monkeypatch):
 
 def test_spectrum_cache_round_trip(tmp_path):
     model = build_model(1, 8)
-    store_spectrum(str(tmp_path), model)
-    data = load_spectrum(str(tmp_path), 1, 8)
-    assert data is not None
+    assert load_spectrum(str(tmp_path), model) is None
+    path = store_spectrum(str(tmp_path), model)
+    data = load_spectrum(str(tmp_path), model)
+    assert data == spectral.spectrum_summary(model)
     assert data["dim_harmonic0"] == 2
     # the sorted nonzero eigenvalues: l (l + 2) repeated 2 l + 2 times, l = 1..8
     assert len(data["eigs0"]) == len(data["eigs1"]) == sum(2 * l + 2 for l in range(1, 9))
     assert data["eigs0"] == sorted(data["eigs0"]) and abs(data["eigs0"][0] - 3.0) <= 1e-12
-    assert load_spectrum(str(tmp_path), 2, 8) is None
+    # the file is the summary's JSON, and another model's file is another path
+    with open(path, encoding="utf-8") as fh:
+        assert json.load(fh) == data
+    assert load_spectrum(str(tmp_path), build_model(2, 8)) is None
+    assert spectral.cache_path(str(tmp_path), 2, 8) != path
 
 
 def test_spectrum_cache_from_another_version_is_a_miss(tmp_path):
-    path = store_spectrum(str(tmp_path), build_model(1, 8))
+    # an earlier cache file also held a convention tag and the package version
+    model = build_model(1, 8)
+    path = store_spectrum(str(tmp_path), model)
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    assert data["version"] == spectral.__version__
-    data["version"] = "0.1.0"
+    assert set(data) == {"k", "trunc", "eigs0", "eigs1", "dim_harmonic0", "dim_harmonic1"}
+    data.update(tag="fs-unit-volume:v1", version="0.1.0")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh)
-    assert load_spectrum(str(tmp_path), 1, 8) is None
+        json.dump(data, fh, indent=2, sort_keys=True)
+    assert load_spectrum(str(tmp_path), model) is None
 
 
 def test_failed_cache_write_leaves_no_file(tmp_path, monkeypatch):
@@ -1041,9 +1048,7 @@ def test_a_moment_window_past_the_words_is_summed_in_python_integers(monkeypatch
     model = model_0_24
     which = range(len((model.blocks, model.forms)[degree]))
     assert any(mat.dtype == object for mat, _ in _operator_pairings(model, op, degree, which))
-    model._op_cache.clear()
     got = _operator_blocks(model, op, degree)
-    model._op_cache.clear()
     monkeypatch.setattr(spectral, "_EXACT", 0)  # no array stays in machine words
     ref = _operator_blocks(model, op, degree)
     assert all(got[bi].tobytes() == ref[bi].tobytes() for bi in which)
@@ -1060,7 +1065,6 @@ def test_each_block_takes_the_path_its_bound_proves(monkeypatch, model_0_24):
     monkeypatch.setattr(spectral, "_machine_congruences", recording)
     zd = mul(z_var(1, 1), d_var(1, 1))
     for model, paths in ((build_model(0, 14), {True}), (model_0_24, {True, False})):
-        model._op_cache.clear()
         calls.clear()
         words = 0  # the blocks whose W and P are int64, each decided by the bound
         for degree, blocks in enumerate((model.blocks, model.forms)):
@@ -1145,7 +1149,7 @@ def test_a_wrong_closed_form_coefficient_is_refused(monkeypatch, capsys, positio
     monkeypatch.setattr(spectral, "_orthogonal_rows", off_by_one)
     with pytest.raises(IllConditionedGramError, match="does not diagonalize"):
         build_model(1, 8)
-    assert main(["spectrum", "--no-cache"]) == 2
+    assert main(["spectrum"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
 
@@ -1511,18 +1515,31 @@ def test_no_neutral_pairing_of_an_admitted_block_can_diverge():
     assert models == 780 and worst == 0
 
 
-def test_harmonic_supertrace_builds_only_the_kernel_blocks():
+def _spy_on_built_blocks(monkeypatch):
+    """A list that gets (degree, block indices) of each `_operator_pairings` call."""
+    built, real = [], spectral._operator_pairings
+
+    def spy(model, op, degree, which):
+        built.append((degree, list(which)))
+        return real(model, op, degree, which)
+
+    monkeypatch.setattr(spectral, "_operator_pairings", spy)
+    return built
+
+
+def test_harmonic_supertrace_builds_only_the_kernel_blocks(monkeypatch):
     model = build_model(0, 14)
+    built = _spy_on_built_blocks(monkeypatch)
     harmonic_supertrace(model, unit(1))
-    kernel_blocks = {bi for bi, _ in model.harmonic0}
+    kernel_blocks = sorted({bi for bi, _ in model.harmonic0})
     assert len(kernel_blocks) == model.k + 1 < len(model.blocks)
-    assert set(model._op_cache) == {(0, unit(1), bi) for bi in kernel_blocks}
     # for k >= 0 the degree-1 kernel is empty, so no degree-1 block is built
-    assert not model.harmonic1 and all(degree == 0 for degree, _, _ in model._op_cache)
+    assert not model.harmonic1 and built == [(0, kernel_blocks)]
+    built.clear()
     grid = [0.5, 2.0, 11.0]
     fresh = build_model(0, 14)
     assert limit_supertrace(model, unit(1), grid) == limit_supertrace(fresh, unit(1), grid)
-    assert len(model._op_cache) == len(model.blocks) + len(model.forms)
+    assert built == [(0, list(range(len(model.blocks)))), (1, list(range(len(model.forms))))] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -1570,35 +1587,39 @@ def test_each_operator_block_gets_the_bits_it_gets_alone(k, n):
     ops = _queried_operators(k) if n < 40 else {"z d/dz": mul(_Z, _D)}
     for op in ops.values():
         for degree, blocks in enumerate((model.blocks, model.forms)):
-            model._op_cache.clear()
             assert (_blocks_of_one_query(model, op, degree)
                     == _blocks_alone(model, op, degree, range(len(blocks))))
 
 
-def test_a_later_escape_raises_the_first_in_which_order_and_caches_nothing():
+def test_a_later_escape_raises_the_first_in_which_order_and_builds_nothing(monkeypatch):
     # at (0, 8), z^6 escapes in degree 0 at the section blocks 6 to 10 only: a query raises what
-    # the first of them in `which` order raises alone, and keeps none of its blocks
+    # the first of them in `which` order raises alone, before it rounds any of its blocks
     model = build_model(0, 8)
     op = monomial(1, (6,), (0,))
+    rounded, real = [], spectral._round_congruences
+    monkeypatch.setattr(spectral, "_round_congruences",
+                        lambda w, *args: rounded.append(len(w)) or real(w, *args))
     texts = set()
     for which in (range(len(model.blocks)), range(len(model.blocks))[::-1], [0, 1, 9, 2, 6]):
         got = _blocks_of_one_query(model, op, 0, which)
         assert isinstance(got, str) and got == _blocks_alone(model, op, 0, which)
-        assert not model._op_cache
+        assert not rounded
         texts.add(got)
     assert len(texts) == 2  # block 9 names another pair than block 6
     assert _blocks_of_one_query(model, op, 0, range(6)) == _blocks_alone(model, op, 0, range(6))
+    assert rounded == [6]
 
 
-def test_a_query_tests_only_the_blocks_it_builds():
+def test_a_query_tests_only_the_blocks_it_builds(monkeypatch):
     # z^6 escapes only at the section blocks 6 to 10 of (0, 8): a model whose kernel sat in
     # block 0 would build that block alone, so its harmonic supertrace does not escape
     # while its limit supertrace does
     model = build_model(0, 8)
     op = monomial(1, (6,), (0,))
-    moved = dataclasses.replace(model, harmonic0=[(0, 0)], _op_cache={})
+    moved = dataclasses.replace(model, harmonic0=[(0, 0)])
+    built = _spy_on_built_blocks(monkeypatch)
     assert harmonic_supertrace(moved, op) == 0.0
-    assert set(moved._op_cache) == {(0, op, 0)}
+    assert built == [(0, [0])]
     with pytest.raises(OperatorEscapeError, match="leaves the square-integrable truncation"):
         limit_supertrace(moved, op, [1.0])
     with pytest.raises(OperatorEscapeError):
@@ -1614,7 +1635,6 @@ def test_the_charged_operators_f_and_e_get_what_each_block_gets_alone(k):
         model = build_model(k, n)
         for op in (ops["F = d"], ops["E"]):
             for degree, blocks in enumerate((model.blocks, model.forms)):
-                model._op_cache.clear()
                 assert (_blocks_of_one_query(model, op, degree)
                         == _blocks_alone(model, op, degree, range(len(blocks))))
             assert harmonic_supertrace(model, op) == 0.0
