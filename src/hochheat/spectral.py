@@ -111,7 +111,8 @@ z d/dz blocks of the four sweep models), else in Python integers, with the
 same floats either way.
 `limit_supertrace` and `harmonic_supertrace` read the same signed diagonals
 <op e, e>, the latter at the kernel vectors only, so it builds only the
-blocks that hold one; `heat_supertrace` reads the sorted spectra.
+blocks that hold one; every supertrace of the report goes through them.
+`heat_supertrace` reads the sorted spectra; only the benchmark calls it.
 """
 
 from __future__ import annotations
@@ -134,8 +135,9 @@ from .weyl import WeylElement, format_element, unpack
 
 #: largest truncation `build_model` accepts, checked before any work; a cost
 #: bound on one 2-CPU host: N = 40 takes 0.16-0.24 s for k = 0 and
-#: 0.54-0.73 s for k = 38, the largest k it admits (as a whole command,
-#: `spectrum` 0.95-1.16 s and `harmonic` 1.80-2.03 s), and one z d/dz
+#: 0.54-0.73 s for k = 38, the largest k it admits (as a whole command at k = 38,
+#: `spectrum` 0.59-1.02 s and `harmonic` 1.12-1.73 s over 14 cold runs on a 2-CPU
+#: Intel Xeon host, Python 3.11.7, numpy 2.4.6), and one z d/dz
 #: `limit_supertrace` 0.34-0.45 s for k = 0 and 1.05-1.25 s for k = 38, most of
 #: it exact O(s^3) products past the machine words
 MAX_TRUNC = 40
@@ -754,7 +756,10 @@ def _heat_time(t: object) -> float:
 
 
 def heat_supertrace(model: SpectralModel, t: float) -> float:
-    """Trace of the heat operator on sections minus trace on (0,1)-forms."""
+    """Trace of the heat operator on sections minus trace on (0,1)-forms.
+
+    Only the benchmark calls it; the report reads `limit_supertrace` of the identity.
+    """
     t = _heat_time(t)
     s0 = float(np.exp(-t * model._flat0).sum())
     s1 = float(np.exp(-t * model._flat1).sum())

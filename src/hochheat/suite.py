@@ -10,8 +10,8 @@ outcomes into a `VerificationReport`.
 One run does each shared piece of work once.  `run_suite` hands every
 family a memo that lives for that call only: it holds the cycles
 omega_2n, so `cycles`, `shuffle` and `symbol` read one omega_2n each, and
-the last spectral model by (k, trunc), dropped before the next is built,
-so `spectrum` and `mckean-singer` share (1, 10).
+the last spectral model, dropped before the next is built, so `spectrum`
+and `mckean-singer` share (1, 10), and `chern` and `harmonic` (0, 8).
 `tsygan` takes b(c) and b'(c) of each sample chain once for the four
 checks that read them.  Nothing is kept across runs but the on-disk
 spectrum cache, a record that says only whether a model's summary was seen
@@ -60,16 +60,15 @@ from .spectral import (
     SpectralModel,
     build_model,
     harmonic_supertrace,
-    heat_supertrace,
+    limit_supertrace,
     load_spectrum,
     spectrum_summary,
     store_spectrum,
 )
-from .weyl import d_var, mul, pack, unit, unpack, z_var
+from .weyl import WeylElement, d_var, mul, pack, unit, unpack, z_var
 
 DEFAULT_CACHE_ENV = "HOCHHEAT_CACHE_DIR"
 SAMPLES = 40                               # random chains per tsygan identity; the pairs take half
-CROSS_TRUNC = 12                           # truncation for the quadrature cross-check
 LENGTHS = (1.0, 1.7)                       # the two circumferences; the bump sits on the first
 BUMP = BumpFunction(0.35, 0.2, 2)
 SHORT_TIMES = tuple(0.01 * 10 ** (i / 9) for i in range(10))  # in units of Lmin^2
@@ -95,6 +94,8 @@ class SuiteConfig:
 
     def __post_init__(self) -> None:
         """Refuse a non-integer or out-of-range value with a message that names its flag."""
+        if not isinstance(self.harmonic_ks, tuple):  # a list would leave the config unhashable
+            raise ValueError(f"--k must be a tuple of bundle degrees, got {self.harmonic_ks!r}")
         for flag, value in (("--seed", self.seed), ("--n", self.max_weyl), ("--k", self.k),
                             ("--trunc", self.trunc), *(("--k", k) for k in self.harmonic_ks)):
             if not isinstance(value, int) or isinstance(value, bool):
@@ -102,6 +103,8 @@ class SuiteConfig:
         bad_k = next((k for k in self.harmonic_ks if not 0 <= k <= MAX_TRUNC - 2), None)
         repeated = next((k for k in self.harmonic_ks if self.harmonic_ks.count(k) > 1), None)
         for ok, message in (
+            # random.Random seeds with |seed|, so a negative seed would rerun its absolute value
+            (self.seed >= 0, f"--seed must be at least 0, got {self.seed}"),
             # the degree-2n cycle has 131,265 words at n = 4 and about 10^7 at n = 5
             (1 <= self.max_weyl <= 4, f"--n must be between 1 and 4, got {self.max_weyl}"),
             (0 <= self.k <= MAX_TRUNC - 2, f"--k must be between 0 and {MAX_TRUNC - 2}, got {self.k}"),
@@ -178,6 +181,9 @@ class _Memo:
             self._model = None  # so that two models are never alive at once
             self._model = ((k, trunc), build_model(k, trunc))
         return self._model[1]
+
+    def harmonic(self, k: int, op: WeylElement) -> float:  # no caller keeps the model alive
+        return harmonic_supertrace(self.model(k, max(k + 2, 8)), op)  # `harmonic`'s truncation
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +310,9 @@ def _family_spectrum(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
 
 def _family_mckean_singer(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
     rec = _Recorder()
-    model = memo.model(cfg.k, cfg.trunc)
     grid = np.linspace(cfg.t_min, cfg.t_max, cfg.points)
-    dev = np.max([abs(heat_supertrace(model, float(t)) - (cfg.k + 1)) for t in grid])
+    series, _ = limit_supertrace(memo.model(cfg.k, cfg.trunc), unit(1), grid)
+    dev = np.max([abs(s - (cfg.k + 1)) for s in series])
     rec.check(f"mckean-singer.flat.k{cfg.k}",
               f"the heat supertrace for k={cfg.k} is constant at k+1 across the time grid",
               dev, 0, 1e-10, note=f" (max |supertrace - (k+1)| over {len(grid)} times)")
@@ -317,13 +323,12 @@ def _family_harmonic(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
     rec = _Recorder()
     euler = mul(z_var(1, 1), d_var(1, 1))
     for k in cfg.harmonic_ks:
-        # no local name holds the model, so the memo can drop it before building the next
         rec.check(f"harmonic.identity.k{k}",
                   f"the harmonic supertrace of the identity counts the k={k} sections",
-                  harmonic_supertrace(memo.model(k, max(k + 2, 8)), unit(1)), k + 1, 1e-8)
+                  memo.harmonic(k, unit(1)), k + 1, 1e-8)
         rec.check(f"harmonic.euler.k{k}",
                   f"the harmonic supertrace of z d/dz for k={k} is k(k+1)/2",
-                  harmonic_supertrace(memo.model(k, max(k + 2, 8)), euler), k * (k + 1) // 2, 1e-6)
+                  memo.harmonic(k, euler), k * (k + 1) // 2, 1e-6)
     return rec.results
 
 
@@ -337,8 +342,7 @@ def _family_chern(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
               todd, 1, 1e-8, note=f" (error estimate {res.error_estimate:.1e}{why})")
     rec.check("chern.todd-vs-harmonic",
               "the quadrature Todd integral matches the spectral section count for k=0",
-              todd, harmonic_supertrace(memo.model(0, CROSS_TRUNC), unit(1)), 1e-6,
-              unit=" sections", note=" by quadrature")
+              todd, memo.harmonic(0, unit(1)), 1e-6, unit=" sections", note=" by quadrature")
     return rec.results
 
 
@@ -375,8 +379,8 @@ FAMILIES: Dict[str, Callable[[SuiteConfig, _Memo], List[CheckResult]]] = {
     "tsygan": _family_tsygan,
     "spectrum": _family_spectrum,
     "mckean-singer": _family_mckean_singer,
+    "chern": _family_chern,  # before `harmonic`, whose first model, (0, 8), it reads
     "harmonic": _family_harmonic,
-    "chern": _family_chern,
     "localization": _family_localization,
 }
 
@@ -393,6 +397,9 @@ def run_suite(
     unknown = [n for n in names if n not in FAMILIES]
     if unknown:
         raise ValueError(f"unknown check families {unknown}; available: {', '.join(FAMILIES)}")
+    repeated = next((n for n in names if names.count(n) > 1), None)
+    if repeated is not None:  # refused before any work, not after by its clashing check ids
+        raise ValueError(f"check family {repeated!r} is selected more than once")
     checks: List[CheckResult] = []
     memo = _Memo()
     for name in names:

@@ -42,14 +42,15 @@ independently.  The formula is cross-checked in the tests against the
 action of an element on an ordinary polynomial, which is defined without
 any reordering (`apply` in `tests/oracles.py`).
 
-The three pure per-key kernels, `mono_product`, `parse_monomial` and
-`format_monomial`, each keep an `lru_cache` of 256 entries, so a chain
-operator needs no product table of its own.  Their values are tuples and
-strings, which no caller can change, and the cache keeps no exception, so
-a refusal is raised again on every call.  The bound is measured: on the
-benchmark's random chains, 256 entries answer about 80% of some 10,000
-products a pass and run as fast as 1024 or 4096 entries, which cost 0.3
-and 1.9 MB more peak memory; an unbounded product cache cost 18.6 MB.
+Five pure per-key functions keep an `lru_cache`: `mono_product`,
+`parse_monomial` and `format_monomial` of 256 entries each, so a chain
+operator needs no product table of its own, `unpack` of 4096 and
+`_reorder` of 1024.  Their values are tuples and strings, which no caller
+can change, and the cache keeps no exception, so a refusal is raised again
+on every call.  The product cache's bound is measured: on the benchmark's
+random chains, 256 entries answer about 80% of some 10,000 products a pass
+and run as fast as 1024 or 4096 entries, which cost 0.3 and 1.9 MB more
+peak memory; an unbounded product cache cost 18.6 MB.
 
 Text goes out through `format_element` (an element) and `format_monomial`
 (a monic monomial).  The one reader, `parse_monomial`, reads exactly what

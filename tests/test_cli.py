@@ -26,7 +26,7 @@ from hochheat.forms import hkr_symbol
 from hochheat.report import FAIL, PASS, CheckResult, VerificationReport
 from hochheat.spectral import cache_path, harmonic_supertrace, load_spectrum
 from hochheat.suite import SuiteConfig, run_suite
-from hochheat.weyl import mono_product
+from hochheat.weyl import mono_product, unit
 from oracles import dbar_chi_without_its_second_term, doubled_dbar_star, report_from_json
 
 
@@ -68,6 +68,12 @@ def test_suite_is_deterministic_modulo_timing():
 def test_unknown_family_is_rejected():
     with pytest.raises(ValueError, match="unknown check families"):
         run_suite(["cycles", "nonsense"])
+
+
+def test_a_repeated_family_is_rejected_before_any_work(monkeypatch):
+    monkeypatch.setattr(suite, "build_model", lambda k, trunc: pytest.fail("a model was built"))
+    with pytest.raises(ValueError, match="check family 'harmonic' is selected more than once"):
+        run_suite(["harmonic", "cycles", "harmonic"])
 
 
 def test_text_rendering_contains_summary():
@@ -150,9 +156,12 @@ def test_a_closed_stdout_keeps_the_report_and_prints_no_traceback(tmp_path):
 def test_mckean_singer_stays_flat_at_large_times():
     # the kernel eigenvalues are exactly 0, so their rounding cannot tilt the
     # supertrace as e^(-t lam) decays: at (3, 12) it used to reach 1.6e-8 at t = 1e6
-    model = spectral.build_model(3, 12)
-    for t in np.linspace(0.2, 1e6, 20):
+    # the suite reads limit_supertrace of the identity, the benchmark heat_supertrace
+    model, grid = spectral.build_model(3, 12), np.linspace(0.2, 1e6, 20)
+    series, _ = spectral.limit_supertrace(model, unit(1), grid)
+    for t, s in zip(grid, series):
         assert abs(spectral.heat_supertrace(model, float(t)) - 4) <= 1e-10
+        assert abs(s - 4) <= 1e-10
 
 
 @pytest.mark.parametrize("command", ["cycles", "symbol"])
@@ -493,6 +502,13 @@ def _zero_lowest(lam):
     return lam
 
 
+def _degree_one_counted_plus(model, op, columns, terms=spectral._supertrace_terms):
+    """`spectral._supertrace_terms` with the degree-1 diagonals counted + like degree 0."""
+    lam0, diag0 = terms(model, op, [columns[0], {}])
+    lam1, diag1 = terms(model, op, [{}, columns[1]])
+    return np.concatenate([lam0, lam1]), np.concatenate([diag0, -diag1])
+
+
 #: row id -> (owner, name, mutant, argv, check_id): with owner.name replaced by
 #: the mutant, the command exits 1 and the check fails
 CAN_FAIL = {
@@ -518,6 +534,9 @@ CAN_FAIL = {
                        "spectrum.susy.pairing"),
     "dbar-star-flat": (spectral, "_incidence", doubled_dbar_star, ["mckean-singer"],
                        "mckean-singer.flat.k1"),
+    # the flat supertrace is the one check that reads a degree-1 operator diagonal
+    "degree-one-sign": (spectral, "_supertrace_terms", _degree_one_counted_plus,
+                        ["mckean-singer"], "mckean-singer.flat.k1"),
     "todd-scale": (suite, "chern_density",
                    lambda m: lambda x, y: chern_density(m)(x, y) * (1 + 1e-6),
                    ["chern-integrals"], "chern.degree.o1"),
@@ -690,19 +709,32 @@ def test_a_quadrature_that_does_not_converge_fails_and_says_so(monkeypatch):
     assert checks["chern.todd-vs-harmonic"].computed == "nan sections by quadrature"
 
 
-@pytest.mark.parametrize("name, family, check_id", [
-    ("heat_supertrace", "mckean-singer", "mckean-singer.flat.k1"),
-    ("poisson_deviation", "localization", "localization.poisson"),
-])
-def test_a_nan_amid_a_maximum_fails_its_check(monkeypatch, name, family, check_id):
-    # Python's max keeps a NaN only when it comes first; this one comes third
-    real, calls = getattr(suite, name), []
+def _nan_third_time(real):
+    """limit_supertrace whose series reads NaN at its third time."""
+    def mutant(*args):
+        series, last = real(*args)
+        return [*series[:2], math.nan, *series[3:]], last
+    return mutant
 
-    def nan_third(*args):
+
+def _nan_third_call(real):
+    """The function, NaN on its third call."""
+    calls = []
+
+    def mutant(*args):
         calls.append(args)
         return math.nan if len(calls) == 3 else real(*args)
+    return mutant
 
-    monkeypatch.setattr(suite, name, nan_third)
+
+@pytest.mark.parametrize("name, nan_third, family, check_id", [
+    ("limit_supertrace", _nan_third_time, "mckean-singer", "mckean-singer.flat.k1"),
+    ("poisson_deviation", _nan_third_call, "localization", "localization.poisson"),
+], ids=["limit_supertrace-mckean-singer-mckean-singer.flat.k1",
+        "poisson_deviation-localization-localization.poisson"])
+def test_a_nan_amid_a_maximum_fails_its_check(monkeypatch, name, nan_third, family, check_id):
+    # Python's max keeps a NaN only when it comes first; this one comes third
+    monkeypatch.setattr(suite, name, nan_third(getattr(suite, name)))
     check = next(c for c in run_suite([family]).checks if c.id == check_id)
     assert check.verdict == FAIL and check.computed.startswith("nan ")
 
@@ -758,7 +790,8 @@ def test_one_cold_run_builds_each_model_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(suite, "build_model", counting)
     assert run_suite(None, SuiteConfig(seed=0)).all_passed()
-    assert (1, 10) in calls and len(calls) == len(set(calls))
+    # `spectrum` and `mckean-singer` share (1, 10); `chern`, run first, and `harmonic` (0, 8)
+    assert calls == [(1, 10), (0, 8), (1, 8), (2, 8), (3, 8), (4, 8)]
     # the memo dies with its run: the next run builds its model again
     calls.clear()
     assert run_suite(["mckean-singer"]).all_passed()
@@ -840,6 +873,11 @@ def test_the_heat_grid_and_the_sample_count_are_constants():
         # a repeated degree would build its models and run its checks twice, then clash
         # in the report's check ids; the command line passes one --k only
         ("harmonic_ks", (0, 0), "--k", None),
+        # random.Random seeds with |seed|: -7 would silently rerun seed 7
+        ("seed", -7, "--seed", ["tsygan", "--seed", "-7"]),
+        # an int is no tuple, and a list would leave the frozen config unhashable
+        ("harmonic_ks", 5, "--k", None),
+        ("harmonic_ks", [0, 1], "--k", None),
     ],
 )
 def test_config_and_command_line_refuse_the_same_values(field, value, flag, argv, capsys):
