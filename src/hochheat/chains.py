@@ -45,7 +45,11 @@ distinct keys in sorted order and, per word length, the words as rows of
 key ids and their numerators.  The boundary of a chain of at least
 ARRAY_WORDS words runs on it (`_array_boundary`) whenever its int64
 codes and sums cannot overflow (`_sums_fit`), and `forms.hkr_symbol`
-reads it always.
+reads it always.  Any other boundary runs the dict loop of `_boundary`,
+which writes out the faces of 2-, 3- and 4-slot words one by one, each
+output word one tuple display: those lengths carry 94% of the loop's
+product terms on the benchmark's random chains and 98% in `hochheat
+all`.  Words of other lengths slice their slots around each face.
 
 Operators implemented here:
 
@@ -77,7 +81,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, count
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -154,18 +158,29 @@ class TensorChain:
         (ids, nums) of the words of that length, ids a (words, L) int32 array of
         positions in keys and nums their numerators, int64 where each fits, else ints
         in an object array."""
-        by_length: Dict[int, List[KeyWord]] = {}
-        for w in self.nums:
-            by_length.setdefault(len(w), []).append(w)
-        keys = sorted(set(chain.from_iterable(self.nums)))
-        index = dict(zip(keys, range(len(keys)))).__getitem__
-        groups = {}
-        for length, words in by_length.items():
-            ids = np.fromiter(map(index, chain.from_iterable(words)), np.int32,
-                              len(words) * length).reshape(-1, length)
-            nums = [self.nums[w] for w in words]
+        # by word length, the words and their numerators, read in one pass over nums
+        by_length: Dict[int, Tuple[List[KeyWord], List[int]]] = {}
+        for w, k in self.nums.items():
+            words, nums = by_length.setdefault(len(w), ([], []))
+            words.append(w)
+            nums.append(k)
+        # one hash per slot: the flat position at which each slot's key first occurs,
+        # the words taken length by length; the sorted keys rank those positions
+        total = sum(length * len(words) for length, (words, _) in by_length.items())
+        slots = chain.from_iterable(chain.from_iterable(words for words, _ in by_length.values()))
+        first: Dict[int, int] = {}
+        at = np.fromiter(map(first.setdefault, slots, count()), np.int64, total)
+        keys = sorted(first)
+        rank = np.empty(total, dtype=np.int32)
+        rank[[first[key] for key in keys]] = np.arange(len(keys), dtype=np.int32)
+        ids = rank[at]
+        groups, start = {}, 0
+        for length, (words, nums) in by_length.items():
+            end = start + length * len(words)
             fits = max(map(abs, nums)) >> 63 == 0
-            groups[length] = ids, np.array(nums, dtype=np.int64 if fits else object)
+            groups[length] = (ids[start:end].reshape(-1, length),
+                              np.array(nums, dtype=np.int64 if fits else object))
+            start = end
         return keys, groups
 
     def is_zero(self) -> bool:
@@ -197,11 +212,13 @@ class TensorChain:
         return _canonical(self.n, {w: p * k for w, k in self.nums.items()}, self.den * q)
 
 
-#: the fewest words of a chain whose boundary runs on its key arrays, the measured
-#: crossover: on random chains in 1 or 2 variables of degree 2 or 3 both paths take
-#: the same time at about 384 words (chains whose faces cancel, like omega_2n, cross
-#: lower), and below it numpy's cost per call outweighs its saving per word
-ARRAY_WORDS = 384
+#: the fewest words of a chain whose boundary runs on its key arrays, the lowest
+#: measured crossover: on random chains in 1 variable of degree 2 both paths take the
+#: same time at 512 to 768 words (three seeds), at degree 3 at 1280 to 1536, and in 2
+#: variables the dict loop stays faster through 1792 words; chains whose faces
+#: cancel, like omega_2n, cross lower, and below it numpy's cost per call outweighs
+#: its saving per word
+ARRAY_WORDS = 576
 
 
 def _boundary(c: TensorChain, wrap: bool) -> TensorChain:
@@ -210,9 +227,13 @@ def _boundary(c: TensorChain, wrap: bool) -> TensorChain:
     A chain of at least ARRAY_WORDS words goes to `_array_boundary`, and
     the loop below runs when it is smaller or the arrays could overflow.
     Each face takes its product from `weyl.mono_product`, whose bounded
-    cache serves the key pairs that recur within and across calls, and
-    slices the slots it keeps once.  Face i carries the sign (-1)^i, by
-    negation.
+    cache serves the key pairs that recur within and across calls.  Words
+    of 2, 3 and 4 slots, 94% of the product terms on the benchmark's
+    random chains and 98% in `hochheat all`, unpack once and write each
+    face's output word as one tuple display with its sign (-1)^i in its
+    line; words of other lengths slice the slots each face keeps once and
+    carry the sign by negation.  At every length the faces run in the
+    order 0..k-1, then the wrap.
     """
     if len(c.nums) >= ARRAY_WORDS:
         out = _array_boundary(c, wrap)
@@ -222,19 +243,57 @@ def _boundary(c: TensorChain, wrap: bool) -> TensorChain:
     acc: Dict[KeyWord, int] = {}
     get = acc.get
     for word, num in c.nums.items():
-        k = len(word) - 1
-        sign = num
-        for i in range(k):
-            head, tail = word[:i], word[i + 2:]
-            for key, m in mono_product(word[i], word[i + 1], n):
-                w = head + (key,) + tail
-                acc[w] = get(w, 0) + sign * m
-            sign = -sign
-        if wrap and k:  # the face (ak a0) (x) a1 (x) ... (x) a(k-1), sign (-1)^k
-            tail = word[1:k]
-            for key, m in mono_product(word[k], word[0], n):
-                w = (key,) + tail
-                acc[w] = get(w, 0) + sign * m
+        size = len(word)
+        if size == 2:
+            a, b = word
+            for key, m in mono_product(a, b, n):
+                w = (key,)
+                acc[w] = get(w, 0) + num * m
+            if wrap:
+                for key, m in mono_product(b, a, n):
+                    w = (key,)
+                    acc[w] = get(w, 0) - num * m
+        elif size == 3:
+            a, b, d = word
+            for key, m in mono_product(a, b, n):
+                w = (key, d)
+                acc[w] = get(w, 0) + num * m
+            for key, m in mono_product(b, d, n):
+                w = (a, key)
+                acc[w] = get(w, 0) - num * m
+            if wrap:
+                for key, m in mono_product(d, a, n):
+                    w = (key, b)
+                    acc[w] = get(w, 0) + num * m
+        elif size == 4:
+            a, b, d, e = word
+            for key, m in mono_product(a, b, n):
+                w = (key, d, e)
+                acc[w] = get(w, 0) + num * m
+            for key, m in mono_product(b, d, n):
+                w = (a, key, e)
+                acc[w] = get(w, 0) - num * m
+            for key, m in mono_product(d, e, n):
+                w = (a, b, key)
+                acc[w] = get(w, 0) + num * m
+            if wrap:
+                for key, m in mono_product(e, a, n):
+                    w = (key, b, d)
+                    acc[w] = get(w, 0) - num * m
+        else:
+            k = size - 1
+            sign = num
+            for i in range(k):
+                head, tail = word[:i], word[i + 2:]
+                for key, m in mono_product(word[i], word[i + 1], n):
+                    w = head + (key,) + tail
+                    acc[w] = get(w, 0) + sign * m
+                sign = -sign
+            if wrap and k:  # the face (ak a0) (x) a1 (x) ... (x) a(k-1), sign (-1)^k
+                tail = word[1:k]
+                for key, m in mono_product(word[k], word[0], n):
+                    w = (key,) + tail
+                    acc[w] = get(w, 0) + sign * m
     return _canonical(n, acc, c.den)
 
 

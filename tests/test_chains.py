@@ -44,8 +44,8 @@ from hochheat.chains import (
 from hochheat.forms import hkr_symbol, volume_form
 from hochheat.randomgen import random_chain, random_column_vector, random_element
 from hochheat.weyl import (MAX_DEGREE, MAX_EXPONENT, MAX_VARIABLES, WeylElement, d_var,
-                           format_element, format_monomial, pack, parse_monomial, unit, unpack,
-                           z_var)
+                           format_element, format_monomial, mono_product, pack, parse_monomial,
+                           unit, unpack, z_var)
 from oracles import (column, draw_chain, draw_column_vector, draw_element, key_product, monomial,
                      normalized_omega_by_inversions, parse_element, scale)
 
@@ -817,6 +817,28 @@ def test_boundaries_whose_codes_or_sums_could_overflow_take_the_dict_loop(monkey
     monkeypatch.setattr(chains_module, "ARRAY_WORDS", math.inf)  # the dict loop only
     assert got == [op(c) for c in (long, *scaled) for op in (hochschild_b, bar_bprime)]
     assert got[2].is_zero() and got[3] == (1 << 62) * bar_bprime(omega)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_dict_loop_agrees_with_the_oracle_at_every_word_length(monkeypatch, n):
+    # words of 2, 3 and 4 slots take their own branches of the loop, and words of
+    # 1 slot and of 5 or more its slicing loop; every slot has powers of each z and d,
+    # so every face contracts and has several product terms
+    monkeypatch.setattr(chains_module, "ARRAY_WORDS", math.inf)  # the dict loop only
+    rng = random.Random(70 + n)
+    letters = [pack((z, d)) for z in ((1,) * n, (2,) * n) for d in ((1,) * n, (2,) * n)]
+    for length in range(1, 8):
+        c = _canonical(n, {tuple(rng.choice(letters) for _ in range(length)): rng.randint(-9, 9)
+                           for _ in range(12)}, 5)
+        assert {len(w) for w in c.nums} == {length}
+        faces = [mono_product(w[i], w[(i + 1) % length], n)
+                 for w in c.nums for i in range(length)]
+        assert length == 1 or all(len(terms) > 1 for terms in faces)
+        f = _fractions(c)
+        for op, wrap in ((hochschild_b, True), (bar_bprime, False)):
+            got = op(c)
+            assert _is_canonical(got) and _fractions(got) == _oracle_boundary(f, wrap), length
+            assert length == 1 or not got.is_zero()
 
 
 def test_large_chains_take_the_array_boundary_and_small_ones_do_not(monkeypatch):

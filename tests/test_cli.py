@@ -481,6 +481,13 @@ def _unsigned_bprime(c):
                         for key, m in mono_product(w[i], w[i + 1], c.n)], c.den)
 
 
+def _face_one_of_three_slots_flipped(c, wrap, boundary=chains._boundary):
+    """The chain boundary with the sign of face 1, a0 (x) a1 a2, of each 3-slot word flipped."""
+    face_one = _chain(c.n, [((w[0], key), 2 * k * m) for w, k in c.nums.items() if len(w) == 3
+                            for key, m in mono_product(w[1], w[2], c.n)], c.den)
+    return boundary(c, wrap) + face_one
+
+
 def _negated_tau(c, tau=chains.cyclic_tau):
     """cyclic_tau with the opposite sign: the bicomplex arrow 1 - tau becomes 1 + tau."""
     return (-1) * tau(c)
@@ -558,6 +565,9 @@ CAN_FAIL = {
                        "tsygan.bprime.squared"),
     "differential-squared": (chains, "cyclic_tau", _negated_tau, ["tsygan"],
                              "tsygan.differential.squared"),
+    # one sign of the dict loop's 3-slot branch: the faces of 2- to 4-slot words are unrolled
+    "three-slot-face-sign": (chains, "_boundary", _face_one_of_three_slots_flipped, ["tsygan"],
+                             "tsygan.b.squared"),
     "shuffle-first-position-2x4": (chains, "_shuffles", _first_position_shuffles, ["shuffle"],
                                    "shuffle.multiplicative.2x4"),
     "sections-kernel": (spectral, "_incidence", dbar_chi_without_its_second_term,
