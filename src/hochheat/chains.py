@@ -34,22 +34,27 @@ writes, one monic monomial per slot, and refuses any other slot text.
 once.  The operators below map keys to keys with the one product kernel
 `weyl.mono_product`, which refuses a product exponent above the bound
 and whose bounded cache is the one product table of every call, and
-build their results without checking them again; `shuffle_product`
-groups the slot-0 keys and numerators of each interior into an element
-and multiplies two such elements with `weyl.mul`, which runs the same
-kernel on the same keys.  `TensorChain.terms` is a derived view for
-readers of elements: the words in sorted key order, each with its
-`Fraction` coefficient and each slot as a one-term monic `WeylElement`.
-`TensorChain._key_arrays` is the cached view for array kernels: the
-distinct keys in sorted order and, per word length, the words as rows of
-key ids and their numerators.  The boundary of a chain of at least
-ARRAY_WORDS words runs on it (`_array_boundary`) whenever its int64
-codes and sums cannot overflow (`_sums_fit`), and `forms.hkr_symbol`
-reads it always.  Any other boundary runs the dict loop of `_boundary`,
-which writes out the faces of 2-, 3- and 4-slot words one by one, each
-output word one tuple display: those lengths carry 94% of the loop's
-product terms on the benchmark's random chains and 98% in `hochheat
-all`.  Words of other lengths slice their slots around each face.
+build their results without checking them again.  `TensorChain.terms`
+is a derived view for readers of elements: the words in sorted key
+order, each with its `Fraction` coefficient and each slot as a one-term
+monic `WeylElement`.  `TensorChain._key_arrays` is the cached view for
+array kernels: the distinct keys in sorted order and, per word length,
+the words as rows of key ids and their numerators.  The boundary of a
+chain of at least ARRAY_WORDS words and the shuffle of at least
+ARRAY_TERMS pre-merge terms run on it (`_array_boundary`,
+`_array_shuffle`) whenever their int64 codes and sums cannot overflow
+(`_sums_fit`); both sum equal codes and build their words in `_decode`,
+and a shuffle's result keeps the key arrays it was built from.
+`forms.hkr_symbol` reads them always.  A smaller shuffle runs a dict
+loop that groups the slot-0 keys and numerators of each interior into an
+element, multiplies two such elements with `weyl.mul`, which runs the
+same product kernel on the same keys, and picks each interleaving's
+slots with one `operator.itemgetter`.  Any other boundary runs the dict
+loop of `_boundary`, which writes out the faces of 2-, 3- and 4-slot
+words one by one, each output word one tuple display: those lengths
+carry 94% of the loop's product terms on the benchmark's random chains
+and 98% in `hochheat all`.  Words of other lengths slice their slots
+around each face.
 
 Operators implemented here:
 
@@ -61,7 +66,8 @@ Operators implemented here:
 * norm_n         - the norm sum(tau^j, j = 0..k) degree by degree
 * shuffle_product- product of the slot-0 elements times the signed
                    interleavings of the interior slots, after padding the
-                   two factors' keys onto disjoint variable blocks
+                   two factors' keys onto disjoint variable blocks; on the
+                   key arrays from ARRAY_TERMS pre-merge terms, else by dicts
 * omega_cycle    - the canonical closed 2n-chain built by shuffling n
                    copies of 1 (x) d (x) z - 1 (x) z (x) d + 1 (x) 1 (x) 1
 * normalize      - quotient by words with a scalar in an interior slot
@@ -81,8 +87,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from collections import Counter
 from itertools import chain, combinations, count
-from math import gcd, lcm
+from math import comb, gcd, lcm
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -346,27 +354,55 @@ def _array_boundary(c: TensorChain, wrap: bool) -> Optional[TensorChain]:
         place = np.zeros((length, len(fs)), dtype=np.int64)
         for f, (a, b, at) in enumerate(fs):
             place[[j for j in range(length) if j not in (a, b)], f] = weight[:at] + weight[at + 1:]
-        # face rows run face-major: row f * words + w is face f of word w
+        # face rows run face-major: row f * words + w is face f of word w; each array
+        # of face rows is dropped as soon as the term rows no longer need it
         base = (ids @ place).ravel(order="F")
-        shift = np.repeat(shifts[[at for _, _, at in fs]], len(ids))
-        signed = np.outer((-1) ** np.arange(len(fs)), nums).ravel()
         inv = inverse[offset:offset + len(base)]
         offset += len(base)
         per = counts[inv]
         face_row = np.repeat(np.arange(len(base), dtype=np.int32), per)
-        term = np.repeat(first_term[inv] - np.cumsum(per) + per, per).astype(np.int32)
+        start = first_term[inv]
+        start -= np.cumsum(per)
+        start += per
+        term = np.repeat(start, per).astype(np.int32)
+        del start, per
         term += np.arange(len(face_row), dtype=np.int32)
         codes = product_ids[term]
-        codes <<= shift[face_row]
+        codes <<= np.repeat(shifts[[at for _, _, at in fs]].astype(np.int8), len(ids))[face_row]
         codes += base[face_row]
+        del base
         values = mults[term]
-        values *= signed[face_row]
-        # the sort's copies are the peak of the call: nothing else of this length is held
-        del base, shift, signed, inv, per, face_row, term
-        codes, sums = _sum_runs(codes, values)
-        slots = codes[:, None] >> shifts & (1 << bits) - 1
-        acc.update(zip(map(tuple, table[slots].tolist()), sums.tolist()))
+        values *= np.outer((-1) ** np.arange(len(fs)), nums).ravel()[face_row]
+        del face_row, term
+        _decode(acc, codes, values, bits, length - 1, table)
     return _canonical(n, acc, c.den)
+
+
+def _decode(acc: Dict[KeyWord, int], codes: np.ndarray, values: np.ndarray, bits: int,
+            length: int, table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Sum the values of equal codes with `_sum_runs` and add each word whose sum is
+    nonzero to `acc`; return the words' ids, a (words, length) int32 array, and the sums.
+
+    A code holds `length` slot ids of `bits` bits, the first slot highest, and
+    `table` is the object array of the keys the ids stand for.  The ids are read
+    one slot column at a time, and the words are zipped from one list per column,
+    DECODE_ROWS rows at a time, so that those lists stay small beside the words.
+    """
+    codes, sums = _sum_runs(codes, values)
+    ids = np.empty((len(codes), length), dtype=np.int32)
+    for t in range(length):
+        ids[:, t] = codes >> bits * (length - 1 - t) & (1 << bits) - 1
+    del codes
+    for start in range(0, len(ids), DECODE_ROWS):
+        rows = slice(start, start + DECODE_ROWS)
+        acc.update(zip(zip(*[table[column].tolist() for column in ids[rows].T]),
+                       sums[rows].tolist()))
+    return ids, sums
+
+
+#: the rows `_decode` turns into words at a time: its lists per column then take
+#: under 2 MB at any length up to 16 slots
+DECODE_ROWS = 1 << 14
 
 
 def _sums_fit(largest: int, rows: int) -> bool:
@@ -455,23 +491,62 @@ def _by_interior(c: TensorChain, n: int, pad) -> List[Tuple[KeyWord, WeylElement
             for inner, heads in groups.items()]
 
 
+#: the fewest pre-merge terms (`_shuffle_terms`) of a shuffle that runs on the key
+#: arrays.  On random factors of equal word counts (fresh key arrays each call, three
+#: seeds), both paths take the same time, in 1 variable per factor, at 250 to 500
+#: terms for degrees (1, 1), (2, 2) and (3, 1) and at 500 to 1000 for (3, 3); in 2
+#: variables at 250 to 500 for (1, 1) and (3, 1) and 500 to 1000 for (2, 2), while
+#: at (3, 3) the dict loop keeps pace through 4000.  The omega products, 2205 terms
+#: and up, run 3 to 4 times faster on the arrays, and the largest random pair of the
+#: benchmark, 252 terms, stays on the dict loop
+ARRAY_TERMS = 1024
+
+
+def _shuffle_terms(c1: TensorChain, c2: TensorChain) -> int:
+    """The terms the shuffle of c1 and c2 expands into before equal words merge: over
+    word lengths p + 1 and q + 1, count1 * count2 * C(p + q, p).  Two factors of one
+    word length each, every shuffle of the suite, take one C-level `set` pass each."""
+    lengths1, lengths2 = set(map(len, c1.nums)), set(map(len, c2.nums))
+    if len(lengths1) == len(lengths2) == 1:
+        (l1,), (l2,) = lengths1, lengths2
+        return len(c1.nums) * len(c2.nums) * comb(l1 + l2 - 2, l1 - 1)
+    counts1, counts2 = Counter(map(len, c1.nums)), Counter(map(len, c2.nums))
+    return sum(k1 * k2 * comb(l1 + l2 - 2, l1 - 1)
+               for l1, k1 in counts1.items() for l2, k2 in counts2.items())
+
+
 def shuffle_product(c1: TensorChain, c2: TensorChain) -> TensorChain:
     """Chain-level shuffle of chains over disjoint variable blocks.
 
     The second factor is re-indexed to variables n1+1..n1+n2.  With each
     factor written as sum(A_i (x) i) over its interiors i, the shuffle of
-    A (x) i and B (x) j is (A B) (x) sh(i, j): slot 0 is the `weyl.mul`
-    product of the two slot-0 elements and the interior slots are all
-    signed interleavings of i and j.  A key pads by shifting its z and d
-    halves into the fields of its block.
+    A (x) i and B (x) j is (A B) (x) sh(i, j): slot 0 is the product of the
+    two slot-0 elements and the interior slots are all signed interleavings
+    of i and j.  A key pads by shifting its z and d halves into the fields
+    of its block.  A shuffle of at least ARRAY_TERMS pre-merge terms runs on
+    the key arrays (`_array_shuffle`) unless they could overflow; any other
+    runs the dict loop below, which multiplies the two slot-0 elements with
+    `weyl.mul` and takes each (p, q)-interleaving of `_shuffles` as one
+    `operator.itemgetter`, built once per call.
     """
     n = c1.n + c2.n
     if n > MAX_VARIABLES:
         raise ValueError(f"a shuffle in {n} variables, more than {MAX_VARIABLES}")
     half, half1, half2 = n * FIELD_BITS, c1.n * FIELD_BITS, c2.n * FIELD_BITS
     d1, d2 = (1 << half1) - 1, (1 << half2) - 1
-    left = _by_interior(c1, n, lambda key: (key >> half1 << half2 + half) | (key & d1) << half2)
-    right = _by_interior(c2, n, lambda key: (key >> half2 << half) | (key & d2))
+    pad1 = lambda key: (key >> half1 << half2 + half) | (key & d1) << half2
+    pad2 = lambda key: (key >> half2 << half) | (key & d2)
+    terms = _shuffle_terms(c1, c2)
+    if terms >= ARRAY_TERMS:
+        out = _array_shuffle(c1, c2, pad1, pad2, terms)
+        if out is not None:
+            return out
+    left, right = _by_interior(c1, n, pad1), _by_interior(c2, n, pad2)
+    # by interior lengths (p, q), a (picker, parity) per interleaving; one slot or none
+    # has one order, the identity
+    pickers = {(p, q): [(itemgetter(*order) if len(order) > 1 else tuple, parity)
+                        for order, parity in _shuffles(p, q)]
+               for p in {len(i1) for i1, _ in left} for q in {len(i2) for i2, _ in right}}
     acc: Dict[KeyWord, int] = {}
     get = acc.get
     for i1, a in left:
@@ -479,12 +554,96 @@ def shuffle_product(c1: TensorChain, c2: TensorChain) -> TensorChain:
             interior = i1 + i2
             # over denominator 1, the product's numerators are its coefficients
             heads = [((key,), num) for key, num in mul(a, b).nums]
-            for order, parity in _shuffles(len(i1), len(i2)):
-                tail = tuple(map(interior.__getitem__, order))
+            for pick, parity in pickers[len(i1), len(i2)]:
+                tail = pick(interior)
                 for head, num in heads:
                     w = head + tail
                     acc[w] = get(w, 0) + (-num if parity else num)
     return _canonical(n, acc, c1.den * c2.den)
+
+
+def _array_shuffle(c1: TensorChain, c2: TensorChain, pad1, pad2,
+                   terms: int) -> Optional[TensorChain]:
+    """The shuffle of `shuffle_product` on the key arrays of nonzero c1 and c2, keys padded
+    by `pad1` and `pad2`, or None if it could overflow; `terms` is `_shuffle_terms`.
+
+    Each distinct key pads once, and each distinct (head1, head2) pair of
+    slot-0 ids is multiplied once with `mono_product`.  The sorted padded
+    and product keys are the id table, and an output word packs into one
+    int64 code, `bits` bits per slot, the first slot highest, so codes sort
+    as words do.  Per pair of word lengths, one matrix product per factor
+    puts each interior's ids at their slots in every interleaving, and a
+    word pair's codes add the two and its product's code.  `_decode` sums
+    equal codes; the result keeps the key arrays read off them, the ones
+    `_key_arrays` would read from its `nums`.  None if an output word needs
+    more than 63 bits or a sum could reach 2^62.
+    """
+    n, den = c1.n + c2.n, c1.den * c2.den
+    (keys1, groups1), (keys2, groups2) = c1._key_arrays, c2._key_arrays
+    padded1, padded2 = list(map(pad1, keys1)), list(map(pad2, keys2))
+    # the distinct slot-0 ids, sorted (np.unique without an inverse would import numpy.ma)
+    heads1, heads2 = (np.flatnonzero(np.bincount(np.concatenate([ids[:, 0] for ids, _ in
+                                                                 groups.values()])))
+                      for groups in (groups1, groups2))
+    products = [mono_product(padded1[a], padded2[b], n)
+                for a in heads1.tolist() for b in heads2.tolist()]
+    counts = np.fromiter(map(len, products), np.int64, len(products))
+    product_keys, mults = zip(*chain.from_iterable(products))
+    table = sorted({*padded1, *padded2, *product_keys})
+    bits = max(1, (len(table) - 1).bit_length())
+    largest = (max(map(abs, c1.nums.values())) * max(map(abs, c2.nums.values()))
+               * max(map(abs, mults)))
+    # by output length, the (length1, length2) pairs of the words that give it
+    lengths: Dict[int, List[Tuple[int, int]]] = {}
+    for l1 in groups1:
+        for l2 in groups2:
+            lengths.setdefault(l1 + l2 - 1, []).append((l1, l2))
+    if max(lengths) * bits > 63 or not _sums_fit(largest, int(counts.max()) * terms):
+        return None
+    index = dict(zip(table, range(len(table))))
+    to_table1, to_table2, product_ids = (np.array([index[key] for key in keys], dtype=np.int64)
+                                         for keys in (padded1, padded2, product_keys))
+    mults, first_term = np.array(mults, dtype=np.int64), np.cumsum(counts) - counts
+    objects = np.array(table, dtype=object)
+    acc: Dict[KeyWord, int] = {}
+    found = {}
+    for length, pairs in lengths.items():
+        codes, values = [], []
+        for l1, l2 in pairs:
+            (ids1, nums1), (ids2, nums2) = groups1[l1], groups2[l2]
+            shuffles = _shuffles(l1 - 1, l2 - 1)
+            orders = np.array([order for order, _ in shuffles], dtype=np.int64)
+            # slot place[s, e] of interleaving s takes entry e of the two interiors
+            place = np.argsort(orders.reshape(len(shuffles), -1), axis=1) + 1
+            weight = np.left_shift(1, bits * (length - 1 - place)).T
+            inner = ((to_table1[ids1[:, 1:]] @ weight[:l1 - 1])[:, None]
+                     + (to_table2[ids2[:, 1:]] @ weight[l1 - 1:])[None]).reshape(-1, len(shuffles))
+            # each word pair expands into one row per term of its heads' product
+            pair = (np.searchsorted(heads1, ids1[:, 0])[:, None] * len(heads2)
+                    + np.searchsorted(heads2, ids2[:, 0])).ravel()
+            per = counts[pair]
+            term = np.repeat(first_term[pair] - np.cumsum(per) + per, per) + np.arange(per.sum())
+            codes.append((np.repeat(inner, per, axis=0)
+                          + (product_ids[term] << bits * (length - 1))[:, None]).ravel())
+            signs = np.array([-1 if parity else 1 for _, parity in shuffles], dtype=np.int64)
+            values.append(np.outer(np.repeat(np.outer(nums1, nums2).ravel(), per) * mults[term],
+                                   signs).ravel())
+        ids, sums = _decode(acc, np.concatenate(codes), np.concatenate(values), bits, length,
+                            objects)
+        if len(sums):
+            found[length] = ids, sums
+    out = _canonical(n, acc, den)
+    # the ids rank among the keys the words keep, and the numerators lose the gcd taken
+    # (no copy of either where the words keep every key and the gcd is 1)
+    present = np.zeros(len(table), dtype=bool)
+    for ids, _ in found.values():
+        present[ids] = True
+    kept, rank, g = np.flatnonzero(present), np.cumsum(present, dtype=np.int32) - 1, den // out.den
+    out.__dict__["_key_arrays"] = (
+        [table[i] for i in kept.tolist()],
+        {length: (ids if len(kept) == len(table) else rank[ids], sums if g == 1 else sums // g)
+         for length, (ids, sums) in found.items()})
+    return out
 
 
 def omega_cycle(n: int) -> TensorChain:

@@ -6,8 +6,10 @@ reproducible from a single integer seed (the CLI exposes --seed).
 The draws are made straight into packed keys and int numerators: the
 exponents z1..zn, d1..dn of a monomial are shifted into its key in the
 order they are drawn, and a coefficient p/q with q in {1, 2} is kept as
-the numerator p * (2 // q) over 2.  Each draw is `rng.choice` over the
-values of a range.  CPython draws `choice(seq)` as seq[_randbelow(len(seq))]
+the numerator p * (2 // q) over 2.  Each draw of one of `size` values is
+CPython's `_randbelow(size)`, written out inline on `rng.getrandbits`, one
+`while` line per draw: `size.bit_length()` bits, drawn again while they are
+`size` or more.  CPython draws `choice(seq)` as seq[_randbelow(len(seq))]
 and `randint(a, b)` as a + _randbelow(b - a + 1), so the stream and every
 value are the ones of the `Fraction`-built generator in `tests/oracles.py`,
 which these functions are checked against.
@@ -23,22 +25,22 @@ from . import chains, weyl
 from .chains import TensorChain, TsyganColumnVector
 from .weyl import FIELD_BITS, WeylElement
 
-_ONE_OR_TWO = (1, 2)
-_NUMERATORS = tuple(range(-3, 4))
-_ZERO_TO_THREE = tuple(range(4))
-
 
 def random_element(rng: random.Random, n: int, max_deg: int = 2) -> WeylElement:
     """A nonzero element of one or two terms, exponents up to `max_deg`."""
-    choice, exps = rng.choice, tuple(range(max_deg + 1))
+    bits, size = rng.getrandbits, max_deg + 1
+    width = size.bit_length()
     while True:
         acc = {}
-        for _ in range(choice(_ONE_OR_TWO)):
+        while (terms := bits(2)) > 1: pass  # one or two terms
+        for _ in range(terms + 1):
             key = 0
             for _ in range(2 * n):
-                key = key << FIELD_BITS | choice(exps)
-            num = choice(_NUMERATORS)
-            acc[key] = acc.get(key, 0) + (2 * num if choice(_ONE_OR_TWO) == 1 else num)
+                while (e := bits(width)) >= size: pass
+                key = key << FIELD_BITS | e
+            while (p := bits(3)) > 6: pass  # the numerator p - 3
+            while (q := bits(2)) > 1: pass  # the denominator q + 1
+            acc[key] = acc.get(key, 0) + (2 * (p - 3) if q == 0 else p - 3)
         el = weyl._canonical(n, acc, 2)
         if el.nums:
             return el
@@ -54,13 +56,14 @@ def random_chain(
     """`words` words of degree + 1 random elements, each with a coefficient p/q,
     |p| <= 3 and q in {1, 2}, expanded multilinearly over the one denominator
     2^(degree + 2), which every slot denominator and q divide."""
-    den = 1 << (degree + 2)
+    bits, den = rng.getrandbits, 1 << (degree + 2)
     acc = {}
     get = acc.get
     for _ in range(words):
         slots = [random_element(rng, n, max_deg) for _ in range(degree + 1)]
-        p = rng.choice(_NUMERATORS)
-        scale = p * (den // rng.choice(_ONE_OR_TWO) // prod(el.den for el in slots))
+        while (p := bits(3)) > 6: pass  # the numerator p - 3
+        while (q := bits(2)) > 1: pass  # the denominator q + 1
+        scale = (p - 3) * (den // (q + 1) // prod(el.den for el in slots))
         for terms in product(*(el.nums for el in slots)):
             w = tuple(key for key, _ in terms)
             acc[w] = get(w, 0) + scale * prod(m for _, m in terms)
@@ -69,10 +72,11 @@ def random_chain(
 
 def random_column_vector(rng: random.Random, n: int) -> TsyganColumnVector:
     """One or two entries in columns 0..3, each a chain of degree 0..3."""
-    entries = []
-    for _ in range(rng.choice(_ONE_OR_TWO)):
-        col = rng.choice(_ZERO_TO_THREE)
-        degree = rng.choice(_ZERO_TO_THREE)
-        entries.append((col, random_chain(rng, n, degree, words=rng.choice(_ONE_OR_TWO),
-                                          max_deg=1)))
+    bits, entries = rng.getrandbits, []
+    while (count := bits(2)) > 1: pass  # one or two entries
+    for _ in range(count + 1):
+        while (col := bits(3)) > 3: pass
+        while (degree := bits(3)) > 3: pass
+        while (words := bits(2)) > 1: pass  # one or two words
+        entries.append((col, random_chain(rng, n, degree, words=words + 1, max_deg=1)))
     return TsyganColumnVector.from_entries(n, entries)

@@ -15,12 +15,14 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hochheat import chains as chains_module
 from hochheat.chains import (
+    ARRAY_TERMS,
     ARRAY_WORDS,
     MAX_COEFF_DIGITS,
     TensorChain,
@@ -42,6 +44,7 @@ from hochheat.chains import (
     tsygan_d,
 )
 from hochheat.forms import hkr_symbol, volume_form
+from hochheat.suite import SuiteConfig, run_suite
 from hochheat.randomgen import random_chain, random_column_vector, random_element
 from hochheat.weyl import (MAX_DEGREE, MAX_EXPONENT, MAX_VARIABLES, WeylElement, d_var,
                            format_element, format_monomial, mono_product, pack, parse_monomial,
@@ -859,6 +862,122 @@ def test_large_chains_take_the_array_boundary_and_small_ones_do_not(monkeypatch)
     hochschild_b(small)
     bar_bprime(small)
     assert sizes == [1891]
+
+
+def _fresh(c):
+    """c as a new chain object, so that no key arrays are cached on it."""
+    return TensorChain(c.n, c.nums, c.den)
+
+
+def _both_shuffle_paths(monkeypatch, c1, c2):
+    """[array shuffle, dict loop] of c1 and c2: the gate at 1 term, then at none."""
+    out = []
+    for gate in (1, math.inf):
+        monkeypatch.setattr(chains_module, "ARRAY_TERMS", gate)
+        out.append(shuffle_product(_fresh(c1), _fresh(c2)))
+    return out
+
+
+def _assert_key_arrays_as_read(c):
+    """c's key arrays, seeded or not, equal those read from a copy of its nums."""
+    keys, groups = c._key_arrays
+    read_keys, read_groups = TensorChain(c.n, dict(c.nums), c.den)._key_arrays
+    assert keys == read_keys and list(groups) == list(read_groups)
+    for length, (ids, nums) in groups.items():
+        read_ids, read_nums = read_groups[length]
+        assert (ids.dtype, nums.dtype) == (read_ids.dtype, read_nums.dtype)
+        assert np.array_equal(ids, read_ids) and np.array_equal(nums, read_nums)
+
+
+@pytest.mark.parametrize("n1, n2", [(1, 2), (2, 1), (2, 2)])
+def test_the_array_shuffle_equals_the_dict_loop_on_the_omega_cycles(monkeypatch, n1, n2):
+    array, loop = _both_shuffle_paths(monkeypatch, omega_cycle(n1), omega_cycle(n2))
+    assert array == loop and "_key_arrays" in vars(array)
+    assert _is_canonical(array) and array.nums
+    _assert_key_arrays_as_read(array)
+
+
+@st.composite
+def _shuffle_pair(draw):
+    """Two chains in 1 or 2 variables each, of mixed word lengths, one of den > 1."""
+    c1 = draw(_oracle_chain(draw(st.integers(1, 2)), max_degree=3))
+    c2 = draw(_oracle_chain(draw(st.integers(1, 2)), max_degree=3))
+    assume(c1.den * c2.den > 1)
+    return c1, c2
+
+
+@settings(max_examples=100, deadline=None)
+@given(_shuffle_pair())
+def test_the_array_shuffle_equals_the_dict_loop_on_random_pairs(pair):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        array, loop = _both_shuffle_paths(monkeypatch, *pair)
+    assert array == loop and _is_canonical(array)
+    _assert_key_arrays_as_read(array)
+
+
+def test_the_seeded_key_arrays_equal_those_read_from_the_numerators(monkeypatch):
+    monkeypatch.setattr(chains_module, "ARRAY_TERMS", 1)
+    omega = {n: omega_cycle(n) for n in (1, 2)}
+    z, d = (TensorChain.word(1, 1, [el]) for el in (z_var(1, 1), d_var(1, 1)))
+    cases = {
+        # every key kept, gcd 1
+        "2x4": (omega[1], omega[2]),
+        # a gcd of 2 taken from the numerators
+        "halved x doubled": (Fraction(1, 2) * omega[1], 2 * omega[2]),
+        # one-slot words keep their product key only, so the ids are re-ranked
+        "one slot": (z, d),
+        # words of 1 and 3 slots give output lengths 1, 3 and 5
+        "mixed lengths": (z + d + omega[1], z + Fraction(1, 3) * omega[1]),
+        # numerators past int64: the dict loop runs, and its arrays are read as objects
+        "2^70": ((1 << 70) * omega[1], omega[2]),
+    }
+    for name, (c1, c2) in cases.items():
+        c = shuffle_product(_fresh(c1), _fresh(c2))
+        assert ("_key_arrays" in vars(c)) == (name != "2^70"), name
+        _assert_key_arrays_as_read(c)
+    assert [nums.dtype for _, nums in c._key_arrays[1].values()] == [object]
+
+
+def test_shuffles_whose_codes_or_sums_could_overflow_take_the_dict_loop(monkeypatch):
+    seen, real = [], chains_module._array_shuffle
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(chains_module, "_array_shuffle", spy)
+    # 34-slot words over four keys: 35 output slots of at least 2 bits need more than 63
+    rng = random.Random(35)
+    letters = [pack(((z,), (d,))) for z in (0, 1) for d in (0, 1)]
+    long = _canonical(1, {tuple(rng.choice(letters) for _ in range(34)): rng.randint(1, 9)
+                          for _ in range(8)}, 3)
+    omega = omega_cycle(1)
+    # numerators of 2^62 and 2^70, the second past int64: the sums could reach 2^62
+    pairs = [(long, omega), ((1 << 62) * omega, omega_cycle(2)), ((1 << 70) * omega, omega)]
+    monkeypatch.setattr(chains_module, "ARRAY_TERMS", 1)
+    got = [shuffle_product(c1, c2) for c1, c2 in pairs]
+    assert seen == [None] * 3
+    monkeypatch.setattr(chains_module, "ARRAY_TERMS", math.inf)  # the dict loop only
+    assert got == [shuffle_product(c1, c2) for c1, c2 in pairs] and len(seen) == 3
+    assert got[1] == (1 << 62) * omega_cycle(3)
+
+
+def test_omega_products_take_the_array_shuffle_and_leibniz_pairs_do_not(monkeypatch):
+    # the largest random pair of the benchmark expands into 252 terms, the omega_6
+    # products into 2,205
+    assert 252 < ARRAY_TERMS < 2205
+    sizes, real = [], chains_module._array_shuffle
+
+    def spy(c1, c2, *args):
+        sizes.append((len(c1.nums), len(c2.nums)))
+        return real(c1, c2, *args)
+
+    monkeypatch.setattr(chains_module, "_array_shuffle", spy)
+    for seed in range(3):
+        assert run_suite(["shuffle"], SuiteConfig(seed=seed)).all_passed()
+        # omega_2 x omega_4 for the 2x4 check, and omega_4 x omega_2 to build omega_6
+        assert sizes == [(3, 49), (49, 3)]
+        sizes.clear()
 
 
 def test_the_seeded_samples_equal_the_fraction_built_draws():

@@ -403,6 +403,16 @@ def _array_wrap_sign_flipped(c, wrap, boundary=chains._array_boundary):
     return 2 * bprime + (-1) * boundary(c, True) if wrap else bprime
 
 
+def _ranks_shifted(c1, c2, *args, shuffle=chains._array_shuffle):
+    """The array shuffle with every key id of the key arrays it seeds moved up by one."""
+    out = shuffle(c1, c2, *args)
+    if out is not None:
+        keys, groups = out._key_arrays
+        out.__dict__["_key_arrays"] = (keys, {length: ((ids + 1) % len(keys), nums)
+                                              for length, (ids, nums) in groups.items()})
+    return out
+
+
 def _parity_dropped(odd, alternation=forms._alternation):
     """The array symbol's test for repeated one-forms, with every parity flip dropped."""
     distinct, parity = alternation(odd)
@@ -583,6 +593,9 @@ CAN_FAIL = {
                                  ["cycles", "--n", "3"], "cycles.boundary.omega6"),
     "array-symbol-parity": (forms, "_alternation", _parity_dropped, ["symbol", "--n", "3"],
                             "symbol.volume.n3"),
+    # omega_6 is built by the array shuffle, and its boundary reads the key arrays seeded there
+    "array-shuffle-ranks": (chains, "_array_shuffle", _ranks_shifted, ["cycles", "--n", "3"],
+                            "cycles.boundary.omega6"),
 }
 
 
