@@ -790,35 +790,52 @@ def _json_int(text: str) -> int:
     return int(text)
 
 
-def _coefficient(coeff) -> Tuple[int, int]:
-    """(p, q) with q >= 1 for an int or a "p" or "p/q" string coefficient."""
-    if type(coeff) is int:
-        return coeff, 1
-    m = _COEFF_RE.fullmatch(coeff) if isinstance(coeff, str) else None
+@lru_cache(maxsize=256)
+def _coefficient(text: str) -> Tuple[int, int]:
+    """(p, q) with q >= 1 of a "p" or "p/q" coefficient text; any other text raises `ValueError`."""
+    m = _COEFF_RE.fullmatch(text)
     if m is None:
-        raise ValueError(f"coefficient {_shown(coeff)} is not an integer or a fraction p/q")
-    _check_digits(coeff, len(m[1].lstrip("-")), len(m[2] or ""))
+        raise ValueError(f"coefficient {_shown(text)} is not an integer or a fraction p/q")
+    _check_digits(text, len(m[1].lstrip("-")), len(m[2] or ""))
     q = int(m[2] or 1)
     if not q:
-        raise ValueError(f"zero denominator in coefficient {_shown(coeff)}")
+        raise ValueError(f"zero denominator in coefficient {_shown(text)}")
     return int(m[1]), q
 
 
 #: a bound on the slot texts `format_monomial` writes, 2 * MAX_VARIABLES factors of at
-#: most "*z16^64": a longer text is refused before the reader's bounded cache can hold it
+#: most "*z16^64": a longer text is refused before it is parsed
 _LONGEST_SLOT = 2 * MAX_VARIABLES * len(f"*z{MAX_VARIABLES}^{MAX_DEGREE}")
+
+
+@lru_cache(maxsize=256)
+def _slot_key(text: str, n: int) -> int:
+    """The packed key of a slot text as `chain_to_json` writes it; any other text raises."""
+    key = parse_monomial(text, n) if len(text) <= _LONGEST_SLOT else None
+    if key is None:
+        raise ValueError(f"slot {_shown(text)} is not a monic monomial in z1..z{n}, "
+                         f"d1..d{n} of degree at most {MAX_DEGREE}")
+    return pack(key)
+
+
+#: the one decoder of chain JSON, which reads each bare integer with `_json_int`
+_DECODER = json.JSONDecoder(parse_int=_json_int)
 
 
 def chain_from_json(text: str) -> TensorChain:
     """Parse `chain_to_json` output; malformed input raises `ValueError`.
 
-    Each slot must be a monic monomial in the form `chain_to_json` writes
-    and is read straight into its packed monomial key; any other slot text, also
-    another spelling of the same element, is refused.  The cyclic garbage
-    collector is paused while the text is read, since the parse makes a dict
-    and a list per term and nothing of it forms a cycle, and its state is
-    restored after.
+    The input must be a `str`.  Each slot must be a monic monomial in the
+    form `chain_to_json` writes and is read straight into its packed
+    monomial key; any other slot text, also another spelling of the same
+    element, is refused.  Slot texts and coefficient texts are read through
+    bounded tables (`_slot_key`, `_coefficient`) that keep no refusal.  The
+    cyclic garbage collector is paused while the text is read, since the
+    parse makes a dict and a list per term and nothing of it forms a cycle,
+    and its state is restored after.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"chain JSON must be a str, got {type(text).__name__}")
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -830,7 +847,7 @@ def chain_from_json(text: str) -> TensorChain:
 
 def _read_chain(text: str) -> TensorChain:
     try:
-        payload = json.loads(text, parse_int=_json_int)
+        payload = _DECODER.decode(text)
     except RecursionError:
         raise ValueError("chain JSON is nested too deeply") from None
     if not (isinstance(payload, dict) and type(payload.get("n")) is int
@@ -839,11 +856,10 @@ def _read_chain(text: str) -> TensorChain:
     n = payload["n"]
     if not 1 <= n <= MAX_VARIABLES:
         raise ValueError(f"chain JSON needs 1 <= n <= {MAX_VARIABLES}, got {n}")
-    # each distinct slot text and each distinct coefficient text is checked and read
-    # once; a word's new slot texts are type-checked before its coefficient is read and
-    # parsed after, so each refusal comes in the order it always came
+    # each distinct slot text is checked and read once a chain; a word's new slot texts
+    # are type-checked before its coefficient is read and parsed after, so each refusal
+    # comes in the order it always came
     slots: Dict[str, int] = {}
-    coeffs: Dict[str, Tuple[int, int]] = {}
     expanded = []
     for t in payload["terms"]:
         word, fresh = t.get("word") if isinstance(t, dict) else None, []
@@ -859,18 +875,16 @@ def _read_chain(text: str) -> TensorChain:
             raise ValueError("a term must be {'coeff': str, 'word': [str, ...]}, "
                              f"got {_shown(t)}") from None
         coeff = t.get("coeff")
-        if type(coeff) is not str:
+        if type(coeff) is str:
             pq = _coefficient(coeff)
-        elif (pq := coeffs.get(coeff)) is None:
-            pq = coeffs[coeff] = _coefficient(coeff)
+        elif type(coeff) is int:
+            pq = coeff, 1
+        else:
+            raise ValueError(f"coefficient {_shown(coeff)} is not an integer or a fraction p/q")
         if not word:
             raise ValueError("a word needs at least one slot")
         for s in fresh:
             if s not in slots:
-                key = parse_monomial(s, n) if len(s) <= _LONGEST_SLOT else None
-                if key is None:
-                    raise ValueError(f"slot {_shown(s)} is not a monic monomial in z1..z{n}, "
-                                     f"d1..d{n} of degree at most {MAX_DEGREE}")
-                slots[s] = pack(key)
+                slots[s] = _slot_key(s, n)
         expanded.append((*pq, tuple(map(slots.__getitem__, word))))
     return _canonical(n, *_sum_over_lcm(expanded))

@@ -36,27 +36,38 @@ i uses the closed form
 
     d^q z^r = sum_{j>=0} C(q,j) C(r,j) j! z^(r-j) d^(q-j)
 
-whose coefficients `_reorder` keeps in a small table, each contraction
-taking j from both z_i and d_i, and distinct variables reorder
-independently.  The formula is cross-checked in the tests against the
-action of an element on an ordinary polynomial, which is defined without
-any reordering (`apply` in `tests/oracles.py`).
+each contraction taking j from both z_i and d_i, and distinct variables
+reorder independently.  The terms of a product are then a + b minus
+offsets fixed by the contraction pattern alone, the d fields of a against
+the z fields of b where both are nonzero, and `_contractions` keeps those
+(offset, coefficient) terms in a table.  The formula is cross-checked in
+the tests against the action of an element on an ordinary polynomial,
+which is defined without any reordering (`apply` in `tests/oracles.py`),
+and the terms and their order against the per-variable loop
+(`mono_product_by_variables`).
 
-Five pure per-key functions keep an `lru_cache`: `mono_product`,
-`parse_monomial` and `format_monomial` of 256 entries each, so a chain
-operator needs no product table of its own, `unpack` of 4096 and
-`_reorder` of 1024.  Their values are tuples and strings, which no caller
-can change, and the cache keeps no exception, so a refusal is raised again
-on every call.  The product cache's bound is measured: on the benchmark's
-random chains, 256 entries answer about 80% of some 10,000 products a pass
-and run as fast as 1024 or 4096 entries, which cost 0.3 and 1.9 MB more
-peak memory; an unbounded product cache cost 18.6 MB.
+Four pure per-key functions keep an `lru_cache`: `mono_product`,
+`format_monomial` and `_contractions` of 256 entries each, so a chain
+operator needs no product table of its own, and `unpack` of 4096.  Their values are tuples and strings, which no caller can change, and the
+cache keeps no exception, so a refusal is raised again on every call.  The
+product cache's bound is measured on the benchmark's random chains
+(`exact-random`, 3 runs each on one 2-CPU host): 256 entries answer 80% of
+some 10,500 products a pass; 1024 answer 82% at the same speed for 0.25 MB
+more peak memory, and 4096 answer 88%, 4-5% faster for 1.6-1.8 MB (5%)
+more; an unbounded product cache cost 18.6 MB.  About 59% of the misses
+contract, and the contraction table answers all but about 2 of them a pass:
+an `exact-random` run meets 147 distinct patterns in its setup and 20
+passes, `hochheat all` 102 and `hochheat cycles --n 4` 10.  An entry holds
+the product over the contracting variables of min(q_i, r_i) + 1 terms, as
+many as the product that made it (at most 9 in those runs), so the table's
+worst case is that of the product cache.
 
 Text goes out through `format_element` (an element) and `format_monomial`
 (a monic monomial).  The one reader, `parse_monomial`, reads exactly what
-`format_monomial` writes: the slot grammar of chain JSON.  The general
-element parser and the sums and scalings of elements, which no program
-path needs, are test oracles in `tests/oracles.py`.
+`format_monomial` writes: the slot grammar of chain JSON, whose reader
+keeps the table of slot texts (`chains._slot_key`).  The general element
+parser and the sums and scalings of elements, which no program path
+needs, are test oracles in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -176,6 +187,10 @@ MAX_VARIABLES = 16
 #: by n, the high bit of each of the 2n fields of a packed key in n variables
 _HIGH_BITS = tuple(sum(1 << (FIELD_BITS * i + FIELD_BITS - 1) for i in range(2 * n))
                    for n in range(MAX_VARIABLES + 1))
+#: by n, MAX_EXPONENT in each of n fields: adding it to n fields of a packed key sets the
+#: high bit of exactly the nonzero ones
+_FILL = tuple(sum(MAX_EXPONENT << (FIELD_BITS * i) for i in range(n))
+              for n in range(MAX_VARIABLES + 1))
 
 
 def pack(key: Key) -> int:
@@ -197,10 +212,27 @@ def unpack(packed: int, n: int) -> Key:
     return tuple(exps[:n]), tuple(exps[n:])
 
 
-@lru_cache(maxsize=1024)
-def _reorder(p: int, r: int) -> Tuple[Tuple[int, int], ...]:
-    """(j, C(p,j) C(r,j) j!) for j = 0..min(p, r): the terms of d^p z^r."""
-    return tuple((j, comb(p, j) * comb(r, j) * factorial(j)) for j in range(min(p, r) + 1))
+@lru_cache(maxsize=256)
+def _contractions(q_fields: int, r_fields: int, n: int) -> Tuple[Tuple[int, int], ...]:
+    """(offset, coefficient) terms of the contractions of d^q against z^r in n variables.
+
+    `q_fields` holds the d exponents of the left factor and `r_fields` the z
+    exponents of the right one, n fields each, both nonzero in the same
+    fields.  A contraction of j in variable i takes j from the z_i and d_i
+    fields of the key sum, with coefficient C(q_i,j) C(r_i,j) j!; the
+    variables multiply out from n down to 1, each one's j = 0 term first.
+    """
+    terms = [(0, 1)]
+    step = (1 << (n * FIELD_BITS)) | 1  # z_n and d_n of a key in n variables, by one
+    while q_fields:
+        q, r = q_fields & _FIELD_MASK, r_fields & _FIELD_MASK
+        if q:
+            terms = [(off + j * step, c * comb(q, j) * comb(r, j) * factorial(j))
+                     for off, c in terms for j in range(min(q, r) + 1)]
+        q_fields >>= FIELD_BITS
+        r_fields >>= FIELD_BITS
+        step <<= FIELD_BITS
+    return tuple(terms)
 
 
 @lru_cache(maxsize=256)
@@ -210,30 +242,27 @@ def mono_product(a: int, b: int, n: int) -> Tuple[Tuple[int, int], ...]:
     Per variable, d^q z^r = sum_j C(q,j) C(r,j) j! z^(r-j) d^(q-j); the
     cross-variable factors commute, so contractions are independent and
     the result is the product over variables of the one-variable sums.
-    Uncontracted, the exponents add: the key a + b.  A contraction of j in
-    variable i subtracts j from its z_i and d_i fields.  An n outside
+    Uncontracted, the exponents add: the key a + b.  The contractions
+    subtract offsets that depend only on the fields where a's d and b's z
+    are both nonzero, which `_contractions` tabulates.  An n outside
     1..MAX_VARIABLES raises `ValueError`, as does an exponent past the bound;
-    the cache keeps no refusal, so a repeated call raises again.
+    the caches keep no refusal, so a repeated call raises again.
     """
     if not 1 <= n <= MAX_VARIABLES:
         raise ValueError(f"a product in {n} variables, outside 1..{MAX_VARIABLES}")
-    top = a + b
-    if top & _HIGH_BITS[n]:
+    top, high = a + b, _HIGH_BITS[n]
+    if top & high:
         raise ValueError(f"a product has an exponent above {MAX_EXPONENT}")
-    if not a or not b:  # a unit factor
+    half, fill = n * FIELD_BITS, _FILL[n]
+    # the d fields of a and the z fields of b; `both` has the high bit of each field
+    # where the two are nonzero, and `keep` the other bits of those fields
+    q_fields, r_fields = a & ((1 << half) - 1), b >> half
+    both = (q_fields + fill) & (r_fields + fill) & high
+    if not both:
         return ((top, 1),)
-    half = n * FIELD_BITS
-    terms = [(top, 1)]
-    # the d fields of a against the z fields of b, variable n down to 1; step: z_i and d_i by one
-    q_fields, r_fields, step = a & ((1 << half) - 1), b >> half, (1 << half) | 1
-    while q_fields and r_fields:
-        q, r = q_fields & _FIELD_MASK, r_fields & _FIELD_MASK
-        if q and r:
-            terms = [(key - j * step, c * cj) for key, c in terms for j, cj in _reorder(q, r)]
-        q_fields >>= FIELD_BITS
-        r_fields >>= FIELD_BITS
-        step <<= FIELD_BITS
-    return tuple(terms)
+    keep = both - (both >> (FIELD_BITS - 1))
+    terms = _contractions(q_fields & keep, r_fields & keep, n)
+    return tuple([(top - off, c) for off, c in terms])
 
 
 def mul(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -284,7 +313,6 @@ def format_monomial(key: Key) -> str:
 _MONIC_FACTOR_RE = re.compile(r"([zd])([1-9][0-9]{0,2})(?:\^([2-9]|[1-9][0-9]{1,2}))?")
 
 
-@lru_cache(maxsize=256)
 def parse_monomial(text: str, n: int) -> Key | None:
     """The key that `format_monomial` writes as `text`, or None.
 

@@ -39,6 +39,9 @@ also computes, by a route that shares none of its shortcuts:
 * `key_product`, the product of two monomials on their exponent tuples, one
   variable at a time, against the packed-key kernel
   `hochheat.weyl.mono_product`, and the product of the chain oracles;
+* `mono_product_by_variables`, the packed-key product reordered one
+  variable at a time, against the terms and the term order of
+  `hochheat.weyl.mono_product`, which reads its contractions from a table;
 * `normalized_omega_by_inversions`, the alternating permutation sum with
   each sign counted from its permutation's inversions, against the
   sign-carrying closed form `hochheat.chains.normalized_omega_formula`;
@@ -87,8 +90,8 @@ from hochheat.chern import ChartDensity, QuadratureResult, chern_density, integr
 from hochheat.forms import EvenExps, FormKey, PolyForm
 from hochheat.report import CheckResult, VerificationReport
 from hochheat.spectral import OperatorEscapeError, SpectralModel
-from hochheat.weyl import (MAX_DEGREE, MAX_VARIABLES, Exponents, Key, WeylElement, d_var, mul,
-                           pack, unit, unpack, z_var)
+from hochheat.weyl import (FIELD_BITS, MAX_DEGREE, MAX_VARIABLES, Exponents, Key, WeylElement,
+                           d_var, mul, pack, unit, unpack, z_var)
 
 # ---------------------------------------------------------------------------
 # spectral: the generic pairing kernel
@@ -576,6 +579,24 @@ def key_product(a: Key, b: Key) -> List[Tuple[Key, int]]:
         terms = [(z + (p + r - j,), d + (q + s - j,), c * comb(q, j) * comb(r, j) * factorial(j))
                  for z, d, c in terms for j in range(min(q, r) + 1)]
     return [((z, d), c) for z, d, c in terms]
+
+
+def mono_product_by_variables(a: int, b: int, n: int) -> Tuple[Tuple[int, int], ...]:
+    """The (packed key, coefficient) terms of the product of packed keys a and b in n variables.
+
+    The key sum a + b, reordered one variable at a time from n down to 1:
+    a contraction of j in a variable takes j from its z and d fields of
+    every term so far, j = 0 first, with coefficient C(q,j) C(r,j) j! for
+    the d exponent q of a and the z exponent r of b.
+    """
+    half, mask = n * FIELD_BITS, (1 << FIELD_BITS) - 1
+    terms = [(a + b, 1)]
+    for shift in range(0, half, FIELD_BITS):  # variable n first, the least significant field
+        q, r = a >> shift & mask, b >> (half + shift) & mask
+        step = (1 << (half + shift)) | (1 << shift)
+        terms = [(key - j * step, c * comb(q, j) * comb(r, j) * factorial(j))
+                 for key, c in terms for j in range(min(q, r) + 1)]
+    return tuple(terms)
 
 
 def disjoint_embed(a: WeylElement, offset: int, total: int) -> WeylElement:

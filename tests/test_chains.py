@@ -501,7 +501,7 @@ def test_chain_from_json_reads_other_slot_texts_like_parse_element(text):
 
 
 def test_a_refused_slot_text_is_refused_again():
-    # the reader's cache keeps the refusal None as a value, and every read refuses anew
+    # the monomial reader gives None for it, and every read of the chain refuses anew
     text = f"z1^{MAX_DEGREE}*d1"
     payload = json.dumps({"n": 1, "terms": [{"coeff": "1", "word": [text]}]})
     for _ in range(3):
@@ -511,18 +511,52 @@ def test_a_refused_slot_text_is_refused_again():
     assert parse_monomial(f"z1^{MAX_DEGREE}", 1) == ((MAX_DEGREE,), (0,))
 
 
-def test_the_longest_slot_text_is_read_and_a_longer_one_is_not_cached():
+def test_the_longest_slot_text_is_read_and_a_longer_one_is_not_cached(monkeypatch):
     n = MAX_VARIABLES
     # every generator of the most variables squared, of degree MAX_DEGREE: the longest text
     # the writer makes, since a factor's exponent above 2 costs more degree per character
     longest = format_monomial(((2,) * n, (2,) * n))
     assert len(longest) <= chains_module._LONGEST_SLOT
-    assert chain_from_json(json.dumps({"n": n, "terms": [{"coeff": "1", "word": [longest]}]})
-                           ) == TensorChain(n, {(pack(parse_monomial(longest, n)),): 1}, 1)
-    misses = parse_monomial.cache_info().misses
-    with pytest.raises(ValueError, match="slot"):
-        chain_from_json(json.dumps({"n": 1, "terms": [{"coeff": "1", "word": ["z1*" * 10 ** 5]}]}))
-    assert parse_monomial.cache_info().misses == misses
+    parsed = []
+    monkeypatch.setattr(chains_module, "parse_monomial",
+                        lambda text, n: parsed.append(text) or parse_monomial(text, n))
+    table = chains_module._slot_key
+    table.cache_clear()
+    payload = json.dumps({"n": n, "terms": [{"coeff": "1", "word": [longest]}]})
+    want = TensorChain(n, {(pack(parse_monomial(longest, n)),): 1}, 1)
+    assert chain_from_json(payload) == want and table.cache_info()[:2] == (0, 1)
+    assert chain_from_json(payload) == want and table.cache_info()[:2] == (1, 1)
+    assert parsed == [longest]
+    # a longer text is refused unparsed, and the slot table keeps only the longest text
+    for _ in range(2):
+        with pytest.raises(ValueError, match="slot"):
+            chain_from_json(json.dumps({"n": 1, "terms": [{"coeff": "1", "word": ["z1*" * 10 ** 5]}]}))
+        assert parsed == [longest] and table.cache_info().currsize == 1
+    assert chain_from_json(payload) == want and table.cache_info().hits == 2
+
+
+@pytest.mark.parametrize("field,text,match", [
+    ("word", f"z1^{MAX_DEGREE}*d1", "slot"), ("word", "d1*z1", "slot"),
+    ("coeff", "1/0", "zero denominator"), ("coeff", "1.5", "not an integer"),
+    ("coeff", "9" * (MAX_COEFF_DIGITS + 1), "digits")])
+def test_a_refused_slot_or_coefficient_text_raises_on_every_call(field, text, match):
+    # the slot and coefficient tables keep no refusal: each read is a miss that raises again
+    table = chains_module._slot_key if field == "word" else chains_module._coefficient
+    term = {"coeff": "1", "word": ["z1"], field: [text] if field == "word" else text}
+    payload = json.dumps({"n": 1, "terms": [term]})
+    for _ in range(3):
+        misses = table.cache_info().misses
+        with pytest.raises(ValueError, match=match):
+            chain_from_json(payload)
+        assert table.cache_info().misses == misses + 1
+
+
+@pytest.mark.parametrize("text", [None, 5, b'{"n": 1, "terms": []}',
+                                  bytearray('{"n": 1, "terms": []}'.encode("utf-16"))],
+                         ids=["None", "int", "bytes", "bytearray-utf-16"])
+def test_chain_from_json_refuses_any_input_but_a_str(text):
+    with pytest.raises(ValueError, match=type(text).__name__):
+        chain_from_json(text)
 
 
 def test_canonical_round_trip_reads_keys_only(monkeypatch):
@@ -1016,7 +1050,7 @@ def test_chain_from_json_pauses_the_collector_and_restores_its_state(monkeypatch
         seen.append(gc.isenabled())
         return real(digits)
 
-    monkeypatch.setattr("hochheat.chains._json_int", spy)
+    monkeypatch.setattr("hochheat.chains._DECODER", json.JSONDecoder(parse_int=spy))
     was = gc.isenabled()
     try:
         gc.enable()

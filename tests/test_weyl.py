@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hochheat
+from hochheat import chains, weyl
 from hochheat.weyl import (
     MAX_DEGREE,
     MAX_EXPONENT,
@@ -37,7 +38,7 @@ from hochheat.weyl import (
     z_var,
 )
 from oracles import (MAX_TERMS, add, apply, commutator, disjoint_embed, key_product, monomial,
-                     parse_element, scale, zero)
+                     mono_product_by_variables, parse_element, scale, zero)
 
 
 def random_element(rng: random.Random, n: int, max_deg: int = 2, max_terms: int = 3):
@@ -111,6 +112,44 @@ def test_mono_product_matches_apply_oracle():
         product = WeylElement.from_terms(n, [(key, Fraction(c)) for key, c in terms])
         p = random_poly(rng, n, max_deg=5)
         assert apply(product, p) == apply(monomial(n, *a), apply(monomial(n, *b), p))
+
+
+def _key_pairs(rng: random.Random, n: int, count: int):
+    """`count` random pairs of packed keys in n variables, exponents 0..8, of at most 4096
+    product terms; past 4 variables most fields are 0."""
+    live = min(1.0, 4 / n)
+    pairs = []
+    while len(pairs) < count:
+        a, b = ([rng.randint(1, 8) if rng.random() < live else 0 for _ in range(2 * n)]
+                for _ in range(2))
+        if math.prod(min(q, r) + 1 for q, r in zip(a[n:], b[:n])) <= 4096:
+            pairs.append(tuple(pack((tuple(e[:n]), tuple(e[n:]))) for e in (a, b)))
+    return pairs
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, MAX_VARIABLES])
+def test_mono_product_returns_the_reference_terms_in_their_order(n):
+    pairs = _key_pairs(random.Random(4231 + n), n, 300)
+    want = [mono_product_by_variables(a, b, n) for a, b in pairs]
+    assert sum(len(terms) > 1 for terms in want) > 50
+    mono_product.cache_clear()
+    weyl._contractions.cache_clear()
+    assert [mono_product(a, b, n) for a, b in pairs] == want  # both tables cold
+    mono_product.cache_clear()
+    # each pair twice: from the warm contraction table, then from the product cache
+    assert [mono_product(a, b, n) for a, b in pairs for _ in range(2)
+            ] == [terms for terms in want for _ in range(2)]
+    unit_key, top = pack(((0,) * n, (0,) * n)), pack(((MAX_EXPONENT,) + (0,) * (n - 1), (0,) * n))
+    one = pack(((1,) + (0,) * (n - 1), (0,) * n))
+    d_top, d_one = (pack(((0,) * n, (0,) * (n - 1) + (e,))) for e in (MAX_EXPONENT, 1))
+    for _ in range(3):
+        for bad_n in (0, MAX_VARIABLES + 1):
+            with pytest.raises(ValueError, match="variables"):
+                mono_product(one, one, bad_n)
+        for a, b in ((top, one), (one, top), (d_top, d_one), (d_one, d_top)):
+            with pytest.raises(ValueError, match=str(MAX_EXPONENT)):
+                mono_product(a, b, n)
+        assert mono_product(top, unit_key, n) == ((top, 1),)
 
 
 @pytest.mark.parametrize("n", [3, MAX_VARIABLES])
@@ -213,8 +252,11 @@ def test_the_memoized_kernels_return_immutable_values():
     assert mono_product(a, b, 2) is terms
     key = parse_monomial("z2*d1^2", 2)
     assert key == ((0, 1), (2, 0)) and _is_frozen(key)
-    assert parse_monomial("z2*d1^2", 2) is key
-    assert format_monomial(key) == "z2*d1^2"
+    text = format_monomial(key)
+    assert text == "z2*d1^2" and format_monomial(key) is text
+    slot = chains._slot_key(text, 2)
+    assert slot == pack(key) and chains._slot_key(text, 2) is slot
+    assert _is_frozen(chains._coefficient("-3/4")) and chains._coefficient("-3/4") == (-3, 4)
 
 
 def test_every_cache_of_the_package_is_bounded():
@@ -223,11 +265,12 @@ def test_every_cache_of_the_package_is_bounded():
     caches = {f"{mod.__name__}.{name}": obj.cache_info().maxsize
               for mod in modules for name, obj in vars(mod).items()
               if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__}
-    assert {"hochheat.weyl.unpack", "hochheat.weyl._reorder",
+    assert {"hochheat.weyl.unpack", "hochheat.weyl._contractions",
             "hochheat.chains._shuffles"} <= set(caches)
     assert all(size is not None and 0 < size <= 4096 for size in caches.values()), caches
-    assert [caches[f"hochheat.weyl.{name}"]
-            for name in ("mono_product", "parse_monomial", "format_monomial")] == [256] * 3
+    assert [caches[name] for name in ("hochheat.weyl.mono_product", "hochheat.weyl.format_monomial",
+                                      "hochheat.weyl._contractions", "hochheat.chains._slot_key",
+                                      "hochheat.chains._coefficient")] == [256] * 5
 
 
 def _is_canonical(e):
