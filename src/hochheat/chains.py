@@ -30,21 +30,22 @@ numerators; `weyl.WeylElement.from_terms` has packed them, refusing an
 exponent above `weyl.MAX_EXPONENT`.  `chain_from_json` checks the same
 and reads keys only: it accepts the one slot grammar that `chain_to_json`
 writes, one monic monomial per slot, and refuses any other slot text.
-`chain_to_json` writes `nums` over `den` and formats each distinct key
-once.  The operators below map keys to keys with the one product kernel
-`weyl.mono_product`, which refuses a product exponent above the bound
-and whose bounded cache is the one product table of every call, and
-build their results without checking them again.  `TensorChain.terms`
+`chain_to_json` writes `nums` over `den` and formats and checks each
+distinct key once.  The operators below map keys to keys with the one
+product kernel `weyl.mono_product`, which refuses a product exponent above
+the bound and whose bounded cache is the one product table of every call,
+and build their results without checking them again.  `TensorChain.terms`
 is a derived view for readers of elements: the words in sorted key
 order, each with its `Fraction` coefficient and each slot as a one-term
 monic `WeylElement`.  `TensorChain._key_arrays` is the cached view for
 array kernels: the distinct keys in sorted order and, per word length,
 the words as rows of key ids and their numerators.  The boundary of a
 chain of at least ARRAY_WORDS words and the shuffle of at least
-ARRAY_TERMS pre-merge terms run on it (`_array_boundary`,
-`_array_shuffle`) whenever their int64 codes and sums cannot overflow
-(`_sums_fit`); both sum equal codes and build their words in `_decode`,
-and a shuffle's result keeps the key arrays it was built from.
+ARRAY_TERMS pre-merge terms run on it in one array kernel, `_array_faces`,
+whenever its int64 codes and sums cannot overflow (`_sums_fit`): a word,
+or a pair of words of a shuffle, is a row of key ids, and a face, or an
+interleaving, turns a row into output words.  The kernel sums equal codes,
+builds its words in `_decode` and leaves the key arrays on its result.
 `forms.hkr_symbol` reads them always.  A smaller shuffle runs a dict
 loop that groups the slot-0 keys and numerators of each interior into an
 element, multiplies two such elements with `weyl.mul`, which runs the
@@ -310,72 +311,129 @@ def _array_boundary(c: TensorChain, wrap: bool) -> Optional[TensorChain]:
 
     Face f of a degree-k word, f < k the product of slots f and f+1 and
     f = k the wrap-around product of slots k and 0, carries the sign (-1)^f
-    and puts its product at output slot f, or 0 for the wrap.  Each
-    distinct (left, right) id pair of all faces is multiplied once with
-    `mono_product`, and its product keys join the key table.  Each output
-    word packs into one int64 code, `bits` bits per slot, the first slot
-    highest; every face expands into one code per product term, and equal
-    codes are summed after one argsort.  None if an output word needs more
-    than 63 bits or a sum could reach 2^62.
+    and puts its product at output slot f % k, the slots before it in place
+    and those after it one slot on.
     """
-    n = c.n
     keys, groups = c._key_arrays
+    faces = {}
+    for length, words in groups.items():
+        if length > 1:
+            f, p = np.arange(length - 1 + wrap), np.arange(length - 1)
+            order = p + (p > f[:, None])
+            order[f, f % (length - 1)] = -1
+            faces[length - 1] = [(words, ONE_ROW, (f, (f + 1) % length, None, order, (-1) ** f))]
+    return _array_faces(c.n, c.den, keys, faces, max(map(abs, c.nums.values()), default=0))
+
+
+#: the faces of a group of rows, (a, b, column, order, sign): face f turns a row into
+#: words with the sign sign[f] whose slot p holds row slot order[f, p], or at -1 one term
+#: of the product of row slots a[c] and b[c], c = column[f] (c = f if column is None)
+FaceTable = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray, np.ndarray]
+#: a group of rows, (left, right, faces): left and right rows (ids, nums), ids a (rows,
+#: slots) int32 array of positions in a key list and nums their numerators
+Group = Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray], FaceTable]
+#: the one row of no slots, numerator 1: the right rows of a group of single words
+ONE_ROW = (np.zeros((1, 0), dtype=np.int32), np.ones(1, dtype=np.int64))
+
+
+def _array_faces(n: int, den: int, keys: List[int], groups: Dict[int, List[Group]],
+                 largest: int) -> Optional[TensorChain]:
+    """sum(sign * num * face(row)) / den over the faces of every row of `groups`, or None
+    if it could overflow; the result keeps the key arrays it was decoded from.
+
+    `groups` maps an output length to groups (left, right, faces), ids into
+    `keys`; a row of a group pairs a left row with a right one, their slots
+    in that order and the product of their numerators, each at most
+    `largest` in size.  Each distinct id pair of the (a, b) columns is
+    multiplied once with `mono_product`; the sorted input and product keys
+    are the id table, and an output word packs into one int64 code, `bits`
+    bits per slot, the first slot highest, so codes sort as words do.  Each
+    face of each row expands into one code per product term, and the groups
+    of one output length go to one `_decode`, which sums equal codes.  None
+    if a word needs more than 63 bits or a sum could reach 2^62.
+    """
+    if not groups:
+        return _canonical(n, {}, den)
     size = len(keys)
-    # by word length, the (left, right) slots of each face and its output slot
-    faces = {length: [(f, f + 1, f) for f in range(length - 1)]
-             + ([(length - 1, 0, 0)] if wrap else []) for length in groups if length > 1}
-    if not faces:
-        return _canonical(n, {}, c.den)
-    distinct, inverse = np.unique(np.concatenate(
-        [groups[length][0][:, a].astype(np.int64) * size + groups[length][0][:, b]
-         for length, fs in faces.items() for a, b, _ in fs]), return_inverse=True)
+    # the id pairs of every (a, b) column of every group over its rows, a * size + b
+    pairs = [_paired(left, right, size * (eye := np.eye(left.shape[1] + right.shape[1],
+                                                       dtype=np.int64))[:, a] + eye[:, b]).ravel()
+             for (left, _), (right, _), (a, b, *_) in chain.from_iterable(groups.values())]
+    pairs = np.concatenate(pairs) if len(pairs) > 1 else pairs[0]  # no list under np.unique
+    distinct, inverse = np.unique(pairs, return_inverse=True)
+    del pairs
     products = [mono_product(keys[a], keys[b], n)
                 for a, b in zip((distinct // size).tolist(), (distinct % size).tolist())]
     counts = np.fromiter(map(len, products), np.int64, len(products))
     product_keys, mults = zip(*chain.from_iterable(products))
-    index = dict(zip(keys, range(size)))
-    product_ids = np.array([index.setdefault(key, len(index)) for key in product_keys])
-    bits = max(1, (len(index) - 1).bit_length())
-    rows = int(np.bincount(inverse, minlength=len(counts)) @ counts)
-    largest = max(map(abs, c.nums.values())) * max(map(abs, mults))
-    if (max(faces) - 1) * bits > 63 or not _sums_fit(largest, rows):
+    table = sorted({*keys, *product_keys})
+    bits = max(1, (len(table) - 1).bit_length())
+    # a bound on the product terms: the most of one product for each face of each row
+    terms = int(counts.max()) * sum(len(order) * len(left) * len(right) for (left, _), (right, _),
+                                    (*_, order, _) in chain.from_iterable(groups.values()))
+    if max(groups) * bits > 63 or not _sums_fit(largest * max(map(abs, mults)), terms):
         return None
-    first_term = np.cumsum(counts) - counts
-    mults = np.array(mults, dtype=np.int64)
-    table = np.array(list(index), dtype=object)
+    index = dict(zip(table, range(len(table))))
+    to_table = np.array([index[key] for key in keys], dtype=np.int32)
+    product_ids = np.array([index[key] for key in product_keys], dtype=np.int64)
+    mults, first_term = np.array(mults, dtype=np.int64), np.cumsum(counts) - counts
+    objects = np.array(table, dtype=object)
     acc: Dict[KeyWord, int] = {}
-    offset = 0
-    for length, fs in faces.items():
-        ids, nums = groups[length]
-        # output slot p sits shifts[p] bits up; column f of `place` puts the slots that
-        # face f keeps in order around its product's slot, so ids @ place packs them
-        shifts = bits * np.arange(length - 2, -1, -1)
-        weight = [1 << int(s) for s in shifts]
-        place = np.zeros((length, len(fs)), dtype=np.int64)
-        for f, (a, b, at) in enumerate(fs):
-            place[[j for j in range(length) if j not in (a, b)], f] = weight[:at] + weight[at + 1:]
-        # face rows run face-major: row f * words + w is face f of word w; each array
-        # of face rows is dropped as soon as the term rows no longer need it
-        base = (ids @ place).ravel(order="F")
-        inv = inverse[offset:offset + len(base)]
-        offset += len(base)
-        per = counts[inv]
-        face_row = np.repeat(np.arange(len(base), dtype=np.int32), per)
-        start = first_term[inv]
-        start -= np.cumsum(per)
-        start += per
-        term = np.repeat(start, per).astype(np.int32)
-        del start, per
-        term += np.arange(len(face_row), dtype=np.int32)
-        codes = product_ids[term]
-        codes <<= np.repeat(shifts[[at for _, _, at in fs]].astype(np.int8), len(ids))[face_row]
-        codes += base[face_row]
-        del base
-        values = mults[term]
-        values *= np.outer((-1) ** np.arange(len(fs)), nums).ravel()[face_row]
-        del face_row, term
-        _decode(acc, codes, values, bits, length - 1, table)
-    return _canonical(n, acc, c.den)
+    found, present = {}, np.zeros(len(table), dtype=bool)
+    for length, parts in groups.items():
+        shifts = bits * np.arange(length - 1, -1, -1)  # output slot p sits shifts[p] bits up
+        coded = []
+        for (left, nums1), (right, nums2), (a, _, column, order, sign) in parts:
+            rows = len(left) * len(right)
+            # column f of `place` shifts the row slots that face f keeps to their output
+            # slots, and `at` is the shift of each face's product
+            slots = left.shape[1] + right.shape[1]
+            place = (np.eye(slots + 1, slots, dtype=np.int64)[order] << shifts[:, None]).sum(1).T
+            at = shifts[order.argmin(axis=1)].astype(np.int8)
+            # face rows run face-major, row f * rows + r is face f of row r; each array
+            # of face rows is dropped as soon as the term rows no longer need it, the
+            # face pairs of `inverse` once the last group has read its own
+            base = _paired(to_table[left], to_table[right], place).ravel()
+            inv = inverse[:len(a) * rows]
+            inverse = inverse[len(inv):] if len(inverse) > len(inv) else None
+            if column is not None:  # the faces that share a column read its pairs
+                inv = inv.reshape(len(a), rows)[column].ravel()
+            per = counts[inv]
+            face_row = np.repeat(np.arange(len(base), dtype=np.int32), per)
+            start = first_term[inv]
+            del inv
+            start -= np.cumsum(per)
+            start += per
+            term = np.repeat(start, per).astype(np.int32)
+            del start, per
+            term += np.arange(len(face_row), dtype=np.int32)
+            codes = product_ids[term]
+            codes <<= np.repeat(at, rows)[face_row]
+            codes += base[face_row]
+            del base
+            values = mults[term]
+            values *= np.outer(sign, np.outer(nums1, nums2)).ravel()[face_row]
+            del face_row, term
+            coded.append((codes, values))
+        # one group's arrays go to `_decode` as they are, several are joined first
+        codes, values = (x[0] if len(x) == 1 else np.concatenate(x) for x in zip(*coded))
+        found[length] = ids, _ = _decode(acc, codes, values, bits, length, objects)
+        present[ids] = True
+    out = _canonical(n, acc, den)
+    # the ids rank among the keys the words keep, and the numerators lose the gcd taken
+    # (no copy of either where the words keep every key and the gcd is 1)
+    kept, rank, g = np.flatnonzero(present), np.cumsum(present, dtype=np.int32) - 1, den // out.den
+    out.__dict__["_key_arrays"] = ([table[i] for i in kept.tolist()], {
+        length: (ids if len(kept) == len(table) else rank[ids], sums if g == 1 else sums // g)
+        for length, (ids, sums) in found.items() if len(sums)})
+    return out
+
+
+def _paired(left: np.ndarray, right: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(columns, left rows, right rows): per column of `weights` (slots, columns), the
+    sum of each slot's id times its weight over the rows, left slots first."""
+    return ((left @ weights[:left.shape[1]]).T[:, :, None]
+            + (right @ weights[left.shape[1]:]).T[:, None])
 
 
 def _decode(acc: Dict[KeyWord, int], codes: np.ndarray, values: np.ndarray, bits: int,
@@ -523,11 +581,11 @@ def shuffle_product(c1: TensorChain, c2: TensorChain) -> TensorChain:
     A (x) i and B (x) j is (A B) (x) sh(i, j): slot 0 is the product of the
     two slot-0 elements and the interior slots are all signed interleavings
     of i and j.  A key pads by shifting its z and d halves into the fields
-    of its block.  A shuffle of at least ARRAY_TERMS pre-merge terms runs on
-    the key arrays (`_array_shuffle`) unless they could overflow; any other
-    runs the dict loop below, which multiplies the two slot-0 elements with
-    `weyl.mul` and takes each (p, q)-interleaving of `_shuffles` as one
-    `operator.itemgetter`, built once per call.
+    of its block.  A shuffle of at least ARRAY_TERMS pre-merge terms runs
+    in the boundary's array kernel (`_array_shuffle`) unless it could
+    overflow; any other runs the dict loop below, which multiplies the two
+    slot-0 elements with `weyl.mul` and takes each (p, q)-interleaving of
+    `_shuffles` as one `operator.itemgetter`, built once per call.
     """
     n = c1.n + c2.n
     if n > MAX_VARIABLES:
@@ -536,9 +594,8 @@ def shuffle_product(c1: TensorChain, c2: TensorChain) -> TensorChain:
     d1, d2 = (1 << half1) - 1, (1 << half2) - 1
     pad1 = lambda key: (key >> half1 << half2 + half) | (key & d1) << half2
     pad2 = lambda key: (key >> half2 << half) | (key & d2)
-    terms = _shuffle_terms(c1, c2)
-    if terms >= ARRAY_TERMS:
-        out = _array_shuffle(c1, c2, pad1, pad2, terms)
+    if _shuffle_terms(c1, c2) >= ARRAY_TERMS:
+        out = _array_shuffle(c1, c2, pad1, pad2)
         if out is not None:
             return out
     left, right = _by_interior(c1, n, pad1), _by_interior(c2, n, pad2)
@@ -562,88 +619,30 @@ def shuffle_product(c1: TensorChain, c2: TensorChain) -> TensorChain:
     return _canonical(n, acc, c1.den * c2.den)
 
 
-def _array_shuffle(c1: TensorChain, c2: TensorChain, pad1, pad2,
-                   terms: int) -> Optional[TensorChain]:
+def _array_shuffle(c1: TensorChain, c2: TensorChain, pad1, pad2) -> Optional[TensorChain]:
     """The shuffle of `shuffle_product` on the key arrays of nonzero c1 and c2, keys padded
-    by `pad1` and `pad2`, or None if it could overflow; `terms` is `_shuffle_terms`.
+    by `pad1` and `pad2`, or None if it could overflow.
 
-    Each distinct key pads once, and each distinct (head1, head2) pair of
-    slot-0 ids is multiplied once with `mono_product`.  The sorted padded
-    and product keys are the id table, and an output word packs into one
-    int64 code, `bits` bits per slot, the first slot highest, so codes sort
-    as words do.  Per pair of word lengths, one matrix product per factor
-    puts each interior's ids at their slots in every interleaving, and a
-    word pair's codes add the two and its product's code.  `_decode` sums
-    equal codes; the result keeps the key arrays read off them, the ones
-    `_key_arrays` would read from its `nums`.  None if an output word needs
-    more than 63 bits or a sum could reach 2^62.
+    Each distinct key of a factor pads once.  Per pair of word lengths, one
+    group of `_array_faces` pairs the words of c1 (left rows) with those of
+    c2 (right rows), and each interleaving of `_shuffles` is one face: the
+    slot-0 product at output slot 0, then the interior slots in its order.
     """
-    n, den = c1.n + c2.n, c1.den * c2.den
     (keys1, groups1), (keys2, groups2) = c1._key_arrays, c2._key_arrays
-    padded1, padded2 = list(map(pad1, keys1)), list(map(pad2, keys2))
-    # the distinct slot-0 ids, sorted (np.unique without an inverse would import numpy.ma)
-    heads1, heads2 = (np.flatnonzero(np.bincount(np.concatenate([ids[:, 0] for ids, _ in
-                                                                 groups.values()])))
-                      for groups in (groups1, groups2))
-    products = [mono_product(padded1[a], padded2[b], n)
-                for a in heads1.tolist() for b in heads2.tolist()]
-    counts = np.fromiter(map(len, products), np.int64, len(products))
-    product_keys, mults = zip(*chain.from_iterable(products))
-    table = sorted({*padded1, *padded2, *product_keys})
-    bits = max(1, (len(table) - 1).bit_length())
-    largest = (max(map(abs, c1.nums.values())) * max(map(abs, c2.nums.values()))
-               * max(map(abs, mults)))
-    # by output length, the (length1, length2) pairs of the words that give it
-    lengths: Dict[int, List[Tuple[int, int]]] = {}
-    for l1 in groups1:
-        for l2 in groups2:
-            lengths.setdefault(l1 + l2 - 1, []).append((l1, l2))
-    if max(lengths) * bits > 63 or not _sums_fit(largest, int(counts.max()) * terms):
-        return None
-    index = dict(zip(table, range(len(table))))
-    to_table1, to_table2, product_ids = (np.array([index[key] for key in keys], dtype=np.int64)
-                                         for keys in (padded1, padded2, product_keys))
-    mults, first_term = np.array(mults, dtype=np.int64), np.cumsum(counts) - counts
-    objects = np.array(table, dtype=object)
-    acc: Dict[KeyWord, int] = {}
-    found = {}
-    for length, pairs in lengths.items():
-        codes, values = [], []
-        for l1, l2 in pairs:
-            (ids1, nums1), (ids2, nums2) = groups1[l1], groups2[l2]
-            shuffles = _shuffles(l1 - 1, l2 - 1)
-            orders = np.array([order for order, _ in shuffles], dtype=np.int64)
-            # slot place[s, e] of interleaving s takes entry e of the two interiors
-            place = np.argsort(orders.reshape(len(shuffles), -1), axis=1) + 1
-            weight = np.left_shift(1, bits * (length - 1 - place)).T
-            inner = ((to_table1[ids1[:, 1:]] @ weight[:l1 - 1])[:, None]
-                     + (to_table2[ids2[:, 1:]] @ weight[l1 - 1:])[None]).reshape(-1, len(shuffles))
-            # each word pair expands into one row per term of its heads' product
-            pair = (np.searchsorted(heads1, ids1[:, 0])[:, None] * len(heads2)
-                    + np.searchsorted(heads2, ids2[:, 0])).ravel()
-            per = counts[pair]
-            term = np.repeat(first_term[pair] - np.cumsum(per) + per, per) + np.arange(per.sum())
-            codes.append((np.repeat(inner, per, axis=0)
-                          + (product_ids[term] << bits * (length - 1))[:, None]).ravel())
-            signs = np.array([-1 if parity else 1 for _, parity in shuffles], dtype=np.int64)
-            values.append(np.outer(np.repeat(np.outer(nums1, nums2).ravel(), per) * mults[term],
-                                   signs).ravel())
-        ids, sums = _decode(acc, np.concatenate(codes), np.concatenate(values), bits, length,
-                            objects)
-        if len(sums):
-            found[length] = ids, sums
-    out = _canonical(n, acc, den)
-    # the ids rank among the keys the words keep, and the numerators lose the gcd taken
-    # (no copy of either where the words keep every key and the gcd is 1)
-    present = np.zeros(len(table), dtype=bool)
-    for ids, _ in found.values():
-        present[ids] = True
-    kept, rank, g = np.flatnonzero(present), np.cumsum(present, dtype=np.int32) - 1, den // out.den
-    out.__dict__["_key_arrays"] = (
-        [table[i] for i in kept.tolist()],
-        {length: (ids if len(kept) == len(table) else rank[ids], sums if g == 1 else sums // g)
-         for length, (ids, sums) in found.items()})
-    return out
+    rights = {l2: (ids2 + len(keys1), nums2) for l2, (ids2, nums2) in groups2.items()}
+    groups: Dict[int, List[Group]] = {}
+    for l1, left in groups1.items():
+        for l2, right in rights.items():
+            inner, parity = (np.array(x, dtype=np.int64)
+                             for x in zip(*_shuffles(l1 - 1, l2 - 1)))
+            # output slot 0 holds the product of the two slot-0 keys, and entry e of the
+            # two interiors is row slot e + 1, or e + 2 past the first interior
+            order = np.hstack((np.full((len(inner), 1), -1), inner + 1 + (inner >= l1 - 1)))
+            groups.setdefault(l1 + l2 - 1, []).append((left, right, (
+                np.array([0]), np.array([l1]), 0 * parity, order, 1 - 2 * parity)))
+    largest = max(map(abs, c1.nums.values())) * max(map(abs, c2.nums.values()))
+    return _array_faces(c1.n + c2.n, c1.den * c2.den, [*map(pad1, keys1), *map(pad2, keys2)],
+                        groups, largest)
 
 
 def omega_cycle(n: int) -> TensorChain:
@@ -748,11 +747,11 @@ def chain_to_json(c: TensorChain) -> str:
     text is the bytes of `json.dumps(..., indent=2)`, laid out here rather
     than through the pure-Python encoder that `indent` selects.  A
     coefficient part of more than MAX_COEFF_DIGITS digits raises
-    `ValueError`.
+    `ValueError`, and so does a slot text that the reader's `_slot_key` refuses.
     """
     n, nums, den = c.n, c.nums, c.den
-    texts = {key: json.encoder.encode_basestring_ascii(format_monomial(unpack(key, n)))
-             for key in {key for w in nums for key in w}}
+    plain = (format_monomial(unpack(key, n)) for key in {key for w in nums for key in w})
+    texts = {_slot_key(text, n): json.encoder.encode_basestring_ascii(text) for text in plain}
 
     def coeff(num: int) -> str:  # str(Fraction(num, den)) without building the Fraction
         g = gcd(num, den)

@@ -12,6 +12,7 @@ import math
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -380,6 +381,20 @@ def test_chain_to_json_names_the_digit_bound(coeff):
     c = TensorChain.from_terms(1, [(coeff, (z_var(1, 1),))])
     with pytest.raises(ValueError, match=f"more than {MAX_COEFF_DIGITS} digits"):
         chain_to_json(c)
+
+
+@pytest.mark.parametrize("z, d, text", [(65, 0, "z1^65"), (25, 40, "z1^25*d1^40"),
+                                        (1000, 0, "z1^1000")])
+def test_chain_to_json_refuses_a_slot_that_chain_from_json_refuses(z, d, text):
+    # a key may hold exponents up to MAX_EXPONENT, but a slot text is read back only
+    # up to degree MAX_DEGREE: the writer refuses with the reader's own message
+    assert z + d > MAX_DEGREE and format_monomial(((z,), (d,))) == text
+    c = TensorChain(1, {(0, pack(((z,), (d,)))): 3}, 1)
+    with pytest.raises(ValueError) as written:
+        chain_to_json(c)
+    with pytest.raises(ValueError) as read:
+        chain_from_json(json.dumps({"n": 1, "terms": [{"coeff": "3", "word": ["1", text]}]}))
+    assert str(written.value) == str(read.value) and f"slot '{text}'" in str(read.value)
 
 
 @pytest.mark.parametrize(
@@ -931,6 +946,17 @@ def test_the_array_shuffle_equals_the_dict_loop_on_the_omega_cycles(monkeypatch,
     _assert_key_arrays_as_read(array)
 
 
+def test_the_array_shuffle_sums_the_groups_of_one_output_length_before_decoding(monkeypatch):
+    # every padded unit is key 0, so the word pairs of lengths (2, 3) and (3, 2) each
+    # give the word 1 (x) 1 (x) 1 (x) 1, with coefficient 1
+    one = unit(1)
+    c = TensorChain.word(1, 1, [one] * 2) + TensorChain.word(1, 1, [one] * 3)
+    array, loop = _both_shuffle_paths(monkeypatch, c, c)
+    assert array == loop and "_key_arrays" in vars(array)
+    assert array.nums[0, 0, 0, 0] == 2
+    _assert_key_arrays_as_read(array)
+
+
 @st.composite
 def _shuffle_pair(draw):
     """Two chains in 1 or 2 variables each, of mixed word lengths, one of den > 1."""
@@ -970,6 +996,27 @@ def test_the_seeded_key_arrays_equal_those_read_from_the_numerators(monkeypatch)
         assert ("_key_arrays" in vars(c)) == (name != "2^70"), name
         _assert_key_arrays_as_read(c)
     assert [nums.dtype for _, nums in c._key_arrays[1].values()] == [object]
+    # the array boundary seeds its result's key arrays too
+    rng = random.Random(45)
+    omega6 = omega_cycle(3)
+    # b'(b'(w)) = 0, so b' of omega_6 + b'(w)/2, a chain over 2, is b'(omega_6) over 1
+    w = TensorChain(3, random_chain(rng, 3, 7, 4, max_deg=1).nums, 1)
+    halved = omega6 + Fraction(1, 2) * bar_bprime(w)
+    random_words = random_chain(rng, 1, 3, 2 * ARRAY_WORDS)
+    assert halved.den == 2 and len(random_words.nums) >= ARRAY_WORDS
+    boundaries = {
+        "b' omega_6": (bar_bprime, omega6),
+        "b' losing a gcd of 2": (bar_bprime, halved),
+        "b random": (hochschild_b, random_words),
+        "b' random": (bar_bprime, random_words),
+        # numerators past int64: the dict loop runs and seeds nothing
+        "b' 2^70": (bar_bprime, (1 << 70) * omega6),
+    }
+    for name, (op, c) in boundaries.items():
+        b = op(_fresh(c))
+        assert not b.is_zero() and ("_key_arrays" in vars(b)) == (name != "b' 2^70"), name
+        _assert_key_arrays_as_read(b)
+    assert bar_bprime(halved) == bar_bprime(omega6)
 
 
 def test_shuffles_whose_codes_or_sums_could_overflow_take_the_dict_loop(monkeypatch):
@@ -1066,6 +1113,29 @@ def test_chain_from_json_pauses_the_collector_and_restores_its_state(monkeypatch
         assert not gc.isenabled()
     finally:
         (gc.enable if was else gc.disable)()
+
+
+def _traced_peak_mb(call):
+    """The tracemalloc peak of call(), in MB above the traced level it starts at."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return (tracemalloc.get_traced_memory()[1] - start) / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.large
+def test_the_degree_eight_array_kernels_stay_within_their_traced_peaks():
+    # measured with numpy 2.4.6 on the two separate kernels that the one kernel
+    # replaced: the boundary peaked at 58.9 MB and the shuffle at 32.2 MB (57.9 and
+    # 29.6 MB on the one kernel); each bound is about 1.1 times the first pair
+    omega8, omega6, omega2 = omega_cycle(4), _fresh(omega_cycle(3)), _fresh(omega_cycle(1))
+    for c in (omega8, omega6, omega2):
+        c._key_arrays
+    assert _traced_peak_mb(lambda: hochschild_b(omega8)) < 65.0
+    assert _traced_peak_mb(lambda: shuffle_product(omega6, omega2)) < 35.5
 
 
 @pytest.mark.large
