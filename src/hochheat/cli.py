@@ -72,30 +72,31 @@ def _selection(args: argparse.Namespace) -> Tuple[List[str], SuiteConfig]:
     return args.families, SuiteConfig(**settings)
 
 
-def _unwritable(path: str, exc: OSError) -> int:
-    print(f"error: cannot write the report to {path!r}: {exc.strerror}", file=sys.stderr)
-    return 2
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    path = getattr(args, "report", None)
-    try:  # before the run, so that an unwritable path costs no run
-        sink = open(path, "w", encoding="utf-8") if path is not None else contextlib.nullcontext()
-    except OSError as exc:
-        return _unwritable(path, exc)
-    with sink as fh:
-        try:
-            report = run_suite(*_selection(args))
-        except (ValueError, IllConditionedGramError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if fh:  # before stdout, so that a reader who leaves early costs no report
-            try:
+    path, sink, new = getattr(args, "report", None), contextlib.nullcontext(), None
+    try:  # the config, the report file, then the run: a refused flag costs no file, and an
+        families, cfg = _selection(args)  # unwritable path no run
+        if path is not None:  # a new file beside PATH replaces it after the run, unless PATH
+            real = os.path.realpath(path)  # is there but no regular file, such as /dev/full
+            if os.path.isfile(real) or not os.path.exists(real):
+                new = open(f"{real}.{os.getpid()}.tmp", "x", encoding="utf-8")
+            sink = new or open(path, "w", encoding="utf-8")
+        with sink as fh:
+            report = run_suite(families, cfg)
+            if fh:  # before stdout, so that a reader who leaves early costs no report
                 fh.write(report.to_json() + "\n")
-                fh.close()  # here, so that a write that fails on the last flush is caught too
-            except OSError as exc:
-                return _unwritable(path, exc)
+        if new:
+            os.replace(new.name, real)
+    except (ValueError, IllConditionedGramError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # the report file's: the suite's own cache errors cost only the cache
+        print(f"error: cannot write the report to {path!r}: {exc.strerror}", file=sys.stderr)
+        return 2
+    finally:  # so that a run that ends early leaves PATH as it was
+        if new and os.path.exists(new.name):
+            os.remove(new.name)
     try:
         print(report.to_json() if args.format == "json" else report.to_text(), flush=True)
     except BrokenPipeError:  # stdout's reader left: send the rest nowhere, so exit flushes quietly

@@ -134,12 +134,12 @@ import numpy as np
 from .weyl import WeylElement, format_element, unpack
 
 #: largest truncation `build_model` accepts, checked before any work; a cost
-#: bound on one 2-CPU host: N = 40 takes 0.16-0.24 s for k = 0 and
-#: 0.54-0.73 s for k = 38, the largest k it admits (as a whole command at k = 38,
-#: `spectrum` 0.59-1.02 s and `harmonic` 1.12-1.73 s over 14 cold runs on a 2-CPU
-#: Intel Xeon host, Python 3.11.7, numpy 2.4.6), and one z d/dz
-#: `limit_supertrace` 0.34-0.45 s for k = 0 and 1.05-1.25 s for k = 38, most of
-#: it exact O(s^3) products past the machine words
+#: bound on one 2-CPU Intel Xeon host (Python 3.11.7, numpy 2.4.6): N = 40 takes
+#: 0.12-0.13 s for k = 0 and 0.37-0.47 s for k = 38, the largest k it admits (as a
+#: whole command at k = 38, `spectrum` 0.55-0.90 s and `harmonic` 1.01-2.15 s, medians
+#: 0.61 and 1.23 s, over 25 and 33 cold runs), and one z d/dz `limit_supertrace`
+#: 0.32-0.35 s for k = 0 and 0.89-1.01 s for k = 38, most of it exact O(s^3)
+#: products past the machine words
 MAX_TRUNC = 40
 
 IntMat = List[List[int]]

@@ -2,10 +2,10 @@
 
 Each family is a small battery of independent checks over one component:
 exact cycle identities, shuffle multiplicativity, symbol normalization,
-complex identities on random chains, the spectral model and its heat
-traces, curvature integrals, and circle localization.  `run_suite` runs a
-selection of families against a single configuration and collects the
-outcomes into a `VerificationReport`.
+complex identities on random chains, the spectral model and its supertrace
+rows (`_supertrace`), curvature integrals, and circle localization.
+`run_suite` runs a selection of families against a single configuration
+and collects the outcomes into a `VerificationReport`.
 
 One run does each shared piece of work once.  `run_suite` hands every
 family a memo that lives for that call only: it holds the cycles
@@ -182,8 +182,23 @@ class _Memo:
             self._model = ((k, trunc), build_model(k, trunc))
         return self._model[1]
 
-    def harmonic(self, k: int, op: WeylElement) -> float:  # no caller keeps the model alive
-        return harmonic_supertrace(self.model(k, max(k + 2, 8)), op)  # `harmonic`'s truncation
+
+def _supertrace(memo: _Memo, k: int, trunc: Optional[int], op: WeylElement,
+                times: Optional[np.ndarray], target: int) -> Tuple[float, int]:
+    """A supertrace row's value and goal: str(D) on the harmonic spaces and the target at
+    t = infinity (times None), max |str(D e^(-t Delta)) - target| and 0 on a time grid, on
+    the model (k, trunc), or (k, max(k + 2, 8)) for trunc None, which only the memo keeps."""
+    model = memo.model(k, trunc or max(k + 2, 8))
+    if times is None:
+        return harmonic_supertrace(model, op), target
+    return np.max([abs(s - target) for s in limit_supertrace(model, op, times)[0]]), 0
+
+
+def _family_supertraces(memo: _Memo, rows: List[tuple]) -> List[CheckResult]:
+    rec = _Recorder()
+    for check_id, claim, *row, tol, note in rows:
+        rec.check(check_id, claim, *_supertrace(memo, *row), tol, note=note)
+    return rec.results
 
 
 # ---------------------------------------------------------------------------
@@ -308,30 +323,6 @@ def _family_spectrum(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
     return rec.results
 
 
-def _family_mckean_singer(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
-    rec = _Recorder()
-    grid = np.linspace(cfg.t_min, cfg.t_max, cfg.points)
-    series, _ = limit_supertrace(memo.model(cfg.k, cfg.trunc), unit(1), grid)
-    dev = np.max([abs(s - (cfg.k + 1)) for s in series])
-    rec.check(f"mckean-singer.flat.k{cfg.k}",
-              f"the heat supertrace for k={cfg.k} is constant at k+1 across the time grid",
-              dev, 0, 1e-10, note=f" (max |supertrace - (k+1)| over {len(grid)} times)")
-    return rec.results
-
-
-def _family_harmonic(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
-    rec = _Recorder()
-    euler = mul(z_var(1, 1), d_var(1, 1))
-    for k in cfg.harmonic_ks:
-        rec.check(f"harmonic.identity.k{k}",
-                  f"the harmonic supertrace of the identity counts the k={k} sections",
-                  memo.harmonic(k, unit(1)), k + 1, 1e-8)
-        rec.check(f"harmonic.euler.k{k}",
-                  f"the harmonic supertrace of z d/dz for k={k} is k(k+1)/2",
-                  memo.harmonic(k, euler), k * (k + 1) // 2, 1e-6)
-    return rec.results
-
-
 def _family_chern(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
     rec = _Recorder()
     res = integrate_chart(chern_density(1))
@@ -340,9 +331,10 @@ def _family_chern(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
     rec.check("chern.degree.o1",
               "the curvature integral of O(1), also the Todd integral of the sphere, is 1",
               todd, 1, 1e-8, note=f" (error estimate {res.error_estimate:.1e}{why})")
+    spectral, _ = _supertrace(memo, 0, None, unit(1), None, 1)  # `harmonic`'s identity row, k = 0
     rec.check("chern.todd-vs-harmonic",
               "the quadrature Todd integral matches the spectral section count for k=0",
-              todd, memo.harmonic(0, unit(1)), 1e-6, unit=" sections", note=" by quadrature")
+              todd, spectral, 1e-6, unit=" sections", note=" by quadrature")
     return rec.results
 
 
@@ -371,16 +363,26 @@ def _family_localization(cfg: SuiteConfig, memo: _Memo) -> List[CheckResult]:
     return rec.results
 
 
-#: each family takes the run's config and its memo
+#: each family takes the run's config and its memo; `mckean-singer` and `harmonic` list their
+#: supertrace rows (id, claim, k, trunc, operator D, heat times, target, tolerance, note)
 FAMILIES: Dict[str, Callable[[SuiteConfig, _Memo], List[CheckResult]]] = {
     "cycles": _family_cycles,
     "shuffle": _family_shuffle,
     "symbol": _family_symbol,
     "tsygan": _family_tsygan,
     "spectrum": _family_spectrum,
-    "mckean-singer": _family_mckean_singer,
+    "mckean-singer": lambda cfg, memo: _family_supertraces(memo, [(
+        f"mckean-singer.flat.k{cfg.k}",
+        f"the heat supertrace for k={cfg.k} is constant at k+1 across the time grid",
+        cfg.k, cfg.trunc, unit(1), np.linspace(cfg.t_min, cfg.t_max, cfg.points), cfg.k + 1,
+        1e-10, f" (max |supertrace - (k+1)| over {cfg.points} times)")]),
     "chern": _family_chern,  # before `harmonic`, whose first model, (0, 8), it reads
-    "harmonic": _family_harmonic,
+    "harmonic": lambda cfg, memo: _family_supertraces(memo, [
+        row for k in cfg.harmonic_ks for row in (
+            (f"harmonic.identity.k{k}", f"the harmonic supertrace of the identity counts the "
+             f"k={k} sections", k, None, unit(1), None, k + 1, 1e-8, ""),
+            (f"harmonic.euler.k{k}", f"the harmonic supertrace of z d/dz for k={k} is k(k+1)/2",
+             k, None, mul(z_var(1, 1), d_var(1, 1)), None, k * (k + 1) // 2, 1e-6, ""))]),
     "localization": _family_localization,
 }
 

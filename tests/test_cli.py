@@ -269,6 +269,39 @@ def test_cli_unwritable_report_path_exits_2_before_the_run(tmp_path, capsys, mon
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _ill_conditioned(k, trunc):
+    raise spectral.IllConditionedGramError(f"no certificate for ({k}, {trunc})")
+
+
+@pytest.mark.parametrize("refusal", ["flag", "build"])
+def test_a_refused_run_leaves_an_existing_report_as_it_was(refusal, tmp_path, capsys,
+                                                           monkeypatch):
+    # `all --seed -7 --report out.json` once refused the seed after it had emptied out.json
+    monkeypatch.setenv("HOCHHEAT_CACHE_DIR", str(tmp_path / "cache"))
+    report = tmp_path / "out.json"
+    report.write_text('{"checks": []}\n')
+    argv = ["all", "--report", str(report)]
+    if refusal == "flag":
+        argv += ["--seed", "-7"]
+    else:
+        monkeypatch.setattr(suite, "build_model", _ill_conditioned)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+    assert report.read_text() == '{"checks": []}\n'
+    assert os.listdir(tmp_path) == ["out.json"]  # and no file beside it
+
+
+def test_a_report_replaces_the_earlier_one_whole(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("HOCHHEAT_CACHE_DIR", str(tmp_path / "cache"))
+    report = tmp_path / "out.json"
+    report.write_text("x" * 100000)  # longer than the new report, so none of it may remain
+    assert main(["all", "--report", str(report)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(report_from_json(report.read_text()).checks) == 37
+    assert sorted(os.listdir(tmp_path)) == ["cache", "out.json"]
+
+
 def test_cli_empty_report_path_exits_2_before_the_run(capsys, monkeypatch):
     # an empty path once ran the suite, wrote no report and exited 0
     def no_run(*args):
@@ -610,30 +643,34 @@ def test_each_check_shape_can_fail(monkeypatch, capsys, owner, name, mutant, arg
     assert verdicts[check_id] == "fail"
 
 
-#: every check of `hochheat all --seed 0`: id -> (verdict, computed), the computed
-#: text pinned for the checks of tolerance `exact` whose text holds no float
+#: every check of `hochheat all --seed 0`: id -> (verdict, computed, target, tolerance),
+#: the computed text pinned for the checks of tolerance `exact` whose text holds no float;
+#: every target and tolerance is pinned
 ALL_SEED_0 = {
-    "chern.degree.o1": ("pass", None),
-    "chern.todd-vs-harmonic": ("pass", None),
-    **{f"cycles.boundary.omega{2 * n}": ("pass", "0 residual terms") for n in (1, 2, 3)},
-    **{f"cycles.normalized.omega{2 * n}": ("pass", "equal") for n in (1, 2, 3)},
-    **{f"harmonic.{name}.k{k}": ("pass", None) for name in ("euler", "identity")
-       for k in range(5)},
-    "localization.long-time.gap": ("pass", None),  # exact, but its text is a float
-    "localization.poisson": ("pass", None),
-    "localization.short-time.bound": ("pass", None),
-    "localization.short-time.smallt": ("pass", None),
-    "mckean-singer.flat.k1": ("pass", None),
-    "shuffle.leibniz": ("pass", "0 failures in 20 samples"),
-    "shuffle.multiplicative.2x2": ("pass", "equal"),
-    "shuffle.multiplicative.2x4": ("pass", "equal"),
-    "spectrum.kernel.forms": ("pass", "0"),
-    "spectrum.kernel.sections": ("pass", "2"),
-    "spectrum.susy.pairing": ("pass", None),
-    **{f"symbol.volume.n{n}": ("pass", "volume form, coefficient 1") for n in (1, 2, 3)},
-    **{f"tsygan.{name}": ("pass", "0 failures in 40 samples")
+    "chern.degree.o1": ("pass", None, "1", "1e-08"),
+    "chern.todd-vs-harmonic": ("pass", None, "0.9999999999999998 sections", "1e-06"),
+    **{f"cycles.boundary.omega{2 * n}": ("pass", "0 residual terms", "0 residual terms", "exact")
+       for n in (1, 2, 3)},
+    **{f"cycles.normalized.omega{2 * n}": ("pass", "equal", "equal", "exact") for n in (1, 2, 3)},
+    **{f"harmonic.euler.k{k}": ("pass", None, str(k * (k + 1) // 2), "1e-06") for k in range(5)},
+    **{f"harmonic.identity.k{k}": ("pass", None, str(k + 1), "1e-08") for k in range(5)},
+    # exact, but its text is a float
+    "localization.long-time.gap": ("pass", None, "<= 0", "exact"),
+    "localization.poisson": ("pass", None, "0", "1e-12"),
+    "localization.short-time.bound": ("pass", None, "<= 0", "1e-14"),
+    "localization.short-time.smallt": ("pass", None, "<= 0", "1e-10"),
+    "mckean-singer.flat.k1": ("pass", None, "0", "1e-10"),
+    "shuffle.leibniz": ("pass", "0 failures in 20 samples", "0 failures", "exact"),
+    "shuffle.multiplicative.2x2": ("pass", "equal", "equal", "exact"),
+    "shuffle.multiplicative.2x4": ("pass", "equal", "equal", "exact"),
+    "spectrum.kernel.forms": ("pass", "0", "0", "exact"),
+    "spectrum.kernel.sections": ("pass", "2", "2", "exact"),
+    "spectrum.susy.pairing": ("pass", None, "0", "1e-06"),
+    **{f"symbol.volume.n{n}": ("pass", "volume form, coefficient 1",
+                               "volume form, coefficient 1", "exact") for n in (1, 2, 3)},
+    **{f"tsygan.{name}": ("pass", "0 failures in 40 samples", "0 failures", "exact")
        for name in ("b.squared", "bprime.squared", "intertwine", "norm")},
-    "tsygan.differential.squared": ("pass", "0 failures in 20 samples"),
+    "tsygan.differential.squared": ("pass", "0 failures in 20 samples", "0 failures", "exact"),
 }
 
 
@@ -641,10 +678,11 @@ def test_all_seed_0_gives_the_pinned_report(tmp_path, monkeypatch):
     monkeypatch.setenv("HOCHHEAT_CACHE_DIR", str(tmp_path))  # a cold cache: no "(cached)" note
     checks = run_suite(None, SuiteConfig(seed=0)).checks
     assert len(ALL_SEED_0) == 37
-    assert {c.id: c.verdict for c in checks} == {i: v for i, (v, _) in ALL_SEED_0.items()}
+    assert {c.id: (c.verdict, c.target, c.tolerance) for c in checks} == {
+        i: (v, target, tol) for i, (v, _, target, tol) in ALL_SEED_0.items()}
     assert {c.id: c.computed for c in checks
             if c.tolerance == "exact" and c.id != "localization.long-time.gap"} == {
-        i: text for i, (_, text) in ALL_SEED_0.items() if text is not None}
+        i: text for i, (_, text, *_) in ALL_SEED_0.items() if text is not None}
 
 
 #: a number that starts a printed value: an int as `str`, a float as `repr` writes it
@@ -819,6 +857,23 @@ def test_one_cold_run_builds_each_model_once(tmp_path, monkeypatch):
     calls.clear()
     assert run_suite(["mckean-singer"]).all_passed()
     assert calls == [(1, 10)]
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (["mckean-singer", "--k", "2", "--trunc", "7"], [(2, 7)]),
+    (["harmonic", "--k", "7"], [(7, 9)]),
+    (["chern-integrals"], [(0, 8)]),
+], ids=["mckean-singer", "harmonic", "chern-integrals"])
+def test_each_subcommand_builds_the_models_its_rows_name_once(argv, builds, monkeypatch):
+    calls, real = [], suite.build_model
+
+    def counting(k, trunc):
+        calls.append((k, trunc))
+        return real(k, trunc)
+
+    monkeypatch.setattr(suite, "build_model", counting)
+    assert main(argv) == 0
+    assert calls == builds
 
 
 def test_the_model_memo_keeps_one_model(monkeypatch):
