@@ -97,21 +97,27 @@ sigma + 2 tau decides every escape, the first escaping pair by arithmetic
 (`_check_integrable`), and raises what the term-by-term reference of the
 test oracles (`tests/oracles.py`) raises on the same pair: the kappa are
 the exact sums of the image's monomials, so a cancelled top term is left out.
-A query builds its blocks in one array pass per (model, degree, operator):
-their escapes are tested at once, the first in its order raising before any
-is built; their int64 pairings are one padded Hankel sum
-(`_operator_pairings`); and X = W P W^T is exact for all of them
-(`_round_congruences`), the int64 blocks one stack that a float error bound
-proves exact (the float product itself below 2^52, else the uint64 one),
-the others in Python integers.  Every z d/dz block takes machine words for
-N <= 15 and k <= 8, and 75 of 98 do at (k, N) = (0, 24).  Each entry is
-rounded once (`_signed_root`): in float64 for the blocks whose radicands
-X_ij^2 num^2 / (p_i den^2 p_j) have every part below 2^53 (115 of the 200
-z d/dz blocks of the four sweep models), else in Python integers, with the
-same floats either way.
+A query builds its blocks as one padded stack per (model, degree, operator),
+with no loop over blocks on the int64 path.  The model pads a degree's rows,
+norms and Gram scales once, at the first query of that degree
+(`SpectralModel.stack`).
+The escapes are tested at once, the first in its order raising before any
+block is built; the int64 pairings are one padded Hankel sum, their scales
+integer parts (`_operator_pairings`); and X = W P W^T is exact for all of
+them (`_round_congruences`), the int64 blocks one stack that a float error
+bound proves exact (the float product itself below 2^52, else the uint64
+one), the others in Python integers.  Every z d/dz block takes machine words
+for N <= 15 and k <= 8, and 75 of 98 do at (k, N) = (0, 24).  Each entry is
+rounded once: in float64 where its radicand X_ij^2 num^2 / (p_i den^2 p_j)
+has both parts below 2^53 (6,791 of the 12,450 z d/dz entries of the four
+sweep models), else in Python integers (`_signed_root`), one flat array of
+those entries alone, with the same floats either way.
 `limit_supertrace` and `harmonic_supertrace` read the same signed diagonals
 <op e, e>, the latter at the kernel vectors only, so it builds only the
 blocks that hold one; every supertrace of the report goes through them.
+Each diagonal takes one BLAS product of its own block: a product padded past
+the block's size may round otherwise (OpenBLAS 0.3.31 does, for sizes 17 to
+20 padded to 21).
 `heat_supertrace` reads the sorted spectra; only the benchmark calls it.
 """
 
@@ -127,7 +133,7 @@ from functools import cached_property
 from itertools import chain
 from math import comb, factorial
 from numbers import Real
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -136,10 +142,11 @@ from .weyl import WeylElement, format_element, unpack
 #: largest truncation `build_model` accepts, checked before any work; a cost
 #: bound on one 2-CPU Intel Xeon host (Python 3.11.7, numpy 2.4.6): N = 40 takes
 #: 0.12-0.13 s for k = 0 and 0.37-0.47 s for k = 38, the largest k it admits (as a
-#: whole command at k = 38, `spectrum` 0.55-0.90 s and `harmonic` 1.01-2.15 s, medians
-#: 0.61 and 1.23 s, over 25 and 33 cold runs), and one z d/dz `limit_supertrace`
-#: 0.32-0.35 s for k = 0 and 0.89-1.01 s for k = 38, most of it exact O(s^3)
-#: products past the machine words
+#: whole command at k = 38, `spectrum` 0.55-0.90 s and `harmonic` 1.14-1.59 s, medians
+#: 0.61 and 1.30 s, over 25 and 8 cold runs), and one z d/dz `limit_supertrace` on a
+#: model not yet queried 0.31-0.47 s (median 0.32 s) for k = 0 and 0.84-0.88 s (median
+#: 0.87 s) for k = 38, CPU time over 9 runs, most of it exact O(s^3) products past the
+#: machine words
 MAX_TRUNC = 40
 
 IntMat = List[List[int]]
@@ -148,8 +155,9 @@ IntMat = List[List[int]]
 _EXACT = 2 ** 52
 #: int64 magnitudes stay below this
 _WORD = 2 ** 63
-#: entries in one Python-integer rounding pass: few enough that its temporaries stay in cache
-_RUN = 4096
+#: entries in one pass of the Python-integer rounding: few enough that its temporaries stay in
+#: cache; one pass over all 109,797 such entries of a (38, 40) z d/dz query took 15-25% longer
+_PASS = 4096
 
 
 class OperatorEscapeError(ValueError):
@@ -229,64 +237,73 @@ def _machine_congruences(w: np.ndarray, a: np.ndarray,
     return x, proved
 
 
-def _round_congruences(w: Sequence[np.ndarray], mats: Sequence[np.ndarray],
-                       norms: Sequence[Sequence[int]],
-                       scales: Sequence[Fraction]) -> List[np.ndarray]:
-    """float(scale_b S L^-1 A_b L^-T S), S = D^(-1/2), for every block b of a batch at once.
+def _round_congruences(w: np.ndarray, a: np.ndarray, sizes: np.ndarray, norms: np.ndarray,
+                       num: np.ndarray, den: np.ndarray,
+                       alone: Dict[int, Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """float(scale_b S L^-1 A_b L^-T S), S = D^(-1/2), for a padded stack of blocks at once.
 
-    W_b holds lower triangular rows, W G W^T = diag(norms[b]), and A_b is an
-    integer matrix, each int64 or Python integers.  X = W A W^T is exact: one
-    stack of the int64 blocks where `_machine_congruences` proves it, Python
+    Block b has sizes[b] lower triangular rows W_b, W G W^T = diag(norms[b]),
+    and an integer matrix A_b; w and a are int64 stacks (blocks, s, s), zero
+    past each block, and norms (blocks, s) is 1 past each block.  A block in
+    `alone` takes its (W_b, A_b) from there, either one in Python integers,
+    and its rows of w and a are not read.  X = W A W^T is exact: one stack
+    of the int64 blocks where `_machine_congruences` proves it, Python
     integers over W's lower triangle for the others.  Each radicand
-    X_ij^2 num^2 / (p_i den^2 p_j), scale_b = num / den, p = norms[b], is one
-    correctly rounded quotient (`_signed_root`): one float64 pass for the
-    blocks whose every such numerator and denominator is below 2^53, so an
-    exact float, and Python integers for the others, in runs of about `_RUN`
-    entries.  So each block gets the bits it gets alone.
+    X_ij^2 num_b^2 / (p_i den_b^2 p_j), scale_b = num[b] / den[b],
+    p = norms[b], is one correctly rounded quotient: in float64 where that
+    entry's numerator and denominator are both below 2^53, so exact floats,
+    and in Python integers (`_signed_root`) for the other entries only, one
+    flat array taken `_PASS` entries at a time.  So each block gets the bits
+    it gets alone.  Returns the stack of rounded blocks, zero past each block.
     """
-    sizes = [len(wb) for wb in w]
-    x: List[np.ndarray] = [None] * len(w)
-    fits: List[int] = []  # the blocks whose radicands are exact floats
-    words = [b for b in range(len(w)) if w[b].dtype == mats[b].dtype == np.int64]
-    if words:
-        s = max(sizes[b] for b in words)
-        stack = np.zeros((2, len(words), s, s), dtype=np.int64)
-        for row, b in enumerate(words):
-            stack[0, row, :sizes[b], :sizes[b]], stack[1, row, :sizes[b], :sizes[b]] = w[b], mats[b]
-        xw, proved = _machine_congruences(*stack, np.array([sizes[b] for b in words]))
-        top = np.abs(xw).max(axis=(1, 2)).tolist()
-        for row, b in enumerate(words):
-            if proved[row]:
-                x[b] = xw[row, :sizes[b], :sizes[b]]
-                if (top[row] ** 2 * scales[b].numerator ** 2 < 2 ** 53
-                        and max(norms[b]) ** 2 * scales[b].denominator ** 2 < 2 ** 53):
-                    fits.append(b)
-    for b in range(len(w)):
-        if x[b] is None:  # V = W A, then X = V W^T, each over W's lower triangle
-            s = sizes[b]
-            wb, ab = w[b].astype(object), mats[b].astype(object)
-            v, x[b] = np.empty((s, s), dtype=object), np.empty((s, s), dtype=object)
-            for i in range(s):
-                v[i] = wb[i, :i + 1].dot(ab[:i + 1])
-            for j in range(s):
-                x[b][:, j] = v[:, :j + 1].dot(wb[j, :j + 1])
-    runs = [fits, []]  # the float64 pass, then the others in runs of about _RUN entries
-    for b in (b for b in range(len(w)) if b not in fits):
-        if sum(sizes[r] ** 2 for r in runs[-1]) >= _RUN:
-            runs.append([])
-        runs[-1].append(b)
-    out: List[np.ndarray] = [None] * len(w)
-    for dtype, run in zip([float] + [object] * len(runs), runs):
-        if run:  # each block padded with x = 0 and p = 1
-            s = max(sizes[b] for b in run)
-            xs, p = np.zeros((len(run), s, s), dtype=dtype), np.ones((len(run), s), dtype=dtype)
-            for row, b in enumerate(run):
-                xs[row, :sizes[b], :sizes[b]], p[row, :sizes[b]] = x[b], norms[b]
-            num, den = np.array([(scales[b].numerator ** 2, scales[b].denominator ** 2)
-                                 for b in run], dtype=dtype).T[:, :, None]
-            root = _signed_root(xs, num[:, :, None], (p * den)[:, :, None], p[:, None, :])
-            for row, b in enumerate(run):
-                out[b] = root[row, :sizes[b], :sizes[b]].copy()
+    n, s = a.shape[:2]
+    words = np.ones(n, dtype=bool)
+    words[list(alone)] = False
+    slow = dict(alone)  # the blocks whose X is formed in Python integers
+    if words.all():
+        x, proved = _machine_congruences(w, a, sizes)
+    else:  # the int64 blocks, padded only to the largest of them
+        x, proved = np.zeros((n, s, s), dtype=np.int64), np.zeros(0, dtype=bool)
+        if words.any():
+            t = sizes[words].max()
+            x[words, :t, :t], proved = _machine_congruences(w[words, :t, :t], a[words, :t, :t],
+                                                            sizes[words])
+    for b in np.flatnonzero(words)[~proved].tolist():
+        slow[b] = w[b, :sizes[b], :sizes[b]], a[b, :sizes[b], :sizes[b]]
+    xf = x.astype(float)  # exact below 2^53, and at least 2^53 in magnitude above it
+    exact = {}  # X of the blocks formed in Python integers
+    for b, (wb, ab) in slow.items():  # V = W A, then X = V W^T, each over W's lower triangle
+        t = sizes[b]
+        wb, ab = wb.astype(object), ab.astype(object)
+        v, exact[b] = np.empty((t, t), dtype=object), np.empty((t, t), dtype=object)
+        for i in range(t):
+            v[i] = wb[i, :i + 1].dot(ab[:i + 1])
+        for j in range(t):
+            exact[b][:, j] = v[:, :j + 1].dot(wb[j, :j + 1])
+        xf[b, :t, :t] = np.clip(exact[b], -2 ** 53, 2 ** 53).astype(float)
+    num2, den2 = num * num, den * den
+    # float64 radicand parts, each exact below 2^53 and at least 2^53 where its integer is
+    pf = np.minimum(norms, 2 ** 53).astype(float)
+    top = np.minimum(np.array([num2, den2]), 2 ** 53).astype(float)
+    upper = xf * xf * top[0][:, None, None]
+    lower = (pf * top[1][:, None])[:, :, None] * pf[:, None, :]
+    root = np.sqrt(upper / lower)
+    out = np.copysign(root, xf)
+    inside = np.arange(s) < sizes[:, None]
+    past = np.maximum(upper, lower) >= 2.0 ** 53  # a part at or past 2^53
+    past &= inside[:, :, None]
+    past &= inside[:, None, :]
+    b, i, j = np.nonzero(past)
+    if not len(b):
+        return out
+    xs = x[b, i, j].astype(object)
+    for c, xc in exact.items():  # b is sorted, so block c's entries are one run of it
+        lo, hi = np.searchsorted(b, (c, c + 1))
+        xs[lo:hi] = xc[past[c, :sizes[c], :sizes[c]]]
+    left = norms.astype(object) * den2[:, None]  # p_i den^2
+    for cut in (slice(lo, lo + _PASS) for lo in range(0, len(b), _PASS)):
+        bc, ic, jc = b[cut], i[cut], j[cut]
+        out[bc, ic, jc] = _signed_root(xs[cut], num2[bc], left[bc, ic], norms[bc, jc].astype(object))
     return out
 
 
@@ -446,6 +463,40 @@ class _Block:
     vecs: np.ndarray      # orthonormal eigenvectors (columns), reduced coords
 
 
+class _Stack(NamedTuple):
+    """One degree's blocks as every operator query reads them: its rows and norms padded to
+    its largest size s, and per-block tables."""
+    charge: np.ndarray    # (blocks,)
+    sizes: np.ndarray     # (blocks,)
+    key: np.ndarray       # (blocks,) each block's row of `keys`
+    keys: np.ndarray      # (keys, 2) the distinct (alpha, size) of the blocks
+    w: np.ndarray         # (blocks, s, s) int64 rows, 0 past each block and where they pass int64
+    words: np.ndarray     # (blocks,) whether a block's rows are int64
+    norms: np.ndarray     # (blocks, s), 1 past each block: int64 below 2^63, else Python integers
+    scale: np.ndarray     # (2, blocks) Python integers: each Gram scale's numerator and denominator
+
+
+def _stack(blocks: Sequence[_Block]) -> _Stack:
+    """The blocks of one degree as one `_Stack`."""
+    n, s = len(blocks), max(len(b.w) for b in blocks)
+    w, norms = np.zeros((n, s, s), dtype=np.int64), np.ones((n, s), dtype=object)
+    index: Dict[Tuple[int, int], int] = {}  # (alpha, size) -> its row of keys
+    rows = []
+    for i, b in enumerate(blocks):
+        t, word = len(b.w), b.w.dtype == np.int64
+        if word:
+            w[i, :t, :t] = b.w
+        norms[i, :t] = b.norms
+        rows.append((b.charge, t, index.setdefault((abs(b.charge), t), len(index)), word))
+    charge, sizes, key, words = (np.array(c) for c in zip(*rows))
+    scale = np.array([(b.scale.numerator, b.scale.denominator) for b in blocks], dtype=object).T
+    try:
+        norms = norms.astype(np.int64)
+    except OverflowError:  # a norm past int64 keeps them all Python integers
+        pass
+    return _Stack(charge, sizes, key, np.array(list(index)), w, words, norms, scale)
+
+
 @dataclass(frozen=True)
 class SpectralModel:
     k: int
@@ -467,6 +518,15 @@ class SpectralModel:
         grams = (_gram(len(b.w), b.charge, fact) for b in self.blocks if b.charge >= 0)
         return {"max_gram_condition": max(float(np.linalg.cond([[v / fact[-1] for v in row]
                                                                  for row in g])) for g in grams)}
+
+    def stack(self, degree: int) -> _Stack:
+        """One degree's blocks as one padded `_Stack`, built by the first operator query that
+        reads the degree and kept for every later one, like `basis_meta`; its arrays are
+        copies, the model's own."""
+        stacks = self.__dict__.setdefault("_stacks", {})
+        if degree not in stacks:
+            stacks[degree] = _stack((self.blocks, self.forms)[degree])
+        return stacks[degree]
 
 
 def _layout(k: int, n: int, degree: int) -> np.ndarray:
@@ -636,9 +696,9 @@ def _check_integrable(tops: Sequence[float], s: int, alpha: int, m: int) -> None
             f"truncation (radial degree {int(tops[j] + 2 * (i + j + alpha))}, weight {m})")
 
 
-def _operator_pairings(model: SpectralModel, op: WeylElement, degree: int,
-                       which: Iterable[int]) -> Iterator[Tuple[np.ndarray, Fraction]]:
-    """Each listed block's exact pairing <op f_j, f_i> as a reduced integer matrix and a scale.
+def _operator_pairings(model: SpectralModel, op: WeylElement, degree: int, which: Sequence[int]
+                       ) -> Tuple[np.ndarray, Dict[int, np.ndarray], np.ndarray, np.ndarray]:
+    """The listed blocks' exact pairings <op f_j, f_i> as integer matrices and scales.
 
     f runs over the basis of one degree's block: z^a zbar^b (1+|z|^2)^(-power)
     with (power, weight) (N, k+2) for the sections chi (degree 0) and
@@ -656,7 +716,13 @@ def _operator_pairings(model: SpectralModel, op: WeylElement, degree: int,
     window divided by its gcd once per (alpha, size).  The blocks where the
     window and max(window) sum_tau max_j |kappa[0, tau][j]|, a bound on |P|,
     are below `_EXACT` are one padded int64 Hankel sum; each other one is
-    summed alone in Python integers.
+    summed alone in Python integers.  No P is divided by the gcd of its
+    entries: a factor moved between P and its scale changes no radicand of
+    `_round_congruences`, only which lane rounds it.  Returns the int64 stack
+    (blocks, s, s) of the degree's `_Stack` width, zero past each block and
+    at the Python-integer blocks, those by row, and each pairing's scale over
+    its block's Gram scale as a numerator and a denominator in lowest terms,
+    Python integers.
     """
     n, k = model.trunc, model.k
     power, extra = (n, k + 2) if degree == 0 else (n + 1, k)
@@ -667,64 +733,73 @@ def _operator_pairings(model: SpectralModel, op: WeylElement, degree: int,
     for key, r, c in _image_coefficients(op, power, dmax):
         vals = kappa_of.setdefault(key, [0] * (n + k + 2))  # every a of either degree
         kappa_of[key] = [v + c * math.perm(a, r) for a, v in enumerate(vals)]
-    blocks = [(model.blocks, model.forms)[degree][bi] for bi in which]
-    keys = [(abs(b.charge), len(b.w)) for b in blocks]  # (alpha, s)
-    size = np.array([s for _, s in keys], dtype=int)
-    j = np.arange(max(size, default=0))
+    stack = model.stack(degree)
+    charge, size, key = stack.charge[which], stack.sizes[which], stack.key[which]
+    alpha, width = np.abs(charge), stack.w.shape[-1]
+    j = np.arange(width)
     inside = j < size[:, None]  # (block, j)
-    a0 = np.array([max(b.charge, 0) for b in blocks], dtype=int)  # a_j = a0 + j
-    at = np.where(inside, a0[:, None] + j, n + k + 2)  # a_j, or a column of zeros
+    at = np.where(inside, np.maximum(charge, 0)[:, None] + j, n + k + 2)  # a_j, or a column of 0
     charged = [(sigma + 2 * tau, vals + [0]) for (sigma, tau), vals in kappa_of.items() if sigma]
     if charged:  # tops[a_j] as above, -inf past the block; its last row i = s - 1 reaches farthest
         tops = np.max([np.where(np.array(v, dtype=object) != 0, t, -math.inf) for t, v in charged],
                       axis=0)
         reach = (tops[at] + 2 * j).max(axis=1, initial=-math.inf) + 2 * (size - 1)
-        for b in np.flatnonzero(reach + 2 * np.array([a for a, _ in keys]) > 2 * m - 3)[:1]:
-            _check_integrable(tops[at[b, :size[b]]], keys[b][1], keys[b][0], m)
+        for b in np.flatnonzero(reach + 2 * alpha > 2 * m - 3)[:1]:
+            _check_integrable(tops[at[b, :size[b]]], int(size[b]), int(alpha[b]), m)
     neutral = [(tau, vals + [0]) for (sigma, tau), vals in kappa_of.items() if not sigma]
     fits = max((abs(v) for _, vals in neutral for v in vals), default=0) < _EXACT
     kappa = np.array([vals for _, vals in neutral], dtype=np.int64 if fits else object).reshape(
         len(neutral), n + k + 3).T[at]  # (block, j, tau), 0 past the block
-    bound = np.abs(kappa).max(axis=1, initial=0).sum(axis=1).tolist()  # 0 when nothing pairs
-    # the moments each block reads, divided by their gcd, and their largest; alpha + 2 (s-1)
-    # <= M - 2 for every block and m = M + dmax, so the window ends inside mom
-    windows = {}
-    for a, s in set(keys):
+    bound = np.abs(kappa).max(axis=1, initial=0).sum(axis=1)  # 0 when nothing pairs
+    # the moments each (alpha, size) reads, divided by their gcd; alpha + 2 (s-1) <= M - 2 for
+    # every block and m = M + dmax, so the window ends inside mom
+    keys, gcds = stack.keys.tolist(), [1] * len(stack.keys)
+    limit = np.zeros(len(keys), dtype=np.int64)
+    stretch = np.zeros((len(keys), 2 * width - 1 + dmax), dtype=np.int64)
+    for row in set(key.tolist()):
+        a, s = keys[row]
         window = mom[a:a + 2 * s - 1 + dmax]
-        g = math.gcd(*window)
-        windows[a, s] = g, [v // g for v in window], max(window) // g
-    words = [windows[key][2] * max(r, 1) < _EXACT for key, r in zip(keys, bound)]
-    hankel, unit = j[:, None] + j, op.den * factorial(m - 1)
-    mats: List[np.ndarray] = [None] * len(keys)
-    scales: List[Fraction] = [None] * len(keys)
-    for part in filter(None, [[b for b, w in enumerate(words) if w]]
-                       + [[b] for b, w in enumerate(words) if not w]):
-        dtype, s = np.int64 if words[part[0]] else object, max(keys[b][1] for b in part)
-        sel = slice(None) if len(part) == len(keys) else part
-        win = np.array([windows[keys[b]][1] + [0] * (2 * (s - keys[b][1])) for b in part], dtype)
-        kap, mat = kappa[sel, None, :s].astype(dtype), np.zeros((len(part), s, s), dtype)
+        gcds[row] = g = math.gcd(*window)
+        top = max(window) // g
+        if top < _EXACT:  # a block of this key is int64 while top |P| is
+            stretch[row, :len(window)], limit[row] = [v // g for v in window], (_EXACT - 1) // top
+    words = np.maximum(bound, 1) <= limit[key]
+    hankel = j[:, None] + j
+    rows = np.flatnonzero(words)
+    mat = np.zeros((len(rows), width, width), dtype=np.int64)
+    win, kap = stretch[key[rows]], kappa[rows, None].astype(np.int64)
+    for t, (tau, _) in enumerate(neutral):
+        mat += win[:, tau:][:, hankel] * kap[..., t]
+    mat *= inside[rows, :, None]  # rows past a block's size read the rest of its window
+    if len(rows) < len(key):  # the Python-integer blocks are zero here
+        mat, words_only = np.zeros((len(key), width, width), dtype=np.int64), mat
+        mat[rows] = words_only
+    alone = {}
+    for row in np.flatnonzero(~words).tolist():
+        (a, s), g = keys[key[row]], gcds[key[row]]
+        win = np.array(mom[a:a + 2 * s - 1 + dmax], dtype=object) // g
+        kap, alone[row] = kappa[row, :s].astype(object), np.zeros((s, s), dtype=object)
         for t, (tau, _) in enumerate(neutral):
-            mat += win[:, tau:][:, hankel[:s, :s]] * kap[..., t]
-        if len(part) > 1:  # rows past a block's size read the rest of its window
-            mat *= inside[sel, :s, None]
-        gcd = np.gcd.reduce(mat.reshape(len(part), -1), axis=1)
-        if (gcd > 1).any():
-            mat //= np.maximum(gcd, 1)[:, None, None]
-        for row, b in enumerate(part):
-            mats[b] = mat[row, :keys[b][1], :keys[b][1]]
-            scales[b] = Fraction(windows[keys[b]][0] * int(gcd[row]), unit)
-    return zip(mats, scales)
+            alone[row] += win[tau:][hankel[:s, :s]] * kap[:, t]
+    # scale_b = window gcd / (den (m-1)!), over the block's Gram scale num / den
+    gram_num, gram_den = stack.scale[:, which]
+    num = np.array(gcds, dtype=object)[key] * gram_den
+    den = op.den * factorial(m - 1) * gram_num
+    common = np.gcd(num, den)
+    return mat, alone, num // common, den // common
 
 
 def _operator_blocks(model: SpectralModel, op: WeylElement, degree: int,
-                     which: Optional[Iterable[int]] = None) -> Dict[int, np.ndarray]:
-    """Reduced-coordinate matrices of the operator pairing in one degree, by block index.
+                     which: Sequence[int]) -> np.ndarray:
+    """Reduced-coordinate matrices of the operator pairing in one degree, one padded stack.
 
     Degree 0: entries <op chi_j, chi_i>; degree 1: entries <op psi_j, psi_i>,
     with op acting on the dzbar coefficient.  Only the blocks in `which`
-    (default: all of that degree) are built, in one pass: their exact integer
-    pairings (`_operator_pairings`), then their congruences by each block's
-    own rows and norms, which round each entry once (`_round_congruences`).
+    (non-empty) are built, in one pass: their exact integer pairings
+    (`_operator_pairings`), then their congruences by each block's own rows
+    and norms from the model's `stack`, which round each entry once
+    (`_round_congruences`).  Row r of the stack is block which[r], zero past
+    its size.
     """
     if op.n != 1:
         raise OperatorEscapeError("operators on the model must be one-variable elements")
@@ -734,14 +809,13 @@ def _operator_blocks(model: SpectralModel, op: WeylElement, degree: int,
             f"operator coefficient degree {max_coeff_deg} exceeds truncation {model.trunc} "
             f"for {format_element(op)!r}"
         )
-    blocks = (model.blocks, model.forms)[degree]
-    which = list(range(len(blocks)) if which is None else which)
-    if not which:
-        return {}
-    mats, scales = zip(*_operator_pairings(model, op, degree, which))
-    return dict(zip(which, _round_congruences(
-        [blocks[bi].w for bi in which], mats, [blocks[bi].norms for bi in which],
-        [scale / blocks[bi].scale for bi, scale in zip(which, scales)])))
+    stack, which = model.stack(degree), np.asarray(which, dtype=int)
+    mat, alone, num, den = _operator_pairings(model, op, degree, which)
+    sizes, blocks = stack.sizes[which], (model.blocks, model.forms)[degree]
+    # the rows whose W or P holds Python integers, with both
+    alone = {row: (blocks[which[row]].w, alone.get(row, mat[row, :sizes[row], :sizes[row]]))
+             for row in set(alone).union(np.flatnonzero(~stack.words[which]).tolist())}
+    return _round_congruences(stack.w[which], mat, sizes, stack.norms[which], num, den, alone)
 
 
 def _heat_time(t: object) -> float:
@@ -770,15 +844,20 @@ def _supertrace_terms(model: SpectralModel, op: WeylElement,
                       columns: Sequence[Dict[int, object]]) -> Tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and signed diagonals +-<op e, e> (+ in degree 0, - in degree 1) of the
     eigen-columns `columns[degree][block index]` (a list, or `slice(None)` for all); only
-    those blocks are built, one pass a degree.  Each diagonal is a row-wise dot of Y with A Y."""
+    those blocks are built, one stack a degree.  Each diagonal is a row-wise dot of Y with
+    A Y, one product a block: BLAS may round a product padded past the block's size otherwise."""
     lams, diags = [np.empty(0)], [np.empty(0)]
     for degree, (sign, blocks, chosen) in enumerate(zip((1.0, -1.0), (model.blocks, model.forms),
                                                         columns)):
-        mats = _operator_blocks(model, op, degree, chosen)
-        for bi, cols in chosen.items():
-            y = blocks[bi].vecs[:, cols]
-            lams.append(blocks[bi].lam[cols])
-            diags.append(sign * np.einsum("ij,ij->j", y, mats[bi] @ y))
+        if chosen:
+            terms = []
+            for mat, (bi, cols) in zip(_operator_blocks(model, op, degree, list(chosen)),
+                                       chosen.items()):
+                s = len(blocks[bi].w)
+                y = blocks[bi].vecs[:, cols]
+                lams.append(blocks[bi].lam[cols])
+                terms.append(np.einsum("ij,ij->j", y, mat[:s, :s] @ y))
+            diags.append(sign * np.concatenate(terms))
     return np.concatenate(lams), np.concatenate(diags)
 
 

@@ -17,6 +17,10 @@ also computes, by a route that shares none of its shortcuts:
   one block formed and rounded on its own, in machine words where a float
   bound proves them exact, against the one array pass over every block of
   a query in `hochheat.spectral._round_congruences`;
+* `supertrace_terms_alone`, the eigenvalues and signed diagonals of a
+  supertrace with every block built term by term and rounded alone, and
+  y^T A y read one block at a time, against the padded stack of a query in
+  `hochheat.spectral._supertrace_terms`;
 * `_congruence`, the stiffness R G R^T of an incidence R as one sum per
   entry, against the rows the model build expands in the other degree's
   certified basis;
@@ -466,6 +470,29 @@ def _round_congruence(w: np.ndarray, mat: np.ndarray, norms: Sequence[int],
         (p * scale.denominator ** 2)[:, None] * p)
     root = np.sqrt(radicand.astype(float))
     return np.where(x < 0, -root, root)
+
+
+def supertrace_terms_alone(model: SpectralModel, op: WeylElement,
+                           columns: Sequence[Mapping[int, object]]) -> Tuple[np.ndarray, np.ndarray]:
+    """What `hochheat.spectral._supertrace_terms` returns, one block at a time.
+
+    Each chosen block of each degree is paired term by term
+    (`lifted_pairings`), its congruence formed and rounded on its own
+    (`_round_congruence`), and its diagonal read as y^T A y over the chosen
+    eigen-columns, counted + in degree 0 and - in degree 1.
+    """
+    lams, diags = [np.empty(0)], [np.empty(0)]
+    for degree, (sign, blocks, chosen) in enumerate(zip((1.0, -1.0), (model.blocks, model.forms),
+                                                        columns)):
+        for (bi, cols), (mat, sc) in zip(chosen.items(),
+                                         lifted_pairings(model, op, degree, list(chosen))):
+            block = blocks[bi]
+            a = _round_congruence(block.w, np.array(mat, dtype=object), block.norms,
+                                  sc / block.scale)
+            y = block.vecs[:, cols]
+            lams.append(block.lam[cols])
+            diags.append(sign * np.einsum("ij,ij->j", y, a @ y))
+    return np.concatenate(lams), np.concatenate(diags)
 
 
 def _congruence(rows: List[Dict[int, int]], gram: List[List[int]]) -> List[List[int]]:

@@ -26,7 +26,6 @@ from hochheat.spectral import (
     _gram,
     _incidence,
     _layout,
-    _operator_blocks,
     _operator_pairings,
     _orthogonal_rows,
     _round_congruences,
@@ -44,7 +43,18 @@ from oracles import (DivergentIntegralError, _apply_weyl, _congruence, _expand, 
                      charge_pairs, dbar_chi, dbar_chi_without_its_second_term, doubled_dbar_star,
                      harmonic0_coordinates,
                      incidence_by_images, lifted_pairings, mono_integral, monomial,
-                     pair_weighted, pairs_of, scale, zero)
+                     pair_weighted, pairs_of, scale, supertrace_terms_alone, zero)
+
+
+def _blocks_by_index(model, op, degree, which=None):
+    """`spectral._operator_blocks` of the listed blocks (default: every block of the degree)
+    by block index, each matrix cut to its block's size."""
+    blocks = (model.blocks, model.forms)[degree]
+    which = list(range(len(blocks)) if which is None else which)
+    if not which:
+        return {}
+    mats = spectral._operator_blocks(model, op, degree, which)
+    return {bi: mat[:len(blocks[bi].w), :len(blocks[bi].w)] for bi, mat in zip(which, mats)}
 
 
 def _chi(a, b, n_trunc):
@@ -411,7 +421,7 @@ def _eigenbasis_terms(model, op, degree, grid):
     absorbs none.
     """
     blocks = (model.blocks, model.forms)[degree]
-    mats = _operator_blocks(model, op, degree)
+    mats = _blocks_by_index(model, op, degree)
     diags = [np.einsum("ij,ij->j", b.vecs, mats[bi] @ b.vecs) for bi, b in enumerate(blocks)]
     return ([sum(float((np.exp(-t * b.lam) * dg).sum()) for b, dg in zip(blocks, diags))
              for t in grid],
@@ -734,9 +744,9 @@ def test_closed_form_path_is_bit_identical_to_the_bareiss_oracle(monkeypatch, k,
     zd = mul(z_var(1, 1), d_var(1, 1))
     fact = [math.factorial(i) for i in range(2 * n + k + 2)]
     for degree, blocks in enumerate((model.blocks, model.forms)):
-        got = _operator_blocks(model, zd, degree)
+        got = _blocks_by_index(model, zd, degree)
         which = range(len(blocks))
-        for bi, (mat, scale) in zip(which, _operator_pairings(model, zd, degree, which)):
+        for bi, (mat, scale) in zip(which, _pairings(model, zd, degree, which)):
             pairs = pairs_of(blocks[bi])
             gram = _gram(len(pairs), abs(pairs[0][0] - pairs[0][1]), fact)
             ref = _oracle_congruence(gram, mat.tolist(), scale * fact[-1])
@@ -899,16 +909,16 @@ _BELOW, _ABOVE = 94906265, 94906267
     (318030, 256679541, 202467124),
     # x^2 is the largest square below 2^53 and left right = 2^53 - 2^26 - 1
     (_BELOW, 2 ** 26 - 1, 2 ** 27 + 1),
-    # the float64 lane: a block goes through it while every radicand numerator X_ij^2 num^2
-    # and denominator p_i den^2 p_j is below 2^53.  Their largest, max|X|^2 num^2 and
-    # max(p)^2 den^2, are squares, never 2^53 - 1, 2^53 or 2^53 + 1, so the lane's edges
-    # are the squares on either side: below it the float64 quotient is exact, above it
-    # float64 would round the radicand's numerator or denominator and move the root by one ulp
+    # the float64 lane: an entry goes through it while its radicand numerator X_ij^2 num^2
+    # and denominator p_i den^2 p_j are both below 2^53.  Its numerator is a square, never
+    # 2^53 - 1, 2^53 or 2^53 + 1, so the numerator's edges are the squares on either side;
+    # below them the float64 quotient is exact, above them float64 would round the radicand's
+    # numerator or denominator and move the root by one ulp
     (_BELOW, 3, 3),
     (_ABOVE, 3, 3),
     (9, _BELOW, _BELOW),
     (9, _ABOVE, _ABOVE),
-    # the denominator p_i p_j of an entry at 2^53 - 1, 2^53 and 2^53 + 1: outside the lane
+    # the denominator p_i p_j of an entry at 2^53 - 1 (inside the lane), 2^53 and 2^53 + 1
     (3, 6361 * 69431, 20394401),
     (3, 2 ** 26, 2 ** 27),
     (3, 3 * 107, 28059810762433),
@@ -919,7 +929,9 @@ _BELOW, _ABOVE = 94906265, 94906267
 def test_the_rounding_is_one_correctly_rounded_quotient(x, left, right):
     # X_01 = x in a block with W = I, A = X and norms (left, right) has the radicand x^2 /
     # (left right); it is rounded alone, beside a block in the float64 lane and beside one
-    # outside it, and each time gets the bits of one correctly rounded quotient
+    # that mixes both lanes, and each time gets the bits of one correctly rounded quotient.
+    # In a 3 x 3 block beside it, X_02 = 1 over p_0 p_2 = 3 left is always in the float64
+    # lane and X_22 = _ABOVE past it, and each entry is its own correctly rounded quotient
     eye = np.eye(2, dtype=np.int64)
     inside = (eye, np.array([[0, 1], [1, 0]]), [1, 1], Fraction(1))
     outside = (eye, np.array([[_ABOVE, 0], [0, 1]]), [3, 3], Fraction(1))
@@ -929,9 +941,39 @@ def test_the_rounding_is_one_correctly_rounded_quotient(x, left, right):
                                       for v in (sign * x, 1, left, right)))
         assert got.tobytes() == want
         block = (eye, np.array([[0, sign * x], [sign * x, 0]]), [left, right], Fraction(1))
-        for batch in ([block], [inside, block], [block, outside], [outside, block, inside]):
-            rounded = _round_congruences(*map(list, zip(*batch)))
-            assert rounded[[b is block for b in batch].index(True)][0, 1:].tobytes() == want
+        mixed = (np.eye(3, dtype=np.int64), np.array([[0, sign * x, 1], [sign * x, 0, 0],
+                                                       [1, 0, _ABOVE]]), [left, right, 3],
+                 Fraction(1))
+        x3, p3 = mixed[1].tolist(), mixed[2]
+        mixed_want = np.array([[_scaled_root(x3[i][j], 1, p3[i] * p3[j]) for j in range(3)]
+                               for i in range(3)]).tobytes()
+        for batch in ([block], [inside, block], [block, outside], [outside, block, inside],
+                      [mixed, block], [inside, mixed]):
+            rounded = _round_batch(batch)
+            if any(b is block for b in batch):
+                assert rounded[[b is block for b in batch].index(True)][0, 1:].tobytes() == want
+            if any(b is mixed for b in batch):
+                assert rounded[[b is mixed for b in batch].index(True)].tobytes() == mixed_want
+
+
+def _round_batch(batch):
+    """`_round_congruences` on a batch of (W, A, norms, scale) blocks, W and A each int64 or
+    Python integers: the int64 pairs padded into one stack with zeros and the norms with 1,
+    the others passed alone; each block's rounded matrix, cut to its size."""
+    sizes = np.array([len(w) for w, *_ in batch])
+    n, s = len(batch), int(sizes.max())
+    w, a = np.zeros((2, n, s, s), dtype=np.int64)
+    norms, alone = np.ones((n, s), dtype=object), {}
+    for b, (wb, ab, pb, _) in enumerate(batch):
+        if wb.dtype == ab.dtype == np.int64:
+            w[b, :len(wb), :len(wb)], a[b, :len(wb), :len(wb)] = wb, ab
+        else:
+            alone[b] = wb, ab
+        norms[b, :len(wb)] = pb
+    num, den = (np.array([getattr(c[3], part) for c in batch], dtype=object)
+                for part in ("numerator", "denominator"))
+    out = _round_congruences(w, a, sizes, norms, num, den, alone)
+    return [out[b, :t, :t] for b, t in enumerate(sizes.tolist())]
 
 
 def _square(rows):
@@ -956,14 +998,13 @@ def _congruences_against_the_oracle(batch):
     words where W and A are int64 and `_machine_congruences` proves X exact.
     """
     arrays = [(_integer_array(_square(w)), _integer_array(a)) for w, a, _, _ in batch]
-    norms, scales = [case[2] for case in batch], [case[3] for case in batch]
-    got = _round_congruences([w for w, _ in arrays], [a for _, a in arrays], norms, scales)
+    got = _round_batch([(w, a, p, scale) for (w, a), (_, _, p, scale) in zip(arrays, batch)])
     machine = []
     for (w, a, p, scale), (w_arr, a_arr), block in zip(batch, arrays, got):
         s = len(w)
         v = [[sum(w[i][c] * a[c][j] for c in range(i + 1)) for j in range(s)] for i in range(s)]
         assert block.tobytes() == _round_each_entry(v, w, p, scale).tobytes()
-        assert block.tobytes() == _round_congruences([w_arr], [a_arr], [p], [scale])[0].tobytes()
+        assert block.tobytes() == _round_batch([(w_arr, a_arr, p, scale)])[0].tobytes()
         words = w_arr.dtype == a_arr.dtype == np.int64
         machine.append(words and bool(spectral._machine_congruences(
             w_arr[None], a_arr[None], np.array([s]))[1][0]))
@@ -1047,10 +1088,10 @@ def test_a_moment_window_past_the_words_is_summed_in_python_integers(monkeypatch
     # N = 24 their moment window alone passes 2^63
     model = model_0_24
     which = range(len((model.blocks, model.forms)[degree]))
-    assert any(mat.dtype == object for mat, _ in _operator_pairings(model, op, degree, which))
-    got = _operator_blocks(model, op, degree)
+    assert any(mat.dtype == object for mat, _ in _pairings(model, op, degree, which))
+    got = _blocks_by_index(model, op, degree)
     monkeypatch.setattr(spectral, "_EXACT", 0)  # no array stays in machine words
-    ref = _operator_blocks(model, op, degree)
+    ref = _blocks_by_index(model, op, degree)
     assert all(got[bi].tobytes() == ref[bi].tobytes() for bi in which)
 
 
@@ -1069,9 +1110,9 @@ def test_each_block_takes_the_path_its_bound_proves(monkeypatch, model_0_24):
         words = 0  # the blocks whose W and P are int64, each decided by the bound
         for degree, blocks in enumerate((model.blocks, model.forms)):
             which = range(len(blocks))
-            pairs = _operator_pairings(model, zd, degree, which)
+            pairs = _pairings(model, zd, degree, which)
             words += sum(b.w.dtype == mat.dtype == np.int64 for b, (mat, _) in zip(blocks, pairs))
-            _operator_blocks(model, zd, degree)
+            _blocks_by_index(model, zd, degree)
         # one stacked decision per degree, one entry per machine-word block
         assert len(calls) == 2 and len(calls[0]) + len(calls[1]) == words
         assert set(chain(*calls)) == paths
@@ -1238,7 +1279,7 @@ def test_congruence_entries_are_within_two_ulp():
         pairs = pairs_of(blocks[bi])
         gram = [[mono_integral(a + b2, 2 * n + k + 2) for (_, b2) in pairs] for (a, _) in pairs]
         funcs = [basis(a, b, n) for a, b in pairs]
-        got = _operator_blocks(model, zd, degree)[bi]
+        got = _blocks_by_index(model, zd, degree)[bi]
         ref = _reference_congruence(
             gram, [[pair_weighted(_apply_weyl(zd, fj), fi, extra) for fj in funcs] for fi in funcs])
         assert np.count_nonzero(ref) > len(pairs)
@@ -1292,14 +1333,27 @@ def _outcome(assemble):
         return type(exc)
 
 
+def _pairings(model, op, degree, which):
+    """`_operator_pairings` as the list of each block's (integer matrix, scale): the int64 stack
+    cut to the block, or its Python-integer matrix, and the pairing's own scale, the returned
+    ratio times the block's Gram scale."""
+    which = list(which)
+    mat, alone, num, den = _operator_pairings(model, op, degree, which)
+    blocks = (model.blocks, model.forms)[degree]
+    return [(alone.get(row, mat[row, :len(blocks[bi].w), :len(blocks[bi].w)]),
+             Fraction(int(num[row]), int(den[row])) * blocks[bi].scale)
+            for row, bi in enumerate(which)]
+
+
 def _as_lists(pairings):
-    """Each yielded (integer array, scale) with the array as nested lists of Python ints."""
-    return [(mat.tolist(), scale) for mat, scale in pairings]
+    """Each (integer array, scale) as nested lists of Python ints divided by their gcd, and the
+    scale times it (`_reduced`): the form every reference pairing takes."""
+    return [_reduced(mat.tolist(), scale) for mat, scale in pairings]
 
 
 def _both_assemblies(model, op, degree):
     which = range(len((model.blocks, model.forms)[degree]))
-    return (_outcome(lambda: _as_lists(_operator_pairings(model, op, degree, which))),
+    return (_outcome(lambda: _as_lists(_pairings(model, op, degree, which))),
             _outcome(lambda: [_reference_pairings(model, op, degree, bi) for bi in which]))
 
 
@@ -1339,7 +1393,7 @@ def test_lifted_assembly_raises_what_the_pairing_kernel_raises():
             assert _both_assemblies(model, op, degree) == (OperatorEscapeError,) * 2
     for degree in (0, 1):
         with pytest.raises(OperatorEscapeError):
-            _operator_blocks(model, z_var(1, n=2), degree)
+            _blocks_by_index(model, z_var(1, n=2), degree)
         with pytest.raises(OperatorEscapeError):
             _reference_pairings(model, z_var(1, n=2), degree, 0)
     # one image against one basis function: a neutral term too high diverges, and the
@@ -1386,7 +1440,7 @@ def _blocks_or_refusal(assemble):
 def _both_pairings(model, op, degree):
     """The closed-form pairings and the term-by-term ones of every block of one degree."""
     which = range(len((model.blocks, model.forms)[degree]))
-    return (_blocks_or_refusal(lambda: _as_lists(_operator_pairings(model, op, degree, which))),
+    return (_blocks_or_refusal(lambda: _as_lists(_pairings(model, op, degree, which))),
             _blocks_or_refusal(lambda: lifted_pairings(model, op, degree, which)))
 
 
@@ -1463,13 +1517,13 @@ def test_an_integrability_check_reads_only_the_nonzero_coefficients():
     # one that this term would take past 2m - 3 = 4N + 2k + 3; kappa[2, 0] = a - k is not
     k, n = 1, 4
     model = build_model(k, n)
-    assert len(_as_lists(_operator_pairings(model, _cz_plus_z_d(-k, 2), 0, [n + k]))) == 1
+    assert len(_as_lists(_pairings(model, _cz_plus_z_d(-k, 2), 0, [n + k]))) == 1
     with pytest.raises(OperatorEscapeError, match=f"image {n} paired with basis function {n} .*"
                                                   rf"\(radial degree {4 * n + 2 * k + 4}, "
                                                   rf"weight {2 * n + k + 3}\)"):
-        list(_operator_pairings(model, _cz_plus_z_d(-k + 1, 2), 0, [n + k]))
+        _pairings(model, _cz_plus_z_d(-k + 1, 2), 0, [n + k])
     # a neutral term is not read: z^2 d^2 lifts to w^-(g+2), and none of its terms diverges
-    assert len(_as_lists(_operator_pairings(model, monomial(1, (2,), (2,)), 0, [n + k]))) == 1
+    assert len(_as_lists(_pairings(model, monomial(1, (2,), (2,)), 0, [n + k]))) == 1
 
 
 @given(st.integers(0, 12).flatmap(lambda s: st.lists(
@@ -1569,9 +1623,9 @@ def _blocks_alone(model, op, degree, which):
 
 
 def _blocks_of_one_query(model, op, degree, which=None):
-    """What `_operator_blocks` returns, as bytes by block index, or the text of its escape."""
+    """What `_blocks_by_index` returns, as bytes by block index, or the text of its escape."""
     try:
-        return {bi: mat.tobytes() for bi, mat in _operator_blocks(model, op, degree, which).items()}
+        return {bi: mat.tobytes() for bi, mat in _blocks_by_index(model, op, degree, which).items()}
     except OperatorEscapeError as exc:
         return str(exc)
 
@@ -1589,6 +1643,73 @@ def test_each_operator_block_gets_the_bits_it_gets_alone(k, n):
         for degree, blocks in enumerate((model.blocks, model.forms)):
             assert (_blocks_of_one_query(model, op, degree)
                     == _blocks_alone(model, op, degree, range(len(blocks))))
+
+
+def _terms_or_escape(terms, model, op, columns):
+    """The bytes of the eigenvalues and signed diagonals `terms` returns, or its escape's text."""
+    try:
+        lam, diag = terms(model, op, columns)
+    except OperatorEscapeError as exc:
+        return str(exc)
+    return lam.tobytes(), diag.tobytes()
+
+
+@pytest.mark.parametrize("k, n", [(0, 14), (1, 10), (2, 8), (3, 13), (0, 24), (5, 20),
+                                  pytest.param(0, 40, marks=pytest.mark.large),
+                                  pytest.param(38, 40, marks=pytest.mark.large)])
+def test_the_supertrace_terms_are_those_of_each_block_alone(k, n):
+    # the limit supertrace's terms (every column of every block) and the harmonic one's (the
+    # kernel columns) against each block built term by term, rounded alone and read as
+    # y^T A y one block at a time; at (0, 40) and (38, 40), z d/dz alone, whose blocks take
+    # the Python-integer congruence
+    model = build_model(k, n)
+    ops = _queried_operators(k) if n < 40 else {"z d/dz": mul(_Z, _D)}
+    every = [dict.fromkeys(range(len(b)), slice(None)) for b in (model.blocks, model.forms)]
+    kernel = [{}, {}]
+    for chosen, harmonic in zip(kernel, (model.harmonic0, model.harmonic1)):
+        for bi, col in harmonic:
+            chosen.setdefault(bi, []).append(col)
+    for name, op in ops.items():
+        for columns in (every, kernel):
+            got = _terms_or_escape(spectral._supertrace_terms, model, op, columns)
+            assert got == _terms_or_escape(supertrace_terms_alone, model, op, columns)
+            assert name != "z d/dz" or isinstance(got, tuple)
+
+
+@pytest.mark.parametrize("passes", [None, 97], ids=["passes-as-built", "passes-of-97"])
+@pytest.mark.parametrize("k, n", [(0, 14), (3, 13), (0, 24)])
+def test_the_python_integer_lane_gets_exactly_the_entries_past_2_to_the_53(monkeypatch, k, n,
+                                                                          passes):
+    # an entry's radicand X_ij^2 num^2 / (p_i den^2 p_j) is rounded in Python integers exactly
+    # when its numerator or its denominator is at or past 2^53, and no padding entry is: X is
+    # formed here in Python integers from the query's own pairings, rows and norms.  The
+    # entries go in passes of `_PASS`, every pass full but the last
+    model = build_model(k, n)
+    if passes:
+        monkeypatch.setattr(spectral, "_PASS", passes)
+    zd = mul(_Z, _D)
+    calls, real = [], spectral._signed_root
+    monkeypatch.setattr(spectral, "_signed_root",
+                        lambda x, *rest: calls.append((x, *rest)) or real(x, *rest))
+    for degree, blocks in enumerate((model.blocks, model.forms)):
+        calls.clear()
+        _blocks_by_index(model, zd, degree)
+        mat, alone, num, den = _operator_pairings(model, zd, degree, range(len(blocks)))
+        want, entries = [], 0
+        for row, block in enumerate(blocks):
+            s = len(block.w)
+            w = block.w.astype(object)
+            x = w.dot(alone.get(row, mat[row, :s, :s]).astype(object)).dot(w.T).tolist()
+            scale, p = (num[row] ** 2, den[row] ** 2), block.norms
+            entries += s * s
+            want += [(x[i][j], scale[0], p[i] * scale[1] * p[j]) for i in range(s) for j in range(s)
+                     if max(x[i][j] ** 2 * scale[0], p[i] * scale[1] * p[j]) >= 2 ** 53]
+        assert 0 < len(want) < entries
+        assert [len(x) for x, *_ in calls] == [len(x) for x in np.array_split(
+            np.arange(len(want)), range(spectral._PASS, len(want), spectral._PASS))]
+        seen = [entry for x, scale, left, right in calls
+                for entry in zip(x.tolist(), scale.tolist(), (left * right).tolist())]
+        assert sorted(seen) == sorted(want)
 
 
 def test_a_later_escape_raises_the_first_in_which_order_and_builds_nothing(monkeypatch):
