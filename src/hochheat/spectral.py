@@ -97,21 +97,20 @@ sigma + 2 tau decides every escape, the first escaping pair by arithmetic
 (`_check_integrable`), and raises what the term-by-term reference of the
 test oracles (`tests/oracles.py`) raises on the same pair: the kappa are
 the exact sums of the image's monomials, so a cancelled top term is left out.
-A query builds its blocks as one padded stack per (model, degree, operator),
-with no loop over blocks on the int64 path.  The model pads a degree's rows,
-norms and Gram scales once, at the first query of that degree
-(`SpectralModel.stack`).
-The escapes are tested at once, the first in its order raising before any
-block is built; the int64 pairings are one padded Hankel sum, their scales
-integer parts (`_operator_pairings`); and X = W P W^T is exact for all of
-them (`_round_congruences`), the int64 blocks one stack that a float error
-bound proves exact (the float product itself below 2^52, else the uint64
-one), the others in Python integers.  Every z d/dz block takes machine words
-for N <= 15 and k <= 8, and 75 of 98 do at (k, N) = (0, 24).  Each entry is
-rounded once: in float64 where its radicand X_ij^2 num^2 / (p_i den^2 p_j)
-has both parts below 2^53 (6,791 of the 12,450 z d/dz entries of the four
-sweep models), else in Python integers (`_signed_root`), one flat array of
-those entries alone, with the same floats either way.
+The model pads a degree's rows, norms and Gram scales once, at the first
+query of that degree (`SpectralModel.stack`).  A query tests the escapes at
+once, the first in its order raising before any block is built; its int64
+pairings are one padded Hankel sum, their scales integer parts
+(`_operator_pairings`).  Each block then takes one lane for its exact
+X = W P W^T (`_operator_blocks`).  The machine lane takes the blocks whose W
+and P are int64 and whose X a float error bound proves (the float product
+itself below 2^52, else the uint64 one), one stack padded to the largest of
+them, each entry rounded in float64 where both parts of its radicand
+X_ij^2 num^2 / (p_i den^2 p_j) are below 2^53 (6,791 of the 12,450 z d/dz
+entries of the four sweep models) and in `_signed_root` otherwise.  The
+exact lane takes the others, in Python integers, one block at a time.  Both
+give the same floats.  Every z d/dz block takes machine words for N <= 15
+and k <= 8, and 75 of 98 do at (k, N) = (0, 24).
 `limit_supertrace` and `harmonic_supertrace` read the same signed diagonals
 <op e, e>, the latter at the kernel vectors only, so it builds only the
 blocks that hold one; every supertrace of the report goes through them.
@@ -144,8 +143,8 @@ from .weyl import WeylElement, format_element, unpack
 #: 0.12-0.13 s for k = 0 and 0.37-0.47 s for k = 38, the largest k it admits (as a
 #: whole command at k = 38, `spectrum` 0.55-0.90 s and `harmonic` 1.14-1.59 s, medians
 #: 0.61 and 1.30 s, over 25 and 8 cold runs), and one z d/dz `limit_supertrace` on a
-#: model not yet queried 0.31-0.47 s (median 0.32 s) for k = 0 and 0.84-0.88 s (median
-#: 0.87 s) for k = 38, CPU time over 9 runs, most of it exact O(s^3) products past the
+#: model not yet queried 0.38-0.42 s (median 0.40 s) for k = 0 and 0.87-0.99 s (median
+#: 0.94 s) for k = 38, CPU time over 9 runs, most of it exact O(s^3) products past the
 #: machine words
 MAX_TRUNC = 40
 
@@ -155,9 +154,6 @@ IntMat = List[List[int]]
 _EXACT = 2 ** 52
 #: int64 magnitudes stay below this
 _WORD = 2 ** 63
-#: entries in one pass of the Python-integer rounding: few enough that its temporaries stay in
-#: cache; one pass over all 109,797 such entries of a (38, 40) z d/dz query took 15-25% longer
-_PASS = 4096
 
 
 class OperatorEscapeError(ValueError):
@@ -237,74 +233,57 @@ def _machine_congruences(w: np.ndarray, a: np.ndarray,
     return x, proved
 
 
-def _round_congruences(w: np.ndarray, a: np.ndarray, sizes: np.ndarray, norms: np.ndarray,
-                       num: np.ndarray, den: np.ndarray,
-                       alone: Dict[int, Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """float(scale_b S L^-1 A_b L^-T S), S = D^(-1/2), for a padded stack of blocks at once.
+def _round_congruences(x: np.ndarray, sizes: np.ndarray, norms: np.ndarray,
+                       num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """float(scale_b X_b / sqrt(p_i p_j)) for a stack of exact int64 X: the machine lane.
 
-    Block b has sizes[b] lower triangular rows W_b, W G W^T = diag(norms[b]),
-    and an integer matrix A_b; w and a are int64 stacks (blocks, s, s), zero
-    past each block, and norms (blocks, s) is 1 past each block.  A block in
-    `alone` takes its (W_b, A_b) from there, either one in Python integers,
-    and its rows of w and a are not read.  X = W A W^T is exact: one stack
-    of the int64 blocks where `_machine_congruences` proves it, Python
-    integers over W's lower triangle for the others.  Each radicand
-    X_ij^2 num_b^2 / (p_i den_b^2 p_j), scale_b = num[b] / den[b],
-    p = norms[b], is one correctly rounded quotient: in float64 where that
-    entry's numerator and denominator are both below 2^53, so exact floats,
-    and in Python integers (`_signed_root`) for the other entries only, one
-    flat array taken `_PASS` entries at a time.  So each block gets the bits
-    it gets alone.  Returns the stack of rounded blocks, zero past each block.
+    X_b is zero and norms[b] = p is 1 past block b's sizes[b] rows, and
+    scale_b = num[b] / den[b].  Each radicand X_ij^2 num_b^2 / (p_i den_b^2 p_j)
+    is one correctly rounded quotient: in float64 where that entry's numerator
+    and denominator are both below 2^53, so exact floats, and in one
+    `_signed_root` call for the entries of the blocks where either is not.
+    Returns the stack of rounded blocks, zero past each block.
     """
-    n, s = a.shape[:2]
-    words = np.ones(n, dtype=bool)
-    words[list(alone)] = False
-    slow = dict(alone)  # the blocks whose X is formed in Python integers
-    if words.all():
-        x, proved = _machine_congruences(w, a, sizes)
-    else:  # the int64 blocks, padded only to the largest of them
-        x, proved = np.zeros((n, s, s), dtype=np.int64), np.zeros(0, dtype=bool)
-        if words.any():
-            t = sizes[words].max()
-            x[words, :t, :t], proved = _machine_congruences(w[words, :t, :t], a[words, :t, :t],
-                                                            sizes[words])
-    for b in np.flatnonzero(words)[~proved].tolist():
-        slow[b] = w[b, :sizes[b], :sizes[b]], a[b, :sizes[b], :sizes[b]]
-    xf = x.astype(float)  # exact below 2^53, and at least 2^53 in magnitude above it
-    exact = {}  # X of the blocks formed in Python integers
-    for b, (wb, ab) in slow.items():  # V = W A, then X = V W^T, each over W's lower triangle
-        t = sizes[b]
-        wb, ab = wb.astype(object), ab.astype(object)
-        v, exact[b] = np.empty((t, t), dtype=object), np.empty((t, t), dtype=object)
-        for i in range(t):
-            v[i] = wb[i, :i + 1].dot(ab[:i + 1])
-        for j in range(t):
-            exact[b][:, j] = v[:, :j + 1].dot(wb[j, :j + 1])
-        xf[b, :t, :t] = np.clip(exact[b], -2 ** 53, 2 ** 53).astype(float)
+    s = x.shape[-1]
     num2, den2 = num * num, den * den
+    xf = x.astype(float)  # exact below 2^53, and at least 2^53 in magnitude above it
     # float64 radicand parts, each exact below 2^53 and at least 2^53 where its integer is
     pf = np.minimum(norms, 2 ** 53).astype(float)
     top = np.minimum(np.array([num2, den2]), 2 ** 53).astype(float)
     upper = xf * xf * top[0][:, None, None]
     lower = (pf * top[1][:, None])[:, :, None] * pf[:, None, :]
-    root = np.sqrt(upper / lower)
-    out = np.copysign(root, xf)
+    out = np.copysign(np.sqrt(upper / lower), xf)
     inside = np.arange(s) < sizes[:, None]
     past = np.maximum(upper, lower) >= 2.0 ** 53  # a part at or past 2^53
     past &= inside[:, :, None]
     past &= inside[:, None, :]
     b, i, j = np.nonzero(past)
-    if not len(b):
-        return out
-    xs = x[b, i, j].astype(object)
-    for c, xc in exact.items():  # b is sorted, so block c's entries are one run of it
-        lo, hi = np.searchsorted(b, (c, c + 1))
-        xs[lo:hi] = xc[past[c, :sizes[c], :sizes[c]]]
-    left = norms.astype(object) * den2[:, None]  # p_i den^2
-    for cut in (slice(lo, lo + _PASS) for lo in range(0, len(b), _PASS)):
-        bc, ic, jc = b[cut], i[cut], j[cut]
-        out[bc, ic, jc] = _signed_root(xs[cut], num2[bc], left[bc, ic], norms[bc, jc].astype(object))
+    if len(b):
+        left = norms.astype(object) * den2[:, None]  # p_i den^2
+        out[b, i, j] = _signed_root(x[b, i, j].astype(object), num2[b], left[b, i],
+                                    norms[b, j].astype(object))
     return out
+
+
+def _exact_congruence(w: np.ndarray, a: np.ndarray, norms: Sequence[int], num: int,
+                      den: int) -> np.ndarray:
+    """float(num / den X / sqrt(p_i p_j)), X = W A W^T, for one block in Python integers: the
+    exact lane.
+
+    W holds the block's lower triangular rows, W G W^T = diag(norms) = diag(p),
+    and A its integer matrix, each int64 or Python integers.  V = W A and
+    then X = V W^T are formed over W's lower triangle, and every radicand
+    X_ij^2 num^2 / (p_i den^2 p_j) is rounded in one `_signed_root` call.
+    """
+    s = len(w)
+    w, a = w.astype(object), a.astype(object)
+    v, x = np.empty((s, s), dtype=object), np.empty((s, s), dtype=object)
+    for i in range(s):
+        v[i] = w[i, :i + 1].dot(a[:i + 1])
+    for j in range(s):
+        x[:, j] = v[:, :j + 1].dot(w[j, :j + 1])
+    p = np.array(norms, dtype=object)
+    return _signed_root(x, num * num, (p * den * den)[:, None], p)
 
 
 def _certify(mom: Sequence[int], alpha: int, w: np.ndarray) -> List[int]:
@@ -717,8 +696,8 @@ def _operator_pairings(model: SpectralModel, op: WeylElement, degree: int, which
     window and max(window) sum_tau max_j |kappa[0, tau][j]|, a bound on |P|,
     are below `_EXACT` are one padded int64 Hankel sum; each other one is
     summed alone in Python integers.  No P is divided by the gcd of its
-    entries: a factor moved between P and its scale changes no radicand of
-    `_round_congruences`, only which lane rounds it.  Returns the int64 stack
+    entries: a factor moved between P and its scale changes no radicand,
+    only whether float64 rounds it.  Returns the int64 stack
     (blocks, s, s) of the degree's `_Stack` width, zero past each block and
     at the Python-integer blocks, those by row, and each pairing's scale over
     its block's Gram scale as a numerator and a denominator in lowest terms,
@@ -790,16 +769,15 @@ def _operator_pairings(model: SpectralModel, op: WeylElement, degree: int, which
 
 
 def _operator_blocks(model: SpectralModel, op: WeylElement, degree: int,
-                     which: Sequence[int]) -> np.ndarray:
-    """Reduced-coordinate matrices of the operator pairing in one degree, one padded stack.
+                     which: Sequence[int]) -> List[np.ndarray]:
+    """Reduced-coordinate matrices of the operator pairing in one degree, block which[r] at r.
 
     Degree 0: entries <op chi_j, chi_i>; degree 1: entries <op psi_j, psi_i>,
     with op acting on the dzbar coefficient.  Only the blocks in `which`
-    (non-empty) are built, in one pass: their exact integer pairings
-    (`_operator_pairings`), then their congruences by each block's own rows
-    and norms from the model's `stack`, which round each entry once
-    (`_round_congruences`).  Row r of the stack is block which[r], zero past
-    its size.
+    (non-empty) are built: their exact pairings (`_operator_pairings`), then
+    X = W P W^T, each block on one lane: the machine lane where W and P are
+    int64 and `_machine_congruences` proves X (`_round_congruences`), else
+    `_exact_congruence`.  Each matrix is zero past its block's size.
     """
     if op.n != 1:
         raise OperatorEscapeError("operators on the model must be one-variable elements")
@@ -811,11 +789,23 @@ def _operator_blocks(model: SpectralModel, op: WeylElement, degree: int,
         )
     stack, which = model.stack(degree), np.asarray(which, dtype=int)
     mat, alone, num, den = _operator_pairings(model, op, degree, which)
-    sizes, blocks = stack.sizes[which], (model.blocks, model.forms)[degree]
-    # the rows whose W or P holds Python integers, with both
-    alone = {row: (blocks[which[row]].w, alone.get(row, mat[row, :sizes[row], :sizes[row]]))
-             for row in set(alone).union(np.flatnonzero(~stack.words[which]).tolist())}
-    return _round_congruences(stack.w[which], mat, sizes, stack.norms[which], num, den, alone)
+    sizes, out = stack.sizes[which], {}
+    words = stack.words[which]
+    words[list(alone)] = False
+    rows = np.flatnonzero(words)  # W and P int64: the machine lane where X is proved
+    if len(rows):
+        t, a = sizes[rows].max(), mat if len(rows) == len(mat) else mat[rows]  # no copy
+        x, proved = _machine_congruences(stack.w[which[rows], :t, :t], a[:, :t, :t], sizes[rows])
+        if not proved.all():
+            rows, x = rows[proved], x[proved]
+        out.update(zip(rows.tolist(), _round_congruences(
+            x, sizes[rows], stack.norms[which[rows], :t], num[rows], den[rows])))
+    blocks = (model.blocks, model.forms)[degree]
+    for row in set(range(len(which))).difference(out):
+        b = blocks[which[row]]
+        p = alone.get(row, mat[row, :len(b.w), :len(b.w)])
+        out[row] = _exact_congruence(b.w, p, b.norms, num[row], den[row])
+    return [out[row] for row in range(len(which))]
 
 
 def _heat_time(t: object) -> float:
@@ -844,7 +834,7 @@ def _supertrace_terms(model: SpectralModel, op: WeylElement,
                       columns: Sequence[Dict[int, object]]) -> Tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and signed diagonals +-<op e, e> (+ in degree 0, - in degree 1) of the
     eigen-columns `columns[degree][block index]` (a list, or `slice(None)` for all); only
-    those blocks are built, one stack a degree.  Each diagonal is a row-wise dot of Y with
+    those blocks are built, one query a degree.  Each diagonal is a row-wise dot of Y with
     A Y, one product a block: BLAS may round a product padded past the block's size otherwise."""
     lams, diags = [np.empty(0)], [np.empty(0)]
     for degree, (sign, blocks, chosen) in enumerate(zip((1.0, -1.0), (model.blocks, model.forms),

@@ -11,15 +11,16 @@ also computes, by a route that shares none of its shortcuts:
   1+|z|^2 (`_lift`) and paired with one moment sum per entry
   (`_moment_block`), against their closed form, refusals included;
 * `_round_each_entry`, the congruence rounded one entry at a time by
-  `_scaled_root`, against the batched rounding of
-  `hochheat.spectral._round_congruences` and the stiffness;
+  `_scaled_root`, against the two lanes of the operator query
+  (`hochheat.spectral._round_congruences`, `_exact_congruence`) and the
+  stiffness;
 * `_round_congruence` and `_machine_congruence`, the operator congruence of
   one block formed and rounded on its own, in machine words where a float
-  bound proves them exact, against the one array pass over every block of
-  a query in `hochheat.spectral._round_congruences`;
+  bound proves them exact, against the lanes the blocks of a query take in
+  `hochheat.spectral._operator_blocks`;
 * `supertrace_terms_alone`, the eigenvalues and signed diagonals of a
   supertrace with every block built term by term and rounded alone, and
-  y^T A y read one block at a time, against the padded stack of a query in
+  y^T A y read one block at a time, against a query in
   `hochheat.spectral._supertrace_terms`;
 * `_congruence`, the stiffness R G R^T of an incidence R as one sum per
   entry, against the rows the model build expands in the other degree's

@@ -929,9 +929,10 @@ _BELOW, _ABOVE = 94906265, 94906267
 def test_the_rounding_is_one_correctly_rounded_quotient(x, left, right):
     # X_01 = x in a block with W = I, A = X and norms (left, right) has the radicand x^2 /
     # (left right); it is rounded alone, beside a block in the float64 lane and beside one
-    # that mixes both lanes, and each time gets the bits of one correctly rounded quotient.
-    # In a 3 x 3 block beside it, X_02 = 1 over p_0 p_2 = 3 left is always in the float64
-    # lane and X_22 = _ABOVE past it, and each entry is its own correctly rounded quotient
+    # that mixes both lanes, and in the exact lane, and each time gets the bits of one
+    # correctly rounded quotient.  In a 3 x 3 block beside it, X_02 = 1 over p_0 p_2 = 3 left
+    # is always in the float64 lane and X_22 = _ABOVE past it, and each entry is its own
+    # correctly rounded quotient, in either lane
     eye = np.eye(2, dtype=np.int64)
     inside = (eye, np.array([[0, 1], [1, 0]]), [1, 1], Fraction(1))
     outside = (eye, np.array([[_ABOVE, 0], [0, 1]]), [3, 3], Fraction(1))
@@ -947,6 +948,9 @@ def test_the_rounding_is_one_correctly_rounded_quotient(x, left, right):
         x3, p3 = mixed[1].tolist(), mixed[2]
         mixed_want = np.array([[_scaled_root(x3[i][j], 1, p3[i] * p3[j]) for j in range(3)]
                                for i in range(3)]).tobytes()
+        for case, expected in ((block, want), (mixed, mixed_want)):
+            got = spectral._exact_congruence(*case[:3], 1, 1)
+            assert (got[0, 1:] if case is block else got).tobytes() == expected
         for batch in ([block], [inside, block], [block, outside], [outside, block, inside],
                       [mixed, block], [inside, mixed]):
             rounded = _round_batch(batch)
@@ -957,23 +961,31 @@ def test_the_rounding_is_one_correctly_rounded_quotient(x, left, right):
 
 
 def _round_batch(batch):
-    """`_round_congruences` on a batch of (W, A, norms, scale) blocks, W and A each int64 or
-    Python integers: the int64 pairs padded into one stack with zeros and the norms with 1,
-    the others passed alone; each block's rounded matrix, cut to its size."""
+    """A batch of (W, A, norms, scale) blocks, W and A each int64 or Python integers, each
+    rounded on the lane `_operator_blocks` gives it: the int64 pairs padded with zeros into
+    one `_machine_congruences` stack, as wide as the largest of them, their norms with 1, and
+    where X is proved rounded by `_round_congruences`; every other block by
+    `_exact_congruence`.  Each block's rounded matrix, cut to its size."""
     sizes = np.array([len(w) for w, *_ in batch])
-    n, s = len(batch), int(sizes.max())
-    w, a = np.zeros((2, n, s, s), dtype=np.int64)
-    norms, alone = np.ones((n, s), dtype=object), {}
-    for b, (wb, ab, pb, _) in enumerate(batch):
-        if wb.dtype == ab.dtype == np.int64:
-            w[b, :len(wb), :len(wb)], a[b, :len(wb), :len(wb)] = wb, ab
-        else:
-            alone[b] = wb, ab
-        norms[b, :len(wb)] = pb
-    num, den = (np.array([getattr(c[3], part) for c in batch], dtype=object)
-                for part in ("numerator", "denominator"))
-    out = _round_congruences(w, a, sizes, norms, num, den, alone)
-    return [out[b, :t, :t] for b, t in enumerate(sizes.tolist())]
+    machine = np.array([b for b, (w, a, *_) in enumerate(batch) if w.dtype == a.dtype == np.int64])
+    out = {}
+    if len(machine):
+        s = int(sizes[machine].max())
+        w, a = np.zeros((2, len(machine), s, s), dtype=np.int64)
+        norms = np.ones((len(machine), s), dtype=object)
+        for r, b in enumerate(machine):
+            wb, ab, pb, _ = batch[b]
+            w[r, :len(wb), :len(wb)], a[r, :len(wb), :len(wb)], norms[r, :len(wb)] = wb, ab, pb
+        num, den = (np.array([getattr(batch[b][3], part) for b in machine], dtype=object)
+                    for part in ("numerator", "denominator"))
+        x, proved = spectral._machine_congruences(w, a, sizes[machine])
+        rounded = _round_congruences(x[proved], sizes[machine][proved], norms[proved],
+                                     num[proved], den[proved])
+        out.update(zip(machine[proved].tolist(), rounded))
+    for b, (wb, ab, pb, scale) in enumerate(batch):
+        if b not in out:
+            out[b] = spectral._exact_congruence(wb, ab, pb, scale.numerator, scale.denominator)
+    return [out[b][:t, :t] for b, t in enumerate(sizes.tolist())]
 
 
 def _square(rows):
@@ -989,7 +1001,7 @@ def _integer_array(rows):
 
 
 def _congruences_against_the_oracle(batch):
-    """Whether each block of a batch takes machine words in `_round_congruences`.
+    """Whether each block of a batch takes the machine lane (`_round_batch`).
 
     Each case is (W as lower triangular rows, A, norms, scale).  The whole
     batch goes in one call, and each block's result is checked bit for bit
@@ -1095,29 +1107,81 @@ def test_a_moment_window_past_the_words_is_summed_in_python_integers(monkeypatch
     assert all(got[bi].tobytes() == ref[bi].tobytes() for bi in which)
 
 
-def test_each_block_takes_the_path_its_bound_proves(monkeypatch, model_0_24):
-    calls, real = [], spectral._machine_congruences
+def _spy_on_lanes(monkeypatch):
+    """Two lists: each `_machine_congruences` call's (stack width, proved) and the rows W of
+    each `_exact_congruence` call."""
+    machine, exact = [], []
+    real_machine, real_exact = spectral._machine_congruences, spectral._exact_congruence
 
     def recording(w, a, sizes):
-        x, proved = real(w, a, sizes)
-        calls.append(proved.tolist())
+        x, proved = real_machine(w, a, sizes)
+        machine.append((w.shape[-1], proved.tolist()))
         return x, proved
 
     monkeypatch.setattr(spectral, "_machine_congruences", recording)
+    monkeypatch.setattr(spectral, "_exact_congruence",
+                        lambda w, *rest: exact.append(w) or real_exact(w, *rest))
+    return machine, exact
+
+
+def test_each_block_takes_the_path_its_bound_proves(monkeypatch, model_0_24):
+    # a block takes the machine lane exactly when its W and P are int64 and the bound proves
+    # its X; the exact lane gets every other block, once
+    machine, exact = _spy_on_lanes(monkeypatch)
     zd = mul(z_var(1, 1), d_var(1, 1))
     for model, paths in ((build_model(0, 14), {True}), (model_0_24, {True, False})):
-        calls.clear()
-        words = 0  # the blocks whose W and P are int64, each decided by the bound
         for degree, blocks in enumerate((model.blocks, model.forms)):
-            which = range(len(blocks))
-            pairs = _pairings(model, zd, degree, which)
-            words += sum(b.w.dtype == mat.dtype == np.int64 for b, (mat, _) in zip(blocks, pairs))
+            machine.clear(), exact.clear()
+            pairs = _pairings(model, zd, degree, range(len(blocks)))
+            words = [bi for bi, (b, (mat, _)) in enumerate(zip(blocks, pairs))
+                     if b.w.dtype == mat.dtype == np.int64]
             _blocks_by_index(model, zd, degree)
-        # one stacked decision per degree, one entry per machine-word block
-        assert len(calls) == 2 and len(calls[0]) + len(calls[1]) == words
-        assert set(chain(*calls)) == paths
+            # one stacked decision per degree, one entry per machine-word block, in block order
+            ((_, proved),) = machine
+            assert len(proved) == len(words) and set(proved) <= paths
+            unproved = [bi for bi, ok in zip(words, proved) if not ok]
+            want = sorted(set(range(len(blocks))).difference(words).union(unproved))
+            assert sorted(bi for bi, b in enumerate(blocks) for w in exact if w is b.w) == want
+            assert len(exact) == len(want)
         if paths == {True}:  # every z d/dz block of (0, 14) goes on machine words
-            assert words == len(model.blocks) + len(model.forms)
+            assert not exact and len(words) == len(blocks)
+    # at (0, 24), 20 blocks have W or P past int64 and the bound refuses 3 more
+    assert sum(len(bs) for bs in (model_0_24.blocks, model_0_24.forms)) == 98
+    machine.clear(), exact.clear()
+    limit_supertrace(model_0_24, zd, [1.0])
+    assert len(exact) == 23 and sum(not ok for _, proved in machine for ok in proved) == 3
+
+
+@pytest.mark.parametrize("k, n", sorted({(0, 14), (1, 10), (2, 8), (3, 13)}
+                                         | {(k, max(k + 2, 8)) for k in range(5)}))
+def test_the_benchmark_and_suite_queries_stay_in_the_machine_lane(monkeypatch, k, n):
+    # the `spectral-sweep` models, whose identity and z d/dz supertraces it reads, and the
+    # suite's query models: the mckean-singer model (1, 10) and the harmonic models
+    # (k, max(k + 2, 8)); no block of theirs reaches the exact lane
+    machine, exact = _spy_on_lanes(monkeypatch)
+    model = build_model(k, n)
+    for op in (unit(1), mul(z_var(1, 1), d_var(1, 1))):
+        harmonic_supertrace(model, op)
+        limit_supertrace(model, op, [0.5, 11.0])
+    assert not exact
+    assert len(machine) == 6 and all(all(proved) for _, proved in machine)
+
+
+@pytest.mark.parametrize("k, n", [(0, 24), pytest.param(0, 40, marks=pytest.mark.large)])
+def test_the_machine_stack_is_as_wide_as_its_largest_block(monkeypatch, k, n):
+    # a z d/dz query pads its machine stack to the largest block whose W and P are int64, not
+    # to the degree's largest block: at (0, 40) the wide stack took 8-12 ms against 1.7 ms
+    machine, _ = _spy_on_lanes(monkeypatch)
+    model = build_model(k, n)
+    zd = mul(z_var(1, 1), d_var(1, 1))
+    for degree, blocks in enumerate((model.blocks, model.forms)):
+        machine.clear()
+        pairs = _pairings(model, zd, degree, range(len(blocks)))
+        _blocks_by_index(model, zd, degree)
+        widest = max(len(b.w) for b, (mat, _) in zip(blocks, pairs)
+                     if b.w.dtype == mat.dtype == np.int64)
+        ((width, _),) = machine
+        assert width == widest < max(len(b.w) for b in blocks)
 
 
 @pytest.mark.parametrize("k, n", [(0, 8), (1, 10), (3, 12)])
@@ -1676,40 +1740,46 @@ def test_the_supertrace_terms_are_those_of_each_block_alone(k, n):
             assert name != "z d/dz" or isinstance(got, tuple)
 
 
-@pytest.mark.parametrize("passes", [None, 97], ids=["passes-as-built", "passes-of-97"])
+def _entries(x, scale, left, right):
+    """The (x, scale, left right) of each entry of one `_signed_root` call, sorted."""
+    return sorted(zip(*(a.ravel().tolist() for a in np.broadcast_arrays(
+        *(np.asarray(v, dtype=object) for v in (x, scale, left * right))))))
+
+
 @pytest.mark.parametrize("k, n", [(0, 14), (3, 13), (0, 24)])
-def test_the_python_integer_lane_gets_exactly_the_entries_past_2_to_the_53(monkeypatch, k, n,
-                                                                          passes):
-    # an entry's radicand X_ij^2 num^2 / (p_i den^2 p_j) is rounded in Python integers exactly
-    # when its numerator or its denominator is at or past 2^53, and no padding entry is: X is
-    # formed here in Python integers from the query's own pairings, rows and norms.  The
-    # entries go in passes of `_PASS`, every pass full but the last
+def test_the_python_integer_lane_gets_exactly_the_entries_past_2_to_the_53(monkeypatch, k, n):
+    # in the machine lane an entry's radicand X_ij^2 num^2 / (p_i den^2 p_j) is rounded in
+    # Python integers exactly when its numerator or its denominator is at or past 2^53, all
+    # in one `_signed_root` call, and no padding entry is; each exact-lane block reaches
+    # `_signed_root` once, with all s^2 of its entries.  X is formed here in Python integers
+    # from the query's own pairings, rows and norms.  Only (0, 24) reaches the exact lane
     model = build_model(k, n)
-    if passes:
-        monkeypatch.setattr(spectral, "_PASS", passes)
     zd = mul(_Z, _D)
-    calls, real = [], spectral._signed_root
+    calls = []  # the machine lane's call, if any, then each exact block's W and its call
+    real_root, real_exact = spectral._signed_root, spectral._exact_congruence
     monkeypatch.setattr(spectral, "_signed_root",
-                        lambda x, *rest: calls.append((x, *rest)) or real(x, *rest))
+                        lambda *args: calls.append(_entries(*args)) or real_root(*args))
+    monkeypatch.setattr(spectral, "_exact_congruence",
+                        lambda w, *rest: calls.append(w) or real_exact(w, *rest))
     for degree, blocks in enumerate((model.blocks, model.forms)):
         calls.clear()
         _blocks_by_index(model, zd, degree)
         mat, alone, num, den = _operator_pairings(model, zd, degree, range(len(blocks)))
-        want, entries = [], 0
+        entries = []  # each block's (X_ij, num^2, p_i den^2 p_j), sorted
         for row, block in enumerate(blocks):
             s = len(block.w)
             w = block.w.astype(object)
             x = w.dot(alone.get(row, mat[row, :s, :s]).astype(object)).dot(w.T).tolist()
             scale, p = (num[row] ** 2, den[row] ** 2), block.norms
-            entries += s * s
-            want += [(x[i][j], scale[0], p[i] * scale[1] * p[j]) for i in range(s) for j in range(s)
-                     if max(x[i][j] ** 2 * scale[0], p[i] * scale[1] * p[j]) >= 2 ** 53]
-        assert 0 < len(want) < entries
-        assert [len(x) for x, *_ in calls] == [len(x) for x in np.array_split(
-            np.arange(len(want)), range(spectral._PASS, len(want), spectral._PASS))]
-        seen = [entry for x, scale, left, right in calls
-                for entry in zip(x.tolist(), scale.tolist(), (left * right).tolist())]
-        assert sorted(seen) == sorted(want)
+            entries.append(sorted((x[i][j], scale[0], p[i] * scale[1] * p[j])
+                                  for i in range(s) for j in range(s)))
+        m = len(calls) % 2  # 1 when the machine lane called, since it calls first
+        exact = {next(bi for bi, b in enumerate(blocks) if b.w is w): got
+                 for w, got in zip(calls[m::2], calls[m + 1::2])}
+        assert exact == {bi: entries[bi] for bi in exact} and bool(exact) == (n == 24)
+        rest = [e for bi, block in enumerate(entries) if bi not in exact for e in block]
+        want = sorted(e for e in rest if max(e[0] ** 2 * e[1], e[2]) >= 2 ** 53)
+        assert 0 < len(want) < len(rest) and calls[:m] == [want]
 
 
 def test_a_later_escape_raises_the_first_in_which_order_and_builds_nothing(monkeypatch):
@@ -1719,7 +1789,7 @@ def test_a_later_escape_raises_the_first_in_which_order_and_builds_nothing(monke
     op = monomial(1, (6,), (0,))
     rounded, real = [], spectral._round_congruences
     monkeypatch.setattr(spectral, "_round_congruences",
-                        lambda w, *args: rounded.append(len(w)) or real(w, *args))
+                        lambda x, *args: rounded.append(len(x)) or real(x, *args))
     texts = set()
     for which in (range(len(model.blocks)), range(len(model.blocks))[::-1], [0, 1, 9, 2, 6]):
         got = _blocks_of_one_query(model, op, 0, which)
