@@ -80,8 +80,8 @@ def integrate_chart(density: ChartDensity, levels: int = 6, tol: float = 1e-10) 
     Returns the last level's value with the two-level difference as error
     estimate; `converged` records whether that difference met `tol`.
     """
-    if levels < 2:
-        raise ValueError(f"levels must be at least 2, got {levels}")
+    if not isinstance(levels, int) or isinstance(levels, bool) or levels < 2:
+        raise ValueError(f"levels must be an integer of at least 2, got {levels!r}")
     previous = None
     value = 0.0
     err = math.inf

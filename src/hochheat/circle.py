@@ -103,8 +103,10 @@ class BumpFunction:
         if not math.isfinite(self.center):
             raise ValueError(f"bump center must be finite, got {self.center}")
         _check_positive("bump radius", self.radius)
-        if not 1 <= self.power <= _MAX_POWER:
-            raise ValueError(f"bump power must be an integer from 1 to {_MAX_POWER}, got {self.power}")
+        power = self.power
+        if not isinstance(power, int) or isinstance(power, bool) or not 1 <= power <= _MAX_POWER:
+            raise ValueError(
+                f"bump power must be an integer from 1 to {_MAX_POWER}, got {power!r}")
 
     def __call__(self, x: float) -> float:
         u = (x - self.center) / self.radius

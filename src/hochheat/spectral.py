@@ -71,9 +71,8 @@ integers otherwise.  In each of the 780 models build_model admits (every
 k with N <= 40) each u_i has one or two c_im and rows two apart share
 none, so X is tridiagonal in W coordinates; that shape sets only the cost,
 and no code path reads it.  Each entry is rounded once (`_signed_root`),
-one Python int / int quotient per radicand.  build_model(0, 40) and
-build_model(38, 40), whose expansions pass int64, take 0.16-0.24 s and
-0.54-0.73 s on one 2-CPU host.
+one Python int / int quotient per radicand; `MAX_TRUNC` gives the cost at
+N = 40, where the expansions pass int64.
 Degree 1 expands W1 T in W0 on its own, and each degree is solved on
 its own and keeps its eigenvectors.
 Only integration by parts, T G0 = G1 D^T, ties their nonzero spectra
@@ -97,14 +96,17 @@ sigma + 2 tau decides every escape, the first escaping pair by arithmetic
 (`_check_integrable`), and raises what the term-by-term reference of the
 test oracles (`tests/oracles.py`) raises on the same pair: the kappa are
 the exact sums of the image's monomials, so a cancelled top term is left out.
-The model pads a degree's rows, norms and Gram scales once, at the first
-query of that degree (`SpectralModel.stack`).  A query tests the escapes at
-once, the first in its order raising before any block is built; its int64
-pairings are one padded Hankel sum, their scales integer parts
-(`_operator_pairings`).  Each block then takes one lane for its exact
-X = W P W^T (`_operator_blocks`).  The machine lane takes the blocks whose W
-and P are int64 and whose X a float error bound proves (the float product
-itself below 2^52, else the uint64 one), one stack padded to the largest of
+The model keeps each degree as one table (`_Table`): per block its charge,
+size, certified rows, norms padded with 1, Gram scale as an integer pair,
+eigenvalues and eigenvectors; each alpha's rows in int64 are kept once, for
+both degrees.  A query reads the table and keeps nothing on the model.  It
+tests the escapes at once, the first in its order raising before any block
+is built; its int64 pairings are one padded Hankel sum, their scales
+integer parts (`_operator_pairings`).  Each block then takes one lane for
+its exact X = W P W^T (`_operator_blocks`).  The machine lane takes the
+blocks whose W and P are int64 and whose X a float error bound proves (the
+float product itself below 2^52, else the uint64 one), one stack of their
+alphas' int64 rows cut to each block's size and padded to the largest of
 them, each entry rounded in float64 where both parts of its radicand
 X_ij^2 num^2 / (p_i den^2 p_j) are below 2^53 (6,791 of the 12,450 z d/dz
 entries of the four sweep models) and in `_signed_root` otherwise.  The
@@ -139,13 +141,13 @@ import numpy as np
 from .weyl import WeylElement, format_element, unpack
 
 #: largest truncation `build_model` accepts, checked before any work; a cost
-#: bound on one 2-CPU Intel Xeon host (Python 3.11.7, numpy 2.4.6): N = 40 takes
-#: 0.12-0.13 s for k = 0 and 0.37-0.47 s for k = 38, the largest k it admits (as a
-#: whole command at k = 38, `spectrum` 0.55-0.90 s and `harmonic` 1.14-1.59 s, medians
-#: 0.61 and 1.30 s, over 25 and 8 cold runs), and one z d/dz `limit_supertrace` on a
-#: model not yet queried 0.38-0.42 s (median 0.40 s) for k = 0 and 0.87-0.99 s (median
-#: 0.94 s) for k = 38, CPU time over 9 runs, most of it exact O(s^3) products past the
-#: machine words
+#: bound on one 2-CPU Intel Xeon host (Python 3.11.7, numpy 2.4.6), CPU time over 11
+#: runs: N = 40 takes 0.24-0.30 s (median 0.26 s) for k = 0 and 0.48-0.65 s (median
+#: 0.52 s) for k = 38, the largest k it admits, and one z d/dz `limit_supertrace` on a
+#: model not yet queried 0.43-0.54 s (median 0.46 s) for k = 0 and 0.90-1.15 s (median
+#: 1.01 s) for k = 38, most of it exact O(s^3) products past the machine words; as a
+#: whole command at k = 38 with an empty cache, `spectrum` takes 0.61-0.80 s and
+#: `harmonic` 1.04-1.37 s wall time (medians 0.68 and 1.20 s, 9 runs)
 MAX_TRUNC = 40
 
 IntMat = List[List[int]]
@@ -432,58 +434,34 @@ def _stiffness(w: Sequence[np.ndarray], norms: Sequence[Sequence[int]],
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Block:
-    charge: int           # a - b of its basis, whose closed form `_layout` gives
-    w: np.ndarray         # closed-form rows, lower triangular: a leading block of the alpha's rows
-    norms: List[int]      # W G W^T = diag(norms); with G = L D L^T, W = diag(sqrt(norms / D)) L^-1
-    scale: Fraction       # the Gram block is scale * G: 1/(M-1)! times the gcd of the certified norms
-    lam: np.ndarray       # ascending eigenvalues of the block's Laplacian
-    vecs: np.ndarray      # orthonormal eigenvectors (columns), reduced coords
-
-
-class _Stack(NamedTuple):
-    """One degree's blocks as every operator query reads them: its rows and norms padded to
-    its largest size s, and per-block tables."""
-    charge: np.ndarray    # (blocks,)
-    sizes: np.ndarray     # (blocks,)
-    key: np.ndarray       # (blocks,) each block's row of `keys`
-    keys: np.ndarray      # (keys, 2) the distinct (alpha, size) of the blocks
-    w: np.ndarray         # (blocks, s, s) int64 rows, 0 past each block and where they pass int64
-    words: np.ndarray     # (blocks,) whether a block's rows are int64
-    norms: np.ndarray     # (blocks, s), 1 past each block: int64 below 2^63, else Python integers
-    scale: np.ndarray     # (2, blocks) Python integers: each Gram scale's numerator and denominator
-
-
-def _stack(blocks: Sequence[_Block]) -> _Stack:
-    """The blocks of one degree as one `_Stack`."""
-    n, s = len(blocks), max(len(b.w) for b in blocks)
-    w, norms = np.zeros((n, s, s), dtype=np.int64), np.ones((n, s), dtype=object)
-    index: Dict[Tuple[int, int], int] = {}  # (alpha, size) -> its row of keys
-    rows = []
-    for i, b in enumerate(blocks):
-        t, word = len(b.w), b.w.dtype == np.int64
-        if word:
-            w[i, :t, :t] = b.w
-        norms[i, :t] = b.norms
-        rows.append((b.charge, t, index.setdefault((abs(b.charge), t), len(index)), word))
-    charge, sizes, key, words = (np.array(c) for c in zip(*rows))
-    scale = np.array([(b.scale.numerator, b.scale.denominator) for b in blocks], dtype=object).T
-    try:
-        norms = norms.astype(np.int64)
-    except OverflowError:  # a norm past int64 keeps them all Python integers
-        pass
-    return _Stack(charge, sizes, key, np.array(list(index)), w, words, norms, scale)
+class _Table(NamedTuple):
+    """One degree's blocks in charge order, each field indexed by block: every reader of the
+    model takes a block from here."""
+    charge: np.ndarray      # (blocks,) a - b of its basis, whose closed form `_layout` gives
+    sizes: np.ndarray       # (blocks,)
+    w: List[np.ndarray]     # closed-form rows, lower triangular: a leading block of its alpha's
+    # (blocks, s) W G W^T = diag(norms), 1 past each block: int64 below 2^63, else Python
+    # integers; with G = L D L^T, W = diag(sqrt(norms / D)) L^-1
+    norms: np.ndarray
+    # (2, blocks) Python integers: the Gram block is num / den times G, num / den = 1/(M-1)!
+    # times the gcd of the certified norms
+    scale: np.ndarray
+    lam: List[np.ndarray]   # ascending eigenvalues of the block's Laplacian
+    vecs: List[np.ndarray]  # orthonormal eigenvectors (columns), reduced coords
 
 
 @dataclass(frozen=True)
 class SpectralModel:
     k: int
     trunc: int
-    blocks: List[_Block]               # degree 0, the sections chi, one block per charge
-    forms: List[_Block]                # degree 1, the forms psi; forms[i] pairs with blocks[i]
+    # degree 0, the sections chi, and degree 1, the forms psi, one block per charge; form
+    # block i pairs with section block i
+    tables: Tuple[_Table, _Table]
     harmonic0: List[Tuple[int, int]]   # (block index, eigen column)
     harmonic1: List[Tuple[int, int]]   # (form block index, eigen column)
+    # each alpha's rows in int64, 0 past them and where they pass int64: the machine lane's W,
+    # shared by both degrees and cut to each block by the query
+    _words: np.ndarray = field(repr=False)
     # each degree's eigenvalues, sorted, its kernel exactly 0: the one spectrum every view reads
     _flat0: np.ndarray = field(repr=False)
     _flat1: np.ndarray = field(repr=False)
@@ -494,18 +472,11 @@ class SpectralModel:
         number of the largest section Gram block of each alpha, which bounds its leading ones."""
         fact = [factorial(i) for i in range(2 * self.trunc + self.k + 2)]
         # section block q >= 0 is the largest of alpha = q and holds block -q as a leading block
-        grams = (_gram(len(b.w), b.charge, fact) for b in self.blocks if b.charge >= 0)
+        table = self.tables[0]
+        grams = (_gram(s, q, fact) for q, s in zip(table.charge.tolist(), table.sizes.tolist())
+                 if q >= 0)
         return {"max_gram_condition": max(float(np.linalg.cond([[v / fact[-1] for v in row]
                                                                  for row in g])) for g in grams)}
-
-    def stack(self, degree: int) -> _Stack:
-        """One degree's blocks as one padded `_Stack`, built by the first operator query that
-        reads the degree and kept for every later one, like `basis_meta`; its arrays are
-        copies, the model's own."""
-        stacks = self.__dict__.setdefault("_stacks", {})
-        if degree not in stacks:
-            stacks[degree] = _stack((self.blocks, self.forms)[degree])
-        return stacks[degree]
 
 
 def _layout(k: int, n: int, degree: int) -> np.ndarray:
@@ -604,21 +575,37 @@ def build_model(k: int, trunc: int) -> SpectralModel:
         lam[np.abs(lam) <= error[:, None]] = 0.0
         solved.update(zip(members, zip(lam, vecs, error)))
     eigen = (solved[i] for i in range(len(mats)))
-    blocks, forms = [], []
-    for degree, out in enumerate((blocks, forms)):
-        for (charge, _), wb, pb in zip(layout[degree], w[degree], p[degree]):
-            lam, vecs, error = next(eigen)
+    tables = []
+    for degree, blocks in enumerate(layout):
+        pad = np.ones((len(blocks), max(s for _, s in blocks)), dtype=object)
+        scale, lams, vecs = [], [], []
+        for b, ((charge, s), pb) in enumerate(zip(blocks, p[degree])):
+            lam, vec, error = next(eigen)
             if lam[0] < 0:  # below minus its measured error
                 raise IllConditionedGramError(
                     f"negative eigenvalue {lam[0]:.3e} below its measured error {error:.1e} "
                     f"in the degree-{degree} block at charge {charge}")
             g = math.gcd(*pb)  # g keeps the radicands of the operator congruences small
-            out.append(_Block(charge, wb, [v // g for v in pb], unit * g, lam, vecs))
-    harmonic = [[(bi, col) for bi, b in enumerate(bs) for col in range(len(b.lam))
-                 if b.lam[col] == 0.0] for bs in (blocks, forms)]
-    flat = [np.sort(np.concatenate([b.lam for b in bs])) for bs in (blocks, forms)]
-    return SpectralModel(k=k, trunc=trunc, blocks=blocks, forms=forms, harmonic0=harmonic[0],
-                         harmonic1=harmonic[1], _flat0=flat[0], _flat1=flat[1])
+            pad[b, :s] = [v // g for v in pb]
+            scale.append((unit * g).as_integer_ratio())
+            lams.append(lam)
+            vecs.append(vec)
+        try:
+            pad = pad.astype(np.int64)
+        except OverflowError:  # a norm past int64 keeps them all Python integers
+            pass
+        tables.append(_Table(*np.array(blocks).T, w[degree], pad,
+                             np.array(scale, dtype=object).T, lams, vecs))
+    width = max(largest.values())
+    words = np.zeros((len(rows), width, width), dtype=np.int64)  # every alpha 0..N+k+1 has rows
+    for alpha, wa in rows.items():
+        if wa.dtype == np.int64:
+            words[alpha, :len(wa), :len(wa)] = wa
+    harmonic = [[(bi, col) for bi, lam in enumerate(t.lam) for col in range(len(lam))
+                 if lam[col] == 0.0] for t in tables]
+    flat = [np.sort(np.concatenate(t.lam)) for t in tables]
+    return SpectralModel(k=k, trunc=trunc, tables=tuple(tables), harmonic0=harmonic[0],
+                         harmonic1=harmonic[1], _words=words, _flat0=flat[0], _flat1=flat[1])
 
 
 # ---------------------------------------------------------------------------
@@ -698,8 +685,8 @@ def _operator_pairings(model: SpectralModel, op: WeylElement, degree: int, which
     summed alone in Python integers.  No P is divided by the gcd of its
     entries: a factor moved between P and its scale changes no radicand,
     only whether float64 rounds it.  Returns the int64 stack
-    (blocks, s, s) of the degree's `_Stack` width, zero past each block and
-    at the Python-integer blocks, those by row, and each pairing's scale over
+    (blocks, s, s), s the largest listed size, zero past each block and at
+    the Python-integer blocks, those by row, and each pairing's scale over
     its block's Gram scale as a numerator and a denominator in lowest terms,
     Python integers.
     """
@@ -712,9 +699,9 @@ def _operator_pairings(model: SpectralModel, op: WeylElement, degree: int, which
     for key, r, c in _image_coefficients(op, power, dmax):
         vals = kappa_of.setdefault(key, [0] * (n + k + 2))  # every a of either degree
         kappa_of[key] = [v + c * math.perm(a, r) for a, v in enumerate(vals)]
-    stack = model.stack(degree)
-    charge, size, key = stack.charge[which], stack.sizes[which], stack.key[which]
-    alpha, width = np.abs(charge), stack.w.shape[-1]
+    table = model.tables[degree]
+    charge, size = table.charge[which], table.sizes[which]
+    alpha, width = np.abs(charge), int(size.max(initial=1))
     j = np.arange(width)
     inside = j < size[:, None]  # (block, j)
     at = np.where(inside, np.maximum(charge, 0)[:, None] + j, n + k + 2)  # a_j, or a column of 0
@@ -732,11 +719,13 @@ def _operator_pairings(model: SpectralModel, op: WeylElement, degree: int, which
     bound = np.abs(kappa).max(axis=1, initial=0).sum(axis=1)  # 0 when nothing pairs
     # the moments each (alpha, size) reads, divided by their gcd; alpha + 2 (s-1) <= M - 2 for
     # every block and m = M + dmax, so the window ends inside mom
-    keys, gcds = stack.keys.tolist(), [1] * len(stack.keys)
+    keys: Dict[Tuple[int, int], int] = {}  # each distinct (alpha, size) -> its row
+    key = np.array([keys.setdefault(p, len(keys)) for p in zip(alpha.tolist(), size.tolist())],
+                   dtype=int)
+    gcds = [1] * len(keys)
     limit = np.zeros(len(keys), dtype=np.int64)
     stretch = np.zeros((len(keys), 2 * width - 1 + dmax), dtype=np.int64)
-    for row in set(key.tolist()):
-        a, s = keys[row]
+    for row, (a, s) in enumerate(keys):
         window = mom[a:a + 2 * s - 1 + dmax]
         gcds[row] = g = math.gcd(*window)
         top = max(window) // g
@@ -755,13 +744,13 @@ def _operator_pairings(model: SpectralModel, op: WeylElement, degree: int, which
         mat[rows] = words_only
     alone = {}
     for row in np.flatnonzero(~words).tolist():
-        (a, s), g = keys[key[row]], gcds[key[row]]
+        a, s, g = int(alpha[row]), int(size[row]), gcds[key[row]]
         win = np.array(mom[a:a + 2 * s - 1 + dmax], dtype=object) // g
         kap, alone[row] = kappa[row, :s].astype(object), np.zeros((s, s), dtype=object)
         for t, (tau, _) in enumerate(neutral):
             alone[row] += win[tau:][hankel[:s, :s]] * kap[:, t]
     # scale_b = window gcd / (den (m-1)!), over the block's Gram scale num / den
-    gram_num, gram_den = stack.scale[:, which]
+    gram_num, gram_den = table.scale[:, which]
     num = np.array(gcds, dtype=object)[key] * gram_den
     den = op.den * factorial(m - 1) * gram_num
     common = np.gcd(num, den)
@@ -774,7 +763,7 @@ def _operator_blocks(model: SpectralModel, op: WeylElement, degree: int,
 
     Degree 0: entries <op chi_j, chi_i>; degree 1: entries <op psi_j, psi_i>,
     with op acting on the dzbar coefficient.  Only the blocks in `which`
-    (non-empty) are built: their exact pairings (`_operator_pairings`), then
+    are built: their exact pairings (`_operator_pairings`), then
     X = W P W^T, each block on one lane: the machine lane where W and P are
     int64 and `_machine_congruences` proves X (`_round_congruences`), else
     `_exact_congruence`.  Each matrix is zero past its block's size.
@@ -787,24 +776,24 @@ def _operator_blocks(model: SpectralModel, op: WeylElement, degree: int,
             f"operator coefficient degree {max_coeff_deg} exceeds truncation {model.trunc} "
             f"for {format_element(op)!r}"
         )
-    stack, which = model.stack(degree), np.asarray(which, dtype=int)
+    table, which = model.tables[degree], np.asarray(which, dtype=int)
     mat, alone, num, den = _operator_pairings(model, op, degree, which)
-    sizes, out = stack.sizes[which], {}
-    words = stack.words[which]
-    words[list(alone)] = False
-    rows = np.flatnonzero(words)  # W and P int64: the machine lane where X is proved
-    if len(rows):
+    sizes, out = table.sizes[which], {}
+    rows = np.array([row for row, b in enumerate(which.tolist())
+                     if table.w[b].dtype == np.int64 and row not in alone], dtype=int)
+    if len(rows):  # W and P int64: the machine lane where X is proved
         t, a = sizes[rows].max(), mat if len(rows) == len(mat) else mat[rows]  # no copy
-        x, proved = _machine_congruences(stack.w[which[rows], :t, :t], a[:, :t, :t], sizes[rows])
+        w = model._words[np.abs(table.charge[which[rows]]), :t, :t]
+        w *= (np.arange(t) < sizes[rows, None])[:, :, None]  # the alpha's rows past the block
+        x, proved = _machine_congruences(w, a[:, :t, :t], sizes[rows])
         if not proved.all():
             rows, x = rows[proved], x[proved]
         out.update(zip(rows.tolist(), _round_congruences(
-            x, sizes[rows], stack.norms[which[rows], :t], num[rows], den[rows])))
-    blocks = (model.blocks, model.forms)[degree]
+            x, sizes[rows], table.norms[which[rows], :t], num[rows], den[rows])))
     for row in set(range(len(which))).difference(out):
-        b = blocks[which[row]]
-        p = alone.get(row, mat[row, :len(b.w), :len(b.w)])
-        out[row] = _exact_congruence(b.w, p, b.norms, num[row], den[row])
+        b, s = which[row], sizes[row]
+        out[row] = _exact_congruence(table.w[b], alone.get(row, mat[row, :s, :s]),
+                                     table.norms[b, :s], num[row], den[row])
     return [out[row] for row in range(len(which))]
 
 
@@ -837,15 +826,14 @@ def _supertrace_terms(model: SpectralModel, op: WeylElement,
     those blocks are built, one query a degree.  Each diagonal is a row-wise dot of Y with
     A Y, one product a block: BLAS may round a product padded past the block's size otherwise."""
     lams, diags = [np.empty(0)], [np.empty(0)]
-    for degree, (sign, blocks, chosen) in enumerate(zip((1.0, -1.0), (model.blocks, model.forms),
-                                                        columns)):
+    for degree, (sign, table, chosen) in enumerate(zip((1.0, -1.0), model.tables, columns)):
         if chosen:
             terms = []
             for mat, (bi, cols) in zip(_operator_blocks(model, op, degree, list(chosen)),
                                        chosen.items()):
-                s = len(blocks[bi].w)
-                y = blocks[bi].vecs[:, cols]
-                lams.append(blocks[bi].lam[cols])
+                s = table.sizes[bi]
+                y = table.vecs[bi][:, cols]
+                lams.append(table.lam[bi][cols])
                 terms.append(np.einsum("ij,ij->j", y, mat[:s, :s] @ y))
             diags.append(sign * np.concatenate(terms))
     return np.concatenate(lams), np.concatenate(diags)
@@ -889,8 +877,8 @@ def limit_supertrace(
         raise ValueError("t_grid must be non-empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("t_grid must be strictly increasing")
-    lam, diag = _supertrace_terms(model, op, [dict.fromkeys(range(len(blocks)), slice(None))
-                                              for blocks in (model.blocks, model.forms)])
+    lam, diag = _supertrace_terms(model, op, [dict.fromkeys(range(len(t.w)), slice(None))
+                                              for t in model.tables])
     series = [float(np.exp(-t * lam) @ diag) for t in grid]
     return series, series[-1]
 

@@ -28,7 +28,8 @@ also computes, by a route that shares none of its shortcuts:
 * `charge_pairs`, the indices (a, b) of one charge block picked out of the
   whole truncation box, against the closed-form layout of
   `hochheat.spectral._layout`, with `pairs_of` to read a model block's
-  indices back from its charge and size;
+  indices back from its charge and size, and `blocks_of` to read each
+  degree's blocks out of the model's tables;
 * `incidence_by_images`, the d-bar and d-bar* incidences looked up term by
   term from the images `dbar_chi` and `dbar_star` of single basis
   functions, against the closed-form arrays of
@@ -85,7 +86,8 @@ from itertools import chain, permutations, product
 from math import comb, factorial
 from numbers import Rational
 from operator import mul as _times
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -286,7 +288,7 @@ def lifted_pairings(model: SpectralModel, op: WeylElement, degree: int,
     m = top + power + extra
     mom = [factorial(s) * factorial(m - s - 2) for s in range(m - 1)]
     unit = Fraction(1, den * factorial(m - 1))
-    blocks = (model.blocks, model.forms)[degree]
+    blocks = blocks_of(model)[degree]
     for bi in which:
         pairs = pairs_of(blocks[bi])
         images = [_lift(_apply_weyl(op, {(a, b, power): 1}, den), top) for a, b in pairs]
@@ -333,6 +335,24 @@ def charge_pairs(q: int, a_max: int, b_max: int) -> List[Tuple[int, int]]:
     for (N+k+1, N-1), each index tested against the box one at a time.
     """
     return [(b + q, b) for b in range(b_max + 1) if 0 <= b + q <= a_max]
+
+
+class Block(NamedTuple):
+    """One block of a model degree, as the tests read it."""
+    charge: int
+    w: np.ndarray        # the certified rows as built, the very array the model holds
+    norms: List[int]     # W G W^T = diag(norms), Python integers
+    scale: Fraction      # the Gram block is scale times G, W G W^T = diag(norms)
+    lam: np.ndarray
+    vecs: np.ndarray
+
+
+def blocks_of(model: SpectralModel) -> Tuple[List[Block], List[Block]]:
+    """The blocks of each degree of a model, in charge order, read out of its tables."""
+    return tuple([Block(c, t.w[b], t.norms[b, :s].tolist(), Fraction(*t.scale[:, b]), t.lam[b],
+                        t.vecs[b])
+                  for b, (c, s) in enumerate(zip(t.charge.tolist(), t.sizes.tolist()))]
+                 for t in model.tables)
 
 
 def pairs_of(block) -> List[Tuple[int, int]]:
@@ -483,8 +503,8 @@ def supertrace_terms_alone(model: SpectralModel, op: WeylElement,
     eigen-columns, counted + in degree 0 and - in degree 1.
     """
     lams, diags = [np.empty(0)], [np.empty(0)]
-    for degree, (sign, blocks, chosen) in enumerate(zip((1.0, -1.0), (model.blocks, model.forms),
-                                                        columns)):
+    for degree, (sign, chosen) in enumerate(zip((1.0, -1.0), columns)):
+        blocks = blocks_of(model)[degree]
         for (bi, cols), (mat, sc) in zip(chosen.items(),
                                          lifted_pairings(model, op, degree, list(chosen))):
             block = blocks[bi]
@@ -516,9 +536,9 @@ def harmonic0_coordinates(model: SpectralModel) -> List[Dict[Tuple[int, int], fl
     R = D^(-1/2) L^-1 = diag(1 / sqrt(scale norms[j])) W rounded once per
     entry, W the block's lower triangular rows.
     """
-    out = []
+    out, blocks = [], blocks_of(model)[0]
     for bi, col in model.harmonic0:
-        block = model.blocks[bi]
+        block = blocks[bi]
         sc = block.scale
         r = np.zeros((len(block.w), len(block.w)))
         for j, row in enumerate(block.w.tolist()):

@@ -92,6 +92,13 @@ def test_method_and_level_validation():
         integrate_chart(todd_density(), levels=1)
 
 
+@pytest.mark.parametrize("levels", [2.5, 3.0, True])
+def test_a_level_count_that_is_not_an_int_is_refused(levels):
+    # a float count failed in range() with a TypeError, and True was refused only as 1
+    with pytest.raises(ValueError, match="levels must be an integer"):
+        integrate_chart(chern_density(1), levels=levels)
+
+
 def test_error_estimate_tracks_true_error():
     # with a loose tolerance the reported estimate must bound the true error
     # of the accepted level within a small safety factor

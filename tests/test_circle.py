@@ -75,6 +75,13 @@ def test_bump_validation():
         BumpFunction(0.0, 0.1, 0)
 
 
+@pytest.mark.parametrize("power", [2.5, 3.0, True])
+def test_a_bump_power_that_is_not_an_int_is_refused(power):
+    # a float power failed only later, in integral()'s factorial, and True passed as 1
+    with pytest.raises(ValueError, match="bump power must be an integer"):
+        BumpFunction(0.0, 0.1, power)
+
+
 def test_localized_trace_matches_spectral_route():
     bump = BumpFunction(0.35, 0.2, 2)
     mass = bump.integral()

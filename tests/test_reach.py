@@ -18,12 +18,15 @@ spectral model is frozen, so a query keeps nothing on it.
 import ast
 import dataclasses
 import os
+import pickle
 import sys
 from typing import Dict, Iterable, List, Set, Tuple
 
 import pytest
 
-from hochheat.spectral import SpectralModel, build_model
+from hochheat.spectral import (SpectralModel, build_model, harmonic_supertrace,
+                               limit_supertrace)
+from hochheat.weyl import d_var, mul, z_var
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "hochheat")
@@ -217,3 +220,14 @@ def test_a_spectral_model_is_frozen():
     for name in [f.name for f in dataclasses.fields(model)] + ["_op_cache"]:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(model, name, None)
+
+
+def test_a_query_leaves_the_model_unchanged():
+    # the supertraces read the model's tables and keep nothing on it, neither a new entry of
+    # its __dict__ nor a changed array; z d/dz reads both degrees
+    model = build_model(1, 6)
+    before = pickle.dumps(vars(model))
+    zd = mul(z_var(1, 1), d_var(1, 1))
+    harmonic_supertrace(model, zd)
+    limit_supertrace(model, zd, [0.5, 11.0])
+    assert pickle.dumps(vars(model)) == before

@@ -39,7 +39,7 @@ from hochheat.spectral import (
 from hochheat.weyl import WeylElement, d_var, mul, unit, z_var
 from oracles import (DivergentIntegralError, _apply_weyl, _congruence, _expand, _lift,
                      _moment_block, _pairing, _reduced, _round_congruence, _round_each_entry,
-                     _scaled_root, add,
+                     _scaled_root, add, blocks_of,
                      charge_pairs, dbar_chi, dbar_chi_without_its_second_term, doubled_dbar_star,
                      harmonic0_coordinates,
                      incidence_by_images, lifted_pairings, mono_integral, monomial,
@@ -49,7 +49,7 @@ from oracles import (DivergentIntegralError, _apply_weyl, _congruence, _expand, 
 def _blocks_by_index(model, op, degree, which=None):
     """`spectral._operator_blocks` of the listed blocks (default: every block of the degree)
     by block index, each matrix cut to its block's size."""
-    blocks = (model.blocks, model.forms)[degree]
+    blocks = blocks_of(model)[degree]
     which = list(range(len(blocks)) if which is None else which)
     if not which:
         return {}
@@ -108,7 +108,7 @@ def test_gram_matches_generic_pairing():
     k, n = 1, 4
     fact = [math.factorial(i) for i in range(2 * n + k + 2)]
     model = build_model(k, n)
-    for basis, extra, blocks in ((_chi, k + 2, model.blocks), (_psi, k, model.forms)):
+    for basis, extra, blocks in zip((_chi, _psi), (k + 2, k), blocks_of(model)):
         for block in blocks:
             pairs = pairs_of(block)
             gram = _gram(len(pairs), abs(pairs[0][0] - pairs[0][1]), fact)
@@ -398,7 +398,7 @@ def _intertwined_degree_one_terms(model, op, grid):
     """
     n, k = model.trunc, model.k
     lams, diags = [], []
-    for block in model.blocks:
+    for block in blocks_of(model)[0]:
         mat, scale = _pairing_matrix([dbar_chi(a, b, n) for a, b in pairs_of(block)], op, k)
         pairing = _round_congruence(block.w, np.array(mat, dtype=object), block.norms,
                                     scale / block.scale)
@@ -420,7 +420,7 @@ def _eigenbasis_terms(model, op, degree, grid):
     degree-0 sum is rounding noise, so a tolerance scaled by the signed sum
     absorbs none.
     """
-    blocks = (model.blocks, model.forms)[degree]
+    blocks = blocks_of(model)[degree]
     mats = _blocks_by_index(model, op, degree)
     diags = [np.einsum("ij,ij->j", b.vecs, mats[bi] @ b.vecs) for bi, b in enumerate(blocks)]
     return ([sum(float((np.exp(-t * b.lam) * dg).sum()) for b, dg in zip(blocks, diags))
@@ -735,7 +735,7 @@ def test_closed_form_path_is_bit_identical_to_the_bareiss_oracle(monkeypatch, k,
     # one call for degree 0 and one for degree 1, one block per charge in each; each
     # stiffness is the plain congruence of its own incidence, D G1 D^T or T G0 T^T,
     # and (M-1)! scales the Gram and the stiffness alike
-    assert [len(x) for x in solved] == [len(model.blocks)] * 2
+    assert [len(x) for x in solved] == [len(model.tables[0].w)] * 2
     for q, got0, got1 in zip(range(-n, n + k + 1), *solved):
         _, _, g0, g1, dbar, star = _block_incidences(k, n, q)
         for got, gram, incidence, other in ((got0, g0, dbar, g1), (got1, g1, star, g0)):
@@ -743,7 +743,7 @@ def test_closed_form_path_is_bit_identical_to_the_bareiss_oracle(monkeypatch, k,
             assert got.tobytes() == ref.tobytes()
     zd = mul(z_var(1, 1), d_var(1, 1))
     fact = [math.factorial(i) for i in range(2 * n + k + 2)]
-    for degree, blocks in enumerate((model.blocks, model.forms)):
+    for degree, blocks in enumerate(blocks_of(model)):
         got = _blocks_by_index(model, zd, degree)
         which = range(len(blocks))
         for bi, (mat, scale) in zip(which, _pairings(model, zd, degree, which)):
@@ -1099,7 +1099,7 @@ def test_a_moment_window_past_the_words_is_summed_in_python_integers(monkeypatch
     # z and d pair no neutral term, so the kappa factor of the int64 bound is 0, while at
     # N = 24 their moment window alone passes 2^63
     model = model_0_24
-    which = range(len((model.blocks, model.forms)[degree]))
+    which = range(len(model.tables[degree].w))
     assert any(mat.dtype == object for mat, _ in _pairings(model, op, degree, which))
     got = _blocks_by_index(model, op, degree)
     monkeypatch.setattr(spectral, "_EXACT", 0)  # no array stays in machine words
@@ -1130,7 +1130,7 @@ def test_each_block_takes_the_path_its_bound_proves(monkeypatch, model_0_24):
     machine, exact = _spy_on_lanes(monkeypatch)
     zd = mul(z_var(1, 1), d_var(1, 1))
     for model, paths in ((build_model(0, 14), {True}), (model_0_24, {True, False})):
-        for degree, blocks in enumerate((model.blocks, model.forms)):
+        for degree, blocks in enumerate(blocks_of(model)):
             machine.clear(), exact.clear()
             pairs = _pairings(model, zd, degree, range(len(blocks)))
             words = [bi for bi, (b, (mat, _)) in enumerate(zip(blocks, pairs))
@@ -1146,7 +1146,7 @@ def test_each_block_takes_the_path_its_bound_proves(monkeypatch, model_0_24):
         if paths == {True}:  # every z d/dz block of (0, 14) goes on machine words
             assert not exact and len(words) == len(blocks)
     # at (0, 24), 20 blocks have W or P past int64 and the bound refuses 3 more
-    assert sum(len(bs) for bs in (model_0_24.blocks, model_0_24.forms)) == 98
+    assert sum(len(t.w) for t in model_0_24.tables) == 98
     machine.clear(), exact.clear()
     limit_supertrace(model_0_24, zd, [1.0])
     assert len(exact) == 23 and sum(not ok for _, proved in machine for ok in proved) == 3
@@ -1174,7 +1174,7 @@ def test_the_machine_stack_is_as_wide_as_its_largest_block(monkeypatch, k, n):
     machine, _ = _spy_on_lanes(monkeypatch)
     model = build_model(k, n)
     zd = mul(z_var(1, 1), d_var(1, 1))
-    for degree, blocks in enumerate((model.blocks, model.forms)):
+    for degree, blocks in enumerate(blocks_of(model)):
         machine.clear()
         pairs = _pairings(model, zd, degree, range(len(blocks)))
         _blocks_by_index(model, zd, degree)
@@ -1194,7 +1194,7 @@ def test_one_eigensolve_per_block_size(monkeypatch, k, n):
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
     model = build_model(k, n)
-    sizes = [len(pairs_of(b)) for b in model.blocks + model.forms]
+    sizes = [len(pairs_of(b)) for b in chain(*blocks_of(model))]
     assert sorted(shape[-1] for shape in stacks) == sorted(set(sizes))
     assert {shape[-1]: shape[0] for shape in stacks} == {s: sizes.count(s) for s in sizes}
 
@@ -1211,12 +1211,12 @@ def test_certificate_is_taken_once_per_alpha(monkeypatch):
     k, n = 2, 7
     model = build_model(k, n)
     largest = {}  # alpha -> its largest block, in either degree
-    for b in model.blocks + model.forms:
+    for b in chain(*blocks_of(model)):
         pairs = pairs_of(b)
         alpha = abs(pairs[0][0] - pairs[0][1])
         largest[alpha] = max(largest.get(alpha, 0), len(pairs))
     assert sorted(calls) == sorted(largest.items())
-    assert len(calls) < len(model.blocks) + len(model.forms)
+    assert len(calls) < sum(len(t.w) for t in model.tables)
 
 
 @pytest.mark.parametrize("k, n", [(1, 8), (0, 14), (3, 13)])
@@ -1338,7 +1338,7 @@ def test_congruence_entries_are_within_two_ulp():
     model = build_model(k, n)
     zd = mul(z_var(1, 1), d_var(1, 1))
     for degree, (basis, extra) in enumerate([(_chi, k + 2), (_psi, k)]):
-        blocks = (model.blocks, model.forms)[degree]
+        blocks = blocks_of(model)[degree]
         bi = max(range(len(blocks)), key=lambda i: len(pairs_of(blocks[i])))
         pairs = pairs_of(blocks[bi])
         gram = [[mono_integral(a + b2, 2 * n + k + 2) for (_, b2) in pairs] for (a, _) in pairs]
@@ -1381,7 +1381,7 @@ def _pairing_matrix(funcs, op, extra):
 def _reference_pairings(model, op, degree, bi):
     """The reference pairing of one block: chi with weight k+2, or psi with weight k."""
     basis, extra = [(_chi, model.k + 2), (_psi, model.k)][degree]
-    pairs = pairs_of((model.blocks, model.forms)[degree][bi])
+    pairs = pairs_of(blocks_of(model)[degree][bi])
     return _pairing_matrix([basis(a, b, model.trunc) for a, b in pairs], op, extra)
 
 
@@ -1403,7 +1403,7 @@ def _pairings(model, op, degree, which):
     ratio times the block's Gram scale."""
     which = list(which)
     mat, alone, num, den = _operator_pairings(model, op, degree, which)
-    blocks = (model.blocks, model.forms)[degree]
+    blocks = blocks_of(model)[degree]
     return [(alone.get(row, mat[row, :len(blocks[bi].w), :len(blocks[bi].w)]),
              Fraction(int(num[row]), int(den[row])) * blocks[bi].scale)
             for row, bi in enumerate(which)]
@@ -1416,7 +1416,7 @@ def _as_lists(pairings):
 
 
 def _both_assemblies(model, op, degree):
-    which = range(len((model.blocks, model.forms)[degree]))
+    which = range(len(model.tables[degree].w))
     return (_outcome(lambda: _as_lists(_pairings(model, op, degree, which))),
             _outcome(lambda: [_reference_pairings(model, op, degree, bi) for bi in which]))
 
@@ -1503,7 +1503,7 @@ def _blocks_or_refusal(assemble):
 
 def _both_pairings(model, op, degree):
     """The closed-form pairings and the term-by-term ones of every block of one degree."""
-    which = range(len((model.blocks, model.forms)[degree]))
+    which = range(len(model.tables[degree].w))
     return (_blocks_or_refusal(lambda: _as_lists(_pairings(model, op, degree, which))),
             _blocks_or_refusal(lambda: lifted_pairings(model, op, degree, which)))
 
@@ -1650,14 +1650,14 @@ def test_harmonic_supertrace_builds_only_the_kernel_blocks(monkeypatch):
     built = _spy_on_built_blocks(monkeypatch)
     harmonic_supertrace(model, unit(1))
     kernel_blocks = sorted({bi for bi, _ in model.harmonic0})
-    assert len(kernel_blocks) == model.k + 1 < len(model.blocks)
+    assert len(kernel_blocks) == model.k + 1 < len(model.tables[0].w)
     # for k >= 0 the degree-1 kernel is empty, so no degree-1 block is built
     assert not model.harmonic1 and built == [(0, kernel_blocks)]
     built.clear()
     grid = [0.5, 2.0, 11.0]
     fresh = build_model(0, 14)
     assert limit_supertrace(model, unit(1), grid) == limit_supertrace(fresh, unit(1), grid)
-    assert built == [(0, list(range(len(model.blocks)))), (1, list(range(len(model.forms))))] * 2
+    assert built == [(degree, list(range(len(t.w)))) for degree, t in enumerate(model.tables)] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -1676,7 +1676,7 @@ def _blocks_alone(model, op, degree, which):
     """Each listed block built on its own: its term-by-term pairing (`lifted_pairings`) and
     its congruence formed and rounded alone (`_round_congruence`), as bytes by block index;
     or the text of the escape the pairings raise, the first in `which` order."""
-    blocks = (model.blocks, model.forms)[degree]
+    blocks = blocks_of(model)[degree]
     try:
         pairs = list(lifted_pairings(model, op, degree, which))
     except OperatorEscapeError as exc:
@@ -1704,7 +1704,7 @@ def test_each_operator_block_gets_the_bits_it_gets_alone(k, n):
     model = build_model(k, n)
     ops = _queried_operators(k) if n < 40 else {"z d/dz": mul(_Z, _D)}
     for op in ops.values():
-        for degree, blocks in enumerate((model.blocks, model.forms)):
+        for degree, blocks in enumerate(blocks_of(model)):
             assert (_blocks_of_one_query(model, op, degree)
                     == _blocks_alone(model, op, degree, range(len(blocks))))
 
@@ -1728,7 +1728,7 @@ def test_the_supertrace_terms_are_those_of_each_block_alone(k, n):
     # the Python-integer congruence
     model = build_model(k, n)
     ops = _queried_operators(k) if n < 40 else {"z d/dz": mul(_Z, _D)}
-    every = [dict.fromkeys(range(len(b)), slice(None)) for b in (model.blocks, model.forms)]
+    every = [dict.fromkeys(range(len(t.w)), slice(None)) for t in model.tables]
     kernel = [{}, {}]
     for chosen, harmonic in zip(kernel, (model.harmonic0, model.harmonic1)):
         for bi, col in harmonic:
@@ -1761,7 +1761,7 @@ def test_the_python_integer_lane_gets_exactly_the_entries_past_2_to_the_53(monke
                         lambda *args: calls.append(_entries(*args)) or real_root(*args))
     monkeypatch.setattr(spectral, "_exact_congruence",
                         lambda w, *rest: calls.append(w) or real_exact(w, *rest))
-    for degree, blocks in enumerate((model.blocks, model.forms)):
+    for degree, blocks in enumerate(blocks_of(model)):
         calls.clear()
         _blocks_by_index(model, zd, degree)
         mat, alone, num, den = _operator_pairings(model, zd, degree, range(len(blocks)))
@@ -1791,7 +1791,8 @@ def test_a_later_escape_raises_the_first_in_which_order_and_builds_nothing(monke
     monkeypatch.setattr(spectral, "_round_congruences",
                         lambda x, *args: rounded.append(len(x)) or real(x, *args))
     texts = set()
-    for which in (range(len(model.blocks)), range(len(model.blocks))[::-1], [0, 1, 9, 2, 6]):
+    every = range(len(model.tables[0].w))
+    for which in (every, every[::-1], [0, 1, 9, 2, 6]):
         got = _blocks_of_one_query(model, op, 0, which)
         assert isinstance(got, str) and got == _blocks_alone(model, op, 0, which)
         assert not rounded
@@ -1817,6 +1818,13 @@ def test_a_query_tests_only_the_blocks_it_builds(monkeypatch):
         harmonic_supertrace(model, op)
 
 
+def test_a_query_of_no_blocks_returns_none():
+    # the query sizes its arrays by the blocks it is given, and an empty list is a query too
+    model = build_model(0, 4)
+    for degree in (0, 1):
+        assert spectral._operator_blocks(model, mul(_Z, _D), degree, []) == []
+
+
 @pytest.mark.parametrize("k", range(4))
 def test_the_charged_operators_f_and_e_get_what_each_block_gets_alone(k):
     # F = d/dz and E = z^2 d/dz - k z shift the charge by -1 and +1, so no block pairs a term
@@ -1825,7 +1833,7 @@ def test_the_charged_operators_f_and_e_get_what_each_block_gets_alone(k):
     for n in (k + 2, 8, 12):
         model = build_model(k, n)
         for op in (ops["F = d"], ops["E"]):
-            for degree, blocks in enumerate((model.blocks, model.forms)):
+            for degree, blocks in enumerate(blocks_of(model)):
                 assert (_blocks_of_one_query(model, op, degree)
                         == _blocks_alone(model, op, degree, range(len(blocks))))
             assert harmonic_supertrace(model, op) == 0.0
