@@ -130,6 +130,8 @@ class TensorChain:
     @staticmethod
     def from_terms(n: int, raw: Iterable[Tuple[Fraction, Word]]) -> "TensorChain":
         """The chain sum(coeff * word) for words of `WeylElement` slots."""
+        if type(n) is not int:  # a bool or a float would reach chain JSON as it is
+            raise ValueError(f"chain needs an integer n, got {n!r}")
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
         if n > MAX_VARIABLES:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, Tuple
 
 import numpy as np
@@ -78,10 +79,14 @@ def integrate_chart(density: ChartDensity, levels: int = 6, tol: float = 1e-10) 
     """Integrate a chart density over the plane with level doubling.
 
     Returns the last level's value with the two-level difference as error
-    estimate; `converged` records whether that difference met `tol`.
+    estimate; `converged` records whether that difference met `tol`, a
+    positive finite real number.
     """
     if not isinstance(levels, int) or isinstance(levels, bool) or levels < 2:
         raise ValueError(f"levels must be an integer of at least 2, got {levels!r}")
+    # nan or a negative tol can never be met, and inf is met by any difference
+    if not isinstance(tol, Real) or isinstance(tol, bool) or not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a positive finite real number, got {tol!r}")
     previous = None
     value = 0.0
     err = math.inf

@@ -30,13 +30,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Sequence
 
 
 def _check_positive(what: str, x: float) -> None:
-    if not 0 < x < math.inf:
+    if isinstance(x, bool) or not 0 < x < math.inf:
         raise ValueError(f"{what} must be positive and finite, got {x}")
+
+
+def _time_grid(s_grid: Sequence[float]) -> List[float]:
+    """s_grid as floats; a ValueError unless it is non-empty and every entry is positive and
+    not a bool."""
+    grid = [math.nan if isinstance(s, bool) else float(s) for s in s_grid]
+    if not grid or not all(s > 0 for s in grid):
+        raise ValueError("s_grid must be non-empty with positive entries")
+    return grid
 
 
 #: terms `_theta_tail` may sum; it needs about sqrt(69 / c), at most 38 in the
@@ -100,7 +108,7 @@ class BumpFunction:
     power: int
 
     def __post_init__(self):
-        if not math.isfinite(self.center):
+        if isinstance(self.center, bool) or not math.isfinite(self.center):
             raise ValueError(f"bump center must be finite, got {self.center}")
         _check_positive("bump radius", self.radius)
         power = self.power
@@ -116,9 +124,8 @@ class BumpFunction:
 
     def integral(self) -> float:
         """Exact closed form: radius * 2^(2m+1) (m!)^2 / (2m+1)!."""
-        m = self.power
-        exact = Fraction(2 ** (2 * m + 1) * math.factorial(m) ** 2, math.factorial(2 * m + 1))
-        return self.radius * float(exact)
+        m, f = self.power, math.factorial
+        return self.radius * (2 ** (2 * m + 1) * f(m) ** 2 / f(2 * m + 1))  # one int / int quotient
 
 
 @dataclass(frozen=True)
@@ -145,9 +152,7 @@ def compare_localization(
     _check_positive("circumference B", length_b)
     if 2.0 * bump.radius > length_a:
         raise ValueError(f"bump support 2*{bump.radius} exceeds circumference {length_a}")
-    grid = [float(s) for s in s_grid]
-    if not grid or any(s <= 0 for s in grid):
-        raise ValueError("s_grid must be non-empty with positive entries")
+    grid = _time_grid(s_grid)
     lmin = min(length_a, length_b)
     mass = bump.integral()
     rows = []
@@ -180,9 +185,7 @@ def long_time_rows(length: float, bump: BumpFunction, s_grid: Sequence[float]) -
     0.05 to 10, s from 1 to 10).
     """
     _check_positive("circumference", length)
-    grid = [float(s) for s in s_grid]
-    if not grid or any(s <= 0 for s in grid):
-        raise ValueError("s_grid must be non-empty with positive entries")
+    grid = _time_grid(s_grid)
     mass = bump.integral()
     allowance = 8.0 * math.ulp(1.0 / length) * mass
     rows = []

@@ -22,8 +22,9 @@ product reduces to
     integral z^s zbar^s (1+|z|^2)^(-m) (1/pi) dx dy = s! (m-s-2)! / (m-1)!
 
 so every matrix is an integer matrix times one exact rational scale: the
-Gram entries are s! (M-s-2)! over (M-1)! with M = 2N+k+2, and each
-operator pairing is a numerator over (m-1)!.  The Gram and stiffness
+moment sequence s! (m-s-2)!, s = 0..m-2, is written once (`_moments`), the
+Gram entries are its terms at m = M = 2N+k+2 over (M-1)!, and each
+operator pairing is a sum of its terms over (m-1)!.  The Gram and stiffness
 matrices are block diagonal over the charge q = a - b: block q holds
 z^(b+q) zbar^b for b = max(0,-q), max(0,-q) + 1, ..., each degree's
 (charge, size) are one closed form (`_layout`), and every reader takes a
@@ -37,7 +38,7 @@ its content, form one integer lower triangle W with W G W^T = diag(p),
 p > 0.  Nothing is taken from the formula on trust.  The Gram depends only
 on alpha and M, and every block of one alpha is a leading block of the
 largest one, so the rows of each alpha are certified once, on that largest
-block, against the moment sequence s! (M-s-2)!: each row of the lower
+block, against the moments `_moments(M)`: each row of the lower
 triangle of U = W G is one exact Hankel correlation of the moments with a
 row of W, and the build is refused unless U is upper triangular and every
 p_j = U_jj W_jj is positive, which is W G W^T = diag(p) > 0.  A lower
@@ -129,8 +130,6 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 from math import comb, factorial
 from numbers import Real
@@ -149,8 +148,6 @@ from .weyl import WeylElement, format_element, unpack
 #: whole command at k = 38 with an empty cache, `spectrum` takes 0.61-0.80 s and
 #: `harmonic` 1.04-1.37 s wall time (medians 0.68 and 1.20 s, 9 runs)
 MAX_TRUNC = 40
-
-IntMat = List[List[int]]
 
 #: the operator congruence keeps rows and pairings in int64 only below this, exact in float64
 _EXACT = 2 ** 52
@@ -466,17 +463,18 @@ class SpectralModel:
     _flat0: np.ndarray = field(repr=False)
     _flat1: np.ndarray = field(repr=False)
 
-    @cached_property
+    @property
     def basis_meta(self) -> Dict[str, object]:
-        """`max_gram_condition`, recorded only and computed on first read: the float condition
+        """`max_gram_condition`, recorded only and computed on each read: the float condition
         number of the largest section Gram block of each alpha, which bounds its leading ones."""
-        fact = [factorial(i) for i in range(2 * self.trunc + self.k + 2)]
-        # section block q >= 0 is the largest of alpha = q and holds block -q as a leading block
+        top = 2 * self.trunc + self.k + 2  # M
+        mom, gram_den = np.array(_moments(top), dtype=object), factorial(top - 1)
+        # section block q >= 0 is the largest of alpha = q and holds block -q as a leading block:
+        # its Gram entries are mom[q + i + j] / (M-1)!, each one int / int quotient
         table = self.tables[0]
-        grams = (_gram(s, q, fact) for q, s in zip(table.charge.tolist(), table.sizes.tolist())
-                 if q >= 0)
-        return {"max_gram_condition": max(float(np.linalg.cond([[v / fact[-1] for v in row]
-                                                                 for row in g])) for g in grams)}
+        grams = (mom[q + np.add.outer(range(s), range(s))] / gram_den
+                 for q, s in zip(table.charge.tolist(), table.sizes.tolist()) if q >= 0)
+        return {"max_gram_condition": float(max(np.linalg.cond(g.astype(float)) for g in grams))}
 
 
 def _layout(k: int, n: int, degree: int) -> np.ndarray:
@@ -508,11 +506,10 @@ def _incidence(k: int, n: int, degree: int) -> Tuple[np.ndarray, np.ndarray]:
     return col, np.stack([b, b - n] if degree == 0 else [-a, n + k + 1 - a], axis=1)
 
 
-def _gram(size: int, alpha: int, fact: List[int]) -> IntMat:
-    """(M-1)! times the Gram block of charge +-alpha: entries s! (M-s-2)!, s = i + j + alpha."""
-    top = len(fact)
-    return [[fact[s] * fact[top - s - 2] for s in range(i + alpha, i + alpha + size)]
-            for i in range(size)]
+def _moments(m: int) -> List[int]:
+    """s! (m-s-2)! for s = 0..m-2: (m-1)! times the integral of z^s zbar^s (1+|z|^2)^(-m)
+    (1/pi) dx dy, the one closed form every Gram entry and operator pairing reads."""
+    return [factorial(s) * factorial(m - s - 2) for s in range(m - 1)]
 
 
 def build_model(k: int, trunc: int) -> SpectralModel:
@@ -523,7 +520,7 @@ def build_model(k: int, trunc: int) -> SpectralModel:
     then assembled once, degree 0 first: one `_stiffness` call for all its
     blocks, from its incidence (`_incidence`) and the other degree's rows
     and norms.  One `np.linalg.eigh` call solves the stack of all blocks of
-    each size.  `basis_meta`, recorded only, is computed on its first read.
+    each size.  `basis_meta`, recorded only, is computed on each read.
 
     Requires integers k >= 0 and k + 2 <= trunc <= MAX_TRUNC.  Each block's
     measured error, s 2^-52 max|lam| plus the residual of its lowest
@@ -547,14 +544,13 @@ def build_model(k: int, trunc: int) -> SpectralModel:
     if trunc > MAX_TRUNC:
         raise ValueError(f"trunc must be at most {MAX_TRUNC}, got {trunc}")
     n = trunc
-    fact = [factorial(i) for i in range(2 * n + k + 2)]  # up to (M-1)!, M = 2N+k+2
-    mom = [fact[s] * fact[-2 - s] for s in range(len(fact) - 1)]  # s! (M-s-2)!
-    unit = Fraction(1, fact[-1])
+    top = 2 * n + k + 2  # M
+    mom, gram_den = _moments(top), factorial(top - 1)
     layout = [_layout(k, n, degree).tolist() for degree in (0, 1)]
     largest: Dict[int, int] = {}  # alpha -> the largest block that uses it, in either degree
     for charge, size in chain(*layout):
         largest[abs(charge)] = max(largest.get(abs(charge), 0), size)
-    rows = {alpha: _orthogonal_rows(size, alpha, len(fact)) for alpha, size in largest.items()}
+    rows = {alpha: _orthogonal_rows(size, alpha, top) for alpha, size in largest.items()}
     norms = {alpha: _certify(mom, alpha, w) for alpha, w in rows.items()}
     w = [[rows[abs(c)][:s, :s] for c, s in blocks] for blocks in layout]
     p = [[norms[abs(c)][:s] for c, s in blocks] for blocks in layout]
@@ -587,7 +583,8 @@ def build_model(k: int, trunc: int) -> SpectralModel:
                     f"in the degree-{degree} block at charge {charge}")
             g = math.gcd(*pb)  # g keeps the radicands of the operator congruences small
             pad[b, :s] = [v // g for v in pb]
-            scale.append((unit * g).as_integer_ratio())
+            common = math.gcd(g, gram_den)
+            scale.append((g // common, gram_den // common))  # g / (M-1)! in lowest terms
             lams.append(lam)
             vecs.append(vec)
         try:
@@ -678,7 +675,7 @@ def _operator_pairings(model: SpectralModel, op: WeylElement, degree: int, which
     first to escape in `which` order raises (`_check_integrable`) before any
     is built.  Since a_j + b_i = alpha + i + j, the pairing times (m-1)! is
     P = sum_tau H_tau diag(kappa[0, tau]), H_tau the Hankel slice
-    mom[alpha + tau + i + j] of mom[s] = s! (m-s-2)!, m = top + weight, the
+    mom[alpha + tau + i + j] of mom = `_moments(m)`, m = top + weight, the
     window divided by its gcd once per (alpha, size).  The blocks where the
     window and max(window) sum_tau max_j |kappa[0, tau][j]|, a bound on |P|,
     are below `_EXACT` are one padded int64 Hankel sum; each other one is
@@ -694,7 +691,7 @@ def _operator_pairings(model: SpectralModel, op: WeylElement, degree: int, which
     power, extra = (n, k + 2) if degree == 0 else (n + 1, k)
     dmax = max((unpack(key, 1)[1][0] for key, _ in op.nums), default=0)
     m = power + dmax + power + extra
-    mom = [factorial(s) * factorial(m - s - 2) for s in range(m - 1)]
+    mom = _moments(m)
     kappa_of: Dict[Tuple[int, int], List[int]] = {}  # [sigma, tau][a]: kappa[sigma, tau](a)
     for key, r, c in _image_coefficients(op, power, dmax):
         vals = kappa_of.setdefault(key, [0] * (n + k + 2))  # every a of either degree
@@ -801,7 +798,7 @@ def _heat_time(t: object) -> float:
     """t as a float; a ValueError names t unless it is a positive finite real number, not a bool."""
     try:
         value = float(t) if isinstance(t, Real) and not isinstance(t, bool) else math.nan
-    except OverflowError:  # an int or Fraction past the float range
+    except OverflowError:  # an int or a rational past the float range
         value = math.inf
     if not 0 < value < math.inf:
         raise ValueError(f"heat time must be a positive finite real number, got {t!r}")

@@ -135,6 +135,8 @@ class WeylElement:
     @staticmethod
     def from_terms(n: int, terms: Iterable[Tuple[Key, Fraction]]) -> "WeylElement":
         """The element sum(coeff * z^z_exp d^d_exp) over ((z_exp, d_exp), coeff) pairs."""
+        if type(n) is not int:
+            raise ValueError(f"element needs an integer n, got {n!r}")
         expanded = []
         for (z_exp, d_exp), coeff in terms:
             key = (tuple(z_exp), tuple(d_exp))

@@ -603,6 +603,13 @@ def test_constructors_reject_bad_variable_counts():
         TensorChain.word(1, 1, [unit(1)]) + TensorChain.word(2, 1, [unit(2)])
     with pytest.raises(ValueError, match="n >= 1"):
         omega_cycle(0)
+    # True used to build a chain that chain_to_json wrote as "n": true, and 1.0 one that
+    # chain_to_json failed on with a TypeError
+    for n in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match=re.escape(f"integer n, got {n!r}")):
+            TensorChain.from_terms(n, [(1, (unit(1), z_var(1, 1)))])
+        with pytest.raises(ValueError, match=re.escape(f"integer n, got {n!r}")):
+            TensorChain.word(n, 1, [unit(1)])
 
 
 def test_from_terms_refuses_more_than_the_most_variables_as_the_json_reader_does():

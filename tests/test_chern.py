@@ -92,6 +92,14 @@ def test_method_and_level_validation():
         integrate_chart(todd_density(), levels=1)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf, True, "1e-10", None])
+def test_a_tolerance_that_is_not_a_positive_finite_real_is_refused(tol):
+    # nan and -1.0 never converged, inf converged at once whatever the error, and a string
+    # or None failed in the comparison with a TypeError
+    with pytest.raises(ValueError, match="tol must be a positive finite real"):
+        integrate_chart(chern_density(1), tol=tol)
+
+
 @pytest.mark.parametrize("levels", [2.5, 3.0, True])
 def test_a_level_count_that_is_not_an_int_is_refused(levels):
     # a float count failed in range() with a TypeError, and True was refused only as 1

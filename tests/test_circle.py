@@ -197,10 +197,20 @@ def test_grid_validation():
         lambda: BumpFunction(0.35, 0.2, 1001),
         lambda: heat_diagonal_spectral(0.01, 1e200),
         lambda: heat_diagonal_images(0.01, 1e200),
+        # a bool, once read as 1.0
+        lambda: BumpFunction(True, 0.2, 2),
+        lambda: BumpFunction(0.0, True, 2),
+        lambda: compare_localization(True, 1.7, BumpFunction(0.0, 0.2, 2), [0.1]),
+        lambda: compare_localization(1.0, True, BumpFunction(0.0, 0.2, 2), [0.1]),
+        lambda: compare_localization(1.0, 1.7, BumpFunction(0.0, 0.2, 2), [0.1, True]),
+        lambda: long_time_rows(True, BumpFunction(0.0, 0.2, 2), [1.0]),
+        lambda: long_time_rows(1.0, BumpFunction(0.0, 0.2, 2), [True]),
     ],
     ids=["nan-length", "inf-length", "zero-length", "zero-length-long", "nan-length-long",
          "inf-length-long", "nan-center", "nan-radius", "inf-radius",
-         "power-above-cap", "overflowing-length-spectral", "overflowing-length-images"],
+         "power-above-cap", "overflowing-length-spectral", "overflowing-length-images",
+         "bool-center", "bool-radius", "bool-length-a", "bool-length-b", "bool-short-grid",
+         "bool-length-long", "bool-long-grid"],
 )
 def test_non_finite_or_unbounded_input_is_refused(make):
     with pytest.raises(ValueError):

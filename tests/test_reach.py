@@ -223,11 +223,12 @@ def test_a_spectral_model_is_frozen():
 
 
 def test_a_query_leaves_the_model_unchanged():
-    # the supertraces read the model's tables and keep nothing on it, neither a new entry of
-    # its __dict__ nor a changed array; z d/dz reads both degrees
+    # the supertraces and basis_meta read the model's tables and keep nothing on it, neither a
+    # new entry of its __dict__ nor a changed array; z d/dz reads both degrees
     model = build_model(1, 6)
     before = pickle.dumps(vars(model))
     zd = mul(z_var(1, 1), d_var(1, 1))
     harmonic_supertrace(model, zd)
     limit_supertrace(model, zd, [0.5, 11.0])
+    assert model.basis_meta["max_gram_condition"] > 1
     assert pickle.dumps(vars(model)) == before

@@ -23,9 +23,9 @@ from hochheat.spectral import (
     OperatorEscapeError,
     _certify,
     _check_integrable,
-    _gram,
     _incidence,
     _layout,
+    _moments,
     _operator_pairings,
     _orthogonal_rows,
     _round_congruences,
@@ -103,20 +103,25 @@ def test_pairing_rejects_divergent_input():
         pair_weighted(f, one, 2)
 
 
+def _gram_block(size, alpha, mom):
+    """(M-1)! times the Gram block of charge +-alpha, read off mom = `_moments(M)`."""
+    return [[mom[alpha + i + j] for j in range(size)] for i in range(size)]
+
+
 def test_gram_matches_generic_pairing():
     # (M-1)! times each block's Gram, in both degrees, is the closed-form Hankel block
     k, n = 1, 4
-    fact = [math.factorial(i) for i in range(2 * n + k + 2)]
+    mom = _moments(2 * n + k + 2)
     model = build_model(k, n)
     for basis, extra, blocks in zip((_chi, _psi), (k + 2, k), blocks_of(model)):
         for block in blocks:
             pairs = pairs_of(block)
-            gram = _gram(len(pairs), abs(pairs[0][0] - pairs[0][1]), fact)
+            gram = _gram_block(len(pairs), abs(pairs[0][0] - pairs[0][1]), mom)
             for i, (a1, b1) in enumerate(pairs):
                 for j, (a2, b2) in enumerate(pairs):
                     entry = pair_weighted(basis(a1, b1, n), basis(a2, b2, n), extra)
                     assert entry == mono_integral(a1 + b2, 2 * n + k + 2)
-                    assert entry * fact[-1] == gram[i][j]
+                    assert entry * math.factorial(2 * n + k + 1) == gram[i][j]
 
 
 def test_apply_weyl_is_multiplicative():
@@ -195,7 +200,7 @@ def _block_incidences(k, n, q):
     """Section and form indices of charge q and q + 1, their (M-1)! Grams, and the rows of
     D and T in block q, sliced from `spectral._incidence` (read at run time, so a patched
     incidence reaches the reference)."""
-    fact = [math.factorial(i) for i in range(2 * n + k + 2)]
+    mom = _moments(2 * n + k + 2)
     pairs = charge_pairs(q, n + k, n)
     fpairs = charge_pairs(q + 1, n + k + 1, n - 1)
     rows = []
@@ -204,8 +209,8 @@ def _block_incidences(k, n, q):
         col, coef = spectral._incidence(k, n, degree)
         size = len((pairs, fpairs)[degree])
         rows.append(_nonzero_terms(col[start:start + size], coef[start:start + size]))
-    return (pairs, fpairs, _gram(len(pairs), abs(q), fact), _gram(len(fpairs), abs(q + 1), fact),
-            *rows)
+    return (pairs, fpairs, _gram_block(len(pairs), abs(q), mom),
+            _gram_block(len(fpairs), abs(q + 1), mom), *rows)
 
 
 def _assert_incidence_is_the_images(k, n):
@@ -742,14 +747,14 @@ def test_closed_form_path_is_bit_identical_to_the_bareiss_oracle(monkeypatch, k,
             ref = _oracle_congruence(gram, _congruence(incidence, other), Fraction(1))
             assert got.tobytes() == ref.tobytes()
     zd = mul(z_var(1, 1), d_var(1, 1))
-    fact = [math.factorial(i) for i in range(2 * n + k + 2)]
+    mom = _moments(2 * n + k + 2)
     for degree, blocks in enumerate(blocks_of(model)):
         got = _blocks_by_index(model, zd, degree)
         which = range(len(blocks))
         for bi, (mat, scale) in zip(which, _pairings(model, zd, degree, which)):
             pairs = pairs_of(blocks[bi])
-            gram = _gram(len(pairs), abs(pairs[0][0] - pairs[0][1]), fact)
-            ref = _oracle_congruence(gram, mat.tolist(), scale * fact[-1])
+            gram = _gram_block(len(pairs), abs(pairs[0][0] - pairs[0][1]), mom)
+            ref = _oracle_congruence(gram, mat.tolist(), scale * math.factorial(2 * n + k + 1))
             assert got[bi].tobytes() == ref.tobytes()
 
 
@@ -1383,10 +1388,6 @@ def _reference_pairings(model, op, degree, bi):
     basis, extra = [(_chi, model.k + 2), (_psi, model.k)][degree]
     pairs = pairs_of(blocks_of(model)[degree][bi])
     return _pairing_matrix([basis(a, b, model.trunc) for a, b in pairs], op, extra)
-
-
-def _moments(m):
-    return [math.factorial(s) * math.factorial(m - s - 2) for s in range(m - 1)]
 
 
 def _outcome(assemble):

@@ -425,6 +425,13 @@ def test_from_terms_refuses_an_inexact_coefficient(coeff):
     assert (exact.nums, exact.den) == (((pack(((1,), (0,))), 6), (0, 1)), 2)
 
 
+@pytest.mark.parametrize("n", [True, 1.0, "1"], ids=["bool", "float", "text"])
+def test_from_terms_refuses_a_variable_count_that_is_not_an_int(n):
+    # True and 1.0 used to build an element whose n was not an int
+    with pytest.raises(ValueError, match=re.escape(f"element needs an integer n, got {n!r}")):
+        WeylElement.from_terms(n, [(((1,), (0,)), 1)])
+
+
 def test_keys_in_more_than_the_most_variables_are_refused():
     n = MAX_VARIABLES + 1
     assert mul(z_var(1, n - 1), d_var(n - 1, n - 1)) == monomial(n - 1, (1,) + _ZEROS[1:],
